@@ -6,10 +6,8 @@ import os
 import posixpath
 import shutil
 import tempfile
-import threading
 import uuid
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -22,6 +20,7 @@ from .errors import (
     DuplicateId,
     EmptyOutput,
     InvalidBatchSize,
+    LogMissing,
     MissingInput,
     NoResults,
     RetrievalFailed,
@@ -99,7 +98,7 @@ class BatchRun:
 class RunOptions:
     skip_conversion: bool = False
     output_mode: str = "SingleZip"
-    parallelism: int = 4
+    parallelism: int = 4  # ignored: a run makes its remote calls one at a time
     poll_interval_s: float = slurm.DEFAULT_POLL_INTERVAL_S
     deadline_s: float = None
     sim_duration_s: int = 30
@@ -153,9 +152,12 @@ def _now():
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def pack_inputs(items, staging_dir):
-    """Zip every item under in/<id>.<ext>, sorted by id; ZARR items are
-    stored as their full directory trees."""
+def pack_inputs(items, staging_dir, prefix_of=None, scripts=None):
+    """Zip every item under <prefix>in/<id>.<ext>, sorted by id, plus the
+    scripts (archive name -> text); ZARR items are stored as their full
+    directory trees. prefix_of maps an item id to its batch prefix, empty by
+    default. Entries are stored, not deflated: microscopy payloads are often
+    compressed already, and deflating them costs more than sending them."""
     if not items:
         raise MissingInput("no input items")
     seen = set()
@@ -165,11 +167,12 @@ def pack_inputs(items, staging_dir):
         seen.add(item.id)
         if not os.path.exists(item.local_path):
             raise MissingInput(item.local_path)
+    prefix_of = prefix_of or {}
     os.makedirs(staging_dir, exist_ok=True)
     zip_path = os.path.join(staging_dir, "input.zip")
-    with zipfile.ZipFile(zip_path, "w", zipfile.ZIP_DEFLATED) as archive:
+    with zipfile.ZipFile(zip_path, "w", zipfile.ZIP_STORED) as archive:
         for item in sorted(items, key=lambda i: i.id):
-            arcbase = f"in/{item.id}.{item.ext}"
+            arcbase = f"{prefix_of.get(item.id, '')}in/{item.id}.{item.ext}"
             if os.path.isdir(item.local_path):
                 for root, _, files in os.walk(item.local_path):
                     for name in sorted(files):
@@ -178,6 +181,8 @@ def pack_inputs(items, staging_dir):
                         archive.write(full, f"{arcbase}/{rel}")
             else:
                 archive.write(item.local_path, arcbase)
+        for name, text in sorted((scripts or {}).items()):
+            archive.writestr(name, text)
     return zip_path
 
 
@@ -190,45 +195,45 @@ def plan_batches(items, batch_size):
 
 
 class _Journal:
-    """Serialized sink for stage transitions, optionally mirrored to a
-    plain-text journal file and a listener callback."""
+    """Sink for stage transitions, optionally mirrored to a plain-text
+    journal file and a listener callback."""
 
     def __init__(self, record, journal_dir=None, listener=None):
         self.record = record
         self.listener = listener
-        self.lock = threading.Lock()
         self.path = None
         if journal_dir is not None:
             os.makedirs(journal_dir, exist_ok=True)
             self.path = os.path.join(journal_dir, f"{record.run_id}.journal")
 
     def emit(self, stage, detail=""):
-        with self.lock:
-            timestamp = _now()
-            if isinstance(stage, RunStage):
-                self.record.overall_state = stage
-            self.record.stage_history.append((timestamp, _stage_name(stage), detail))
-            if self.path is not None:
-                with open(self.path, "a") as handle:
-                    handle.write(f"{timestamp}\t{_stage_name(stage)}\t{detail}\n")
-            if self.listener is not None:
-                self.listener(_stage_name(stage), detail)
+        timestamp = _now()
+        if isinstance(stage, RunStage):
+            self.record.overall_state = stage
+        self.record.stage_history.append((timestamp, _stage_name(stage), detail))
+        if self.path is not None:
+            with open(self.path, "a") as handle:
+                handle.write(f"{timestamp}\t{_stage_name(stage)}\t{detail}\n")
+        if self.listener is not None:
+            self.listener(_stage_name(stage), detail)
 
 
 def _stage_name(stage):
     return stage.value if isinstance(stage, RunStage) else str(stage)
 
 
-def _run_layout(profile, run_id, batch_index, single_batch):
-    base = posixpath.join(profile.scratch_dir, "data", run_id)
-    if not single_batch:
-        base = posixpath.join(base, f"batch{batch_index}")
-    return {
-        "base": base,
-        "in": posixpath.join(base, "in"),
-        "out": posixpath.join(base, "out"),
-        "gt": posixpath.join(base, "gt"),
-    }
+def _split_results(archive, prefix, local_zip):
+    """Copy the files under prefix in archive to local_zip, named relative to
+    prefix; returns False, writing nothing, when there are none."""
+    members = [info for info in archive.infolist()
+               if info.filename.startswith(prefix) and not info.is_dir()]
+    if not members:
+        return False
+    with zipfile.ZipFile(local_zip, "w") as target:
+        for info in members:
+            entry = zipfile.ZipInfo(info.filename[len(prefix):], date_time=info.date_time)
+            target.writestr(entry, archive.read(info), compress_type=info.compress_type)
+    return True
 
 
 def run_workflow(endpoint, profile, registry, workflow_descriptor, workflow_name,
@@ -274,156 +279,133 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
     plan = plan_batches(items, batch_size)
     by_id = {item.id: item for item in items}
     single_batch = len(plan.batches) == 1
-    batches = []
-    for index, ids in enumerate(plan.batches):
-        layout = _run_layout(profile, run_id, index, single_batch)
-        batches.append(BatchRun(index=index, items=ids, remote_dir=layout["base"]))
+    run_dir = posixpath.join(profile.scratch_dir, "data", run_id)
+    batches = [
+        BatchRun(index=index, items=ids,
+                 remote_dir=run_dir if single_batch else posixpath.join(run_dir, f"batch{index}"))
+        for index, ids in enumerate(plan.batches)
+    ]
     record.batches = batches
 
     local_output_dir = local_output_dir or os.getcwd()
     os.makedirs(local_output_dir, exist_ok=True)
     staging_root = tempfile.mkdtemp(prefix=f"slurmbridge-{run_id}-")
-    logs_dir = posixpath.join(profile.scratch_dir, "logs")
+    # Slurm logs of this run only; they outlive the cleanup of run_dir.
+    logs_dir = posixpath.join(profile.scratch_dir, "logs", run_id)
+    log_pattern = jobscript.logfile_pattern(logs_dir)
     image_path = slurm.image_file_path(profile, workflow_name, entry.version)
-    limit = max(1, options.parallelism)
-    endpoint_lock = threading.Lock()
-
-    class BatchError(Exception):
-        def __init__(self, cause):
-            self.cause = cause
-
-    def locked(func, *args, **kwargs):
-        with endpoint_lock:
-            return func(*args, **kwargs)
-
-    def parallel(worker):
-        errors = {}
-        with ThreadPoolExecutor(max_workers=limit) as pool:
-            futures = {pool.submit(worker, batch): batch for batch in batches}
-            for future, batch in futures.items():
-                try:
-                    future.result()
-                except SlurmBridgeError as exc:
-                    errors[batch.index] = exc
-                    batch.state = JobState.FAILED
-        return errors
-
+    input_zip = posixpath.join(run_dir, "input.zip")
     failures = {}
+    conversions = {}  # batch index -> ZARR item count
+
+    def fail(batch, exc):
+        failures[batch.index] = exc
+        batch.state = JobState.FAILED
+
+    def prefix(batch):
+        """Where the batch's files sit in the input archive."""
+        return "" if single_batch else f"batch{batch.index}/"
+
+    def submit(batch, kind, script_name, array_size=None):
+        try:
+            handle = slurm.submit_job(
+                endpoint, posixpath.join(batch.remote_dir, script_name), kind=kind,
+                array_size=array_size, logfile_pattern=log_pattern,
+            )
+        except SlurmBridgeError as exc:
+            fail(batch, exc)
+            return None
+        if array_size:
+            detail = f"kind=conversion job_id={handle.job_id} tasks={array_size}"
+        else:
+            detail = f"kind=workflow job_id={handle.job_id}"
+        journal.emit("submit", f"batch={batch.index} {detail}")
+        return handle
+
     try:
-        # Stage: pack all batches locally.
-        zips = {}
-
-        def pack(batch):
+        # Stage: write every batch's scripts and pack them, with the inputs,
+        # into one archive laid out as the run dir. A batch that cannot be
+        # prepared fails alone.
+        prefix_of, scripts = {}, {}
+        for batch in batches:
             batch_items = [by_id[i] for i in batch.items]
-            staging = os.path.join(staging_root, f"batch{batch.index}")
-            zips[batch.index] = pack_inputs(batch_items, staging)
+            missing = [i.local_path for i in batch_items if not os.path.exists(i.local_path)]
+            if missing:
+                fail(batch, MissingInput(missing[0]))
+                continue
+            in_dir, out_dir, gt_dir = (posixpath.join(batch.remote_dir, name)
+                                       for name in ("in", "out", "gt"))
+            zarr_count = 0 if options.skip_conversion else sum(
+                item.format is InputFormat.ZARR for item in batch_items)
+            if zarr_count:
+                if ("zarr", "tiff") not in (profile.converters or {}):
+                    fail(batch, ConversionFailed(str(UnknownConverter("zarr", "tiff"))))
+                    continue
+                conversions[batch.index] = zarr_count
+                scripts[prefix(batch) + "convert.sh"] = jobscript.render_script(
+                    jobscript.generate_conversion_script(
+                        zarr_count,
+                        slurm.converter_image_path(profile, "zarr", "tiff"),
+                        "zarr",
+                        "tiff",
+                        in_dir,
+                        config_mod.ResourceSpec(
+                            mem_mb=resources.mem_mb,
+                            cpus=resources.cpus,
+                            gpus=0,
+                            time_limit_min=resources.time_limit_min,
+                        ),
+                        logs_dir,
+                        sim=jobscript.SimAnnotation(duration_s=5, outputs=0),
+                    ))
+            scripts[prefix(batch) + "job.sh"] = jobscript.render_script(
+                jobscript.generate_workflow_script(
+                    workflow_descriptor,
+                    resources,
+                    values,
+                    jobscript.RunPaths(in_dir=in_dir, out_dir=out_dir, gt_dir=gt_dir,
+                                       image_file=image_path),
+                    logs_dir,
+                    sim=jobscript.SimAnnotation(
+                        duration_s=options.sim_duration_s, outputs=len(batch.items)
+                    ),
+                ))
+            prefix_of.update(dict.fromkeys(batch.items, prefix(batch)))
+        shipped = [b for b in batches if b.index not in failures]
+        try:
+            archive = pack_inputs([by_id[i] for b in shipped for i in b.items],
+                                  staging_root, prefix_of, scripts) if shipped else None
+        except SlurmBridgeError as exc:
+            for batch in shipped:
+                fail(batch, exc)
+            shipped = []
 
-        failures.update(parallel(pack))
-
-        # Stage: transfer and unpack every batch.
+        # Stage: one mkdir, one upload and one unpack for the whole run.
         journal.emit(RunStage.TRANSFERRING, f"batches={len(batches)}")
-
-        def transfer(batch):
-            if batch.index in failures:
-                return
-            layout = _run_layout(profile, run_id, batch.index, single_batch)
+        if shipped:
+            dirs = [posixpath.join(b.remote_dir, name) for b in shipped for name in ("out", "gt")]
             try:
-                for key in ("in", "out", "gt"):
-                    locked(endpoint.make_dirs, layout[key])
-                remote_zip = posixpath.join(layout["base"], "input.zip")
-                locked(endpoint.put_file, zips[batch.index], remote_zip)
-                result = locked(endpoint.exec, ["unzip", remote_zip, "-d", layout["base"]])
+                result = endpoint.exec(["mkdir", "-p", logs_dir] + dirs)
                 if not result.ok:
-                    raise TransferFailed(f"remote unpack failed: {result.stderr}")
-                locked(endpoint.exec, ["rm", "-f", remote_zip])
+                    raise TransportError(f"remote mkdir failed: {result.stderr}")
+                endpoint.put_file(archive, input_zip)
+                result = endpoint.exec(["unzip", input_zip, "-d", run_dir])
+                if not result.ok:
+                    raise TransportError(f"remote unpack failed: {result.stderr}")
             except TransportError as exc:
-                raise TransferFailed(str(exc)) from exc
-
-        failures.update(parallel(transfer))
+                for batch in shipped:
+                    fail(batch, TransferFailed(str(exc)))
 
         # Stage: submit conversion arrays (where needed) or workflow jobs.
         journal.emit(RunStage.QUEUED, "submitting jobs")
-
-        def needs_conversion(batch):
-            if options.skip_conversion:
-                return []
-            return [i for i in batch.items if by_id[i].format is InputFormat.ZARR]
-
-        def submit_workflow_job(batch):
-            layout = _run_layout(profile, run_id, batch.index, single_batch)
-            script = jobscript.generate_workflow_script(
-                workflow_descriptor,
-                resources,
-                values,
-                jobscript.RunPaths(
-                    in_dir=layout["in"],
-                    out_dir=layout["out"],
-                    gt_dir=layout["gt"],
-                    image_file=image_path,
-                ),
-                logs_dir,
-                sim=jobscript.SimAnnotation(
-                    duration_s=options.sim_duration_s, outputs=len(batch.items)
-                ),
-            )
-            script_path = posixpath.join(layout["base"], "job.sh")
-            batch.workflow_handle = locked(
-                slurm.submit_job,
-                endpoint,
-                jobscript.render_script(script),
-                script_path,
-                kind=slurm.JobKind.WORKFLOW,
-                logfile_pattern=script.logfile_path,
-            )
-            journal.emit(
-                "submit",
-                f"batch={batch.index} kind=workflow job_id={batch.workflow_handle.job_id}",
-            )
-
-        def submit_first_job(batch):
+        for batch in batches:
             if batch.index in failures:
-                return
-            zarr_items = needs_conversion(batch)
-            if zarr_items:
-                layout = _run_layout(profile, run_id, batch.index, single_batch)
-                converter = (profile.converters or {}).get(("zarr", "tiff"))
-                if converter is None:
-                    raise ConversionFailed(str(UnknownConverter("zarr", "tiff")))
-                conv_image = slurm.converter_image_path(profile, "zarr", "tiff")
-                script = jobscript.generate_conversion_script(
-                    len(zarr_items),
-                    conv_image,
-                    "zarr",
-                    "tiff",
-                    layout["in"],
-                    config_mod.ResourceSpec(
-                        mem_mb=resources.mem_mb,
-                        cpus=resources.cpus,
-                        gpus=0,
-                        time_limit_min=resources.time_limit_min,
-                    ),
-                    logs_dir,
-                    sim=jobscript.SimAnnotation(duration_s=5, outputs=0),
-                )
-                script_path = posixpath.join(layout["base"], "convert.sh")
-                batch.conversion_handle = locked(
-                    slurm.submit_job,
-                    endpoint,
-                    jobscript.render_script(script),
-                    script_path,
-                    kind=slurm.JobKind.CONVERSION_ARRAY,
-                    array_size=len(zarr_items),
-                    logfile_pattern=script.logfile_path,
-                )
-                journal.emit(
-                    "submit",
-                    f"batch={batch.index} kind=conversion "
-                    f"job_id={batch.conversion_handle.job_id} tasks={len(zarr_items)}",
-                )
+                continue
+            if batch.index in conversions:
+                batch.conversion_handle = submit(
+                    batch, slurm.JobKind.CONVERSION_ARRAY, "convert.sh", conversions[batch.index])
             else:
-                submit_workflow_job(batch)
-
-        failures.update(parallel(submit_first_job))
+                batch.workflow_handle = submit(batch, slurm.JobKind.WORKFLOW, "job.sh")
 
         # Stage: one consolidated poll loop over all outstanding handles.
         journal.emit(RunStage.RUNNING, "polling")
@@ -453,13 +435,12 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
                 batch = outstanding[job_id]
                 if batch.workflow_handle is None:
                     if state is JobState.COMPLETED:
-                        submit_workflow_job(batch)
+                        batch.workflow_handle = submit(batch, slurm.JobKind.WORKFLOW, "job.sh")
                         progressed = True
                     elif state.terminal:
-                        failures[batch.index] = ConversionFailed(
+                        fail(batch, ConversionFailed(
                             f"conversion job {job_id} ended {state.value}"
-                        )
-                        batch.state = JobState.FAILED
+                        ))
                         progressed = True
                 else:
                     if state.terminal:
@@ -480,45 +461,73 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
             endpoint.sleep(options.poll_interval_s)
             elapsed += options.poll_interval_s
 
-        # Stage: retrieve results or logs per batch.
+        # Stage: drop the inputs remotely, then bring back every output in one
+        # archive and every log in another, and split them locally by batch.
         journal.emit(RunStage.RETRIEVING, "fetching artifacts")
-        for batch in batches:
-            layout = _run_layout(profile, run_id, batch.index, single_batch)
-            handle = batch.workflow_handle
-            if handle is not None:
-                try:
-                    log_path = slurm.fetch_logfile(endpoint, handle, local_output_dir)
-                    batch.logfile = log_path
-                except SlurmBridgeError:
-                    pass
-            if batch.index in failures or batch.state is not JobState.COMPLETED:
-                if batch.index not in failures:
-                    failures[batch.index] = WorkflowFailed(
-                        f"workflow job ended {batch.state.value if batch.state else 'unknown'}",
-                        logfile=batch.logfile,
-                    )
-                if batch.logfile:
-                    record.output_artifacts.append(batch.logfile)
-                continue
-            zip_name = f"{run_id}_batch{batch.index}.zip"
-            local_zip = os.path.join(local_output_dir, zip_name)
+        completed = [b for b in batches
+                     if b.index not in failures and b.state is JobState.COMPLETED]
+        if completed:
             try:
-                slurm.fetch_results(endpoint, layout["out"], local_zip)
-            except EmptyOutput as exc:
-                failures[batch.index] = RetrievalFailed(str(exc), logfile=batch.logfile)
+                endpoint.exec(["rm", "-rf", input_zip] + [
+                    posixpath.join(b.remote_dir, name) for b in shipped for name in ("in", "gt")
+                ])
+            except TransportError:
+                pass  # only makes the results archive larger; cleanup_run removes run_dir
+            try:
+                results = slurm.fetch_results(
+                    endpoint, run_dir, posixpath.join(run_dir, "results.zip"),
+                    os.path.join(staging_root, "results.zip"),
+                )
+            except SlurmBridgeError as exc:
+                for batch in completed:
+                    failures[batch.index] = RetrievalFailed(str(exc))
+            else:
+                with zipfile.ZipFile(results) as archive:
+                    for batch in completed:
+                        local_zip = os.path.join(
+                            local_output_dir, f"{run_id}_batch{batch.index}.zip")
+                        out_dir = posixpath.join(batch.remote_dir, "out")
+                        if _split_results(archive, slurm.zip_entry_name(out_dir) + "/",
+                                          local_zip):
+                            batch.result_zip = local_zip
+                        else:
+                            failures[batch.index] = RetrievalFailed(str(EmptyOutput(out_dir)))
+        # A batch's log is the log of the last job it submitted.
+        logged = [b for b in batches if b.workflow_handle or b.conversion_handle]
+        if logged:
+            try:
+                logs = slurm.fetch_results(
+                    endpoint, logs_dir, posixpath.join(run_dir, "logs.zip"),
+                    os.path.join(staging_root, "logs.zip"),
+                )
+                with zipfile.ZipFile(logs) as archive:
+                    for batch in logged:
+                        try:
+                            batch.logfile = slurm.fetch_logfile(
+                                archive, batch.workflow_handle or batch.conversion_handle,
+                                local_output_dir,
+                            )
+                        except LogMissing:
+                            pass
+            except SlurmBridgeError:
+                pass
+        for batch in batches:
+            if batch.result_zip:
+                record.output_artifacts.append(batch.result_zip)
                 continue
-            except TransportError as exc:
-                failures[batch.index] = RetrievalFailed(str(exc), logfile=batch.logfile)
-                continue
-            batch.result_zip = local_zip
-            record.output_artifacts.append(local_zip)
+            if batch.index not in failures:
+                failures[batch.index] = WorkflowFailed(
+                    f"workflow job ended {batch.state.value if batch.state else 'unknown'}",
+                    logfile=batch.logfile,
+                )
+            if batch.logfile:
+                record.output_artifacts.append(batch.logfile)
+        for index, exc in sorted(failures.items()):
+            journal.emit("batch-failed", f"batch={index} {type(exc).__name__}: {exc}")
     finally:
         # Cleanup is unconditional: remote run data goes, logs stay.
         try:
-            removed = slurm.cleanup_run(
-                endpoint,
-                [posixpath.join(profile.scratch_dir, "data", run_id)],
-            )
+            removed = slurm.cleanup_run(endpoint, [run_dir])
             journal.emit("cleanup", f"removed={len(removed)}")
         except TransportError:
             journal.emit("cleanup", "failed")

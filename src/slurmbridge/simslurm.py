@@ -497,15 +497,20 @@ class SimCluster:
         return ExecResult(0, out, "", 0)
 
     def _zip(self, archive, directory):
+        """`zip -r -D archive directory` as Info-ZIP does it: each file is
+        named by its path as given, without a leading '/'; directories get
+        no entries; the archive leaves itself out."""
         if not self.fs.is_dir(directory):
             return ExecResult(12, "", f"zip error: no such directory {directory}\n", 0)
-        names = self.fs.files_under(directory)
+        names = [name for name in self.fs.files_under(directory)
+                 if posixpath.join(_norm(directory), name) != _norm(archive)]
         if not names:
             return ExecResult(12, "", "zip error: Nothing to do!\n", 0)
+        base = _norm(directory).lstrip("/")
         buffer = io.BytesIO()
         with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED) as archive_file:
             for name in names:
-                info = zipfile.ZipInfo(name, date_time=_ZIP_EPOCH)
+                info = zipfile.ZipInfo(posixpath.join(base, name), date_time=_ZIP_EPOCH)
                 archive_file.writestr(
                     info, self.fs.read(posixpath.join(directory, name))
                 )
@@ -784,6 +789,3 @@ class SimEndpoint(Endpoint):
     def sleep(self, seconds):
         with self.cluster.lock:
             self.cluster.advance(seconds)
-
-    def clone(self):
-        return SimEndpoint(self.cluster)

@@ -1,6 +1,7 @@
 """Slurm operations over a transport Endpoint: environment provisioning,
 submission, polling, log/result retrieval, cancellation, cleanup."""
 
+import os
 import posixpath
 import re
 from dataclasses import dataclass, field
@@ -156,13 +157,10 @@ def init_environment(endpoint, profile, registry):
     return report
 
 
-def submit_job(endpoint, script_text, remote_script_path, env=(), kind=JobKind.WORKFLOW,
-               array_size=None, logfile_pattern=None, now=0.0):
-    """Upload a script and submit it, returning the parsed job handle."""
-    endpoint.put_bytes(script_text.encode(), remote_script_path)
-    command = ["env"] + [f"{name}={value}" for name, value in env] if env else []
-    command += ["sbatch", remote_script_path]
-    result = endpoint.exec(command)
+def submit_job(endpoint, remote_script_path, kind=JobKind.WORKFLOW, array_size=None,
+               logfile_pattern=None, now=0.0):
+    """Submit a script already on the cluster, returning the parsed job handle."""
+    result = endpoint.exec(["sbatch", remote_script_path])
     if not result.ok:
         raise SubmitRejected(result.stderr or result.stdout, result.exit_code)
     match = _SUBMIT_RE.search(result.stdout)
@@ -255,39 +253,41 @@ def cancel_job(endpoint, handle):
     return True
 
 
-def fetch_logfile(endpoint, handle, local_dir):
-    """Copy the job's logfile(s) locally; returns the parent log path."""
-    import os
+def zip_entry_name(remote_path):
+    """The name `zip -r` gives remote_path inside an archive: the path as
+    given, without its leading '/'."""
+    return posixpath.normpath(remote_path).lstrip("/")
 
+
+def fetch_logfile(logs_archive, handle, local_dir):
+    """Extract the job's logfile, plus its task logs for an array job, from a
+    ZipFile that fetch_results made of the logs dir; returns the local parent
+    log path."""
     os.makedirs(local_dir, exist_ok=True)
-    remote = handle.logfile_path
-    local = os.path.join(local_dir, f"omero-job-{handle.job_id}.log")
-    if not endpoint.path_exists(remote):
-        raise LogMissing(remote)
-    endpoint.get_file(remote, local)
-    if handle.array_size:
-        for task in range(handle.array_size):
-            task_remote = remote.replace(
-                f"omero-job-{handle.job_id}.log", f"omero-job-{handle.job_id}_{task}.log"
-            )
-            if endpoint.path_exists(task_remote):
-                endpoint.get_file(
-                    task_remote,
-                    os.path.join(local_dir, f"omero-job-{handle.job_id}_{task}.log"),
-                )
-    return local
+    names = set(logs_archive.namelist())
+    logs_dir, parent = posixpath.split(handle.logfile_path)
+    if zip_entry_name(handle.logfile_path) not in names:
+        raise LogMissing(handle.logfile_path)
+    task_logs = [f"omero-job-{handle.job_id}_{k}.log" for k in range(handle.array_size or 0)]
+    for log in [parent] + task_logs:
+        entry = zip_entry_name(posixpath.join(logs_dir, log))
+        if entry in names:
+            with open(os.path.join(local_dir, log), "wb") as out:
+                out.write(logs_archive.read(entry))
+    return os.path.join(local_dir, parent)
 
 
-def fetch_results(endpoint, run_out_dir, local_zip_path):
-    """Zip the remote out dir in place, transfer, and checksum-verify."""
-    remote_zip = run_out_dir.rstrip("/") + ".zip"
-    result = endpoint.exec(["zip", "-r", remote_zip, run_out_dir])
+def fetch_results(endpoint, remote_dir, remote_zip, local_zip_path):
+    """Zip the files below a remote dir into remote_zip, transfer, and
+    checksum-verify. Entries are named by zip_entry_name; remote_zip may lie
+    inside remote_dir, as zip leaves out the archive it is writing.
+    """
+    result = endpoint.exec(["zip", "-r", "-D", remote_zip, remote_dir])
     if result.exit_code == 12:
-        raise EmptyOutput(run_out_dir)
+        raise EmptyOutput(remote_dir)
     if not result.ok:
         raise TransportError(f"remote zip failed: {result.stderr}")
     endpoint.get_file(remote_zip, local_zip_path)
-    endpoint.exec(["rm", "-f", remote_zip])
     return local_zip_path
 
 

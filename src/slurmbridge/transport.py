@@ -96,28 +96,6 @@ class Endpoint(ABC):
         """Wait between polls; simulated backends advance virtual time."""
         time.sleep(seconds)
 
-    def clone(self):
-        """A new endpoint handle to the same target, for pooled use."""
-        raise NotImplementedError
-
-
-class EndpointPool:
-    """Fixed-size pool of endpoint handles for concurrent batch work."""
-
-    def __init__(self, endpoint, size=4):
-        import queue
-
-        self._handles = queue.Queue()
-        self._handles.put(endpoint)
-        for _ in range(size - 1):
-            self._handles.put(endpoint.clone())
-
-    def acquire(self):
-        return self._handles.get()
-
-    def release(self, handle):
-        self._handles.put(handle)
-
 
 class SshEndpoint(Endpoint):
     """Backend over the system ssh/scp binaries with key-file auth."""
@@ -219,6 +197,3 @@ class SshEndpoint(Endpoint):
 
     def remove_tree(self, remote):
         self.exec(["rm", "-rf", remote])
-
-    def clone(self):
-        return SshEndpoint(self.profile)

@@ -1,5 +1,8 @@
+import collections
 import glob
 import os
+import shutil
+import subprocess
 import zipfile
 
 import pytest
@@ -8,6 +11,7 @@ from slurmbridge import orchestrator as orch
 from slurmbridge import slurm
 from slurmbridge.errors import (
     CollisionError,
+    ConnectionLost,
     DuplicateId,
     InvalidBatchSize,
     MissingInput,
@@ -15,6 +19,7 @@ from slurmbridge.errors import (
 )
 from slurmbridge.simslurm import FaultDirective, SimCluster, SimEndpoint
 from slurmbridge.states import JobState
+from slurmbridge.transport import DEFAULT_DEADLINE_S
 from tests.conftest import make_tiff_inputs, make_zarr_inputs
 
 
@@ -31,6 +36,50 @@ def tiff_items(tmp_path, count, prefix="img"):
     return orch.scan_input_dir(str(tmp_path / "inputs"))
 
 
+class CountingEndpoint(SimEndpoint):
+    """Counts remote calls by kind (execs by program name), except those made
+    once cleaning has started."""
+
+    def __init__(self, cluster):
+        super().__init__(cluster)
+        self.counts = collections.Counter()
+        self.cleaning = False
+
+    def _tally(self, kind):
+        if not self.cleaning:
+            self.counts[kind] += 1
+
+    def exec(self, command, timeout=DEFAULT_DEADLINE_S):
+        self._tally(command[0])
+        return super().exec(command, timeout)
+
+    def put_file(self, local, remote):
+        self._tally("put_file")
+        return super().put_file(local, remote)
+
+    def get_file(self, remote, local):
+        self._tally("get_file")
+        return super().get_file(remote, local)
+
+    def path_exists(self, remote):
+        self._tally("path_exists")
+        return super().path_exists(remote)
+
+    def make_dirs(self, remote):
+        self._tally("make_dirs")
+        return super().make_dirs(remote)
+
+
+def batch_failures(record):
+    """batch index -> error class name, from the run's journal."""
+    failed = {}
+    for _, stage, detail in record.stage_history:
+        if stage == "batch-failed":
+            batch, error = detail.split(" ", 2)[:2]
+            failed[int(batch.split("=")[1])] = error.rstrip(":")
+    return failed
+
+
 def fast_options(**overrides):
     defaults = dict(poll_interval_s=5, sim_duration_s=20)
     defaults.update(overrides)
@@ -43,6 +92,20 @@ class TestPackInputs:
         zip_path = orch.pack_inputs(items, str(tmp_path / "staging"))
         with zipfile.ZipFile(zip_path) as archive:
             assert archive.namelist() == ["in/img00.tiff", "in/img01.tiff"]
+
+    def test_batch_prefixes_and_scripts_stored(self, tmp_path):
+        items = tiff_items(tmp_path, 3)
+        prefix_of = {"img00": "batch0/", "img01": "batch0/", "img02": "batch1/"}
+        scripts = {"batch0/job.sh": "#!/bin/bash\n", "batch1/job.sh": "#!/bin/bash\n"}
+        zip_path = orch.pack_inputs(items, str(tmp_path / "staging"), prefix_of, scripts)
+        with zipfile.ZipFile(zip_path) as archive:
+            assert archive.namelist() == [
+                "batch0/in/img00.tiff", "batch0/in/img01.tiff", "batch1/in/img02.tiff",
+                "batch0/job.sh", "batch1/job.sh",
+            ]
+            assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_STORED}
+            assert archive.read("batch1/in/img02.tiff") == \
+                open(items[2].local_path, "rb").read()
 
     def test_duplicate_ids(self, tmp_path):
         items = tiff_items(tmp_path, 1)
@@ -157,6 +220,28 @@ class TestConversionPath:
         wf_job = endpoint.cluster.jobs[batch.workflow_handle.job_id]
         assert wf_job.tasks[0].start_time >= conv_end
 
+    def test_failed_conversion_returns_its_log(self, run_env, tmp_path):
+        endpoint, profile, registry, descriptor = run_env
+        endpoint.cluster.inject_fault(
+            FaultDirective(script_substring="batch0/convert.sh",
+                           forced_state=JobState.FAILED))
+        make_zarr_inputs(str(tmp_path / "inputs"), 4)
+        items = orch.scan_input_dir(str(tmp_path / "inputs"))
+        record = orch.run_workflow_batched(
+            endpoint, profile, registry, descriptor, "cellpose",
+            {}, items, 2, options=fast_options(),
+            local_output_dir=str(tmp_path / "out"),
+        )
+        assert record.overall_state is orch.RunStage.PARTIAL_FAILURE
+        failed = record.batches[0]
+        assert failed.workflow_handle is None
+        conv_id = failed.conversion_handle.job_id
+        assert os.path.basename(failed.logfile) == f"omero-job-{conv_id}.log"
+        assert failed.logfile in record.output_artifacts
+        with open(failed.logfile) as handle:
+            assert "FAILED" in handle.read()
+        assert batch_failures(record) == {0: "ConversionFailed"}
+
     def test_skip_conversion(self, run_env, tmp_path):
         endpoint, profile, registry, descriptor = run_env
         make_zarr_inputs(str(tmp_path / "inputs"), 2)
@@ -206,6 +291,94 @@ class TestRunWorkflowBatched:
         failed = record.batches[1]
         assert failed.result_zip is None
         assert failed.logfile and os.path.exists(failed.logfile)
+
+    def test_missing_output_fails_only_its_batch(self, run_env, tmp_path):
+        endpoint, profile, registry, descriptor = run_env
+        endpoint.cluster.inject_fault(
+            FaultDirective(script_substring="batch1/job.sh", missing_output=True))
+        items = tiff_items(tmp_path, 12)
+        record = orch.run_workflow_batched(
+            endpoint, profile, registry, descriptor, "cellpose",
+            {}, items, 5, options=fast_options(),
+            local_output_dir=str(tmp_path / "out"),
+        )
+        assert record.overall_state is orch.RunStage.PARTIAL_FAILURE
+        assert batch_failures(record) == {1: "RetrievalFailed"}
+        assert record.batches[1].state is JobState.COMPLETED
+        assert record.batches[1].result_zip is None
+        for index in (0, 2):
+            batch = record.batches[index]
+            with zipfile.ZipFile(batch.result_zip) as archive:
+                assert sorted(archive.namelist()) == sorted(
+                    f"{item_id}_mask.tiff" for item_id in batch.items)
+
+    def test_lost_link_while_dropping_inputs_keeps_results(self, run_env, tmp_path):
+        class DropsInputCleanup(SimEndpoint):
+            def exec(self, command, timeout=DEFAULT_DEADLINE_S):
+                if command[0] == "rm" and command[2].endswith("/input.zip"):
+                    raise ConnectionLost("link dropped")
+                return super().exec(command, timeout)
+
+        _, profile, registry, descriptor = run_env
+        record = orch.run_workflow_batched(
+            DropsInputCleanup(run_env[0].cluster), profile, registry, descriptor,
+            "cellpose", {}, tiff_items(tmp_path, 6), 3, options=fast_options(),
+            local_output_dir=str(tmp_path / "out"),
+        )
+        assert record.overall_state is orch.RunStage.DONE
+        for batch in record.batches:
+            with zipfile.ZipFile(batch.result_zip) as archive:
+                assert sorted(archive.namelist()) == sorted(
+                    f"{item_id}_mask.tiff" for item_id in batch.items)
+        assert not run_env[0].path_exists(f"/scratch/omero/data/{record.run_id}")
+
+    @pytest.mark.skipif(shutil.which("zip") is None, reason="Info-ZIP zip not installed")
+    def test_results_split_from_info_zip_archive(self, tmp_path):
+        run_dir = tmp_path / "scratch" / "data" / "run"
+        files = {"batch0/out/a_mask.tiff": b"a", "batch0/in/a.tiff": b"in",
+                 "batch1/out/b_mask.tiff": b"b", "batch1/out/sub/c.tiff": b"c"}
+        for name, data in files.items():
+            (run_dir / name).parent.mkdir(parents=True, exist_ok=True)
+            (run_dir / name).write_bytes(data)
+        (run_dir / "batch2" / "out").mkdir(parents=True)
+        results = str(run_dir / "results.zip")
+        subprocess.run(["zip", "-q", "-r", "-D", results, str(run_dir)], check=True)
+        split = {}
+        with zipfile.ZipFile(results) as archive:
+            for index in range(3):
+                prefix = slurm.zip_entry_name(str(run_dir / f"batch{index}" / "out")) + "/"
+                local = str(tmp_path / f"batch{index}.zip")
+                if orch._split_results(archive, prefix, local):
+                    with zipfile.ZipFile(local) as part:
+                        split[index] = {n: part.read(n) for n in part.namelist()}
+        assert split == {0: {"a_mask.tiff": b"a"},
+                         1: {"b_mask.tiff": b"b", "sub/c.tiff": b"c"}}
+
+    @pytest.mark.parametrize("batch_size,batches", [(12, 1), (3, 4), (1, 12)])
+    def test_remote_calls_fixed_per_run(self, run_env, tmp_path, monkeypatch,
+                                        batch_size, batches):
+        _, profile, registry, descriptor = run_env
+        endpoint = CountingEndpoint(run_env[0].cluster)
+        cleanup_run = slurm.cleanup_run
+
+        def counted_cleanup(endpoint, paths):
+            endpoint.cleaning = True
+            return cleanup_run(endpoint, paths)
+
+        monkeypatch.setattr(slurm, "cleanup_run", counted_cleanup)
+        record = orch.run_workflow_batched(
+            endpoint, profile, registry, descriptor, "cellpose",
+            {}, tiff_items(tmp_path, 12), batch_size, options=fast_options(),
+            local_output_dir=str(tmp_path / "out"),
+        )
+        assert record.overall_state is orch.RunStage.DONE
+        assert endpoint.cleaning
+        counts = dict(endpoint.counts)
+        assert counts.pop("sbatch") == batches
+        assert counts.pop("sacct") >= 1
+        # One archive up; one results and one logs archive down.
+        assert counts == {"mkdir": 1, "put_file": 1, "unzip": 1, "rm": 1,
+                          "zip": 2, "get_file": 2}
 
     def test_equivalence_when_batch_size_covers_items(self, run_env, tmp_path):
         endpoint, profile, registry, descriptor = run_env

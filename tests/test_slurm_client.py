@@ -1,4 +1,9 @@
+import hashlib
+import io
 import os
+import shutil
+import subprocess
+import zipfile
 
 import pytest
 
@@ -45,10 +50,17 @@ def prepare_run_dirs(endpoint):
 
 
 def submit_workflow(endpoint, script=WORKFLOW_SCRIPT, path="/scratch/omero/data/r1/job.sh"):
+    endpoint.put_bytes(script.encode(), path)
     return slurm.submit_job(
-        endpoint, script, path,
-        logfile_pattern="/scratch/omero/logs/omero-job-%j.log",
+        endpoint, path, logfile_pattern="/scratch/omero/logs/omero-job-%j.log",
     )
+
+
+def fetch_logs(endpoint, logs_dir, tmp_path):
+    """The logs dir as one archive, brought back the way a run does it."""
+    local = slurm.fetch_results(endpoint, logs_dir, "/scratch/logs.zip",
+                                str(tmp_path / "logs.zip"))
+    return zipfile.ZipFile(local)
 
 
 class TestInitEnvironment:
@@ -283,15 +295,19 @@ class TestFetchLogfile:
             FaultDirective(script_substring="job", forced_state=JobState.FAILED))
         handle = submit_workflow(sim_endpoint)
         sim_endpoint.cluster.advance(100)
-        local = slurm.fetch_logfile(sim_endpoint, handle, str(tmp_path))
+        with fetch_logs(sim_endpoint, "/scratch/omero/logs", tmp_path) as archive:
+            local = slurm.fetch_logfile(archive, handle, str(tmp_path / "logs"))
         assert os.path.basename(local) == "omero-job-1.log"
         with open(local) as f:
             assert "FAILED" in f.read()
 
     def test_log_missing(self, sim_endpoint, tmp_path):
+        sim_endpoint.cluster.fs.make_dirs("/scratch/omero/logs")
+        sim_endpoint.cluster.fs.write("/scratch/omero/logs/other.log", b"x")
         handle = slurm.JobHandle(9, slurm.JobKind.WORKFLOW, "", "/gone.log", 0.0)
-        with pytest.raises(LogMissing):
-            slurm.fetch_logfile(sim_endpoint, handle, str(tmp_path))
+        with fetch_logs(sim_endpoint, "/scratch/omero/logs", tmp_path) as archive:
+            with pytest.raises(LogMissing):
+                slurm.fetch_logfile(archive, handle, str(tmp_path / "logs"))
 
     def test_array_task_logs(self, sim_endpoint, tmp_path):
         # Oracle: enumerate the simulator filesystem for per-task logs.
@@ -301,22 +317,23 @@ class TestFetchLogfile:
         handle = slurm.JobHandle(
             job_id, slurm.JobKind.CONVERSION_ARRAY, "/scratch/arr.sh",
             f"/scratch/logs/omero-job-{job_id}.log", 0.0, array_size=3)
-        slurm.fetch_logfile(sim_endpoint, handle, str(tmp_path))
-        fetched = sorted(os.listdir(tmp_path))
+        with fetch_logs(sim_endpoint, "/scratch/logs", tmp_path) as archive:
+            slurm.fetch_logfile(archive, handle, str(tmp_path / "logs"))
+        fetched = sorted(os.listdir(tmp_path / "logs"))
         assert fetched == [
             f"omero-job-{job_id}.log",
             f"omero-job-{job_id}_0.log",
             f"omero-job-{job_id}_1.log",
             f"omero-job-{job_id}_2.log",
         ]
+        for name in fetched:
+            assert (tmp_path / "logs" / name).read_bytes() == \
+                cluster.fs.read(f"/scratch/logs/{name}")
 
 
 class TestFetchResults:
     def test_zip_matches_remote_content(self, sim_endpoint, tmp_path):
         # Oracle: unzip locally and hash-compare against simulator files.
-        import hashlib
-        import zipfile
-
         prepare_run_dirs(sim_endpoint)
         fs = sim_endpoint.cluster.fs
         fs.write("/scratch/omero/data/r1/out/x.tiff", b"xxx")
@@ -324,12 +341,15 @@ class TestFetchResults:
         fs.make_dirs("/scratch/omero/data/r1/out/masks")
         fs.write("/scratch/omero/data/r1/out/masks/a.tiff", b"mask")
         local = str(tmp_path / "out.zip")
-        slurm.fetch_results(sim_endpoint, "/scratch/omero/data/r1/out", local)
+        # The archive is written inside the dir it zips, as a run does.
+        slurm.fetch_results(sim_endpoint, "/scratch/omero/data/r1/out",
+                            "/scratch/omero/data/r1/out/results.zip", local)
         with zipfile.ZipFile(local) as archive:
             names = sorted(archive.namelist())
-            assert names == ["masks/a.tiff", "x.tiff", "y.tiff"]
+            assert names == [f"scratch/omero/data/r1/out/{name}"
+                             for name in ("masks/a.tiff", "x.tiff", "y.tiff")]
             for name in names:
-                remote = fs.read(f"/scratch/omero/data/r1/out/{name}")
+                remote = fs.read("/" + name)
                 assert hashlib.sha256(archive.read(name)).hexdigest() == \
                     hashlib.sha256(remote).hexdigest()
 
@@ -337,7 +357,65 @@ class TestFetchResults:
         prepare_run_dirs(sim_endpoint)
         with pytest.raises(EmptyOutput):
             slurm.fetch_results(sim_endpoint, "/scratch/omero/data/r1/out",
+                                "/scratch/omero/data/r1/out.zip",
                                 str(tmp_path / "o.zip"))
+
+
+@pytest.mark.skipif(shutil.which("zip") is None, reason="Info-ZIP zip not installed")
+class TestInfoZipNaming:
+    """The simulator's zip and the archive readers against Info-ZIP itself."""
+
+    FILES = {"run/batch0/out/a_mask.tiff": b"a", "run/batch0/out/sub/b.tiff": b"bb",
+             "run/batch1/out/c_mask.tiff": b"ccc", "logs/omero-job-7.log": b"parent",
+             "logs/omero-job-7_0.log": b"task0", "logs/omero-job-7_1.log": b"task1"}
+
+    def tree(self, tmp_path, fs):
+        """The same files on local disk and, at the same paths, in fs."""
+        root = str(tmp_path / "scratch")
+        for name, data in self.FILES.items():
+            path = os.path.join(root, name)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "wb") as f:
+                f.write(data)
+            fs.make_dirs(os.path.dirname(path))
+            fs.write(path, data)
+        os.makedirs(os.path.join(root, "run", "batch2", "out"))
+        fs.make_dirs(os.path.join(root, "run", "batch2", "out"))
+        return root
+
+    def real_zip(self, archive, directory):
+        return subprocess.run(["zip", "-q", "-r", "-D", archive, directory],
+                              capture_output=True).returncode
+
+    def test_simulator_names_entries_as_info_zip_does(self, sim_endpoint, tmp_path):
+        root = self.tree(tmp_path, sim_endpoint.cluster.fs)
+        for directory in ("run", "logs", "run/batch2"):
+            remote_dir = os.path.join(root, directory)
+            archive = os.path.join(remote_dir, "all.zip")
+            real_code = self.real_zip(archive, remote_dir)
+            result = sim_endpoint.exec(["zip", "-r", "-D", archive, remote_dir])
+            assert result.exit_code == real_code
+            if real_code:
+                assert real_code == 12  # nothing to do: the empty out dir
+                continue
+            with zipfile.ZipFile(archive) as real, zipfile.ZipFile(
+                    io.BytesIO(sim_endpoint.cluster.fs.read(archive))) as sim:
+                assert sorted(sim.namelist()) == sorted(real.namelist())
+                assert all(sim.read(n) == real.read(n) for n in real.namelist())
+
+    def test_logs_extracted_from_info_zip_archive(self, tmp_path):
+        root = self.tree(tmp_path, SimCluster().fs)
+        archive = str(tmp_path / "logs.zip")
+        assert self.real_zip(archive, os.path.join(root, "logs")) == 0
+        handle = slurm.JobHandle(7, slurm.JobKind.CONVERSION_ARRAY, "",
+                                 os.path.join(root, "logs", "omero-job-7.log"), 0.0,
+                                 array_size=3)
+        with zipfile.ZipFile(archive) as logs:
+            local = slurm.fetch_logfile(logs, handle, str(tmp_path / "local"))
+        assert sorted(os.listdir(tmp_path / "local")) == [
+            "omero-job-7.log", "omero-job-7_0.log", "omero-job-7_1.log"]
+        with open(local, "rb") as f:
+            assert f.read() == b"parent"
 
 
 class TestCleanupRun:

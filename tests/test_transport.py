@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from slurmbridge.errors import SourceMissing, Timeout
 from slurmbridge.simslurm import SimCluster, SimEndpoint
-from slurmbridge.transport import EndpointPool
 
 
 class TestExec:
@@ -92,11 +91,3 @@ def test_put_get_identity_property(tmp_path_factory, payload):
     assert back.read_bytes() == payload
     assert put.checksum == get.checksum
 
-
-def test_pool_hands_out_distinct_handles_on_shared_cluster(sim_endpoint):
-    pool = EndpointPool(sim_endpoint, size=4)
-    handles = [pool.acquire() for _ in range(4)]
-    assert len(handles) == 4
-    assert all(h.cluster is sim_endpoint.cluster for h in handles)
-    for handle in handles:
-        pool.release(handle)
