@@ -172,24 +172,17 @@ def _parse_params(descriptor, params):
     return values
 
 
-def _load_descriptor_for(config_path, workflow):
-    """The descriptor document is named per workflow next to the config via
-    the descriptor_path key."""
-    import configparser
-
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.read(config_path)
-    section = f"workflow.{workflow}"
-    if section in parser and "descriptor_path" in parser[section]:
-        path = parser[section]["descriptor_path"]
-        if not os.path.isabs(path):
-            path = os.path.join(os.path.dirname(os.path.abspath(config_path)), path)
-        try:
-            with open(path) as handle:
-                return descriptor_mod.parse_descriptor(handle.read())
-        except (OSError, SlurmBridgeError) as exc:
-            _fail(f"cannot load descriptor for {workflow}: {exc}")
-    _fail(f"no descriptor_path configured for workflow {workflow!r}")
+def _load_descriptor_for(config_path, entry):
+    """The workflow's descriptor document, named by its descriptor_path key;
+    a relative path is taken from the config file's directory."""
+    if entry.descriptor_path is None:
+        _fail(f"no descriptor_path configured for workflow {entry.name!r}")
+    path = os.path.join(os.path.dirname(os.path.abspath(config_path)), entry.descriptor_path)
+    try:
+        with open(path) as handle:
+            return descriptor_mod.parse_descriptor(handle.read())
+    except (OSError, SlurmBridgeError) as exc:
+        _fail(f"cannot load descriptor for {entry.name}: {exc}")
 
 
 @main.command("run")
@@ -200,19 +193,17 @@ def _load_descriptor_for(config_path, workflow):
 @click.option("--param", "params", multiple=True, help="Parameter as id=value.")
 @click.option("--input", "input_dir", required=True, help="Local input directory.")
 @click.option("--batch-size", default=0, type=int, help="Items per batch (default: all in one).")
-@click.option("--output-mode", default="SingleZip",
-              type=click.Choice(["ImagesFolder", "SidecarAttachments", "SingleZip"]))
 @click.option("--output", "output_dir", default=".", help="Local output directory.")
 @click.option("--skip-conversion", is_flag=True, default=False)
 def cmd_run(workflow, config_path, simulate, runs_dir, params, input_dir,
-            batch_size, output_mode, output_dir, skip_conversion):
+            batch_size, output_dir, skip_conversion):
     """Run a registered workflow over a folder of input images; blocks until
     every batch is terminal."""
     config_path = config_path or DEFAULT_CONFIG
     profile, registry = _load_config(config_path)
     if workflow not in registry.entries:
         _fail(f"workflow not registered: {workflow}")
-    descriptor = _load_descriptor_for(config_path, workflow)
+    descriptor = _load_descriptor_for(config_path, registry.entries[workflow])
     values = _parse_params(descriptor, params)
     try:
         values = descriptor_mod.validate_values(descriptor, values)
@@ -224,7 +215,6 @@ def cmd_run(workflow, config_path, simulate, runs_dir, params, input_dir,
     session = _endpoint(profile, simulate)
     options = orchestrator.RunOptions(
         skip_conversion=skip_conversion,
-        output_mode=output_mode,
         journal_dir=runs_dir,
         poll_interval_s=2 if simulate is not None else slurm.DEFAULT_POLL_INTERVAL_S,
     )

@@ -8,7 +8,6 @@ workflow.
 import configparser
 import posixpath
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import InvalidValue, MalformedConfig, MissingSection, UnknownWorkflow
 
@@ -17,11 +16,6 @@ FALLBACK_MEM_MB = 4096
 FALLBACK_CPUS = 2
 FALLBACK_GPUS = 0
 FALLBACK_TIME_MIN = 60
-
-
-class JobScriptSource(Enum):
-    GENERATED = "generated"
-    REPO_PROVIDED = "repo"
 
 
 @dataclass(frozen=True)
@@ -60,8 +54,8 @@ class WorkflowEntry:
     repo_url: str
     version: str
     resources: ResourceSpec
-    job_script_source: JobScriptSource = JobScriptSource.GENERATED
     image_override: str = None
+    descriptor_path: str = None  # as written; a relative path is from the config file
 
 
 @dataclass(frozen=True)
@@ -173,20 +167,13 @@ def parse_config(text):
         for key in _RESOURCE_KEYS:
             if key in wf:
                 merged[key] = _int_value(section, key, wf[key])
-        source_token = wf.get("job_script_source", "generated")
-        try:
-            source = JobScriptSource(source_token)
-        except ValueError:
-            raise InvalidValue(
-                f"{section}.job_script_source", "must be 'generated' or 'repo'"
-            )
         entries[name] = WorkflowEntry(
             name=name,
             repo_url=repo_url,
             version=version,
             resources=ResourceSpec(**merged),
-            job_script_source=source,
             image_override=wf.get("image") or None,
+            descriptor_path=wf.get("descriptor_path") or None,
         )
 
     namespace = "local"

@@ -8,9 +8,6 @@ from .errors import InvalidCount, UnknownConverter
 
 SHEBANG = "#!/bin/bash"
 
-# Container runtime invocation template; placeholders are filled verbatim.
-DEFAULT_RUNTIME_TEMPLATE = "singularity exec {bind_specs} {image_file} {args}"
-
 _DIRECTIVE_RE = re.compile(r"^#SBATCH\s+(--[A-Za-z][A-Za-z-]*)=(.*)$")
 _SIM_RE = re.compile(r"^#SIM\s+duration=(\d+)\s+outputs=(\d+)\s*$")
 
@@ -82,7 +79,6 @@ def generate_workflow_script(
     values,
     run_paths,
     logs_dir,
-    runtime_template=DEFAULT_RUNTIME_TEMPLATE,
     sim=None,
 ):
     """Build the batch script that runs the workflow container over one
@@ -103,9 +99,7 @@ def generate_workflow_script(
         )
     )
     args = " ".join(descriptor_mod.render_cli_args(descriptor, values))
-    command = runtime_template.format(
-        bind_specs=bind_specs, image_file=run_paths.image_file, args=args
-    ).rstrip()
+    command = f"singularity exec {bind_specs} {run_paths.image_file} {args}".rstrip()
     body = []
     if sim is not None:
         body.append(sim.line())

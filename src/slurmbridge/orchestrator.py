@@ -15,6 +15,7 @@ from . import config as config_mod
 from . import descriptor as descriptor_mod
 from . import jobscript, slurm
 from .errors import (
+    AccountingUnavailable,
     CollisionError,
     ConversionFailed,
     DuplicateId,
@@ -97,7 +98,6 @@ class BatchRun:
 @dataclass
 class RunOptions:
     skip_conversion: bool = False
-    output_mode: str = "SingleZip"
     parallelism: int = 4  # ignored: a run makes its remote calls one at a time
     poll_interval_s: float = slurm.DEFAULT_POLL_INTERVAL_S
     deadline_s: float = None
@@ -278,11 +278,9 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
 
     plan = plan_batches(items, batch_size)
     by_id = {item.id: item for item in items}
-    single_batch = len(plan.batches) == 1
     run_dir = posixpath.join(profile.scratch_dir, "data", run_id)
     batches = [
-        BatchRun(index=index, items=ids,
-                 remote_dir=run_dir if single_batch else posixpath.join(run_dir, f"batch{index}"))
+        BatchRun(index=index, items=ids, remote_dir=posixpath.join(run_dir, f"batch{index}"))
         for index, ids in enumerate(plan.batches)
     ]
     record.batches = batches
@@ -297,14 +295,11 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
     input_zip = posixpath.join(run_dir, "input.zip")
     failures = {}
     conversions = {}  # batch index -> ZARR item count
+    live = {}  # job id -> batch, for each job submitted and not yet seen terminal
 
     def fail(batch, exc):
         failures[batch.index] = exc
         batch.state = JobState.FAILED
-
-    def prefix(batch):
-        """Where the batch's files sit in the input archive."""
-        return "" if single_batch else f"batch{batch.index}/"
 
     def submit(batch, kind, script_name, array_size=None):
         try:
@@ -315,6 +310,7 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
         except SlurmBridgeError as exc:
             fail(batch, exc)
             return None
+        live[handle.job_id] = batch
         if array_size:
             detail = f"kind=conversion job_id={handle.job_id} tasks={array_size}"
         else:
@@ -342,7 +338,7 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
                     fail(batch, ConversionFailed(str(UnknownConverter("zarr", "tiff"))))
                     continue
                 conversions[batch.index] = zarr_count
-                scripts[prefix(batch) + "convert.sh"] = jobscript.render_script(
+                scripts[f"batch{batch.index}/convert.sh"] = jobscript.render_script(
                     jobscript.generate_conversion_script(
                         zarr_count,
                         slurm.converter_image_path(profile, "zarr", "tiff"),
@@ -358,7 +354,7 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
                         logs_dir,
                         sim=jobscript.SimAnnotation(duration_s=5, outputs=0),
                     ))
-            scripts[prefix(batch) + "job.sh"] = jobscript.render_script(
+            scripts[f"batch{batch.index}/job.sh"] = jobscript.render_script(
                 jobscript.generate_workflow_script(
                     workflow_descriptor,
                     resources,
@@ -370,7 +366,7 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
                         duration_s=options.sim_duration_s, outputs=len(batch.items)
                     ),
                 ))
-            prefix_of.update(dict.fromkeys(batch.items, prefix(batch)))
+            prefix_of.update(dict.fromkeys(batch.items, f"batch{batch.index}/"))
         shipped = [b for b in batches if b.index not in failures]
         try:
             archive = pack_inputs([by_id[i] for b in shipped for i in b.items],
@@ -407,52 +403,38 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
             else:
                 batch.workflow_handle = submit(batch, slurm.JobKind.WORKFLOW, "job.sh")
 
-        # Stage: one consolidated poll loop over all outstanding handles.
+        # Stage: one poll loop over every live job. Up to two accounting
+        # failures in a row only cost a round; the third ends the run.
         journal.emit(RunStage.RUNNING, "polling")
         elapsed = 0.0
-        while True:
-            outstanding = {}
-            for batch in batches:
-                if batch.index in failures:
-                    continue
-                if batch.conversion_handle is not None and batch.workflow_handle is None:
-                    outstanding[batch.conversion_handle.job_id] = batch
-                elif batch.workflow_handle is not None and (
-                    batch.state is None or not batch.state.terminal
-                ):
-                    outstanding[batch.workflow_handle.job_id] = batch
-            if not outstanding:
-                break
-            handles = [
-                batch.conversion_handle
-                if batch.workflow_handle is None
-                else batch.workflow_handle
-                for batch in outstanding.values()
-            ]
-            states = slurm.poll_jobs(endpoint, handles)
+        accounting_failures = 0
+        while live:
+            try:
+                states = slurm.poll_jobs(
+                    endpoint, [b.workflow_handle or b.conversion_handle for b in live.values()])
+                accounting_failures = 0
+            except AccountingUnavailable:
+                accounting_failures += 1
+                if accounting_failures == 3:
+                    raise
+                states = {}
             progressed = False
             for job_id, state in states.items():
-                batch = outstanding[job_id]
-                if batch.workflow_handle is None:
-                    if state is JobState.COMPLETED:
-                        batch.workflow_handle = submit(batch, slurm.JobKind.WORKFLOW, "job.sh")
-                        progressed = True
-                    elif state.terminal:
-                        fail(batch, ConversionFailed(
-                            f"conversion job {job_id} ended {state.value}"
-                        ))
-                        progressed = True
+                if not state.terminal:
+                    continue
+                batch = live.pop(job_id)
+                progressed = True
+                if batch.workflow_handle is not None:
+                    batch.state = state
+                    journal.emit("batch-terminal", f"batch={batch.index} state={state.value}")
+                elif state is JobState.COMPLETED:
+                    batch.workflow_handle = submit(batch, slurm.JobKind.WORKFLOW, "job.sh")
                 else:
-                    if state.terminal:
-                        batch.state = state
-                        journal.emit(
-                            "batch-terminal", f"batch={batch.index} state={state.value}"
-                        )
-                        progressed = True
+                    fail(batch, ConversionFailed(f"conversion job {job_id} ended {state.value}"))
             if progressed:
                 continue
             if options.deadline_s is not None and elapsed >= options.deadline_s:
-                for batch in outstanding.values():
+                for batch in live.values():
                     failures.setdefault(
                         batch.index,
                         WorkflowFailed(f"deadline exceeded after {elapsed}s"),
@@ -525,7 +507,15 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
         for index, exc in sorted(failures.items()):
             journal.emit("batch-failed", f"batch={index} {type(exc).__name__}: {exc}")
     finally:
-        # Cleanup is unconditional: remote run data goes, logs stay.
+        # No job may outlive its data: cancel what is still live, then remove
+        # the remote run data. Logs stay.
+        for batch in live.values():
+            try:
+                slurm.cancel_job(endpoint, batch.workflow_handle or batch.conversion_handle)
+            except TransportError:
+                pass  # best effort: the run ends either way
+        if live:
+            journal.emit("cancel", "job_ids=" + ",".join(map(str, live)))
         try:
             removed = slurm.cleanup_run(endpoint, [run_dir])
             journal.emit("cleanup", f"removed={len(removed)}")

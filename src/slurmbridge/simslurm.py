@@ -179,7 +179,6 @@ class SimJob:
     outputs_n: int
     output_pattern: str
     exports: dict
-    env: dict
     array_spec: tuple = None  # (lo, hi) or None
     tasks: list = field(default_factory=list)
     submit_time: int = 0
@@ -250,7 +249,7 @@ class SimCluster:
 
     # -- submission --------------------------------------------------------
 
-    def _parse_script(self, path, env):
+    def _parse_script(self, path):
         text = self.fs.read(path).decode()
         directives = dict(scan_directives(text))
         sim = scan_sim_annotation(text)
@@ -276,14 +275,13 @@ class SimCluster:
             "output_pattern": directives.get("--output", ""),
             "exports": exports,
             "array_spec": array_spec,
-            "env": dict(env),
         }
 
-    def _sbatch(self, path, env):
+    def _sbatch(self, path):
         if not self.fs.exists(path):
             return ExecResult(1, "", f"sbatch: error: Unable to open file {path}\n", 0)
         try:
-            parsed = self._parse_script(path, env)
+            parsed = self._parse_script(path)
         except (ValueError, SourceMissing) as exc:
             return ExecResult(1, "", f"sbatch: error: {exc}\n", 0)
         job_id = self.next_job_id
@@ -399,10 +397,10 @@ class SimCluster:
     def _write_outputs(self, job):
         if job.missing_output or job.outputs_n <= 0:
             return
-        out_dir = job.exports.get("OUT_PATH") or job.env.get("OUT_PATH")
+        out_dir = job.exports.get("OUT_PATH")
         if not out_dir:
             return
-        in_dir = job.exports.get("IN_PATH") or job.env.get("IN_PATH")
+        in_dir = job.exports.get("IN_PATH")
         stems = []
         if in_dir and self.fs.is_dir(in_dir):
             for child in self.fs.list_dir(in_dir):
@@ -540,18 +538,11 @@ class SimCluster:
             return self._dispatch(list(command))
 
     def _dispatch(self, tokens):
-        env = {}
-        if tokens and tokens[0] == "env":
-            tokens = tokens[1:]
-            while tokens and "=" in tokens[0] and not tokens[0].startswith("-"):
-                name, _, value = tokens[0].partition("=")
-                env[name] = value
-                tokens = tokens[1:]
         if not tokens:
             return ExecResult(127, "", "command not found\n", 0)
         cmd, args = tokens[0], tokens[1:]
         if cmd == "sbatch":
-            return self._sbatch(args[-1], env)
+            return self._sbatch(args[-1])
         if cmd == "sacct":
             return self._sacct(args)
         if cmd == "scancel":
@@ -646,7 +637,6 @@ class SimCluster:
                     "outputs_n": job.outputs_n,
                     "output_pattern": job.output_pattern,
                     "exports": job.exports,
-                    "env": job.env,
                     "array_spec": list(job.array_spec) if job.array_spec else None,
                     "submit_time": job.submit_time,
                     "forced_state": job.forced_state.value if job.forced_state else None,
@@ -680,7 +670,6 @@ class SimCluster:
                 outputs_n=job_doc["outputs_n"],
                 output_pattern=job_doc["output_pattern"],
                 exports=job_doc["exports"],
-                env=job_doc["env"],
                 array_spec=tuple(job_doc["array_spec"])
                 if job_doc["array_spec"]
                 else None,

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import config as config_mod
-from . import jobscript
 from .errors import (
     AccountingUnavailable,
     EmptyOutput,
@@ -48,18 +47,8 @@ class JobHandle:
 class EnvReport:
     created_dirs: list = field(default_factory=list)
     pulled_images: list = field(default_factory=list)  # (workflow name, image path)
-    placed_scripts: list = field(default_factory=list)
     refreshed: bool = False
     failures: list = field(default_factory=list)  # (workflow name, error message)
-
-
-@dataclass
-class WaitResult:
-    states: dict  # job_id -> JobState
-    deadline_exceeded: set = field(default_factory=set)  # job ids still non-terminal
-
-    def all_terminal(self):
-        return not self.deadline_exceeded
 
 
 def scratch_layout(profile):
@@ -76,35 +65,6 @@ def converter_image_path(profile, src_fmt, dst_fmt):
     return posixpath.join(
         profile.scratch_dir, "singularity_images", f"convert_{src_fmt}_to_{dst_fmt}.sif"
     )
-
-
-def _registry_job_script(entry, resources, image_path, logs_dir):
-    """The preinstalled per-workflow script: data paths arrive as submit-time
-    environment variables."""
-    if entry.job_script_source is config_mod.JobScriptSource.REPO_PROVIDED:
-        body = [
-            f"# job script provided by {entry.repo_url}@{entry.version}",
-            f'singularity exec --bind "$IN_PATH:/data/in" --bind "$OUT_PATH:/data/out" '
-            f'--bind "$GT_PATH:/data/gt" {image_path}',
-        ]
-    else:
-        body = [
-            f'singularity exec --bind "$IN_PATH:/data/in" --bind "$OUT_PATH:/data/out" '
-            f'--bind "$GT_PATH:/data/gt" {image_path}'
-        ]
-    script = jobscript.JobScript(
-        directives=[
-            ("--mem", str(resources.mem_mb)),
-            ("--cpus-per-task", str(resources.cpus)),
-            ("--time", jobscript.minutes_to_clock(resources.time_limit_min)),
-            ("--output", jobscript.logfile_pattern(logs_dir)),
-        ]
-        + ([("--gres", f"gpu:{resources.gpus}")] if resources.gpus > 0 else []),
-        env_exports=[],
-        body=body,
-        logfile_path=jobscript.logfile_pattern(logs_dir),
-    )
-    return jobscript.render_script(script)
 
 
 def init_environment(endpoint, profile, registry):
@@ -126,7 +86,6 @@ def init_environment(endpoint, profile, registry):
         report.created_dirs.append(path)
     report.refreshed = refreshed
 
-    logs_dir = layout["logs"]
     for name in sorted(registry.entries):
         entry = registry.entry(name)
         resolved = config_mod.resolve_workflow(registry, name)
@@ -139,10 +98,6 @@ def init_environment(endpoint, profile, registry):
                 if not result.ok:
                     raise PullFailed(name, result.exit_code, result.stderr)
                 report.pulled_images.append((name, image_path))
-            script_path = posixpath.join(layout["slurm-scripts/jobs"], f"{name}.sh")
-            text = _registry_job_script(entry, entry.resources, image_path, logs_dir)
-            endpoint.put_bytes(text.encode(), script_path)
-            report.placed_scripts.append(script_path)
         except (PullFailed, TransportError) as exc:
             # Partial failure: keep whatever provisioned, report per workflow.
             report.failures.append((name, str(exc)))
@@ -215,36 +170,6 @@ def poll_jobs(endpoint, handles):
             # Submitted but not yet visible to accounting.
             states[handle.job_id] = JobState.PENDING
     return states
-
-
-def wait_terminal(endpoint, handles, poll_interval_s=DEFAULT_POLL_INTERVAL_S,
-                  deadline_s=None, on_poll=None):
-    """Poll until every handle is terminal or the deadline passes.
-
-    Up to 3 consecutive accounting failures are tolerated; jobs still
-    non-terminal at the deadline are flagged in the result.
-    """
-    assert poll_interval_s > 0
-    elapsed = 0.0
-    failures = 0
-    states = {}
-    while True:
-        try:
-            states = poll_jobs(endpoint, handles)
-            failures = 0
-        except AccountingUnavailable:
-            failures += 1
-            if failures >= 3:
-                raise
-        if on_poll is not None and states:
-            on_poll(states)
-        if states and all(state.terminal for state in states.values()):
-            return WaitResult(states=states)
-        if deadline_s is not None and elapsed >= deadline_s:
-            pending = {jid for jid, s in states.items() if not s.terminal}
-            return WaitResult(states=states, deadline_exceeded=pending)
-        endpoint.sleep(poll_interval_s)
-        elapsed += poll_interval_s
 
 
 def cancel_job(endpoint, handle):

@@ -13,12 +13,14 @@ import time
 import zipfile
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slurmbridge import descriptor as descriptor_mod
 from slurmbridge import jobscript as js
 from slurmbridge import orchestrator as orch
 from slurmbridge import slurm
 from slurmbridge.config import ResourceSpec, parse_config
+from slurmbridge.errors import AccountingUnavailable
 from slurmbridge.simslurm import FaultDirective, SimCluster, SimEndpoint
 from slurmbridge.states import (
     JobState,
@@ -27,6 +29,7 @@ from slurmbridge.states import (
 )
 from tests.conftest import SAMPLE_CONFIG, make_tiff_inputs, make_zarr_inputs
 from tests.test_descriptor import descriptors, descriptors_with_values
+from tests.test_orchestrator import FlakyAccounting, assert_no_job_outlives_its_data
 from tests.test_simslurm import brute_force_aggregate, submit_script
 
 SCRATCH = "/scratch/omero"
@@ -343,3 +346,35 @@ def test_criterion_10_cleanup():
                        for path in endpoint.cluster.fs.files)
         assert endpoint.path_exists(f"{SCRATCH}/logs")
         assert staging_leftovers(run_id) == []
+
+
+@criterion(11, "no job outlives its data")
+def test_criterion_11_no_job_outlives_its_data(cellpose_descriptor, tmp_path):
+    make_tiff_inputs(str(tmp_path / "tiff"), 6)
+    make_zarr_inputs(str(tmp_path / "zarr"), 6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sacct_failures=st.lists(st.booleans(), max_size=8),
+           deadline_s=st.sampled_from([None, 0, 5, 15, 40]),
+           forced=st.lists(st.sampled_from([None, JobState.FAILED, JobState.TIMEOUT]),
+                           min_size=1, max_size=3),
+           input_format=st.sampled_from(["tiff", "zarr"]))
+    def no_job_outlives_its_data(sacct_failures, deadline_s, forced, input_format):
+        endpoint, profile, registry = fresh_env(cellpose_descriptor)
+        for index, state in enumerate(forced):
+            if state is not None:
+                endpoint.cluster.inject_fault(FaultDirective(
+                    script_substring=f"batch{index}/job.sh", forced_state=state))
+        items = orch.scan_input_dir(str(tmp_path / input_format))[:2 * len(forced)]
+        try:
+            orch.run_workflow_batched(
+                FlakyAccounting(endpoint.cluster, sacct_failures), profile, registry,
+                cellpose_descriptor, "cellpose", {}, items, 2,
+                options=run_options(deadline_s=deadline_s),
+                local_output_dir=str(tmp_path / "out"))
+        except AccountingUnavailable:
+            pass
+        assert_no_job_outlives_its_data(
+            endpoint.cluster, registry.entry("cellpose").resources.time_limit_min)
+
+    no_job_outlives_its_data()

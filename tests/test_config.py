@@ -148,6 +148,16 @@ def test_resolve_workflow_image_override():
     assert c.resolve_workflow(registry, "x").image_reference == "other/img:v2"
 
 
+def test_descriptor_path_kept_as_written():
+    text = MINIMAL + (
+        "[workflow.x]\nrepo_url = https://x/y\nversion = v2\n"
+        "[workflow.z]\nrepo_url = https://x/z\nversion = v1\ndescriptor_path = d/z.json\n"
+    )
+    _, registry = c.parse_config(text)
+    assert registry.entry("x").descriptor_path is None
+    assert registry.entry("z").descriptor_path == "d/z.json"
+
+
 def test_repo_url_must_be_url():
     text = MINIMAL + "[workflow.x]\nrepo_url = not-a-url\nversion = v1\n"
     with pytest.raises(InvalidValue):

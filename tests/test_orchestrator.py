@@ -10,6 +10,7 @@ import pytest
 from slurmbridge import orchestrator as orch
 from slurmbridge import slurm
 from slurmbridge.errors import (
+    AccountingUnavailable,
     CollisionError,
     ConnectionLost,
     DuplicateId,
@@ -68,6 +69,29 @@ class CountingEndpoint(SimEndpoint):
     def make_dirs(self, remote):
         self._tally("make_dirs")
         return super().make_dirs(remote)
+
+
+class FlakyAccounting(SimEndpoint):
+    """Loses the link on each sacct call whose entry in failures is true;
+    calls past the end of the list go through."""
+
+    def __init__(self, cluster, failures):
+        super().__init__(cluster)
+        self.failures = iter(failures)
+
+    def exec(self, command, timeout=DEFAULT_DEADLINE_S):
+        if command[0] == "sacct" and next(self.failures, False):
+            raise ConnectionLost("accounting link dropped")
+        return super().exec(command, timeout)
+
+
+def assert_no_job_outlives_its_data(cluster, time_limit_min):
+    """Every job is terminal, and running the clock on for 10x the time
+    limit writes nothing under data/."""
+    assert all(task.state.terminal for job in cluster.jobs.values() for task in job.tasks)
+    cluster.advance(10 * time_limit_min * 60)
+    assert [path for path in list(cluster.fs.files) + list(cluster.fs.dirs)
+            if path.startswith("/scratch/omero/data/")] == []
 
 
 def batch_failures(record):
@@ -444,6 +468,40 @@ class TestRunWorkflowBatched:
         lines = journal.read_text().splitlines()
         assert lines[0].split("\t")[1] == "Preparing"
         assert lines[-1].split("\t")[1] == "Done"
+
+
+class TestRunLifecycle:
+    def run(self, endpoint, run_env, tmp_path, **options):
+        _, profile, registry, descriptor = run_env
+        return orch.run_workflow_batched(
+            endpoint, profile, registry, descriptor, "cellpose",
+            {}, tiff_items(tmp_path, 4), 2, options=fast_options(**options),
+            local_output_dir=str(tmp_path / "out"),
+        )
+
+    def test_two_accounting_failures_cost_only_rounds(self, run_env, tmp_path):
+        endpoint = FlakyAccounting(run_env[0].cluster, [True, True])
+        record = self.run(endpoint, run_env, tmp_path)
+        assert list(endpoint.failures) == []
+        assert record.overall_state is orch.RunStage.DONE
+        assert all(batch.result_zip for batch in record.batches)
+
+    def test_third_accounting_failure_cancels_then_raises(self, run_env, tmp_path):
+        cluster = run_env[0].cluster
+        with pytest.raises(AccountingUnavailable):
+            self.run(FlakyAccounting(cluster, [True, True, True]), run_env, tmp_path)
+        assert len(cluster.jobs) == 2
+        assert_no_job_outlives_its_data(
+            cluster, run_env[2].entry("cellpose").resources.time_limit_min)
+
+    def test_deadline_cancels_live_jobs(self, run_env, tmp_path):
+        endpoint, _, registry, _ = run_env
+        record = self.run(endpoint, run_env, tmp_path, deadline_s=5, sim_duration_s=600)
+        assert record.overall_state is orch.RunStage.FAILED
+        assert batch_failures(record) == {0: "WorkflowFailed", 1: "WorkflowFailed"}
+        assert "cancel" in [stage for _, stage, _ in record.stage_history]
+        assert_no_job_outlives_its_data(
+            endpoint.cluster, registry.entry("cellpose").resources.time_limit_min)
 
 
 class TestImportResults:

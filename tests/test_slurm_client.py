@@ -50,7 +50,7 @@ def prepare_run_dirs(endpoint):
 
 
 def submit_workflow(endpoint, script=WORKFLOW_SCRIPT, path="/scratch/omero/data/r1/job.sh"):
-    endpoint.put_bytes(script.encode(), path)
+    endpoint.cluster.fs.write(path, script.encode())
     return slurm.submit_job(
         endpoint, path, logfile_pattern="/scratch/omero/logs/omero-job-%j.log",
     )
@@ -86,7 +86,6 @@ class TestInitEnvironment:
             in report.pulled_images
         assert endpoint.path_exists(
             "/scratch/omero/singularity_images/cellpose_v1.2.9.sif")
-        assert endpoint.path_exists("/scratch/omero/slurm-scripts/jobs/cellpose.sh")
 
     def test_idempotent_snapshot_and_zero_pulls(self, env):
         # Oracle: compare remote tree snapshots before/after the second call.
@@ -203,65 +202,6 @@ class TestPollJobs:
         handle = slurm.JobHandle(1, slurm.JobKind.WORKFLOW, "", "", 0.0)
         with pytest.raises(AccountingUnavailable):
             slurm.poll_jobs(sim_endpoint, [handle])
-
-
-class TestWaitTerminal:
-    def test_already_terminal_returns_after_one_poll(self, sim_endpoint):
-        prepare_run_dirs(sim_endpoint)
-        handle = submit_workflow(sim_endpoint)
-        sim_endpoint.cluster.advance(100)
-        polls = []
-        result = slurm.wait_terminal(sim_endpoint, [handle], poll_interval_s=10,
-                                     on_poll=polls.append)
-        assert result.states == {1: JobState.COMPLETED}
-        assert len(polls) == 1
-
-    def test_poll_count_bounded(self, sim_endpoint):
-        # Oracle: job completes at virtual t=30 s with 10 s polls: <= 4 polls.
-        prepare_run_dirs(sim_endpoint)
-        handle = submit_workflow(sim_endpoint)
-        polls = []
-        result = slurm.wait_terminal(sim_endpoint, [handle], poll_interval_s=10,
-                                     on_poll=polls.append)
-        assert result.states == {1: JobState.COMPLETED}
-        assert len(polls) <= 4
-
-    def test_deadline_reports_nonterminal(self, sim_endpoint):
-        prepare_run_dirs(sim_endpoint)
-        script = WORKFLOW_SCRIPT.replace("duration=30", "duration=60")
-        handle = submit_workflow(sim_endpoint, script=script)
-        result = slurm.wait_terminal(sim_endpoint, [handle], poll_interval_s=1,
-                                     deadline_s=5)
-        assert result.deadline_exceeded == {1}
-        assert result.states[1] is JobState.RUNNING
-
-    def test_transient_accounting_failures_tolerated(self, sim_endpoint):
-        prepare_run_dirs(sim_endpoint)
-        handle = submit_workflow(sim_endpoint)
-        original = sim_endpoint.exec
-        failures = iter([True, True])
-
-        def flaky(command, **kwargs):
-            if command[0] == "sacct" and next(failures, False):
-                from slurmbridge.errors import ConnectionLost
-
-                raise ConnectionLost("blip")
-            return original(command, **kwargs)
-
-        sim_endpoint.exec = flaky
-        result = slurm.wait_terminal(sim_endpoint, [handle], poll_interval_s=10)
-        assert result.states[1] is JobState.COMPLETED
-
-    def test_three_consecutive_failures_raise(self, sim_endpoint):
-        from slurmbridge.errors import ConnectionLost
-
-        def dead(*a, **k):
-            raise ConnectionLost("gone")
-
-        sim_endpoint.exec = dead
-        handle = slurm.JobHandle(1, slurm.JobKind.WORKFLOW, "", "", 0.0)
-        with pytest.raises(AccountingUnavailable):
-            slurm.wait_terminal(sim_endpoint, [handle], poll_interval_s=1)
 
 
 class TestCancel:
