@@ -289,12 +289,7 @@ def _journal_handles(lines):
         handles.append(
             slurm.JobHandle(
                 job_id=int(fields["job_id"]),
-                kind=slurm.JobKind.CONVERSION_ARRAY
-                if fields.get("kind") == "conversion"
-                else slurm.JobKind.WORKFLOW,
-                script_path="",
                 logfile_path="",
-                submitted_at=0.0,
                 array_size=int(fields["tasks"]) if "tasks" in fields else None,
             )
         )

@@ -63,9 +63,6 @@ class WorkflowRegistry:
     entries: dict  # name -> WorkflowEntry
     namespace: str = "local"
 
-    def names(self):
-        return list(self.entries)
-
     def entry(self, name):
         if name not in self.entries:
             raise UnknownWorkflow(name)

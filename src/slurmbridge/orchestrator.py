@@ -53,15 +53,6 @@ class RunStage(Enum):
 
 TERMINAL_STAGES = {RunStage.DONE, RunStage.FAILED, RunStage.PARTIAL_FAILURE}
 
-_STAGE_ORDER = [
-    RunStage.PREPARING,
-    RunStage.TRANSFERRING,
-    RunStage.QUEUED,
-    RunStage.RUNNING,
-    RunStage.RETRIEVING,
-]
-
-
 @dataclass(frozen=True)
 class InputItem:
     id: str
@@ -301,10 +292,10 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
         failures[batch.index] = exc
         batch.state = JobState.FAILED
 
-    def submit(batch, kind, script_name, array_size=None):
+    def submit(batch, script_name, array_size=None):
         try:
             handle = slurm.submit_job(
-                endpoint, posixpath.join(batch.remote_dir, script_name), kind=kind,
+                endpoint, posixpath.join(batch.remote_dir, script_name),
                 array_size=array_size, logfile_pattern=log_pattern,
             )
         except SlurmBridgeError as exc:
@@ -345,12 +336,7 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
                         "zarr",
                         "tiff",
                         in_dir,
-                        config_mod.ResourceSpec(
-                            mem_mb=resources.mem_mb,
-                            cpus=resources.cpus,
-                            gpus=0,
-                            time_limit_min=resources.time_limit_min,
-                        ),
+                        resources,
                         logs_dir,
                         sim=jobscript.SimAnnotation(duration_s=5, outputs=0),
                     ))
@@ -398,10 +384,9 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
             if batch.index in failures:
                 continue
             if batch.index in conversions:
-                batch.conversion_handle = submit(
-                    batch, slurm.JobKind.CONVERSION_ARRAY, "convert.sh", conversions[batch.index])
+                batch.conversion_handle = submit(batch, "convert.sh", conversions[batch.index])
             else:
-                batch.workflow_handle = submit(batch, slurm.JobKind.WORKFLOW, "job.sh")
+                batch.workflow_handle = submit(batch, "job.sh")
 
         # Stage: one poll loop over every live job. Up to two accounting
         # failures in a row only cost a round; the third ends the run.
@@ -428,7 +413,7 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
                     batch.state = state
                     journal.emit("batch-terminal", f"batch={batch.index} state={state.value}")
                 elif state is JobState.COMPLETED:
-                    batch.workflow_handle = submit(batch, slurm.JobKind.WORKFLOW, "job.sh")
+                    batch.workflow_handle = submit(batch, "job.sh")
                 else:
                     fail(batch, ConversionFailed(f"conversion job {job_id} ended {state.value}"))
             if progressed:

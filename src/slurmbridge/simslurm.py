@@ -6,10 +6,11 @@ nodes, and advances a virtual clock. Script "work" is declared via a
 ``#SIM duration=<s> outputs=<n>`` annotation instead of being executed.
 """
 
+import dataclasses
 import io
 import json
+import os
 import posixpath
-import threading
 import zipfile
 from base64 import b64decode, b64encode
 from dataclasses import dataclass, field
@@ -54,10 +55,16 @@ class SimFS:
         self.files = {}
 
     def make_dirs(self, path):
+        """Create path and its missing parents; like `mkdir -p`, create
+        nothing when a file stands at path or at one of its parents."""
         path = _norm(path)
+        missing = []
         while path not in self.dirs:
-            self.dirs.add(path)
+            if path in self.files:
+                raise DestinationUnwritable(f"not a directory: {path}")
+            missing.append(path)
             path = posixpath.dirname(path)
+        self.dirs.update(missing)
 
     def exists(self, path):
         path = _norm(path)
@@ -71,6 +78,8 @@ class SimFS:
         parent = posixpath.dirname(path)
         if parent not in self.dirs:
             raise DestinationUnwritable(f"no such directory: {parent}")
+        if path in self.dirs:
+            raise DestinationUnwritable(f"is a directory: {path}")
         self.files[path] = bytes(data)
 
     def read(self, path):
@@ -180,11 +189,11 @@ class SimJob:
     output_pattern: str
     exports: dict
     array_spec: tuple = None  # (lo, hi) or None
-    tasks: list = field(default_factory=list)
     submit_time: int = 0
     forced_state: JobState = None
     missing_output: bool = False
     reported_state: JobState = None  # last parent state emitted in events
+    tasks: list = field(default_factory=list)
 
     @property
     def is_array(self):
@@ -234,6 +243,33 @@ def load_topology(text):
     ]
 
 
+def _plain(value):
+    if isinstance(value, JobState):
+        return value.value
+    if isinstance(value, tuple):
+        return list(value)
+    return value
+
+
+def _as_doc(obj):
+    """A dataclass as a JSON document: states by value, tuples as lists."""
+    return dataclasses.asdict(
+        obj, dict_factory=lambda items: {name: _plain(value) for name, value in items}
+    )
+
+
+def _from_doc(cls, doc):
+    """Inverse of _as_doc for one level: JobState- and tuple-typed fields
+    are rebuilt from their JSON form; keys that name no field are ignored."""
+    values = {}
+    for spec in dataclasses.fields(cls):
+        value = doc[spec.name]
+        if value is not None and spec.type in (JobState, tuple):
+            value = spec.type(value)
+        values[spec.name] = value
+    return cls(**values)
+
+
 class SimCluster:
     def __init__(self, nodes=None):
         specs = nodes if nodes is not None else DEFAULT_NODES
@@ -245,7 +281,6 @@ class SimCluster:
         self.event_log = []
         self.faults = []
         self.failing_pulls = set()
-        self.lock = threading.RLock()
 
     # -- submission --------------------------------------------------------
 
@@ -521,21 +556,23 @@ class SimCluster:
     def _unzip(self, archive, directory):
         if not self.fs.exists(archive):
             return ExecResult(9, "", f"unzip: cannot find {archive}\n", 0)
-        self.fs.make_dirs(directory)
-        with zipfile.ZipFile(io.BytesIO(self.fs.read(archive))) as archive_file:
-            for info in archive_file.infolist():
-                target = posixpath.join(directory, info.filename)
-                if info.is_dir():
-                    self.fs.make_dirs(target)
-                else:
-                    self.fs.make_dirs(posixpath.dirname(target))
-                    self.fs.write(target, archive_file.read(info))
+        try:
+            self.fs.make_dirs(directory)
+            with zipfile.ZipFile(io.BytesIO(self.fs.read(archive))) as archive_file:
+                for info in archive_file.infolist():
+                    target = posixpath.join(directory, info.filename)
+                    if info.is_dir():
+                        self.fs.make_dirs(target)
+                    else:
+                        self.fs.make_dirs(posixpath.dirname(target))
+                        self.fs.write(target, archive_file.read(info))
+        except DestinationUnwritable as exc:
+            return ExecResult(2, "", f"checkdir: {exc}\n", 0)
         return ExecResult(0, "", "", 0)
 
     def sim_exec(self, command):
         """Execute one supported command against the cluster."""
-        with self.lock:
-            return self._dispatch(list(command))
+        return self._dispatch(list(command))
 
     def _dispatch(self, tokens):
         if not tokens:
@@ -551,10 +588,14 @@ class SimCluster:
             except (ValueError, IndexError):
                 return ExecResult(1, "", "scancel: error: invalid job id\n", 0)
         if cmd == "mkdir":
+            err = ""
             for path in args:
                 if path != "-p":
-                    self.fs.make_dirs(path)
-            return ExecResult(0, "", "", 0)
+                    try:
+                        self.fs.make_dirs(path)
+                    except DestinationUnwritable as exc:
+                        err += f"mkdir: {exc}\n"
+            return ExecResult(1 if err else 0, "", err, 0)
         if cmd == "rm":
             for path in args:
                 if not path.startswith("-"):
@@ -596,30 +637,8 @@ class SimCluster:
     # -- persistence ---------------------------------------------------------
 
     def to_dict(self):
-        def task_dict(task):
-            return {
-                "entry_id": task.entry_id,
-                "index": task.index,
-                "state": task.state.value,
-                "start_time": task.start_time,
-                "finish_time": task.finish_time,
-                "finish_state": task.finish_state.value if task.finish_state else None,
-                "node": task.node,
-                "exit_code": task.exit_code,
-            }
-
         return {
-            "nodes": [
-                {
-                    "cpus": n.cpus,
-                    "gpus": n.gpus,
-                    "mem_mb": n.mem_mb,
-                    "used_cpus": n.used_cpus,
-                    "used_gpus": n.used_gpus,
-                    "used_mem": n.used_mem,
-                }
-                for n in self.nodes
-            ],
+            "nodes": [_as_doc(node) for node in self.nodes],
             "clock": self.clock,
             "next_job_id": self.next_job_id,
             "dirs": sorted(self.fs.dirs),
@@ -627,33 +646,13 @@ class SimCluster:
                 name: b64encode(data).decode()
                 for name, data in sorted(self.fs.files.items())
             },
-            "jobs": [
-                {
-                    "id": job.id,
-                    "script_path": job.script_path,
-                    "resources": job.resources,
-                    "time_limit_min": job.time_limit_min,
-                    "duration_s": job.duration_s,
-                    "outputs_n": job.outputs_n,
-                    "output_pattern": job.output_pattern,
-                    "exports": job.exports,
-                    "array_spec": list(job.array_spec) if job.array_spec else None,
-                    "submit_time": job.submit_time,
-                    "forced_state": job.forced_state.value if job.forced_state else None,
-                    "missing_output": job.missing_output,
-                    "reported_state": job.reported_state.value
-                    if job.reported_state
-                    else None,
-                    "tasks": [task_dict(t) for t in job.tasks],
-                }
-                for _, job in sorted(self.jobs.items())
-            ],
+            "jobs": [_as_doc(job) for _, job in sorted(self.jobs.items())],
         }
 
     @classmethod
     def from_dict(cls, doc):
         cluster = cls(nodes=[])
-        cluster.nodes = [SimNode(**spec) for spec in doc["nodes"]]
+        cluster.nodes = [_from_doc(SimNode, node) for node in doc["nodes"]]
         cluster.clock = doc["clock"]
         cluster.next_job_id = doc["next_job_id"]
         cluster.fs.dirs = set(doc["dirs"]) | {"/"}
@@ -661,42 +660,8 @@ class SimCluster:
             name: b64decode(data) for name, data in doc["files"].items()
         }
         for job_doc in doc["jobs"]:
-            job = SimJob(
-                id=job_doc["id"],
-                script_path=job_doc["script_path"],
-                resources=job_doc["resources"],
-                time_limit_min=job_doc["time_limit_min"],
-                duration_s=job_doc["duration_s"],
-                outputs_n=job_doc["outputs_n"],
-                output_pattern=job_doc["output_pattern"],
-                exports=job_doc["exports"],
-                array_spec=tuple(job_doc["array_spec"])
-                if job_doc["array_spec"]
-                else None,
-                submit_time=job_doc["submit_time"],
-                forced_state=JobState(job_doc["forced_state"])
-                if job_doc["forced_state"]
-                else None,
-                missing_output=job_doc["missing_output"],
-                reported_state=JobState(job_doc["reported_state"])
-                if job_doc["reported_state"]
-                else None,
-            )
-            for task_doc in job_doc["tasks"]:
-                job.tasks.append(
-                    SimTask(
-                        entry_id=task_doc["entry_id"],
-                        index=task_doc["index"],
-                        state=JobState(task_doc["state"]),
-                        start_time=task_doc["start_time"],
-                        finish_time=task_doc["finish_time"],
-                        finish_state=JobState(task_doc["finish_state"])
-                        if task_doc["finish_state"]
-                        else None,
-                        node=task_doc["node"],
-                        exit_code=task_doc["exit_code"],
-                    )
-                )
+            job = _from_doc(SimJob, job_doc)
+            job.tasks = [_from_doc(SimTask, task) for task in job.tasks]
             cluster.jobs[job.id] = job
         return cluster
 
@@ -738,24 +703,20 @@ class SimEndpoint(Endpoint):
         )
 
     def put_file(self, local, remote):
-        import os
-
         if not os.path.isfile(local):
             raise SourceMissing(local)
         with open(local, "rb") as handle:
             data = handle.read()
-        with self.cluster.lock:
-            self.cluster.fs.write(remote, data)
-            stored = self.cluster.fs.read(remote)
+        self.cluster.fs.write(remote, data)
+        stored = self.cluster.fs.read(remote)
         checksum = file_sha256(local)
         if sha256_hex(stored) != checksum:
             raise ChecksumMismatch(remote)
         return TransferReport(bytes=len(data), checksum=checksum)
 
     def get_file(self, remote, local):
-        with self.cluster.lock:
-            data = self.cluster.fs.read(remote)
-            remote_sum = sha256_hex(data)
+        data = self.cluster.fs.read(remote)
+        remote_sum = sha256_hex(data)
         with open(local, "wb") as handle:
             handle.write(data)
         local_sum = file_sha256(local)
@@ -763,18 +724,5 @@ class SimEndpoint(Endpoint):
             raise ChecksumMismatch(remote)
         return TransferReport(bytes=len(data), checksum=local_sum)
 
-    def path_exists(self, remote):
-        with self.cluster.lock:
-            return self.cluster.fs.exists(remote)
-
-    def make_dirs(self, remote):
-        with self.cluster.lock:
-            self.cluster.fs.make_dirs(remote)
-
-    def remove_tree(self, remote):
-        with self.cluster.lock:
-            self.cluster.fs.remove_tree(remote)
-
     def sleep(self, seconds):
-        with self.cluster.lock:
-            self.cluster.advance(seconds)
+        self.cluster.advance(seconds)

@@ -5,7 +5,6 @@ import os
 import posixpath
 import re
 from dataclasses import dataclass, field
-from enum import Enum
 
 from . import config as config_mod
 from .errors import (
@@ -28,18 +27,10 @@ MANAGED_DIRS = ("singularity_images", "slurm-scripts/jobs", "data", "logs")
 DEFAULT_POLL_INTERVAL_S = 10
 
 
-class JobKind(Enum):
-    WORKFLOW = "workflow"
-    CONVERSION_ARRAY = "conversion-array"
-
-
 @dataclass(frozen=True)
 class JobHandle:
     job_id: int
-    kind: JobKind
-    script_path: str
     logfile_path: str
-    submitted_at: float
     array_size: int = None
 
 
@@ -112,8 +103,7 @@ def init_environment(endpoint, profile, registry):
     return report
 
 
-def submit_job(endpoint, remote_script_path, kind=JobKind.WORKFLOW, array_size=None,
-               logfile_pattern=None, now=0.0):
+def submit_job(endpoint, remote_script_path, array_size=None, logfile_pattern=None):
     """Submit a script already on the cluster, returning the parsed job handle."""
     result = endpoint.exec(["sbatch", remote_script_path])
     if not result.ok:
@@ -126,10 +116,7 @@ def submit_job(endpoint, remote_script_path, kind=JobKind.WORKFLOW, array_size=N
         logfile_pattern = ""
     return JobHandle(
         job_id=job_id,
-        kind=kind,
-        script_path=remote_script_path,
         logfile_path=logfile_pattern.replace("%j", str(job_id)),
-        submitted_at=now,
         array_size=array_size,
     )
 

@@ -32,16 +32,26 @@ TRANSITIONS = {
     JobState.TIMEOUT: frozenset(),
 }
 
-# Raw scheduler accounting tokens mapped onto the state machine.
+# Every sacct(1) "JOB STATE CODES" token mapped onto the state machine: a job
+# that still holds or may regain resources is RUNNING, a requeued one PENDING.
 _TOKEN_MAP = {
     "PENDING": JobState.PENDING,
+    "REQUEUED": JobState.PENDING,
     "RUNNING": JobState.RUNNING,
+    "COMPLETING": JobState.RUNNING,
+    "CONFIGURING": JobState.RUNNING,
+    "RESIZING": JobState.RUNNING,
+    "SUSPENDED": JobState.RUNNING,
     "COMPLETED": JobState.COMPLETED,
     "FAILED": JobState.FAILED,
-    "CANCELLED": JobState.CANCELLED,
-    "TIMEOUT": JobState.TIMEOUT,
+    "BOOT_FAIL": JobState.FAILED,
     "NODE_FAIL": JobState.FAILED,
     "OUT_OF_MEMORY": JobState.FAILED,
+    "PREEMPTED": JobState.FAILED,
+    "CANCELLED": JobState.CANCELLED,
+    "REVOKED": JobState.CANCELLED,
+    "TIMEOUT": JobState.TIMEOUT,
+    "DEADLINE": JobState.TIMEOUT,
 }
 
 

@@ -55,7 +55,10 @@ def file_sha256(path):
 
 
 class Endpoint(ABC):
-    """One remote endpoint; at most one in-flight operation per handle."""
+    """One remote endpoint; at most one in-flight operation per handle.
+
+    Backends implement exec, put_file and get_file; the path helpers run
+    `test -e`, `mkdir -p` and `rm -rf` through exec."""
 
     @abstractmethod
     def exec(self, command, timeout=DEFAULT_DEADLINE_S):
@@ -69,17 +72,16 @@ class Endpoint(ABC):
     def get_file(self, remote, local):
         """Copy remote -> local atomically; returns TransferReport."""
 
-    @abstractmethod
     def path_exists(self, remote):
-        pass
+        return self.exec(["test", "-e", remote]).ok
 
-    @abstractmethod
     def make_dirs(self, remote):
-        pass
+        result = self.exec(["mkdir", "-p", remote])
+        if not result.ok:
+            raise DestinationUnwritable(result.stderr.strip())
 
-    @abstractmethod
     def remove_tree(self, remote):
-        pass
+        self.exec(["rm", "-rf", remote])
 
     def put_bytes(self, data, remote):
         import tempfile
@@ -186,14 +188,3 @@ class SshEndpoint(Endpoint):
             raise ChecksumMismatch(remote)
         os.replace(tmp, local)
         return TransferReport(bytes=os.path.getsize(local), checksum=local_sum)
-
-    def path_exists(self, remote):
-        return self.exec(["test", "-e", remote]).ok
-
-    def make_dirs(self, remote):
-        result = self.exec(["mkdir", "-p", remote])
-        if not result.ok:
-            raise DestinationUnwritable(result.stderr.strip())
-
-    def remove_tree(self, remote):
-        self.exec(["rm", "-rf", remote])

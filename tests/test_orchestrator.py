@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import glob
 import os
 import shutil
@@ -83,6 +84,23 @@ class FlakyAccounting(SimEndpoint):
         if command[0] == "sacct" and next(self.failures, False):
             raise ConnectionLost("accounting link dropped")
         return super().exec(command, timeout)
+
+
+class ReportsCompleting(SimEndpoint):
+    """Rewrites COMPLETED to COMPLETING in the first sacct answer that
+    reports it, as a real cluster does while a finished job's epilog runs."""
+
+    def __init__(self, cluster):
+        super().__init__(cluster)
+        self.rewritten = False
+
+    def exec(self, command, timeout=DEFAULT_DEADLINE_S):
+        result = super().exec(command, timeout)
+        if command[0] == "sacct" and not self.rewritten and "|COMPLETED\n" in result.stdout:
+            self.rewritten = True
+            return dataclasses.replace(
+                result, stdout=result.stdout.replace("|COMPLETED\n", "|COMPLETING\n"))
+        return result
 
 
 def assert_no_job_outlives_its_data(cluster, time_limit_min):
@@ -483,6 +501,13 @@ class TestRunLifecycle:
         endpoint = FlakyAccounting(run_env[0].cluster, [True, True])
         record = self.run(endpoint, run_env, tmp_path)
         assert list(endpoint.failures) == []
+        assert record.overall_state is orch.RunStage.DONE
+        assert all(batch.result_zip for batch in record.batches)
+
+    def test_completing_job_is_polled_again(self, run_env, tmp_path):
+        endpoint = ReportsCompleting(run_env[0].cluster)
+        record = self.run(endpoint, run_env, tmp_path)
+        assert endpoint.rewritten
         assert record.overall_state is orch.RunStage.DONE
         assert all(batch.result_zip for batch in record.batches)
 

@@ -298,14 +298,30 @@ def test_default_topology_two_nodes():
 
 def test_state_round_trip(tmp_path):
     cluster = SimCluster()
+    cluster.inject_fault(FaultDirective(script_substring="failing",
+                                        forced_state=JobState.FAILED))
+    cluster.inject_fault(FaultDirective(script_substring="silent", missing_output=True))
     submit_script(cluster, "/scratch/a.sh", duration=5)
+    array_id = submit_script(cluster, "/scratch/array.sh", cpus=2, duration=20,
+                             array="0-2")
+    failing_id = submit_script(cluster, "/scratch/failing.sh", duration=3)
+    silent_id = submit_script(cluster, "/scratch/silent.sh", duration=3, outputs=1,
+                              exports=[("OUT_PATH", "/scratch/out")])
     cluster.advance(2)
     path = tmp_path / "state.json"
     cluster.save_state(str(path))
     restored = SimCluster.load_state(str(path))
+    assert restored.to_dict() == cluster.to_dict()
     assert restored.fs.snapshot() == cluster.fs.snapshot()
     assert restored.clock == cluster.clock
-    restored.advance(10)
-    cluster.advance(10)
+    array = restored.jobs[array_id]
+    assert array.array_spec == (0, 2)
+    assert [task.state for task in array.tasks] == [JobState.RUNNING] * 3
+    assert restored.jobs[failing_id].forced_state is JobState.FAILED
+    assert restored.jobs[silent_id].missing_output
+    assert restored.jobs[silent_id].tasks[0].state is JobState.PENDING
+    restored.advance(30)
+    cluster.advance(30)
     assert {j: cluster.jobs[j].parent_state() for j in cluster.jobs} == \
         {j: restored.jobs[j].parent_state() for j in restored.jobs}
+    assert restored.to_dict() == cluster.to_dict()

@@ -177,8 +177,7 @@ class TestPollJobs:
                                             forced_state=JobState.FAILED))
         job_id = submit_script(cluster, "/scratch/arr.sh", array="0-2", duration=5)
         cluster.advance(30)
-        handle = slurm.JobHandle(job_id, slurm.JobKind.CONVERSION_ARRAY,
-                                 "/scratch/arr.sh", "", 0.0, array_size=3)
+        handle = slurm.JobHandle(job_id, "", array_size=3)
         assert slurm.poll_jobs(sim_endpoint, [handle]) == {job_id: JobState.FAILED}
 
     def test_unknown_state_token(self, sim_endpoint, monkeypatch):
@@ -187,10 +186,38 @@ class TestPollJobs:
         monkeypatch.setattr(
             sim_endpoint, "exec", lambda *a, **k: ExecResult(0, "1|WOBBLY\n", "", 0)
         )
-        handle = slurm.JobHandle(1, slurm.JobKind.WORKFLOW, "", "", 0.0)
+        handle = slurm.JobHandle(1, "")
         with pytest.raises(UnknownState) as info:
             slurm.poll_jobs(sim_endpoint, [handle])
         assert info.value.token == "WOBBLY"
+
+    @pytest.mark.parametrize("token, state", [
+        ("PENDING", JobState.PENDING),
+        ("REQUEUED", JobState.PENDING),
+        ("RUNNING", JobState.RUNNING),
+        ("COMPLETING", JobState.RUNNING),
+        ("CONFIGURING", JobState.RUNNING),
+        ("RESIZING", JobState.RUNNING),
+        ("SUSPENDED", JobState.RUNNING),
+        ("COMPLETED", JobState.COMPLETED),
+        ("FAILED", JobState.FAILED),
+        ("BOOT_FAIL", JobState.FAILED),
+        ("NODE_FAIL", JobState.FAILED),
+        ("OUT_OF_MEMORY", JobState.FAILED),
+        ("PREEMPTED", JobState.FAILED),
+        ("CANCELLED", JobState.CANCELLED),
+        ("CANCELLED by 1000", JobState.CANCELLED),
+        ("REVOKED", JobState.CANCELLED),
+        ("TIMEOUT", JobState.TIMEOUT),
+        ("DEADLINE", JobState.TIMEOUT),
+    ])
+    def test_every_sacct_state_code_maps(self, sim_endpoint, monkeypatch, token, state):
+        from slurmbridge.transport import ExecResult
+
+        monkeypatch.setattr(
+            sim_endpoint, "exec", lambda *a, **k: ExecResult(0, f"1|{token}\n", "", 0)
+        )
+        assert slurm.poll_jobs(sim_endpoint, [slurm.JobHandle(1, "")]) == {1: state}
 
     def test_accounting_unavailable_on_exec_failure(self, sim_endpoint, monkeypatch):
         from slurmbridge.errors import ConnectionLost
@@ -199,7 +226,7 @@ class TestPollJobs:
             raise ConnectionLost("gone")
 
         monkeypatch.setattr(sim_endpoint, "exec", boom)
-        handle = slurm.JobHandle(1, slurm.JobKind.WORKFLOW, "", "", 0.0)
+        handle = slurm.JobHandle(1, "")
         with pytest.raises(AccountingUnavailable):
             slurm.poll_jobs(sim_endpoint, [handle])
 
@@ -222,8 +249,7 @@ class TestCancel:
         cluster = sim_endpoint.cluster
         job_id = submit_script(cluster, "/scratch/arr.sh", array="0-2", duration=100)
         cluster.advance(5)
-        handle = slurm.JobHandle(job_id, slurm.JobKind.CONVERSION_ARRAY,
-                                 "/scratch/arr.sh", "", 0.0, array_size=3)
+        handle = slurm.JobHandle(job_id, "", array_size=3)
         slurm.cancel_job(sim_endpoint, handle)
         assert all(t.state is JobState.CANCELLED for t in cluster.jobs[job_id].tasks)
 
@@ -244,7 +270,7 @@ class TestFetchLogfile:
     def test_log_missing(self, sim_endpoint, tmp_path):
         sim_endpoint.cluster.fs.make_dirs("/scratch/omero/logs")
         sim_endpoint.cluster.fs.write("/scratch/omero/logs/other.log", b"x")
-        handle = slurm.JobHandle(9, slurm.JobKind.WORKFLOW, "", "/gone.log", 0.0)
+        handle = slurm.JobHandle(9, "/gone.log")
         with fetch_logs(sim_endpoint, "/scratch/omero/logs", tmp_path) as archive:
             with pytest.raises(LogMissing):
                 slurm.fetch_logfile(archive, handle, str(tmp_path / "logs"))
@@ -255,8 +281,7 @@ class TestFetchLogfile:
         job_id = submit_script(cluster, "/scratch/arr.sh", array="0-2", duration=5)
         cluster.advance(60)
         handle = slurm.JobHandle(
-            job_id, slurm.JobKind.CONVERSION_ARRAY, "/scratch/arr.sh",
-            f"/scratch/logs/omero-job-{job_id}.log", 0.0, array_size=3)
+            job_id, f"/scratch/logs/omero-job-{job_id}.log", array_size=3)
         with fetch_logs(sim_endpoint, "/scratch/logs", tmp_path) as archive:
             slurm.fetch_logfile(archive, handle, str(tmp_path / "logs"))
         fetched = sorted(os.listdir(tmp_path / "logs"))
@@ -347,8 +372,7 @@ class TestInfoZipNaming:
         root = self.tree(tmp_path, SimCluster().fs)
         archive = str(tmp_path / "logs.zip")
         assert self.real_zip(archive, os.path.join(root, "logs")) == 0
-        handle = slurm.JobHandle(7, slurm.JobKind.CONVERSION_ARRAY, "",
-                                 os.path.join(root, "logs", "omero-job-7.log"), 0.0,
+        handle = slurm.JobHandle(7, os.path.join(root, "logs", "omero-job-7.log"),
                                  array_size=3)
         with zipfile.ZipFile(archive) as logs:
             local = slurm.fetch_logfile(logs, handle, str(tmp_path / "local"))
@@ -397,9 +421,7 @@ class TestStateMonotonicityProperty:
                     cpus=rng.randint(1, 4), duration=rng.randint(1, 40),
                     time_limit="00:01:00",
                     array=f"0-{rng.randint(0, 2)}" if rng.random() < 0.3 else None)
-                handles.append(slurm.JobHandle(
-                    job_id, slurm.JobKind.WORKFLOW, f"/scratch/j{index}.sh",
-                    "", 0.0))
+                handles.append(slurm.JobHandle(job_id, ""))
             observed = {}
             for _ in range(rng.randint(3, 12)):
                 states = slurm.poll_jobs(endpoint, handles)

@@ -1,11 +1,14 @@
 import hashlib
 import os
+import posixpath
+import shutil
+import subprocess
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slurmbridge.errors import SourceMissing, Timeout
+from slurmbridge.errors import DestinationUnwritable, SourceMissing, Timeout
 from slurmbridge.simslurm import SimCluster, SimEndpoint
 
 
@@ -91,3 +94,67 @@ def test_put_get_identity_property(tmp_path_factory, payload):
     assert back.read_bytes() == payload
     assert put.checksum == get.checksum
 
+
+
+# Short op sequences over a three-name alphabet, so that paths collide: a
+# file where a directory is wanted, a tree removed and then tested, and so on.
+_PATHS = st.lists(st.sampled_from("abc"), min_size=1, max_size=3).map("/".join)
+_FILE_OPS = st.one_of(
+    st.tuples(st.sampled_from(["mkdir -p", "rm -rf"]), st.lists(_PATHS, min_size=1, max_size=2)),
+    st.tuples(st.sampled_from(["test -e", "put"]), _PATHS.map(lambda path: [path])),
+)
+
+
+def _real_tree(root):
+    """(dirs, files -> bytes) below root on local disk, relative to it."""
+    dirs, files = set(), {}
+    for parent, subdirs, names in os.walk(root):
+        rel = os.path.relpath(parent, root)
+        dirs.update(os.path.normpath(os.path.join(rel, d)) for d in subdirs)
+        for name in names:
+            with open(os.path.join(parent, name), "rb") as handle:
+                files[os.path.normpath(os.path.join(rel, name))] = handle.read()
+    return dirs, files
+
+
+def _sim_tree(fs, root):
+    prefix = root + "/"
+    return ({d[len(prefix):] for d in fs.dirs if d.startswith(prefix)},
+            {f[len(prefix):]: data for f, data in fs.files.items() if f.startswith(prefix)})
+
+
+@pytest.mark.skipif(any(shutil.which(tool) is None for tool in ("mkdir", "rm", "test")),
+                    reason="coreutils mkdir/rm/test not installed")
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_FILE_OPS, max_size=8))
+def test_file_ops_match_real_tools(tmp_path_factory, ops):
+    """mkdir -p, rm -rf, test -e and put_file give the simulator the same
+    exit codes and the same tree as the installed tools give local disk."""
+    tmp = tmp_path_factory.mktemp("fileops")
+    real_root, sim_root = str(tmp / "tree"), "/scratch/tree"
+    os.mkdir(real_root)
+    endpoint = SimEndpoint(SimCluster())
+    endpoint.make_dirs(sim_root)
+    for step, (op, paths) in enumerate(ops):
+        if op == "put":
+            local = tmp / f"payload{step}"
+            local.write_bytes(f"payload {step}".encode())
+            try:
+                endpoint.put_file(str(local), posixpath.join(sim_root, paths[0]))
+                sim_ok = True
+            except DestinationUnwritable:
+                sim_ok = False
+            try:
+                shutil.copyfile(local, os.path.join(real_root, paths[0]))
+                real_ok = True
+            except OSError:
+                real_ok = False
+            assert sim_ok == real_ok, (step, op, paths)
+        else:
+            argv = op.split()
+            sim = endpoint.cluster.sim_exec(
+                argv + [posixpath.join(sim_root, path) for path in paths])
+            real = subprocess.run(argv + [os.path.join(real_root, path) for path in paths],
+                                  capture_output=True)
+            assert sim.exit_code == real.returncode, (step, op, paths, real.stderr)
+        assert _sim_tree(endpoint.cluster.fs, sim_root) == _real_tree(real_root), (step, op)
