@@ -1,6 +1,6 @@
 """Command-line surface: validate, init, run, status, logs, fetch, cancel, list."""
 
-import json
+import contextlib
 import os
 import sys
 
@@ -35,35 +35,28 @@ def _load_config(path):
         _fail(str(exc))
 
 
-class SimSession:
-    """Simulator endpoint with state persisted beside the topology file, so
-    separate CLI invocations see one cluster."""
-
-    def __init__(self, topology_path):
-        self.state_path = None
-        if topology_path:
-            self.state_path = topology_path + ".state"
-        if self.state_path and os.path.exists(self.state_path):
-            cluster = simslurm.SimCluster.load_state(self.state_path)
-        elif topology_path and os.path.exists(topology_path):
-            with open(topology_path) as handle:
-                cluster = simslurm.SimCluster(simslurm.load_topology(handle.read()))
-        else:
-            cluster = simslurm.SimCluster()
-        self.endpoint = simslurm.SimEndpoint(cluster)
-
-    def save(self):
-        if self.state_path:
-            self.endpoint.cluster.save_state(self.state_path)
-
-
+@contextlib.contextmanager
 def _endpoint(profile, simulate):
-    if simulate is not None:
-        return SimSession(simulate or None)
-    session = SshEndpoint(profile)
-    session.save = lambda: None
-    session.endpoint = session
-    return session
+    """The cluster a command works on: the profile's host over SSH, or under
+    --simulate the embedded simulator. A simulator given a topology file keeps
+    its state beside that file, saved on exit, so separate invocations see
+    one cluster."""
+    if simulate is None:
+        yield SshEndpoint(profile)
+        return
+    state_path = simulate + ".state" if simulate else None
+    if state_path and os.path.exists(state_path):
+        cluster = simslurm.SimCluster.load_state(state_path)
+    elif simulate and os.path.exists(simulate):
+        with open(simulate) as handle:
+            cluster = simslurm.SimCluster(simslurm.load_topology(handle.read()))
+    else:
+        cluster = simslurm.SimCluster()
+    try:
+        yield simslurm.SimEndpoint(cluster)
+    finally:
+        if state_path:
+            cluster.save_state(state_path)
 
 
 def _simulate_option(func):
@@ -80,9 +73,10 @@ def _config_option(func):
     return click.option(
         "--config",
         "config_path",
-        default=None,
+        default=DEFAULT_CONFIG,
+        show_default=True,
         envvar="SLURMBRIDGE_CONFIG",
-        help=f"Config file path (default {DEFAULT_CONFIG}).",
+        help="Config file path.",
     )(func)
 
 
@@ -131,14 +125,12 @@ def cmd_validate(descriptor_path):
 @_simulate_option
 def cmd_init(config_path, simulate):
     """Provision the managed scratch layout on the cluster."""
-    profile, registry = _load_config(config_path or DEFAULT_CONFIG)
-    session = _endpoint(profile, simulate)
-    try:
-        report = slurm.init_environment(session.endpoint, profile, registry)
-    except SlurmBridgeError as exc:
-        _fail(str(exc), code=EXIT_RUN_FAILURE)
-    finally:
-        session.save()
+    profile, registry = _load_config(config_path)
+    with _endpoint(profile, simulate) as endpoint:
+        try:
+            report = slurm.init_environment(endpoint, profile, registry)
+        except SlurmBridgeError as exc:
+            _fail(str(exc), code=EXIT_RUN_FAILURE)
     click.echo(f"refreshed={'true' if report.refreshed else 'false'}")
     click.echo(f"dirs={len(report.created_dirs)}")
     click.echo(f"pulls={len(report.pulled_images)}")
@@ -199,7 +191,6 @@ def cmd_run(workflow, config_path, simulate, runs_dir, params, input_dir,
             batch_size, output_dir, skip_conversion):
     """Run a registered workflow over a folder of input images; blocks until
     every batch is terminal."""
-    config_path = config_path or DEFAULT_CONFIG
     profile, registry = _load_config(config_path)
     if workflow not in registry.entries:
         _fail(f"workflow not registered: {workflow}")
@@ -212,7 +203,6 @@ def cmd_run(workflow, config_path, simulate, runs_dir, params, input_dir,
     if not os.path.isdir(input_dir):
         _fail(f"input directory not found: {input_dir}")
     items = orchestrator.scan_input_dir(input_dir)
-    session = _endpoint(profile, simulate)
     options = orchestrator.RunOptions(
         skip_conversion=skip_conversion,
         journal_dir=runs_dir,
@@ -222,16 +212,15 @@ def cmd_run(workflow, config_path, simulate, runs_dir, params, input_dir,
     def listener(stage, detail):
         click.echo(f"[{stage}] {detail}", err=True)
 
-    try:
-        record = orchestrator.run_workflow_batched(
-            session.endpoint, profile, registry, descriptor, workflow,
-            values, items, batch_size or max(len(items), 1),
-            options=options, local_output_dir=output_dir, listener=listener,
-        )
-    except SlurmBridgeError as exc:
-        _fail(str(exc), code=EXIT_RUN_FAILURE)
-    finally:
-        session.save()
+    with _endpoint(profile, simulate) as endpoint:
+        try:
+            record = orchestrator.run_workflow_batched(
+                endpoint, profile, registry, descriptor, workflow,
+                values, items, batch_size or max(len(items), 1),
+                options=options, local_output_dir=output_dir, listener=listener,
+            )
+        except SlurmBridgeError as exc:
+            _fail(str(exc), code=EXIT_RUN_FAILURE)
     click.echo(f"run_id={record.run_id}")
     click.echo(f"state={record.overall_state.value}")
     for artifact in record.output_artifacts:
@@ -240,16 +229,14 @@ def cmd_run(workflow, config_path, simulate, runs_dir, params, input_dir,
     sys.exit(EXIT_OK if ok else EXIT_RUN_FAILURE)
 
 
-def _journal_path(runs_dir, run_id):
-    path = os.path.join(runs_dir, f"{run_id}.journal")
-    if not os.path.exists(path):
-        raise UnknownRunId(run_id)
-    return path
-
-
 def _read_journal(runs_dir, run_id):
-    with open(_journal_path(runs_dir, run_id)) as handle:
-        return [line.rstrip("\n").split("\t", 2) for line in handle if line.strip()]
+    """The run's journal rows as [timestamp, stage, detail]; exits 2 when
+    runs_dir holds no journal for run_id."""
+    try:
+        with open(os.path.join(runs_dir, f"{run_id}.journal")) as handle:
+            return [line.rstrip("\n").split("\t", 2) for line in handle if line.strip()]
+    except FileNotFoundError:
+        _fail(str(UnknownRunId(run_id)))
 
 
 @main.command("status")
@@ -258,25 +245,23 @@ def _read_journal(runs_dir, run_id):
 @_config_option
 @_simulate_option
 def cmd_status(run_id, runs_dir, config_path, simulate):
-    """Show the stage journal of a run, plus live job states when reachable."""
-    try:
-        lines = _read_journal(runs_dir, run_id)
-    except UnknownRunId as exc:
-        _fail(str(exc))
+    """Show the stage journal of a run, plus the live states of its jobs
+    while it is not terminal."""
+    lines = _read_journal(runs_dir, run_id)
     for timestamp, stage, detail in lines:
         click.echo(f"time={timestamp}\tstage={stage}\tdetail={detail}")
     final = lines[-1][1]
     click.echo(f"state={final}")
-    terminal = {s.value for s in orchestrator.TERMINAL_STAGES}
-    if final not in terminal and simulate is not None:
-        profile, _ = _load_config(config_path or DEFAULT_CONFIG)
-        session = _endpoint(profile, simulate)
-        handles = _journal_handles(lines)
-        if handles:
-            states = slurm.poll_jobs(session.endpoint, handles)
-            for job_id, state in sorted(states.items()):
-                click.echo(f"job={job_id}\tstate={state.value}")
-        session.save()
+    handles = _journal_handles(lines)
+    if handles and final not in {s.value for s in orchestrator.TERMINAL_STAGES}:
+        profile, _ = _load_config(config_path)
+        with _endpoint(profile, simulate) as endpoint:
+            try:
+                states = slurm.poll_jobs(endpoint, handles)
+            except SlurmBridgeError as exc:
+                _fail(str(exc), code=EXIT_RUN_FAILURE)
+        for job_id, state in sorted(states.items()):
+            click.echo(f"job={job_id}\tstate={state.value}")
     sys.exit(EXIT_OK)
 
 
@@ -302,11 +287,7 @@ def _journal_handles(lines):
 @click.option("--dir", "log_dir", default=".", help="Where fetched logs were written.")
 def cmd_logs(run_id, runs_dir, log_dir):
     """Print the fetched logfiles of a run."""
-    try:
-        lines = _read_journal(runs_dir, run_id)
-    except UnknownRunId as exc:
-        _fail(str(exc))
-    job_ids = [handle.job_id for handle in _journal_handles(lines)]
+    job_ids = [handle.job_id for handle in _journal_handles(_read_journal(runs_dir, run_id))]
     printed = False
     for job_id in job_ids:
         path = os.path.join(log_dir, f"omero-job-{job_id}.log")
@@ -329,10 +310,7 @@ def cmd_logs(run_id, runs_dir, log_dir):
               type=click.Choice(["ImagesFolder", "SidecarAttachments", "SingleZip"]))
 def cmd_fetch(run_id, destination, runs_dir, artifact_dir, mode):
     """Re-import a finished run's result zips into a destination folder."""
-    try:
-        _journal_path(runs_dir, run_id)
-    except UnknownRunId as exc:
-        _fail(str(exc))
+    _read_journal(runs_dir, run_id)
     zips = sorted(
         os.path.join(artifact_dir, name)
         for name in os.listdir(artifact_dir)
@@ -362,17 +340,12 @@ def cmd_fetch(run_id, destination, runs_dir, artifact_dir, mode):
 @_simulate_option
 def cmd_cancel(run_id, runs_dir, config_path, simulate):
     """Cancel a run's outstanding jobs."""
-    try:
-        lines = _read_journal(runs_dir, run_id)
-    except UnknownRunId as exc:
-        _fail(str(exc))
-    profile, _ = _load_config(config_path or DEFAULT_CONFIG)
-    session = _endpoint(profile, simulate)
-    handles = _journal_handles(lines)
-    for handle in handles:
-        slurm.cancel_job(session.endpoint, handle)
-        click.echo(f"cancelled={handle.job_id}")
-    session.save()
+    lines = _read_journal(runs_dir, run_id)
+    profile, _ = _load_config(config_path)
+    with _endpoint(profile, simulate) as endpoint:
+        for handle in _journal_handles(lines):
+            slurm.cancel_job(endpoint, handle)
+            click.echo(f"cancelled={handle.job_id}")
     sys.exit(EXIT_OK)
 
 
@@ -380,7 +353,7 @@ def cmd_cancel(run_id, runs_dir, config_path, simulate):
 @_config_option
 def cmd_list(config_path):
     """List registered workflows."""
-    _, registry = _load_config(config_path or DEFAULT_CONFIG)
+    _, registry = _load_config(config_path)
     for name in sorted(registry.entries):
         entry = registry.entries[name]
         resolved = config_mod.resolve_workflow(registry, name)

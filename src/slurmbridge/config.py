@@ -43,8 +43,6 @@ class ClusterProfile:
     key_path: str
     scratch_dir: str
     port: int = 22
-    partition: str = None
-    account: str = None
     converters: dict = None  # (src_fmt, dst_fmt) -> image reference
 
 
@@ -132,8 +130,6 @@ def parse_config(text):
         key_path=ssh.get("key_path", ""),
         scratch_dir=scratch_dir.rstrip("/") or "/",
         port=port,
-        partition=cluster.get("partition") or None,
-        account=cluster.get("account") or None,
         converters=converters,
     )
 

@@ -1,7 +1,7 @@
 """Slurm batch script generation: workflow jobs and conversion array jobs."""
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import descriptor as descriptor_mod
 from .errors import InvalidCount, UnknownConverter
@@ -131,13 +131,7 @@ def generate_conversion_script(
         raise InvalidCount(f"conversion needs at least one item, got {n_items}")
     if not converter_image:
         raise UnknownConverter(src_fmt, dst_fmt)
-    if resources.gpus > 0:
-        resources = type(resources)(
-            mem_mb=resources.mem_mb,
-            cpus=resources.cpus,
-            gpus=0,
-            time_limit_min=resources.time_limit_min,
-        )
+    resources = replace(resources, gpus=0)
     logfile = logfile_pattern(logs_dir)
     directives = _base_directives(resources, logfile)
     directives.append(("--array", f"0-{n_items - 1}"))

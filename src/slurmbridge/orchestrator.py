@@ -79,11 +79,18 @@ class BatchRun:
     index: int
     items: list  # item ids
     remote_dir: str = ""
+    conversion_tasks: int = 0  # ZARR items converted before the workflow job
     conversion_handle: object = None
     workflow_handle: object = None
     state: JobState = None
     result_zip: str = None
     logfile: str = None
+    error: Exception = None  # what failed the batch, or None
+
+    @property
+    def job(self):
+        """The last job the batch submitted, or None."""
+        return self.workflow_handle or self.conversion_handle
 
 
 @dataclass
@@ -284,30 +291,32 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
     log_pattern = jobscript.logfile_pattern(logs_dir)
     image_path = slurm.image_file_path(profile, workflow_name, entry.version)
     input_zip = posixpath.join(run_dir, "input.zip")
-    failures = {}
-    conversions = {}  # batch index -> ZARR item count
     live = {}  # job id -> batch, for each job submitted and not yet seen terminal
 
     def fail(batch, exc):
-        failures[batch.index] = exc
+        batch.error = exc
         batch.state = JobState.FAILED
 
-    def submit(batch, script_name, array_size=None):
+    def submit(batch):
+        """Submit the batch's next job: its conversion array while that is
+        not yet submitted, then its workflow job."""
+        tasks = batch.conversion_tasks if batch.conversion_handle is None else 0
         try:
             handle = slurm.submit_job(
-                endpoint, posixpath.join(batch.remote_dir, script_name),
-                array_size=array_size, logfile_pattern=log_pattern,
+                endpoint, posixpath.join(batch.remote_dir, "convert.sh" if tasks else "job.sh"),
+                array_size=tasks or None, logfile_pattern=log_pattern,
             )
         except SlurmBridgeError as exc:
             fail(batch, exc)
-            return None
+            return
         live[handle.job_id] = batch
-        if array_size:
-            detail = f"kind=conversion job_id={handle.job_id} tasks={array_size}"
+        if tasks:
+            batch.conversion_handle = handle
+            detail = f"kind=conversion job_id={handle.job_id} tasks={tasks}"
         else:
+            batch.workflow_handle = handle
             detail = f"kind=workflow job_id={handle.job_id}"
         journal.emit("submit", f"batch={batch.index} {detail}")
-        return handle
 
     try:
         # Stage: write every batch's scripts and pack them, with the inputs,
@@ -328,7 +337,7 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
                 if ("zarr", "tiff") not in (profile.converters or {}):
                     fail(batch, ConversionFailed(str(UnknownConverter("zarr", "tiff"))))
                     continue
-                conversions[batch.index] = zarr_count
+                batch.conversion_tasks = zarr_count
                 scripts[f"batch{batch.index}/convert.sh"] = jobscript.render_script(
                     jobscript.generate_conversion_script(
                         zarr_count,
@@ -353,7 +362,7 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
                     ),
                 ))
             prefix_of.update(dict.fromkeys(batch.items, f"batch{batch.index}/"))
-        shipped = [b for b in batches if b.index not in failures]
+        shipped = [b for b in batches if b.error is None]
         try:
             archive = pack_inputs([by_id[i] for b in shipped for i in b.items],
                                   staging_root, prefix_of, scripts) if shipped else None
@@ -381,12 +390,8 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
         # Stage: submit conversion arrays (where needed) or workflow jobs.
         journal.emit(RunStage.QUEUED, "submitting jobs")
         for batch in batches:
-            if batch.index in failures:
-                continue
-            if batch.index in conversions:
-                batch.conversion_handle = submit(batch, "convert.sh", conversions[batch.index])
-            else:
-                batch.workflow_handle = submit(batch, "job.sh")
+            if batch.error is None:
+                submit(batch)
 
         # Stage: one poll loop over every live job. Up to two accounting
         # failures in a row only cost a round; the third ends the run.
@@ -395,8 +400,7 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
         accounting_failures = 0
         while live:
             try:
-                states = slurm.poll_jobs(
-                    endpoint, [b.workflow_handle or b.conversion_handle for b in live.values()])
+                states = slurm.poll_jobs(endpoint, [b.job for b in live.values()])
                 accounting_failures = 0
             except AccountingUnavailable:
                 accounting_failures += 1
@@ -413,17 +417,14 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
                     batch.state = state
                     journal.emit("batch-terminal", f"batch={batch.index} state={state.value}")
                 elif state is JobState.COMPLETED:
-                    batch.workflow_handle = submit(batch, "job.sh")
+                    submit(batch)
                 else:
                     fail(batch, ConversionFailed(f"conversion job {job_id} ended {state.value}"))
             if progressed:
                 continue
             if options.deadline_s is not None and elapsed >= options.deadline_s:
                 for batch in live.values():
-                    failures.setdefault(
-                        batch.index,
-                        WorkflowFailed(f"deadline exceeded after {elapsed}s"),
-                    )
+                    batch.error = WorkflowFailed(f"deadline exceeded after {elapsed}s")
                 break
             endpoint.sleep(options.poll_interval_s)
             elapsed += options.poll_interval_s
@@ -431,8 +432,7 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
         # Stage: drop the inputs remotely, then bring back every output in one
         # archive and every log in another, and split them locally by batch.
         journal.emit(RunStage.RETRIEVING, "fetching artifacts")
-        completed = [b for b in batches
-                     if b.index not in failures and b.state is JobState.COMPLETED]
+        completed = [b for b in batches if b.error is None and b.state is JobState.COMPLETED]
         if completed:
             try:
                 endpoint.exec(["rm", "-rf", input_zip] + [
@@ -447,7 +447,7 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
                 )
             except SlurmBridgeError as exc:
                 for batch in completed:
-                    failures[batch.index] = RetrievalFailed(str(exc))
+                    batch.error = RetrievalFailed(str(exc))
             else:
                 with zipfile.ZipFile(results) as archive:
                     for batch in completed:
@@ -458,9 +458,9 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
                                           local_zip):
                             batch.result_zip = local_zip
                         else:
-                            failures[batch.index] = RetrievalFailed(str(EmptyOutput(out_dir)))
+                            batch.error = RetrievalFailed(str(EmptyOutput(out_dir)))
         # A batch's log is the log of the last job it submitted.
-        logged = [b for b in batches if b.workflow_handle or b.conversion_handle]
+        logged = [b for b in batches if b.job]
         if logged:
             try:
                 logs = slurm.fetch_results(
@@ -471,9 +471,7 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
                     for batch in logged:
                         try:
                             batch.logfile = slurm.fetch_logfile(
-                                archive, batch.workflow_handle or batch.conversion_handle,
-                                local_output_dir,
-                            )
+                                archive, batch.job, local_output_dir)
                         except LogMissing:
                             pass
             except SlurmBridgeError:
@@ -482,21 +480,21 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
             if batch.result_zip:
                 record.output_artifacts.append(batch.result_zip)
                 continue
-            if batch.index not in failures:
-                failures[batch.index] = WorkflowFailed(
+            if batch.error is None:
+                batch.error = WorkflowFailed(
                     f"workflow job ended {batch.state.value if batch.state else 'unknown'}",
                     logfile=batch.logfile,
                 )
             if batch.logfile:
                 record.output_artifacts.append(batch.logfile)
-        for index, exc in sorted(failures.items()):
-            journal.emit("batch-failed", f"batch={index} {type(exc).__name__}: {exc}")
+            journal.emit("batch-failed",
+                         f"batch={batch.index} {type(batch.error).__name__}: {batch.error}")
     finally:
         # No job may outlive its data: cancel what is still live, then remove
         # the remote run data. Logs stay.
         for batch in live.values():
             try:
-                slurm.cancel_job(endpoint, batch.workflow_handle or batch.conversion_handle)
+                slurm.cancel_job(endpoint, batch.job)
             except TransportError:
                 pass  # best effort: the run ends either way
         if live:
@@ -508,7 +506,7 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
             journal.emit("cleanup", "failed")
         shutil.rmtree(staging_root, ignore_errors=True)
 
-    completed = [b for b in batches if b.state is JobState.COMPLETED and b.result_zip]
+    completed = [b for b in batches if b.result_zip]
     record.finished_at = _now()
     if len(completed) == len(batches):
         journal.emit(RunStage.DONE, f"batches={len(batches)}")
@@ -516,8 +514,7 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
         journal.emit(RunStage.PARTIAL_FAILURE,
                      f"completed={len(completed)} failed={len(batches) - len(completed)}")
     else:
-        detail = "; ".join(str(exc) for exc in failures.values()) or "no batch completed"
-        journal.emit(RunStage.FAILED, detail)
+        journal.emit(RunStage.FAILED, "; ".join(str(b.error) for b in batches if b.error))
     return record
 
 

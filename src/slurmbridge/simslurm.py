@@ -15,7 +15,7 @@ import zipfile
 from base64 import b64decode, b64encode
 from dataclasses import dataclass, field
 
-from .errors import ChecksumMismatch, DestinationUnwritable, SourceMissing, Timeout
+from .errors import ChecksumMismatch, DestinationUnwritable, SourceMissing
 from .jobscript import (
     clock_to_minutes,
     scan_directives,
@@ -67,19 +67,20 @@ class SimFS:
         self.dirs.update(missing)
 
     def exists(self, path):
-        path = _norm(path)
-        return path in self.dirs or path in self.files
+        """Like `test -e`: a path with a trailing '/' names only a directory."""
+        norm = _norm(path)
+        return norm in self.dirs or (norm in self.files and not path.endswith("/"))
 
     def is_dir(self, path):
         return _norm(path) in self.dirs
 
     def write(self, path, data):
+        if path.endswith("/") or _norm(path) in self.dirs:
+            raise DestinationUnwritable(f"is a directory: {path}")
         path = _norm(path)
         parent = posixpath.dirname(path)
         if parent not in self.dirs:
             raise DestinationUnwritable(f"no such directory: {parent}")
-        if path in self.dirs:
-            raise DestinationUnwritable(f"is a directory: {path}")
         self.files[path] = bytes(data)
 
     def read(self, path):
@@ -89,18 +90,14 @@ class SimFS:
         return self.files[path]
 
     def remove_tree(self, path):
+        """Like `rm -rf`: a path with a trailing '/' removes only a directory."""
+        if path.endswith("/") and _norm(path) not in self.dirs:
+            return
         path = _norm(path)
-        removed = []
         prefix = path + "/"
-        for name in list(self.files):
-            if name == path or name.startswith(prefix):
-                del self.files[name]
-                removed.append(name)
-        for name in list(self.dirs):
-            if name == path or name.startswith(prefix):
-                self.dirs.discard(name)
-                removed.append(name)
-        return removed
+        for name in [name for name in self.files if name == path or name.startswith(prefix)]:
+            del self.files[name]
+        self.dirs -= {name for name in self.dirs if name == path or name.startswith(prefix)}
 
     def files_under(self, directory):
         """Sorted relative paths of every file below directory."""
@@ -143,13 +140,6 @@ class SimNode:
             self.used_cpus + res["cpus"] <= self.cpus
             and self.used_gpus + res["gpus"] <= self.gpus
             and self.used_mem + res["mem_mb"] <= self.mem_mb
-        )
-
-    def can_ever_fit(self, res):
-        return (
-            res["cpus"] <= self.cpus
-            and res["gpus"] <= self.gpus
-            and res["mem_mb"] <= self.mem_mb
         )
 
     def commit(self, res):
@@ -219,19 +209,12 @@ class SimEvent:
 
 @dataclass(frozen=True)
 class FaultDirective:
-    """Force matched jobs into a terminal state, or suppress their outputs."""
+    """Force jobs whose script path contains script_substring into a
+    terminal state, or suppress their outputs."""
 
-    script_substring: str = None
-    job_id: int = None
+    script_substring: str
     forced_state: JobState = None
     missing_output: bool = False
-
-    def matches(self, job):
-        if self.job_id is not None:
-            return job.id == self.job_id
-        if self.script_substring is not None:
-            return self.script_substring in job.script_path
-        return False
 
 
 def load_topology(text):
@@ -330,10 +313,7 @@ class SimCluster:
         else:
             job.tasks = [SimTask(entry_id=str(job_id), index=None)]
         for fault in self.faults:
-            if fault.matches(job) or (
-                fault.script_substring is not None
-                and fault.script_substring in self.fs.read(path).decode()
-            ):
+            if fault.script_substring in path:
                 if fault.forced_state is not None:
                     job.forced_state = fault.forced_state
                 job.missing_output = job.missing_output or fault.missing_output
@@ -496,17 +476,6 @@ class SimCluster:
 
     def inject_fault(self, fault):
         self.faults.append(fault)
-
-    def unschedulable_jobs(self):
-        """Pending jobs that no node could ever fit."""
-        stuck = []
-        for job_id in sorted(self.jobs):
-            job = self.jobs[job_id]
-            if any(t.state is JobState.PENDING for t in job.tasks) and not any(
-                node.can_ever_fit(job.resources) for node in self.nodes
-            ):
-                stuck.append(job_id)
-        return stuck
 
     def render_event_trace(self):
         return "\n".join(event.render() for event in self.event_log)
@@ -681,26 +650,9 @@ class SimEndpoint(Endpoint):
 
     def __init__(self, cluster=None):
         self.cluster = cluster if cluster is not None else SimCluster()
-        self._delays = []  # (prefix tuple, seconds)
-
-    def script_delay(self, prefix, seconds):
-        """Make commands starting with prefix appear to take this long."""
-        self._delays.append((tuple(prefix), seconds))
-
-    def _delay_for(self, command):
-        for prefix, seconds in self._delays:
-            if tuple(command[: len(prefix)]) == prefix:
-                return seconds
-        return 0
 
     def exec(self, command, timeout=DEFAULT_DEADLINE_S):
-        delay = self._delay_for(command)
-        if delay > timeout:
-            raise Timeout(f"deadline of {timeout}s exceeded")
-        result = self.cluster.sim_exec(command)
-        return ExecResult(
-            result.exit_code, result.stdout, result.stderr, int(delay * 1000)
-        )
+        return self.cluster.sim_exec(command)
 
     def put_file(self, local, remote):
         if not os.path.isfile(local):

@@ -77,29 +77,24 @@ def init_environment(endpoint, profile, registry):
         report.created_dirs.append(path)
     report.refreshed = refreshed
 
-    for name in sorted(registry.entries):
-        entry = registry.entry(name)
-        resolved = config_mod.resolve_workflow(registry, name)
-        image_path = image_file_path(profile, name, entry.version)
+    images = [
+        (name, image_file_path(profile, name, registry.entry(name).version),
+         config_mod.resolve_workflow(registry, name).image_reference)
+        for name in sorted(registry.entries)
+    ] + [
+        (f"converter {src}->{dst}", converter_image_path(profile, src, dst), image)
+        for (src, dst), image in (profile.converters or {}).items()
+    ]
+    for name, path, reference in images:
         try:
-            if not endpoint.path_exists(image_path):
-                result = endpoint.exec(
-                    ["singularity", "pull", image_path, f"docker://{resolved.image_reference}"]
-                )
+            if not endpoint.path_exists(path):
+                result = endpoint.exec(["singularity", "pull", path, f"docker://{reference}"])
                 if not result.ok:
                     raise PullFailed(name, result.exit_code, result.stderr)
-                report.pulled_images.append((name, image_path))
+                report.pulled_images.append((name, path))
         except (PullFailed, TransportError) as exc:
-            # Partial failure: keep whatever provisioned, report per workflow.
+            # Partial failure: keep whatever provisioned, report per image.
             report.failures.append((name, str(exc)))
-    for (src, dst), image in (profile.converters or {}).items():
-        conv_path = converter_image_path(profile, src, dst)
-        if not endpoint.path_exists(conv_path):
-            result = endpoint.exec(["singularity", "pull", conv_path, f"docker://{image}"])
-            if not result.ok:
-                report.failures.append((f"converter {src}->{dst}", result.stderr))
-                continue
-            report.pulled_images.append((f"converter {src}->{dst}", conv_path))
     return report
 
 

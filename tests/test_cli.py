@@ -4,7 +4,10 @@ import os
 import pytest
 from click.testing import CliRunner
 
+from slurmbridge import cli, simslurm
 from slurmbridge.cli import main
+from slurmbridge.errors import ConnectionLost
+from slurmbridge.transport import DEFAULT_DEADLINE_S
 from tests.conftest import CELLPOSE_DESCRIPTOR, SAMPLE_CONFIG, make_tiff_inputs
 
 
@@ -171,6 +174,44 @@ class TestStatusLogsFetch:
                   for line in result.stdout.splitlines()
                   for field in line.split("\t") if field.startswith("stage=")]
         assert "Running" in stages
+
+    def _cut_journal_after_running(self, workspace, run_id):
+        """Drop the journal rows after Running, as a run still polling leaves it."""
+        journal = workspace[0] / "runs" / f"{run_id}.journal"
+        rows = journal.read_text().splitlines(keepends=True)
+        stages = [row.split("\t")[1] for row in rows]
+        journal.write_text("".join(rows[:stages.index("Running") + 1]))
+        return [row.split("job_id=")[1].split()[0] for row in rows if "\tsubmit\t" in row]
+
+    def test_status_polls_live_jobs_over_ssh(self, runner, workspace, monkeypatch):
+        tmp_path, config_path, topology_path, _ = workspace
+        run_id = self._completed_run(runner, workspace)
+        job_ids = self._cut_journal_after_running(workspace, run_id)
+        cluster = simslurm.SimCluster.load_state(topology_path + ".state")
+        monkeypatch.setattr(cli, "SshEndpoint", lambda profile: simslurm.SimEndpoint(cluster))
+        result = runner.invoke(
+            main, ["status", run_id, "--runs-dir", str(tmp_path / "runs"),
+                   "--config", config_path])
+        assert result.exit_code == 0, result.output
+        pairs = kv_lines(result.stdout)
+        assert pairs["state"] == ["Running"]
+        assert pairs["job"] == [f"{job_id}\tstate=COMPLETED" for job_id in job_ids]
+
+    def test_status_unreachable_cluster_exits_one(self, runner, workspace, monkeypatch):
+        class Unreachable(simslurm.SimEndpoint):
+            def exec(self, command, timeout=DEFAULT_DEADLINE_S):
+                raise ConnectionLost("host unreachable")
+
+        tmp_path, config_path, _, _ = workspace
+        run_id = self._completed_run(runner, workspace)
+        self._cut_journal_after_running(workspace, run_id)
+        monkeypatch.setattr(cli, "SshEndpoint", lambda profile: Unreachable())
+        result = runner.invoke(
+            main, ["status", run_id, "--runs-dir", str(tmp_path / "runs"),
+                   "--config", config_path])
+        assert result.exit_code == 1
+        assert kv_lines(result.stdout)["state"] == ["Running"]
+        assert "host unreachable" in result.stderr
 
     def test_status_unknown_run(self, runner, workspace):
         tmp_path = workspace[0]

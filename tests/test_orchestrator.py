@@ -122,6 +122,11 @@ def batch_failures(record):
     return failed
 
 
+def batch_errors(record):
+    """batch index -> error class name, from the batch records."""
+    return {b.index: type(b.error).__name__ for b in record.batches if b.error is not None}
+
+
 def fast_options(**overrides):
     defaults = dict(poll_interval_s=5, sim_duration_s=20)
     defaults.update(overrides)
@@ -282,7 +287,7 @@ class TestConversionPath:
         assert failed.logfile in record.output_artifacts
         with open(failed.logfile) as handle:
             assert "FAILED" in handle.read()
-        assert batch_failures(record) == {0: "ConversionFailed"}
+        assert batch_errors(record) == batch_failures(record) == {0: "ConversionFailed"}
 
     def test_skip_conversion(self, run_env, tmp_path):
         endpoint, profile, registry, descriptor = run_env
@@ -333,6 +338,9 @@ class TestRunWorkflowBatched:
         failed = record.batches[1]
         assert failed.result_zip is None
         assert failed.logfile and os.path.exists(failed.logfile)
+        assert failed.job is failed.workflow_handle
+        assert batch_errors(record) == batch_failures(record) == {1: "WorkflowFailed"}
+        assert failed.error.logfile == failed.logfile
 
     def test_missing_output_fails_only_its_batch(self, run_env, tmp_path):
         endpoint, profile, registry, descriptor = run_env
@@ -345,7 +353,7 @@ class TestRunWorkflowBatched:
             local_output_dir=str(tmp_path / "out"),
         )
         assert record.overall_state is orch.RunStage.PARTIAL_FAILURE
-        assert batch_failures(record) == {1: "RetrievalFailed"}
+        assert batch_errors(record) == batch_failures(record) == {1: "RetrievalFailed"}
         assert record.batches[1].state is JobState.COMPLETED
         assert record.batches[1].result_zip is None
         for index in (0, 2):
@@ -523,7 +531,8 @@ class TestRunLifecycle:
         endpoint, _, registry, _ = run_env
         record = self.run(endpoint, run_env, tmp_path, deadline_s=5, sim_duration_s=600)
         assert record.overall_state is orch.RunStage.FAILED
-        assert batch_failures(record) == {0: "WorkflowFailed", 1: "WorkflowFailed"}
+        assert batch_errors(record) == batch_failures(record) == {
+            0: "WorkflowFailed", 1: "WorkflowFailed"}
         assert "cancel" in [stage for _, stage, _ in record.stage_history]
         assert_no_job_outlives_its_data(
             endpoint.cluster, registry.entry("cellpose").resources.time_limit_min)

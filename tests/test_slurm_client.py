@@ -10,6 +10,7 @@ import pytest
 from slurmbridge import slurm
 from slurmbridge.errors import (
     AccountingUnavailable,
+    ConnectionLost,
     EmptyOutput,
     LogMissing,
     SubmitRejected,
@@ -18,6 +19,7 @@ from slurmbridge.errors import (
 )
 from slurmbridge.simslurm import FaultDirective, SimCluster, SimEndpoint
 from slurmbridge.states import JobState
+from slurmbridge.transport import DEFAULT_DEADLINE_S
 from tests.test_simslurm import submit_script
 
 
@@ -106,6 +108,29 @@ class TestInitEnvironment:
         # Converter image still provisioned.
         assert endpoint.path_exists(
             "/scratch/omero/singularity_images/convert_zarr_to_tiff.sif")
+
+    def test_converter_pull_failure_reported_as_pull_failed(self, env):
+        endpoint, profile, registry = env
+        endpoint.cluster.failing_pulls.add("docker://demo/converter-zarr-tiff:v1.0.0")
+        report = slurm.init_environment(endpoint, profile, registry)
+        assert report.failures == [(
+            "converter zarr->tiff",
+            "image pull failed for 'converter zarr->tiff' (exit 255): "
+            "FATAL: unable to pull docker://demo/converter-zarr-tiff:v1.0.0",
+        )]
+
+    def test_lost_link_during_pulls_reported_per_image(self, env):
+        class DropsPulls(SimEndpoint):
+            def exec(self, command, timeout=DEFAULT_DEADLINE_S):
+                if command[0] == "singularity":
+                    raise ConnectionLost("link dropped")
+                return super().exec(command, timeout)
+
+        _, profile, registry = env
+        report = slurm.init_environment(DropsPulls(SimCluster()), profile, registry)
+        assert report.failures == [("cellpose", "link dropped"),
+                                   ("converter zarr->tiff", "link dropped")]
+        assert report.pulled_images == []
 
 
 class TestSubmitJob:
