@@ -9,7 +9,7 @@ import click
 from . import config as config_mod
 from . import descriptor as descriptor_mod
 from . import orchestrator, simslurm, slurm
-from .errors import SlurmBridgeError, UnknownRunId
+from .errors import SlurmBridgeError, TransportError, UnknownRunId
 from .states import JobState
 from .transport import SshEndpoint
 
@@ -311,6 +311,8 @@ def cmd_logs(run_id, runs_dir, log_dir):
 def cmd_fetch(run_id, destination, runs_dir, artifact_dir, mode):
     """Re-import a finished run's result zips into a destination folder."""
     _read_journal(runs_dir, run_id)
+    if not os.path.isdir(artifact_dir):
+        _fail(f"artifact directory not found: {artifact_dir}")
     zips = sorted(
         os.path.join(artifact_dir, name)
         for name in os.listdir(artifact_dir)
@@ -339,14 +341,21 @@ def cmd_fetch(run_id, destination, runs_dir, artifact_dir, mode):
 @_config_option
 @_simulate_option
 def cmd_cancel(run_id, runs_dir, config_path, simulate):
-    """Cancel a run's outstanding jobs."""
+    """Cancel a run's outstanding jobs; a job that cannot be reached is
+    reported and the rest are still tried."""
     lines = _read_journal(runs_dir, run_id)
     profile, _ = _load_config(config_path)
+    failed = False
     with _endpoint(profile, simulate) as endpoint:
         for handle in _journal_handles(lines):
-            slurm.cancel_job(endpoint, handle)
+            try:
+                slurm.cancel_job(endpoint, handle)
+            except TransportError as exc:
+                failed = True
+                click.echo(f"error: job {handle.job_id}: {exc}", err=True)
+                continue
             click.echo(f"cancelled={handle.job_id}")
-    sys.exit(EXIT_OK)
+    sys.exit(EXIT_RUN_FAILURE if failed else EXIT_OK)
 
 
 @main.command("list")

@@ -291,32 +291,38 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
     log_pattern = jobscript.logfile_pattern(logs_dir)
     image_path = slurm.image_file_path(profile, workflow_name, entry.version)
     input_zip = posixpath.join(run_dir, "input.zip")
-    live = {}  # job id -> batch, for each job submitted and not yet seen terminal
+    job_name = f"sb-{run_id}"  # every job of the run carries it, so it can be cancelled by name
+    live = {}  # handle -> batch, for each job submitted and not yet seen terminal
 
     def fail(batch, exc):
         batch.error = exc
         batch.state = JobState.FAILED
 
-    def submit(batch):
-        """Submit the batch's next job: its conversion array while that is
-        not yet submitted, then its workflow job."""
-        tasks = batch.conversion_tasks if batch.conversion_handle is None else 0
+    def submit(jobs):
+        """Submit jobs, given as (batch, tasks, after), in one launch: the
+        batch's conversion array of that many tasks, or its workflow job when
+        tasks is 0, to start once job after completed (None: at once). When
+        the launch's answer is lost, its batches fail, though their jobs may
+        run."""
+        scripts = [(posixpath.join(b.remote_dir, "convert.sh" if tasks else "job.sh"),
+                    tasks or None, after) for b, tasks, after in jobs]
         try:
-            handle = slurm.submit_job(
-                endpoint, posixpath.join(batch.remote_dir, "convert.sh" if tasks else "job.sh"),
-                array_size=tasks or None, logfile_pattern=log_pattern,
-            )
-        except SlurmBridgeError as exc:
-            fail(batch, exc)
-            return
-        live[handle.job_id] = batch
-        if tasks:
-            batch.conversion_handle = handle
-            detail = f"kind=conversion job_id={handle.job_id} tasks={tasks}"
-        else:
-            batch.workflow_handle = handle
-            detail = f"kind=workflow job_id={handle.job_id}"
-        journal.emit("submit", f"batch={batch.index} {detail}")
+            outcomes = slurm.submit_job(endpoint, scripts, job_name, log_pattern)
+        except TransportError as exc:
+            outcomes = [exc] * len(jobs)
+        for (batch, tasks, after), handle in zip(jobs, outcomes):
+            if isinstance(handle, SlurmBridgeError):
+                fail(batch, handle)
+                continue
+            live[handle] = batch
+            if tasks:
+                batch.conversion_handle = handle
+                detail = f"kind=conversion job_id={handle.job_id} tasks={tasks}"
+            else:
+                batch.workflow_handle = handle
+                detail = f"kind=workflow job_id={handle.job_id}"
+                detail += f" after={after}" if after else ""
+            journal.emit("submit", f"batch={batch.index} {detail}")
 
     try:
         # Stage: write every batch's scripts and pack them, with the inputs,
@@ -387,67 +393,78 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
                 for batch in shipped:
                     fail(batch, TransferFailed(str(exc)))
 
-        # Stage: submit conversion arrays (where needed) or workflow jobs.
+        # Stage: submit every job, in one launch, or two when a workflow job
+        # must wait for its batch's conversion array: Slurm starts it once
+        # the array completed, and cancels it unstarted if the array failed.
         journal.emit(RunStage.QUEUED, "submitting jobs")
-        for batch in batches:
-            if batch.error is None:
-                submit(batch)
+        submit([(b, b.conversion_tasks, None) for b in batches if b.error is None])
+        converting = [b for b in batches if b.conversion_handle and b.error is None]
+        if converting:
+            submit([(b, 0, b.conversion_handle.job_id) for b in converting])
 
-        # Stage: one poll loop over every live job. Up to two accounting
-        # failures in a row only cost a round; the third ends the run.
+        # Stage: one poll loop over every live job; it only observes. Up to
+        # two accounting failures in a row only cost a round; the third ends
+        # the run.
         journal.emit(RunStage.RUNNING, "polling")
         elapsed = 0.0
         accounting_failures = 0
         while live:
             try:
-                states = slurm.poll_jobs(endpoint, [b.job for b in live.values()])
+                states = slurm.poll_jobs(endpoint, list(live))
                 accounting_failures = 0
             except AccountingUnavailable:
                 accounting_failures += 1
                 if accounting_failures == 3:
                     raise
                 states = {}
-            progressed = False
-            for job_id, state in states.items():
-                if not state.terminal:
+            for handle, batch in list(live.items()):
+                state = states.get(handle.job_id)
+                if state is None or not state.terminal:
                     continue
-                batch = live.pop(job_id)
-                progressed = True
-                if batch.workflow_handle is not None:
+                del live[handle]
+                if handle is batch.workflow_handle:
                     batch.state = state
                     journal.emit("batch-terminal", f"batch={batch.index} state={state.value}")
-                elif state is JobState.COMPLETED:
-                    submit(batch)
-                else:
-                    fail(batch, ConversionFailed(f"conversion job {job_id} ended {state.value}"))
-            if progressed:
-                continue
+                elif state is not JobState.COMPLETED:
+                    fail(batch, ConversionFailed(
+                        f"conversion job {handle.job_id} ended {state.value}"))
+            if not live:
+                break
             if options.deadline_s is not None and elapsed >= options.deadline_s:
                 for batch in live.values():
-                    batch.error = WorkflowFailed(f"deadline exceeded after {elapsed}s")
+                    batch.error = batch.error or WorkflowFailed(
+                        f"deadline exceeded after {elapsed}s")
                 break
             endpoint.sleep(options.poll_interval_s)
             elapsed += options.poll_interval_s
 
-        # Stage: drop the inputs remotely, then bring back every output in one
-        # archive and every log in another, and split them locally by batch.
+        # Stage: in one launch, drop the inputs remotely and zip every output
+        # and every log; bring both archives back and split them locally by
+        # batch. A batch's log is the log of the last job it submitted that
+        # wrote one: a workflow job that never started (its conversion failed
+        # or was still running at the deadline) wrote none.
         journal.emit(RunStage.RETRIEVING, "fetching artifacts")
         completed = [b for b in batches if b.error is None and b.state is JobState.COMPLETED]
+        logged = [b for b in batches if b.job]
+        archives, drop = [], []
         if completed:
-            try:
-                endpoint.exec(["rm", "-rf", input_zip] + [
-                    posixpath.join(b.remote_dir, name) for b in shipped for name in ("in", "gt")
-                ])
-            except TransportError:
-                pass  # only makes the results archive larger; cleanup_run removes run_dir
-            try:
-                results = slurm.fetch_results(
-                    endpoint, run_dir, posixpath.join(run_dir, "results.zip"),
-                    os.path.join(staging_root, "results.zip"),
-                )
-            except SlurmBridgeError as exc:
+            archives.append((run_dir, posixpath.join(run_dir, "results.zip"),
+                             os.path.join(staging_root, "results.zip")))
+            # Only makes the results archive smaller; cleanup_run removes run_dir.
+            drop = [input_zip] + [posixpath.join(b.remote_dir, name)
+                                  for b in shipped for name in ("in", "gt")]
+        if logged:
+            archives.append((logs_dir, posixpath.join(run_dir, "logs.zip"),
+                             os.path.join(staging_root, "logs.zip")))
+        try:
+            fetched = slurm.fetch_results(endpoint, archives, drop)
+        except TransportError as exc:
+            fetched = [exc] * len(archives)
+        if completed:
+            results = fetched[0]
+            if isinstance(results, SlurmBridgeError):
                 for batch in completed:
-                    batch.error = RetrievalFailed(str(exc))
+                    batch.error = RetrievalFailed(str(results))
             else:
                 with zipfile.ZipFile(results) as archive:
                     for batch in completed:
@@ -459,23 +476,15 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
                             batch.result_zip = local_zip
                         else:
                             batch.error = RetrievalFailed(str(EmptyOutput(out_dir)))
-        # A batch's log is the log of the last job it submitted.
-        logged = [b for b in batches if b.job]
-        if logged:
-            try:
-                logs = slurm.fetch_results(
-                    endpoint, logs_dir, posixpath.join(run_dir, "logs.zip"),
-                    os.path.join(staging_root, "logs.zip"),
-                )
-                with zipfile.ZipFile(logs) as archive:
-                    for batch in logged:
+        if logged and not isinstance(fetched[-1], SlurmBridgeError):
+            with zipfile.ZipFile(fetched[-1]) as archive:
+                for batch in logged:
+                    for job in filter(None, (batch.workflow_handle, batch.conversion_handle)):
                         try:
-                            batch.logfile = slurm.fetch_logfile(
-                                archive, batch.job, local_output_dir)
+                            batch.logfile = slurm.fetch_logfile(archive, job, local_output_dir)
+                            break
                         except LogMissing:
                             pass
-            except SlurmBridgeError:
-                pass
         for batch in batches:
             if batch.result_zip:
                 record.output_artifacts.append(batch.result_zip)
@@ -490,15 +499,18 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
             journal.emit("batch-failed",
                          f"batch={batch.index} {type(batch.error).__name__}: {batch.error}")
     finally:
-        # No job may outlive its data: cancel what is still live, then remove
-        # the remote run data. Logs stay.
-        for batch in live.values():
+        # No job may outlive its data: unless every batch completed, cancel
+        # the run's jobs by name, as one may be live, unseen (its submission's
+        # answer was lost, or the run was interrupted before recording it),
+        # or an array whose failed parent state hides tasks still running.
+        # Then remove the remote run data. Logs stay.
+        if not all(b.result_zip for b in batches):
             try:
-                slurm.cancel_job(endpoint, batch.job)
+                slurm.cancel_named(endpoint, job_name)
             except TransportError:
                 pass  # best effort: the run ends either way
-        if live:
-            journal.emit("cancel", "job_ids=" + ",".join(map(str, live)))
+            journal.emit("cancel", f"name={job_name} job_ids="
+                         + ",".join(str(handle.job_id) for handle in live))
         try:
             removed = slurm.cleanup_run(endpoint, [run_dir])
             journal.emit("cleanup", f"removed={len(removed)}")

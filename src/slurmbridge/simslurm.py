@@ -29,7 +29,9 @@ from .transport import (
     ExecResult,
     TransferReport,
     file_sha256,
+    frame_output,
     sha256_hex,
+    unframe_commands,
 )
 
 DEFAULT_NODES = [
@@ -184,6 +186,8 @@ class SimJob:
     missing_output: bool = False
     reported_state: JobState = None  # last parent state emitted in events
     tasks: list = field(default_factory=list)
+    name: str = None
+    dependency: int = None  # id of the job that must complete first (afterok)
 
     @property
     def is_array(self):
@@ -243,9 +247,12 @@ def _as_doc(obj):
 
 def _from_doc(cls, doc):
     """Inverse of _as_doc for one level: JobState- and tuple-typed fields
-    are rebuilt from their JSON form; keys that name no field are ignored."""
+    are rebuilt from their JSON form; keys that name no field are ignored,
+    and a field the document lacks gets its default."""
     values = {}
     for spec in dataclasses.fields(cls):
+        if spec.name not in doc:
+            continue
         value = doc[spec.name]
         if value is not None and spec.type in (JobState, tuple):
             value = spec.type(value)
@@ -295,7 +302,28 @@ class SimCluster:
             "array_spec": array_spec,
         }
 
-    def _sbatch(self, path):
+    def _sbatch(self, args):
+        """`sbatch [--job-name=<name>] [--dependency=afterok:<id>
+        --kill-on-invalid-dep=yes] <script>`; any other option, or a
+        dependency on an unknown job, exits 1 as sbatch does."""
+        if not args:
+            return ExecResult(1, "", "sbatch: error: no batch script\n", 0)
+        *options, path = args
+        settings = {}
+        for option in options:
+            key, eq, value = option.partition("=")
+            if not eq or key not in ("--job-name", "--dependency", "--kill-on-invalid-dep"):
+                return ExecResult(1, "", f"sbatch: unrecognized option '{option}'\n", 0)
+            settings[key] = value
+        kind, _, after = settings.get("--dependency", "afterok:").partition(":")
+        kill = settings.get("--kill-on-invalid-dep")
+        # Only the dependency the client asks for is modelled: afterok, under
+        # which a job whose dependency fails is cancelled, not left pending.
+        if kind != "afterok" or kill not in (None, "yes", "no") or (after and kill != "yes"):
+            return ExecResult(1, "", "sbatch: error: unsupported dependency\n", 0)
+        if after and (not after.isdigit() or int(after) not in self.jobs):
+            return ExecResult(
+                1, "", "sbatch: error: Batch job submission failed: Job dependency problem\n", 0)
         if not self.fs.exists(path):
             return ExecResult(1, "", f"sbatch: error: Unable to open file {path}\n", 0)
         try:
@@ -304,7 +332,9 @@ class SimCluster:
             return ExecResult(1, "", f"sbatch: error: {exc}\n", 0)
         job_id = self.next_job_id
         self.next_job_id += 1
-        job = SimJob(id=job_id, script_path=path, submit_time=self.clock, **parsed)
+        job = SimJob(id=job_id, script_path=path, submit_time=self.clock,
+                     name=settings.get("--job-name"),
+                     dependency=int(after) if after else None, **parsed)
         if job.is_array:
             lo, hi = job.array_spec
             job.tasks = [
@@ -370,8 +400,18 @@ class SimCluster:
             job.reported_state = parent
 
     def _schedule(self, events):
-        # FIFO scan; a job is only passed over when no node fits it right now.
+        # FIFO scan; a job is only passed over when no node fits it right now
+        # or while its dependency has not completed. A job whose dependency
+        # ended otherwise is cancelled unstarted (--kill-on-invalid-dep=yes).
         for job, task in list(self._pending_tasks()):
+            if task.state is not JobState.PENDING:
+                continue  # cancelled earlier in this scan with its job
+            if job.dependency is not None:
+                after = self.jobs[job.dependency].reported_state
+                if after is not JobState.COMPLETED:
+                    if after.terminal:
+                        self._cancel(job, events)
+                    continue
             for index, node in enumerate(self.nodes):
                 if node.fits(job.resources):
                     self._start_task(job, task, index, events)
@@ -457,11 +497,22 @@ class SimCluster:
 
     # -- control -----------------------------------------------------------
 
-    def _scancel(self, job_id):
-        job = self.jobs.get(job_id)
-        if job is None:
-            return ExecResult(0, "", "", 0)
+    def _scancel(self, args):
+        """`scancel <id>` or `scancel --name=<name>`; an unknown id or name
+        cancels nothing."""
+        if len(args) == 1 and args[0].startswith("--name="):
+            name = args[0][len("--name="):]
+            jobs = [job for job in self.jobs.values() if job.name == name]
+        elif len(args) == 1 and args[0].isdigit():
+            jobs = [self.jobs[int(args[0])]] if int(args[0]) in self.jobs else []
+        else:
+            return ExecResult(1, "", "scancel: error: invalid job id\n", 0)
         events = []
+        for job in jobs:
+            self._cancel(job, events)
+        return ExecResult(0, "", "", 0)
+
+    def _cancel(self, job, events):
         for task in job.tasks:
             if task.state is JobState.PENDING:
                 self._transition(job, task, JobState.CANCELLED, events)
@@ -472,7 +523,6 @@ class SimCluster:
                 self._transition(job, task, JobState.CANCELLED, events)
                 task.exit_code = 1
                 self._write_task_log(job, task)
-        return ExecResult(0, "", "", 0)
 
     def inject_fault(self, fault):
         self.faults.append(fault)
@@ -547,15 +597,20 @@ class SimCluster:
         if not tokens:
             return ExecResult(127, "", "command not found\n", 0)
         cmd, args = tokens[0], tokens[1:]
+        if cmd == "sh":
+            framed = unframe_commands(args[1]) if len(args) == 2 and args[0] == "-c" else None
+            if framed is None:
+                return ExecResult(2, "", "sh: only exec_many scripts are supported\n", 0)
+            mark, commands = framed
+            # Through sim_exec, so each framed command is seen as one call.
+            stdout, stderr = frame_output(mark, [self.sim_exec(argv) for argv in commands])
+            return ExecResult(0, stdout, stderr, 0)
         if cmd == "sbatch":
-            return self._sbatch(args[-1])
+            return self._sbatch(args)
         if cmd == "sacct":
             return self._sacct(args)
         if cmd == "scancel":
-            try:
-                return self._scancel(int(args[0]))
-            except (ValueError, IndexError):
-                return ExecResult(1, "", "scancel: error: invalid job id\n", 0)
+            return self._scancel(args)
         if cmd == "mkdir":
             err = ""
             for path in args:
@@ -596,6 +651,8 @@ class SimCluster:
                 return ExecResult(1, "", f"FATAL: {exc}\n", 0)
             return ExecResult(0, "", "", 0)
         if cmd == "echo":
+            if args[:1] == ["-n"]:
+                return ExecResult(0, " ".join(args[1:]), "", 0)
             return ExecResult(0, " ".join(args) + "\n", "", 0)
         if cmd == "true":
             return ExecResult(0, "", "", 0)

@@ -98,22 +98,37 @@ def init_environment(endpoint, profile, registry):
     return report
 
 
-def submit_job(endpoint, remote_script_path, array_size=None, logfile_pattern=None):
-    """Submit a script already on the cluster, returning the parsed job handle."""
-    result = endpoint.exec(["sbatch", remote_script_path])
-    if not result.ok:
-        raise SubmitRejected(result.stderr or result.stdout, result.exit_code)
-    match = _SUBMIT_RE.search(result.stdout)
-    if match is None:
-        raise UnparseableJobId(f"no job id in submitter output: {result.stdout!r}")
-    job_id = int(match.group(1))
-    if logfile_pattern is None:
-        logfile_pattern = ""
-    return JobHandle(
-        job_id=job_id,
-        logfile_path=logfile_pattern.replace("%j", str(job_id)),
-        array_size=array_size,
-    )
+def submit_job(endpoint, scripts, name, logfile_pattern=""):
+    """Submit scripts already on the cluster, all in one launch, each as a
+    job named name. scripts holds (path, array_size, after) triples, where
+    after is the id of a job that must complete first, or None; a job whose
+    dependency fails is cancelled by Slurm without starting.
+
+    Returns per script its JobHandle or the error that rejected it. Raises
+    TransportError when the launch's answer is lost; any of the scripts may
+    then have been submitted.
+    """
+    argvs = []
+    for path, _, after in scripts:
+        argv = ["sbatch", f"--job-name={name}"]
+        if after is not None:
+            argv += [f"--dependency=afterok:{after}", "--kill-on-invalid-dep=yes"]
+        argvs.append(argv + [path])
+    outcomes = []
+    for (_, array_size, _), result in zip(scripts, endpoint.exec_many(argvs)):
+        match = _SUBMIT_RE.search(result.stdout)
+        if not result.ok:
+            outcomes.append(SubmitRejected(result.stderr or result.stdout, result.exit_code))
+        elif match is None:
+            outcomes.append(UnparseableJobId(f"no job id in submitter output: {result.stdout!r}"))
+        else:
+            job_id = int(match.group(1))
+            outcomes.append(JobHandle(
+                job_id=job_id,
+                logfile_path=logfile_pattern.replace("%j", str(job_id)),
+                array_size=array_size,
+            ))
+    return outcomes
 
 
 def poll_jobs(endpoint, handles):
@@ -160,6 +175,11 @@ def cancel_job(endpoint, handle):
     return True
 
 
+def cancel_named(endpoint, name):
+    """Cancel every job named name, including any whose id was never seen."""
+    endpoint.exec(["scancel", f"--name={name}"])
+
+
 def zip_entry_name(remote_path):
     """The name `zip -r` gives remote_path inside an archive: the path as
     given, without its leading '/'."""
@@ -184,25 +204,38 @@ def fetch_logfile(logs_archive, handle, local_dir):
     return os.path.join(local_dir, parent)
 
 
-def fetch_results(endpoint, remote_dir, remote_zip, local_zip_path):
-    """Zip the files below a remote dir into remote_zip, transfer, and
-    checksum-verify. Entries are named by zip_entry_name; remote_zip may lie
-    inside remote_dir, as zip leaves out the archive it is writing.
+def fetch_results(endpoint, archives, drop=()):
+    """Remove the drop paths, then zip each remote dir into its remote zip,
+    all in one launch, and bring back every zip made, checksum-verified.
+
+    archives holds (remote_dir, remote_zip, local_zip) triples. Entries are
+    named by zip_entry_name; a remote zip may lie inside its remote dir, as
+    zip leaves out the archive it is writing. Returns per archive local_zip,
+    or the error that stopped it (EmptyOutput when the dir holds no file).
+    Raises TransportError when the launch fails.
     """
-    result = endpoint.exec(["zip", "-r", "-D", remote_zip, remote_dir])
-    if result.exit_code == 12:
-        raise EmptyOutput(remote_dir)
-    if not result.ok:
-        raise TransportError(f"remote zip failed: {result.stderr}")
-    endpoint.get_file(remote_zip, local_zip_path)
-    return local_zip_path
+    commands = [["zip", "-r", "-D", remote_zip, remote_dir]
+                for remote_dir, remote_zip, _ in archives]
+    remove = [["rm", "-rf", *drop]] if drop else []
+    results = endpoint.exec_many(remove + commands)[len(remove):]
+    outcomes = []
+    for (remote_dir, remote_zip, local_zip), result in zip(archives, results):
+        if result.exit_code == 12:
+            outcomes.append(EmptyOutput(remote_dir))
+        elif not result.ok:
+            outcomes.append(TransportError(f"remote zip failed: {result.stderr}"))
+        else:
+            try:
+                endpoint.get_file(remote_zip, local_zip)
+                outcomes.append(local_zip)
+            except TransportError as exc:
+                outcomes.append(exc)
+    return outcomes
 
 
 def cleanup_run(endpoint, run_paths):
-    """Remove the run's remote data dirs; logs are retained. Idempotent."""
-    removed = []
-    for path in run_paths:
-        if endpoint.path_exists(path):
-            endpoint.remove_tree(path)
-            removed.append(path)
-    return removed
+    """Remove the run's remote data dirs in one launch; logs are retained.
+    Returns the paths that existed. Idempotent."""
+    results = endpoint.exec_many(
+        [command for path in run_paths for command in (["test", "-e", path], ["rm", "-rf", path])])
+    return [path for path, found in zip(run_paths, results[::2]) if found.ok]

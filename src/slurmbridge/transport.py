@@ -7,9 +7,11 @@ checksum-verified after copy.
 
 import hashlib
 import os
+import re
 import shlex
 import subprocess
 import time
+import uuid
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -19,9 +21,22 @@ from .errors import (
     DestinationUnwritable,
     SourceMissing,
     Timeout,
+    TransportError,
 )
 
 DEFAULT_DEADLINE_S = 300
+
+# exec_many runs its commands as one `sh -c` script: it sets `mark` to a
+# fresh nonce, then runs each command, followed by the line
+# "<mark> <exit status>" on stdout and on stderr. A newline is printed
+# before each marker line, so output without a trailing newline keeps its
+# last line apart from the marker. The script holds no newline of its own,
+# so a login shell that rejects newlines inside quotes (csh) can pass it on.
+_FRAME_HEAD = "mark="
+_FRAME_TAIL = (
+    "; s=$?; printf '\\n%s %d\\n' \"$mark\" \"$s\"; "
+    "printf '\\n%s %d\\n' \"$mark\" \"$s\" >&2; "
+)
 
 
 @dataclass(frozen=True)
@@ -46,6 +61,41 @@ def sha256_hex(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def frame_commands(commands):
+    """(script, mark): the `sh -c` script that runs argv lists in order,
+    each whatever the exit status of the ones before."""
+    mark = uuid.uuid4().hex
+    body = "".join(shlex.join(argv) + _FRAME_TAIL for argv in commands)
+    return f"{_FRAME_HEAD}{mark}; {body}", mark
+
+
+def unframe_commands(script):
+    """(mark, argv lists) of a script made by frame_commands, or None when
+    script is not one."""
+    head, separator, body = script.partition("; ")
+    pieces = body.split(_FRAME_TAIL)
+    if not head.startswith(_FRAME_HEAD) or not separator or pieces[-1]:
+        return None
+    return head[len(_FRAME_HEAD):], [shlex.split(piece) for piece in pieces[:-1]]
+
+
+def frame_output(mark, results):
+    """(stdout, stderr) that `sh` prints running a framed script whose
+    commands gave results."""
+    stdout = "".join(f"{r.stdout}\n{mark} {r.exit_code}\n" for r in results)
+    stderr = "".join(f"{r.stderr}\n{mark} {r.exit_code}\n" for r in results)
+    return stdout, stderr
+
+
+def _unframe_output(text, mark, count):
+    """[(exit status, output)] of each framed command in text."""
+    parts = re.split(f"\n{mark} (\\d+)\n", text)
+    if len(parts) != 2 * count + 1:
+        raise TransportError(
+            f"framed output holds {len(parts) // 2} of {count} exit markers")
+    return [(int(parts[k + 1]), parts[k]) for k in range(0, 2 * count, 2)]
+
+
 def file_sha256(path):
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
@@ -57,8 +107,8 @@ def file_sha256(path):
 class Endpoint(ABC):
     """One remote endpoint; at most one in-flight operation per handle.
 
-    Backends implement exec, put_file and get_file; the path helpers run
-    `test -e`, `mkdir -p` and `rm -rf` through exec."""
+    Backends implement exec, put_file and get_file; exec_many and the path
+    helpers (`test -e`, `mkdir -p`, `rm -rf`) run through exec."""
 
     @abstractmethod
     def exec(self, command, timeout=DEFAULT_DEADLINE_S):
@@ -71,6 +121,22 @@ class Endpoint(ABC):
     @abstractmethod
     def get_file(self, remote, local):
         """Copy remote -> local atomically; returns TransferReport."""
+
+    def exec_many(self, commands):
+        """Run argv lists in order through one exec (one launch over SSH),
+        each whatever the exit status of the ones before; returns one
+        ExecResult per command, each with the duration of the whole launch.
+        The commands share the one deadline of that exec."""
+        if not commands:
+            return []
+        script, mark = frame_commands(commands)
+        result = self.exec(["sh", "-c", script])
+        return [
+            ExecResult(code, stdout, stderr, result.duration_ms)
+            for (code, stdout), (_, stderr) in zip(
+                _unframe_output(result.stdout, mark, len(commands)),
+                _unframe_output(result.stderr, mark, len(commands)))
+        ]
 
     def path_exists(self, remote):
         return self.exec(["test", "-e", remote]).ok

@@ -29,7 +29,7 @@ from slurmbridge.states import (
 )
 from tests.conftest import SAMPLE_CONFIG, make_tiff_inputs, make_zarr_inputs
 from tests.test_descriptor import descriptors, descriptors_with_values
-from tests.test_orchestrator import FlakyAccounting, assert_no_job_outlives_its_data
+from tests.test_orchestrator import FlakyLink, assert_no_job_outlives_its_data
 from tests.test_simslurm import brute_force_aggregate, submit_script
 
 SCRATCH = "/scratch/omero"
@@ -355,11 +355,13 @@ def test_criterion_11_no_job_outlives_its_data(cellpose_descriptor, tmp_path):
 
     @settings(max_examples=60, deadline=None)
     @given(sacct_failures=st.lists(st.booleans(), max_size=8),
+           lose_submission=st.booleans(),
            deadline_s=st.sampled_from([None, 0, 5, 15, 40]),
            forced=st.lists(st.sampled_from([None, JobState.FAILED, JobState.TIMEOUT]),
                            min_size=1, max_size=3),
            input_format=st.sampled_from(["tiff", "zarr"]))
-    def no_job_outlives_its_data(sacct_failures, deadline_s, forced, input_format):
+    def no_job_outlives_its_data(sacct_failures, lose_submission, deadline_s, forced,
+                                 input_format):
         endpoint, profile, registry = fresh_env(cellpose_descriptor)
         for index, state in enumerate(forced):
             if state is not None:
@@ -368,7 +370,8 @@ def test_criterion_11_no_job_outlives_its_data(cellpose_descriptor, tmp_path):
         items = orch.scan_input_dir(str(tmp_path / input_format))[:2 * len(forced)]
         try:
             orch.run_workflow_batched(
-                FlakyAccounting(endpoint.cluster, sacct_failures), profile, registry,
+                FlakyLink(endpoint.cluster, sacct_failures, lose_submission),
+                profile, registry,
                 cellpose_descriptor, "cellpose", {}, items, 2,
                 options=run_options(deadline_s=deadline_s),
                 local_output_dir=str(tmp_path / "out"))

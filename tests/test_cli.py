@@ -228,6 +228,16 @@ class TestStatusLogsFetch:
         assert result.exit_code == 0
         assert "omero-job-" in result.stdout
 
+    def test_fetch_from_missing_dir_is_usage_error(self, runner, workspace):
+        tmp_path = workspace[0]
+        run_id = self._completed_run(runner, workspace)
+        result = runner.invoke(
+            main, ["fetch", run_id, str(tmp_path / "imported"),
+                   "--runs-dir", str(tmp_path / "runs"),
+                   "--from", str(tmp_path / "missing")])
+        assert result.exit_code == 2
+        assert "error: artifact directory not found" in result.stderr
+
     def test_fetch_imports_zip(self, runner, workspace):
         tmp_path = workspace[0]
         run_id = self._completed_run(runner, workspace)
@@ -267,6 +277,34 @@ class TestCancelAndList:
                    "--config", config_path, "--simulate", topology_path])
         assert result.exit_code == 0
         assert "cancelled=" in result.stdout
+
+
+    def test_cancel_reports_unreachable_jobs_and_tries_the_rest(
+            self, runner, workspace, monkeypatch):
+        class DropsFirstCancel(simslurm.SimEndpoint):
+            def exec(self, command, timeout=DEFAULT_DEADLINE_S):
+                if command[0] == "scancel" and not tried:
+                    tried.append(command[1])
+                    raise ConnectionLost("host unreachable")
+                return super().exec(command, timeout)
+
+        tried = []
+        tmp_path, config_path, topology_path, _ = workspace
+        make_tiff_inputs(str(tmp_path / "inputs"), 4)
+        runner.invoke(main, ["init", "--config", config_path, "--simulate", topology_path])
+        run = runner.invoke(
+            main, ["run", "cellpose", "--config", config_path, "--simulate", topology_path,
+                   "--input", str(tmp_path / "inputs"), "--batch-size", "2",
+                   "--output", str(tmp_path / "out"), "--runs-dir", str(tmp_path / "runs")])
+        run_id = kv_lines(run.stdout)["run_id"][0]
+        cluster = simslurm.SimCluster.load_state(topology_path + ".state")
+        monkeypatch.setattr(cli, "SshEndpoint", lambda profile: DropsFirstCancel(cluster))
+        result = runner.invoke(
+            main, ["cancel", run_id, "--runs-dir", str(tmp_path / "runs"),
+                   "--config", config_path])
+        assert result.exit_code == 1
+        assert result.stderr.startswith(f"error: job {tried[0]}: host unreachable")
+        assert len(kv_lines(result.stdout)["cancelled"]) == 1
 
 
 class TestConfigDiscovery:

@@ -21,7 +21,7 @@ from slurmbridge.errors import (
 )
 from slurmbridge.simslurm import FaultDirective, SimCluster, SimEndpoint
 from slurmbridge.states import JobState
-from slurmbridge.transport import DEFAULT_DEADLINE_S
+from slurmbridge.transport import DEFAULT_DEADLINE_S, ExecResult
 from tests.conftest import make_tiff_inputs, make_zarr_inputs
 
 
@@ -39,8 +39,9 @@ def tiff_items(tmp_path, count, prefix="img"):
 
 
 class CountingEndpoint(SimEndpoint):
-    """Counts remote calls by kind (execs by program name), except those made
-    once cleaning has started."""
+    """Counts remote calls and sleeps by kind (execs by program name, so an
+    exec_many counts as one `sh`), except those made once cleaning has
+    started."""
 
     def __init__(self, cluster):
         super().__init__(cluster)
@@ -71,19 +72,32 @@ class CountingEndpoint(SimEndpoint):
         self._tally("make_dirs")
         return super().make_dirs(remote)
 
+    def sleep(self, seconds):
+        self._tally("sleep")
+        return super().sleep(seconds)
 
-class FlakyAccounting(SimEndpoint):
-    """Loses the link on each sacct call whose entry in failures is true;
-    calls past the end of the list go through."""
 
-    def __init__(self, cluster, failures):
+class FlakyLink(SimEndpoint):
+    """Loses the link on each sacct call whose entry in failures is true
+    (calls past the end of the list go through) and, with lose_submission,
+    raises lost_with right after the first launch holding an sbatch has run
+    remotely."""
+
+    def __init__(self, cluster, failures=(), lose_submission=False, lost_with=ConnectionLost):
         super().__init__(cluster)
         self.failures = iter(failures)
+        self.lose_submission = lose_submission
+        self.lost_with = lost_with
 
     def exec(self, command, timeout=DEFAULT_DEADLINE_S):
         if command[0] == "sacct" and next(self.failures, False):
             raise ConnectionLost("accounting link dropped")
-        return super().exec(command, timeout)
+        result = super().exec(command, timeout)
+        if self.lose_submission and (
+                command[0] == "sbatch" or command[0] == "sh" and "; sbatch " in command[-1]):
+            self.lose_submission = False
+            raise self.lost_with("link dropped after the submission ran")
+        return result
 
 
 class ReportsCompleting(SimEndpoint):
@@ -281,13 +295,33 @@ class TestConversionPath:
         )
         assert record.overall_state is orch.RunStage.PARTIAL_FAILURE
         failed = record.batches[0]
-        assert failed.workflow_handle is None
+        # Slurm cancelled the dependent workflow job before it could start.
+        workflow_job = endpoint.cluster.jobs[failed.workflow_handle.job_id]
+        assert workflow_job.parent_state() is JobState.CANCELLED
+        assert workflow_job.tasks[0].start_time is None
         conv_id = failed.conversion_handle.job_id
         assert os.path.basename(failed.logfile) == f"omero-job-{conv_id}.log"
         assert failed.logfile in record.output_artifacts
         with open(failed.logfile) as handle:
             assert "FAILED" in handle.read()
         assert batch_errors(record) == batch_failures(record) == {0: "ConversionFailed"}
+
+    def test_failed_conversion_leaves_no_task_running(self, run_env, tmp_path):
+        # Six 2-CPU tasks on 8 CPUs: the array reads FAILED once the first
+        # four failed, while the last two still run.
+        endpoint, profile, registry, descriptor = run_env
+        endpoint.cluster.inject_fault(
+            FaultDirective(script_substring="batch0/convert.sh",
+                           forced_state=JobState.FAILED))
+        make_zarr_inputs(str(tmp_path / "inputs"), 6)
+        record = orch.run_workflow(
+            endpoint, profile, registry, descriptor, "cellpose",
+            {}, orch.scan_input_dir(str(tmp_path / "inputs")), options=fast_options(),
+            local_output_dir=str(tmp_path / "out"),
+        )
+        assert batch_errors(record) == {0: "ConversionFailed"}
+        assert_no_job_outlives_its_data(
+            endpoint.cluster, registry.entry("cellpose").resources.time_limit_min)
 
     def test_skip_conversion(self, run_env, tmp_path):
         endpoint, profile, registry, descriptor = run_env
@@ -362,16 +396,18 @@ class TestRunWorkflowBatched:
                 assert sorted(archive.namelist()) == sorted(
                     f"{item_id}_mask.tiff" for item_id in batch.items)
 
-    def test_lost_link_while_dropping_inputs_keeps_results(self, run_env, tmp_path):
-        class DropsInputCleanup(SimEndpoint):
-            def exec(self, command, timeout=DEFAULT_DEADLINE_S):
+    def test_failed_input_drop_keeps_results(self, run_env, tmp_path):
+        class InputsUndroppable(SimCluster):
+            def sim_exec(self, command):
                 if command[0] == "rm" and command[2].endswith("/input.zip"):
-                    raise ConnectionLost("link dropped")
-                return super().exec(command, timeout)
+                    return ExecResult(1, "", "rm: cannot remove: Permission denied\n", 0)
+                return super().sim_exec(command)
 
         _, profile, registry, descriptor = run_env
+        endpoint = SimEndpoint(InputsUndroppable())
+        slurm.init_environment(endpoint, profile, registry)
         record = orch.run_workflow_batched(
-            DropsInputCleanup(run_env[0].cluster), profile, registry, descriptor,
+            endpoint, profile, registry, descriptor,
             "cellpose", {}, tiff_items(tmp_path, 6), 3, options=fast_options(),
             local_output_dir=str(tmp_path / "out"),
         )
@@ -380,7 +416,7 @@ class TestRunWorkflowBatched:
             with zipfile.ZipFile(batch.result_zip) as archive:
                 assert sorted(archive.namelist()) == sorted(
                     f"{item_id}_mask.tiff" for item_id in batch.items)
-        assert not run_env[0].path_exists(f"/scratch/omero/data/{record.run_id}")
+        assert not endpoint.path_exists(f"/scratch/omero/data/{record.run_id}")
 
     @pytest.mark.skipif(shutil.which("zip") is None, reason="Info-ZIP zip not installed")
     def test_results_split_from_info_zip_archive(self, tmp_path):
@@ -404,9 +440,11 @@ class TestRunWorkflowBatched:
         assert split == {0: {"a_mask.tiff": b"a"},
                          1: {"b_mask.tiff": b"b", "sub/c.tiff": b"c"}}
 
-    @pytest.mark.parametrize("batch_size,batches", [(12, 1), (3, 4), (1, 12)])
+    @pytest.mark.parametrize("batch_size,batches,zarr", [
+        pytest.param(12, 1, False, id="12-1"), pytest.param(3, 4, False, id="3-4"),
+        pytest.param(1, 12, False, id="1-12"), pytest.param(3, 4, True, id="3-4-zarr")])
     def test_remote_calls_fixed_per_run(self, run_env, tmp_path, monkeypatch,
-                                        batch_size, batches):
+                                        batch_size, batches, zarr):
         _, profile, registry, descriptor = run_env
         endpoint = CountingEndpoint(run_env[0].cluster)
         cleanup_run = slurm.cleanup_run
@@ -416,19 +454,27 @@ class TestRunWorkflowBatched:
             return cleanup_run(endpoint, paths)
 
         monkeypatch.setattr(slurm, "cleanup_run", counted_cleanup)
+        if zarr:
+            make_zarr_inputs(str(tmp_path / "inputs"), 12)
+            items = orch.scan_input_dir(str(tmp_path / "inputs"))
+        else:
+            items = tiff_items(tmp_path, 12)
         record = orch.run_workflow_batched(
             endpoint, profile, registry, descriptor, "cellpose",
-            {}, tiff_items(tmp_path, 12), batch_size, options=fast_options(),
+            {}, items, batch_size, options=fast_options(),
             local_output_dir=str(tmp_path / "out"),
         )
         assert record.overall_state is orch.RunStage.DONE
         assert endpoint.cleaning
+        assert len(endpoint.cluster.jobs) == (2 if zarr else 1) * batches
         counts = dict(endpoint.counts)
-        assert counts.pop("sbatch") == batches
-        assert counts.pop("sacct") >= 1
-        # One archive up; one results and one logs archive down.
-        assert counts == {"mkdir": 1, "put_file": 1, "unzip": 1, "rm": 1,
-                          "zip": 2, "get_file": 2}
+        # No poll is wasted: one after each sleep, plus the first.
+        assert counts.pop("sacct") == counts.pop("sleep") + 1
+        # One archive up; every sbatch in one launch (a second for the
+        # workflow jobs that wait on a conversion); the inputs dropped and
+        # both archives made in one more; the results and logs archives down.
+        assert counts == {"mkdir": 1, "put_file": 1, "unzip": 1,
+                          "sh": 3 if zarr else 2, "get_file": 2}
 
     def test_equivalence_when_batch_size_covers_items(self, run_env, tmp_path):
         endpoint, profile, registry, descriptor = run_env
@@ -506,7 +552,7 @@ class TestRunLifecycle:
         )
 
     def test_two_accounting_failures_cost_only_rounds(self, run_env, tmp_path):
-        endpoint = FlakyAccounting(run_env[0].cluster, [True, True])
+        endpoint = FlakyLink(run_env[0].cluster, [True, True])
         record = self.run(endpoint, run_env, tmp_path)
         assert list(endpoint.failures) == []
         assert record.overall_state is orch.RunStage.DONE
@@ -522,7 +568,31 @@ class TestRunLifecycle:
     def test_third_accounting_failure_cancels_then_raises(self, run_env, tmp_path):
         cluster = run_env[0].cluster
         with pytest.raises(AccountingUnavailable):
-            self.run(FlakyAccounting(cluster, [True, True, True]), run_env, tmp_path)
+            self.run(FlakyLink(cluster, [True, True, True]), run_env, tmp_path)
+        assert len(cluster.jobs) == 2
+        assert_no_job_outlives_its_data(
+            cluster, run_env[2].entry("cellpose").resources.time_limit_min)
+
+    def test_lost_submission_answer_orphans_no_job(self, run_env, tmp_path):
+        cluster = run_env[0].cluster
+        cluster.inject_fault(FaultDirective(script_substring="batch0/job.sh",
+                                            forced_state=JobState.TIMEOUT))
+        endpoint = FlakyLink(cluster, lose_submission=True)
+        record = self.run(endpoint, run_env, tmp_path)
+        assert not endpoint.lose_submission
+        assert len(cluster.jobs) == 2
+        assert_no_job_outlives_its_data(
+            cluster, run_env[2].entry("cellpose").resources.time_limit_min)
+        # The client never learned either job id, so no batch can succeed.
+        assert record.overall_state is orch.RunStage.FAILED
+        assert "cancel" in [stage for _, stage, _ in record.stage_history]
+
+    def test_interrupt_after_submission_orphans_no_job(self, run_env, tmp_path):
+        # The run is interrupted before it records a single job id.
+        cluster = run_env[0].cluster
+        endpoint = FlakyLink(cluster, lose_submission=True, lost_with=KeyboardInterrupt)
+        with pytest.raises(KeyboardInterrupt):
+            self.run(endpoint, run_env, tmp_path)
         assert len(cluster.jobs) == 2
         assert_no_job_outlives_its_data(
             cluster, run_env[2].entry("cellpose").resources.time_limit_min)
@@ -534,6 +604,26 @@ class TestRunLifecycle:
         assert batch_errors(record) == batch_failures(record) == {
             0: "WorkflowFailed", 1: "WorkflowFailed"}
         assert "cancel" in [stage for _, stage, _ in record.stage_history]
+        assert_no_job_outlives_its_data(
+            endpoint.cluster, registry.entry("cellpose").resources.time_limit_min)
+
+    def test_deadline_before_workflow_logs_keeps_conversion_log(self, run_env, tmp_path):
+        # The conversion completed by the deadline; the workflow job wrote no
+        # log yet, so the batch keeps the conversion's.
+        endpoint, profile, registry, descriptor = run_env
+        make_zarr_inputs(str(tmp_path / "inputs"), 4)
+        record = orch.run_workflow(
+            endpoint, profile, registry, descriptor, "cellpose",
+            {}, orch.scan_input_dir(str(tmp_path / "inputs")),
+            options=fast_options(deadline_s=5, sim_duration_s=600),
+            local_output_dir=str(tmp_path / "out"),
+        )
+        assert batch_errors(record) == batch_failures(record) == {0: "WorkflowFailed"}
+        batch = record.batches[0]
+        conv_id = batch.conversion_handle.job_id
+        assert endpoint.cluster.jobs[conv_id].parent_state() is JobState.COMPLETED
+        assert os.path.basename(batch.logfile) == f"omero-job-{conv_id}.log"
+        assert batch.logfile in record.output_artifacts
         assert_no_job_outlives_its_data(
             endpoint.cluster, registry.entry("cellpose").resources.time_limit_min)
 

@@ -17,7 +17,7 @@ from slurmbridge.states import (
 
 
 def submit_script(cluster, path, mem=1024, cpus=1, gpus=0, time_limit="01:00:00",
-                  duration=10, outputs=0, array=None, exports=()):
+                  duration=10, outputs=0, array=None, exports=(), options=()):
     lines = [
         "#!/bin/bash",
         f"#SBATCH --mem={mem}",
@@ -35,7 +35,7 @@ def submit_script(cluster, path, mem=1024, cpus=1, gpus=0, time_limit="01:00:00"
     cluster.fs.make_dirs("/scratch/logs")
     cluster.fs.make_dirs(path.rsplit("/", 1)[0])
     cluster.fs.write(path, ("\n".join(lines) + "\n").encode())
-    result = cluster.sim_exec(["sbatch", path])
+    result = cluster.sim_exec(["sbatch", *options, path])
     assert result.exit_code == 0, result.stderr
     return int(result.stdout.split()[-1])
 
@@ -178,6 +178,68 @@ class TestCancel:
         assert job_state(cluster, job_id) is JobState.COMPLETED
 
 
+class TestDependencies:
+    AFTER = ("--dependency=afterok:{}", "--kill-on-invalid-dep=yes")
+
+    def after(self, job_id):
+        return [option.format(job_id) for option in self.AFTER]
+
+    def test_afterok_waits_without_blocking_later_jobs(self):
+        cluster = SimCluster(nodes=[{"cpus": 2, "gpus": 0, "mem_mb": 8192}])
+        first = submit_script(cluster, "/scratch/a.sh", duration=30)
+        waiting = submit_script(cluster, "/scratch/b.sh", duration=10,
+                                options=self.after(first))
+        later = submit_script(cluster, "/scratch/c.sh", duration=10)
+        cluster.advance(5)
+        assert [job_state(cluster, j) for j in (first, waiting, later)] == [
+            JobState.RUNNING, JobState.PENDING, JobState.RUNNING]
+        cluster.advance(100)
+        assert cluster.jobs[waiting].tasks[0].start_time == 30
+        assert job_state(cluster, waiting) is JobState.COMPLETED
+
+    def test_afterok_on_an_array_waits_for_every_task(self):
+        cluster = SimCluster(nodes=[{"cpus": 2, "gpus": 0, "mem_mb": 8192}])
+        array = submit_script(cluster, "/scratch/arr.sh", duration=5, array="0-3")
+        waiting = submit_script(cluster, "/scratch/b.sh", options=self.after(array))
+        cluster.advance(100)
+        assert cluster.jobs[waiting].tasks[0].start_time == 10
+
+    @pytest.mark.parametrize("forced", [JobState.FAILED, JobState.TIMEOUT,
+                                        JobState.CANCELLED])
+    def test_failed_dependency_cancels_unstarted_without_log(self, forced):
+        cluster = SimCluster()
+        cluster.inject_fault(FaultDirective(script_substring="a.sh", forced_state=forced))
+        first = submit_script(cluster, "/scratch/a.sh", time_limit="00:01:00", duration=5)
+        waiting = submit_script(cluster, "/scratch/b.sh", options=self.after(first))
+        if forced is JobState.CANCELLED:
+            cluster.sim_exec(["scancel", str(first)])
+        cluster.advance(100)
+        task = cluster.jobs[waiting].tasks[0]
+        assert (task.state, task.start_time) == (JobState.CANCELLED, None)
+        assert not cluster.fs.exists(f"/scratch/logs/omero-job-{waiting}.log")
+
+    @pytest.mark.parametrize("options", [
+        ["--dependency=afterok:99"], ["--dependency=afterany:1"], ["--partition=gpu"],
+        ["--kill-on-invalid-dep=maybe"], ["--dependency=afterok:1"], ["--job-name"]])
+    def test_sbatch_rejects_what_it_cannot_honour(self, options):
+        cluster = SimCluster()
+        submit_script(cluster, "/scratch/a.sh")
+        result = cluster.sim_exec(["sbatch", *options, "/scratch/a.sh"])
+        assert result.exit_code == 1 and result.stderr.startswith("sbatch:")
+        assert len(cluster.jobs) == 1
+
+    def test_scancel_by_name(self):
+        cluster = SimCluster()
+        named = [submit_script(cluster, f"/scratch/{n}.sh", duration=100,
+                               options=["--job-name=sb-run"]) for n in "ab"]
+        other = submit_script(cluster, "/scratch/c.sh", duration=100,
+                              options=["--job-name=sb-other"])
+        cluster.advance(5)
+        assert cluster.sim_exec(["scancel", "--name=sb-run"]).exit_code == 0
+        assert [job_state(cluster, j) for j in named + [other]] == [
+            JobState.CANCELLED, JobState.CANCELLED, JobState.RUNNING]
+
+
 class TestFaults:
     def test_force_failed(self):
         cluster = SimCluster()
@@ -293,6 +355,22 @@ def test_load_topology():
 def test_default_topology_two_nodes():
     assert len(DEFAULT_NODES) == 2
     assert all(n["cpus"] == 4 for n in DEFAULT_NODES)
+
+
+def test_state_file_without_newer_fields_loads():
+    """A state document from before jobs carried a name and a dependency
+    loads with those fields at their defaults."""
+    cluster = SimCluster()
+    job_id = submit_script(cluster, "/scratch/a.sh", duration=5)
+    doc = cluster.to_dict()
+    for job_doc in doc["jobs"]:
+        for key in ("name", "dependency"):
+            del job_doc[key]
+    restored = SimCluster.from_dict(doc)
+    job = restored.jobs[job_id]
+    assert (job.name, job.dependency) == (None, None)
+    restored.advance(10)
+    assert job_state(restored, job_id) is JobState.COMPLETED
 
 
 def test_state_round_trip(tmp_path):

@@ -52,17 +52,43 @@ def prepare_run_dirs(endpoint):
 
 
 def submit_workflow(endpoint, script=WORKFLOW_SCRIPT, path="/scratch/omero/data/r1/job.sh"):
+    """Submit one script; returns its handle or raises what rejected it."""
     endpoint.cluster.fs.write(path, script.encode())
-    return slurm.submit_job(
-        endpoint, path, logfile_pattern="/scratch/omero/logs/omero-job-%j.log",
+    [outcome] = slurm.submit_job(
+        endpoint, [(path, None, None)], "sb-test",
+        logfile_pattern="/scratch/omero/logs/omero-job-%j.log",
     )
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def record_launches(endpoint):
+    """Make endpoint record the command of each exec; returns the list."""
+    launches = []
+    exec_one = endpoint.exec
+
+    def recording(command, timeout=DEFAULT_DEADLINE_S):
+        launches.append(command)
+        return exec_one(command, timeout)
+
+    endpoint.exec = recording
+    return launches
+
+
+def fetch_one(endpoint, remote_dir, remote_zip, local_zip):
+    """fetch_results for one archive; returns its local path or raises
+    what stopped it."""
+    [outcome] = slurm.fetch_results(endpoint, [(remote_dir, remote_zip, local_zip)])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def fetch_logs(endpoint, logs_dir, tmp_path):
     """The logs dir as one archive, brought back the way a run does it."""
-    local = slurm.fetch_results(endpoint, logs_dir, "/scratch/logs.zip",
-                                str(tmp_path / "logs.zip"))
-    return zipfile.ZipFile(local)
+    return zipfile.ZipFile(
+        fetch_one(endpoint, logs_dir, "/scratch/logs.zip", str(tmp_path / "logs.zip")))
 
 
 class TestInitEnvironment:
@@ -145,8 +171,8 @@ class TestSubmitJob:
         from slurmbridge.transport import ExecResult
 
         monkeypatch.setattr(
-            sim_endpoint, "exec",
-            lambda *a, **k: ExecResult(1, "", "sbatch: error: Invalid partition\n", 0),
+            sim_endpoint, "exec_many",
+            lambda *a, **k: [ExecResult(1, "", "sbatch: error: Invalid partition\n", 0)],
         )
         with pytest.raises(SubmitRejected):
             submit_workflow(sim_endpoint)
@@ -156,10 +182,26 @@ class TestSubmitJob:
         from slurmbridge.transport import ExecResult
 
         monkeypatch.setattr(
-            sim_endpoint, "exec", lambda *a, **k: ExecResult(0, "weird output\n", "", 0)
+            sim_endpoint, "exec_many", lambda *a, **k: [ExecResult(0, "weird output\n", "", 0)]
         )
         with pytest.raises(UnparseableJobId):
             submit_workflow(sim_endpoint)
+
+    def test_every_script_in_one_launch(self, sim_endpoint):
+        prepare_run_dirs(sim_endpoint)
+        cluster = sim_endpoint.cluster
+        paths = [f"/scratch/omero/data/r1/{name}.sh" for name in ("a", "b", "c")]
+        for path in paths[:2]:
+            cluster.fs.write(path, WORKFLOW_SCRIPT.encode())
+        launches = record_launches(sim_endpoint)
+        first, missing, second = slurm.submit_job(
+            sim_endpoint, [(paths[0], None, None), (paths[2], None, None),
+                           (paths[1], None, 1)], "sb-r1")
+        assert len(launches) == 1
+        assert isinstance(missing, SubmitRejected)
+        assert (first.job_id, second.job_id) == (1, 2)
+        assert [(job.name, job.dependency) for job in cluster.jobs.values()] == [
+            ("sb-r1", None), ("sb-r1", 1)]
 
     def test_array_submission_single_parent_handle(self, sim_endpoint):
         cluster = sim_endpoint.cluster
@@ -184,14 +226,7 @@ class TestPollJobs:
         prepare_run_dirs(sim_endpoint)
         handles = [submit_workflow(sim_endpoint, path=f"/scratch/omero/data/r1/j{i}.sh")
                    for i in range(5)]
-        calls = []
-        original = sim_endpoint.exec
-
-        def counting(command, **kwargs):
-            calls.append(command)
-            return original(command, **kwargs)
-
-        sim_endpoint.exec = counting
+        calls = record_launches(sim_endpoint)
         slurm.poll_jobs(sim_endpoint, handles)
         assert len(calls) == 1
         assert calls[0][0] == "sacct"
@@ -270,6 +305,16 @@ class TestCancel:
         slurm.cancel_job(sim_endpoint, handle)
         assert slurm.poll_jobs(sim_endpoint, [handle]) == {1: JobState.COMPLETED}
 
+    def test_cancel_named_reaches_unseen_jobs(self, sim_endpoint):
+        prepare_run_dirs(sim_endpoint)
+        sim_endpoint.cluster.fs.write("/scratch/omero/data/r1/job.sh", WORKFLOW_SCRIPT.encode())
+        slurm.submit_job(sim_endpoint, [("/scratch/omero/data/r1/job.sh", None, None)] * 2,
+                         "sb-r1")
+        sim_endpoint.cluster.advance(1)
+        slurm.cancel_named(sim_endpoint, "sb-r1")
+        assert slurm.poll_jobs(sim_endpoint, [slurm.JobHandle(1, ""), slurm.JobHandle(2, "")]) \
+            == {1: JobState.CANCELLED, 2: JobState.CANCELLED}
+
     def test_cancel_running_array_parent(self, sim_endpoint):
         cluster = sim_endpoint.cluster
         job_id = submit_script(cluster, "/scratch/arr.sh", array="0-2", duration=100)
@@ -332,8 +377,8 @@ class TestFetchResults:
         fs.write("/scratch/omero/data/r1/out/masks/a.tiff", b"mask")
         local = str(tmp_path / "out.zip")
         # The archive is written inside the dir it zips, as a run does.
-        slurm.fetch_results(sim_endpoint, "/scratch/omero/data/r1/out",
-                            "/scratch/omero/data/r1/out/results.zip", local)
+        fetch_one(sim_endpoint, "/scratch/omero/data/r1/out",
+                  "/scratch/omero/data/r1/out/results.zip", local)
         with zipfile.ZipFile(local) as archive:
             names = sorted(archive.namelist())
             assert names == [f"scratch/omero/data/r1/out/{name}"
@@ -343,12 +388,27 @@ class TestFetchResults:
                 assert hashlib.sha256(archive.read(name)).hexdigest() == \
                     hashlib.sha256(remote).hexdigest()
 
+    def test_drop_removed_before_zipping_in_one_launch(self, sim_endpoint, tmp_path):
+        prepare_run_dirs(sim_endpoint)
+        fs = sim_endpoint.cluster.fs
+        fs.write("/scratch/omero/data/r1/out/x.tiff", b"xxx")
+        launches = record_launches(sim_endpoint)
+        local, empty = slurm.fetch_results(
+            sim_endpoint,
+            [("/scratch/omero/data/r1", "/scratch/omero/data/r1/all.zip",
+              str(tmp_path / "all.zip")),
+             ("/scratch/omero/data/r1/in", "/scratch/omero/in.zip", str(tmp_path / "in.zip"))],
+            drop=["/scratch/omero/data/r1/in/a.tiff", "/scratch/omero/data/r1/in/b.tiff"])
+        assert [command[0] for command in launches] == ["sh"]
+        assert isinstance(empty, EmptyOutput)
+        with zipfile.ZipFile(local) as archive:
+            assert archive.namelist() == ["scratch/omero/data/r1/out/x.tiff"]
+
     def test_empty_output(self, sim_endpoint, tmp_path):
         prepare_run_dirs(sim_endpoint)
         with pytest.raises(EmptyOutput):
-            slurm.fetch_results(sim_endpoint, "/scratch/omero/data/r1/out",
-                                "/scratch/omero/data/r1/out.zip",
-                                str(tmp_path / "o.zip"))
+            fetch_one(sim_endpoint, "/scratch/omero/data/r1/out",
+                      "/scratch/omero/data/r1/out.zip", str(tmp_path / "o.zip"))
 
 
 @pytest.mark.skipif(shutil.which("zip") is None, reason="Info-ZIP zip not installed")

@@ -5,11 +5,14 @@ import shutil
 import subprocess
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from slurmbridge import transport
+from slurmbridge.config import ClusterProfile
 from slurmbridge.errors import DestinationUnwritable, SourceMissing
 from slurmbridge.simslurm import SimCluster, SimEndpoint
+from slurmbridge.transport import DEFAULT_DEADLINE_S, Endpoint, ExecResult
 
 
 class TestExec:
@@ -152,3 +155,73 @@ def test_file_ops_match_real_tools(tmp_path_factory, ops):
                                   capture_output=True)
             assert sim.exit_code == real.returncode, (step, op, paths, real.stderr)
         assert _sim_tree(endpoint.cluster.fs, sim_root) == _real_tree(real_root), (step, op)
+
+
+class LocalShell(Endpoint):
+    """Runs each exec as a local process, so exec_many goes through the
+    installed /bin/sh."""
+
+    def exec(self, command, timeout=DEFAULT_DEADLINE_S):
+        proc = subprocess.run(command, capture_output=True, text=True, timeout=timeout)
+        return ExecResult(proc.returncode, proc.stdout, proc.stderr, 0)
+
+    def put_file(self, local, remote):
+        raise NotImplementedError
+
+    def get_file(self, remote, local):
+        raise NotImplementedError
+
+
+_WORDS = st.sampled_from(["hi", "two words", "it's", "a\nb", "-e", ""])
+_LISTED_OPS = st.one_of(
+    _FILE_OPS.filter(lambda op: op[0] != "put"),
+    st.tuples(st.sampled_from(["echo", "echo -n"]), st.lists(_WORDS, max_size=2)),
+    st.tuples(st.sampled_from(["true", "false"]), st.just([])),
+)
+
+
+@pytest.mark.skipif(any(shutil.which(tool) is None for tool in ("sh", "mkdir", "rm", "test")),
+                    reason="sh or coreutils mkdir/rm/test not installed")
+@settings(max_examples=100, deadline=None)
+@example([("echo -n", ["no newline"]), ("mkdir -p", ["a/b"]), ("false", []),
+          ("test -e", ["a/b"]), ("rm -rf", ["a"]), ("echo", ["after"]), ("true", [])])
+@given(st.lists(_LISTED_OPS, min_size=1, max_size=8))
+def test_exec_many_matches_real_shell(tmp_path_factory, ops):
+    """One exec_many gives the simulator the same exit code and stdout per
+    command, and the same tree, as the installed sh and tools give local
+    disk; a failing command does not stop the ones after it."""
+    real_root = str(tmp_path_factory.mktemp("shell") / "tree")
+    sim_root = "/scratch/tree"
+    os.mkdir(real_root)
+    endpoint = SimEndpoint(SimCluster())
+    endpoint.make_dirs(sim_root)
+
+    def commands(root):
+        return [op.split() + ([f"{root}/{arg}" for arg in args]
+                              if op.split()[0] in ("mkdir", "rm", "test") else args)
+                for op, args in ops]
+
+    real = LocalShell().exec_many(commands(real_root))
+    sim = endpoint.exec_many(commands(sim_root))
+    assert [(r.exit_code, r.stdout) for r in sim] == [(r.exit_code, r.stdout) for r in real]
+    assert _sim_tree(endpoint.cluster.fs, sim_root) == _real_tree(real_root)
+
+
+def test_ssh_exec_many_is_one_launch(monkeypatch):
+    """SshEndpoint.exec_many starts one ssh process, whose remote command a
+    POSIX shell splits back into every command, quoting intact."""
+    launches = []
+    run = subprocess.run
+
+    def fake_ssh(argv, **kwargs):
+        launches.append(argv)
+        # The remote login shell runs the last argument as a command line.
+        return run(["sh", "-c", argv[-1]], capture_output=True, text=True)
+
+    monkeypatch.setattr(transport.subprocess, "run", fake_ssh)
+    endpoint = transport.SshEndpoint(
+        ClusterProfile(host="hpc", user="u", key_path="/k", scratch_dir="/scratch"))
+    results = endpoint.exec_many([["echo", "it's", "a b"], ["false"], ["echo", "-n", "$HOME"]])
+    assert len(launches) == 1 and launches[0][0] == "ssh"
+    assert [(r.exit_code, r.stdout) for r in results] == [
+        (0, "it's a b\n"), (1, ""), (0, "$HOME")]
