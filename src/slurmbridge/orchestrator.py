@@ -290,7 +290,9 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
     logs_dir = posixpath.join(profile.scratch_dir, "logs", run_id)
     log_pattern = jobscript.logfile_pattern(logs_dir)
     image_path = slurm.image_file_path(profile, workflow_name, entry.version)
-    input_zip = posixpath.join(run_dir, "input.zip")
+    # The input archive lands beside run_dir: data/ exists since init, so
+    # no launch has to make a dir for it.
+    upload = run_dir + ".zip"
     job_name = f"sb-{run_id}"  # every job of the run carries it, so it can be cancelled by name
     live = {}  # handle -> batch, for each job submitted and not yet seen terminal
 
@@ -377,18 +379,22 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
                 fail(batch, exc)
             shipped = []
 
-        # Stage: one mkdir, one upload and one unpack for the whole run.
+        # Stage: one upload, then one launch that makes the dirs, unpacks
+        # the archive and removes it. A failed removal costs nothing:
+        # cleanup_run removes the archive too.
         journal.emit(RunStage.TRANSFERRING, f"batches={len(batches)}")
         if shipped:
             dirs = [posixpath.join(b.remote_dir, name) for b in shipped for name in ("out", "gt")]
             try:
-                result = endpoint.exec(["mkdir", "-p", logs_dir] + dirs)
-                if not result.ok:
-                    raise TransportError(f"remote mkdir failed: {result.stderr}")
-                endpoint.put_file(archive, input_zip)
-                result = endpoint.exec(["unzip", input_zip, "-d", run_dir])
-                if not result.ok:
-                    raise TransportError(f"remote unpack failed: {result.stderr}")
+                endpoint.put_file(archive, upload)
+                made, unpacked, _ = endpoint.exec_many([
+                    ["mkdir", "-p", logs_dir] + dirs,
+                    ["unzip", upload, "-d", run_dir],
+                    ["rm", "-f", upload]])
+                if not made.ok:
+                    raise TransportError(f"remote mkdir failed: {made.stderr}")
+                if not unpacked.ok:
+                    raise TransportError(f"remote unpack failed: {unpacked.stderr}")
             except TransportError as exc:
                 for batch in shipped:
                     fail(batch, TransferFailed(str(exc)))
@@ -402,13 +408,16 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
         if converting:
             submit([(b, 0, b.conversion_handle.job_id) for b in converting])
 
-        # Stage: one poll loop over every live job; it only observes. Up to
+        # Stage: one poll loop over every live job; it only observes, and
+        # sleeps before each poll, as no job can have ended at once. Up to
         # two accounting failures in a row only cost a round; the third ends
         # the run.
         journal.emit(RunStage.RUNNING, "polling")
         elapsed = 0.0
         accounting_failures = 0
         while live:
+            endpoint.sleep(options.poll_interval_s)
+            elapsed += options.poll_interval_s
             try:
                 states = slurm.poll_jobs(endpoint, list(live))
                 accounting_failures = 0
@@ -428,56 +437,40 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
                 elif state is not JobState.COMPLETED:
                     fail(batch, ConversionFailed(
                         f"conversion job {handle.job_id} ended {state.value}"))
-            if not live:
-                break
-            if options.deadline_s is not None and elapsed >= options.deadline_s:
+            if live and options.deadline_s is not None and elapsed >= options.deadline_s:
                 for batch in live.values():
                     batch.error = batch.error or WorkflowFailed(
                         f"deadline exceeded after {elapsed}s")
                 break
-            endpoint.sleep(options.poll_interval_s)
-            elapsed += options.poll_interval_s
 
-        # Stage: in one launch, drop the inputs remotely and zip every output
-        # and every log; bring both archives back and split them locally by
-        # batch. A batch's log is the log of the last job it submitted that
-        # wrote one: a workflow job that never started (its conversion failed
-        # or was still running at the deadline) wrote none.
+        # Stage: one launch zips the out dir of every completed batch and
+        # the logs dir into one bundle, which comes back in one transfer and
+        # is split locally by batch. A batch's log is the log of the last job
+        # it submitted that wrote one: a workflow job that never started
+        # (its conversion failed or was still running at the deadline) wrote
+        # none.
         journal.emit(RunStage.RETRIEVING, "fetching artifacts")
         completed = [b for b in batches if b.error is None and b.state is JobState.COMPLETED]
-        logged = [b for b in batches if b.job]
-        archives, drop = [], []
-        if completed:
-            archives.append((run_dir, posixpath.join(run_dir, "results.zip"),
-                             os.path.join(staging_root, "results.zip")))
-            # Only makes the results archive smaller; cleanup_run removes run_dir.
-            drop = [input_zip] + [posixpath.join(b.remote_dir, name)
-                                  for b in shipped for name in ("in", "gt")]
+        logged = [b for b in batches if b.job]  # every completed batch among them
+        bundle = None
         if logged:
-            archives.append((logs_dir, posixpath.join(run_dir, "logs.zip"),
-                             os.path.join(staging_root, "logs.zip")))
-        try:
-            fetched = slurm.fetch_results(endpoint, archives, drop)
-        except TransportError as exc:
-            fetched = [exc] * len(archives)
-        if completed:
-            results = fetched[0]
-            if isinstance(results, SlurmBridgeError):
+            try:
+                bundle = slurm.fetch_results(
+                    endpoint, [posixpath.join(b.remote_dir, "out") for b in completed]
+                    + [logs_dir], posixpath.join(run_dir, "bundle.zip"),
+                    os.path.join(staging_root, "bundle.zip"))
+            except SlurmBridgeError as exc:
                 for batch in completed:
-                    batch.error = RetrievalFailed(str(results))
-            else:
-                with zipfile.ZipFile(results) as archive:
-                    for batch in completed:
-                        local_zip = os.path.join(
-                            local_output_dir, f"{run_id}_batch{batch.index}.zip")
-                        out_dir = posixpath.join(batch.remote_dir, "out")
-                        if _split_results(archive, slurm.zip_entry_name(out_dir) + "/",
-                                          local_zip):
-                            batch.result_zip = local_zip
-                        else:
-                            batch.error = RetrievalFailed(str(EmptyOutput(out_dir)))
-        if logged and not isinstance(fetched[-1], SlurmBridgeError):
-            with zipfile.ZipFile(fetched[-1]) as archive:
+                    batch.error = RetrievalFailed(str(exc))
+        if bundle:
+            with zipfile.ZipFile(bundle) as archive:
+                for batch in completed:
+                    local_zip = os.path.join(local_output_dir, f"{run_id}_batch{batch.index}.zip")
+                    out_dir = posixpath.join(batch.remote_dir, "out")
+                    if _split_results(archive, slurm.zip_entry_name(out_dir) + "/", local_zip):
+                        batch.result_zip = local_zip
+                    else:
+                        batch.error = RetrievalFailed(str(EmptyOutput(out_dir)))
                 for batch in logged:
                     for job in filter(None, (batch.workflow_handle, batch.conversion_handle)):
                         try:
@@ -503,16 +496,14 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
         # the run's jobs by name, as one may be live, unseen (its submission's
         # answer was lost, or the run was interrupted before recording it),
         # or an array whose failed parent state hides tasks still running.
-        # Then remove the remote run data. Logs stay.
-        if not all(b.result_zip for b in batches):
-            try:
-                slurm.cancel_named(endpoint, job_name)
-            except TransportError:
-                pass  # best effort: the run ends either way
+        # In the same launch, remove the remote run data and the uploaded
+        # archive, should it be left. Logs stay.
+        cancel = None if all(b.result_zip for b in batches) else job_name
+        if cancel:
             journal.emit("cancel", f"name={job_name} job_ids="
                          + ",".join(str(handle.job_id) for handle in live))
         try:
-            removed = slurm.cleanup_run(endpoint, [run_dir])
+            removed = slurm.cleanup_run(endpoint, [run_dir, upload], cancel)
             journal.emit("cleanup", f"removed={len(removed)}")
         except TransportError:
             journal.emit("cleanup", "failed")

@@ -548,46 +548,68 @@ class SimCluster:
         out = "".join(line + "\n" for line in lines)
         return ExecResult(0, out, "", 0)
 
-    def _zip(self, archive, directory):
-        """`zip -r -D archive directory` as Info-ZIP does it: each file is
-        named by its path as given, without a leading '/'; directories get
-        no entries; the archive leaves itself out."""
-        if not self.fs.is_dir(directory):
-            return ExecResult(12, "", f"zip error: no such directory {directory}\n", 0)
-        names = [name for name in self.fs.files_under(directory)
-                 if posixpath.join(_norm(directory), name) != _norm(archive)]
-        if not names:
-            return ExecResult(12, "", "zip error: Nothing to do!\n", 0)
-        base = _norm(directory).lstrip("/")
+    def _zip(self, archive, paths):
+        """`zip -r -D archive path...` as Info-ZIP does it into a new archive:
+        each file is named by its path as given, without a leading '/'; a
+        directory adds every file below it and no entry of its own; a path
+        that does not exist adds nothing but a warning; a file named twice is
+        added once; the archive leaves itself out. Exits 12, writing nothing,
+        when no file was added."""
+        found, warnings = {}, ""
+        for path in paths:
+            norm = _norm(path)
+            if self.fs.is_dir(path):
+                names = [posixpath.join(norm, name) for name in self.fs.files_under(norm)]
+            elif self.fs.exists(path):
+                names = [norm]
+            else:
+                warnings += f"\tzip warning: name not matched: {path}\n"
+                names = []
+            found.update(dict.fromkeys(name for name in names if name != _norm(archive)))
+        if not found:
+            return ExecResult(12, "", warnings + "zip error: Nothing to do!\n", 0)
         buffer = io.BytesIO()
         with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED) as archive_file:
-            for name in names:
-                info = zipfile.ZipInfo(posixpath.join(base, name), date_time=_ZIP_EPOCH)
-                archive_file.writestr(
-                    info, self.fs.read(posixpath.join(directory, name))
-                )
+            for name in found:
+                info = zipfile.ZipInfo(name.lstrip("/"), date_time=_ZIP_EPOCH)
+                archive_file.writestr(info, self.fs.read(name))
         try:
             self.fs.write(archive, buffer.getvalue())
         except DestinationUnwritable as exc:
-            return ExecResult(15, "", f"zip error: {exc}\n", 0)
-        return ExecResult(0, "", "", 0)
+            return ExecResult(15, "", warnings + f"zip error: {exc}\n", 0)
+        return ExecResult(0, "", warnings, 0)
 
     def _unzip(self, archive, directory):
-        if not self.fs.exists(archive):
-            return ExecResult(9, "", f"unzip: cannot find {archive}\n", 0)
-        try:
-            self.fs.make_dirs(directory)
-            with zipfile.ZipFile(io.BytesIO(self.fs.read(archive))) as archive_file:
-                for info in archive_file.infolist():
-                    target = posixpath.join(directory, info.filename)
+        """`unzip archive -d directory` as Info-ZIP does it with stdin at
+        EOF: directory is created only when its parent exists; a file that
+        exists already is kept (unzip asks whether to replace it, reads EOF
+        and answers "none"), which makes the exit 1; an entry that a file
+        stands in the way of is skipped, which makes it 2."""
+        if _norm(archive) not in self.fs.files:
+            return ExecResult(9, "", f"unzip:  cannot find or open {archive}\n", 0)
+        parent = posixpath.dirname(_norm(directory))
+        if not self.fs.is_dir(directory) and (
+                self.fs.exists(directory) or not self.fs.is_dir(parent)):
+            return ExecResult(
+                2, "", f"checkdir:  cannot create extraction directory: {directory}\n", 0)
+        self.fs.make_dirs(directory)
+        exit_code, out, err = 0, "", ""
+        with zipfile.ZipFile(io.BytesIO(self.fs.read(archive))) as archive_file:
+            for info in archive_file.infolist():
+                target = posixpath.join(directory, info.filename)
+                try:
                     if info.is_dir():
                         self.fs.make_dirs(target)
+                    elif self.fs.exists(target):
+                        exit_code = max(exit_code, 1)
+                        out += f"replace {target}? NULL\n"
                     else:
                         self.fs.make_dirs(posixpath.dirname(target))
                         self.fs.write(target, archive_file.read(info))
-        except DestinationUnwritable as exc:
-            return ExecResult(2, "", f"checkdir: {exc}\n", 0)
-        return ExecResult(0, "", "", 0)
+                except DestinationUnwritable as exc:
+                    exit_code = 2
+                    err += f"checkdir error:  {exc}\n"
+        return ExecResult(exit_code, out, err, 0)
 
     def sim_exec(self, command):
         """Execute one supported command against the cluster."""
@@ -631,8 +653,8 @@ class SimCluster:
             return ExecResult(2, "", "test: invalid arguments\n", 0)
         if cmd == "zip":
             paths = [a for a in args if not a.startswith("-")]
-            if len(paths) == 2:
-                return self._zip(paths[0], paths[1])
+            if len(paths) >= 2:
+                return self._zip(paths[0], paths[1:])
             return ExecResult(16, "", "zip error: usage\n", 0)
         if cmd == "unzip":
             if len(args) == 3 and args[1] == "-d":

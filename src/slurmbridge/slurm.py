@@ -61,22 +61,11 @@ def converter_image_path(profile, src_fmt, dst_fmt):
 def init_environment(endpoint, profile, registry):
     """Provision the managed scratch layout and pull missing images.
 
-    Idempotent: a second call with an unchanged registry creates nothing and
-    pulls nothing.
+    One probe launch tests every managed dir and image and creates the dirs;
+    each missing image then costs one pull launch. Idempotent: a second call
+    with an unchanged registry creates nothing and pulls nothing.
     """
-    layout = scratch_layout(profile)
-    report = EnvReport()
-    refreshed = True
-    for path in layout.values():
-        if not endpoint.path_exists(path):
-            refreshed = False
-        try:
-            endpoint.make_dirs(path)
-        except TransportError as exc:
-            raise ScratchUnwritable(str(exc)) from exc
-        report.created_dirs.append(path)
-    report.refreshed = refreshed
-
+    dirs = list(scratch_layout(profile).values())
     images = [
         (name, image_file_path(profile, name, registry.entry(name).version),
          config_mod.resolve_workflow(registry, name).image_reference)
@@ -85,13 +74,21 @@ def init_environment(endpoint, profile, registry):
         (f"converter {src}->{dst}", converter_image_path(profile, src, dst), image)
         for (src, dst), image in (profile.converters or {}).items()
     ]
-    for name, path, reference in images:
+    *found, made = endpoint.exec_many(
+        [["test", "-e", path] for path in dirs + [path for _, path, _ in images]]
+        + [["mkdir", "-p", *dirs]])
+    if not made.ok:
+        raise ScratchUnwritable(made.stderr.strip())
+    report = EnvReport(created_dirs=dirs,
+                       refreshed=all(result.ok for result in found[:len(dirs)]))
+    for (name, path, reference), present in zip(images, found[len(dirs):]):
+        if present.ok:
+            continue
         try:
-            if not endpoint.path_exists(path):
-                result = endpoint.exec(["singularity", "pull", path, f"docker://{reference}"])
-                if not result.ok:
-                    raise PullFailed(name, result.exit_code, result.stderr)
-                report.pulled_images.append((name, path))
+            result = endpoint.exec(["singularity", "pull", path, f"docker://{reference}"])
+            if not result.ok:
+                raise PullFailed(name, result.exit_code, result.stderr)
+            report.pulled_images.append((name, path))
         except (PullFailed, TransportError) as exc:
             # Partial failure: keep whatever provisioned, report per image.
             report.failures.append((name, str(exc)))
@@ -175,23 +172,18 @@ def cancel_job(endpoint, handle):
     return True
 
 
-def cancel_named(endpoint, name):
-    """Cancel every job named name, including any whose id was never seen."""
-    endpoint.exec(["scancel", f"--name={name}"])
-
-
 def zip_entry_name(remote_path):
     """The name `zip -r` gives remote_path inside an archive: the path as
     given, without its leading '/'."""
     return posixpath.normpath(remote_path).lstrip("/")
 
 
-def fetch_logfile(logs_archive, handle, local_dir):
-    """Extract the job's logfile, plus its task logs for an array job, from a
-    ZipFile that fetch_results made of the logs dir; returns the local parent
-    log path."""
+def fetch_logfile(bundle, handle, local_dir):
+    """Extract the job's logfile, plus its task logs for an array job, from
+    the ZipFile fetch_results brought back; returns the local parent log
+    path."""
     os.makedirs(local_dir, exist_ok=True)
-    names = set(logs_archive.namelist())
+    names = set(bundle.namelist())
     logs_dir, parent = posixpath.split(handle.logfile_path)
     if zip_entry_name(handle.logfile_path) not in names:
         raise LogMissing(handle.logfile_path)
@@ -200,42 +192,33 @@ def fetch_logfile(logs_archive, handle, local_dir):
         entry = zip_entry_name(posixpath.join(logs_dir, log))
         if entry in names:
             with open(os.path.join(local_dir, log), "wb") as out:
-                out.write(logs_archive.read(entry))
+                out.write(bundle.read(entry))
     return os.path.join(local_dir, parent)
 
 
-def fetch_results(endpoint, archives, drop=()):
-    """Remove the drop paths, then zip each remote dir into its remote zip,
-    all in one launch, and bring back every zip made, checksum-verified.
+def fetch_results(endpoint, paths, remote_zip, local_zip):
+    """Zip every file under the remote paths into remote_zip in one launch
+    and bring it back to local_zip, checksum-verified; returns local_zip.
 
-    archives holds (remote_dir, remote_zip, local_zip) triples. Entries are
-    named by zip_entry_name; a remote zip may lie inside its remote dir, as
-    zip leaves out the archive it is writing. Returns per archive local_zip,
-    or the error that stopped it (EmptyOutput when the dir holds no file).
-    Raises TransportError when the launch fails.
+    Entries are named by zip_entry_name. A path that does not exist adds
+    nothing (zip warns "name not matched"). Raises EmptyOutput when no path
+    holds a file, TransportError when the zip or the transfer fails.
     """
-    commands = [["zip", "-r", "-D", remote_zip, remote_dir]
-                for remote_dir, remote_zip, _ in archives]
-    remove = [["rm", "-rf", *drop]] if drop else []
-    results = endpoint.exec_many(remove + commands)[len(remove):]
-    outcomes = []
-    for (remote_dir, remote_zip, local_zip), result in zip(archives, results):
-        if result.exit_code == 12:
-            outcomes.append(EmptyOutput(remote_dir))
-        elif not result.ok:
-            outcomes.append(TransportError(f"remote zip failed: {result.stderr}"))
-        else:
-            try:
-                endpoint.get_file(remote_zip, local_zip)
-                outcomes.append(local_zip)
-            except TransportError as exc:
-                outcomes.append(exc)
-    return outcomes
+    result = endpoint.exec(["zip", "-r", "-D", remote_zip, *paths])
+    if result.exit_code == 12:
+        raise EmptyOutput(" ".join(paths))
+    if not result.ok:
+        raise TransportError(f"remote zip failed: {result.stderr}")
+    endpoint.get_file(remote_zip, local_zip)
+    return local_zip
 
 
-def cleanup_run(endpoint, run_paths):
-    """Remove the run's remote data dirs in one launch; logs are retained.
-    Returns the paths that existed. Idempotent."""
-    results = endpoint.exec_many(
-        [command for path in run_paths for command in (["test", "-e", path], ["rm", "-rf", path])])
+def cleanup_run(endpoint, run_paths, cancel=None):
+    """Remove the run's remote data paths in one launch, first cancelling
+    every job named cancel when given, so no job outlives its data; logs
+    are retained. Returns the paths that existed. Idempotent."""
+    cancelling = [["scancel", f"--name={cancel}"]] if cancel else []
+    results = endpoint.exec_many(cancelling + [
+        command for path in run_paths
+        for command in (["test", "-e", path], ["rm", "-rf", path])])[len(cancelling):]
     return [path for path, found in zip(run_paths, results[::2]) if found.ok]

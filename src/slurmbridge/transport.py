@@ -166,7 +166,9 @@ class Endpoint(ABC):
 
 
 class SshEndpoint(Endpoint):
-    """Backend over the system ssh/scp binaries with key-file auth."""
+    """Backend over the system ssh/scp binaries with key-file auth. No
+    remote command reads the local terminal: every process gets stdin from
+    /dev/null, so a remote prompt (unzip's "replace?") reads EOF."""
 
     def __init__(self, profile):
         self.profile = profile
@@ -198,6 +200,7 @@ class SshEndpoint(Endpoint):
         try:
             proc = subprocess.run(
                 self._ssh_base() + [remote_command],
+                stdin=subprocess.DEVNULL,
                 capture_output=True,
                 text=True,
                 timeout=timeout,
@@ -220,7 +223,10 @@ class SshEndpoint(Endpoint):
             raise SourceMissing(local)
         tmp = remote + ".part"
         proc = subprocess.run(
-            self._scp_base() + [local, self._remote(tmp)], capture_output=True, text=True
+            self._scp_base() + [local, self._remote(tmp)],
+            stdin=subprocess.DEVNULL,
+            capture_output=True,
+            text=True,
         )
         if proc.returncode == 255:
             raise ConnectionLost(proc.stderr.strip())
@@ -241,6 +247,7 @@ class SshEndpoint(Endpoint):
         tmp = local + ".part"
         proc = subprocess.run(
             self._scp_base() + [self._remote(remote), tmp],
+            stdin=subprocess.DEVNULL,
             capture_output=True,
             text=True,
         )

@@ -21,8 +21,9 @@ from slurmbridge.errors import (
 )
 from slurmbridge.simslurm import FaultDirective, SimCluster, SimEndpoint
 from slurmbridge.states import JobState
-from slurmbridge.transport import DEFAULT_DEADLINE_S, ExecResult
+from slurmbridge.transport import DEFAULT_DEADLINE_S, ExecResult, unframe_commands
 from tests.conftest import make_tiff_inputs, make_zarr_inputs
+from tests.test_slurm_client import record_launches
 
 
 @pytest.fixture
@@ -396,27 +397,62 @@ class TestRunWorkflowBatched:
                 assert sorted(archive.namelist()) == sorted(
                     f"{item_id}_mask.tiff" for item_id in batch.items)
 
-    def test_failed_input_drop_keeps_results(self, run_env, tmp_path):
-        class InputsUndroppable(SimCluster):
+    def test_failed_upload_removal_keeps_results(self, run_env, tmp_path):
+        class UploadUnremovable(SimCluster):
+            refused = []
+
             def sim_exec(self, command):
-                if command[0] == "rm" and command[2].endswith("/input.zip"):
+                if command[:2] == ["rm", "-f"] and command[2].endswith(".zip"):
+                    self.refused.append(command[2])
                     return ExecResult(1, "", "rm: cannot remove: Permission denied\n", 0)
                 return super().sim_exec(command)
 
+        class KeepsBundle(SimEndpoint):
+            def get_file(self, remote, local):
+                report = super().get_file(remote, local)
+                with zipfile.ZipFile(local) as archive:
+                    self.bundle = archive.namelist()
+                return report
+
         _, profile, registry, descriptor = run_env
-        endpoint = SimEndpoint(InputsUndroppable())
+        endpoint = KeepsBundle(UploadUnremovable())
         slurm.init_environment(endpoint, profile, registry)
         record = orch.run_workflow_batched(
             endpoint, profile, registry, descriptor,
             "cellpose", {}, tiff_items(tmp_path, 6), 3, options=fast_options(),
             local_output_dir=str(tmp_path / "out"),
         )
+        run_dir = f"/scratch/omero/data/{record.run_id}"
+        assert UploadUnremovable.refused == [run_dir + ".zip"]
         assert record.overall_state is orch.RunStage.DONE
         for batch in record.batches:
             with zipfile.ZipFile(batch.result_zip) as archive:
                 assert sorted(archive.namelist()) == sorted(
                     f"{item_id}_mask.tiff" for item_id in batch.items)
-        assert not endpoint.path_exists(f"/scratch/omero/data/{record.run_id}")
+        # The bundle holds the outputs and logs only, never an input.
+        assert len(endpoint.bundle) == 6 + 2
+        assert all(name.split("/")[-2] in ("out", record.run_id) for name in endpoint.bundle)
+        assert [path for path in list(endpoint.cluster.fs.files) + list(endpoint.cluster.fs.dirs)
+                if path.startswith(run_dir)] == []
+
+    def test_link_lost_after_upload_leaves_no_remote_zip(self, run_env, tmp_path):
+        class LosesUnpack(SimEndpoint):
+            def exec(self, command, timeout=DEFAULT_DEADLINE_S):
+                if command[0] == "sh" and "; unzip " in command[-1]:
+                    raise ConnectionLost("link dropped after the upload")
+                return super().exec(command, timeout)
+
+        endpoint, profile, registry, descriptor = run_env
+        record = orch.run_workflow_batched(
+            LosesUnpack(endpoint.cluster), profile, registry, descriptor,
+            "cellpose", {}, tiff_items(tmp_path, 4), 2, options=fast_options(),
+            local_output_dir=str(tmp_path / "out"),
+        )
+        assert record.overall_state is orch.RunStage.FAILED
+        assert batch_errors(record) == {0: "TransferFailed", 1: "TransferFailed"}
+        assert endpoint.cluster.jobs == {}
+        assert [path for path in endpoint.cluster.fs.files
+                if path.startswith("/scratch/omero/data/")] == []
 
     @pytest.mark.skipif(shutil.which("zip") is None, reason="Info-ZIP zip not installed")
     def test_results_split_from_info_zip_archive(self, tmp_path):
@@ -449,9 +485,9 @@ class TestRunWorkflowBatched:
         endpoint = CountingEndpoint(run_env[0].cluster)
         cleanup_run = slurm.cleanup_run
 
-        def counted_cleanup(endpoint, paths):
+        def counted_cleanup(endpoint, *args):
             endpoint.cleaning = True
-            return cleanup_run(endpoint, paths)
+            return cleanup_run(endpoint, *args)
 
         monkeypatch.setattr(slurm, "cleanup_run", counted_cleanup)
         if zarr:
@@ -468,13 +504,13 @@ class TestRunWorkflowBatched:
         assert endpoint.cleaning
         assert len(endpoint.cluster.jobs) == (2 if zarr else 1) * batches
         counts = dict(endpoint.counts)
-        # No poll is wasted: one after each sleep, plus the first.
-        assert counts.pop("sacct") == counts.pop("sleep") + 1
-        # One archive up; every sbatch in one launch (a second for the
-        # workflow jobs that wait on a conversion); the inputs dropped and
-        # both archives made in one more; the results and logs archives down.
-        assert counts == {"mkdir": 1, "put_file": 1, "unzip": 1,
-                          "sh": 3 if zarr else 2, "get_file": 2}
+        # No poll is wasted: one after each sleep.
+        assert counts.pop("sacct") == counts.pop("sleep")
+        # One archive up, then one launch to make the dirs and unpack it;
+        # every sbatch in one launch (a second for the workflow jobs that
+        # wait on a conversion); one zip of every output and log, and one
+        # archive down.
+        assert counts == {"put_file": 1, "sh": 3 if zarr else 2, "zip": 1, "get_file": 1}
 
     def test_equivalence_when_batch_size_covers_items(self, run_env, tmp_path):
         endpoint, profile, registry, descriptor = run_env
@@ -596,6 +632,27 @@ class TestRunLifecycle:
         assert len(cluster.jobs) == 2
         assert_no_job_outlives_its_data(
             cluster, run_env[2].entry("cellpose").resources.time_limit_min)
+
+    def test_failure_teardown_is_one_launch(self, run_env, tmp_path):
+        endpoint = run_env[0]
+        endpoint.cluster.inject_fault(FaultDirective(script_substring="batch0/job.sh",
+                                                     forced_state=JobState.FAILED))
+        launches = record_launches(endpoint)
+        record = self.run(endpoint, run_env, tmp_path)
+        assert record.overall_state is orch.RunStage.PARTIAL_FAILURE
+        *_, fetch, teardown = launches
+        run_dir = f"/scratch/omero/data/{record.run_id}"
+        assert fetch[0] == "zip"
+        assert unframe_commands(teardown[-1])[1] == [
+            ["scancel", f"--name=sb-{record.run_id}"],
+            ["test", "-e", run_dir], ["rm", "-rf", run_dir],
+            ["test", "-e", run_dir + ".zip"], ["rm", "-rf", run_dir + ".zip"]]
+
+    def test_completed_run_cancels_nothing(self, run_env, tmp_path):
+        launches = record_launches(run_env[0])
+        record = self.run(run_env[0], run_env, tmp_path)
+        assert record.overall_state is orch.RunStage.DONE
+        assert not any("scancel" in " ".join(command) for command in launches)
 
     def test_deadline_cancels_live_jobs(self, run_env, tmp_path):
         endpoint, _, registry, _ = run_env

@@ -13,6 +13,7 @@ from slurmbridge.errors import (
     ConnectionLost,
     EmptyOutput,
     LogMissing,
+    ScratchUnwritable,
     SubmitRejected,
     UnknownState,
     UnparseableJobId,
@@ -76,19 +77,10 @@ def record_launches(endpoint):
     return launches
 
 
-def fetch_one(endpoint, remote_dir, remote_zip, local_zip):
-    """fetch_results for one archive; returns its local path or raises
-    what stopped it."""
-    [outcome] = slurm.fetch_results(endpoint, [(remote_dir, remote_zip, local_zip)])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
 def fetch_logs(endpoint, logs_dir, tmp_path):
     """The logs dir as one archive, brought back the way a run does it."""
-    return zipfile.ZipFile(
-        fetch_one(endpoint, logs_dir, "/scratch/logs.zip", str(tmp_path / "logs.zip")))
+    return zipfile.ZipFile(slurm.fetch_results(
+        endpoint, [logs_dir], "/scratch/logs.zip", str(tmp_path / "logs.zip")))
 
 
 class TestInitEnvironment:
@@ -144,6 +136,24 @@ class TestInitEnvironment:
             "image pull failed for 'converter zarr->tiff' (exit 255): "
             "FATAL: unable to pull docker://demo/converter-zarr-tiff:v1.0.0",
         )]
+
+    def test_one_probe_launch_plus_one_per_pull(self, env):
+        endpoint, profile, registry = env
+        launches = record_launches(endpoint)
+        slurm.init_environment(endpoint, profile, registry)
+        assert [command[:2] for command in launches] == [
+            ["sh", "-c"], ["singularity", "pull"], ["singularity", "pull"]]
+        launches.clear()
+        report = slurm.init_environment(endpoint, profile, registry)
+        assert [command[0] for command in launches] == ["sh"]
+        assert report.refreshed
+
+    def test_unwritable_scratch(self, env):
+        endpoint, profile, registry = env
+        endpoint.cluster.fs.make_dirs("/scratch/omero")
+        endpoint.cluster.fs.write("/scratch/omero/logs", b"a file")
+        with pytest.raises(ScratchUnwritable):
+            slurm.init_environment(endpoint, profile, registry)
 
     def test_lost_link_during_pulls_reported_per_image(self, env):
         class DropsPulls(SimEndpoint):
@@ -311,7 +321,7 @@ class TestCancel:
         slurm.submit_job(sim_endpoint, [("/scratch/omero/data/r1/job.sh", None, None)] * 2,
                          "sb-r1")
         sim_endpoint.cluster.advance(1)
-        slurm.cancel_named(sim_endpoint, "sb-r1")
+        slurm.cleanup_run(sim_endpoint, [], cancel="sb-r1")
         assert slurm.poll_jobs(sim_endpoint, [slurm.JobHandle(1, ""), slurm.JobHandle(2, "")]) \
             == {1: JobState.CANCELLED, 2: JobState.CANCELLED}
 
@@ -376,9 +386,9 @@ class TestFetchResults:
         fs.make_dirs("/scratch/omero/data/r1/out/masks")
         fs.write("/scratch/omero/data/r1/out/masks/a.tiff", b"mask")
         local = str(tmp_path / "out.zip")
-        # The archive is written inside the dir it zips, as a run does.
-        fetch_one(sim_endpoint, "/scratch/omero/data/r1/out",
-                  "/scratch/omero/data/r1/out/results.zip", local)
+        # An archive written inside the dir it zips leaves itself out.
+        slurm.fetch_results(sim_endpoint, ["/scratch/omero/data/r1/out"],
+                            "/scratch/omero/data/r1/out/results.zip", local)
         with zipfile.ZipFile(local) as archive:
             names = sorted(archive.namelist())
             assert names == [f"scratch/omero/data/r1/out/{name}"
@@ -388,27 +398,30 @@ class TestFetchResults:
                 assert hashlib.sha256(archive.read(name)).hexdigest() == \
                     hashlib.sha256(remote).hexdigest()
 
-    def test_drop_removed_before_zipping_in_one_launch(self, sim_endpoint, tmp_path):
+    def test_bundle_is_one_launch_and_holds_no_input(self, sim_endpoint, tmp_path):
         prepare_run_dirs(sim_endpoint)
         fs = sim_endpoint.cluster.fs
         fs.write("/scratch/omero/data/r1/out/x.tiff", b"xxx")
+        fs.write("/scratch/omero/logs/omero-job-1.log", b"log")
         launches = record_launches(sim_endpoint)
-        local, empty = slurm.fetch_results(
-            sim_endpoint,
-            [("/scratch/omero/data/r1", "/scratch/omero/data/r1/all.zip",
-              str(tmp_path / "all.zip")),
-             ("/scratch/omero/data/r1/in", "/scratch/omero/in.zip", str(tmp_path / "in.zip"))],
-            drop=["/scratch/omero/data/r1/in/a.tiff", "/scratch/omero/data/r1/in/b.tiff"])
-        assert [command[0] for command in launches] == ["sh"]
-        assert isinstance(empty, EmptyOutput)
+        local = slurm.fetch_results(
+            sim_endpoint, ["/scratch/omero/data/r1/out", "/scratch/omero/data/r2/out",
+                           "/scratch/omero/logs"],
+            "/scratch/omero/data/r1/bundle.zip", str(tmp_path / "bundle.zip"))
+        assert [command[0] for command in launches] == ["zip"]
         with zipfile.ZipFile(local) as archive:
-            assert archive.namelist() == ["scratch/omero/data/r1/out/x.tiff"]
+            assert sorted(archive.namelist()) == [
+                "scratch/omero/data/r1/out/x.tiff", "scratch/omero/logs/omero-job-1.log"]
+        # The inputs beside the out dir are still there, and left out.
+        assert fs.files_under("/scratch/omero/data/r1/in") == ["a.tiff", "b.tiff"]
 
     def test_empty_output(self, sim_endpoint, tmp_path):
         prepare_run_dirs(sim_endpoint)
         with pytest.raises(EmptyOutput):
-            fetch_one(sim_endpoint, "/scratch/omero/data/r1/out",
-                      "/scratch/omero/data/r1/out.zip", str(tmp_path / "o.zip"))
+            slurm.fetch_results(
+                sim_endpoint, ["/scratch/omero/data/r1/out", "/scratch/omero/data/r2/out"],
+                "/scratch/omero/data/r1/out.zip", str(tmp_path / "o.zip"))
+        assert not sim_endpoint.path_exists("/scratch/omero/data/r1/out.zip")
 
 
 @pytest.mark.skipif(shutil.which("zip") is None, reason="Info-ZIP zip not installed")
@@ -433,20 +446,26 @@ class TestInfoZipNaming:
         fs.make_dirs(os.path.join(root, "run", "batch2", "out"))
         return root
 
-    def real_zip(self, archive, directory):
-        return subprocess.run(["zip", "-q", "-r", "-D", archive, directory],
+    def real_zip(self, archive, *paths):
+        return subprocess.run(["zip", "-q", "-r", "-D", archive, *paths],
                               capture_output=True).returncode
 
     def test_simulator_names_entries_as_info_zip_does(self, sim_endpoint, tmp_path):
+        # The archive lies in the first path, so it must leave itself out;
+        # missing and empty paths add nothing; a file named twice is added once.
         root = self.tree(tmp_path, sim_endpoint.cluster.fs)
-        for directory in ("run", "logs", "run/batch2"):
-            remote_dir = os.path.join(root, directory)
-            archive = os.path.join(remote_dir, "all.zip")
-            real_code = self.real_zip(archive, remote_dir)
-            result = sim_endpoint.exec(["zip", "-r", "-D", archive, remote_dir])
+        for names in (["run"], ["logs"], ["run/batch2"], ["run/batch2", "run/batch9/out"],
+                      ["run/batch0/out", "run/batch9/out", "run/batch2/out",
+                       "run/batch0/out/sub", "logs/omero-job-7.log"]):
+            paths = [os.path.join(root, name) for name in names]
+            archive = os.path.join(paths[0], "all.zip")
+            real_code = self.real_zip(archive, *paths)
+            result = sim_endpoint.exec(["zip", "-r", "-D", archive, *paths])
             assert result.exit_code == real_code
             if real_code:
-                assert real_code == 12  # nothing to do: the empty out dir
+                assert real_code == 12  # nothing to do: no file under any path
+                assert not os.path.exists(archive)
+                assert not sim_endpoint.cluster.fs.exists(archive)
                 continue
             with zipfile.ZipFile(archive) as real, zipfile.ZipFile(
                     io.BytesIO(sim_endpoint.cluster.fs.read(archive))) as sim:

@@ -1,8 +1,10 @@
 import hashlib
+import io
 import os
 import posixpath
 import shutil
 import subprocess
+import zipfile
 
 import pytest
 from hypothesis import example, given, settings
@@ -102,6 +104,23 @@ _FILE_OPS = st.one_of(
 )
 
 
+# zip writes a new archive of up to three paths each time, as the client's
+# zips do; unzip extracts the last one made into a directory.
+_ARCHIVE_OPS = st.one_of(
+    st.tuples(st.just("zip -r -D"), st.lists(_PATHS, min_size=1, max_size=3)),
+    st.tuples(st.just("unzip"), _PATHS.map(lambda path: [path])),
+)
+
+
+def _archive_entries(data):
+    """name -> bytes of each entry of zip archive data, or None for no
+    archive."""
+    if data is None:
+        return None
+    with zipfile.ZipFile(io.BytesIO(data)) as archive:
+        return {name: archive.read(name) for name in archive.namelist()}
+
+
 def _real_tree(root):
     """(dirs, files -> bytes) below root on local disk, relative to it."""
     dirs, files = set(), {}
@@ -120,41 +139,56 @@ def _sim_tree(fs, root):
             {f[len(prefix):]: data for f, data in fs.files.items() if f.startswith(prefix)})
 
 
-@pytest.mark.skipif(any(shutil.which(tool) is None for tool in ("mkdir", "rm", "test")),
-                    reason="coreutils mkdir/rm/test not installed")
+@pytest.mark.skipif(
+    any(shutil.which(tool) is None for tool in ("mkdir", "rm", "test", "zip", "unzip")),
+    reason="coreutils mkdir/rm/test or Info-ZIP zip/unzip not installed")
 @settings(max_examples=100, deadline=None)
-@given(st.lists(_FILE_OPS, max_size=8))
+@example([("mkdir -p", ["a/b"]), ("put", ["a/b/c"]), ("put", ["b"]),
+          ("zip -r -D", ["a", "b", "c"]), ("unzip", ["c"]), ("unzip", ["c"]),
+          ("unzip", ["b/a"]), ("unzip", ["a/a/a"]), ("zip -r -D", ["c/b"])])
+@given(st.lists(st.one_of(_FILE_OPS, _ARCHIVE_OPS), max_size=8))
 def test_file_ops_match_real_tools(tmp_path_factory, ops):
-    """mkdir -p, rm -rf, test -e and put_file give the simulator the same
-    exit codes and the same tree as the installed tools give local disk."""
+    """mkdir -p, rm -rf, test -e, zip -r -D, unzip and put_file give the
+    simulator the same exit codes, the same tree and the same archive
+    entries as the installed tools give local disk. The simulator's tree
+    sits at the same path as the real one, so entry names agree."""
     tmp = tmp_path_factory.mktemp("fileops")
-    real_root, sim_root = str(tmp / "tree"), "/scratch/tree"
-    os.mkdir(real_root)
+    root = str(tmp / "tree")
+    archive = tmp / "archive.zip"
+    os.mkdir(root)
     endpoint = SimEndpoint(SimCluster())
-    endpoint.make_dirs(sim_root)
+    fs = endpoint.cluster.fs
+    endpoint.make_dirs(root)
     for step, (op, paths) in enumerate(ops):
+        paths = [posixpath.join(root, path) for path in paths]
         if op == "put":
             local = tmp / f"payload{step}"
             local.write_bytes(f"payload {step}".encode())
             try:
-                endpoint.put_file(str(local), posixpath.join(sim_root, paths[0]))
+                endpoint.put_file(str(local), paths[0])
                 sim_ok = True
             except DestinationUnwritable:
                 sim_ok = False
             try:
-                shutil.copyfile(local, os.path.join(real_root, paths[0]))
+                shutil.copyfile(local, paths[0])
                 real_ok = True
             except OSError:
                 real_ok = False
             assert sim_ok == real_ok, (step, op, paths)
         else:
             argv = op.split()
-            sim = endpoint.cluster.sim_exec(
-                argv + [posixpath.join(sim_root, path) for path in paths])
-            real = subprocess.run(argv + [os.path.join(real_root, path) for path in paths],
-                                  capture_output=True)
+            if op == "unzip":
+                argv += [str(archive), "-d"]
+            elif op.startswith("zip"):
+                fs.remove_tree(str(archive))
+                archive.unlink(missing_ok=True)
+                argv.append(str(archive))
+            sim = endpoint.cluster.sim_exec(argv + paths)
+            real = subprocess.run(argv + paths, stdin=subprocess.DEVNULL, capture_output=True)
             assert sim.exit_code == real.returncode, (step, op, paths, real.stderr)
-        assert _sim_tree(endpoint.cluster.fs, sim_root) == _real_tree(real_root), (step, op)
+            real_archive = archive.read_bytes() if archive.exists() else None
+            assert _archive_entries(fs.files.get(str(archive))) == _archive_entries(real_archive)
+        assert _sim_tree(fs, root) == _real_tree(root), (step, op)
 
 
 class LocalShell(Endpoint):
@@ -225,3 +259,39 @@ def test_ssh_exec_many_is_one_launch(monkeypatch):
     assert len(launches) == 1 and launches[0][0] == "ssh"
     assert [(r.exit_code, r.stdout) for r in results] == [
         (0, "it's a b\n"), (1, ""), (0, "$HOME")]
+
+
+def test_ssh_processes_never_read_the_terminal(monkeypatch, tmp_path):
+    """Every ssh and scp process SshEndpoint starts gets stdin from
+    /dev/null, so a remote prompt reads EOF instead of the user's input."""
+    launches = []
+    remote = {"content": b""}
+
+    def fake_run(argv, **kwargs):
+        launches.append((argv[0], kwargs.get("stdin")))
+        stdout = ""
+        if argv[0] == "scp" and "@" in argv[-1]:
+            with open(argv[-2], "rb") as handle:
+                remote["content"] = handle.read()
+        elif argv[0] == "scp":
+            with open(argv[-1], "wb") as handle:
+                handle.write(remote["content"])
+        elif argv[-1].startswith("sha256sum "):
+            stdout = hashlib.sha256(remote["content"]).hexdigest() + "  file\n"
+        elif argv[-1].startswith("sh -c "):
+            return run(["sh", "-c", argv[-1]], capture_output=True, text=True)
+        return subprocess.CompletedProcess(argv, 0, stdout, "")
+
+    run = subprocess.run
+    monkeypatch.setattr(transport.subprocess, "run", fake_run)
+    endpoint = transport.SshEndpoint(
+        ClusterProfile(host="hpc", user="u", key_path="/k", scratch_dir="/scratch"))
+    local = tmp_path / "local.bin"
+    local.write_bytes(b"payload")
+    endpoint.exec(["true"])
+    endpoint.exec_many([["true"], ["false"]])
+    endpoint.put_file(str(local), "/scratch/x")
+    endpoint.get_file("/scratch/x", str(tmp_path / "back.bin"))
+    assert (tmp_path / "back.bin").read_bytes() == b"payload"
+    assert {program for program, _ in launches} == {"ssh", "scp"}
+    assert all(stdin is subprocess.DEVNULL for _, stdin in launches), launches
