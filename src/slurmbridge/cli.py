@@ -341,21 +341,20 @@ def cmd_fetch(run_id, destination, runs_dir, artifact_dir, mode):
 @_config_option
 @_simulate_option
 def cmd_cancel(run_id, runs_dir, config_path, simulate):
-    """Cancel a run's outstanding jobs; a job that cannot be reached is
-    reported and the rest are still tried."""
+    """Tear a run down in one launch: cancel every job named by the run,
+    journaled or not, and remove the run's remote data; logs stay."""
     lines = _read_journal(runs_dir, run_id)
     profile, _ = _load_config(config_path)
-    failed = False
     with _endpoint(profile, simulate) as endpoint:
-        for handle in _journal_handles(lines):
-            try:
-                slurm.cancel_job(endpoint, handle)
-            except TransportError as exc:
-                failed = True
-                click.echo(f"error: job {handle.job_id}: {exc}", err=True)
-                continue
-            click.echo(f"cancelled={handle.job_id}")
-    sys.exit(EXIT_RUN_FAILURE if failed else EXIT_OK)
+        try:
+            removed = slurm.cleanup_run(endpoint, slurm.run_data_paths(profile, run_id),
+                                        cancel=slurm.run_job_name(run_id))
+        except TransportError as exc:
+            _fail(str(exc), code=EXIT_RUN_FAILURE)
+    for handle in _journal_handles(lines):
+        click.echo(f"cancelled={handle.job_id}")
+    click.echo(f"removed={len(removed)}")
+    sys.exit(EXIT_OK)
 
 
 @main.command("list")

@@ -276,7 +276,9 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
 
     plan = plan_batches(items, batch_size)
     by_id = {item.id: item for item in items}
-    run_dir = posixpath.join(profile.scratch_dir, "data", run_id)
+    # The input archive lands beside run_dir: data/ exists since init, so
+    # no launch has to make a dir for it.
+    run_dir, upload = slurm.run_data_paths(profile, run_id)
     batches = [
         BatchRun(index=index, items=ids, remote_dir=posixpath.join(run_dir, f"batch{index}"))
         for index, ids in enumerate(plan.batches)
@@ -290,29 +292,32 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
     logs_dir = posixpath.join(profile.scratch_dir, "logs", run_id)
     log_pattern = jobscript.logfile_pattern(logs_dir)
     image_path = slurm.image_file_path(profile, workflow_name, entry.version)
-    # The input archive lands beside run_dir: data/ exists since init, so
-    # no launch has to make a dir for it.
-    upload = run_dir + ".zip"
-    job_name = f"sb-{run_id}"  # every job of the run carries it, so it can be cancelled by name
+    job_name = slurm.run_job_name(run_id)
     live = {}  # handle -> batch, for each job submitted and not yet seen terminal
 
     def fail(batch, exc):
         batch.error = exc
         batch.state = JobState.FAILED
 
-    def submit(jobs):
+    def submit(jobs, setup=()):
         """Submit jobs, given as (batch, tasks, after), in one launch: the
         batch's conversion array of that many tasks, or its workflow job when
-        tasks is 0, to start once job after completed (None: at once). When
-        the launch's answer is lost, its batches fail, though their jobs may
-        run."""
+        tasks is 0, to start once job after completed (None: at once). The
+        launch runs the setup commands first and submits the jobs only if
+        every one exited 0; returns their results. When the launch's answer
+        is lost, its batches fail, though their jobs may run, and the setup's
+        results are None."""
         scripts = [(posixpath.join(b.remote_dir, "convert.sh" if tasks else "job.sh"),
                     tasks or None, after) for b, tasks, after in jobs]
         try:
-            outcomes = slurm.submit_job(endpoint, scripts, job_name, log_pattern)
+            outcomes = slurm.submit_job(endpoint, scripts, job_name, log_pattern, setup)
         except TransportError as exc:
-            outcomes = [exc] * len(jobs)
-        for (batch, tasks, after), handle in zip(jobs, outcomes):
+            # Inputs never known to have arrived count as a failed transfer.
+            lost = TransferFailed(str(exc)) if setup else exc
+            outcomes = [None] * len(setup) + [lost] * len(jobs)
+        for (batch, tasks, after), handle in zip(jobs, outcomes[len(setup):]):
+            if handle is None:
+                continue  # not submitted: a setup command failed
             if isinstance(handle, SlurmBridgeError):
                 fail(batch, handle)
                 continue
@@ -325,6 +330,7 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
                 detail = f"kind=workflow job_id={handle.job_id}"
                 detail += f" after={after}" if after else ""
             journal.emit("submit", f"batch={batch.index} {detail}")
+        return outcomes[:len(setup)]
 
     try:
         # Stage: write every batch's scripts and pack them, with the inputs,
@@ -379,31 +385,36 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
                 fail(batch, exc)
             shipped = []
 
-        # Stage: one upload, then one launch that makes the dirs, unpacks
-        # the archive and removes it. A failed removal costs nothing:
-        # cleanup_run removes the archive too.
+        # Stage: one upload; a failed transfer fails every batch.
         journal.emit(RunStage.TRANSFERRING, f"batches={len(batches)}")
         if shipped:
-            dirs = [posixpath.join(b.remote_dir, name) for b in shipped for name in ("out", "gt")]
             try:
                 endpoint.put_file(archive, upload)
-                made, unpacked, _ = endpoint.exec_many([
-                    ["mkdir", "-p", logs_dir] + dirs,
-                    ["unzip", upload, "-d", run_dir],
-                    ["rm", "-f", upload]])
-                if not made.ok:
-                    raise TransportError(f"remote mkdir failed: {made.stderr}")
-                if not unpacked.ok:
-                    raise TransportError(f"remote unpack failed: {unpacked.stderr}")
             except TransportError as exc:
                 for batch in shipped:
                     fail(batch, TransferFailed(str(exc)))
 
-        # Stage: submit every job, in one launch, or two when a workflow job
-        # must wait for its batch's conversion array: Slurm starts it once
-        # the array completed, and cancels it unstarted if the array failed.
+        # Stage: one launch makes the dirs, unpacks the archive, removes it
+        # and, only if all three exited 0, submits every job; a second launch
+        # submits the workflow jobs that must wait for their batch's
+        # conversion array: Slurm starts one once the array completed, and
+        # cancels it unstarted if the array failed.
         journal.emit(RunStage.QUEUED, "submitting jobs")
-        submit([(b, b.conversion_tasks, None) for b in batches if b.error is None])
+        queued = [(b, b.conversion_tasks, None) for b in batches if b.error is None]
+        if queued:
+            made, unpacked, removed = submit(queued, [
+                ["mkdir", "-p", logs_dir] + [posixpath.join(b.remote_dir, name)
+                                             for b, _, _ in queued for name in ("out", "gt")],
+                ["unzip", "-q", upload, "-d", run_dir],
+                ["rm", "-f", upload]])
+            if made and not (made.ok and unpacked.ok):
+                step, failed = ("mkdir", made) if not made.ok else ("unpack", unpacked)
+                for batch, _, _ in queued:
+                    fail(batch, TransferFailed(f"remote {step} failed: {failed.stderr}"))
+            elif removed and not removed.ok:
+                # Only the removal failed, which held the jobs back; they go
+                # in alone, and cleanup_run removes the upload.
+                submit(queued)
         converting = [b for b in batches if b.conversion_handle and b.error is None]
         if converting:
             submit([(b, 0, b.conversion_handle.job_id) for b in converting])

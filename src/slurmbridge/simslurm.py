@@ -549,12 +549,12 @@ class SimCluster:
         return ExecResult(0, out, "", 0)
 
     def _zip(self, archive, paths):
-        """`zip -r -D archive path...` as Info-ZIP does it into a new archive:
-        each file is named by its path as given, without a leading '/'; a
-        directory adds every file below it and no entry of its own; a path
-        that does not exist adds nothing but a warning; a file named twice is
-        added once; the archive leaves itself out. Exits 12, writing nothing,
-        when no file was added."""
+        """`zip [-q] -r -D archive path...` as Info-ZIP does it into a new
+        archive: each file is named by its path as given, without a leading
+        '/'; a directory adds every file below it and no entry of its own; a
+        path that does not exist adds nothing but a warning; a file named
+        twice is added once; the archive leaves itself out. Exits 12, writing
+        nothing, when no file was added."""
         found, warnings = {}, ""
         for path in paths:
             norm = _norm(path)
@@ -580,8 +580,8 @@ class SimCluster:
         return ExecResult(0, "", warnings, 0)
 
     def _unzip(self, archive, directory):
-        """`unzip archive -d directory` as Info-ZIP does it with stdin at
-        EOF: directory is created only when its parent exists; a file that
+        """`unzip [-q] archive -d directory` as Info-ZIP does it with stdin
+        at EOF: directory is created only when its parent exists; a file that
         exists already is kept (unzip asks whether to replace it, reads EOF
         and answers "none"), which makes the exit 1; an entry that a file
         stands in the way of is skipped, which makes it 2."""
@@ -623,9 +623,12 @@ class SimCluster:
             framed = unframe_commands(args[1]) if len(args) == 2 and args[0] == "-c" else None
             if framed is None:
                 return ExecResult(2, "", "sh: only exec_many scripts are supported\n", 0)
-            mark, commands = framed
+            mark, commands, then = framed
             # Through sim_exec, so each framed command is seen as one call.
-            stdout, stderr = frame_output(mark, [self.sim_exec(argv) for argv in commands])
+            results = [self.sim_exec(argv) for argv in commands]
+            guard = all(result.ok for result in results)
+            results += [self.sim_exec(argv) if guard else None for argv in then]
+            stdout, stderr = frame_output(mark, results)
             return ExecResult(0, stdout, stderr, 0)
         if cmd == "sbatch":
             return self._sbatch(args)
@@ -657,6 +660,8 @@ class SimCluster:
                 return self._zip(paths[0], paths[1:])
             return ExecResult(16, "", "zip error: usage\n", 0)
         if cmd == "unzip":
+            if args[:1] == ["-q"]:
+                args = args[1:]  # quiet: the simulator lists no entry anyway
             if len(args) == 3 and args[1] == "-d":
                 return self._unzip(args[0], args[2])
             return ExecResult(10, "", "unzip: usage\n", 0)

@@ -1,5 +1,5 @@
 """Slurm operations over a transport Endpoint: environment provisioning,
-submission, polling, log/result retrieval, cancellation, cleanup."""
+submission, polling, log/result retrieval, cleanup with cancellation."""
 
 import os
 import posixpath
@@ -95,15 +95,29 @@ def init_environment(endpoint, profile, registry):
     return report
 
 
-def submit_job(endpoint, scripts, name, logfile_pattern=""):
-    """Submit scripts already on the cluster, all in one launch, each as a
-    job named name. scripts holds (path, array_size, after) triples, where
+def run_data_paths(profile, run_id):
+    """The run's remote data: its run dir and, beside it in data/, the
+    uploaded input archive."""
+    run_dir = posixpath.join(profile.scratch_dir, "data", run_id)
+    return [run_dir, run_dir + ".zip"]
+
+
+def run_job_name(run_id):
+    """The name every job of the run carries, so it can be cancelled by name."""
+    return f"sb-{run_id}"
+
+
+def submit_job(endpoint, scripts, name, logfile_pattern="", setup=()):
+    """Submit scripts, each as a job named name, in one launch that runs
+    the setup commands first; the scripts are submitted only if every setup
+    command exited 0. scripts holds (path, array_size, after) triples, where
     after is the id of a job that must complete first, or None; a job whose
     dependency fails is cancelled by Slurm without starting.
 
-    Returns per script its JobHandle or the error that rejected it. Raises
-    TransportError when the launch's answer is lost; any of the scripts may
-    then have been submitted.
+    Returns the ExecResult of each setup command, then per script its
+    JobHandle, the error that rejected it, or None when it was not
+    submitted because a setup command failed. Raises TransportError when the
+    launch's answer is lost; any of the scripts may then have been submitted.
     """
     argvs = []
     for path, _, after in scripts:
@@ -111,8 +125,12 @@ def submit_job(endpoint, scripts, name, logfile_pattern=""):
         if after is not None:
             argv += [f"--dependency=afterok:{after}", "--kill-on-invalid-dep=yes"]
         argvs.append(argv + [path])
-    outcomes = []
-    for (_, array_size, _), result in zip(scripts, endpoint.exec_many(argvs)):
+    ran = endpoint.exec_many(list(setup), then=argvs)
+    outcomes = ran[:len(setup)]
+    for (_, array_size, _), result in zip(scripts, ran[len(setup):]):
+        if result is None:
+            outcomes.append(None)
+            continue
         match = _SUBMIT_RE.search(result.stdout)
         if not result.ok:
             outcomes.append(SubmitRejected(result.stderr or result.stdout, result.exit_code))
@@ -166,12 +184,6 @@ def poll_jobs(endpoint, handles):
     return states
 
 
-def cancel_job(endpoint, handle):
-    """Issue a cancel; cancelling an already-terminal job is a no-op."""
-    endpoint.exec(["scancel", str(handle.job_id)])
-    return True
-
-
 def zip_entry_name(remote_path):
     """The name `zip -r` gives remote_path inside an archive: the path as
     given, without its leading '/'."""
@@ -204,7 +216,7 @@ def fetch_results(endpoint, paths, remote_zip, local_zip):
     nothing (zip warns "name not matched"). Raises EmptyOutput when no path
     holds a file, TransportError when the zip or the transfer fails.
     """
-    result = endpoint.exec(["zip", "-r", "-D", remote_zip, *paths])
+    result = endpoint.exec(["zip", "-q", "-r", "-D", remote_zip, *paths])
     if result.exit_code == 12:
         raise EmptyOutput(" ".join(paths))
     if not result.ok:

@@ -27,16 +27,19 @@ from .errors import (
 DEFAULT_DEADLINE_S = 300
 
 # exec_many runs its commands as one `sh -c` script: it sets `mark` to a
-# fresh nonce, then runs each command, followed by the line
-# "<mark> <exit status>" on stdout and on stderr. A newline is printed
-# before each marker line, so output without a trailing newline keeps its
-# last line apart from the marker. The script holds no newline of its own,
-# so a login shell that rejects newlines inside quotes (csh) can pass it on.
-_FRAME_HEAD = "mark="
-_FRAME_TAIL = (
-    "; s=$?; printf '\\n%s %d\\n' \"$mark\" \"$s\"; "
-    "printf '\\n%s %d\\n' \"$mark\" \"$s\" >&2; "
-)
+# fresh nonce and the guard `ok` to 0, then runs each command, followed by
+# the line "<mark> <exit status>" on stdout and on stderr; a command that
+# fails sets `ok` to 1. Each `then` command runs only while `ok` is 0, and
+# one that does not run gives the status "-". A newline is printed before
+# each marker line, so output without a trailing newline keeps its last line
+# apart from the marker. The script holds no newline of its own, so a login
+# shell that rejects newlines inside quotes (csh) can pass it on; nor does it
+# hold a '!', which csh expands even inside quotes.
+_FRAME_HEAD = re.compile(r"mark=(\w+); ok=0; ")
+_MARK = "printf '\\n%s %s\\n' \"$mark\" \"$s\"; printf '\\n%s %s\\n' \"$mark\" \"$s\" >&2; "
+_RAN = "; s=$?; [ $s = 0 ] || ok=1; "
+_THEN_HEAD = "if [ $ok = 0 ]; then "
+_THEN_TAIL = "; s=$?; else s=-; fi; "
 
 
 @dataclass(frozen=True)
@@ -61,39 +64,54 @@ def sha256_hex(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def frame_commands(commands):
+def frame_commands(commands, then=()):
     """(script, mark): the `sh -c` script that runs argv lists in order,
-    each whatever the exit status of the ones before."""
+    each whatever the exit status of the ones before, and then the argv
+    lists of then, each only if every one of commands exited 0."""
     mark = uuid.uuid4().hex
-    body = "".join(shlex.join(argv) + _FRAME_TAIL for argv in commands)
-    return f"{_FRAME_HEAD}{mark}; {body}", mark
+    body = "".join(shlex.join(argv) + _RAN + _MARK for argv in commands)
+    body += "".join(_THEN_HEAD + shlex.join(argv) + _THEN_TAIL + _MARK for argv in then)
+    return f"mark={mark}; ok=0; {body}", mark
 
 
 def unframe_commands(script):
-    """(mark, argv lists) of a script made by frame_commands, or None when
-    script is not one."""
-    head, separator, body = script.partition("; ")
-    pieces = body.split(_FRAME_TAIL)
-    if not head.startswith(_FRAME_HEAD) or not separator or pieces[-1]:
+    """(mark, commands, then) of a script made by frame_commands, or None
+    when script is not one."""
+    head = _FRAME_HEAD.match(script)
+    if head is None:
         return None
-    return head[len(_FRAME_HEAD):], [shlex.split(piece) for piece in pieces[:-1]]
+    *pieces, rest = script[head.end():].split(_MARK)
+    if rest:
+        return None
+    commands, then = [], []
+    for piece in pieces:
+        if piece.startswith(_THEN_HEAD) and piece.endswith(_THEN_TAIL):
+            then.append(shlex.split(piece[len(_THEN_HEAD):-len(_THEN_TAIL)]))
+        elif piece.endswith(_RAN) and not then:
+            commands.append(shlex.split(piece[:-len(_RAN)]))
+        else:
+            return None
+    return head.group(1), commands, then
 
 
 def frame_output(mark, results):
     """(stdout, stderr) that `sh` prints running a framed script whose
-    commands gave results."""
-    stdout = "".join(f"{r.stdout}\n{mark} {r.exit_code}\n" for r in results)
-    stderr = "".join(f"{r.stderr}\n{mark} {r.exit_code}\n" for r in results)
+    commands gave results, None for a command that did not run."""
+    ran = [("-", "", "") if r is None else (r.exit_code, r.stdout, r.stderr) for r in results]
+    stdout = "".join(f"{out}\n{mark} {code}\n" for code, out, _ in ran)
+    stderr = "".join(f"{err}\n{mark} {code}\n" for code, _, err in ran)
     return stdout, stderr
 
 
 def _unframe_output(text, mark, count):
-    """[(exit status, output)] of each framed command in text."""
-    parts = re.split(f"\n{mark} (\\d+)\n", text)
+    """[(exit status, output)] of each framed command in text; the status
+    is None for a command that did not run."""
+    parts = re.split(f"\n{mark} (\\d+|-)\n", text)
     if len(parts) != 2 * count + 1:
         raise TransportError(
             f"framed output holds {len(parts) // 2} of {count} exit markers")
-    return [(int(parts[k + 1]), parts[k]) for k in range(0, 2 * count, 2)]
+    return [(None if parts[k + 1] == "-" else int(parts[k + 1]), parts[k])
+            for k in range(0, 2 * count, 2)]
 
 
 def file_sha256(path):
@@ -122,20 +140,24 @@ class Endpoint(ABC):
     def get_file(self, remote, local):
         """Copy remote -> local atomically; returns TransferReport."""
 
-    def exec_many(self, commands):
+    def exec_many(self, commands, then=()):
         """Run argv lists in order through one exec (one launch over SSH),
-        each whatever the exit status of the ones before; returns one
-        ExecResult per command, each with the duration of the whole launch.
-        The commands share the one deadline of that exec."""
-        if not commands:
+        each whatever the exit status of the ones before, and then the argv
+        lists of then, each only if every one of commands exited 0.
+
+        Returns one ExecResult per command and per then command, each with
+        the duration of the whole launch; a then command that did not run
+        gives None. The commands share the one deadline of that exec."""
+        count = len(commands) + len(then)
+        if not count:
             return []
-        script, mark = frame_commands(commands)
+        script, mark = frame_commands(commands, then)
         result = self.exec(["sh", "-c", script])
         return [
-            ExecResult(code, stdout, stderr, result.duration_ms)
+            None if code is None else ExecResult(code, stdout, stderr, result.duration_ms)
             for (code, stdout), (_, stderr) in zip(
-                _unframe_output(result.stdout, mark, len(commands)),
-                _unframe_output(result.stderr, mark, len(commands)))
+                _unframe_output(result.stdout, mark, count),
+                _unframe_output(result.stderr, mark, count))
         ]
 
     def path_exists(self, remote):

@@ -277,18 +277,14 @@ class TestCancelAndList:
                    "--config", config_path, "--simulate", topology_path])
         assert result.exit_code == 0
         assert "cancelled=" in result.stdout
+        # The run cleaned up after itself, so nothing is left to remove.
+        assert kv_lines(result.stdout)["removed"] == ["0"]
 
-
-    def test_cancel_reports_unreachable_jobs_and_tries_the_rest(
-            self, runner, workspace, monkeypatch):
-        class DropsFirstCancel(simslurm.SimEndpoint):
-            def exec(self, command, timeout=DEFAULT_DEADLINE_S):
-                if command[0] == "scancel" and not tried:
-                    tried.append(command[1])
-                    raise ConnectionLost("host unreachable")
-                return super().exec(command, timeout)
-
-        tried = []
+    def run_then_cancel_over(self, runner, workspace, monkeypatch, endpoint_class):
+        """Run on the simulator, leave a job named by the run that the
+        journal never saw and the run's data behind, then cancel through an
+        endpoint_class over the saved cluster; returns (result, cluster,
+        run_id)."""
         tmp_path, config_path, topology_path, _ = workspace
         make_tiff_inputs(str(tmp_path / "inputs"), 4)
         runner.invoke(main, ["init", "--config", config_path, "--simulate", topology_path])
@@ -298,13 +294,45 @@ class TestCancelAndList:
                    "--output", str(tmp_path / "out"), "--runs-dir", str(tmp_path / "runs")])
         run_id = kv_lines(run.stdout)["run_id"][0]
         cluster = simslurm.SimCluster.load_state(topology_path + ".state")
-        monkeypatch.setattr(cli, "SshEndpoint", lambda profile: DropsFirstCancel(cluster))
+        run_dir = f"/scratch/omero/data/{run_id}"
+        cluster.fs.make_dirs(run_dir)
+        cluster.fs.write(run_dir + "/job.sh", b"#!/bin/bash\n#SIM duration=600 outputs=0\n")
+        cluster.fs.write(run_dir + ".zip", b"upload")
+        cluster.sim_exec(["sbatch", f"--job-name=sb-{run_id}", run_dir + "/job.sh"])
+        cluster.advance(1)
+        monkeypatch.setattr(cli, "SshEndpoint", lambda profile: endpoint_class(cluster))
         result = runner.invoke(
             main, ["cancel", run_id, "--runs-dir", str(tmp_path / "runs"),
                    "--config", config_path])
+        return result, cluster, run_id
+
+    def test_cancel_is_one_launch_that_reaches_unjournaled_jobs(
+            self, runner, workspace, monkeypatch):
+        class Recording(simslurm.SimEndpoint):
+            def exec(self, command, timeout=DEFAULT_DEADLINE_S):
+                launches.append(command)
+                return super().exec(command, timeout)
+
+        launches = []
+        result, cluster, run_id = self.run_then_cancel_over(
+            runner, workspace, monkeypatch, Recording)
+        assert result.exit_code == 0
+        assert len(launches) == 1
+        assert len(kv_lines(result.stdout)["cancelled"]) == 2
+        assert kv_lines(result.stdout)["removed"] == ["2"]
+        assert all(task.state.terminal for job in cluster.jobs.values() for task in job.tasks)
+        assert [path for path in list(cluster.fs.files) + list(cluster.fs.dirs)
+                if path.startswith(f"/scratch/omero/data/{run_id}")] == []
+
+    def test_cancel_over_a_lost_link_reports_one_error(self, runner, workspace, monkeypatch):
+        class Unreachable(simslurm.SimEndpoint):
+            def exec(self, command, timeout=DEFAULT_DEADLINE_S):
+                raise ConnectionLost("host unreachable")
+
+        result, _, _ = self.run_then_cancel_over(runner, workspace, monkeypatch, Unreachable)
         assert result.exit_code == 1
-        assert result.stderr.startswith(f"error: job {tried[0]}: host unreachable")
-        assert len(kv_lines(result.stdout)["cancelled"]) == 1
+        assert result.stderr == "error: host unreachable\n"
+        assert "cancelled" not in kv_lines(result.stdout)
 
 
 class TestConfigDiscovery:

@@ -82,7 +82,8 @@ class FlakyLink(SimEndpoint):
     """Loses the link on each sacct call whose entry in failures is true
     (calls past the end of the list go through) and, with lose_submission,
     raises lost_with right after the first launch holding an sbatch has run
-    remotely."""
+    remotely: a plain one, or one framed by exec_many, with or without a
+    guard before it."""
 
     def __init__(self, cluster, failures=(), lose_submission=False, lost_with=ConnectionLost):
         super().__init__(cluster)
@@ -94,8 +95,9 @@ class FlakyLink(SimEndpoint):
         if command[0] == "sacct" and next(self.failures, False):
             raise ConnectionLost("accounting link dropped")
         result = super().exec(command, timeout)
-        if self.lose_submission and (
-                command[0] == "sbatch" or command[0] == "sh" and "; sbatch " in command[-1]):
+        framed = unframe_commands(command[-1]) if command[0] == "sh" else None
+        argvs = [command] + ([*framed[1], *framed[2]] if framed else [])
+        if self.lose_submission and any(argv[0] == "sbatch" for argv in argvs):
             self.lose_submission = False
             raise self.lost_with("link dropped after the submission ran")
         return result
@@ -454,6 +456,36 @@ class TestRunWorkflowBatched:
         assert [path for path in endpoint.cluster.fs.files
                 if path.startswith("/scratch/omero/data/")] == []
 
+    @pytest.mark.parametrize("refused,step", [("mkdir", "mkdir"), ("unzip", "unpack")])
+    def test_failed_unpack_submits_no_job(self, run_env, tmp_path, refused, step):
+        class Refuses(SimCluster):
+            """Fails the run's mkdir or unzip after it did its work, as one
+            that runs out of quota on its last path does: the scripts are
+            there, so only the guard keeps sbatch from running."""
+
+            def sim_exec(self, command):
+                result = super().sim_exec(command)
+                if command[0] == refused and "/scratch/omero/data/" in " ".join(command):
+                    return ExecResult(2, "", f"{refused}: refused\n", 0)
+                return result
+
+        _, profile, registry, descriptor = run_env
+        endpoint = SimEndpoint(Refuses())
+        slurm.init_environment(endpoint, profile, registry)
+        record = orch.run_workflow_batched(
+            endpoint, profile, registry, descriptor,
+            "cellpose", {}, tiff_items(tmp_path, 4), 2, options=fast_options(),
+            local_output_dir=str(tmp_path / "out"),
+        )
+        assert endpoint.cluster.jobs == {}
+        assert record.overall_state is orch.RunStage.FAILED
+        assert batch_errors(record) == batch_failures(record) == {
+            0: "TransferFailed", 1: "TransferFailed"}
+        assert all(f"remote {step} failed: {refused}: refused" in str(batch.error)
+                   for batch in record.batches)
+        assert [path for path in endpoint.cluster.fs.files
+                if path.startswith("/scratch/omero/data/")] == []
+
     @pytest.mark.skipif(shutil.which("zip") is None, reason="Info-ZIP zip not installed")
     def test_results_split_from_info_zip_archive(self, tmp_path):
         run_dir = tmp_path / "scratch" / "data" / "run"
@@ -506,11 +538,11 @@ class TestRunWorkflowBatched:
         counts = dict(endpoint.counts)
         # No poll is wasted: one after each sleep.
         assert counts.pop("sacct") == counts.pop("sleep")
-        # One archive up, then one launch to make the dirs and unpack it;
-        # every sbatch in one launch (a second for the workflow jobs that
-        # wait on a conversion); one zip of every output and log, and one
-        # archive down.
-        assert counts == {"put_file": 1, "sh": 3 if zarr else 2, "zip": 1, "get_file": 1}
+        # One archive up, then one launch to make the dirs, unpack it and
+        # submit every job (a second launch for the workflow jobs that wait
+        # on a conversion); one zip of every output and log, and one archive
+        # down.
+        assert counts == {"put_file": 1, "sh": 2 if zarr else 1, "zip": 1, "get_file": 1}
 
     def test_equivalence_when_batch_size_covers_items(self, run_env, tmp_path):
         endpoint, profile, registry, descriptor = run_env

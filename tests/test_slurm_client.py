@@ -213,6 +213,22 @@ class TestSubmitJob:
         assert [(job.name, job.dependency) for job in cluster.jobs.values()] == [
             ("sb-r1", None), ("sb-r1", 1)]
 
+    def test_scripts_go_in_only_after_every_setup_command_exited_0(self, sim_endpoint):
+        prepare_run_dirs(sim_endpoint)
+        path = "/scratch/omero/data/r1/job.sh"
+        sim_endpoint.cluster.fs.write(path, WORKFLOW_SCRIPT.encode())
+        launches = record_launches(sim_endpoint)
+        made, held, refused, not_run = slurm.submit_job(
+            sim_endpoint, [(path, None, None), (path, None, None)], "sb-r1",
+            setup=[["mkdir", "-p", "/scratch/omero/data/r1/x"], ["false"]])
+        assert (made.exit_code, held.exit_code) == (0, 1)
+        assert (refused, not_run) == (None, None)
+        assert sim_endpoint.cluster.jobs == {}
+        made, handle = slurm.submit_job(
+            sim_endpoint, [(path, None, None)], "sb-r1", setup=[["test", "-e", path]])
+        assert made.ok and handle.job_id == 1
+        assert len(launches) == 2
+
     def test_array_submission_single_parent_handle(self, sim_endpoint):
         cluster = sim_endpoint.cluster
         job_id = submit_script(cluster, "/scratch/arr.sh", array="0-3", duration=5)
@@ -305,14 +321,14 @@ class TestCancel:
     def test_cancel_pending_then_polls_cancelled(self, sim_endpoint):
         prepare_run_dirs(sim_endpoint)
         handle = submit_workflow(sim_endpoint)
-        slurm.cancel_job(sim_endpoint, handle)
+        slurm.cleanup_run(sim_endpoint, [], cancel="sb-test")
         assert slurm.poll_jobs(sim_endpoint, [handle]) == {1: JobState.CANCELLED}
 
     def test_cancel_completed_is_noop(self, sim_endpoint):
         prepare_run_dirs(sim_endpoint)
         handle = submit_workflow(sim_endpoint)
         sim_endpoint.cluster.advance(100)
-        slurm.cancel_job(sim_endpoint, handle)
+        slurm.cleanup_run(sim_endpoint, [], cancel="sb-test")
         assert slurm.poll_jobs(sim_endpoint, [handle]) == {1: JobState.COMPLETED}
 
     def test_cancel_named_reaches_unseen_jobs(self, sim_endpoint):
@@ -327,10 +343,10 @@ class TestCancel:
 
     def test_cancel_running_array_parent(self, sim_endpoint):
         cluster = sim_endpoint.cluster
-        job_id = submit_script(cluster, "/scratch/arr.sh", array="0-2", duration=100)
+        job_id = submit_script(cluster, "/scratch/arr.sh", array="0-2", duration=100,
+                               options=["--job-name=sb-arr"])
         cluster.advance(5)
-        handle = slurm.JobHandle(job_id, "", array_size=3)
-        slurm.cancel_job(sim_endpoint, handle)
+        slurm.cleanup_run(sim_endpoint, [], cancel="sb-arr")
         assert all(t.state is JobState.CANCELLED for t in cluster.jobs[job_id].tasks)
 
 

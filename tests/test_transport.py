@@ -107,8 +107,9 @@ _FILE_OPS = st.one_of(
 # zip writes a new archive of up to three paths each time, as the client's
 # zips do; unzip extracts the last one made into a directory.
 _ARCHIVE_OPS = st.one_of(
-    st.tuples(st.just("zip -r -D"), st.lists(_PATHS, min_size=1, max_size=3)),
-    st.tuples(st.just("unzip"), _PATHS.map(lambda path: [path])),
+    st.tuples(st.sampled_from(["zip -r -D", "zip -q -r -D"]),
+              st.lists(_PATHS, min_size=1, max_size=3)),
+    st.tuples(st.sampled_from(["unzip", "unzip -q"]), _PATHS.map(lambda path: [path])),
 )
 
 
@@ -146,12 +147,15 @@ def _sim_tree(fs, root):
 @example([("mkdir -p", ["a/b"]), ("put", ["a/b/c"]), ("put", ["b"]),
           ("zip -r -D", ["a", "b", "c"]), ("unzip", ["c"]), ("unzip", ["c"]),
           ("unzip", ["b/a"]), ("unzip", ["a/a/a"]), ("zip -r -D", ["c/b"])])
+@example([("mkdir -p", ["a/b"]), ("put", ["a/b/c"]), ("zip -q -r -D", ["a", "b"]),
+          ("unzip -q", ["c"]), ("unzip -q", ["c"]), ("unzip -q", ["a/b/c"]),
+          ("zip -q -r -D", ["b"])])
 @given(st.lists(st.one_of(_FILE_OPS, _ARCHIVE_OPS), max_size=8))
 def test_file_ops_match_real_tools(tmp_path_factory, ops):
-    """mkdir -p, rm -rf, test -e, zip -r -D, unzip and put_file give the
-    simulator the same exit codes, the same tree and the same archive
-    entries as the installed tools give local disk. The simulator's tree
-    sits at the same path as the real one, so entry names agree."""
+    """mkdir -p, rm -rf, test -e, zip [-q] -r -D, unzip [-q] and put_file
+    give the simulator the same exit codes, the same tree and the same
+    archive entries as the installed tools give local disk. The simulator's
+    tree sits at the same path as the real one, so entry names agree."""
     tmp = tmp_path_factory.mktemp("fileops")
     root = str(tmp / "tree")
     archive = tmp / "archive.zip"
@@ -177,9 +181,9 @@ def test_file_ops_match_real_tools(tmp_path_factory, ops):
             assert sim_ok == real_ok, (step, op, paths)
         else:
             argv = op.split()
-            if op == "unzip":
+            if argv[0] == "unzip":
                 argv += [str(archive), "-d"]
-            elif op.startswith("zip"):
+            elif argv[0] == "zip":
                 fs.remove_tree(str(archive))
                 archive.unlink(missing_ok=True)
                 argv.append(str(archive))
@@ -218,32 +222,42 @@ _LISTED_OPS = st.one_of(
                     reason="sh or coreutils mkdir/rm/test not installed")
 @settings(max_examples=100, deadline=None)
 @example([("echo -n", ["no newline"]), ("mkdir -p", ["a/b"]), ("false", []),
-          ("test -e", ["a/b"]), ("rm -rf", ["a"]), ("echo", ["after"]), ("true", [])])
-@given(st.lists(_LISTED_OPS, min_size=1, max_size=8))
-def test_exec_many_matches_real_shell(tmp_path_factory, ops):
+          ("test -e", ["a/b"]), ("rm -rf", ["a"]), ("echo", ["after"]), ("true", [])],
+         [("echo", ["held back"]), ("mkdir -p", ["c"])])
+@example([("mkdir -p", ["a"]), ("test -e", ["a/"])],
+         [("echo -n", ["it's"]), ("false", []), ("rm -rf", ["a"]), ("echo", ["ran"])])
+@given(st.lists(_LISTED_OPS, min_size=1, max_size=8), st.lists(_LISTED_OPS, max_size=4))
+def test_exec_many_matches_real_shell(tmp_path_factory, ops, then_ops):
     """One exec_many gives the simulator the same exit code and stdout per
-    command, and the same tree, as the installed sh and tools give local
-    disk; a failing command does not stop the ones after it."""
+    command, the same commands not run, and the same tree, as the installed
+    sh and tools give local disk: a failing command does not stop the ones
+    after it, but stops every then command, and a failing then command stops
+    none."""
     real_root = str(tmp_path_factory.mktemp("shell") / "tree")
     sim_root = "/scratch/tree"
     os.mkdir(real_root)
     endpoint = SimEndpoint(SimCluster())
     endpoint.make_dirs(sim_root)
 
-    def commands(root):
+    def commands(root, ops):
         return [op.split() + ([f"{root}/{arg}" for arg in args]
                               if op.split()[0] in ("mkdir", "rm", "test") else args)
                 for op, args in ops]
 
-    real = LocalShell().exec_many(commands(real_root))
-    sim = endpoint.exec_many(commands(sim_root))
-    assert [(r.exit_code, r.stdout) for r in sim] == [(r.exit_code, r.stdout) for r in real]
+    def outcomes(results):
+        return [None if r is None else (r.exit_code, r.stdout) for r in results]
+
+    real = LocalShell().exec_many(commands(real_root, ops), then=commands(real_root, then_ops))
+    sim = endpoint.exec_many(commands(sim_root, ops), then=commands(sim_root, then_ops))
+    assert outcomes(sim) == outcomes(real)
+    assert len(real) == len(ops) + len(then_ops)
     assert _sim_tree(endpoint.cluster.fs, sim_root) == _real_tree(real_root)
 
 
 def test_ssh_exec_many_is_one_launch(monkeypatch):
     """SshEndpoint.exec_many starts one ssh process, whose remote command a
-    POSIX shell splits back into every command, quoting intact."""
+    POSIX shell splits back into every command, quoting intact, with or
+    without then commands behind the guard."""
     launches = []
     run = subprocess.run
 
@@ -259,6 +273,13 @@ def test_ssh_exec_many_is_one_launch(monkeypatch):
     assert len(launches) == 1 and launches[0][0] == "ssh"
     assert [(r.exit_code, r.stdout) for r in results] == [
         (0, "it's a b\n"), (1, ""), (0, "$HOME")]
+    passed = endpoint.exec_many([["true"]], then=[["echo", "it's"], ["false"], ["echo", "$x"]])
+    held = endpoint.exec_many([["echo", "a;b"], ["false"]], then=[["echo", "never"]])
+    assert len(launches) == 3 and all(argv[0] == "ssh" for argv in launches)
+    assert [(r.exit_code, r.stdout) for r in passed] == [
+        (0, ""), (0, "it's\n"), (1, ""), (0, "$x\n")]
+    assert [(r.exit_code, r.stdout) for r in held[:2]] == [(0, "a;b\n"), (1, "")]
+    assert held[2] is None
 
 
 def test_ssh_processes_never_read_the_terminal(monkeypatch, tmp_path):
