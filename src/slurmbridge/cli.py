@@ -233,7 +233,7 @@ def _read_journal(runs_dir, run_id):
     """The run's journal rows as [timestamp, stage, detail]; exits 2 when
     runs_dir holds no journal for run_id."""
     try:
-        with open(os.path.join(runs_dir, f"{run_id}.journal")) as handle:
+        with open(orchestrator.journal_path(runs_dir, run_id)) as handle:
             return [line.rstrip("\n").split("\t", 2) for line in handle if line.strip()]
     except FileNotFoundError:
         _fail(str(UnknownRunId(run_id)))
@@ -245,12 +245,15 @@ def _read_journal(runs_dir, run_id):
 @_config_option
 @_simulate_option
 def cmd_status(run_id, runs_dir, config_path, simulate):
-    """Show the stage journal of a run, plus the live states of its jobs
-    while it is not terminal."""
+    """Show the stage journal of a run and its state, the last run stage
+    journaled, plus the live states of its jobs while it is not terminal."""
     lines = _read_journal(runs_dir, run_id)
     for timestamp, stage, detail in lines:
         click.echo(f"time={timestamp}\tstage={stage}\tdetail={detail}")
-    final = lines[-1][1]
+    stages = {stage.value for stage in orchestrator.RunStage}
+    final = next((stage for _, stage, _ in reversed(lines) if stage in stages), None)
+    if final is None:
+        _fail(f"journal of run {run_id} records no run stage")
     click.echo(f"state={final}")
     handles = _journal_handles(lines)
     if handles and final not in {s.value for s in orchestrator.TERMINAL_STAGES}:
@@ -342,15 +345,19 @@ def cmd_fetch(run_id, destination, runs_dir, artifact_dir, mode):
 @_simulate_option
 def cmd_cancel(run_id, runs_dir, config_path, simulate):
     """Tear a run down in one launch: cancel every job named by the run,
-    journaled or not, and remove the run's remote data; logs stay."""
+    journaled or not, and remove the run's remote data; logs stay. The
+    journal gains a `cancel` row; the run's state stays its last stage."""
     lines = _read_journal(runs_dir, run_id)
     profile, _ = _load_config(config_path)
+    name = slurm.run_job_name(run_id)
     with _endpoint(profile, simulate) as endpoint:
         try:
             removed = slurm.cleanup_run(endpoint, slurm.run_data_paths(profile, run_id),
-                                        cancel=slurm.run_job_name(run_id))
+                                        cancel=name)
         except TransportError as exc:
             _fail(str(exc), code=EXIT_RUN_FAILURE)
+    orchestrator.append_journal_row(orchestrator.journal_path(runs_dir, run_id), "cancel",
+                                    f"name={name} removed={len(removed)}")
     for handle in _journal_handles(lines):
         click.echo(f"cancelled={handle.job_id}")
     click.echo(f"removed={len(removed)}")

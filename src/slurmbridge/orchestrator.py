@@ -202,7 +202,7 @@ class _Journal:
         self.path = None
         if journal_dir is not None:
             os.makedirs(journal_dir, exist_ok=True)
-            self.path = os.path.join(journal_dir, f"{record.run_id}.journal")
+            self.path = journal_path(journal_dir, record.run_id)
 
     def emit(self, stage, detail=""):
         timestamp = _now()
@@ -210,10 +210,19 @@ class _Journal:
             self.record.overall_state = stage
         self.record.stage_history.append((timestamp, _stage_name(stage), detail))
         if self.path is not None:
-            with open(self.path, "a") as handle:
-                handle.write(f"{timestamp}\t{_stage_name(stage)}\t{detail}\n")
+            append_journal_row(self.path, stage, detail, timestamp)
         if self.listener is not None:
             self.listener(_stage_name(stage), detail)
+
+
+def journal_path(journal_dir, run_id):
+    return os.path.join(journal_dir, f"{run_id}.journal")
+
+
+def append_journal_row(path, stage, detail, timestamp=None):
+    """Append one `<timestamp>\t<stage>\t<detail>` row to a run's journal."""
+    with open(path, "a") as handle:
+        handle.write(f"{timestamp or _now()}\t{_stage_name(stage)}\t{detail}\n")
 
 
 def _stage_name(stage):

@@ -7,12 +7,14 @@ nodes, and advances a virtual clock. Script "work" is declared via a
 """
 
 import dataclasses
+import heapq
 import io
 import json
 import os
 import posixpath
 import zipfile
 from base64 import b64decode, b64encode
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import ChecksumMismatch, DestinationUnwritable, SourceMissing
@@ -261,6 +263,12 @@ def _from_doc(cls, doc):
 
 
 class SimCluster:
+    """Schedules FIFO/first-fit, driven by events: a heap of running tasks in
+    the order `advance` finishes them, the ids of jobs with pending tasks in
+    submission order, each mapped to a cursor at its first task that may
+    still be pending, and per-job task-state counts. These are derived from
+    `jobs` and never persisted."""
+
     def __init__(self, nodes=None):
         specs = nodes if nodes is not None else DEFAULT_NODES
         self.nodes = [SimNode(**spec) for spec in specs]
@@ -271,6 +279,20 @@ class SimCluster:
         self.event_log = []
         self.faults = []
         self.failing_pulls = set()
+        self._index_jobs()
+
+    def _index_jobs(self):
+        """Rebuild the scheduler's indices from `jobs`."""
+        self._running = [
+            (task.finish_time, job.id, task.entry_id, task)
+            for job in self.jobs.values() for task in job.tasks
+            if task.state is JobState.RUNNING
+        ]
+        heapq.heapify(self._running)
+        self._pending = {job_id: 0 for job_id in sorted(self.jobs)}
+        self._counts = {
+            job.id: Counter(task.state for task in job.tasks) for job in self.jobs.values()
+        }
 
     # -- submission --------------------------------------------------------
 
@@ -348,6 +370,8 @@ class SimCluster:
                     job.forced_state = fault.forced_state
                 job.missing_output = job.missing_output or fault.missing_output
         self.jobs[job_id] = job
+        self._pending[job_id] = 0
+        self._counts[job_id] = Counter({JobState.PENDING: len(job.tasks)})
         job.reported_state = JobState.PENDING
         self._log(SimEvent(self.clock, str(job_id), None, JobState.PENDING))
         return ExecResult(0, f"Submitted batch job {job_id}\n", "", 0)
@@ -356,13 +380,6 @@ class SimCluster:
 
     def _log(self, event):
         self.event_log.append(event)
-
-    def _pending_tasks(self):
-        for job_id in sorted(self.jobs):
-            job = self.jobs[job_id]
-            for task in job.tasks:
-                if task.state is JobState.PENDING:
-                    yield job, task
 
     def _start_task(self, job, task, node_index, events):
         node = self.nodes[node_index]
@@ -382,15 +399,20 @@ class SimCluster:
         else:
             task.finish_time = self.clock + job.duration_s
             task.finish_state = JobState.COMPLETED
+        heapq.heappush(self._running, (task.finish_time, job.id, task.entry_id, task))
         self._transition(job, task, JobState.RUNNING, events)
 
     def _transition(self, job, task, new_state, events):
         old = task.state
         task.state = new_state
+        counts = self._counts[job.id]
+        counts[old] -= 1
+        counts[new_state] += 1
         event = SimEvent(self.clock, task.entry_id, old, new_state)
         self._log(event)
         events.append(event)
-        parent = job.parent_state()
+        # The parent state depends only on which task states are present.
+        parent = aggregate_array_states(state for state, n in counts.items() if n)
         if job.is_array and parent != job.reported_state:
             parent_event = SimEvent(self.clock, str(job.id), job.reported_state, parent)
             job.reported_state = parent
@@ -400,22 +422,34 @@ class SimCluster:
             job.reported_state = parent
 
     def _schedule(self, events):
-        # FIFO scan; a job is only passed over when no node fits it right now
-        # or while its dependency has not completed. A job whose dependency
-        # ended otherwise is cancelled unstarted (--kill-on-invalid-dep=yes).
-        for job, task in list(self._pending_tasks()):
-            if task.state is not JobState.PENDING:
-                continue  # cancelled earlier in this scan with its job
+        # FIFO scan over the jobs with pending tasks; a job is passed over
+        # while its dependency has not completed, and cancelled unstarted once
+        # it ended otherwise (--kill-on-invalid-dep=yes). Its tasks start
+        # first-fit up to the first that fits no node: the rest ask for the
+        # same resources, and node usage only grows within a scan.
+        for job_id, cursor in list(self._pending.items()):
+            job = self.jobs[job_id]
+            tasks = job.tasks
+            while cursor < len(tasks) and tasks[cursor].state is not JobState.PENDING:
+                cursor += 1  # started or cancelled since the cursor was set
+            after = JobState.COMPLETED
             if job.dependency is not None:
                 after = self.jobs[job.dependency].reported_state
-                if after is not JobState.COMPLETED:
-                    if after.terminal:
-                        self._cancel(job, events)
-                    continue
-            for index, node in enumerate(self.nodes):
-                if node.fits(job.resources):
-                    self._start_task(job, task, index, events)
-                    break
+            if after is JobState.COMPLETED:
+                while cursor < len(tasks):
+                    index = next((index for index, node in enumerate(self.nodes)
+                                  if node.fits(job.resources)), None)
+                    if index is None:
+                        break
+                    self._start_task(job, tasks[cursor], index, events)
+                    cursor += 1
+            elif after.terminal:
+                self._cancel(job, events)
+                cursor = len(tasks)
+            if cursor < len(tasks):
+                self._pending[job_id] = cursor
+            else:
+                del self._pending[job_id]
 
     def _finish_task(self, job, task, events):
         self.nodes[task.node].release(job.resources)
@@ -444,9 +478,10 @@ class SimCluster:
         ]
         self.fs.make_dirs(posixpath.dirname(path))
         self.fs.write(path, ("\n".join(lines) + "\n").encode())
-        if job.is_array and all(t.state.terminal for t in job.tasks):
+        counts = self._counts[job.id]
+        if job.is_array and not counts[JobState.PENDING] and not counts[JobState.RUNNING]:
             parent_path = job.output_pattern.replace("%j", str(job.id))
-            summary = f"array job {job.id} tasks {len(job.tasks)} final {job.parent_state().value}\n"
+            summary = f"array job {job.id} tasks {len(job.tasks)} final {job.reported_state.value}\n"
             self.fs.write(parent_path, summary.encode())
 
     def _write_outputs(self, job):
@@ -473,23 +508,18 @@ class SimCluster:
             return events
         horizon = self.clock + dt
         self._schedule(events)
-        while True:
-            running = [
-                (task.finish_time, job.id, task)
-                for job in self.jobs.values()
-                for task in job.tasks
-                if task.state is JobState.RUNNING
-            ]
-            if not running:
-                break
-            next_time = min(t for t, _, _ in running)
+        running = self._running
+        while running:
+            if running[0][3].state is not JobState.RUNNING:
+                heapq.heappop(running)  # cancelled while it ran
+                continue
+            next_time = running[0][0]
             if next_time > horizon:
                 break
             self.clock = next_time
-            for finish_time, job_id, task in sorted(
-                running, key=lambda item: (item[0], item[1], item[2].entry_id)
-            ):
-                if finish_time == next_time:
+            while running and running[0][0] == next_time:
+                _, job_id, _, task = heapq.heappop(running)
+                if task.state is JobState.RUNNING:
                     self._finish_task(self.jobs[job_id], task, events)
             self._schedule(events)
         self.clock = horizon
@@ -548,13 +578,13 @@ class SimCluster:
         out = "".join(line + "\n" for line in lines)
         return ExecResult(0, out, "", 0)
 
-    def _zip(self, archive, paths):
+    def _zip(self, archive, paths, quiet):
         """`zip [-q] -r -D archive path...` as Info-ZIP does it into a new
         archive: each file is named by its path as given, without a leading
         '/'; a directory adds every file below it and no entry of its own; a
-        path that does not exist adds nothing but a warning; a file named
-        twice is added once; the archive leaves itself out. Exits 12, writing
-        nothing, when no file was added."""
+        path that does not exist adds nothing but a warning, which -q leaves
+        out; a file named twice is added once; the archive leaves itself out.
+        Exits 12, writing nothing, when no file was added."""
         found, warnings = {}, ""
         for path in paths:
             norm = _norm(path)
@@ -563,8 +593,9 @@ class SimCluster:
             elif self.fs.exists(path):
                 names = [norm]
             else:
-                warnings += f"\tzip warning: name not matched: {path}\n"
                 names = []
+                if not quiet:
+                    warnings += f"\tzip warning: name not matched: {path}\n"
             found.update(dict.fromkeys(name for name in names if name != _norm(archive)))
         if not found:
             return ExecResult(12, "", warnings + "zip error: Nothing to do!\n", 0)
@@ -657,7 +688,7 @@ class SimCluster:
         if cmd == "zip":
             paths = [a for a in args if not a.startswith("-")]
             if len(paths) >= 2:
-                return self._zip(paths[0], paths[1:])
+                return self._zip(paths[0], paths[1:], quiet="-q" in args)
             return ExecResult(16, "", "zip error: usage\n", 0)
         if cmd == "unzip":
             if args[:1] == ["-q"]:
@@ -716,6 +747,7 @@ class SimCluster:
             job = _from_doc(SimJob, job_doc)
             job.tasks = [_from_doc(SimTask, task) for task in job.tasks]
             cluster.jobs[job.id] = job
+        cluster._index_jobs()
         return cluster
 
     def save_state(self, path):

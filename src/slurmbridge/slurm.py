@@ -213,7 +213,7 @@ def fetch_results(endpoint, paths, remote_zip, local_zip):
     and bring it back to local_zip, checksum-verified; returns local_zip.
 
     Entries are named by zip_entry_name. A path that does not exist adds
-    nothing (zip warns "name not matched"). Raises EmptyOutput when no path
+    nothing (under -q without a warning). Raises EmptyOutput when no path
     holds a file, TransportError when the zip or the transfer fails.
     """
     result = endpoint.exec(["zip", "-q", "-r", "-D", remote_zip, *paths])

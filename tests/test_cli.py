@@ -39,6 +39,26 @@ def kv_lines(output):
     return pairs
 
 
+def cut_journal_after_running(workspace, run_id):
+    """Drop the journal rows after Running, as a run still polling leaves it;
+    returns the journaled job ids."""
+    journal = workspace[0] / "runs" / f"{run_id}.journal"
+    rows = journal.read_text().splitlines(keepends=True)
+    stages = [row.split("\t")[1] for row in rows]
+    journal.write_text("".join(rows[:stages.index("Running") + 1]))
+    return [row.split("job_id=")[1].split()[0] for row in rows if "\tsubmit\t" in row]
+
+
+def journal_rows(status_stdout):
+    """(stage, detail) of each journal row that `status` printed."""
+    rows = []
+    for line in status_stdout.splitlines():
+        if line.startswith("time="):
+            fields = dict(field.split("=", 1) for field in line.split("\t"))
+            rows.append((fields["stage"], fields["detail"]))
+    return rows
+
+
 class TestValidate:
     def test_prints_param_table(self, runner, workspace):
         _, _, _, descriptor_path = workspace
@@ -175,18 +195,10 @@ class TestStatusLogsFetch:
                   for field in line.split("\t") if field.startswith("stage=")]
         assert "Running" in stages
 
-    def _cut_journal_after_running(self, workspace, run_id):
-        """Drop the journal rows after Running, as a run still polling leaves it."""
-        journal = workspace[0] / "runs" / f"{run_id}.journal"
-        rows = journal.read_text().splitlines(keepends=True)
-        stages = [row.split("\t")[1] for row in rows]
-        journal.write_text("".join(rows[:stages.index("Running") + 1]))
-        return [row.split("job_id=")[1].split()[0] for row in rows if "\tsubmit\t" in row]
-
     def test_status_polls_live_jobs_over_ssh(self, runner, workspace, monkeypatch):
         tmp_path, config_path, topology_path, _ = workspace
         run_id = self._completed_run(runner, workspace)
-        job_ids = self._cut_journal_after_running(workspace, run_id)
+        job_ids = cut_journal_after_running(workspace, run_id)
         cluster = simslurm.SimCluster.load_state(topology_path + ".state")
         monkeypatch.setattr(cli, "SshEndpoint", lambda profile: simslurm.SimEndpoint(cluster))
         result = runner.invoke(
@@ -204,7 +216,7 @@ class TestStatusLogsFetch:
 
         tmp_path, config_path, _, _ = workspace
         run_id = self._completed_run(runner, workspace)
-        self._cut_journal_after_running(workspace, run_id)
+        cut_journal_after_running(workspace, run_id)
         monkeypatch.setattr(cli, "SshEndpoint", lambda profile: Unreachable())
         result = runner.invoke(
             main, ["status", run_id, "--runs-dir", str(tmp_path / "runs"),
@@ -212,6 +224,14 @@ class TestStatusLogsFetch:
         assert result.exit_code == 1
         assert kv_lines(result.stdout)["state"] == ["Running"]
         assert "host unreachable" in result.stderr
+
+    def test_status_of_a_journal_without_a_stage_is_usage_error(self, runner, workspace):
+        runs = workspace[0] / "runs"
+        runs.mkdir()
+        (runs / "empty.journal").write_text("")
+        result = runner.invoke(main, ["status", "empty", "--runs-dir", str(runs)])
+        assert result.exit_code == 2
+        assert result.stderr == "error: journal of run empty records no run stage\n"
 
     def test_status_unknown_run(self, runner, workspace):
         tmp_path = workspace[0]
@@ -260,7 +280,9 @@ class TestCancelAndList:
         assert result.stdout.startswith("workflow=cellpose\t")
         assert "demo/w_nucleisegmentation-cellpose:v1.2.9" in result.stdout
 
-    def test_cancel_reports_job_ids(self, runner, workspace):
+    def run_then_cancel(self, runner, workspace):
+        """A finished run on the simulator, then cancelled; returns (result,
+        run_id)."""
         tmp_path, config_path, topology_path, _ = workspace
         make_tiff_inputs(str(tmp_path / "inputs"), 2)
         runner.invoke(main, ["init", "--config", config_path,
@@ -275,16 +297,31 @@ class TestCancelAndList:
         result = runner.invoke(
             main, ["cancel", run_id, "--runs-dir", str(tmp_path / "runs"),
                    "--config", config_path, "--simulate", topology_path])
+        return result, run_id
+
+    def test_cancel_reports_job_ids(self, runner, workspace):
+        result, _ = self.run_then_cancel(runner, workspace)
         assert result.exit_code == 0
         assert "cancelled=" in result.stdout
         # The run cleaned up after itself, so nothing is left to remove.
         assert kv_lines(result.stdout)["removed"] == ["0"]
 
-    def run_then_cancel_over(self, runner, workspace, monkeypatch, endpoint_class):
+    def test_cancelled_done_run_stays_done_and_lists_the_cancel(self, runner, workspace):
+        tmp_path = workspace[0]
+        _, run_id = self.run_then_cancel(runner, workspace)
+        status = runner.invoke(main, ["status", run_id, "--runs-dir", str(tmp_path / "runs")])
+        assert status.exit_code == 0
+        assert kv_lines(status.stdout)["state"] == ["Done"]
+        rows = journal_rows(status.stdout)
+        assert rows[-2:] == [("Done", "batches=1"), ("cancel", f"name=sb-{run_id} removed=0")]
+
+    def run_then_cancel_over(self, runner, workspace, monkeypatch, endpoint_class,
+                             unfinished=False):
         """Run on the simulator, leave a job named by the run that the
         journal never saw and the run's data behind, then cancel through an
         endpoint_class over the saved cluster; returns (result, cluster,
-        run_id)."""
+        run_id). When unfinished, the journal is first cut after Running,
+        as a run still polling leaves it."""
         tmp_path, config_path, topology_path, _ = workspace
         make_tiff_inputs(str(tmp_path / "inputs"), 4)
         runner.invoke(main, ["init", "--config", config_path, "--simulate", topology_path])
@@ -293,6 +330,8 @@ class TestCancelAndList:
                    "--input", str(tmp_path / "inputs"), "--batch-size", "2",
                    "--output", str(tmp_path / "out"), "--runs-dir", str(tmp_path / "runs")])
         run_id = kv_lines(run.stdout)["run_id"][0]
+        if unfinished:
+            cut_journal_after_running(workspace, run_id)
         cluster = simslurm.SimCluster.load_state(topology_path + ".state")
         run_dir = f"/scratch/omero/data/{run_id}"
         cluster.fs.make_dirs(run_dir)
@@ -333,6 +372,19 @@ class TestCancelAndList:
         assert result.exit_code == 1
         assert result.stderr == "error: host unreachable\n"
         assert "cancelled" not in kv_lines(result.stdout)
+
+    def test_cancelled_unfinished_run_lists_the_cancel(self, runner, workspace, monkeypatch):
+        tmp_path, config_path, _, _ = workspace
+        result, _, run_id = self.run_then_cancel_over(
+            runner, workspace, monkeypatch, simslurm.SimEndpoint, unfinished=True)
+        assert result.exit_code == 0
+        status = runner.invoke(main, ["status", run_id, "--runs-dir", str(tmp_path / "runs"),
+                                      "--config", config_path])
+        assert status.exit_code == 0, status.output
+        pairs = kv_lines(status.stdout)
+        assert pairs["state"] == ["Running"]
+        assert journal_rows(status.stdout)[-1] == ("cancel", f"name=sb-{run_id} removed=2")
+        assert all(job.endswith("state=COMPLETED") for job in pairs["job"])
 
 
 class TestConfigDiscovery:

@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import json
 import random
+import time
 
 import pytest
 
@@ -318,6 +321,20 @@ class TestDeterminismAndSafety:
                 last[event.entry_id] = event.new_state
 
 
+def test_ten_thousand_task_array_runs_in_linear_time():
+    # 2-cpu tasks on two 4-cpu nodes run four at a time: 2,500 waves of 5 s.
+    cluster = SimCluster()
+    started = time.perf_counter()
+    job_id = submit_script(cluster, "/scratch/arr.sh", cpus=2, duration=5, array="0-9999")
+    cluster.advance(12_500)
+    elapsed = time.perf_counter() - started
+    tasks = cluster.jobs[job_id].tasks
+    assert cluster.clock == 12_500
+    assert max(task.finish_time for task in tasks) == 12_500
+    assert all(task.state is JobState.COMPLETED for task in tasks)
+    assert elapsed < 5, f"10,000-task array took {elapsed:.1f} s"
+
+
 def brute_force_aggregate(states):
     """Independent statement of the parent-state rule."""
     if any(s is JobState.FAILED for s in states):
@@ -402,3 +419,79 @@ def test_state_round_trip(tmp_path):
     assert {j: cluster.jobs[j].parent_state() for j in cluster.jobs} == \
         {j: restored.jobs[j].parent_state() for j in restored.jobs}
     assert restored.to_dict() == cluster.to_dict()
+
+
+FAULTS = [
+    FaultDirective(script_substring="fail", forced_state=JobState.FAILED),
+    FaultDirective(script_substring="tout", forced_state=JobState.TIMEOUT),
+    FaultDirective(script_substring="kill", forced_state=JobState.CANCELLED),
+    FaultDirective(script_substring="mute", missing_output=True),
+]
+
+
+def golden_schedule(seed):
+    """One seeded mix of submissions (arrays of up to 12 tasks, zero-duration
+    jobs, afterok dependencies, forced faults), advances, scancel by id and by
+    name, and state-file round trips mid-run. Returns the event trace, every
+    task's final (state, start, finish, node, exit code) and the file tree."""
+    rng = random.Random(seed)
+    cluster = SimCluster(rng.choice([None, [{"cpus": 4, "gpus": 0, "mem_mb": 8192}]]))
+    for fault in FAULTS:
+        cluster.inject_fault(fault)
+    traces = []
+    for step in range(rng.randint(4, 14)):
+        action = rng.random()
+        if action < 0.45 or not cluster.jobs:
+            tag = rng.choice(["ok", "ok", "ok", "fail", "tout", "kill", "mute"])
+            options = []
+            if rng.random() < 0.4:
+                options.append(f"--job-name=sb-{rng.choice('ab')}")
+            if cluster.jobs and rng.random() < 0.35:
+                after = rng.choice(sorted(cluster.jobs))
+                options += [f"--dependency=afterok:{after}", "--kill-on-invalid-dep=yes"]
+            lo = rng.randint(0, 3)
+            submit_script(
+                cluster, f"/scratch/{tag}{step}.sh",
+                cpus=rng.randint(1, 4), mem=rng.choice([1024, 4096, 8192]),
+                gpus=rng.choice([0, 0, 0, 1]), time_limit="00:01:00",
+                duration=rng.choice([0, rng.randint(1, 90)]), outputs=rng.randint(0, 2),
+                array=f"{lo}-{lo + rng.randint(0, 11)}" if rng.random() < 0.4 else None,
+                exports=[("OUT_PATH", f"/scratch/out{step}")], options=options,
+            )
+        elif action < 0.8:
+            cluster.advance(rng.randint(0, 40))
+        elif action < 0.9:
+            job_id = rng.choice(sorted(cluster.jobs))
+            cluster.sim_exec(["scancel", rng.choice([str(job_id), "--name=sb-a", "--name=sb-b"])])
+        else:
+            traces.append(cluster.render_event_trace())
+            restored = SimCluster.from_dict(json.loads(json.dumps(cluster.to_dict())))
+            for fault in FAULTS:
+                restored.inject_fault(fault)
+            cluster = restored
+    cluster.advance(3000)
+    traces.append(cluster.render_event_trace())
+    table = [
+        f"{task.entry_id} {task.state.value} {task.start_time} {task.finish_time} "
+        f"{task.node} {task.exit_code}"
+        for _, job in sorted(cluster.jobs.items()) for task in job.tasks
+    ]
+    return "\n--\n".join(traces + ["\n".join(table), cluster.fs.snapshot()])
+
+
+# sha256 over golden_schedule(seed) for each block of 50 seeds. The
+# scan-based scheduler that preceded the event-driven one produced these.
+GOLDEN_DIGESTS = {
+    0: "5f2ba83ede797f87b9596afe5105093cd6f12ea2de2ca026c1d0583977ff02ae",
+    50: "cb8ecfce410199d2d34237b26c607ade8e3e84498ea14833e9d2a162bed26d22",
+    100: "c6add423acb22d7121bbbfeb49ef51b3501a17d9393e1f5bbf1e0c8690c76ddc",
+    150: "d14b20d6dfd49d02f87ad2e0b4277a898db29a861e277c034096fee7aa926f77",
+}
+
+
+@pytest.mark.parametrize("first_seed", sorted(GOLDEN_DIGESTS))
+def test_golden_traces(first_seed):
+    digest = hashlib.sha256()
+    for seed in range(first_seed, first_seed + 50):
+        digest.update(golden_schedule(seed).encode())
+    assert digest.hexdigest() == GOLDEN_DIGESTS[first_seed]

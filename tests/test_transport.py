@@ -122,6 +122,12 @@ def _archive_entries(data):
         return {name: archive.read(name) for name in archive.namelist()}
 
 
+def _zip_warnings(output):
+    """The warning lines of zip's output. Info-ZIP writes them on stdout,
+    the simulator on stderr; -q leaves them out on both."""
+    return [line for line in output.splitlines() if "zip warning:" in line]
+
+
 def _real_tree(root):
     """(dirs, files -> bytes) below root on local disk, relative to it."""
     dirs, files = set(), {}
@@ -190,6 +196,9 @@ def test_file_ops_match_real_tools(tmp_path_factory, ops):
             sim = endpoint.cluster.sim_exec(argv + paths)
             real = subprocess.run(argv + paths, stdin=subprocess.DEVNULL, capture_output=True)
             assert sim.exit_code == real.returncode, (step, op, paths, real.stderr)
+            if argv[0] == "zip":
+                assert _zip_warnings(sim.stdout + sim.stderr) == _zip_warnings(
+                    (real.stdout + real.stderr).decode()), (step, op, paths)
             real_archive = archive.read_bytes() if archive.exists() else None
             assert _archive_entries(fs.files.get(str(archive))) == _archive_entries(real_archive)
         assert _sim_tree(fs, root) == _real_tree(root), (step, op)
