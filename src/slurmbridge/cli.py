@@ -111,11 +111,11 @@ def cmd_validate(descriptor_path):
         click.echo(f"warning: {warning}", err=True)
     click.echo(f"name={descriptor.name}")
     click.echo(f"image={descriptor.container_image}:{descriptor.container_version}")
-    for entry in descriptor_mod.describe_form(descriptor):
-        default = "" if entry.default is None else descriptor_mod.render_value(entry.default)
+    for spec in descriptor.params:
+        default = "" if spec.default is None else descriptor_mod.render_value(spec.default)
         click.echo(
-            f"param={entry.param_id}\ttype={entry.value_type.value}"
-            f"\tdefault={default}\tlabel={entry.label}"
+            f"param={spec.id}\ttype={spec.value_type.value}"
+            f"\tdefault={default}\tlabel={spec.display_name}"
         )
     sys.exit(EXIT_OK)
 
@@ -274,13 +274,8 @@ def _journal_handles(lines):
         if stage != "submit":
             continue
         fields = dict(part.split("=", 1) for part in detail.split() if "=" in part)
-        handles.append(
-            slurm.JobHandle(
-                job_id=int(fields["job_id"]),
-                logfile_path="",
-                array_size=int(fields["tasks"]) if "tasks" in fields else None,
-            )
-        )
+        handles.append(slurm.JobHandle(
+            int(fields["job_id"]), int(fields["tasks"]) if "tasks" in fields else None))
     return handles
 
 
@@ -289,17 +284,15 @@ def _journal_handles(lines):
 @_runs_dir_option
 @click.option("--dir", "log_dir", default=".", help="Where fetched logs were written.")
 def cmd_logs(run_id, runs_dir, log_dir):
-    """Print the fetched logfiles of a run."""
-    job_ids = [handle.job_id for handle in _journal_handles(_read_journal(runs_dir, run_id))]
-    printed = False
-    for job_id in job_ids:
-        path = os.path.join(log_dir, f"omero-job-{job_id}.log")
-        if os.path.exists(path):
-            printed = True
-            click.echo(f"== {path}")
-            with open(path) as handle:
-                click.echo(handle.read().rstrip("\n"))
-    if not printed:
+    """Print the fetched logfiles of a run, an array's task logs included."""
+    paths = [os.path.join(log_dir, log)
+             for job in _journal_handles(_read_journal(runs_dir, run_id)) for log in job.logs]
+    paths = [path for path in paths if os.path.exists(path)]
+    for path in paths:
+        click.echo(f"== {path}")
+        with open(path) as handle:
+            click.echo(handle.read().rstrip("\n"))
+    if not paths:
         click.echo("no logfiles found", err=True)
     sys.exit(EXIT_OK)
 
@@ -370,9 +363,8 @@ def cmd_list(config_path):
     """List registered workflows."""
     _, registry = _load_config(config_path)
     for name in sorted(registry.entries):
-        entry = registry.entries[name]
-        resolved = config_mod.resolve_workflow(registry, name)
-        click.echo(f"workflow={name}\tversion={entry.version}\timage={resolved.image_reference}")
+        click.echo(f"workflow={name}\tversion={registry.entries[name].version}"
+                   f"\timage={config_mod.image_reference(registry, name)}")
     sys.exit(EXIT_OK)
 
 

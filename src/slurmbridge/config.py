@@ -67,14 +67,6 @@ class WorkflowRegistry:
         return self.entries[name]
 
 
-@dataclass(frozen=True)
-class ResolvedWorkflow:
-    repo_url: str
-    version: str
-    image_reference: str
-    reproducible: bool
-
-
 _RESOURCE_KEYS = ("mem_mb", "cpus", "gpus", "time_limit_min")
 
 
@@ -176,11 +168,6 @@ def parse_config(text):
     return profile, WorkflowRegistry(entries=entries, namespace=namespace)
 
 
-def effective_resources(registry, name):
-    """Fully resolved resources for a registered workflow."""
-    return registry.entry(name).resources
-
-
 def repo_basename(repo_url):
     base = repo_url.rstrip("/").rsplit("/", 1)[-1]
     if base.endswith(".git"):
@@ -188,16 +175,10 @@ def repo_basename(repo_url):
     return base
 
 
-def resolve_workflow(registry, name):
-    """Derive the workflow's container image reference from its repo entry."""
+def image_reference(registry, name):
+    """The workflow's container image reference: its image key, or one
+    derived from its repo entry."""
     entry = registry.entry(name)
     if entry.image_override:
-        image = entry.image_override
-    else:
-        image = f"{registry.namespace}/{repo_basename(entry.repo_url).lower()}:{entry.version}"
-    return ResolvedWorkflow(
-        repo_url=entry.repo_url,
-        version=entry.version,
-        image_reference=image,
-        reproducible=entry.version != "latest",
-    )
+        return entry.image_override
+    return f"{registry.namespace}/{repo_basename(entry.repo_url).lower()}:{entry.version}"

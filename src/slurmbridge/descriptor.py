@@ -47,15 +47,6 @@ class ParamSpec:
         return self.id.upper()
 
 
-@dataclass(frozen=True)
-class FormEntry:
-    param_id: str
-    label: str
-    value_type: ValueType
-    default: object
-    help_text: str
-
-
 @dataclass
 class WorkflowDescriptor:
     name: str
@@ -277,16 +268,3 @@ def env_assignments(descriptor, values):
             pairs.append((spec.env_name, render_value(values[spec.id])))
     return pairs
 
-
-def describe_form(descriptor):
-    """Per-parameter form entries, in declaration order."""
-    return [
-        FormEntry(
-            param_id=p.id,
-            label=p.display_name,
-            value_type=p.value_type,
-            default=p.default,
-            help_text=p.description,
-        )
-        for p in descriptor.params
-    ]

@@ -172,27 +172,25 @@ class InvalidBatchSize(SlurmBridgeError):
 class StageFailure(SlurmBridgeError):
     """A run failed in a specific pipeline stage; optionally carries a logfile."""
 
-    stage = "unknown"
-
     def __init__(self, message, logfile=None):
         self.logfile = logfile
         super().__init__(message)
 
 
 class TransferFailed(StageFailure):
-    stage = "transfer"
+    pass
 
 
 class ConversionFailed(StageFailure):
-    stage = "conversion"
+    pass
 
 
 class WorkflowFailed(StageFailure):
-    stage = "workflow"
+    pass
 
 
 class RetrievalFailed(StageFailure):
-    stage = "retrieval"
+    pass
 
 
 class NoResults(SlurmBridgeError):

@@ -1,7 +1,7 @@
 """Slurm batch script generation: workflow jobs and conversion array jobs."""
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import descriptor as descriptor_mod
 from .errors import InvalidCount, UnknownConverter
@@ -37,13 +37,6 @@ class JobScript:
     directives: list  # ordered (key, value) pairs, keys like "--mem"
     env_exports: list  # ordered (name, value) pairs
     body: list  # ordered shell command lines
-    logfile_path: str
-
-    def directive(self, key):
-        for k, v in self.directives:
-            if k == key:
-                return v
-        return None
 
 
 def minutes_to_clock(minutes):
@@ -57,20 +50,29 @@ def clock_to_minutes(clock):
     return hours * 60 + mins + (1 if secs else 0)
 
 
-def _base_directives(resources, logfile_path):
+def log_name(job, task=None):
+    """A job's log file name in the logs dir; with task, that of one task of
+    an array. log_name("%j") and log_name("%A", "%a") are the --output
+    patterns, in which sbatch(1) puts the job id, or the array's id and the
+    task's index."""
+    return f"omero-job-{job}.log" if task is None else f"omero-job-{job}_{task}.log"
+
+
+def _base_directives(resources, logs_dir, array_size=None):
+    """Resources, the log pattern and, for an array of array_size tasks,
+    its index range."""
+    log = log_name("%j") if array_size is None else log_name("%A", "%a")
     directives = [
         ("--mem", str(resources.mem_mb)),
         ("--cpus-per-task", str(resources.cpus)),
         ("--time", minutes_to_clock(resources.time_limit_min)),
-        ("--output", logfile_path),
+        ("--output", f"{logs_dir}/{log}"),
     ]
     if resources.gpus > 0:
         directives.append(("--gres", f"gpu:{resources.gpus}"))
+    if array_size is not None:
+        directives.append(("--array", f"0-{array_size - 1}"))
     return directives
-
-
-def logfile_pattern(logs_dir):
-    return f"{logs_dir}/omero-job-%j.log"
 
 
 def generate_workflow_script(
@@ -83,7 +85,6 @@ def generate_workflow_script(
 ):
     """Build the batch script that runs the workflow container over one
     in/out/gt data layout."""
-    logfile = logfile_pattern(logs_dir)
     env_exports = list(descriptor_mod.env_assignments(descriptor, values))
     env_exports += [
         ("IN_PATH", run_paths.in_dir),
@@ -105,10 +106,9 @@ def generate_workflow_script(
         body.append(sim.line())
     body.append(command)
     return JobScript(
-        directives=_base_directives(resources, logfile),
+        directives=_base_directives(resources, logs_dir),
         env_exports=env_exports,
         body=body,
-        logfile_path=logfile,
     )
 
 
@@ -131,10 +131,6 @@ def generate_conversion_script(
         raise InvalidCount(f"conversion needs at least one item, got {n_items}")
     if not converter_image:
         raise UnknownConverter(src_fmt, dst_fmt)
-    resources = replace(resources, gpus=0)
-    logfile = logfile_pattern(logs_dir)
-    directives = _base_directives(resources, logfile)
-    directives.append(("--array", f"0-{n_items - 1}"))
     command = (
         f'singularity exec --bind "{data_dir}:/data" {converter_image} '
         f"convert --source-format {src_fmt} --target-format {dst_fmt} "
@@ -145,10 +141,9 @@ def generate_conversion_script(
         body.append(sim.line())
     body.append(command)
     return JobScript(
-        directives=directives,
+        directives=_base_directives(replace(resources, gpus=0), logs_dir, n_items),
         env_exports=[],
         body=body,
-        logfile_path=logfile,
     )
 
 

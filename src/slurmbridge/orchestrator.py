@@ -11,7 +11,6 @@ import zipfile
 from dataclasses import dataclass, field
 from enum import Enum
 
-from . import config as config_mod
 from . import descriptor as descriptor_mod
 from . import jobscript, slurm
 from .errors import (
@@ -35,9 +34,22 @@ from .states import JobState
 
 
 class InputFormat(Enum):
+    """Input formats, each valued by the extension its archive entries carry."""
+
     ZARR = "zarr"
     TIFF_2D = "tiff"
-    OME_TIFF = "ome-tiff"
+    OME_TIFF = "ome.tiff"
+
+
+# The input suffixes recognised, in any case, with the format each names;
+# the longest of two that both match comes first.
+_SUFFIXES = (
+    (".ome.tiff", InputFormat.OME_TIFF),
+    (".ome.tif", InputFormat.OME_TIFF),
+    (".tiff", InputFormat.TIFF_2D),
+    (".tif", InputFormat.TIFF_2D),
+    (".zarr", InputFormat.ZARR),
+)
 
 
 class RunStage(Enum):
@@ -58,20 +70,6 @@ class InputItem:
     id: str
     local_path: str
     format: InputFormat
-
-    @property
-    def ext(self):
-        return {
-            InputFormat.ZARR: "zarr",
-            InputFormat.TIFF_2D: "tiff",
-            InputFormat.OME_TIFF: "ome.tiff",
-        }[self.format]
-
-
-@dataclass(frozen=True)
-class BatchPlan:
-    batch_size: int
-    batches: list  # list of item-id lists
 
 
 @dataclass
@@ -112,37 +110,34 @@ class RunRecord:
     items: list  # InputItem list
     batches: list = field(default_factory=list)
     overall_state: RunStage = RunStage.PREPARING
-    started_at: str = None
-    finished_at: str = None
     output_artifacts: list = field(default_factory=list)
     stage_history: list = field(default_factory=list)  # (timestamp, stage, detail)
 
 
-def detect_format(path):
+def _input_suffix(path):
+    """(suffix, format) of the input at path, or (None, None) when its name
+    has no input suffix; a ZARR input is a directory."""
     name = os.path.basename(path).lower()
-    if name.endswith(".zarr") and os.path.isdir(path):
-        return InputFormat.ZARR
-    if name.endswith(".ome.tiff") or name.endswith(".ome.tif"):
-        return InputFormat.OME_TIFF
-    if name.endswith(".tiff") or name.endswith(".tif"):
-        return InputFormat.TIFF_2D
-    return None
+    for suffix, fmt in _SUFFIXES:
+        if name.endswith(suffix) and (fmt is not InputFormat.ZARR or os.path.isdir(path)):
+            return suffix, fmt
+    return None, None
+
+
+def detect_format(path):
+    """The InputFormat of the input at path, or None."""
+    return _input_suffix(path)[1]
 
 
 def scan_input_dir(directory):
-    """Build InputItems from every recognised entry in a local directory."""
+    """Build InputItems from every recognised entry in a local directory,
+    each named by its entry name less the input suffix."""
     items = []
     for name in sorted(os.listdir(directory)):
         path = os.path.join(directory, name)
-        fmt = detect_format(path)
-        if fmt is None:
-            continue
-        item_id = name
-        for suffix in (".ome.tiff", ".ome.tif", ".tiff", ".tif", ".zarr"):
-            if item_id.lower().endswith(suffix):
-                item_id = item_id[: -len(suffix)]
-                break
-        items.append(InputItem(id=item_id, local_path=path, format=fmt))
+        suffix, fmt = _input_suffix(path)
+        if fmt is not None:
+            items.append(InputItem(id=name[:-len(suffix)], local_path=path, format=fmt))
     return items
 
 
@@ -151,11 +146,12 @@ def _now():
 
 
 def pack_inputs(items, staging_dir, prefix_of=None, scripts=None):
-    """Zip every item under <prefix>in/<id>.<ext>, sorted by id, plus the
-    scripts (archive name -> text); ZARR items are stored as their full
-    directory trees. prefix_of maps an item id to its batch prefix, empty by
-    default. Entries are stored, not deflated: microscopy payloads are often
-    compressed already, and deflating them costs more than sending them."""
+    """Zip every item under <prefix>in/<id>.<format value>, sorted by id,
+    plus the scripts (archive name -> text); ZARR items are stored as their
+    full directory trees. prefix_of maps an item id to its batch prefix,
+    empty by default. Entries are stored, not deflated: microscopy payloads
+    are often compressed already, and deflating them costs more than sending
+    them."""
     if not items:
         raise MissingInput("no input items")
     seen = set()
@@ -170,7 +166,7 @@ def pack_inputs(items, staging_dir, prefix_of=None, scripts=None):
     zip_path = os.path.join(staging_dir, "input.zip")
     with zipfile.ZipFile(zip_path, "w", zipfile.ZIP_STORED) as archive:
         for item in sorted(items, key=lambda i: i.id):
-            arcbase = f"{prefix_of.get(item.id, '')}in/{item.id}.{item.ext}"
+            arcbase = f"{prefix_of.get(item.id, '')}in/{item.id}.{item.format.value}"
             if os.path.isdir(item.local_path):
                 for root, _, files in os.walk(item.local_path):
                     for name in sorted(files):
@@ -185,11 +181,11 @@ def pack_inputs(items, staging_dir, prefix_of=None, scripts=None):
 
 
 def plan_batches(items, batch_size):
+    """The item ids of each batch, in order, batch_size to a batch."""
     if batch_size <= 0:
         raise InvalidBatchSize(f"batch size must be positive, got {batch_size}")
     ids = [item.id for item in items]
-    batches = [ids[i:i + batch_size] for i in range(0, len(ids), batch_size)]
-    return BatchPlan(batch_size=batch_size, batches=batches)
+    return [ids[i:i + batch_size] for i in range(0, len(ids), batch_size)]
 
 
 class _Journal:
@@ -243,17 +239,6 @@ def _split_results(archive, prefix, local_zip):
     return True
 
 
-def run_workflow(endpoint, profile, registry, workflow_descriptor, workflow_name,
-                 values, items, options=None, local_output_dir=None, listener=None):
-    """Single-batch execution: every item in one workflow job."""
-    batch_size = max(len(items), 1)
-    return run_workflow_batched(
-        endpoint, profile, registry, workflow_descriptor, workflow_name,
-        values, items, batch_size, options=options,
-        local_output_dir=local_output_dir, listener=listener,
-    )
-
-
 def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
                          workflow_name, values, items, batch_size, options=None,
                          local_output_dir=None, listener=None):
@@ -265,7 +250,6 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
     options = options or RunOptions()
     values = descriptor_mod.validate_values(workflow_descriptor, values)
     entry = registry.entry(workflow_name)
-    resources = config_mod.effective_resources(registry, workflow_name)
     run_id = str(uuid.uuid4())
     record = RunRecord(
         run_id=run_id,
@@ -273,24 +257,21 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
         version=entry.version,
         values=values,
         items=list(items),
-        started_at=_now(),
     )
     journal = _Journal(record, journal_dir=options.journal_dir, listener=listener)
     journal.emit(RunStage.PREPARING, f"workflow={workflow_name} items={len(items)}")
 
     if not items:
-        record.finished_at = _now()
         journal.emit(RunStage.DONE, "no input items")
         return record
 
-    plan = plan_batches(items, batch_size)
     by_id = {item.id: item for item in items}
     # The input archive lands beside run_dir: data/ exists since init, so
     # no launch has to make a dir for it.
     run_dir, upload = slurm.run_data_paths(profile, run_id)
     batches = [
         BatchRun(index=index, items=ids, remote_dir=posixpath.join(run_dir, f"batch{index}"))
-        for index, ids in enumerate(plan.batches)
+        for index, ids in enumerate(plan_batches(items, batch_size))
     ]
     record.batches = batches
 
@@ -299,7 +280,6 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
     staging_root = tempfile.mkdtemp(prefix=f"slurmbridge-{run_id}-")
     # Slurm logs of this run only; they outlive the cleanup of run_dir.
     logs_dir = posixpath.join(profile.scratch_dir, "logs", run_id)
-    log_pattern = jobscript.logfile_pattern(logs_dir)
     image_path = slurm.image_file_path(profile, workflow_name, entry.version)
     job_name = slurm.run_job_name(run_id)
     live = {}  # handle -> batch, for each job submitted and not yet seen terminal
@@ -319,7 +299,7 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
         scripts = [(posixpath.join(b.remote_dir, "convert.sh" if tasks else "job.sh"),
                     tasks or None, after) for b, tasks, after in jobs]
         try:
-            outcomes = slurm.submit_job(endpoint, scripts, job_name, log_pattern, setup)
+            outcomes = slurm.submit_job(endpoint, scripts, job_name, setup)
         except TransportError as exc:
             # Inputs never known to have arrived count as a failed transfer.
             lost = TransferFailed(str(exc)) if setup else exc
@@ -368,14 +348,14 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
                         "zarr",
                         "tiff",
                         in_dir,
-                        resources,
+                        entry.resources,
                         logs_dir,
                         sim=jobscript.SimAnnotation(duration_s=5, outputs=0),
                     ))
             scripts[f"batch{batch.index}/job.sh"] = jobscript.render_script(
                 jobscript.generate_workflow_script(
                     workflow_descriptor,
-                    resources,
+                    entry.resources,
                     values,
                     jobscript.RunPaths(in_dir=in_dir, out_dir=out_dir, gt_dir=gt_dir,
                                        image_file=image_path),
@@ -494,7 +474,8 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
                 for batch in logged:
                     for job in filter(None, (batch.workflow_handle, batch.conversion_handle)):
                         try:
-                            batch.logfile = slurm.fetch_logfile(archive, job, local_output_dir)
+                            batch.logfile = slurm.fetch_logfile(
+                                archive, job, logs_dir, local_output_dir)
                             break
                         except LogMissing:
                             pass
@@ -530,7 +511,6 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
         shutil.rmtree(staging_root, ignore_errors=True)
 
     completed = [b for b in batches if b.result_zip]
-    record.finished_at = _now()
     if len(completed) == len(batches):
         journal.emit(RunStage.DONE, f"batches={len(batches)}")
     elif completed:

@@ -460,17 +460,17 @@ class SimCluster:
         if state is JobState.COMPLETED and not job.is_array:
             self._write_outputs(job)
 
-    def _log_path(self, job, task):
-        pattern = job.output_pattern
-        if not pattern:
-            return None
-        token = str(job.id) if task.index is None else f"{job.id}_{task.index}"
-        return pattern.replace("%j", token)
-
     def _write_task_log(self, job, task):
-        path = self._log_path(job, task)
-        if path is None:
+        """Write the task's log at its --output pattern, filled in as
+        sbatch(1) does: %A the array's id, %a the task's index. An array task
+        has a job id of its own in Slurm, which %j names; the simulator gives
+        it none and puts <array id>_<index> there. No log is written for the
+        array as a whole."""
+        if not job.output_pattern:
             return
+        path = job.output_pattern.replace("%A", str(job.id)).replace("%j", task.entry_id)
+        if job.is_array:
+            path = path.replace("%a", str(task.index))
         lines = [
             f"job {task.entry_id} script {job.script_path}",
             f"started t={task.start_time} finished t={task.finish_time}",
@@ -478,11 +478,6 @@ class SimCluster:
         ]
         self.fs.make_dirs(posixpath.dirname(path))
         self.fs.write(path, ("\n".join(lines) + "\n").encode())
-        counts = self._counts[job.id]
-        if job.is_array and not counts[JobState.PENDING] and not counts[JobState.RUNNING]:
-            parent_path = job.output_pattern.replace("%j", str(job.id))
-            summary = f"array job {job.id} tasks {len(job.tasks)} final {job.reported_state.value}\n"
-            self.fs.write(parent_path, summary.encode())
 
     def _write_outputs(self, job):
         if job.missing_output or job.outputs_n <= 0:
@@ -584,7 +579,8 @@ class SimCluster:
         '/'; a directory adds every file below it and no entry of its own; a
         path that does not exist adds nothing but a warning, which -q leaves
         out; a file named twice is added once; the archive leaves itself out.
-        Exits 12, writing nothing, when no file was added."""
+        Exits 12, writing nothing, when no file was added. Warnings and errors
+        go to stdout, as Info-ZIP writes them."""
         found, warnings = {}, ""
         for path in paths:
             norm = _norm(path)
@@ -598,7 +594,7 @@ class SimCluster:
                     warnings += f"\tzip warning: name not matched: {path}\n"
             found.update(dict.fromkeys(name for name in names if name != _norm(archive)))
         if not found:
-            return ExecResult(12, "", warnings + "zip error: Nothing to do!\n", 0)
+            return ExecResult(12, warnings + "zip error: Nothing to do!\n", "", 0)
         buffer = io.BytesIO()
         with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED) as archive_file:
             for name in found:
@@ -607,15 +603,16 @@ class SimCluster:
         try:
             self.fs.write(archive, buffer.getvalue())
         except DestinationUnwritable as exc:
-            return ExecResult(15, "", warnings + f"zip error: {exc}\n", 0)
-        return ExecResult(0, "", warnings, 0)
+            return ExecResult(15, warnings + f"zip I/O error: {exc}\n"
+                              f"zip error: Could not create output file ({archive})\n", "", 0)
+        return ExecResult(0, warnings, "", 0)
 
     def _unzip(self, archive, directory):
         """`unzip [-q] archive -d directory` as Info-ZIP does it with stdin
         at EOF: directory is created only when its parent exists; a file that
-        exists already is kept (unzip asks whether to replace it, reads EOF
-        and answers "none"), which makes the exit 1; an entry that a file
-        stands in the way of is skipped, which makes it 2."""
+        exists already is kept (unzip asks on stderr whether to replace it,
+        reads EOF and answers "none"), which makes the exit 1; an entry that a
+        file stands in the way of is skipped, which makes it 2."""
         if _norm(archive) not in self.fs.files:
             return ExecResult(9, "", f"unzip:  cannot find or open {archive}\n", 0)
         parent = posixpath.dirname(_norm(directory))
@@ -624,7 +621,7 @@ class SimCluster:
             return ExecResult(
                 2, "", f"checkdir:  cannot create extraction directory: {directory}\n", 0)
         self.fs.make_dirs(directory)
-        exit_code, out, err = 0, "", ""
+        exit_code, err = 0, ""
         with zipfile.ZipFile(io.BytesIO(self.fs.read(archive))) as archive_file:
             for info in archive_file.infolist():
                 target = posixpath.join(directory, info.filename)
@@ -633,14 +630,14 @@ class SimCluster:
                         self.fs.make_dirs(target)
                     elif self.fs.exists(target):
                         exit_code = max(exit_code, 1)
-                        out += f"replace {target}? NULL\n"
+                        err += f"replace {target}? NULL\n"
                     else:
                         self.fs.make_dirs(posixpath.dirname(target))
                         self.fs.write(target, archive_file.read(info))
                 except DestinationUnwritable as exc:
                     exit_code = 2
                     err += f"checkdir error:  {exc}\n"
-        return ExecResult(exit_code, out, err, 0)
+        return ExecResult(exit_code, "", err, 0)
 
     def sim_exec(self, command):
         """Execute one supported command against the cluster."""

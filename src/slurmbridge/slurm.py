@@ -7,6 +7,7 @@ import re
 from dataclasses import dataclass, field
 
 from . import config as config_mod
+from . import jobscript
 from .errors import (
     AccountingUnavailable,
     EmptyOutput,
@@ -30,8 +31,15 @@ DEFAULT_POLL_INTERVAL_S = 10
 @dataclass(frozen=True)
 class JobHandle:
     job_id: int
-    logfile_path: str
     array_size: int = None
+
+    @property
+    def logs(self):
+        """Names of the logs the job writes in the logs dir: its own, or
+        one per task of an array, by index."""
+        if self.array_size is None:
+            return [jobscript.log_name(self.job_id)]
+        return [jobscript.log_name(self.job_id, k) for k in range(self.array_size)]
 
 
 @dataclass
@@ -68,7 +76,7 @@ def init_environment(endpoint, profile, registry):
     dirs = list(scratch_layout(profile).values())
     images = [
         (name, image_file_path(profile, name, registry.entry(name).version),
-         config_mod.resolve_workflow(registry, name).image_reference)
+         config_mod.image_reference(registry, name))
         for name in sorted(registry.entries)
     ] + [
         (f"converter {src}->{dst}", converter_image_path(profile, src, dst), image)
@@ -107,7 +115,7 @@ def run_job_name(run_id):
     return f"sb-{run_id}"
 
 
-def submit_job(endpoint, scripts, name, logfile_pattern="", setup=()):
+def submit_job(endpoint, scripts, name, setup=()):
     """Submit scripts, each as a job named name, in one launch that runs
     the setup commands first; the scripts are submitted only if every setup
     command exited 0. scripts holds (path, array_size, after) triples, where
@@ -137,12 +145,7 @@ def submit_job(endpoint, scripts, name, logfile_pattern="", setup=()):
         elif match is None:
             outcomes.append(UnparseableJobId(f"no job id in submitter output: {result.stdout!r}"))
         else:
-            job_id = int(match.group(1))
-            outcomes.append(JobHandle(
-                job_id=job_id,
-                logfile_path=logfile_pattern.replace("%j", str(job_id)),
-                array_size=array_size,
-            ))
+            outcomes.append(JobHandle(int(match.group(1)), array_size))
     return outcomes
 
 
@@ -190,22 +193,23 @@ def zip_entry_name(remote_path):
     return posixpath.normpath(remote_path).lstrip("/")
 
 
-def fetch_logfile(bundle, handle, local_dir):
-    """Extract the job's logfile, plus its task logs for an array job, from
-    the ZipFile fetch_results brought back; returns the local parent log
-    path."""
+def fetch_logfile(bundle, handle, logs_dir, local_dir):
+    """Extract the job's logs (an array's task logs) that the ZipFile
+    fetch_results brought back from logs_dir into local_dir; returns the
+    local path of the first, the lowest-index task's for an array. Raises
+    LogMissing when the job wrote none."""
     os.makedirs(local_dir, exist_ok=True)
     names = set(bundle.namelist())
-    logs_dir, parent = posixpath.split(handle.logfile_path)
-    if zip_entry_name(handle.logfile_path) not in names:
-        raise LogMissing(handle.logfile_path)
-    task_logs = [f"omero-job-{handle.job_id}_{k}.log" for k in range(handle.array_size or 0)]
-    for log in [parent] + task_logs:
+    fetched = []
+    for log in handle.logs:
         entry = zip_entry_name(posixpath.join(logs_dir, log))
         if entry in names:
-            with open(os.path.join(local_dir, log), "wb") as out:
+            fetched.append(os.path.join(local_dir, log))
+            with open(fetched[-1], "wb") as out:
                 out.write(bundle.read(entry))
-    return os.path.join(local_dir, parent)
+    if not fetched:
+        raise LogMissing(f"no log of job {handle.job_id} in {logs_dir}")
+    return fetched[0]
 
 
 def fetch_results(endpoint, paths, remote_zip, local_zip):
@@ -220,7 +224,9 @@ def fetch_results(endpoint, paths, remote_zip, local_zip):
     if result.exit_code == 12:
         raise EmptyOutput(" ".join(paths))
     if not result.ok:
-        raise TransportError(f"remote zip failed: {result.stderr}")
+        # Info-ZIP writes its errors on stdout.
+        cause = (result.stdout or result.stderr).strip()
+        raise TransportError(f"remote zip failed (exit {result.exit_code}): {cause}")
     endpoint.get_file(remote_zip, local_zip)
     return local_zip
 

@@ -151,9 +151,9 @@ def test_criterion_03_conversion_ordering(cellpose_descriptor, tmp_path):
     endpoint, profile, registry = fresh_env(cellpose_descriptor)
     make_zarr_inputs(str(tmp_path / "inputs"), 6)
     items = orch.scan_input_dir(str(tmp_path / "inputs"))
-    record = orch.run_workflow(
+    record = orch.run_workflow_batched(
         endpoint, profile, registry, cellpose_descriptor, "cellpose",
-        {}, items, options=run_options(),
+        {}, items, len(items), options=run_options(),
         local_output_dir=str(tmp_path / "out"),
     )
     assert record.overall_state is orch.RunStage.DONE
@@ -319,9 +319,9 @@ def test_criterion_09_equivalence(cellpose_descriptor, tmp_path):
 
     def run_single():
         endpoint, profile, registry = fresh_env(cellpose_descriptor)
-        return orch.run_workflow(
+        return orch.run_workflow_batched(
             endpoint, profile, registry, cellpose_descriptor, "cellpose",
-            {}, items, options=run_options(),
+            {}, items, len(items), options=run_options(),
             local_output_dir=str(tmp_path / "out-a"))
 
     def run_batched(batch_size):

@@ -7,8 +7,14 @@ from click.testing import CliRunner
 from slurmbridge import cli, simslurm
 from slurmbridge.cli import main
 from slurmbridge.errors import ConnectionLost
+from slurmbridge.states import JobState
 from slurmbridge.transport import DEFAULT_DEADLINE_S
-from tests.conftest import CELLPOSE_DESCRIPTOR, SAMPLE_CONFIG, make_tiff_inputs
+from tests.conftest import (
+    CELLPOSE_DESCRIPTOR,
+    SAMPLE_CONFIG,
+    make_tiff_inputs,
+    make_zarr_inputs,
+)
 
 
 @pytest.fixture
@@ -67,7 +73,29 @@ class TestValidate:
         pairs = kv_lines(result.stdout)
         assert pairs["name"] == ["W_NucleiSegmentation-Cellpose"]
         assert pairs["image"] == ["demo/w_nucleisegmentation-cellpose:v1.2.9"]
-        assert pairs["param"][0].startswith("diameter\t")
+        assert pairs["param"] == ["diameter\ttype=Number\tdefault=30\tlabel=Diameter"]
+
+    def test_param_table_follows_declaration_order(self, runner, tmp_path):
+        doc = dict(CELLPOSE_DESCRIPTOR, inputs=[
+            {"id": "z", "type": "Number", "default-value": 1.5},
+            {"id": "a", "name": "Channel", "type": "String", "default-value": "x"},
+            {"id": "m", "type": "Boolean", "default-value": True},
+            {"id": "q", "type": "String", "optional": True},
+        ], **{"command-line": "run"})
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 0
+        assert kv_lines(result.stdout)["param"] == [
+            "z\ttype=Number\tdefault=1.5\tlabel=z",
+            "a\ttype=String\tdefault=x\tlabel=Channel",
+            "m\ttype=Boolean\tdefault=true\tlabel=m",
+            "q\ttype=String\tdefault=\tlabel=q",
+        ]
+        path.write_text(json.dumps(dict(doc, inputs=[])))
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 0
+        assert "param" not in kv_lines(result.stdout)
 
     def test_missing_file_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["validate", str(tmp_path / "nope.json")])
@@ -248,6 +276,34 @@ class TestStatusLogsFetch:
         assert result.exit_code == 0
         assert "omero-job-" in result.stdout
 
+    def test_logs_prints_a_failed_conversions_task_logs(self, runner, workspace, monkeypatch):
+        tmp_path, config_path, topology_path, _ = workspace
+        make_zarr_inputs(str(tmp_path / "inputs"), 2)
+        runner.invoke(main, ["init", "--config", config_path, "--simulate", topology_path])
+        load_state = simslurm.SimCluster.load_state
+
+        def load_with_fault(path):
+            cluster = load_state(path)
+            cluster.inject_fault(simslurm.FaultDirective(
+                script_substring="convert.sh", forced_state=JobState.FAILED))
+            return cluster
+
+        monkeypatch.setattr(simslurm.SimCluster, "load_state", staticmethod(load_with_fault))
+        run = runner.invoke(
+            main, ["run", "cellpose", "--config", config_path, "--simulate", topology_path,
+                   "--input", str(tmp_path / "inputs"), "--output", str(tmp_path / "out"),
+                   "--runs-dir", str(tmp_path / "runs")])
+        assert kv_lines(run.stdout)["state"] == ["Failed"]
+        run_id = kv_lines(run.stdout)["run_id"][0]
+        result = runner.invoke(
+            main, ["logs", run_id, "--runs-dir", str(tmp_path / "runs"),
+                   "--dir", str(tmp_path / "out")])
+        assert result.exit_code == 0
+        # Job 1 is the conversion array; the workflow job never started.
+        headers = [line for line in result.stdout.splitlines() if line.startswith("== ")]
+        assert headers == [f"== {tmp_path / 'out'}/omero-job-1_{k}.log" for k in (0, 1)]
+        assert result.stdout.count("final state FAILED exit 1") == 2
+
     def test_fetch_from_missing_dir_is_usage_error(self, runner, workspace):
         tmp_path = workspace[0]
         run_id = self._completed_run(runner, workspace)
@@ -277,8 +333,8 @@ class TestCancelAndList:
         _, config_path, _, _ = workspace
         result = runner.invoke(main, ["list", "--config", config_path])
         assert result.exit_code == 0
-        assert result.stdout.startswith("workflow=cellpose\t")
-        assert "demo/w_nucleisegmentation-cellpose:v1.2.9" in result.stdout
+        assert result.stdout == ("workflow=cellpose\tversion=v1.2.9"
+                                 "\timage=demo/w_nucleisegmentation-cellpose:v1.2.9\n")
 
     def run_then_cancel(self, runner, workspace):
         """A finished run on the simulator, then cancelled; returns (result,

@@ -78,7 +78,7 @@ def test_defaults_section_layer():
         + "[workflow.x]\nrepo_url = https://x/y\nversion = v1\ncpus = 8\n"
     )
     _, registry = c.parse_config(text)
-    assert c.effective_resources(registry, "x") == c.ResourceSpec(8192, 8, 0, 60)
+    assert registry.entry("x").resources == c.ResourceSpec(8192, 8, 0, 60)
 
 
 def test_section_order_independence():
@@ -91,7 +91,7 @@ def test_section_order_independence():
     expected = None
     for order in itertools.permutations(sections):
         _, registry = c.parse_config("\n".join(order))
-        resolved = c.effective_resources(registry, "x")
+        resolved = registry.entry("x").resources
         if expected is None:
             expected = resolved
         assert resolved == expected
@@ -103,13 +103,13 @@ def test_effective_resources_full_override_identity():
         "mem_mb = 1024\ncpus = 1\ngpus = 2\ntime_limit_min = 5\n"
     )
     _, registry = c.parse_config(text)
-    assert c.effective_resources(registry, "x") == c.ResourceSpec(1024, 1, 2, 5)
+    assert registry.entry("x").resources == c.ResourceSpec(1024, 1, 2, 5)
 
 
 def test_effective_resources_unknown():
     _, registry = c.parse_config(MINIMAL)
     with pytest.raises(UnknownWorkflow):
-        c.effective_resources(registry, "nope")
+        registry.entry("nope")
 
 
 def test_resolve_workflow_derivation():
@@ -121,23 +121,13 @@ def test_resolve_workflow_derivation():
         "version = v1.0.0\n"
     )
     _, registry = c.parse_config(text)
-    resolved = c.resolve_workflow(registry, "spots")
-    assert resolved.image_reference == "ns/w_spotcounting-cellprofiler:v1.0.0"
-    assert resolved.reproducible is True
-
-
-def test_resolve_workflow_latest_flagged():
-    text = MINIMAL + (
-        "[workflow.x]\nrepo_url = https://x/Repo\nversion = latest\n"
-    )
-    _, registry = c.parse_config(text)
-    assert c.resolve_workflow(registry, "x").reproducible is False
+    assert c.image_reference(registry, "spots") == "ns/w_spotcounting-cellprofiler:v1.0.0"
 
 
 def test_resolve_workflow_unknown():
     _, registry = c.parse_config(MINIMAL)
     with pytest.raises(UnknownWorkflow):
-        c.resolve_workflow(registry, "missing")
+        c.image_reference(registry, "missing")
 
 
 def test_resolve_workflow_image_override():
@@ -145,7 +135,7 @@ def test_resolve_workflow_image_override():
         "[workflow.x]\nrepo_url = https://x/y\nversion = v2\nimage = other/img:v2\n"
     )
     _, registry = c.parse_config(text)
-    assert c.resolve_workflow(registry, "x").image_reference == "other/img:v2"
+    assert c.image_reference(registry, "x") == "other/img:v2"
 
 
 def test_descriptor_path_kept_as_written():

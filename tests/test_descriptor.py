@@ -205,27 +205,6 @@ class TestEnvAssignments:
         assert pairs == [("DIAMETER", "17"), ("USE_GPU", "true")]
 
 
-class TestDescribeForm:
-    def test_single_entry(self, cellpose_descriptor):
-        form = d.describe_form(cellpose_descriptor)
-        assert len(form) == 1
-        assert form[0].label == "Diameter"
-        assert form[0].default == 30
-
-    def test_empty(self):
-        assert d.describe_form(d.parse_descriptor(make_doc())) == []
-
-    def test_three_entries_preserve_order(self):
-        inputs = [
-            {"id": "z", "type": "Number", "command-line-flag": "--z", "default-value": 1},
-            {"id": "a", "type": "String", "command-line-flag": "--a", "default-value": "x"},
-            {"id": "m", "type": "Boolean", "command-line-flag": "--m", "default-value": True},
-        ]
-        descriptor = d.parse_descriptor(make_doc(inputs=inputs))
-        form = d.describe_form(descriptor)
-        assert [e.param_id for e in form] == ["z", "a", "m"]
-
-
 # --- property tests ---------------------------------------------------------
 
 _ids = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True)

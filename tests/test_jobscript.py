@@ -34,7 +34,7 @@ class TestWorkflowScript:
         assert ("--mem", "4096") in script.directives
         assert ("--cpus-per-task", "2") in script.directives
         assert ("--time", "01:00:00") in script.directives
-        assert script.directive("--gres") is None
+        assert "--gres" not in dict(script.directives)
 
     def test_golden_file(self, cellpose_descriptor):
         script = generate_cpu_script(cellpose_descriptor)
@@ -87,11 +87,13 @@ class TestConversionScript:
         )
 
     def test_array_range(self):
-        # Oracle: indices 0..n-1.
-        assert self._generate(10).directive("--array") == "0-9"
+        # Oracle: indices 0..n-1, each task logging as Slurm names it.
+        directives = dict(self._generate(10).directives)
+        assert directives["--array"] == "0-9"
+        assert directives["--output"] == f"{LOGS_DIR}/omero-job-%A_%a.log"
 
     def test_single_item_boundary(self):
-        assert self._generate(1).directive("--array") == "0-0"
+        assert dict(self._generate(1).directives)["--array"] == "0-0"
 
     def test_unknown_converter(self):
         with pytest.raises(UnknownConverter):
@@ -107,7 +109,7 @@ class TestConversionScript:
         script = js.generate_conversion_script(
             2, "img.sif", "zarr", "tiff", "/d", ResourceSpec(4096, 2, 3, 60), LOGS_DIR
         )
-        assert script.directive("--gres") is None
+        assert "--gres" not in dict(script.directives)
 
     def test_uses_array_task_id(self):
         assert "$SLURM_ARRAY_TASK_ID" in self._generate(2).body[-1]
@@ -121,7 +123,6 @@ class TestRenderScript:
                         ("--time", "00:10:00"), ("--output", "/logs/x-%j.log")],
             env_exports=[],
             body=["true"],
-            logfile_path="/logs/x-%j.log",
         )
         assert len(js.render_script(script).splitlines()) == 6
 
@@ -132,7 +133,7 @@ class TestRenderScript:
     def test_quote_escaped_in_export(self):
         script = js.JobScript(
             directives=[("--mem", "1")], env_exports=[("MSG", 'say "hi"')],
-            body=["true"], logfile_path="",
+            body=["true"],
         )
         assert 'export MSG="say \\"hi\\""' in js.render_script(script)
 

@@ -202,17 +202,17 @@ class TestPlanBatches:
     def test_greedy_chunking(self, tmp_path):
         # Oracle: ceil(12/5) = 3 batches sized [5, 5, 2].
         items = tiff_items(tmp_path, 12)
-        plan = orch.plan_batches(items, 5)
-        assert [len(b) for b in plan.batches] == [5, 5, 2]
-        flattened = [i for batch in plan.batches for i in batch]
+        batches = orch.plan_batches(items, 5)
+        assert [len(b) for b in batches] == [5, 5, 2]
+        flattened = [i for batch in batches for i in batch]
         assert flattened == [item.id for item in items]
 
     def test_single_batch(self, tmp_path):
         items = tiff_items(tmp_path, 3)
-        assert [len(b) for b in orch.plan_batches(items, 10).batches] == [3]
+        assert [len(b) for b in orch.plan_batches(items, 10)] == [3]
 
     def test_empty(self):
-        assert orch.plan_batches([], 4).batches == []
+        assert orch.plan_batches([], 4) == []
 
     def test_invalid_size(self):
         with pytest.raises(InvalidBatchSize):
@@ -223,9 +223,9 @@ class TestRunWorkflow:
     def test_single_batch_success(self, run_env, tmp_path):
         endpoint, profile, registry, descriptor = run_env
         items = tiff_items(tmp_path, 4)
-        record = orch.run_workflow(
+        record = orch.run_workflow_batched(
             endpoint, profile, registry, descriptor, "cellpose",
-            {}, items, options=fast_options(),
+            {}, items, len(items), options=fast_options(),
             local_output_dir=str(tmp_path / "out"),
         )
         assert record.overall_state is orch.RunStage.DONE
@@ -242,9 +242,9 @@ class TestRunWorkflow:
             FaultDirective(script_substring="job.sh",
                            forced_state=JobState.FAILED))
         items = tiff_items(tmp_path, 2)
-        record = orch.run_workflow(
+        record = orch.run_workflow_batched(
             endpoint, profile, registry, descriptor, "cellpose",
-            {}, items, options=fast_options(),
+            {}, items, len(items), options=fast_options(),
             local_output_dir=str(tmp_path / "out"),
         )
         assert record.overall_state is orch.RunStage.FAILED
@@ -254,9 +254,9 @@ class TestRunWorkflow:
     def test_zero_items_done_without_remote_activity(self, run_env, tmp_path):
         endpoint, profile, registry, descriptor = run_env
         before = endpoint.cluster.fs.snapshot()
-        record = orch.run_workflow(
+        record = orch.run_workflow_batched(
             endpoint, profile, registry, descriptor, "cellpose",
-            {}, [], options=fast_options(),
+            {}, [], 1, options=fast_options(),
             local_output_dir=str(tmp_path / "out"),
         )
         assert record.overall_state is orch.RunStage.DONE
@@ -269,9 +269,9 @@ class TestConversionPath:
         endpoint, profile, registry, descriptor = run_env
         make_zarr_inputs(str(tmp_path / "inputs"), 6)
         items = orch.scan_input_dir(str(tmp_path / "inputs"))
-        record = orch.run_workflow(
+        record = orch.run_workflow_batched(
             endpoint, profile, registry, descriptor, "cellpose",
-            {}, items, options=fast_options(),
+            {}, items, len(items), options=fast_options(),
             local_output_dir=str(tmp_path / "out"),
         )
         assert record.overall_state is orch.RunStage.DONE
@@ -303,10 +303,16 @@ class TestConversionPath:
         assert workflow_job.parent_state() is JobState.CANCELLED
         assert workflow_job.tasks[0].start_time is None
         conv_id = failed.conversion_handle.job_id
-        assert os.path.basename(failed.logfile) == f"omero-job-{conv_id}.log"
+        # The array's task logs come back, and the batch keeps task 0's;
+        # Slurm writes no log for the array as a whole.
+        assert os.path.basename(failed.logfile) == f"omero-job-{conv_id}_0.log"
         assert failed.logfile in record.output_artifacts
         with open(failed.logfile) as handle:
-            assert "FAILED" in handle.read()
+            assert handle.read().splitlines()[::2] == [
+                f"job {conv_id}_0 script {failed.remote_dir}/convert.sh",
+                "final state FAILED exit 1"]
+        assert not any(name.endswith(f"/omero-job-{conv_id}.log")
+                       for name in endpoint.cluster.fs.files)
         assert batch_errors(record) == batch_failures(record) == {0: "ConversionFailed"}
 
     def test_failed_conversion_leaves_no_task_running(self, run_env, tmp_path):
@@ -317,9 +323,10 @@ class TestConversionPath:
             FaultDirective(script_substring="batch0/convert.sh",
                            forced_state=JobState.FAILED))
         make_zarr_inputs(str(tmp_path / "inputs"), 6)
-        record = orch.run_workflow(
+        items = orch.scan_input_dir(str(tmp_path / "inputs"))
+        record = orch.run_workflow_batched(
             endpoint, profile, registry, descriptor, "cellpose",
-            {}, orch.scan_input_dir(str(tmp_path / "inputs")), options=fast_options(),
+            {}, items, len(items), options=fast_options(),
             local_output_dir=str(tmp_path / "out"),
         )
         assert batch_errors(record) == {0: "ConversionFailed"}
@@ -330,9 +337,9 @@ class TestConversionPath:
         endpoint, profile, registry, descriptor = run_env
         make_zarr_inputs(str(tmp_path / "inputs"), 2)
         items = orch.scan_input_dir(str(tmp_path / "inputs"))
-        record = orch.run_workflow(
+        record = orch.run_workflow_batched(
             endpoint, profile, registry, descriptor, "cellpose",
-            {}, items, options=fast_options(skip_conversion=True),
+            {}, items, len(items), options=fast_options(skip_conversion=True),
             local_output_dir=str(tmp_path / "out"),
         )
         assert record.batches[0].conversion_handle is None
@@ -547,9 +554,9 @@ class TestRunWorkflowBatched:
     def test_equivalence_when_batch_size_covers_items(self, run_env, tmp_path):
         endpoint, profile, registry, descriptor = run_env
         items = tiff_items(tmp_path, 3)
-        single = orch.run_workflow(
+        single = orch.run_workflow_batched(
             endpoint, profile, registry, descriptor, "cellpose",
-            {}, items, options=fast_options(),
+            {}, items, len(items), options=fast_options(),
             local_output_dir=str(tmp_path / "out-single"),
         )
         batched = orch.run_workflow_batched(
@@ -701,17 +708,20 @@ class TestRunLifecycle:
         # log yet, so the batch keeps the conversion's.
         endpoint, profile, registry, descriptor = run_env
         make_zarr_inputs(str(tmp_path / "inputs"), 4)
-        record = orch.run_workflow(
+        items = orch.scan_input_dir(str(tmp_path / "inputs"))
+        record = orch.run_workflow_batched(
             endpoint, profile, registry, descriptor, "cellpose",
-            {}, orch.scan_input_dir(str(tmp_path / "inputs")),
-            options=fast_options(deadline_s=5, sim_duration_s=600),
+            {}, items, len(items), options=fast_options(deadline_s=5, sim_duration_s=600),
             local_output_dir=str(tmp_path / "out"),
         )
         assert batch_errors(record) == batch_failures(record) == {0: "WorkflowFailed"}
         batch = record.batches[0]
         conv_id = batch.conversion_handle.job_id
         assert endpoint.cluster.jobs[conv_id].parent_state() is JobState.COMPLETED
-        assert os.path.basename(batch.logfile) == f"omero-job-{conv_id}.log"
+        # An array writes one log per task and none of its own: task 0's is kept.
+        assert os.path.basename(batch.logfile) == f"omero-job-{conv_id}_0.log"
+        assert sorted(os.listdir(tmp_path / "out")) == [
+            f"omero-job-{conv_id}_{k}.log" for k in range(4)]
         assert batch.logfile in record.output_artifacts
         assert_no_job_outlives_its_data(
             endpoint.cluster, registry.entry("cellpose").resources.time_limit_min)
@@ -789,3 +799,18 @@ class TestFormatDetection:
         make_zarr_inputs(str(tmp_path / "d"), 1)
         items = orch.scan_input_dir(str(tmp_path / "d"))
         assert [i.id for i in items] == ["img00", "img01", "vol00"]
+
+    def test_every_suffix_spelling_names_its_entry(self, tmp_path):
+        # Short and upper-case suffixes count; a file named .zarr and a .txt
+        # do not. Entries carry the canonical extension of the format.
+        inputs = tmp_path / "inputs"
+        make_zarr_inputs(str(inputs), 1, prefix="e", chunks=1)
+        os.rename(inputs / "e00.zarr", inputs / "e.zarr")
+        for name in ("a.tif", "b.OME.TIF", "c.ome.tiff", "d.TIFF", "f.zarr", "g.txt"):
+            (inputs / name).write_bytes(name.encode())
+        items = orch.scan_input_dir(str(inputs))
+        assert [item.id for item in items] == ["a", "b", "c", "d", "e"]
+        with zipfile.ZipFile(orch.pack_inputs(items, str(tmp_path / "staging"))) as archive:
+            names = archive.namelist()
+        assert names[:4] == ["in/a.tiff", "in/b.ome.tiff", "in/c.ome.tiff", "in/d.tiff"]
+        assert sorted(names[4:]) == ["in/e.zarr/.zattrs", "in/e.zarr/0/0"]

@@ -15,6 +15,7 @@ from slurmbridge.errors import (
     LogMissing,
     ScratchUnwritable,
     SubmitRejected,
+    TransportError,
     UnknownState,
     UnparseableJobId,
 )
@@ -22,6 +23,7 @@ from slurmbridge.simslurm import FaultDirective, SimCluster, SimEndpoint
 from slurmbridge.states import JobState
 from slurmbridge.transport import DEFAULT_DEADLINE_S
 from tests.test_simslurm import submit_script
+from tests.test_transport import LocalShell
 
 
 @pytest.fixture
@@ -55,10 +57,7 @@ def prepare_run_dirs(endpoint):
 def submit_workflow(endpoint, script=WORKFLOW_SCRIPT, path="/scratch/omero/data/r1/job.sh"):
     """Submit one script; returns its handle or raises what rejected it."""
     endpoint.cluster.fs.write(path, script.encode())
-    [outcome] = slurm.submit_job(
-        endpoint, [(path, None, None)], "sb-test",
-        logfile_pattern="/scratch/omero/logs/omero-job-%j.log",
-    )
+    [outcome] = slurm.submit_job(endpoint, [(path, None, None)], "sb-test")
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -173,8 +172,7 @@ class TestSubmitJob:
     def test_submit_parses_job_id(self, sim_endpoint):
         prepare_run_dirs(sim_endpoint)
         handle = submit_workflow(sim_endpoint)
-        assert handle.job_id == 1
-        assert handle.logfile_path == "/scratch/omero/logs/omero-job-1.log"
+        assert handle == slurm.JobHandle(1)
 
     def test_submit_rejected(self, sim_endpoint, monkeypatch):
         prepare_run_dirs(sim_endpoint)
@@ -263,7 +261,7 @@ class TestPollJobs:
                                             forced_state=JobState.FAILED))
         job_id = submit_script(cluster, "/scratch/arr.sh", array="0-2", duration=5)
         cluster.advance(30)
-        handle = slurm.JobHandle(job_id, "", array_size=3)
+        handle = slurm.JobHandle(job_id, array_size=3)
         assert slurm.poll_jobs(sim_endpoint, [handle]) == {job_id: JobState.FAILED}
 
     def test_unknown_state_token(self, sim_endpoint, monkeypatch):
@@ -272,7 +270,7 @@ class TestPollJobs:
         monkeypatch.setattr(
             sim_endpoint, "exec", lambda *a, **k: ExecResult(0, "1|WOBBLY\n", "", 0)
         )
-        handle = slurm.JobHandle(1, "")
+        handle = slurm.JobHandle(1)
         with pytest.raises(UnknownState) as info:
             slurm.poll_jobs(sim_endpoint, [handle])
         assert info.value.token == "WOBBLY"
@@ -303,7 +301,7 @@ class TestPollJobs:
         monkeypatch.setattr(
             sim_endpoint, "exec", lambda *a, **k: ExecResult(0, f"1|{token}\n", "", 0)
         )
-        assert slurm.poll_jobs(sim_endpoint, [slurm.JobHandle(1, "")]) == {1: state}
+        assert slurm.poll_jobs(sim_endpoint, [slurm.JobHandle(1)]) == {1: state}
 
     def test_accounting_unavailable_on_exec_failure(self, sim_endpoint, monkeypatch):
         from slurmbridge.errors import ConnectionLost
@@ -312,7 +310,7 @@ class TestPollJobs:
             raise ConnectionLost("gone")
 
         monkeypatch.setattr(sim_endpoint, "exec", boom)
-        handle = slurm.JobHandle(1, "")
+        handle = slurm.JobHandle(1)
         with pytest.raises(AccountingUnavailable):
             slurm.poll_jobs(sim_endpoint, [handle])
 
@@ -338,7 +336,7 @@ class TestCancel:
                          "sb-r1")
         sim_endpoint.cluster.advance(1)
         slurm.cleanup_run(sim_endpoint, [], cancel="sb-r1")
-        assert slurm.poll_jobs(sim_endpoint, [slurm.JobHandle(1, ""), slurm.JobHandle(2, "")]) \
+        assert slurm.poll_jobs(sim_endpoint, [slurm.JobHandle(1), slurm.JobHandle(2)]) \
             == {1: JobState.CANCELLED, 2: JobState.CANCELLED}
 
     def test_cancel_running_array_parent(self, sim_endpoint):
@@ -358,7 +356,8 @@ class TestFetchLogfile:
         handle = submit_workflow(sim_endpoint)
         sim_endpoint.cluster.advance(100)
         with fetch_logs(sim_endpoint, "/scratch/omero/logs", tmp_path) as archive:
-            local = slurm.fetch_logfile(archive, handle, str(tmp_path / "logs"))
+            local = slurm.fetch_logfile(archive, handle, "/scratch/omero/logs",
+                                        str(tmp_path / "logs"))
         assert os.path.basename(local) == "omero-job-1.log"
         with open(local) as f:
             assert "FAILED" in f.read()
@@ -366,27 +365,27 @@ class TestFetchLogfile:
     def test_log_missing(self, sim_endpoint, tmp_path):
         sim_endpoint.cluster.fs.make_dirs("/scratch/omero/logs")
         sim_endpoint.cluster.fs.write("/scratch/omero/logs/other.log", b"x")
-        handle = slurm.JobHandle(9, "/gone.log")
         with fetch_logs(sim_endpoint, "/scratch/omero/logs", tmp_path) as archive:
-            with pytest.raises(LogMissing):
-                slurm.fetch_logfile(archive, handle, str(tmp_path / "logs"))
+            for handle in (slurm.JobHandle(9), slurm.JobHandle(9, array_size=2)):
+                with pytest.raises(LogMissing):
+                    slurm.fetch_logfile(archive, handle, "/scratch/omero/logs",
+                                        str(tmp_path / "logs"))
 
     def test_array_task_logs(self, sim_endpoint, tmp_path):
-        # Oracle: enumerate the simulator filesystem for per-task logs.
+        # Oracle: enumerate the simulator filesystem for per-task logs. The
+        # array's script names them as the client's conversion scripts do.
         cluster = sim_endpoint.cluster
-        job_id = submit_script(cluster, "/scratch/arr.sh", array="0-2", duration=5)
+        job_id = submit_script(cluster, "/scratch/arr.sh", array="0-2", duration=5,
+                               log="omero-job-%A_%a.log")
         cluster.advance(60)
-        handle = slurm.JobHandle(
-            job_id, f"/scratch/logs/omero-job-{job_id}.log", array_size=3)
+        assert cluster.fs.files_under("/scratch/logs") == [
+            f"omero-job-{job_id}_{k}.log" for k in range(3)]
+        handle = slurm.JobHandle(job_id, array_size=3)
         with fetch_logs(sim_endpoint, "/scratch/logs", tmp_path) as archive:
-            slurm.fetch_logfile(archive, handle, str(tmp_path / "logs"))
+            local = slurm.fetch_logfile(archive, handle, "/scratch/logs", str(tmp_path / "logs"))
+        assert local == str(tmp_path / "logs" / f"omero-job-{job_id}_0.log")
         fetched = sorted(os.listdir(tmp_path / "logs"))
-        assert fetched == [
-            f"omero-job-{job_id}.log",
-            f"omero-job-{job_id}_0.log",
-            f"omero-job-{job_id}_1.log",
-            f"omero-job-{job_id}_2.log",
-        ]
+        assert fetched == cluster.fs.files_under("/scratch/logs")
         for name in fetched:
             assert (tmp_path / "logs" / name).read_bytes() == \
                 cluster.fs.read(f"/scratch/logs/{name}")
@@ -439,13 +438,23 @@ class TestFetchResults:
                 "/scratch/omero/data/r1/out.zip", str(tmp_path / "o.zip"))
         assert not sim_endpoint.path_exists("/scratch/omero/data/r1/out.zip")
 
+    def test_failed_zip_names_its_cause(self, sim_endpoint, tmp_path):
+        # The archive's dir does not exist; zip says so on stdout.
+        prepare_run_dirs(sim_endpoint)
+        sim_endpoint.cluster.fs.write("/scratch/omero/data/r1/out/x.tiff", b"x")
+        with pytest.raises(TransportError) as info:
+            slurm.fetch_results(sim_endpoint, ["/scratch/omero/data/r1/out"],
+                                "/scratch/gone/b.zip", str(tmp_path / "b.zip"))
+        assert "zip error: Could not create output file (/scratch/gone/b.zip)" \
+            in str(info.value)
+
 
 @pytest.mark.skipif(shutil.which("zip") is None, reason="Info-ZIP zip not installed")
 class TestInfoZipNaming:
     """The simulator's zip and the archive readers against Info-ZIP itself."""
 
     FILES = {"run/batch0/out/a_mask.tiff": b"a", "run/batch0/out/sub/b.tiff": b"bb",
-             "run/batch1/out/c_mask.tiff": b"ccc", "logs/omero-job-7.log": b"parent",
+             "run/batch1/out/c_mask.tiff": b"ccc", "logs/omero-job-6.log": b"plain",
              "logs/omero-job-7_0.log": b"task0", "logs/omero-job-7_1.log": b"task1"}
 
     def tree(self, tmp_path, fs):
@@ -472,7 +481,7 @@ class TestInfoZipNaming:
         root = self.tree(tmp_path, sim_endpoint.cluster.fs)
         for names in (["run"], ["logs"], ["run/batch2"], ["run/batch2", "run/batch9/out"],
                       ["run/batch0/out", "run/batch9/out", "run/batch2/out",
-                       "run/batch0/out/sub", "logs/omero-job-7.log"]):
+                       "run/batch0/out/sub", "logs/omero-job-6.log"]):
             paths = [os.path.join(root, name) for name in names]
             archive = os.path.join(paths[0], "all.zip")
             real_code = self.real_zip(archive, *paths)
@@ -488,18 +497,33 @@ class TestInfoZipNaming:
                 assert sorted(sim.namelist()) == sorted(real.namelist())
                 assert all(sim.read(n) == real.read(n) for n in real.namelist())
 
+    def test_failed_info_zip_names_its_cause(self, tmp_path):
+        # Info-ZIP explains a failure on stdout and leaves stderr empty.
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "x.tiff").write_bytes(b"x")
+        archive = str(tmp_path / "gone" / "b.zip")
+        with pytest.raises(TransportError) as info:
+            slurm.fetch_results(LocalShell(), [str(tmp_path / "out")], archive,
+                                str(tmp_path / "b.zip"))
+        assert f"zip error: Could not create output file ({archive})" in str(info.value)
+
     def test_logs_extracted_from_info_zip_archive(self, tmp_path):
+        # Job 7 is an array of three tasks, whose last wrote no log yet.
         root = self.tree(tmp_path, SimCluster().fs)
         archive = str(tmp_path / "logs.zip")
-        assert self.real_zip(archive, os.path.join(root, "logs")) == 0
-        handle = slurm.JobHandle(7, os.path.join(root, "logs", "omero-job-7.log"),
-                                 array_size=3)
+        logs_dir = os.path.join(root, "logs")
+        assert self.real_zip(archive, logs_dir) == 0
         with zipfile.ZipFile(archive) as logs:
-            local = slurm.fetch_logfile(logs, handle, str(tmp_path / "local"))
+            local = slurm.fetch_logfile(logs, slurm.JobHandle(7, array_size=3), logs_dir,
+                                        str(tmp_path / "local"))
+            plain = slurm.fetch_logfile(logs, slurm.JobHandle(6), logs_dir,
+                                        str(tmp_path / "local"))
         assert sorted(os.listdir(tmp_path / "local")) == [
-            "omero-job-7.log", "omero-job-7_0.log", "omero-job-7_1.log"]
+            "omero-job-6.log", "omero-job-7_0.log", "omero-job-7_1.log"]
         with open(local, "rb") as f:
-            assert f.read() == b"parent"
+            assert f.read() == b"task0"
+        with open(plain, "rb") as f:
+            assert f.read() == b"plain"
 
 
 class TestCleanupRun:
@@ -541,7 +565,7 @@ class TestStateMonotonicityProperty:
                     cpus=rng.randint(1, 4), duration=rng.randint(1, 40),
                     time_limit="00:01:00",
                     array=f"0-{rng.randint(0, 2)}" if rng.random() < 0.3 else None)
-                handles.append(slurm.JobHandle(job_id, ""))
+                handles.append(slurm.JobHandle(job_id))
             observed = {}
             for _ in range(rng.randint(3, 12)):
                 states = slurm.poll_jobs(endpoint, handles)
