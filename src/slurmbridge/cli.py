@@ -340,7 +340,7 @@ def cmd_cancel(run_id, runs_dir, config_path, simulate):
     """Tear a run down in one launch: cancel every job named by the run,
     journaled or not, and remove the run's remote data; logs stay. The
     journal gains a `cancel` row; the run's state stays its last stage."""
-    lines = _read_journal(runs_dir, run_id)
+    _read_journal(runs_dir, run_id)  # a run without a journal is a usage error
     profile, _ = _load_config(config_path)
     name = slurm.run_job_name(run_id)
     with _endpoint(profile, simulate) as endpoint:
@@ -351,8 +351,7 @@ def cmd_cancel(run_id, runs_dir, config_path, simulate):
             _fail(str(exc), code=EXIT_RUN_FAILURE)
     orchestrator.append_journal_row(orchestrator.journal_path(runs_dir, run_id), "cancel",
                                     f"name={name} removed={len(removed)}")
-    for handle in _journal_handles(lines):
-        click.echo(f"cancelled={handle.job_id}")
+    click.echo(f"cancel={name}")
     click.echo(f"removed={len(removed)}")
     sys.exit(EXIT_OK)
 

@@ -2,6 +2,7 @@
 workflow jobs per batch, await completion, retrieve results, clean up."""
 
 import datetime
+import io
 import os
 import posixpath
 import shutil
@@ -115,11 +116,12 @@ class RunRecord:
 
 
 def _input_suffix(path):
-    """(suffix, format) of the input at path, or (None, None) when its name
-    has no input suffix; a ZARR input is a directory."""
+    """(suffix, format) of the input at path, or (None, None) when it is no
+    input: a ZARR input is a directory, a TIFF input a regular file."""
     name = os.path.basename(path).lower()
     for suffix, fmt in _SUFFIXES:
-        if name.endswith(suffix) and (fmt is not InputFormat.ZARR or os.path.isdir(path)):
+        is_kind = os.path.isdir if fmt is InputFormat.ZARR else os.path.isfile
+        if name.endswith(suffix) and is_kind(path):
             return suffix, fmt
     return None, None
 
@@ -268,7 +270,8 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
     by_id = {item.id: item for item in items}
     # The input archive lands beside run_dir: data/ exists since init, so
     # no launch has to make a dir for it.
-    run_dir, upload = slurm.run_data_paths(profile, run_id)
+    run_paths = slurm.run_data_paths(profile, run_id)
+    run_dir, upload = run_paths
     batches = [
         BatchRun(index=index, items=ids, remote_dir=posixpath.join(run_dir, f"batch{index}"))
         for index, ids in enumerate(plan_batches(items, batch_size))
@@ -283,6 +286,11 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
     image_path = slurm.image_file_path(profile, workflow_name, entry.version)
     job_name = slurm.run_job_name(run_id)
     live = {}  # handle -> batch, for each job submitted and not yet seen terminal
+    torn_down = False  # whether a launch that removed the run data answered
+
+    def journal_cancel():
+        journal.emit("cancel", f"name={job_name} job_ids="
+                     + ",".join(str(handle.job_id) for handle in live))
 
     def fail(batch, exc):
         batch.error = exc
@@ -444,9 +452,12 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
                 break
 
         # Stage: one launch zips the out dir of every completed batch and
-        # the logs dir into one bundle, which comes back in one transfer and
-        # is split locally by batch. A batch's log is the log of the last job
-        # it submitted that wrote one: a workflow job that never started
+        # the logs dir into one bundle, which comes back on its stdout and is
+        # split locally by batch; the same launch then tears the run down as
+        # the finally below would, cancelling nothing when every batch
+        # completed: all its jobs are terminal then, so a batch that fails to
+        # split leaves no job running. A batch's log is the log of the last
+        # job it submitted that wrote one: a workflow job that never started
         # (its conversion failed or was still running at the deadline) wrote
         # none.
         journal.emit(RunStage.RETRIEVING, "fetching artifacts")
@@ -454,16 +465,23 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
         logged = [b for b in batches if b.job]  # every completed batch among them
         bundle = None
         if logged:
+            cancel = None if len(completed) == len(batches) else job_name
+            if cancel:
+                journal_cancel()
             try:
-                bundle = slurm.fetch_results(
+                bundle, removed = slurm.fetch_results(
                     endpoint, [posixpath.join(b.remote_dir, "out") for b in completed]
-                    + [logs_dir], posixpath.join(run_dir, "bundle.zip"),
-                    os.path.join(staging_root, "bundle.zip"))
-            except SlurmBridgeError as exc:
+                    + [logs_dir], posixpath.join(run_dir, "bundle.zip"), run_paths, cancel)
+                torn_down = True
+                journal.emit("cleanup", f"removed={len(removed)}")
+            except TransportError as exc:
+                bundle = exc  # the answer was lost; the finally tears down again
+            if isinstance(bundle, SlurmBridgeError):
                 for batch in completed:
-                    batch.error = RetrievalFailed(str(exc))
+                    batch.error = RetrievalFailed(str(bundle))
+                bundle = None
         if bundle:
-            with zipfile.ZipFile(bundle) as archive:
+            with zipfile.ZipFile(io.BytesIO(bundle)) as archive:
                 for batch in completed:
                     local_zip = os.path.join(local_output_dir, f"{run_id}_batch{batch.index}.zip")
                     out_dir = posixpath.join(batch.remote_dir, "out")
@@ -493,21 +511,20 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
             journal.emit("batch-failed",
                          f"batch={batch.index} {type(batch.error).__name__}: {batch.error}")
     finally:
-        # No job may outlive its data: unless every batch completed, cancel
-        # the run's jobs by name, as one may be live, unseen (its submission's
-        # answer was lost, or the run was interrupted before recording it),
-        # or an array whose failed parent state hides tasks still running.
-        # In the same launch, remove the remote run data and the uploaded
-        # archive, should it be left. Logs stay.
-        cancel = None if all(b.result_zip for b in batches) else job_name
-        if cancel:
-            journal.emit("cancel", f"name={job_name} job_ids="
-                         + ",".join(str(handle.job_id) for handle in live))
-        try:
-            removed = slurm.cleanup_run(endpoint, [run_dir, upload], cancel)
-            journal.emit("cleanup", f"removed={len(removed)}")
-        except TransportError:
-            journal.emit("cleanup", "failed")
+        # No job may outlive its data: unless the retrieval launch answered,
+        # cancel the run's jobs by name, as one may be live, unseen (its
+        # submission's answer was lost, or the run was interrupted before
+        # recording it), or an array whose failed parent state hides tasks
+        # still running. In the same launch, remove the remote run data and
+        # the uploaded archive, should it be left; both are idempotent. Logs
+        # stay.
+        if not torn_down:
+            journal_cancel()
+            try:
+                removed = slurm.cleanup_run(endpoint, run_paths, job_name)
+                journal.emit("cleanup", f"removed={len(removed)}")
+            except TransportError:
+                journal.emit("cleanup", "failed")
         shutil.rmtree(staging_root, ignore_errors=True)
 
     completed = [b for b in batches if b.result_zip]

@@ -13,7 +13,7 @@ import json
 import os
 import posixpath
 import zipfile
-from base64 import b64decode, b64encode
+from base64 import b64decode, b64encode, encodebytes
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -639,6 +639,28 @@ class SimCluster:
                     err += f"checkdir error:  {exc}\n"
         return ExecResult(exit_code, "", err, 0)
 
+    def _sha256sum(self, paths):
+        """`sha256sum FILE...` as coreutils prints it: `<hex>  <path>` per
+        file; a file it cannot read is named on stderr and makes the exit 1."""
+        out, err = "", ""
+        for path in paths:
+            if self.fs.is_dir(path):
+                err += f"sha256sum: {path}: Is a directory\n"
+            elif _norm(path) in self.fs.files:
+                out += f"{sha256_hex(self.fs.read(path))}  {path}\n"
+            else:
+                err += f"sha256sum: {path}: No such file or directory\n"
+        return ExecResult(1 if err else 0, out, err, 0)
+
+    def _base64(self, path):
+        """`base64 FILE` as coreutils prints it: lines of 76 columns, each
+        ending in a newline, and nothing for an empty file."""
+        if self.fs.is_dir(path):
+            return ExecResult(1, "", "base64: read error: Is a directory\n", 0)
+        if _norm(path) not in self.fs.files:
+            return ExecResult(1, "", f"base64: {path}: No such file or directory\n", 0)
+        return ExecResult(0, encodebytes(self.fs.read(path)).decode(), "", 0)
+
     def sim_exec(self, command):
         """Execute one supported command against the cluster."""
         return self._dispatch(list(command))
@@ -682,6 +704,12 @@ class SimCluster:
             if len(args) == 2 and args[0] == "-e":
                 return ExecResult(0 if self.fs.exists(args[1]) else 1, "", "", 0)
             return ExecResult(2, "", "test: invalid arguments\n", 0)
+        if cmd == "sha256sum":
+            return self._sha256sum(args)
+        if cmd == "base64":
+            if len(args) == 1:
+                return self._base64(args[0])
+            return ExecResult(1, "", "base64: usage: base64 FILE\n", 0)
         if cmd == "zip":
             paths = [a for a in args if not a.startswith("-")]
             if len(paths) >= 2:

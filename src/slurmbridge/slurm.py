@@ -1,6 +1,7 @@
 """Slurm operations over a transport Endpoint: environment provisioning,
 submission, polling, log/result retrieval, cleanup with cancellation."""
 
+import base64
 import os
 import posixpath
 import re
@@ -10,6 +11,7 @@ from . import config as config_mod
 from . import jobscript
 from .errors import (
     AccountingUnavailable,
+    ChecksumMismatch,
     EmptyOutput,
     LogMissing,
     PullFailed,
@@ -20,6 +22,7 @@ from .errors import (
     UnparseableJobId,
 )
 from .states import JobState, aggregate_array_states, parse_state_token
+from .transport import sha256_hex
 
 _SUBMIT_RE = re.compile(r"Submitted batch job (\d+)")
 
@@ -194,10 +197,10 @@ def zip_entry_name(remote_path):
 
 
 def fetch_logfile(bundle, handle, logs_dir, local_dir):
-    """Extract the job's logs (an array's task logs) that the ZipFile
-    fetch_results brought back from logs_dir into local_dir; returns the
-    local path of the first, the lowest-index task's for an array. Raises
-    LogMissing when the job wrote none."""
+    """Extract the job's logs (an array's task logs) from logs_dir in the
+    bundle that fetch_results brought back, open as a ZipFile, into
+    local_dir; returns the local path of the first, the lowest-index task's
+    for an array. Raises LogMissing when the job wrote none."""
     os.makedirs(local_dir, exist_ok=True)
     names = set(bundle.namelist())
     fetched = []
@@ -212,31 +215,57 @@ def fetch_logfile(bundle, handle, logs_dir, local_dir):
     return fetched[0]
 
 
-def fetch_results(endpoint, paths, remote_zip, local_zip):
-    """Zip every file under the remote paths into remote_zip in one launch
-    and bring it back to local_zip, checksum-verified; returns local_zip.
+def fetch_results(endpoint, paths, remote_zip, run_paths=(), cancel=None):
+    """In one launch, zip every file under the remote paths into remote_zip,
+    hash it and send it back on stdout, then tear the run down as
+    cleanup_run does: cancel every job named cancel when given, and remove
+    the run paths, remote_zip among them.
 
     Entries are named by zip_entry_name. A path that does not exist adds
-    nothing (under -q without a warning). Raises EmptyOutput when no path
-    holds a file, TransportError when the zip or the transfer fails.
+    nothing (under -q without a warning). Returns (bundle, removed): the
+    archive's bytes, verified against the remote digest, or else the error
+    that kept them from coming back, EmptyOutput when no path holds a file,
+    ChecksumMismatch when the bytes fail the digest and TransportError when
+    the zip fails; and the run paths that existed. Raises TransportError
+    when the launch's answer is lost; its teardown may have run.
     """
-    result = endpoint.exec(["zip", "-q", "-r", "-D", remote_zip, *paths])
-    if result.exit_code == 12:
-        raise EmptyOutput(" ".join(paths))
-    if not result.ok:
+    zipped, digest, stream, *teardown = endpoint.exec_many(
+        [["zip", "-q", "-r", "-D", remote_zip, *paths], ["sha256sum", remote_zip],
+         ["base64", remote_zip]] + teardown_commands(run_paths, cancel))
+    if zipped.exit_code == 12:
+        bundle = EmptyOutput(" ".join(paths))
+    elif not zipped.ok:
         # Info-ZIP writes its errors on stdout.
-        cause = (result.stdout or result.stderr).strip()
-        raise TransportError(f"remote zip failed (exit {result.exit_code}): {cause}")
-    endpoint.get_file(remote_zip, local_zip)
-    return local_zip
+        cause = (zipped.stdout or zipped.stderr).strip()
+        bundle = TransportError(f"remote zip failed (exit {zipped.exit_code}): {cause}")
+    else:
+        try:
+            bundle = base64.b64decode(stream.stdout)
+            verified = (stream.ok and digest.ok
+                        and digest.stdout.split()[:1] == [sha256_hex(bundle)])
+        except ValueError:  # not base64, or not even ASCII
+            verified = False
+        if not verified:
+            bundle = ChecksumMismatch(f"{remote_zip} came back failing its sha256 digest")
+    return bundle, _removed(run_paths, teardown)
+
+
+def teardown_commands(run_paths, cancel=None):
+    """The commands that cancel every job named cancel, when given, so that
+    no job outlives its data, and then test and remove each run path."""
+    cancelling = [["scancel", f"--name={cancel}"]] if cancel else []
+    return cancelling + [command for path in run_paths
+                         for command in (["test", "-e", path], ["rm", "-rf", path])]
+
+
+def _removed(run_paths, results):
+    """The run paths that existed, from the results of teardown_commands."""
+    tests = results[len(results) - 2 * len(run_paths)::2]
+    return [path for path, found in zip(run_paths, tests) if found.ok]
 
 
 def cleanup_run(endpoint, run_paths, cancel=None):
     """Remove the run's remote data paths in one launch, first cancelling
     every job named cancel when given, so no job outlives its data; logs
     are retained. Returns the paths that existed. Idempotent."""
-    cancelling = [["scancel", f"--name={cancel}"]] if cancel else []
-    results = endpoint.exec_many(cancelling + [
-        command for path in run_paths
-        for command in (["test", "-e", path], ["rm", "-rf", path])])[len(cancelling):]
-    return [path for path, found in zip(run_paths, results[::2]) if found.ok]
+    return _removed(run_paths, endpoint.exec_many(teardown_commands(run_paths, cancel)))

@@ -2,7 +2,10 @@
 
 Commands cross this boundary as argv-style token lists; backends are
 responsible for any quoting their channel needs. Every transfer is
-checksum-verified after copy.
+checksum-verified after copy. A run brings its results bundle back on the
+stdout of an exec_many launch instead of through get_file; that launch
+prints the bundle's sha256 digest beside its base64 stream, and the client
+verifies the decoded bytes against it (slurm.fetch_results).
 """
 
 import hashlib

@@ -355,12 +355,12 @@ class TestCancelAndList:
                    "--config", config_path, "--simulate", topology_path])
         return result, run_id
 
-    def test_cancel_reports_job_ids(self, runner, workspace):
-        result, _ = self.run_then_cancel(runner, workspace)
+    def test_cancel_reports_the_name_it_cancelled(self, runner, workspace):
+        # One line for the name scancel reached, whatever jobs the journal
+        # holds; the run cleaned up after itself, so nothing is left to remove.
+        result, run_id = self.run_then_cancel(runner, workspace)
         assert result.exit_code == 0
-        assert "cancelled=" in result.stdout
-        # The run cleaned up after itself, so nothing is left to remove.
-        assert kv_lines(result.stdout)["removed"] == ["0"]
+        assert result.stdout == f"cancel=sb-{run_id}\nremoved=0\n"
 
     def test_cancelled_done_run_stays_done_and_lists_the_cancel(self, runner, workspace):
         tmp_path = workspace[0]
@@ -413,7 +413,7 @@ class TestCancelAndList:
             runner, workspace, monkeypatch, Recording)
         assert result.exit_code == 0
         assert len(launches) == 1
-        assert len(kv_lines(result.stdout)["cancelled"]) == 2
+        assert kv_lines(result.stdout)["cancel"] == [f"sb-{run_id}"]
         assert kv_lines(result.stdout)["removed"] == ["2"]
         assert all(task.state.terminal for job in cluster.jobs.values() for task in job.tasks)
         assert [path for path in list(cluster.fs.files) + list(cluster.fs.dirs)
@@ -427,7 +427,7 @@ class TestCancelAndList:
         result, _, _ = self.run_then_cancel_over(runner, workspace, monkeypatch, Unreachable)
         assert result.exit_code == 1
         assert result.stderr == "error: host unreachable\n"
-        assert "cancelled" not in kv_lines(result.stdout)
+        assert "cancel" not in kv_lines(result.stdout)
 
     def test_cancelled_unfinished_run_lists_the_cancel(self, runner, workspace, monkeypatch):
         tmp_path, config_path, _, _ = workspace

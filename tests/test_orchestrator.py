@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import glob
+import io
 import os
 import shutil
 import subprocess
@@ -23,7 +24,7 @@ from slurmbridge.simslurm import FaultDirective, SimCluster, SimEndpoint
 from slurmbridge.states import JobState
 from slurmbridge.transport import DEFAULT_DEADLINE_S, ExecResult, unframe_commands
 from tests.conftest import make_tiff_inputs, make_zarr_inputs
-from tests.test_slurm_client import record_launches
+from tests.test_slurm_client import DAMAGES, DamagesStream, record_launches
 
 
 @pytest.fixture
@@ -41,17 +42,14 @@ def tiff_items(tmp_path, count, prefix="img"):
 
 class CountingEndpoint(SimEndpoint):
     """Counts remote calls and sleeps by kind (execs by program name, so an
-    exec_many counts as one `sh`), except those made once cleaning has
-    started."""
+    exec_many counts as one `sh`)."""
 
     def __init__(self, cluster):
         super().__init__(cluster)
         self.counts = collections.Counter()
-        self.cleaning = False
 
     def _tally(self, kind):
-        if not self.cleaning:
-            self.counts[kind] += 1
+        self.counts[kind] += 1
 
     def exec(self, command, timeout=DEFAULT_DEADLINE_S):
         self._tally(command[0])
@@ -80,26 +78,33 @@ class CountingEndpoint(SimEndpoint):
 
 class FlakyLink(SimEndpoint):
     """Loses the link on each sacct call whose entry in failures is true
-    (calls past the end of the list go through) and, with lose_submission,
+    (calls past the end of the list go through); with lose_submission,
     raises lost_with right after the first launch holding an sbatch has run
     remotely: a plain one, or one framed by exec_many, with or without a
-    guard before it."""
+    guard before it; and with lose_retrieval, raises ConnectionLost right
+    after the first launch holding a base64 (the retrieval launch, which
+    also tears the run down) has run remotely."""
 
-    def __init__(self, cluster, failures=(), lose_submission=False, lost_with=ConnectionLost):
+    def __init__(self, cluster, failures=(), lose_submission=False, lost_with=ConnectionLost,
+                 lose_retrieval=False):
         super().__init__(cluster)
         self.failures = iter(failures)
         self.lose_submission = lose_submission
         self.lost_with = lost_with
+        self.lose_retrieval = lose_retrieval
 
     def exec(self, command, timeout=DEFAULT_DEADLINE_S):
         if command[0] == "sacct" and next(self.failures, False):
             raise ConnectionLost("accounting link dropped")
         result = super().exec(command, timeout)
         framed = unframe_commands(command[-1]) if command[0] == "sh" else None
-        argvs = [command] + ([*framed[1], *framed[2]] if framed else [])
-        if self.lose_submission and any(argv[0] == "sbatch" for argv in argvs):
+        programs = {argv[0] for argv in [command] + ([*framed[1], *framed[2]] if framed else [])}
+        if self.lose_submission and "sbatch" in programs:
             self.lose_submission = False
             raise self.lost_with("link dropped after the submission ran")
+        if self.lose_retrieval and "base64" in programs:
+            self.lose_retrieval = False
+            raise ConnectionLost("link dropped after the retrieval ran")
         return result
 
 
@@ -406,7 +411,7 @@ class TestRunWorkflowBatched:
                 assert sorted(archive.namelist()) == sorted(
                     f"{item_id}_mask.tiff" for item_id in batch.items)
 
-    def test_failed_upload_removal_keeps_results(self, run_env, tmp_path):
+    def test_failed_upload_removal_keeps_results(self, run_env, tmp_path, monkeypatch):
         class UploadUnremovable(SimCluster):
             refused = []
 
@@ -416,15 +421,17 @@ class TestRunWorkflowBatched:
                     return ExecResult(1, "", "rm: cannot remove: Permission denied\n", 0)
                 return super().sim_exec(command)
 
-        class KeepsBundle(SimEndpoint):
-            def get_file(self, remote, local):
-                report = super().get_file(remote, local)
-                with zipfile.ZipFile(local) as archive:
-                    self.bundle = archive.namelist()
-                return report
+        fetch_results = slurm.fetch_results
 
+        def keeps_bundle(*args):
+            bundle, removed = fetch_results(*args)
+            with zipfile.ZipFile(io.BytesIO(bundle)) as archive:
+                endpoint.bundle = archive.namelist()
+            return bundle, removed
+
+        monkeypatch.setattr(slurm, "fetch_results", keeps_bundle)
         _, profile, registry, descriptor = run_env
-        endpoint = KeepsBundle(UploadUnremovable())
+        endpoint = SimEndpoint(UploadUnremovable())
         slurm.init_environment(endpoint, profile, registry)
         record = orch.run_workflow_batched(
             endpoint, profile, registry, descriptor,
@@ -522,13 +529,7 @@ class TestRunWorkflowBatched:
                                         batch_size, batches, zarr):
         _, profile, registry, descriptor = run_env
         endpoint = CountingEndpoint(run_env[0].cluster)
-        cleanup_run = slurm.cleanup_run
-
-        def counted_cleanup(endpoint, *args):
-            endpoint.cleaning = True
-            return cleanup_run(endpoint, *args)
-
-        monkeypatch.setattr(slurm, "cleanup_run", counted_cleanup)
+        monkeypatch.setattr(slurm, "cleanup_run", None)  # a completed run never calls it
         if zarr:
             make_zarr_inputs(str(tmp_path / "inputs"), 12)
             items = orch.scan_input_dir(str(tmp_path / "inputs"))
@@ -540,16 +541,17 @@ class TestRunWorkflowBatched:
             local_output_dir=str(tmp_path / "out"),
         )
         assert record.overall_state is orch.RunStage.DONE
-        assert endpoint.cleaning
         assert len(endpoint.cluster.jobs) == (2 if zarr else 1) * batches
         counts = dict(endpoint.counts)
         # No poll is wasted: one after each sleep.
         assert counts.pop("sacct") == counts.pop("sleep")
         # One archive up, then one launch to make the dirs, unpack it and
         # submit every job (a second launch for the workflow jobs that wait
-        # on a conversion); one zip of every output and log, and one archive
-        # down.
-        assert counts == {"put_file": 1, "sh": 2 if zarr else 1, "zip": 1, "get_file": 1}
+        # on a conversion), and one launch that zips every output and log,
+        # sends the bundle back and removes the run's data.
+        assert counts == {"put_file": 1, "sh": 3 if zarr else 2}
+        assert [path for path in endpoint.cluster.fs.files
+                if path.startswith("/scratch/omero/data/")] == []
 
     def test_equivalence_when_batch_size_covers_items(self, run_env, tmp_path):
         endpoint, profile, registry, descriptor = run_env
@@ -679,13 +681,45 @@ class TestRunLifecycle:
         launches = record_launches(endpoint)
         record = self.run(endpoint, run_env, tmp_path)
         assert record.overall_state is orch.RunStage.PARTIAL_FAILURE
-        *_, fetch, teardown = launches
+        # The last launch brings the bundle back and tears the run down.
         run_dir = f"/scratch/omero/data/{record.run_id}"
-        assert fetch[0] == "zip"
-        assert unframe_commands(teardown[-1])[1] == [
+        fetch, digest, stream, *teardown = unframe_commands(launches[-1][-1])[1]
+        assert (fetch[0], digest, stream) == (
+            "zip", ["sha256sum", run_dir + "/bundle.zip"], ["base64", run_dir + "/bundle.zip"])
+        assert teardown == [
             ["scancel", f"--name=sb-{record.run_id}"],
             ["test", "-e", run_dir], ["rm", "-rf", run_dir],
             ["test", "-e", run_dir + ".zip"], ["rm", "-rf", run_dir + ".zip"]]
+        assert [stage for _, stage, _ in record.stage_history].count("cleanup") == 1
+
+    @pytest.mark.parametrize("damage", ["flipped", "truncated"])
+    def test_damaged_bundle_fails_retrieval(self, run_env, tmp_path, damage):
+        _, profile, registry, descriptor = run_env
+        endpoint = SimEndpoint(DamagesStream(DAMAGES[damage]))
+        slurm.init_environment(endpoint, profile, registry)
+        record = self.run(endpoint, run_env, tmp_path)
+        assert record.overall_state is orch.RunStage.FAILED
+        assert batch_errors(record) == batch_failures(record) == {
+            0: "RetrievalFailed", 1: "RetrievalFailed"}
+        assert all("sha256" in str(batch.error) for batch in record.batches)
+        assert glob.glob(str(tmp_path / "out" / "*.zip")) == []
+        assert_no_job_outlives_its_data(
+            endpoint.cluster, registry.entry("cellpose").resources.time_limit_min)
+
+    def test_lost_retrieval_answer_tears_down_again(self, run_env, tmp_path):
+        # The retrieval launch ran, but its answer was lost: the run cancels
+        # and removes once more, which finds nothing left.
+        cluster = run_env[0].cluster
+        endpoint = FlakyLink(cluster, lose_retrieval=True)
+        record = self.run(endpoint, run_env, tmp_path)
+        assert not endpoint.lose_retrieval
+        assert record.overall_state is orch.RunStage.FAILED
+        assert batch_errors(record) == {0: "RetrievalFailed", 1: "RetrievalFailed"}
+        rows = [(stage, detail) for _, stage, detail in record.stage_history
+                if stage in ("cancel", "cleanup")]
+        assert rows == [("cancel", f"name=sb-{record.run_id} job_ids="), ("cleanup", "removed=0")]
+        assert_no_job_outlives_its_data(
+            cluster, run_env[2].entry("cellpose").resources.time_limit_min)
 
     def test_completed_run_cancels_nothing(self, run_env, tmp_path):
         launches = record_launches(run_env[0])
@@ -814,3 +848,13 @@ class TestFormatDetection:
             names = archive.namelist()
         assert names[:4] == ["in/a.tiff", "in/b.ome.tiff", "in/c.ome.tiff", "in/d.tiff"]
         assert sorted(names[4:]) == ["in/e.zarr/.zattrs", "in/e.zarr/0/0"]
+
+    def test_tiff_is_a_file_and_zarr_a_directory(self, tmp_path):
+        # A directory named .tif and a file named .zarr are no inputs.
+        (tmp_path / "x.tif").mkdir()
+        (tmp_path / "x.tif" / "a").write_bytes(b"a")
+        (tmp_path / "y.tiff").write_bytes(b"II*")
+        (tmp_path / "f.zarr").write_bytes(b"f")
+        assert orch.detect_format(str(tmp_path / "x.tif")) is None
+        assert orch.scan_input_dir(str(tmp_path)) == [
+            orch.InputItem("y", str(tmp_path / "y.tiff"), orch.InputFormat.TIFF_2D)]

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import os
@@ -10,6 +11,7 @@ import pytest
 from slurmbridge import slurm
 from slurmbridge.errors import (
     AccountingUnavailable,
+    ChecksumMismatch,
     ConnectionLost,
     EmptyOutput,
     LogMissing,
@@ -21,7 +23,7 @@ from slurmbridge.errors import (
 )
 from slurmbridge.simslurm import FaultDirective, SimCluster, SimEndpoint
 from slurmbridge.states import JobState
-from slurmbridge.transport import DEFAULT_DEADLINE_S
+from slurmbridge.transport import DEFAULT_DEADLINE_S, unframe_commands
 from tests.test_simslurm import submit_script
 from tests.test_transport import LocalShell
 
@@ -76,10 +78,35 @@ def record_launches(endpoint):
     return launches
 
 
-def fetch_logs(endpoint, logs_dir, tmp_path):
+# Ways a base64 stream can come back damaged: one character flipped to
+# another of its alphabet, cut in half, or holding a character outside the
+# alphabet or outside ASCII.
+DAMAGES = {
+    "flipped": lambda text: text[:9] + ("B" if text[9] == "A" else "A") + text[10:],
+    "truncated": lambda text: text[:len(text) // 2],
+    "not-base64": lambda text: text[:12] + "!" + text[13:],
+    "not-ascii": lambda text: text[:12] + "\u00e9" + text[13:],
+}
+
+
+class DamagesStream(SimCluster):
+    """Passes the stdout of every base64 through damage."""
+
+    def __init__(self, damage):
+        super().__init__()
+        self.damage = damage
+
+    def sim_exec(self, command):
+        result = super().sim_exec(command)
+        if command[0] == "base64":
+            return dataclasses.replace(result, stdout=self.damage(result.stdout))
+        return result
+
+
+def fetch_logs(endpoint, logs_dir):
     """The logs dir as one archive, brought back the way a run does it."""
-    return zipfile.ZipFile(slurm.fetch_results(
-        endpoint, [logs_dir], "/scratch/logs.zip", str(tmp_path / "logs.zip")))
+    bundle, _ = slurm.fetch_results(endpoint, [logs_dir], "/scratch/logs.zip")
+    return zipfile.ZipFile(io.BytesIO(bundle))
 
 
 class TestInitEnvironment:
@@ -355,7 +382,7 @@ class TestFetchLogfile:
             FaultDirective(script_substring="job", forced_state=JobState.FAILED))
         handle = submit_workflow(sim_endpoint)
         sim_endpoint.cluster.advance(100)
-        with fetch_logs(sim_endpoint, "/scratch/omero/logs", tmp_path) as archive:
+        with fetch_logs(sim_endpoint, "/scratch/omero/logs") as archive:
             local = slurm.fetch_logfile(archive, handle, "/scratch/omero/logs",
                                         str(tmp_path / "logs"))
         assert os.path.basename(local) == "omero-job-1.log"
@@ -365,7 +392,7 @@ class TestFetchLogfile:
     def test_log_missing(self, sim_endpoint, tmp_path):
         sim_endpoint.cluster.fs.make_dirs("/scratch/omero/logs")
         sim_endpoint.cluster.fs.write("/scratch/omero/logs/other.log", b"x")
-        with fetch_logs(sim_endpoint, "/scratch/omero/logs", tmp_path) as archive:
+        with fetch_logs(sim_endpoint, "/scratch/omero/logs") as archive:
             for handle in (slurm.JobHandle(9), slurm.JobHandle(9, array_size=2)):
                 with pytest.raises(LogMissing):
                     slurm.fetch_logfile(archive, handle, "/scratch/omero/logs",
@@ -381,7 +408,7 @@ class TestFetchLogfile:
         assert cluster.fs.files_under("/scratch/logs") == [
             f"omero-job-{job_id}_{k}.log" for k in range(3)]
         handle = slurm.JobHandle(job_id, array_size=3)
-        with fetch_logs(sim_endpoint, "/scratch/logs", tmp_path) as archive:
+        with fetch_logs(sim_endpoint, "/scratch/logs") as archive:
             local = slurm.fetch_logfile(archive, handle, "/scratch/logs", str(tmp_path / "logs"))
         assert local == str(tmp_path / "logs" / f"omero-job-{job_id}_0.log")
         fetched = sorted(os.listdir(tmp_path / "logs"))
@@ -392,7 +419,7 @@ class TestFetchLogfile:
 
 
 class TestFetchResults:
-    def test_zip_matches_remote_content(self, sim_endpoint, tmp_path):
+    def test_zip_matches_remote_content(self, sim_endpoint):
         # Oracle: unzip locally and hash-compare against simulator files.
         prepare_run_dirs(sim_endpoint)
         fs = sim_endpoint.cluster.fs
@@ -400,11 +427,12 @@ class TestFetchResults:
         fs.write("/scratch/omero/data/r1/out/y.tiff", b"yyy")
         fs.make_dirs("/scratch/omero/data/r1/out/masks")
         fs.write("/scratch/omero/data/r1/out/masks/a.tiff", b"mask")
-        local = str(tmp_path / "out.zip")
         # An archive written inside the dir it zips leaves itself out.
-        slurm.fetch_results(sim_endpoint, ["/scratch/omero/data/r1/out"],
-                            "/scratch/omero/data/r1/out/results.zip", local)
-        with zipfile.ZipFile(local) as archive:
+        bundle, removed = slurm.fetch_results(sim_endpoint, ["/scratch/omero/data/r1/out"],
+                                              "/scratch/omero/data/r1/out/results.zip")
+        assert removed == []
+        assert bundle == fs.read("/scratch/omero/data/r1/out/results.zip")
+        with zipfile.ZipFile(io.BytesIO(bundle)) as archive:
             names = sorted(archive.namelist())
             assert names == [f"scratch/omero/data/r1/out/{name}"
                              for name in ("masks/a.tiff", "x.tiff", "y.tiff")]
@@ -413,40 +441,71 @@ class TestFetchResults:
                 assert hashlib.sha256(archive.read(name)).hexdigest() == \
                     hashlib.sha256(remote).hexdigest()
 
-    def test_bundle_is_one_launch_and_holds_no_input(self, sim_endpoint, tmp_path):
+    def test_bundle_is_one_launch_and_holds_no_input(self, sim_endpoint):
         prepare_run_dirs(sim_endpoint)
         fs = sim_endpoint.cluster.fs
         fs.write("/scratch/omero/data/r1/out/x.tiff", b"xxx")
         fs.write("/scratch/omero/logs/omero-job-1.log", b"log")
         launches = record_launches(sim_endpoint)
-        local = slurm.fetch_results(
+        bundle, _ = slurm.fetch_results(
             sim_endpoint, ["/scratch/omero/data/r1/out", "/scratch/omero/data/r2/out",
-                           "/scratch/omero/logs"],
-            "/scratch/omero/data/r1/bundle.zip", str(tmp_path / "bundle.zip"))
-        assert [command[0] for command in launches] == ["zip"]
-        with zipfile.ZipFile(local) as archive:
+                           "/scratch/omero/logs"], "/scratch/omero/data/r1/bundle.zip")
+        assert [command[0] for command in launches] == ["sh"]
+        with zipfile.ZipFile(io.BytesIO(bundle)) as archive:
             assert sorted(archive.namelist()) == [
                 "scratch/omero/data/r1/out/x.tiff", "scratch/omero/logs/omero-job-1.log"]
         # The inputs beside the out dir are still there, and left out.
         assert fs.files_under("/scratch/omero/data/r1/in") == ["a.tiff", "b.tiff"]
 
-    def test_empty_output(self, sim_endpoint, tmp_path):
+    def test_teardown_rides_in_the_launch(self, sim_endpoint):
+        # The launch that brings the bundle back cancels the named jobs and
+        # removes the run paths after the stream, the archive with them.
         prepare_run_dirs(sim_endpoint)
-        with pytest.raises(EmptyOutput):
-            slurm.fetch_results(
-                sim_endpoint, ["/scratch/omero/data/r1/out", "/scratch/omero/data/r2/out"],
-                "/scratch/omero/data/r1/out.zip", str(tmp_path / "o.zip"))
-        assert not sim_endpoint.path_exists("/scratch/omero/data/r1/out.zip")
+        handle = submit_workflow(sim_endpoint)
+        sim_endpoint.cluster.fs.write("/scratch/omero/data/r1/out/x.tiff", b"xxx")
+        launches = record_launches(sim_endpoint)
+        bundle, removed = slurm.fetch_results(
+            sim_endpoint, ["/scratch/omero/data/r1/out"], "/scratch/omero/data/r1/bundle.zip",
+            ["/scratch/omero/data/r1", "/scratch/omero/data/r1.zip"], cancel="sb-test")
+        assert len(launches) == 1
+        assert unframe_commands(launches[0][-1])[1][3:] == slurm.teardown_commands(
+            ["/scratch/omero/data/r1", "/scratch/omero/data/r1.zip"], "sb-test")
+        with zipfile.ZipFile(io.BytesIO(bundle)) as archive:
+            assert archive.read("scratch/omero/data/r1/out/x.tiff") == b"xxx"
+        assert removed == ["/scratch/omero/data/r1"]
+        assert not sim_endpoint.path_exists("/scratch/omero/data/r1")
+        assert slurm.poll_jobs(sim_endpoint, [handle]) == {1: JobState.CANCELLED}
 
-    def test_failed_zip_names_its_cause(self, sim_endpoint, tmp_path):
+    def test_empty_output(self, sim_endpoint):
+        # Nothing to send back; the teardown runs all the same.
+        prepare_run_dirs(sim_endpoint)
+        bundle, removed = slurm.fetch_results(
+            sim_endpoint, ["/scratch/omero/data/r1/out", "/scratch/omero/data/r2/out"],
+            "/scratch/omero/data/r1/out.zip", ["/scratch/omero/data/r1"])
+        assert isinstance(bundle, EmptyOutput)
+        assert removed == ["/scratch/omero/data/r1"]
+        assert not sim_endpoint.path_exists("/scratch/omero/data/r1")
+
+    def test_failed_zip_names_its_cause(self, sim_endpoint):
         # The archive's dir does not exist; zip says so on stdout.
         prepare_run_dirs(sim_endpoint)
         sim_endpoint.cluster.fs.write("/scratch/omero/data/r1/out/x.tiff", b"x")
-        with pytest.raises(TransportError) as info:
-            slurm.fetch_results(sim_endpoint, ["/scratch/omero/data/r1/out"],
-                                "/scratch/gone/b.zip", str(tmp_path / "b.zip"))
-        assert "zip error: Could not create output file (/scratch/gone/b.zip)" \
-            in str(info.value)
+        bundle, _ = slurm.fetch_results(sim_endpoint, ["/scratch/omero/data/r1/out"],
+                                        "/scratch/gone/b.zip")
+        assert isinstance(bundle, TransportError)
+        assert "zip error: Could not create output file (/scratch/gone/b.zip)" in str(bundle)
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGES))
+    def test_damaged_stream_fails_its_digest(self, damage):
+        endpoint = SimEndpoint(DamagesStream(DAMAGES[damage]))
+        prepare_run_dirs(endpoint)
+        endpoint.cluster.fs.write("/scratch/omero/data/r1/out/x.tiff", bytes(range(256)))
+        bundle, removed = slurm.fetch_results(
+            endpoint, ["/scratch/omero/data/r1/out"], "/scratch/omero/data/r1/bundle.zip",
+            ["/scratch/omero/data/r1"])
+        assert isinstance(bundle, ChecksumMismatch)
+        assert "sha256" in str(bundle)
+        assert removed == ["/scratch/omero/data/r1"]
 
 
 @pytest.mark.skipif(shutil.which("zip") is None, reason="Info-ZIP zip not installed")
@@ -502,10 +561,44 @@ class TestInfoZipNaming:
         (tmp_path / "out").mkdir()
         (tmp_path / "out" / "x.tiff").write_bytes(b"x")
         archive = str(tmp_path / "gone" / "b.zip")
-        with pytest.raises(TransportError) as info:
-            slurm.fetch_results(LocalShell(), [str(tmp_path / "out")], archive,
-                                str(tmp_path / "b.zip"))
-        assert f"zip error: Could not create output file ({archive})" in str(info.value)
+        bundle, _ = slurm.fetch_results(LocalShell(), [str(tmp_path / "out")], archive)
+        assert isinstance(bundle, TransportError)
+        assert f"zip error: Could not create output file ({archive})" in str(bundle)
+
+    @pytest.mark.skipif(any(shutil.which(tool) is None for tool in ("sha256sum", "base64")),
+                        reason="coreutils sha256sum/base64 not installed")
+    def test_retrieval_launch_through_real_shell(self, tmp_path):
+        # A run's retrieval launch through /bin/sh and the installed zip,
+        # sha256sum, base64, test and rm. On a PATH of the test's own,
+        # scancel is a stub that logs its arguments, and zip a wrapper of the
+        # installed one that keeps a copy of the archive it wrote.
+        root = self.tree(tmp_path, SimCluster().fs)
+        run_dir, logs_dir = os.path.join(root, "run"), os.path.join(root, "logs")
+        with open(run_dir + ".zip", "wb") as upload:
+            upload.write(b"upload")
+        bin_dir, kept, cancels = tmp_path / "bin", tmp_path / "kept.zip", tmp_path / "scancel.log"
+        bin_dir.mkdir()
+        (bin_dir / "scancel").write_text(f'#!/bin/sh\necho "$@" >> {cancels}\n')
+        (bin_dir / "zip").write_text(
+            f'#!/bin/sh\n{shutil.which("zip")} "$@" || exit $?\ncp "$4" {kept}\n')
+        for stub in bin_dir.iterdir():
+            stub.chmod(0o755)
+        shell = LocalShell(env={**os.environ, "PATH": f"{bin_dir}:{os.environ['PATH']}"})
+        launches = record_launches(shell)
+        bundle, removed = slurm.fetch_results(
+            shell, [os.path.join(run_dir, f"batch{k}", "out") for k in range(3)] + [logs_dir],
+            os.path.join(run_dir, "bundle.zip"), [run_dir, run_dir + ".zip"], cancel="sb-run")
+        assert len(launches) == 1 and launches[0][:2] == ["sh", "-c"]
+        # The stream decoded and passed the digest sha256sum gave.
+        assert isinstance(bundle, bytes) and bundle == kept.read_bytes()
+        with zipfile.ZipFile(io.BytesIO(bundle)) as archive:
+            assert sorted(archive.namelist()) == sorted(
+                slurm.zip_entry_name(os.path.join(root, name)) for name in self.FILES)
+        assert cancels.read_text() == "--name=sb-run\n"
+        assert removed == [run_dir, run_dir + ".zip"]
+        assert not os.path.exists(run_dir) and not os.path.exists(run_dir + ".zip")
+        assert sorted(os.listdir(logs_dir)) == sorted(
+            os.path.basename(name) for name in self.FILES if name.startswith("logs/"))
 
     def test_logs_extracted_from_info_zip_archive(self, tmp_path):
         # Job 7 is an array of three tasks, whose last wrote no log yet.

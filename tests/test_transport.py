@@ -206,12 +206,40 @@ def test_file_ops_match_real_tools(tmp_path_factory, ops):
         assert _sim_tree(fs, root) == _real_tree(root), (step, op)
 
 
+@pytest.mark.skipif(any(shutil.which(tool) is None for tool in ("sha256sum", "base64")),
+                    reason="coreutils sha256sum/base64 not installed")
+@pytest.mark.parametrize("size", [0, 1, 56, 57, 58, 76, 1000])
+def test_digest_and_stream_match_coreutils(tmp_path, size):
+    """The simulator's `sha256sum FILE` and `base64 FILE` print what the
+    installed coreutils print, byte for byte, on either side of base64's
+    57-byte line of 76 columns; a missing file gives exit 1 and no stdout."""
+    path = str(tmp_path / "payload.bin")
+    data = bytes((7 * k + 3) % 256 for k in range(size))
+    with open(path, "wb") as handle:
+        handle.write(data)
+    cluster = SimCluster()
+    cluster.fs.make_dirs(str(tmp_path))
+    cluster.fs.write(path, data)
+    for tool in ("sha256sum", "base64"):
+        for target in (path, str(tmp_path / "missing.bin"), str(tmp_path)):
+            real = subprocess.run([tool, target], capture_output=True, text=True)
+            sim = cluster.sim_exec([tool, target])
+            assert (sim.exit_code, sim.stdout) == (real.returncode, real.stdout), (tool, target)
+            assert sim.stderr == real.stderr
+        missing = cluster.sim_exec([tool, str(tmp_path / "missing.bin")])
+        assert (missing.exit_code, missing.stdout) == (1, "")
+
+
 class LocalShell(Endpoint):
     """Runs each exec as a local process, so exec_many goes through the
-    installed /bin/sh."""
+    installed /bin/sh; env, when given, is each process's environment."""
+
+    def __init__(self, env=None):
+        self.env = env
 
     def exec(self, command, timeout=DEFAULT_DEADLINE_S):
-        proc = subprocess.run(command, capture_output=True, text=True, timeout=timeout)
+        proc = subprocess.run(command, capture_output=True, text=True, timeout=timeout,
+                              env=self.env)
         return ExecResult(proc.returncode, proc.stdout, proc.stderr, 0)
 
     def put_file(self, local, remote):
