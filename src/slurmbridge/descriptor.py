@@ -23,7 +23,6 @@ SUPPORTED_SCHEMA = "cytomine-0.1"
 
 _ID_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 _PLACEHOLDER_RE = re.compile(r"\[([A-Z][A-Z0-9_]*)\]")
-_ENV_NAME_RE = re.compile(r"^[A-Z][A-Z0-9_]*$")
 
 
 class ValueType(Enum):

@@ -271,7 +271,7 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
     # The input archive lands beside run_dir: data/ exists since init, so
     # no launch has to make a dir for it.
     run_paths = slurm.run_data_paths(profile, run_id)
-    run_dir, upload = run_paths
+    run_dir, upload, _ = run_paths
     batches = [
         BatchRun(index=index, items=ids, remote_dir=posixpath.join(run_dir, f"batch{index}"))
         for index, ids in enumerate(plan_batches(items, batch_size))

@@ -22,7 +22,7 @@ from .errors import (
     UnparseableJobId,
 )
 from .states import JobState, aggregate_array_states, parse_state_token
-from .transport import sha256_hex
+from .transport import sha256_hex, staging_path
 
 _SUBMIT_RE = re.compile(r"Submitted batch job (\d+)")
 
@@ -108,9 +108,10 @@ def init_environment(endpoint, profile, registry):
 
 def run_data_paths(profile, run_id):
     """The run's remote data: its run dir and, beside it in data/, the
-    uploaded input archive."""
+    uploaded input archive and the file put_file stages it in, which an
+    interrupted upload leaves."""
     run_dir = posixpath.join(profile.scratch_dir, "data", run_id)
-    return [run_dir, run_dir + ".zip"]
+    return [run_dir, run_dir + ".zip", staging_path(run_dir + ".zip")]
 
 
 def run_job_name(run_id):

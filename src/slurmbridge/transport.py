@@ -190,51 +190,39 @@ class Endpoint(ABC):
         time.sleep(seconds)
 
 
+def staging_path(path):
+    """Where a transfer to path is staged until its digest checks out."""
+    return path + ".part"
+
+
 class SshEndpoint(Endpoint):
     """Backend over the system ssh/scp binaries with key-file auth. No
     remote command reads the local terminal: every process gets stdin from
     /dev/null, so a remote prompt (unzip's "replace?") reads EOF."""
 
     def __init__(self, profile):
-        self.profile = profile
+        port, key = str(profile.port), profile.key_path
+        self._ssh = ["ssh", "-o", "BatchMode=yes", "-p", port, "-i", key,
+                     f"{profile.user}@{profile.host}"]
+        self._scp = ["scp", "-q", "-o", "BatchMode=yes", "-P", port, "-i", key]
+        self._host = f"{profile.user}@{profile.host}:"
 
-    def _ssh_base(self):
-        return [
-            "ssh",
-            "-o", "BatchMode=yes",
-            "-p", str(self.profile.port),
-            "-i", self.profile.key_path,
-            f"{self.profile.user}@{self.profile.host}",
-        ]
-
-    def _scp_base(self):
-        return [
-            "scp",
-            "-q",
-            "-o", "BatchMode=yes",
-            "-P", str(self.profile.port),
-            "-i", self.profile.key_path,
-        ]
-
-    def _remote(self, path):
-        return f"{self.profile.user}@{self.profile.host}:{path}"
-
-    def exec(self, command, timeout=DEFAULT_DEADLINE_S):
-        remote_command = " ".join(shlex.quote(token) for token in command)
-        started = time.monotonic()
+    def _spawn(self, argv, timeout=None):
+        """Run one ssh or scp process; exit 255 is the link's failure, not
+        the remote command's."""
         try:
-            proc = subprocess.run(
-                self._ssh_base() + [remote_command],
-                stdin=subprocess.DEVNULL,
-                capture_output=True,
-                text=True,
-                timeout=timeout,
-            )
+            proc = subprocess.run(argv, stdin=subprocess.DEVNULL, capture_output=True,
+                                  text=True, timeout=timeout)
         except subprocess.TimeoutExpired as exc:
             raise Timeout(f"deadline of {timeout}s exceeded") from exc
-        duration_ms = int((time.monotonic() - started) * 1000)
         if proc.returncode == 255:
             raise ConnectionLost(proc.stderr.strip())
+        return proc
+
+    def exec(self, command, timeout=DEFAULT_DEADLINE_S):
+        started = time.monotonic()
+        proc = self._spawn(self._ssh + [shlex.join(command)], timeout)
+        duration_ms = int((time.monotonic() - started) * 1000)
         return ExecResult(proc.returncode, proc.stdout, proc.stderr, duration_ms)
 
     def _remote_sha256(self, remote):
@@ -246,17 +234,10 @@ class SshEndpoint(Endpoint):
     def put_file(self, local, remote):
         if not os.path.isfile(local):
             raise SourceMissing(local)
-        tmp = remote + ".part"
-        proc = subprocess.run(
-            self._scp_base() + [local, self._remote(tmp)],
-            stdin=subprocess.DEVNULL,
-            capture_output=True,
-            text=True,
-        )
-        if proc.returncode == 255:
-            raise ConnectionLost(proc.stderr.strip())
-        if proc.returncode != 0:
-            raise DestinationUnwritable(proc.stderr.strip())
+        tmp = staging_path(remote)
+        copy = self._spawn(self._scp + [local, self._host + tmp])
+        if copy.returncode != 0:
+            raise DestinationUnwritable(copy.stderr.strip())
         local_sum = file_sha256(local)
         if self._remote_sha256(tmp) != local_sum:
             self.exec(["rm", "-f", tmp])
@@ -269,17 +250,10 @@ class SshEndpoint(Endpoint):
     def get_file(self, remote, local):
         if not self.path_exists(remote):
             raise SourceMissing(remote)
-        tmp = local + ".part"
-        proc = subprocess.run(
-            self._scp_base() + [self._remote(remote), tmp],
-            stdin=subprocess.DEVNULL,
-            capture_output=True,
-            text=True,
-        )
-        if proc.returncode == 255:
-            raise ConnectionLost(proc.stderr.strip())
-        if proc.returncode != 0:
-            raise SourceMissing(proc.stderr.strip())
+        tmp = staging_path(local)
+        copy = self._spawn(self._scp + [self._host + remote, tmp])
+        if copy.returncode != 0:
+            raise SourceMissing(copy.stderr.strip())
         local_sum = file_sha256(tmp)
         if self._remote_sha256(remote) != local_sum:
             os.unlink(tmp)

@@ -1,10 +1,13 @@
 import json
 import os
+import re
+import subprocess
 
 import pytest
 
 from slurmbridge import config as config_mod
 from slurmbridge import descriptor as descriptor_mod
+from slurmbridge import transport
 from slurmbridge.simslurm import SimCluster, SimEndpoint
 
 CELLPOSE_DESCRIPTOR = {
@@ -71,6 +74,55 @@ def sample_profile_registry():
 @pytest.fixture
 def sim_endpoint():
     return SimEndpoint(SimCluster())
+
+
+# The `user@host:` that scp puts before a remote path.
+_SCP_HOST = re.compile(r"^[^@/]+@[^:/]+:")
+
+
+class ShellRouter:
+    """Stands in for subprocess.run, so that SshEndpoint's processes run on
+    this machine: an ssh process runs its remote command line as
+    `sh -c <line>`, with bin_dir first on PATH, as the login shell of the
+    remote host would, and an scp process runs as cp with `user@host:`
+    stripped from its paths. Every process routed must take stdin from
+    /dev/null; any other process goes to the real subprocess.run."""
+
+    def __init__(self, bin_dir, run):
+        self.bin_dir = bin_dir
+        self.run = run
+        self.env = {**os.environ, "PATH": f"{bin_dir}{os.pathsep}{os.environ['PATH']}"}
+        self.launches = []  # the argv of every ssh and scp process, in order
+        # Given an argv, whether the link drops instead: the process does
+        # not run, and ssh or scp exits 255.
+        self.drop = lambda argv: False
+
+    def stub(self, name, body):
+        """Put an executable sh script of that name and body on the PATH."""
+        path = self.bin_dir / name
+        path.write_text("#!/bin/sh\n" + body)
+        path.chmod(0o755)
+
+    def __call__(self, argv, **kwargs):
+        if argv[0] not in ("ssh", "scp"):
+            return self.run(argv, **kwargs)
+        assert kwargs.get("stdin") is subprocess.DEVNULL, argv
+        self.launches.append(argv)
+        if self.drop(argv):
+            return subprocess.CompletedProcess(argv, 255, "", "Connection closed\n")
+        if argv[0] == "ssh":
+            local = ["sh", "-c", argv[-1]]
+        else:
+            local = ["cp"] + [_SCP_HOST.sub("", path) for path in argv[-2:]]
+        return self.run(local, env=self.env, **kwargs)
+
+
+@pytest.fixture
+def shell_router(tmp_path_factory, monkeypatch):
+    """A ShellRouter in place of subprocess.run, with an empty bin dir."""
+    router = ShellRouter(tmp_path_factory.mktemp("bin"), subprocess.run)
+    monkeypatch.setattr(transport.subprocess, "run", router)
+    return router
 
 
 def make_tiff_inputs(directory, count, prefix="img"):

@@ -689,7 +689,8 @@ class TestRunLifecycle:
         assert teardown == [
             ["scancel", f"--name=sb-{record.run_id}"],
             ["test", "-e", run_dir], ["rm", "-rf", run_dir],
-            ["test", "-e", run_dir + ".zip"], ["rm", "-rf", run_dir + ".zip"]]
+            ["test", "-e", run_dir + ".zip"], ["rm", "-rf", run_dir + ".zip"],
+            ["test", "-e", run_dir + ".zip.part"], ["rm", "-rf", run_dir + ".zip.part"]]
         assert [stage for _, stage, _ in record.stage_history].count("cleanup") == 1
 
     @pytest.mark.parametrize("damage", ["flipped", "truncated"])

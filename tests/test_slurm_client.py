@@ -25,7 +25,7 @@ from slurmbridge.simslurm import FaultDirective, SimCluster, SimEndpoint
 from slurmbridge.states import JobState
 from slurmbridge.transport import DEFAULT_DEADLINE_S, unframe_commands
 from tests.test_simslurm import submit_script
-from tests.test_transport import LocalShell
+from tests.test_transport import ssh_endpoint
 
 
 @pytest.fixture
@@ -556,39 +556,34 @@ class TestInfoZipNaming:
                 assert sorted(sim.namelist()) == sorted(real.namelist())
                 assert all(sim.read(n) == real.read(n) for n in real.namelist())
 
-    def test_failed_info_zip_names_its_cause(self, tmp_path):
+    def test_failed_info_zip_names_its_cause(self, shell_router, tmp_path):
         # Info-ZIP explains a failure on stdout and leaves stderr empty.
         (tmp_path / "out").mkdir()
         (tmp_path / "out" / "x.tiff").write_bytes(b"x")
         archive = str(tmp_path / "gone" / "b.zip")
-        bundle, _ = slurm.fetch_results(LocalShell(), [str(tmp_path / "out")], archive)
+        bundle, _ = slurm.fetch_results(ssh_endpoint(), [str(tmp_path / "out")], archive)
         assert isinstance(bundle, TransportError)
         assert f"zip error: Could not create output file ({archive})" in str(bundle)
 
     @pytest.mark.skipif(any(shutil.which(tool) is None for tool in ("sha256sum", "base64")),
                         reason="coreutils sha256sum/base64 not installed")
-    def test_retrieval_launch_through_real_shell(self, tmp_path):
-        # A run's retrieval launch through /bin/sh and the installed zip,
-        # sha256sum, base64, test and rm. On a PATH of the test's own,
-        # scancel is a stub that logs its arguments, and zip a wrapper of the
-        # installed one that keeps a copy of the archive it wrote.
+    def test_retrieval_launch_through_real_shell(self, shell_router, tmp_path):
+        # A run's retrieval launch through SshEndpoint, /bin/sh and the
+        # installed zip, sha256sum, base64, test and rm. On the router's
+        # PATH, scancel is a stub that logs its arguments, and zip a wrapper
+        # of the installed one that keeps a copy of the archive it wrote.
         root = self.tree(tmp_path, SimCluster().fs)
         run_dir, logs_dir = os.path.join(root, "run"), os.path.join(root, "logs")
         with open(run_dir + ".zip", "wb") as upload:
             upload.write(b"upload")
-        bin_dir, kept, cancels = tmp_path / "bin", tmp_path / "kept.zip", tmp_path / "scancel.log"
-        bin_dir.mkdir()
-        (bin_dir / "scancel").write_text(f'#!/bin/sh\necho "$@" >> {cancels}\n')
-        (bin_dir / "zip").write_text(
-            f'#!/bin/sh\n{shutil.which("zip")} "$@" || exit $?\ncp "$4" {kept}\n')
-        for stub in bin_dir.iterdir():
-            stub.chmod(0o755)
-        shell = LocalShell(env={**os.environ, "PATH": f"{bin_dir}:{os.environ['PATH']}"})
-        launches = record_launches(shell)
+        kept, cancels = tmp_path / "kept.zip", tmp_path / "scancel.log"
+        shell_router.stub("scancel", f'echo "$@" >> {cancels}\n')
+        shell_router.stub("zip", f'{shutil.which("zip")} "$@" || exit $?\ncp "$4" {kept}\n')
         bundle, removed = slurm.fetch_results(
-            shell, [os.path.join(run_dir, f"batch{k}", "out") for k in range(3)] + [logs_dir],
-            os.path.join(run_dir, "bundle.zip"), [run_dir, run_dir + ".zip"], cancel="sb-run")
-        assert len(launches) == 1 and launches[0][:2] == ["sh", "-c"]
+            ssh_endpoint(), [os.path.join(run_dir, f"batch{k}", "out") for k in range(3)]
+            + [logs_dir], os.path.join(run_dir, "bundle.zip"), [run_dir, run_dir + ".zip"],
+            cancel="sb-run")
+        assert [argv[0] for argv in shell_router.launches] == ["ssh"]
         # The stream decoded and passed the digest sha256sum gave.
         assert isinstance(bundle, bytes) and bundle == kept.read_bytes()
         with zipfile.ZipFile(io.BytesIO(bundle)) as archive:

@@ -7,14 +7,13 @@ import subprocess
 import zipfile
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from slurmbridge import transport
 from slurmbridge.config import ClusterProfile
-from slurmbridge.errors import DestinationUnwritable, SourceMissing
+from slurmbridge.errors import ConnectionLost, DestinationUnwritable, SourceMissing, Timeout
 from slurmbridge.simslurm import SimCluster, SimEndpoint
-from slurmbridge.transport import DEFAULT_DEADLINE_S, Endpoint, ExecResult
 
 
 class TestExec:
@@ -230,23 +229,9 @@ def test_digest_and_stream_match_coreutils(tmp_path, size):
         assert (missing.exit_code, missing.stdout) == (1, "")
 
 
-class LocalShell(Endpoint):
-    """Runs each exec as a local process, so exec_many goes through the
-    installed /bin/sh; env, when given, is each process's environment."""
-
-    def __init__(self, env=None):
-        self.env = env
-
-    def exec(self, command, timeout=DEFAULT_DEADLINE_S):
-        proc = subprocess.run(command, capture_output=True, text=True, timeout=timeout,
-                              env=self.env)
-        return ExecResult(proc.returncode, proc.stdout, proc.stderr, 0)
-
-    def put_file(self, local, remote):
-        raise NotImplementedError
-
-    def get_file(self, remote, local):
-        raise NotImplementedError
+def ssh_endpoint(scratch_dir="/scratch"):
+    return transport.SshEndpoint(
+        ClusterProfile(host="hpc", user="u", key_path="/k", scratch_dir=str(scratch_dir)))
 
 
 _WORDS = st.sampled_from(["hi", "two words", "it's", "a\nb", "-e", ""])
@@ -259,19 +244,20 @@ _LISTED_OPS = st.one_of(
 
 @pytest.mark.skipif(any(shutil.which(tool) is None for tool in ("sh", "mkdir", "rm", "test")),
                     reason="sh or coreutils mkdir/rm/test not installed")
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @example([("echo -n", ["no newline"]), ("mkdir -p", ["a/b"]), ("false", []),
           ("test -e", ["a/b"]), ("rm -rf", ["a"]), ("echo", ["after"]), ("true", [])],
          [("echo", ["held back"]), ("mkdir -p", ["c"])])
 @example([("mkdir -p", ["a"]), ("test -e", ["a/"])],
          [("echo -n", ["it's"]), ("false", []), ("rm -rf", ["a"]), ("echo", ["ran"])])
 @given(st.lists(_LISTED_OPS, min_size=1, max_size=8), st.lists(_LISTED_OPS, max_size=4))
-def test_exec_many_matches_real_shell(tmp_path_factory, ops, then_ops):
+def test_exec_many_matches_real_shell(shell_router, tmp_path_factory, ops, then_ops):
     """One exec_many gives the simulator the same exit code and stdout per
-    command, the same commands not run, and the same tree, as the installed
-    sh and tools give local disk: a failing command does not stop the ones
-    after it, but stops every then command, and a failing then command stops
-    none."""
+    command, the same commands not run, and the same tree, as SshEndpoint
+    gets from the installed sh and tools on local disk: a failing command
+    does not stop the ones after it, but stops every then command, and a
+    failing then command stops none."""
     real_root = str(tmp_path_factory.mktemp("shell") / "tree")
     sim_root = "/scratch/tree"
     os.mkdir(real_root)
@@ -286,72 +272,61 @@ def test_exec_many_matches_real_shell(tmp_path_factory, ops, then_ops):
     def outcomes(results):
         return [None if r is None else (r.exit_code, r.stdout) for r in results]
 
-    real = LocalShell().exec_many(commands(real_root, ops), then=commands(real_root, then_ops))
+    real = ssh_endpoint().exec_many(commands(real_root, ops), then=commands(real_root, then_ops))
     sim = endpoint.exec_many(commands(sim_root, ops), then=commands(sim_root, then_ops))
     assert outcomes(sim) == outcomes(real)
     assert len(real) == len(ops) + len(then_ops)
     assert _sim_tree(endpoint.cluster.fs, sim_root) == _real_tree(real_root)
 
 
-def test_ssh_exec_many_is_one_launch(monkeypatch):
+@pytest.mark.skipif(shutil.which("sh") is None, reason="sh not installed")
+def test_ssh_exec_many_is_one_launch(shell_router):
     """SshEndpoint.exec_many starts one ssh process, whose remote command a
     POSIX shell splits back into every command, quoting intact, with or
     without then commands behind the guard."""
-    launches = []
-    run = subprocess.run
-
-    def fake_ssh(argv, **kwargs):
-        launches.append(argv)
-        # The remote login shell runs the last argument as a command line.
-        return run(["sh", "-c", argv[-1]], capture_output=True, text=True)
-
-    monkeypatch.setattr(transport.subprocess, "run", fake_ssh)
-    endpoint = transport.SshEndpoint(
-        ClusterProfile(host="hpc", user="u", key_path="/k", scratch_dir="/scratch"))
+    endpoint = ssh_endpoint()
     results = endpoint.exec_many([["echo", "it's", "a b"], ["false"], ["echo", "-n", "$HOME"]])
-    assert len(launches) == 1 and launches[0][0] == "ssh"
+    assert [argv[0] for argv in shell_router.launches] == ["ssh"]
     assert [(r.exit_code, r.stdout) for r in results] == [
         (0, "it's a b\n"), (1, ""), (0, "$HOME")]
     passed = endpoint.exec_many([["true"]], then=[["echo", "it's"], ["false"], ["echo", "$x"]])
     held = endpoint.exec_many([["echo", "a;b"], ["false"]], then=[["echo", "never"]])
-    assert len(launches) == 3 and all(argv[0] == "ssh" for argv in launches)
+    assert [argv[0] for argv in shell_router.launches] == ["ssh"] * 3
     assert [(r.exit_code, r.stdout) for r in passed] == [
         (0, ""), (0, "it's\n"), (1, ""), (0, "$x\n")]
     assert [(r.exit_code, r.stdout) for r in held[:2]] == [(0, "a;b\n"), (1, "")]
     assert held[2] is None
 
 
-def test_ssh_processes_never_read_the_terminal(monkeypatch, tmp_path):
+@pytest.mark.skipif(any(shutil.which(tool) is None for tool in ("sh", "cp", "sha256sum")),
+                    reason="sh or coreutils cp/sha256sum not installed")
+def test_ssh_processes_never_read_the_terminal(shell_router, tmp_path):
     """Every ssh and scp process SshEndpoint starts gets stdin from
-    /dev/null, so a remote prompt reads EOF instead of the user's input."""
-    launches = []
-    remote = {"content": b""}
-
-    def fake_run(argv, **kwargs):
-        launches.append((argv[0], kwargs.get("stdin")))
-        stdout = ""
-        if argv[0] == "scp" and "@" in argv[-1]:
-            with open(argv[-2], "rb") as handle:
-                remote["content"] = handle.read()
-        elif argv[0] == "scp":
-            with open(argv[-1], "wb") as handle:
-                handle.write(remote["content"])
-        elif argv[-1].startswith("sha256sum "):
-            stdout = hashlib.sha256(remote["content"]).hexdigest() + "  file\n"
-        elif argv[-1].startswith("sh -c "):
-            return run(["sh", "-c", argv[-1]], capture_output=True, text=True)
-        return subprocess.CompletedProcess(argv, 0, stdout, "")
-
-    run = subprocess.run
-    monkeypatch.setattr(transport.subprocess, "run", fake_run)
-    endpoint = transport.SshEndpoint(
-        ClusterProfile(host="hpc", user="u", key_path="/k", scratch_dir="/scratch"))
+    /dev/null, so a remote prompt reads EOF instead of the user's input;
+    the router fails any process started otherwise. A put and a get each
+    take scp, sha256sum and mv or test -e, and give back the same bytes."""
+    endpoint = ssh_endpoint(tmp_path)
     local = tmp_path / "local.bin"
     local.write_bytes(b"payload")
     endpoint.exec(["true"])
     endpoint.exec_many([["true"], ["false"]])
-    endpoint.put_file(str(local), "/scratch/x")
-    endpoint.get_file("/scratch/x", str(tmp_path / "back.bin"))
+    endpoint.put_file(str(local), str(tmp_path / "remote.bin"))
+    endpoint.get_file(str(tmp_path / "remote.bin"), str(tmp_path / "back.bin"))
     assert (tmp_path / "back.bin").read_bytes() == b"payload"
-    assert {program for program, _ in launches} == {"ssh", "scp"}
-    assert all(stdin is subprocess.DEVNULL for _, stdin in launches), launches
+    assert sorted(os.listdir(tmp_path)) == ["back.bin", "local.bin", "remote.bin"]
+    assert [argv[0] for argv in shell_router.launches] == ["ssh"] * 2 + [
+        "scp", "ssh", "ssh", "ssh", "scp", "ssh"]
+
+
+@pytest.mark.skipif(shutil.which("sh") is None, reason="sh not installed")
+def test_ssh_link_failure_and_deadline(shell_router):
+    """Exit 255 is the link's failure, whatever the command; a launch past
+    its deadline raises Timeout."""
+    endpoint = ssh_endpoint()
+    assert endpoint.exec(["sh", "-c", "exit 254"]).exit_code == 254
+    shell_router.drop = lambda argv: True
+    with pytest.raises(ConnectionLost):
+        endpoint.exec(["true"])
+    shell_router.drop = lambda argv: False
+    with pytest.raises(Timeout):
+        endpoint.exec(["sleep", "5"], timeout=0.2)
