@@ -1,6 +1,7 @@
 """Command-line surface: validate, init, run, status, logs, fetch, cancel, list."""
 
 import contextlib
+import math
 import os
 import sys
 
@@ -59,34 +60,29 @@ def _endpoint(profile, simulate):
             cluster.save_state(state_path)
 
 
-def _simulate_option(func):
-    return click.option(
-        "--simulate",
-        default=None,
-        is_flag=False,
-        flag_value="",
-        help="Use the embedded simulator; optionally pass a topology file.",
-    )(func)
+_simulate_option = click.option(
+    "--simulate",
+    default=None,
+    is_flag=False,
+    flag_value="",
+    help="Use the embedded simulator; optionally pass a topology file.",
+)
 
+_config_option = click.option(
+    "--config",
+    "config_path",
+    default=DEFAULT_CONFIG,
+    show_default=True,
+    envvar="SLURMBRIDGE_CONFIG",
+    help="Config file path.",
+)
 
-def _config_option(func):
-    return click.option(
-        "--config",
-        "config_path",
-        default=DEFAULT_CONFIG,
-        show_default=True,
-        envvar="SLURMBRIDGE_CONFIG",
-        help="Config file path.",
-    )(func)
-
-
-def _runs_dir_option(func):
-    return click.option(
-        "--runs-dir",
-        default="./runs",
-        show_default=True,
-        help="Directory holding run journals.",
-    )(func)
+_runs_dir_option = click.option(
+    "--runs-dir",
+    default="./runs",
+    show_default=True,
+    help="Directory holding run journals.",
+)
 
 
 @click.group()
@@ -100,12 +96,8 @@ def cmd_validate(descriptor_path):
     """Parse a workflow descriptor and print its parameter table."""
     try:
         with open(descriptor_path) as handle:
-            text = handle.read()
-    except OSError as exc:
-        _fail(str(exc))
-    try:
-        descriptor = descriptor_mod.parse_descriptor(text)
-    except SlurmBridgeError as exc:
+            descriptor = descriptor_mod.parse_descriptor(handle.read())
+    except (OSError, SlurmBridgeError) as exc:
         _fail(str(exc))
     for warning in descriptor.warnings:
         click.echo(f"warning: {warning}", err=True)
@@ -141,7 +133,12 @@ def cmd_init(config_path, simulate):
     sys.exit(EXIT_RUN_FAILURE if report.failures else EXIT_OK)
 
 
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
 def _parse_params(descriptor, params):
+    """The typed value of each id=value: a Boolean is one of _BOOLEANS in
+    any case, a Number a finite float (an int when integral)."""
     values = {}
     for raw in params:
         if "=" not in raw:
@@ -151,16 +148,21 @@ def _parse_params(descriptor, params):
             spec = descriptor.param(key)
         except SlurmBridgeError as exc:
             _fail(str(exc))
+        value = raw_value
         if spec.value_type is descriptor_mod.ValueType.BOOLEAN:
-            values[key] = raw_value.lower() in ("1", "true", "yes")
+            value = _BOOLEANS.get(raw_value.lower())
         elif spec.value_type is descriptor_mod.ValueType.NUMBER:
             try:
-                number = float(raw_value)
+                value = float(raw_value)
             except ValueError:
-                _fail(f"parameter {key!r} expects a number, got {raw_value!r}")
-            values[key] = int(number) if number.is_integer() else number
-        else:
-            values[key] = raw_value
+                value = math.nan  # refused below, as inf and nan are
+            if not math.isfinite(value):
+                value = None
+            elif value.is_integer():
+                value = int(value)
+        if value is None:
+            _fail(f"parameter {key!r} expects a {spec.value_type.value}, got {raw_value!r}")
+        values[key] = value
     return values
 
 
@@ -184,7 +186,8 @@ def _load_descriptor_for(config_path, entry):
 @_runs_dir_option
 @click.option("--param", "params", multiple=True, help="Parameter as id=value.")
 @click.option("--input", "input_dir", required=True, help="Local input directory.")
-@click.option("--batch-size", default=0, type=int, help="Items per batch (default: all in one).")
+@click.option("--batch-size", default=0, type=click.IntRange(min=0),
+              help="Items per batch (default: all in one).")
 @click.option("--output", "output_dir", default=".", help="Local output directory.")
 @click.option("--skip-conversion", is_flag=True, default=False)
 def cmd_run(workflow, config_path, simulate, runs_dir, params, input_dir,

@@ -11,11 +11,9 @@ from dataclasses import dataclass
 
 from .errors import InvalidValue, MalformedConfig, MissingSection, UnknownWorkflow
 
-# Fallback resources applied beneath [defaults] and per-workflow overrides.
-FALLBACK_MEM_MB = 4096
-FALLBACK_CPUS = 2
-FALLBACK_GPUS = 0
-FALLBACK_TIME_MIN = 60
+# Fallback resources applied beneath [defaults] and per-workflow overrides;
+# its keys are the resource keys a config may set.
+_FALLBACK_RESOURCES = {"mem_mb": 4096, "cpus": 2, "gpus": 0, "time_limit_min": 60}
 
 
 @dataclass(frozen=True)
@@ -65,9 +63,6 @@ class WorkflowRegistry:
         if name not in self.entries:
             raise UnknownWorkflow(name)
         return self.entries[name]
-
-
-_RESOURCE_KEYS = ("mem_mb", "cpus", "gpus", "time_limit_min")
 
 
 def _int_value(section, key, raw):
@@ -125,14 +120,9 @@ def parse_config(text):
         converters=converters,
     )
 
-    defaults = {
-        "mem_mb": FALLBACK_MEM_MB,
-        "cpus": FALLBACK_CPUS,
-        "gpus": FALLBACK_GPUS,
-        "time_limit_min": FALLBACK_TIME_MIN,
-    }
+    defaults = dict(_FALLBACK_RESOURCES)
     if "defaults" in parser:
-        for key in _RESOURCE_KEYS:
+        for key in _FALLBACK_RESOURCES:
             if key in parser["defaults"]:
                 defaults[key] = _int_value("defaults", key, parser["defaults"][key])
 
@@ -149,7 +139,7 @@ def parse_config(text):
         if not version:
             raise InvalidValue(f"{section}.version", "must be non-empty")
         merged = dict(defaults)
-        for key in _RESOURCE_KEYS:
+        for key in _FALLBACK_RESOURCES:
             if key in wf:
                 merged[key] = _int_value(section, key, wf[key])
         entries[name] = WorkflowEntry(

@@ -230,10 +230,6 @@ def render_value(value):
     """
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 

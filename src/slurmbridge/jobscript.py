@@ -101,14 +101,10 @@ def generate_workflow_script(
     )
     args = " ".join(descriptor_mod.render_cli_args(descriptor, values))
     command = f"singularity exec {bind_specs} {run_paths.image_file} {args}".rstrip()
-    body = []
-    if sim is not None:
-        body.append(sim.line())
-    body.append(command)
     return JobScript(
         directives=_base_directives(resources, logs_dir),
         env_exports=env_exports,
-        body=body,
+        body=[sim.line(), command] if sim is not None else [command],
     )
 
 
@@ -136,14 +132,10 @@ def generate_conversion_script(
         f"convert --source-format {src_fmt} --target-format {dst_fmt} "
         f'--index "$SLURM_ARRAY_TASK_ID" /data'
     )
-    body = []
-    if sim is not None:
-        body.append(sim.line())
-    body.append(command)
     return JobScript(
         directives=_base_directives(replace(resources, gpus=0), logs_dir, n_items),
         env_exports=[],
-        body=body,
+        body=[sim.line(), command] if sim is not None else [command],
     )
 
 

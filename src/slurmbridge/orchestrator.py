@@ -582,23 +582,24 @@ def import_results(record, destination, mode):
             handle.write(data)
         written.append(target)
 
+    def entries():
+        """(name, bytes) of every file in the result zips."""
+        for zip_path in zips:
+            with zipfile.ZipFile(zip_path) as archive:
+                for info in archive.infolist():
+                    if not info.is_dir():
+                        yield info.filename, archive.read(info)
+
     if mode == "SingleZip":
         for zip_path in zips:
-            target = os.path.join(destination, os.path.basename(zip_path))
-            if os.path.exists(target):
-                raise CollisionError(target)
-            shutil.copyfile(zip_path, target)
-            written.append(target)
+            with open(zip_path, "rb") as handle:
+                place(handle.read(), os.path.join(destination, os.path.basename(zip_path)))
         return written
 
     run_dir = os.path.join(destination, record.run_id)
     if mode == "ImagesFolder":
-        for zip_path in zips:
-            with zipfile.ZipFile(zip_path) as archive:
-                for info in archive.infolist():
-                    if info.is_dir():
-                        continue
-                    place(archive.read(info), os.path.join(run_dir, info.filename))
+        for name, data in entries():
+            place(data, os.path.join(run_dir, name))
         return written
 
     if mode == "SidecarAttachments":
@@ -606,24 +607,16 @@ def import_results(record, destination, mode):
             ((item.id, item) for item in record.items),
             key=lambda pair: -len(pair[0]),
         )
-        for zip_path in zips:
-            with zipfile.ZipFile(zip_path) as archive:
-                for info in archive.infolist():
-                    if info.is_dir():
-                        continue
-                    name = os.path.basename(info.filename)
-                    stem = name.rsplit(".", 1)[0]
-                    match = None
-                    for item_id, item in stems:
-                        if stem == item_id or stem.startswith(item_id + "_") \
-                                or stem.startswith(item_id + "."):
-                            match = item
-                            break
-                    if match is not None:
-                        target = os.path.join(os.path.dirname(match.local_path), name)
-                    else:
-                        target = os.path.join(run_dir, "unmatched", name)
-                    place(archive.read(info), target)
+        for entry, data in entries():
+            name = os.path.basename(entry)
+            stem = name.rsplit(".", 1)[0]
+            match = next((item for item_id, item in stems if stem == item_id
+                          or stem.startswith((item_id + "_", item_id + "."))), None)
+            if match is not None:
+                target = os.path.join(os.path.dirname(match.local_path), name)
+            else:
+                target = os.path.join(run_dir, "unmatched", name)
+            place(data, target)
         return written
 
     raise ValueError(f"unknown import mode: {mode}")

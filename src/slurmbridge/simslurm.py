@@ -10,14 +10,13 @@ import dataclasses
 import heapq
 import io
 import json
-import os
 import posixpath
 import zipfile
 from base64 import b64decode, b64encode, encodebytes
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import ChecksumMismatch, DestinationUnwritable, SourceMissing
+from .errors import DestinationUnwritable, SourceMissing
 from .jobscript import (
     clock_to_minutes,
     scan_directives,
@@ -29,8 +28,6 @@ from .transport import (
     DEFAULT_DEADLINE_S,
     Endpoint,
     ExecResult,
-    TransferReport,
-    file_sha256,
     frame_output,
     sha256_hex,
     unframe_commands,
@@ -102,6 +99,30 @@ class SimFS:
         for name in [name for name in self.files if name == path or name.startswith(prefix)]:
             del self.files[name]
         self.dirs -= {name for name in self.dirs if name == path or name.startswith(prefix)}
+
+    def move(self, src, dst):
+        """Like `mv -T src dst` (coreutils 9.1): a file replaces a file, a
+        directory an empty directory; False, changing nothing, where mv
+        exits 1 (src missing or dst itself, dst's parent no directory, a
+        file onto a directory or a path ending in '/', a directory onto a
+        file, a directory that is not empty, or into itself)."""
+        old, new = _norm(src), _norm(dst)
+        if old == new or posixpath.dirname(new) not in self.dirs:
+            return False
+        if old in self.files and not src.endswith("/"):
+            if dst.endswith("/") or new in self.dirs:
+                return False
+            self.files[new] = self.files.pop(old)
+            return True
+        inside = old + "/"
+        if old not in self.dirs or new in self.files or (new + "/").startswith(inside) \
+                or self.list_dir(new):
+            return False
+        renamed = {name: new + name[len(old):] for name in [*self.files, *self.dirs]
+                   if name == old or name.startswith(inside)}
+        self.files = {renamed.get(name, name): data for name, data in self.files.items()}
+        self.dirs = {renamed.get(name, name) for name in self.dirs}
+        return True
 
     def files_under(self, directory):
         """Sorted relative paths of every file below directory."""
@@ -700,6 +721,10 @@ class SimCluster:
                 if not path.startswith("-"):
                     self.fs.remove_tree(path)
             return ExecResult(0, "", "", 0)
+        if cmd == "mv":
+            if len(args) != 3 or args[0] != "-T" or not self.fs.move(args[1], args[2]):
+                return ExecResult(1, "", f"mv: cannot move: {' '.join(args)}\n", 0)
+            return ExecResult(0, "", "", 0)
         if cmd == "test":
             if len(args) == 2 and args[0] == "-e":
                 return ExecResult(0 if self.fs.exists(args[1]) else 1, "", "", 0)
@@ -786,7 +811,8 @@ class SimCluster:
 
 
 class SimEndpoint(Endpoint):
-    """Endpoint backend over an in-process SimCluster; poll sleeps advance
+    """Endpoint backend over an in-process SimCluster: exec runs sim_exec,
+    the raw copies write to and read from its SimFS, and poll sleeps advance
     the virtual clock."""
 
     def __init__(self, cluster=None):
@@ -795,27 +821,14 @@ class SimEndpoint(Endpoint):
     def exec(self, command, timeout=DEFAULT_DEADLINE_S):
         return self.cluster.sim_exec(command)
 
-    def put_file(self, local, remote):
-        if not os.path.isfile(local):
-            raise SourceMissing(local)
+    def _copy_up(self, local, remote):
         with open(local, "rb") as handle:
-            data = handle.read()
-        self.cluster.fs.write(remote, data)
-        stored = self.cluster.fs.read(remote)
-        checksum = file_sha256(local)
-        if sha256_hex(stored) != checksum:
-            raise ChecksumMismatch(remote)
-        return TransferReport(bytes=len(data), checksum=checksum)
+            self.cluster.fs.write(remote, handle.read())
 
-    def get_file(self, remote, local):
+    def _copy_down(self, remote, local):
         data = self.cluster.fs.read(remote)
-        remote_sum = sha256_hex(data)
         with open(local, "wb") as handle:
             handle.write(data)
-        local_sum = file_sha256(local)
-        if local_sum != remote_sum:
-            raise ChecksumMismatch(remote)
-        return TransferReport(bytes=len(data), checksum=local_sum)
 
     def sleep(self, seconds):
         self.cluster.advance(seconds)

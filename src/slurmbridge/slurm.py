@@ -179,16 +179,9 @@ def poll_jobs(endpoint, handles):
             tasks.setdefault(int(parent), []).append(state)
         else:
             plain[int(entry_id)] = state
-    states = {}
-    for handle in handles:
-        if handle.job_id in tasks:
-            states[handle.job_id] = aggregate_array_states(tasks[handle.job_id])
-        elif handle.job_id in plain:
-            states[handle.job_id] = plain[handle.job_id]
-        else:
-            # Submitted but not yet visible to accounting.
-            states[handle.job_id] = JobState.PENDING
-    return states
+    plain.update((job_id, aggregate_array_states(states)) for job_id, states in tasks.items())
+    # A job submitted but not yet visible to accounting is PENDING.
+    return {handle.job_id: plain.get(handle.job_id, JobState.PENDING) for handle in handles}
 
 
 def zip_entry_name(remote_path):

@@ -1,9 +1,12 @@
 """Remote execution and file transfer contract, plus the SSH/SCP backend.
 
 Commands cross this boundary as argv-style token lists; backends are
-responsible for any quoting their channel needs. Every transfer is
-checksum-verified after copy. A run brings its results bundle back on the
-stdout of an exec_many launch instead of through get_file; that launch
+responsible for any quoting their channel needs. A backend supplies four
+primitives: exec, a raw copy up (_copy_up), a raw copy down (_copy_down)
+and sleep. The transfers are defined once, on Endpoint, over those
+primitives: every copy is staged, checked against the remote `sha256sum`
+and only then moved into place. A run brings its results bundle back on
+the stdout of an exec_many launch instead of through get_file; that launch
 prints the bundle's sha256 digest beside its base64 stream, and the client
 verifies the decoded bytes against it (slurm.fetch_results).
 """
@@ -128,20 +131,62 @@ def file_sha256(path):
 class Endpoint(ABC):
     """One remote endpoint; at most one in-flight operation per handle.
 
-    Backends implement exec, put_file and get_file; exec_many and the path
-    helpers (`test -e`, `mkdir -p`, `rm -rf`) run through exec."""
+    Backends implement exec and the raw copies _copy_up and _copy_down, and
+    may replace sleep. put_file, get_file, exec_many and the path helpers
+    (`test -e`, `mkdir -p`, `rm -rf`) run through them."""
 
     @abstractmethod
     def exec(self, command, timeout=DEFAULT_DEADLINE_S):
         """Run an argv token list remotely; returns ExecResult."""
 
-    @abstractmethod
-    def put_file(self, local, remote):
-        """Copy local -> remote atomically; returns TransferReport."""
+    def _copy_up(self, local, remote):
+        """Copy the local file to remote as is; raises DestinationUnwritable."""
+        raise NotImplementedError
 
-    @abstractmethod
+    def _copy_down(self, remote, local):
+        """Copy the remote file to local as is; raises SourceMissing."""
+        raise NotImplementedError
+
+    def _remote_sha256(self, remote):
+        """The remote file's hex sha256 digest, or None when it cannot be hashed."""
+        result = self.exec(["sha256sum", remote])
+        return result.stdout.split()[0] if result.ok else None
+
+    def put_file(self, local, remote):
+        """Copy local -> remote atomically: stage it at staging_path(remote),
+        check the remote digest, then `mv -T` it into place (never into a
+        directory at remote), removing the staging file when the digest or
+        the move fails. Returns TransferReport."""
+        if not os.path.isfile(local):
+            raise SourceMissing(local)
+        tmp = staging_path(remote)
+        self._copy_up(local, tmp)
+        checksum = file_sha256(local)
+        try:
+            if self._remote_sha256(tmp) != checksum:
+                raise ChecksumMismatch(remote)
+            move = self.exec(["mv", "-T", tmp, remote])
+            if not move.ok:
+                raise DestinationUnwritable(move.stderr.strip())
+        except (ChecksumMismatch, DestinationUnwritable):
+            self.exec(["rm", "-f", tmp])
+            raise
+        return TransferReport(bytes=os.path.getsize(local), checksum=checksum)
+
     def get_file(self, remote, local):
-        """Copy remote -> local atomically; returns TransferReport."""
+        """Copy remote -> local atomically: stage it at staging_path(local),
+        check the remote digest, then rename it into place. Returns
+        TransferReport."""
+        if not self.path_exists(remote):
+            raise SourceMissing(remote)
+        tmp = staging_path(local)
+        self._copy_down(remote, tmp)
+        checksum = file_sha256(tmp)
+        if self._remote_sha256(remote) != checksum:
+            os.unlink(tmp)
+            raise ChecksumMismatch(remote)
+        os.replace(tmp, local)
+        return TransferReport(bytes=os.path.getsize(local), checksum=checksum)
 
     def exec_many(self, commands, then=()):
         """Run argv lists in order through one exec (one launch over SSH),
@@ -196,9 +241,10 @@ def staging_path(path):
 
 
 class SshEndpoint(Endpoint):
-    """Backend over the system ssh/scp binaries with key-file auth. No
-    remote command reads the local terminal: every process gets stdin from
-    /dev/null, so a remote prompt (unzip's "replace?") reads EOF."""
+    """Backend over the system ssh/scp binaries with key-file auth: exec is
+    one ssh process, each raw copy one scp process. No remote command reads
+    the local terminal: every process gets stdin from /dev/null, so a remote
+    prompt (unzip's "replace?") reads EOF."""
 
     def __init__(self, profile):
         port, key = str(profile.port), profile.key_path
@@ -225,38 +271,12 @@ class SshEndpoint(Endpoint):
         duration_ms = int((time.monotonic() - started) * 1000)
         return ExecResult(proc.returncode, proc.stdout, proc.stderr, duration_ms)
 
-    def _remote_sha256(self, remote):
-        result = self.exec(["sha256sum", remote])
-        if not result.ok:
-            raise ChecksumMismatch(f"cannot hash remote file {remote}")
-        return result.stdout.split()[0]
-
-    def put_file(self, local, remote):
-        if not os.path.isfile(local):
-            raise SourceMissing(local)
-        tmp = staging_path(remote)
-        copy = self._spawn(self._scp + [local, self._host + tmp])
+    def _copy_up(self, local, remote):
+        copy = self._spawn(self._scp + [local, self._host + remote])
         if copy.returncode != 0:
             raise DestinationUnwritable(copy.stderr.strip())
-        local_sum = file_sha256(local)
-        if self._remote_sha256(tmp) != local_sum:
-            self.exec(["rm", "-f", tmp])
-            raise ChecksumMismatch(remote)
-        move = self.exec(["mv", tmp, remote])
-        if not move.ok:
-            raise DestinationUnwritable(move.stderr.strip())
-        return TransferReport(bytes=os.path.getsize(local), checksum=local_sum)
 
-    def get_file(self, remote, local):
-        if not self.path_exists(remote):
-            raise SourceMissing(remote)
-        tmp = staging_path(local)
-        copy = self._spawn(self._scp + [self._host + remote, tmp])
+    def _copy_down(self, remote, local):
+        copy = self._spawn(self._scp + [self._host + remote, local])
         if copy.returncode != 0:
             raise SourceMissing(copy.stderr.strip())
-        local_sum = file_sha256(tmp)
-        if self._remote_sha256(remote) != local_sum:
-            os.unlink(tmp)
-            raise ChecksumMismatch(remote)
-        os.replace(tmp, local)
-        return TransferReport(bytes=os.path.getsize(local), checksum=local_sum)

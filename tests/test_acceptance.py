@@ -357,12 +357,13 @@ def test_criterion_11_no_job_outlives_its_data(cellpose_descriptor, tmp_path):
     @given(sacct_failures=st.lists(st.booleans(), max_size=8),
            lose_submission=st.booleans(),
            lose_retrieval=st.booleans(),
+           lose_upload=st.sampled_from([None, "sha256sum", "mv"]),
            deadline_s=st.sampled_from([None, 0, 5, 15, 40]),
            forced=st.lists(st.sampled_from([None, JobState.FAILED, JobState.TIMEOUT]),
                            min_size=1, max_size=3),
            input_format=st.sampled_from(["tiff", "zarr"]))
-    def no_job_outlives_its_data(sacct_failures, lose_submission, lose_retrieval, deadline_s,
-                                 forced, input_format):
+    def no_job_outlives_its_data(sacct_failures, lose_submission, lose_retrieval, lose_upload,
+                                 deadline_s, forced, input_format):
         endpoint, profile, registry = fresh_env(cellpose_descriptor)
         for index, state in enumerate(forced):
             if state is not None:
@@ -372,7 +373,7 @@ def test_criterion_11_no_job_outlives_its_data(cellpose_descriptor, tmp_path):
         try:
             orch.run_workflow_batched(
                 FlakyLink(endpoint.cluster, sacct_failures, lose_submission,
-                          lose_retrieval=lose_retrieval),
+                          lose_retrieval=lose_retrieval, lose_upload=lose_upload),
                 profile, registry,
                 cellpose_descriptor, "cellpose", {}, items, 2,
                 options=run_options(deadline_s=deadline_s),

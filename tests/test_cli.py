@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from slurmbridge import cli, simslurm
+from slurmbridge import descriptor as descriptor_mod
 from slurmbridge.cli import main
 from slurmbridge.errors import ConnectionLost
 from slurmbridge.states import JobState
@@ -181,6 +182,39 @@ class TestRun:
         result = self._init_and_run(
             runner, workspace, extra_args=["--param", "diameter=huge"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("param", ["diameter=inf", "diameter=-inf", "diameter=nan",
+                                       "diameter=1e999", "flag=ture", "flag=", "flag=on"])
+    def test_unusable_param_value_journals_nothing(self, runner, workspace, param):
+        tmp_path, _, _, descriptor_path = workspace
+        with open(descriptor_path, "w") as handle:
+            json.dump(dict(CELLPOSE_DESCRIPTOR, inputs=CELLPOSE_DESCRIPTOR["inputs"] + [
+                {"id": "flag", "type": "Boolean", "default-value": False}]), handle)
+        result = self._init_and_run(runner, workspace, extra_args=["--param", param])
+        assert result.exit_code == 2
+        assert f"parameter {param.split('=')[0]!r}" in result.stderr
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("raw,value", [
+        ("TRUE", True), ("Yes", True), ("1", True), ("false", False), ("NO", False), ("0", False)])
+    def test_boolean_param_spellings(self, raw, value):
+        descriptor = descriptor_mod.parse_descriptor(json.dumps(dict(
+            CELLPOSE_DESCRIPTOR, inputs=[{"id": "flag", "type": "Boolean"}],
+            **{"command-line": "run"})))
+        assert cli._parse_params(descriptor, [f"flag={raw}"]) == {"flag": value}
+
+    def test_negative_batch_size_journals_nothing(self, runner, workspace):
+        tmp_path = workspace[0]
+        result = self._init_and_run(runner, workspace, extra_args=["--batch-size", "-1"])
+        assert result.exit_code == 2
+        assert "--batch-size" in result.stderr
+        assert not (tmp_path / "runs").exists()
+
+    def test_zero_batch_size_is_one_batch(self, runner, workspace):
+        result = self._init_and_run(
+            runner, workspace, extra_args=["--batch-size", "0"], inputs=5)
+        assert result.exit_code == 0
+        assert len(kv_lines(result.stdout)["artifact"]) == 1
 
     def test_unknown_param(self, runner, workspace):
         result = self._init_and_run(

@@ -78,7 +78,9 @@ class CountingEndpoint(SimEndpoint):
 
 class FlakyLink(SimEndpoint):
     """Loses the link on each sacct call whose entry in failures is true
-    (calls past the end of the list go through); with lose_submission,
+    (calls past the end of the list go through); with lose_upload, the
+    program "sha256sum" or "mv", raises ConnectionLost right after the
+    upload's launch of that program has run remotely; with lose_submission,
     raises lost_with right after the first launch holding an sbatch has run
     remotely: a plain one, or one framed by exec_many, with or without a
     guard before it; and with lose_retrieval, raises ConnectionLost right
@@ -86,17 +88,21 @@ class FlakyLink(SimEndpoint):
     also tears the run down) has run remotely."""
 
     def __init__(self, cluster, failures=(), lose_submission=False, lost_with=ConnectionLost,
-                 lose_retrieval=False):
+                 lose_retrieval=False, lose_upload=None):
         super().__init__(cluster)
         self.failures = iter(failures)
         self.lose_submission = lose_submission
         self.lost_with = lost_with
         self.lose_retrieval = lose_retrieval
+        self.lose_upload = lose_upload
 
     def exec(self, command, timeout=DEFAULT_DEADLINE_S):
         if command[0] == "sacct" and next(self.failures, False):
             raise ConnectionLost("accounting link dropped")
         result = super().exec(command, timeout)
+        if command[0] == self.lose_upload:
+            self.lose_upload = None
+            raise ConnectionLost(f"link dropped after the upload's {command[0]} ran")
         framed = unframe_commands(command[-1]) if command[0] == "sh" else None
         programs = {argv[0] for argv in [command] + ([*framed[1], *framed[2]] if framed else [])}
         if self.lose_submission and "sbatch" in programs:
@@ -545,11 +551,12 @@ class TestRunWorkflowBatched:
         counts = dict(endpoint.counts)
         # No poll is wasted: one after each sleep.
         assert counts.pop("sacct") == counts.pop("sleep")
-        # One archive up, then one launch to make the dirs, unpack it and
-        # submit every job (a second launch for the workflow jobs that wait
-        # on a conversion), and one launch that zips every output and log,
-        # sends the bundle back and removes the run's data.
-        assert counts == {"put_file": 1, "sh": 3 if zarr else 2}
+        # One archive up (its copy, then `sha256sum` and `mv -T`), then one
+        # launch to make the dirs, unpack it and submit every job (a second
+        # launch for the workflow jobs that wait on a conversion), and one
+        # launch that zips every output and log, sends the bundle back and
+        # removes the run's data.
+        assert counts == {"put_file": 1, "sha256sum": 1, "mv": 1, "sh": 3 if zarr else 2}
         assert [path for path in endpoint.cluster.fs.files
                 if path.startswith("/scratch/omero/data/")] == []
 
@@ -649,6 +656,22 @@ class TestRunLifecycle:
         assert len(cluster.jobs) == 2
         assert_no_job_outlives_its_data(
             cluster, run_env[2].entry("cellpose").resources.time_limit_min)
+
+    @pytest.mark.parametrize("program", ["sha256sum", "mv"])
+    def test_lost_upload_answer_submits_nothing(self, run_env, tmp_path, program):
+        # The upload's digest check or move ran, but its answer was lost:
+        # every batch fails, and the teardown removes the archive, staged
+        # or in place.
+        cluster = run_env[0].cluster
+        endpoint = FlakyLink(cluster, lose_upload=program)
+        record = self.run(endpoint, run_env, tmp_path)
+        assert endpoint.lose_upload is None
+        assert record.overall_state is orch.RunStage.FAILED
+        assert batch_errors(record) == batch_failures(record) == {
+            0: "TransferFailed", 1: "TransferFailed"}
+        assert cluster.jobs == {}
+        assert [path for path in list(cluster.fs.files) + list(cluster.fs.dirs)
+                if path.startswith("/scratch/omero/data/")] == []
 
     def test_lost_submission_answer_orphans_no_job(self, run_env, tmp_path):
         cluster = run_env[0].cluster

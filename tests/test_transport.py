@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 
 from slurmbridge import transport
 from slurmbridge.config import ClusterProfile
-from slurmbridge.errors import ConnectionLost, DestinationUnwritable, SourceMissing, Timeout
+from slurmbridge.errors import (
+    ChecksumMismatch,
+    ConnectionLost,
+    DestinationUnwritable,
+    SourceMissing,
+    Timeout,
+)
 from slurmbridge.simslurm import SimCluster, SimEndpoint
 
 
@@ -67,6 +73,37 @@ class TestTransfers:
         with pytest.raises(SourceMissing):
             sim_endpoint.get_file("/remote/nope", str(tmp_path / "out"))
 
+    @pytest.mark.parametrize("slash", ["", "/"])
+    def test_put_onto_directory_is_refused(self, sim_endpoint, tmp_path, slash):
+        local = tmp_path / "payload.bin"
+        local.write_bytes(b"payload")
+        sim_endpoint.make_dirs("/remote/target")
+        sim_endpoint.cluster.fs.write("/remote/target/kept.bin", b"kept")
+        before = sim_endpoint.cluster.fs.snapshot()
+        with pytest.raises(DestinationUnwritable):
+            sim_endpoint.put_file(str(local), "/remote/target" + slash)
+        assert sim_endpoint.cluster.fs.snapshot() == before
+
+    def test_unhashable_copy_leaves_no_staging_file(self, tmp_path):
+        class NoDigest(SimEndpoint):
+            def exec(self, command, timeout=transport.DEFAULT_DEADLINE_S):
+                if command[0] == "sha256sum":
+                    return transport.ExecResult(1, "", "sha256sum: refused\n", 0)
+                return super().exec(command, timeout)
+
+        endpoint = NoDigest(SimCluster())
+        endpoint.make_dirs("/remote")
+        endpoint.cluster.fs.write("/remote/f", b"remote")
+        (tmp_path / "up").mkdir()
+        local = tmp_path / "up" / "g"
+        local.write_bytes(b"local")
+        with pytest.raises(ChecksumMismatch):
+            endpoint.get_file("/remote/f", str(tmp_path / "f"))
+        with pytest.raises(ChecksumMismatch):
+            endpoint.put_file(str(local), "/remote/g")
+        assert sorted(os.listdir(tmp_path)) == ["up"]
+        assert sorted(endpoint.cluster.fs.files) == ["/remote/f"]
+
     def test_path_ops(self, sim_endpoint):
         assert not sim_endpoint.path_exists("/a/b")
         sim_endpoint.make_dirs("/a/b")
@@ -100,6 +137,7 @@ _PATHS = st.builds(lambda names, slash: "/".join(names) + slash,
 _FILE_OPS = st.one_of(
     st.tuples(st.sampled_from(["mkdir -p", "rm -rf"]), st.lists(_PATHS, min_size=1, max_size=2)),
     st.tuples(st.sampled_from(["test -e", "put"]), _PATHS.map(lambda path: [path])),
+    st.tuples(st.just("mv -T"), st.lists(_PATHS, min_size=2, max_size=2)),
 )
 
 
@@ -145,9 +183,13 @@ def _sim_tree(fs, root):
 
 
 @pytest.mark.skipif(
-    any(shutil.which(tool) is None for tool in ("mkdir", "rm", "test", "zip", "unzip")),
-    reason="coreutils mkdir/rm/test or Info-ZIP zip/unzip not installed")
+    any(shutil.which(tool) is None for tool in ("mkdir", "rm", "test", "mv", "zip", "unzip")),
+    reason="coreutils mkdir/rm/test/mv or Info-ZIP zip/unzip not installed")
 @settings(max_examples=100, deadline=None)
+@example([("mkdir -p", ["a/b", "c"]), ("put", ["b"]), ("mv -T", ["b", "c"]),
+          ("mv -T", ["a", "c"]), ("mv -T", ["c", "c/b"]), ("mv -T", ["b", "a/"]),
+          ("mv -T", ["b", "c/b/a"]), ("mv -T", ["c/b/a", "c/b/a"]), ("mkdir -p", ["a"]),
+          ("mv -T", ["c/b/", "a/"]), ("put", ["c"]), ("mv -T", ["a/a", "c"])])
 @example([("mkdir -p", ["a/b"]), ("put", ["a/b/c"]), ("put", ["b"]),
           ("zip -r -D", ["a", "b", "c"]), ("unzip", ["c"]), ("unzip", ["c"]),
           ("unzip", ["b/a"]), ("unzip", ["a/a/a"]), ("zip -r -D", ["c/b"])])
@@ -156,10 +198,11 @@ def _sim_tree(fs, root):
           ("zip -q -r -D", ["b"])])
 @given(st.lists(st.one_of(_FILE_OPS, _ARCHIVE_OPS), max_size=8))
 def test_file_ops_match_real_tools(tmp_path_factory, ops):
-    """mkdir -p, rm -rf, test -e, zip [-q] -r -D, unzip [-q] and put_file
-    give the simulator the same exit codes, the same tree and the same
-    archive entries as the installed tools give local disk. The simulator's
-    tree sits at the same path as the real one, so entry names agree."""
+    """mkdir -p, rm -rf, test -e, mv -T, zip [-q] -r -D, unzip [-q] and
+    put_file give the simulator the same exit codes, the same tree and the
+    same archive entries as the installed tools give local disk. The
+    simulator's tree sits at the same path as the real one, so entry names
+    agree."""
     tmp = tmp_path_factory.mktemp("fileops")
     root = str(tmp / "tree")
     archive = tmp / "archive.zip"
@@ -242,8 +285,9 @@ _LISTED_OPS = st.one_of(
 )
 
 
-@pytest.mark.skipif(any(shutil.which(tool) is None for tool in ("sh", "mkdir", "rm", "test")),
-                    reason="sh or coreutils mkdir/rm/test not installed")
+@pytest.mark.skipif(
+    any(shutil.which(tool) is None for tool in ("sh", "mkdir", "rm", "test", "mv")),
+    reason="sh or coreutils mkdir/rm/test/mv not installed")
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @example([("echo -n", ["no newline"]), ("mkdir -p", ["a/b"]), ("false", []),
@@ -266,7 +310,7 @@ def test_exec_many_matches_real_shell(shell_router, tmp_path_factory, ops, then_
 
     def commands(root, ops):
         return [op.split() + ([f"{root}/{arg}" for arg in args]
-                              if op.split()[0] in ("mkdir", "rm", "test") else args)
+                              if op.split()[0] in ("mkdir", "rm", "test", "mv") else args)
                 for op, args in ops]
 
     def outcomes(results):
@@ -316,6 +360,23 @@ def test_ssh_processes_never_read_the_terminal(shell_router, tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["back.bin", "local.bin", "remote.bin"]
     assert [argv[0] for argv in shell_router.launches] == ["ssh"] * 2 + [
         "scp", "ssh", "ssh", "ssh", "scp", "ssh"]
+
+
+@pytest.mark.skipif(any(shutil.which(tool) is None for tool in ("sh", "cp", "sha256sum", "mv")),
+                    reason="sh or coreutils cp/sha256sum/mv not installed")
+@pytest.mark.parametrize("slash", ["", "/"])
+def test_ssh_put_onto_directory_is_refused(shell_router, tmp_path, slash):
+    """`mv -T` will not put the staged file inside a directory at the
+    target: the put fails, and the directory and its parent are as before,
+    with no staging file left."""
+    target = tmp_path / "remote" / "target"
+    target.mkdir(parents=True)
+    (target / "kept.bin").write_bytes(b"kept")
+    local = tmp_path / "local.bin"
+    local.write_bytes(b"payload")
+    with pytest.raises(DestinationUnwritable):
+        ssh_endpoint(tmp_path).put_file(str(local), str(target) + slash)
+    assert _real_tree(tmp_path / "remote") == ({"target"}, {"target/kept.bin": b"kept"})
 
 
 @pytest.mark.skipif(shutil.which("sh") is None, reason="sh not installed")
