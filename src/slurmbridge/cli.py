@@ -138,7 +138,9 @@ _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, 
 
 def _parse_params(descriptor, params):
     """The typed value of each id=value: a Boolean is one of _BOOLEANS in
-    any case, a Number a finite float (an int when integral)."""
+    any case, a Number a finite float (an int when integral and below
+    2**53 in magnitude, where every integer is exact, so 1e300 stays a
+    float and renders as typed)."""
     values = {}
     for raw in params:
         if "=" not in raw:
@@ -158,7 +160,7 @@ def _parse_params(descriptor, params):
                 value = math.nan  # refused below, as inf and nan are
             if not math.isfinite(value):
                 value = None
-            elif value.is_integer():
+            elif value.is_integer() and abs(value) < 2**53:
                 value = int(value)
         if value is None:
             _fail(f"parameter {key!r} expects a {spec.value_type.value}, got {raw_value!r}")

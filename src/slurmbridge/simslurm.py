@@ -11,7 +11,9 @@ import heapq
 import io
 import json
 import posixpath
+import struct
 import zipfile
+import zlib
 from base64 import b64decode, b64encode, encodebytes
 from collections import Counter
 from dataclasses import dataclass, field
@@ -43,13 +45,22 @@ _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
 
 _DEFAULT_DURATION_S = 10
 
+# How unzip turns an entry's raw bytes into its content, by compression
+# method.
+_DECODERS = {
+    zipfile.ZIP_STORED: lambda raw: raw,
+    zipfile.ZIP_DEFLATED: lambda raw: zlib.decompress(raw, -zlib.MAX_WBITS),
+}
+
 
 def _norm(path):
     return posixpath.normpath(path)
 
 
 class SimFS:
-    """In-memory POSIX-path filesystem: explicit directories, byte files."""
+    """In-memory POSIX-path filesystem: explicit directories, byte files.
+    A file holds bytes or a read-only view of bytes, such as an entry that
+    unzip extracted from its archive; read returns bytes either way."""
 
     def __init__(self):
         self.dirs = {"/"}
@@ -82,13 +93,16 @@ class SimFS:
         parent = posixpath.dirname(path)
         if parent not in self.dirs:
             raise DestinationUnwritable(f"no such directory: {parent}")
-        self.files[path] = bytes(data)
+        if not isinstance(data, bytes) and not (
+                isinstance(data, memoryview) and isinstance(data.obj, bytes)):
+            data = bytes(data)
+        self.files[path] = data
 
     def read(self, path):
         path = _norm(path)
         if path not in self.files:
             raise SourceMissing(path)
-        return self.files[path]
+        return bytes(self.files[path])
 
     def remove_tree(self, path):
         """Like `rm -rf`: a path with a trailing '/' removes only a directory."""
@@ -633,31 +647,59 @@ class SimCluster:
         at EOF: directory is created only when its parent exists; a file that
         exists already is kept (unzip asks on stderr whether to replace it,
         reads EOF and answers "none"), which makes the exit 1; an entry that a
-        file stands in the way of is skipped, which makes it 2."""
-        if _norm(archive) not in self.fs.files:
+        file stands in the way of is skipped, an entry whose bytes fail its
+        CRC is written anyway and named on stderr as -q names it, and one
+        that does not inflate is named and not written (Info-ZIP keeps what
+        it inflated), which each make it 2; an entry of a method other than
+        stored or deflated is skipped, which makes it 81. A file that is no
+        archive exits 9. A stored entry is written as a view of the
+        archive's bytes, so the archive and its entries are held once."""
+        data = self.fs.files.get(_norm(archive))
+        if data is None:
             return ExecResult(9, "", f"unzip:  cannot find or open {archive}\n", 0)
+        try:
+            with zipfile.ZipFile(io.BytesIO(data)) as archive_file:
+                infos = archive_file.infolist()
+        except zipfile.BadZipFile:
+            return ExecResult(
+                9, "", f"[{archive}]\n  End-of-central-directory signature not found.\n", 0)
         parent = posixpath.dirname(_norm(directory))
         if not self.fs.is_dir(directory) and (
                 self.fs.exists(directory) or not self.fs.is_dir(parent)):
             return ExecResult(
                 2, "", f"checkdir:  cannot create extraction directory: {directory}\n", 0)
         self.fs.make_dirs(directory)
+        view = memoryview(data)
         exit_code, err = 0, ""
-        with zipfile.ZipFile(io.BytesIO(self.fs.read(archive))) as archive_file:
-            for info in archive_file.infolist():
-                target = posixpath.join(directory, info.filename)
-                try:
-                    if info.is_dir():
-                        self.fs.make_dirs(target)
-                    elif self.fs.exists(target):
-                        exit_code = max(exit_code, 1)
-                        err += f"replace {target}? NULL\n"
-                    else:
-                        self.fs.make_dirs(posixpath.dirname(target))
-                        self.fs.write(target, archive_file.read(info))
-                except DestinationUnwritable as exc:
-                    exit_code = 2
-                    err += f"checkdir error:  {exc}\n"
+        for info in infos:
+            target = posixpath.join(directory, info.filename)
+            decode = _DECODERS.get(info.compress_type)
+            try:
+                if info.is_dir():
+                    self.fs.make_dirs(target)
+                elif self.fs.exists(target):
+                    exit_code = max(exit_code, 1)
+                    err += f"replace {target}? NULL\n"
+                elif decode is None:
+                    exit_code = max(exit_code, 81)
+                else:
+                    self.fs.make_dirs(posixpath.dirname(target))
+                    # The entry's bytes follow its local header, whose name
+                    # and extra field lengths sit at offset 26.
+                    start = info.header_offset + zipfile.sizeFileHeader + sum(
+                        struct.unpack_from("<HH", view, info.header_offset + 26))
+                    content = decode(view[start:start + info.compress_size])
+                    crc = zlib.crc32(content)
+                    if crc != info.CRC:
+                        exit_code = max(exit_code, 2)
+                        err += f"{target:<22}  bad CRC {crc:08x}  (should be {info.CRC:08x})\n"
+                    self.fs.write(target, content)
+            except DestinationUnwritable as exc:
+                exit_code = max(exit_code, 2)
+                err += f"checkdir error:  {exc}\n"
+            except zlib.error:
+                exit_code = max(exit_code, 2)
+                err += f"  error:  invalid compressed data to inflate {target}\n"
         return ExecResult(exit_code, "", err, 0)
 
     def _sha256sum(self, paths):
@@ -717,10 +759,19 @@ class SimCluster:
                         err += f"mkdir: {exc}\n"
             return ExecResult(1 if err else 0, "", err, 0)
         if cmd == "rm":
+            # Without -r, rm refuses a directory and keeps its tree.
+            flags = [arg for arg in args if arg.startswith("-")]
+            recursive = any(not flag.startswith("--") and {"r", "R"} & set(flag)
+                            for flag in flags)
+            err = ""
             for path in args:
-                if not path.startswith("-"):
+                if path in flags:
+                    continue
+                if not recursive and self.fs.is_dir(path):
+                    err += f"rm: cannot remove '{path}': Is a directory\n"
+                else:
                     self.fs.remove_tree(path)
-            return ExecResult(0, "", "", 0)
+            return ExecResult(1 if err else 0, "", err, 0)
         if cmd == "mv":
             if len(args) != 3 or args[0] != "-T" or not self.fs.move(args[1], args[2]):
                 return ExecResult(1, "", f"mv: cannot move: {' '.join(args)}\n", 0)

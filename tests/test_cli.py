@@ -203,6 +203,18 @@ class TestRun:
             **{"command-line": "run"})))
         assert cli._parse_params(descriptor, [f"flag={raw}"]) == {"flag": value}
 
+    @pytest.mark.parametrize("raw,token", [
+        ("30", "30"), ("30.0", "30"), ("-2", "-2"), ("2.5", "2.5"),
+        ("9007199254740991", "9007199254740991"), ("1e300", "1e+300"), ("-1e300", "-1e+300")])
+    def test_number_param_renders_as_typed(self, raw, token):
+        """An integral Number is an int only below 2**53, where every
+        integer is exact; a larger one keeps its shortest round-trip form
+        instead of the binary float's expansion."""
+        descriptor = descriptor_mod.parse_descriptor(json.dumps(CELLPOSE_DESCRIPTOR))
+        values = cli._parse_params(descriptor, [f"diameter={raw}"])
+        assert descriptor_mod.render_cli_args(descriptor, values) == [
+            "python", "wrapper.py", "--diameter", token]
+
     def test_negative_batch_size_journals_nothing(self, runner, workspace):
         tmp_path = workspace[0]
         result = self._init_and_run(runner, workspace, extra_args=["--batch-size", "-1"])

@@ -4,6 +4,7 @@ import glob
 import io
 import os
 import shutil
+import struct
 import subprocess
 import zipfile
 
@@ -504,6 +505,39 @@ class TestRunWorkflowBatched:
         assert all(f"remote {step} failed: {refused}: refused" in str(batch.error)
                    for batch in record.batches)
         assert [path for path in endpoint.cluster.fs.files
+                if path.startswith("/scratch/omero/data/")] == []
+
+    def test_damaged_upload_fails_unpack(self, run_env, tmp_path, monkeypatch):
+        # The archive is damaged before it is hashed, so the upload's digest
+        # matches; unzip then finds the bad CRC, exits 2 and holds sbatch back.
+        pack_inputs = orch.pack_inputs
+
+        def pack_damaged(*args, **kwargs):
+            zip_path = pack_inputs(*args, **kwargs)
+            with open(zip_path, "r+b") as handle:
+                header = handle.read(30)
+                handle.seek(30 + sum(struct.unpack_from("<HH", header, 26)))
+                first = handle.read(1)[0]
+                handle.seek(-1, os.SEEK_CUR)
+                handle.write(bytes([first ^ 1]))
+            return zip_path
+
+        monkeypatch.setattr(orch, "pack_inputs", pack_damaged)
+        endpoint, profile, registry, descriptor = run_env
+        counting = CountingEndpoint(endpoint.cluster)
+        record = orch.run_workflow_batched(
+            counting, profile, registry, descriptor,
+            "cellpose", {}, tiff_items(tmp_path, 4), 2, options=fast_options(),
+            local_output_dir=str(tmp_path / "out"),
+        )
+        assert counting.counts["put_file"] == 1
+        assert endpoint.cluster.jobs == {}
+        assert record.overall_state is orch.RunStage.FAILED
+        assert batch_errors(record) == batch_failures(record) == {
+            0: "TransferFailed", 1: "TransferFailed"}
+        assert all("remote unpack failed:" in str(batch.error) and "bad CRC" in str(batch.error)
+                   for batch in record.batches)
+        assert [path for path in list(endpoint.cluster.fs.files) + list(endpoint.cluster.fs.dirs)
                 if path.startswith("/scratch/omero/data/")] == []
 
     @pytest.mark.skipif(shutil.which("zip") is None, reason="Info-ZIP zip not installed")

@@ -3,6 +3,8 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
+import zipfile
 
 import pytest
 
@@ -10,6 +12,7 @@ from slurmbridge.simslurm import (
     DEFAULT_NODES,
     FaultDirective,
     SimCluster,
+    SimEndpoint,
     load_topology,
 )
 from slurmbridge.states import (
@@ -513,3 +516,34 @@ def test_golden_traces(first_seed):
     for seed in range(first_seed, first_seed + 50):
         digest.update(golden_schedule(seed).encode())
     assert digest.hexdigest() == GOLDEN_DIGESTS[first_seed]
+
+
+def test_unzip_holds_stored_entries_once(tmp_path):
+    """The submission's `unzip -q` and `rm -f` of an uploaded archive of
+    stored entries allocate well under one copy of the payload: each entry
+    is a view of the archive, which lives on in them once it is removed."""
+    payload = [bytes(range(256)) * (4 << 10) * k for k in (1, 2, 5)]  # 8 MiB in all
+    local = tmp_path / "input.zip"
+    with zipfile.ZipFile(local, "w", zipfile.ZIP_STORED) as archive:
+        for k, data in enumerate(payload):
+            archive.writestr(f"in/{k}.tiff", data)
+    endpoint = SimEndpoint(SimCluster())
+    endpoint.make_dirs("/scratch/data")
+    endpoint.put_file(str(local), "/scratch/data/r1.zip")
+    size = local.stat().st_size
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        unpacked, removed = endpoint.exec_many([
+            ["unzip", "-q", "/scratch/data/r1.zip", "-d", "/scratch/data/r1"],
+            ["rm", "-f", "/scratch/data/r1.zip"]])
+        peak = tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
+    assert unpacked.ok and removed.ok
+    assert peak < size / 4, (peak, size)
+    fs = endpoint.cluster.fs
+    assert fs.files_under("/scratch/data") == ["r1/in/0.tiff", "r1/in/1.tiff", "r1/in/2.tiff"]
+    assert [fs.read(f"/scratch/data/r1/in/{k}.tiff") for k in range(3)] == payload
+    restored = SimCluster.from_dict(json.loads(json.dumps(endpoint.cluster.to_dict())))
+    assert restored.fs.snapshot() == fs.snapshot()

@@ -131,11 +131,13 @@ def test_put_get_identity_property(tmp_path_factory, payload):
 # Short op sequences over a three-name alphabet, so that paths collide: a
 # file where a directory is wanted, a tree removed and then tested, and so on.
 # A trailing '/' asks for a directory: `test -e f/` and `rm -rf f/` miss a file f.
+# `rm -f` refuses a directory and keeps its tree; `rm -rf` removes it.
 _PATHS = st.builds(lambda names, slash: "/".join(names) + slash,
                    st.lists(st.sampled_from("abc"), min_size=1, max_size=3),
                    st.sampled_from(["", "/"]))
 _FILE_OPS = st.one_of(
-    st.tuples(st.sampled_from(["mkdir -p", "rm -rf"]), st.lists(_PATHS, min_size=1, max_size=2)),
+    st.tuples(st.sampled_from(["mkdir -p", "rm -f", "rm -rf"]),
+              st.lists(_PATHS, min_size=1, max_size=2)),
     st.tuples(st.sampled_from(["test -e", "put"]), _PATHS.map(lambda path: [path])),
     st.tuples(st.just("mv -T"), st.lists(_PATHS, min_size=2, max_size=2)),
 )
@@ -193,12 +195,14 @@ def _sim_tree(fs, root):
 @example([("mkdir -p", ["a/b"]), ("put", ["a/b/c"]), ("put", ["b"]),
           ("zip -r -D", ["a", "b", "c"]), ("unzip", ["c"]), ("unzip", ["c"]),
           ("unzip", ["b/a"]), ("unzip", ["a/a/a"]), ("zip -r -D", ["c/b"])])
+@example([("mkdir -p", ["a/b"]), ("put", ["c"]), ("rm -f", ["a/", "c/"]), ("rm -f", ["a", "b"]),
+          ("rm -f", ["a/b/", "c"]), ("rm -rf", ["a/b/"])])
 @example([("mkdir -p", ["a/b"]), ("put", ["a/b/c"]), ("zip -q -r -D", ["a", "b"]),
           ("unzip -q", ["c"]), ("unzip -q", ["c"]), ("unzip -q", ["a/b/c"]),
           ("zip -q -r -D", ["b"])])
 @given(st.lists(st.one_of(_FILE_OPS, _ARCHIVE_OPS), max_size=8))
 def test_file_ops_match_real_tools(tmp_path_factory, ops):
-    """mkdir -p, rm -rf, test -e, mv -T, zip [-q] -r -D, unzip [-q] and
+    """mkdir -p, rm -f, rm -rf, test -e, mv -T, zip [-q] -r -D, unzip [-q] and
     put_file give the simulator the same exit codes, the same tree and the
     same archive entries as the installed tools give local disk. The
     simulator's tree sits at the same path as the real one, so entry names
@@ -246,6 +250,68 @@ def test_file_ops_match_real_tools(tmp_path_factory, ops):
             real_archive = archive.read_bytes() if archive.exists() else None
             assert _archive_entries(fs.files.get(str(archive))) == _archive_entries(real_archive)
         assert _sim_tree(fs, root) == _real_tree(root), (step, op)
+
+
+def _damaged_archive(damage):
+    """A three-entry archive whose first entry, a/x.bin, is damaged:
+    stored-crc flips one of its data bytes, deflated-crc its CRC in both
+    headers (so that it still inflates), deflated-data the block type of
+    its deflate stream; lzma compresses it by a method unzip lacks."""
+    method = {"stored-crc": zipfile.ZIP_STORED, "lzma": zipfile.ZIP_LZMA}.get(
+        damage, zipfile.ZIP_DEFLATED)
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        archive.writestr("a/x.bin", b"hello world " * 8, compress_type=method)
+        archive.writestr("b.bin", b"second entry")
+        archive.writestr("c.bin", b"")
+    data = bytearray(buffer.getvalue())
+    if damage == "stored-crc":
+        data[data.index(b"hello world")] ^= 1
+    elif damage == "deflated-crc":
+        for crc_at in (14, data.index(b"PK\x01\x02") + 16):
+            data[crc_at] ^= 1
+    elif damage == "deflated-data":
+        data[30 + len("a/x.bin")] |= 0b110  # block type 3, which is reserved
+    return bytes(data)
+
+
+@pytest.mark.skipif(shutil.which("unzip") is None, reason="Info-ZIP unzip not installed")
+@pytest.mark.parametrize("damage,exit_code", [
+    ("stored-crc", 2), ("deflated-crc", 2), ("deflated-data", 2), ("lzma", 81)])
+def test_damaged_archive_unzips_as_info_zip_does(tmp_path, damage, exit_code):
+    """A damaged entry costs only itself: the other entries are extracted,
+    and the simulator's `unzip -q` gives the exit status and stderr of the
+    installed unzip. An entry that fails its CRC is written anyway; one that
+    does not inflate is left out (Info-ZIP keeps what it inflated)."""
+    archive, out = str(tmp_path / "damaged.zip"), str(tmp_path / "out")
+    data = _damaged_archive(damage)
+    (tmp_path / "damaged.zip").write_bytes(data)
+    cluster = SimCluster()
+    cluster.fs.make_dirs(str(tmp_path))
+    cluster.fs.write(archive, data)
+    argv = ["unzip", "-q", archive, "-d", out]
+    real = subprocess.run(argv, stdin=subprocess.DEVNULL, capture_output=True, text=True)
+    sim = cluster.sim_exec(argv)
+    assert (sim.exit_code, sim.stdout, sim.stderr) == (real.returncode, real.stdout, real.stderr)
+    assert sim.exit_code == exit_code
+    dirs, files = _real_tree(out)
+    if damage == "deflated-data":
+        del files["a/x.bin"]
+    assert _sim_tree(cluster.fs, out) == (dirs, files)
+
+
+@pytest.mark.skipif(shutil.which("unzip") is None, reason="Info-ZIP unzip not installed")
+def test_unzip_of_no_archive_makes_nothing(tmp_path):
+    """A file that is no zip archive: unzip exits 9 and makes no directory."""
+    archive, out = str(tmp_path / "none.zip"), str(tmp_path / "out")
+    (tmp_path / "none.zip").write_bytes(b"no archive")
+    cluster = SimCluster()
+    cluster.fs.make_dirs(str(tmp_path))
+    cluster.fs.write(archive, b"no archive")
+    argv = ["unzip", "-q", archive, "-d", out]
+    real = subprocess.run(argv, stdin=subprocess.DEVNULL, capture_output=True)
+    assert cluster.sim_exec(argv).exit_code == real.returncode == 9
+    assert not cluster.fs.exists(out) and not os.path.exists(out)
 
 
 @pytest.mark.skipif(any(shutil.which(tool) is None for tool in ("sha256sum", "base64")),
