@@ -7,11 +7,16 @@ nodes, and advances a virtual clock. Script "work" is declared via a
 """
 
 import dataclasses
+import hashlib
 import heapq
 import io
 import json
+import os
 import posixpath
+import shutil
 import struct
+import tempfile
+import weakref
 import zipfile
 import zlib
 from base64 import b64decode, b64encode, encodebytes
@@ -31,7 +36,6 @@ from .transport import (
     Endpoint,
     ExecResult,
     frame_output,
-    sha256_hex,
     unframe_commands,
 )
 
@@ -45,26 +49,50 @@ _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
 
 _DEFAULT_DURATION_S = 10
 
-# How unzip turns an entry's raw bytes into its content, by compression
-# method.
-_DECODERS = {
-    zipfile.ZIP_STORED: lambda raw: raw,
-    zipfile.ZIP_DEFLATED: lambda raw: zlib.decompress(raw, -zlib.MAX_WBITS),
-}
+# The largest piece in which a file's bytes are copied or hashed; the next
+# piece is read before the last is freed, so a copy holds at most two.
+_CHUNK = 1 << 19
 
 
 def _norm(path):
     return posixpath.normpath(path)
 
 
+class _Extent:
+    """A read-only binary file over size bytes of file descriptor fd from
+    offset on, read with pread; a seek before its start goes to its start."""
+
+    def __init__(self, fd, offset, size):
+        self.fd, self.offset, self.size, self.position = fd, offset, size, 0
+
+    def seek(self, position, whence=os.SEEK_SET):
+        self.position = max(position + (0, self.position, self.size)[whence], 0)
+        return self.position
+
+    def tell(self):
+        return self.position
+
+    def read(self, count=-1):
+        end = self.size if count < 0 else min(self.position + count, self.size)
+        data = os.pread(self.fd, max(end - self.position, 0), self.offset + self.position)
+        self.position += len(data)
+        return data
+
+    def chunks(self, count):
+        """The next count bytes, or the rest if fewer, in pieces of at most _CHUNK."""
+        return (self.read(min(_CHUNK, count - done)) for done in range(0, count, _CHUNK))
+
+
 class SimFS:
-    """In-memory POSIX-path filesystem: explicit directories, byte files.
-    A file holds bytes or a read-only view of bytes, such as an entry that
-    unzip extracted from its archive; read returns bytes either way."""
+    """POSIX-path filesystem: explicit directories, and files whose bytes
+    live on disk in one append-only, unlinked spool file, closed (and its
+    space reclaimed) only when the SimFS is collected. `files` maps each
+    path to its (offset, size) extent in the spool."""
 
     def __init__(self):
         self.dirs = {"/"}
         self.files = {}
+        self._spool = None
 
     def make_dirs(self, path):
         """Create path and its missing parents; like `mkdir -p`, create
@@ -86,23 +114,52 @@ class SimFS:
     def is_dir(self, path):
         return _norm(path) in self.dirs
 
-    def write(self, path, data):
+    def _writable(self, path):
+        """path normalized, once a file may be written there."""
         if path.endswith("/") or _norm(path) in self.dirs:
             raise DestinationUnwritable(f"is a directory: {path}")
         path = _norm(path)
         parent = posixpath.dirname(path)
         if parent not in self.dirs:
             raise DestinationUnwritable(f"no such directory: {parent}")
-        if not isinstance(data, bytes) and not (
-                isinstance(data, memoryview) and isinstance(data.obj, bytes)):
-            data = bytes(data)
-        self.files[path] = data
+        return path
+
+    def write(self, path, data):
+        self.copy_in(path, io.BytesIO(data))
+
+    def copy_in(self, path, source):
+        """Make path a file of the rest of binary file source, appended to
+        the spool in chunks."""
+        path = self._writable(path)
+        if self._spool is None:
+            self._spool = tempfile.TemporaryFile()
+            weakref.finalize(self, self._spool.close)
+        start = self._spool.tell()
+        shutil.copyfileobj(source, self._spool, _CHUNK)
+        self._spool.flush()
+        self.files[path] = (start, self._spool.tell() - start)
+
+    def link(self, path, source, size):
+        """Make path a file of the next size bytes (or the rest, if fewer) of
+        source, a file that open returned: an extent of its extent, not a copy."""
+        start = min(source.position, source.size)
+        self.files[self._writable(path)] = (source.offset + start, min(size, source.size - start))
+
+    def open(self, path):
+        """A read-only binary file over the content of the file at path."""
+        if _norm(path) not in self.files:
+            raise SourceMissing(path)
+        return _Extent(self._spool.fileno(), *self.files[_norm(path)])
 
     def read(self, path):
-        path = _norm(path)
-        if path not in self.files:
-            raise SourceMissing(path)
-        return bytes(self.files[path])
+        return self.open(path).read()
+
+    def digest(self, path):
+        """Hex sha256 of the file at path, read in chunks."""
+        digest, handle = hashlib.sha256(), self.open(path)
+        for chunk in handle.chunks(handle.size):
+            digest.update(chunk)
+        return digest.hexdigest()
 
     def remove_tree(self, path):
         """Like `rm -rf`: a path with a trailing '/' removes only a directory."""
@@ -134,7 +191,7 @@ class SimFS:
             return False
         renamed = {name: new + name[len(old):] for name in [*self.files, *self.dirs]
                    if name == old or name.startswith(inside)}
-        self.files = {renamed.get(name, name): data for name, data in self.files.items()}
+        self.files = {renamed.get(name, name): extent for name, extent in self.files.items()}
         self.dirs = {renamed.get(name, name) for name in self.dirs}
         return True
 
@@ -159,9 +216,7 @@ class SimFS:
     def snapshot(self):
         """Canonical text rendering of the whole tree, for idempotence checks."""
         lines = [f"D {name}" for name in sorted(self.dirs)]
-        lines += [
-            f"F {name} {sha256_hex(self.files[name])}" for name in sorted(self.files)
-        ]
+        lines += [f"F {name} {self.digest(name)}" for name in sorted(self.files)]
         return "\n".join(lines)
 
 
@@ -642,23 +697,25 @@ class SimCluster:
                               f"zip error: Could not create output file ({archive})\n", "", 0)
         return ExecResult(0, warnings, "", 0)
 
-    def _unzip(self, archive, directory):
-        """`unzip [-q] archive -d directory` as Info-ZIP does it with stdin
-        at EOF: directory is created only when its parent exists; a file that
-        exists already is kept (unzip asks on stderr whether to replace it,
-        reads EOF and answers "none"), which makes the exit 1; an entry that a
-        file stands in the way of is skipped, an entry whose bytes fail its
-        CRC is written anyway and named on stderr as -q names it, and one
-        that does not inflate is named and not written (Info-ZIP keeps what
-        it inflated), which each make it 2; an entry of a method other than
-        stored or deflated is skipped, which makes it 81. A file that is no
-        archive exits 9. A stored entry is written as a view of the
-        archive's bytes, so the archive and its entries are held once."""
-        data = self.fs.files.get(_norm(archive))
-        if data is None:
+    def _unzip(self, archive, directory, quiet):
+        """`unzip [-q] archive -d directory` as Info-ZIP 6.00 does it with
+        stdin at EOF: directory is created only when its parent exists; a
+        file that exists already is kept (unzip asks on stderr whether to
+        replace it, reads EOF and answers "none"), which makes the exit 1; an
+        entry that a file stands in the way of is skipped, an entry whose
+        bytes fail its CRC is written anyway and named on stderr as -q names
+        it, and one that does not inflate is named and not written (Info-ZIP
+        keeps what it inflated), which each make it 2; an entry of a method
+        other than stored or deflated is skipped, which makes it 81. A file
+        that is no archive exits 9. A name's leading '/'s are stripped with
+        a warning, which makes it 1; its '.', '..' and empty directory parts
+        are dropped, a '..' making it 1 without -q; a last part '.' or '..'
+        becomes '_' or '__'. A stored entry is an extent of the archive's."""
+        if _norm(archive) not in self.fs.files:
             return ExecResult(9, "", f"unzip:  cannot find or open {archive}\n", 0)
+        source = self.fs.open(archive)
         try:
-            with zipfile.ZipFile(io.BytesIO(data)) as archive_file:
+            with zipfile.ZipFile(source) as archive_file:
                 infos = archive_file.infolist()
         except zipfile.BadZipFile:
             return ExecResult(
@@ -669,31 +726,45 @@ class SimCluster:
             return ExecResult(
                 2, "", f"checkdir:  cannot create extraction directory: {directory}\n", 0)
         self.fs.make_dirs(directory)
-        view = memoryview(data)
         exit_code, err = 0, ""
         for info in infos:
-            target = posixpath.join(directory, info.filename)
-            decode = _DECODERS.get(info.compress_type)
+            name = info.filename.lstrip("/")
+            if name != info.filename:
+                exit_code = max(exit_code, 1)
+                err += f"warning:  stripped absolute path spec from {info.filename}\n"
+            *parents, last = name.split("/")
+            if ".." in parents and not quiet:
+                exit_code = max(exit_code, 1)
+            kept = [part for part in parents if part not in ("", ".", "..")]
+            target = posixpath.join(directory, *kept, {".": "_", "..": "__"}.get(last, last))
             try:
                 if info.is_dir():
                     self.fs.make_dirs(target)
                 elif self.fs.exists(target):
                     exit_code = max(exit_code, 1)
                     err += f"replace {target}? NULL\n"
-                elif decode is None:
+                elif info.compress_type not in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED):
                     exit_code = max(exit_code, 81)
                 else:
                     self.fs.make_dirs(posixpath.dirname(target))
                     # The entry's bytes follow its local header, whose name
                     # and extra field lengths sit at offset 26.
+                    source.seek(info.header_offset + 26)
                     start = info.header_offset + zipfile.sizeFileHeader + sum(
-                        struct.unpack_from("<HH", view, info.header_offset + 26))
-                    content = decode(view[start:start + info.compress_size])
-                    crc = zlib.crc32(content)
+                        struct.unpack("<HH", source.read(4)))
+                    source.seek(start)
+                    if info.compress_type == zipfile.ZIP_STORED:
+                        self.fs.link(target, source, info.compress_size)
+                        pieces = source.chunks(info.compress_size)
+                    else:
+                        pieces = [zlib.decompress(source.read(info.compress_size), -zlib.MAX_WBITS)]
+                        self.fs.write(target, pieces[0])
+                    crc = 0
+                    for piece in pieces:
+                        crc = zlib.crc32(piece, crc)
                     if crc != info.CRC:
                         exit_code = max(exit_code, 2)
                         err += f"{target:<22}  bad CRC {crc:08x}  (should be {info.CRC:08x})\n"
-                    self.fs.write(target, content)
             except DestinationUnwritable as exc:
                 exit_code = max(exit_code, 2)
                 err += f"checkdir error:  {exc}\n"
@@ -710,7 +781,7 @@ class SimCluster:
             if self.fs.is_dir(path):
                 err += f"sha256sum: {path}: Is a directory\n"
             elif _norm(path) in self.fs.files:
-                out += f"{sha256_hex(self.fs.read(path))}  {path}\n"
+                out += f"{self.fs.digest(path)}  {path}\n"
             else:
                 err += f"sha256sum: {path}: No such file or directory\n"
         return ExecResult(1 if err else 0, out, err, 0)
@@ -792,10 +863,11 @@ class SimCluster:
                 return self._zip(paths[0], paths[1:], quiet="-q" in args)
             return ExecResult(16, "", "zip error: usage\n", 0)
         if cmd == "unzip":
-            if args[:1] == ["-q"]:
-                args = args[1:]  # quiet: the simulator lists no entry anyway
+            quiet = args[:1] == ["-q"]
+            if quiet:
+                args = args[1:]
             if len(args) == 3 and args[1] == "-d":
-                return self._unzip(args[0], args[2])
+                return self._unzip(args[0], args[2], quiet)
             return ExecResult(10, "", "unzip: usage\n", 0)
         if cmd == "singularity" and args[:1] == ["pull"]:
             paths = [a for a in args[1:] if not a.startswith("-")]
@@ -828,8 +900,7 @@ class SimCluster:
             "next_job_id": self.next_job_id,
             "dirs": sorted(self.fs.dirs),
             "files": {
-                name: b64encode(data).decode()
-                for name, data in sorted(self.fs.files.items())
+                name: b64encode(self.fs.read(name)).decode() for name in sorted(self.fs.files)
             },
             "jobs": [_as_doc(job) for _, job in sorted(self.jobs.items())],
         }
@@ -841,9 +912,8 @@ class SimCluster:
         cluster.clock = doc["clock"]
         cluster.next_job_id = doc["next_job_id"]
         cluster.fs.dirs = set(doc["dirs"]) | {"/"}
-        cluster.fs.files = {
-            name: b64decode(data) for name, data in doc["files"].items()
-        }
+        for name, data in doc["files"].items():
+            cluster.fs.write(name, b64decode(data))
         for job_doc in doc["jobs"]:
             job = _from_doc(SimJob, job_doc)
             job.tasks = [_from_doc(SimTask, task) for task in job.tasks]
@@ -874,12 +944,12 @@ class SimEndpoint(Endpoint):
 
     def _copy_up(self, local, remote):
         with open(local, "rb") as handle:
-            self.cluster.fs.write(remote, handle.read())
+            self.cluster.fs.copy_in(remote, handle)
 
     def _copy_down(self, remote, local):
-        data = self.cluster.fs.read(remote)
+        source = self.cluster.fs.open(remote)
         with open(local, "wb") as handle:
-            handle.write(data)
+            handle.writelines(source.chunks(source.size))
 
     def sleep(self, seconds):
         self.cluster.advance(seconds)

@@ -72,9 +72,10 @@ def capture_out_checksums(endpoint):
 
     def listener(stage, detail):
         if stage == "Retrieving" and not captured:
-            for path, data in endpoint.cluster.fs.files.items():
+            fs = endpoint.cluster.fs
+            for path in fs.files:
                 if path.startswith(f"{SCRATCH}/data/"):
-                    captured[path] = hashlib.sha256(data).hexdigest()
+                    captured[path] = hashlib.sha256(fs.read(path)).hexdigest()
 
     return captured, listener
 

@@ -547,3 +547,38 @@ def test_unzip_holds_stored_entries_once(tmp_path):
     assert [fs.read(f"/scratch/data/r1/in/{k}.tiff") for k in range(3)] == payload
     restored = SimCluster.from_dict(json.loads(json.dumps(endpoint.cluster.to_dict())))
     assert restored.fs.snapshot() == fs.snapshot()
+
+
+def test_large_upload_is_never_read_whole(tmp_path):
+    """A 16 MiB upload of stored entries goes through put_file, `unzip -q`,
+    `sha256sum`, `rm -f` and get_file in pieces: the simulator copies,
+    hashes and extracts it without ever holding a whole file, so the peak
+    stays below a quarter of the upload."""
+    payload = [(bytes([k]) + bytes(range(255))) * (8 << 10) for k in range(8)]  # 2 MiB each
+    local = tmp_path / "input.zip"
+    with zipfile.ZipFile(local, "w", zipfile.ZIP_STORED) as archive:
+        for k, data in enumerate(payload):
+            archive.writestr(f"in/{k}.tiff", data)
+    endpoint = SimEndpoint(SimCluster())
+    endpoint.make_dirs("/scratch/data")
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        endpoint.put_file(str(local), "/scratch/data/r1.zip")
+        unpacked, digest, removed = endpoint.exec_many([
+            ["unzip", "-q", "/scratch/data/r1.zip", "-d", "/scratch/data/r1"],
+            ["sha256sum", "/scratch/data/r1/in/7.tiff"],
+            ["rm", "-f", "/scratch/data/r1.zip"]])
+        endpoint.get_file("/scratch/data/r1/in/7.tiff", str(tmp_path / "7.tiff"))
+        peak = tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
+    assert unpacked.ok and digest.ok and removed.ok
+    assert peak < 4 << 20, peak
+    assert digest.stdout.split()[0] == hashlib.sha256(payload[7]).hexdigest()
+    assert (tmp_path / "7.tiff").read_bytes() == payload[7]
+    fs = endpoint.cluster.fs
+    assert fs.files_under("/scratch/data") == [f"r1/in/{k}.tiff" for k in range(8)]
+    assert [fs.read(f"/scratch/data/r1/in/{k}.tiff") for k in range(8)] == payload
+    restored = SimCluster.from_dict(json.loads(json.dumps(endpoint.cluster.to_dict())))
+    assert restored.fs.snapshot() == fs.snapshot()

@@ -143,13 +143,33 @@ _FILE_OPS = st.one_of(
 )
 
 
+# Entry names as another tool may write them: absolute, with '.' and '..'
+# components, or naming a directory.
+_ENTRY_NAMES = st.builds(lambda lead, parts, tail: lead + "/".join(parts) + tail,
+                         st.sampled_from(["", "/", "//"]),
+                         st.lists(st.sampled_from(["a", "b", ".", ".."]), min_size=1, max_size=3),
+                         st.sampled_from(["", "/"]))
+
+
 # zip writes a new archive of up to three paths each time, as the client's
-# zips do; unzip extracts the last one made into a directory.
+# zips do, and pack one of up to three entries named as given; unzip
+# extracts the last one made into a directory.
 _ARCHIVE_OPS = st.one_of(
     st.tuples(st.sampled_from(["zip -r -D", "zip -q -r -D"]),
               st.lists(_PATHS, min_size=1, max_size=3)),
+    st.tuples(st.just("pack"), st.lists(_ENTRY_NAMES, min_size=1, max_size=3, unique=True)),
     st.tuples(st.sampled_from(["unzip", "unzip -q"]), _PATHS.map(lambda path: [path])),
 )
+
+
+def _packed(names):
+    """A stored archive of an entry per name, each file's content naming its
+    place."""
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        for k, name in enumerate(names):
+            archive.writestr(name, b"" if name.endswith("/") else f"entry {k}".encode())
+    return buffer.getvalue()
 
 
 def _archive_entries(data):
@@ -164,6 +184,11 @@ def _archive_entries(data):
 def _zip_warnings(output):
     """The warning lines of zip's output; -q leaves them out."""
     return [line for line in output.splitlines() if "zip warning:" in line]
+
+
+def _unzip_warnings(output):
+    """The warning lines of unzip's stderr, such as a stripped absolute path."""
+    return [line for line in output.splitlines() if line.startswith("warning:")]
 
 
 def _real_tree(root):
@@ -181,7 +206,7 @@ def _real_tree(root):
 def _sim_tree(fs, root):
     prefix = root + "/"
     return ({d[len(prefix):] for d in fs.dirs if d.startswith(prefix)},
-            {f[len(prefix):]: data for f, data in fs.files.items() if f.startswith(prefix)})
+            {f[len(prefix):]: fs.read(f) for f in fs.files if f.startswith(prefix)})
 
 
 @pytest.mark.skipif(
@@ -200,13 +225,15 @@ def _sim_tree(fs, root):
 @example([("mkdir -p", ["a/b"]), ("put", ["a/b/c"]), ("zip -q -r -D", ["a", "b"]),
           ("unzip -q", ["c"]), ("unzip -q", ["c"]), ("unzip -q", ["a/b/c"]),
           ("zip -q -r -D", ["b"])])
+@example([("pack", ["../up.txt", "a/../../x.txt", "./b/./c.txt", "/abs.txt"]),
+          ("unzip -q", ["w"]), ("unzip", ["v"]), ("unzip -q", ["w"])])
 @given(st.lists(st.one_of(_FILE_OPS, _ARCHIVE_OPS), max_size=8))
 def test_file_ops_match_real_tools(tmp_path_factory, ops):
     """mkdir -p, rm -f, rm -rf, test -e, mv -T, zip [-q] -r -D, unzip [-q] and
     put_file give the simulator the same exit codes, the same tree and the
-    same archive entries as the installed tools give local disk. The
-    simulator's tree sits at the same path as the real one, so entry names
-    agree."""
+    same archive entries as the installed tools give local disk, and unzip
+    [-q] the same warnings on stderr. The simulator's tree sits at
+    the same path as the real one, so entry names agree."""
     tmp = tmp_path_factory.mktemp("fileops")
     root = str(tmp / "tree")
     archive = tmp / "archive.zip"
@@ -215,6 +242,10 @@ def test_file_ops_match_real_tools(tmp_path_factory, ops):
     fs = endpoint.cluster.fs
     endpoint.make_dirs(root)
     for step, (op, paths) in enumerate(ops):
+        if op == "pack":
+            archive.write_bytes(_packed(paths))
+            fs.write(str(archive), archive.read_bytes())
+            continue
         paths = [posixpath.join(root, path) for path in paths]
         if op == "put":
             local = tmp / f"payload{step}"
@@ -241,6 +272,9 @@ def test_file_ops_match_real_tools(tmp_path_factory, ops):
             sim = endpoint.cluster.sim_exec(argv + paths)
             real = subprocess.run(argv + paths, stdin=subprocess.DEVNULL, capture_output=True)
             assert sim.exit_code == real.returncode, (step, op, paths, real.stderr)
+            if argv[0] == "unzip":
+                assert _unzip_warnings(sim.stderr) == _unzip_warnings(real.stderr.decode()), \
+                    (step, op, paths)
             if argv[0] == "zip":
                 # Stream by stream: Info-ZIP writes its warnings on stdout.
                 assert _zip_warnings(sim.stdout) == _zip_warnings(real.stdout.decode()), \
@@ -248,7 +282,8 @@ def test_file_ops_match_real_tools(tmp_path_factory, ops):
                 assert _zip_warnings(sim.stderr) == _zip_warnings(real.stderr.decode()), \
                     (step, op, paths)
             real_archive = archive.read_bytes() if archive.exists() else None
-            assert _archive_entries(fs.files.get(str(archive))) == _archive_entries(real_archive)
+            sim_archive = fs.read(str(archive)) if str(archive) in fs.files else None
+            assert _archive_entries(sim_archive) == _archive_entries(real_archive)
         assert _sim_tree(fs, root) == _real_tree(root), (step, op)
 
 
