@@ -4,6 +4,7 @@ import contextlib
 import math
 import os
 import sys
+import uuid
 
 import click
 
@@ -217,12 +218,19 @@ def cmd_run(workflow, config_path, simulate, runs_dir, params, input_dir,
     def listener(stage, detail):
         click.echo(f"[{stage}] {detail}", err=True)
 
+    # The journal's first row names the inputs, so that `fetch --mode
+    # SidecarAttachments` can place each output beside its input.
+    run_id = str(uuid.uuid4())
+    os.makedirs(runs_dir, exist_ok=True)
+    orchestrator.append_journal_row(orchestrator.journal_path(runs_dir, run_id), "inputs",
+                                    os.path.abspath(input_dir))
     with _endpoint(profile, simulate) as endpoint:
         try:
             record = orchestrator.run_workflow_batched(
                 endpoint, profile, registry, descriptor, workflow,
                 values, items, batch_size or max(len(items), 1),
                 options=options, local_output_dir=output_dir, listener=listener,
+                run_id=run_id,
             )
         except SlurmBridgeError as exc:
             _fail(str(exc), code=EXIT_RUN_FAILURE)
@@ -238,8 +246,7 @@ def _read_journal(runs_dir, run_id):
     """The run's journal rows as [timestamp, stage, detail]; exits 2 when
     runs_dir holds no journal for run_id."""
     try:
-        with open(orchestrator.journal_path(runs_dir, run_id)) as handle:
-            return [line.rstrip("\n").split("\t", 2) for line in handle if line.strip()]
+        return orchestrator.read_journal(orchestrator.journal_path(runs_dir, run_id))
     except FileNotFoundError:
         _fail(str(UnknownRunId(run_id)))
 
@@ -310,17 +317,27 @@ def cmd_logs(run_id, runs_dir, log_dir):
 @click.option("--mode", default="SingleZip",
               type=click.Choice(["ImagesFolder", "SidecarAttachments", "SingleZip"]))
 def cmd_fetch(run_id, destination, runs_dir, artifact_dir, mode):
-    """Re-import a finished run's result zips into a destination folder."""
-    _read_journal(runs_dir, run_id)
+    """Re-import a finished run's result zips into a destination folder;
+    SidecarAttachments places each output beside the input it derives from,
+    found in the input directory that the run journaled."""
+    lines = _read_journal(runs_dir, run_id)
     if not os.path.isdir(artifact_dir):
         _fail(f"artifact directory not found: {artifact_dir}")
+    items = []
+    if mode == "SidecarAttachments":
+        input_dir = next((detail for _, stage, detail in lines if stage == "inputs"), None)
+        if input_dir is None:
+            _fail(f"journal of run {run_id} records no inputs")
+        if not os.path.isdir(input_dir):
+            _fail(f"input directory not found: {input_dir}")
+        items = orchestrator.scan_input_dir(input_dir)
     zips = sorted(
         os.path.join(artifact_dir, name)
         for name in os.listdir(artifact_dir)
         if name.startswith(f"{run_id}_batch") and name.endswith(".zip")
     )
     record = orchestrator.RunRecord(
-        run_id=run_id, workflow="", version="", values={}, items=[],
+        run_id=run_id, workflow="", version="", values={}, items=items,
         batches=[
             orchestrator.BatchRun(index=i, items=[], result_zip=path,
                                   state=JobState.COMPLETED)

@@ -41,7 +41,7 @@ class ClusterProfile:
     key_path: str
     scratch_dir: str
     port: int = 22
-    converters: dict = None  # (src_fmt, dst_fmt) -> image reference
+    zarr_to_tiff: str = None  # the converter's image reference, if configured
 
 
 @dataclass(frozen=True)
@@ -101,15 +101,14 @@ def parse_config(text):
     if not posixpath.isabs(scratch_dir):
         raise InvalidValue("cluster.scratch_dir", "must be an absolute remote path")
 
-    converters = {}
-    if "converters" in parser:
-        for key, image in parser["converters"].items():
-            if "_to_" not in key:
-                raise InvalidValue(f"converters.{key}", "key must be <src>_to_<dst>")
-            if not image:
-                raise InvalidValue(f"converters.{key}", "image reference must be non-empty")
-            src, dst = key.split("_to_", 1)
-            converters[(src, dst)] = image
+    # ZARR -> TIFF is the one conversion; any other key is refused here,
+    # where a typo shows, rather than when a run needs the converter.
+    converters = dict(parser["converters"]) if "converters" in parser else {}
+    for key, image in converters.items():
+        if key != "zarr_to_tiff":
+            raise InvalidValue(f"converters.{key}", "the only converter is zarr_to_tiff")
+        if not image:
+            raise InvalidValue(f"converters.{key}", "image reference must be non-empty")
 
     profile = ClusterProfile(
         host=host,
@@ -117,7 +116,7 @@ def parse_config(text):
         key_path=ssh.get("key_path", ""),
         scratch_dir=scratch_dir.rstrip("/") or "/",
         port=port,
-        converters=converters,
+        zarr_to_tiff=converters.get("zarr_to_tiff"),
     )
 
     defaults = dict(_FALLBACK_RESOURCES)

@@ -78,13 +78,6 @@ class InvalidCount(SlurmBridgeError):
     pass
 
 
-class UnknownConverter(SlurmBridgeError):
-    def __init__(self, src_fmt, dst_fmt):
-        self.src_fmt = src_fmt
-        self.dst_fmt = dst_fmt
-        super().__init__(f"no converter configured for {src_fmt} -> {dst_fmt}")
-
-
 # --- transport ---
 
 class TransportError(SlurmBridgeError):

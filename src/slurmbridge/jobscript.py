@@ -4,7 +4,7 @@ import re
 from dataclasses import dataclass, replace
 
 from . import descriptor as descriptor_mod
-from .errors import InvalidCount, UnknownConverter
+from .errors import InvalidCount
 
 SHEBANG = "#!/bin/bash"
 
@@ -108,28 +108,18 @@ def generate_workflow_script(
     )
 
 
-def generate_conversion_script(
-    n_items,
-    converter_image,
-    src_fmt,
-    dst_fmt,
-    data_dir,
-    resources,
-    logs_dir,
-    sim=None,
-):
-    """Build the array job that converts every input item in place.
+def generate_conversion_script(n_items, converter_image, data_dir, resources, logs_dir,
+                               sim=None):
+    """Build the array job that converts every ZARR input item to TIFF in place.
 
     Each array task converts the item whose index is $SLURM_ARRAY_TASK_ID.
     Conversion jobs never request GPUs.
     """
     if n_items < 1:
         raise InvalidCount(f"conversion needs at least one item, got {n_items}")
-    if not converter_image:
-        raise UnknownConverter(src_fmt, dst_fmt)
     command = (
         f'singularity exec --bind "{data_dir}:/data" {converter_image} '
-        f"convert --source-format {src_fmt} --target-format {dst_fmt} "
+        "convert --source-format zarr --target-format tiff "
         f'--index "$SLURM_ARRAY_TASK_ID" /data'
     )
     return JobScript(

@@ -5,6 +5,7 @@ import datetime
 import io
 import os
 import posixpath
+import re
 import shutil
 import tempfile
 import uuid
@@ -28,7 +29,6 @@ from .errors import (
     SlurmBridgeError,
     TransferFailed,
     TransportError,
-    UnknownConverter,
     WorkflowFailed,
 )
 from .states import JobState
@@ -217,10 +217,25 @@ def journal_path(journal_dir, run_id):
     return os.path.join(journal_dir, f"{run_id}.journal")
 
 
+# A row's detail is escaped, so that the row stays one line whatever text
+# (a tool's stderr, an input path) it carries.
+_ESCAPES = str.maketrans({"\\": "\\\\", "\n": "\\n", "\r": "\\r"})
+_UNESCAPES = {"n": "\n", "r": "\r"}
+
+
 def append_journal_row(path, stage, detail, timestamp=None):
     """Append one `<timestamp>\t<stage>\t<detail>` row to a run's journal."""
     with open(path, "a") as handle:
-        handle.write(f"{timestamp or _now()}\t{_stage_name(stage)}\t{detail}\n")
+        handle.write(f"{timestamp or _now()}\t{_stage_name(stage)}\t"
+                     f"{str(detail).translate(_ESCAPES)}\n")
+
+
+def read_journal(path):
+    """The rows of a run's journal as [timestamp, stage, detail as appended]."""
+    with open(path) as handle:
+        rows = [line.rstrip("\n").split("\t", 2) for line in handle if line.strip()]
+    return [[timestamp, stage, re.sub(r"\\(.)", lambda m: _UNESCAPES.get(m[1], m[1]), detail)]
+            for timestamp, stage, detail in rows]
 
 
 def _stage_name(stage):
@@ -243,16 +258,17 @@ def _split_results(archive, prefix, local_zip):
 
 def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
                          workflow_name, values, items, batch_size, options=None,
-                         local_output_dir=None, listener=None):
+                         local_output_dir=None, listener=None, run_id=None):
     """Batched execution: pack, transfer, convert if needed, run, retrieve.
 
     Batches fail independently; a mix of completed and failed batches yields
     PartialFailure. Remote run data is always cleaned up; logs are retained.
+    The run is named run_id, a new UUID by default.
     """
     options = options or RunOptions()
     values = descriptor_mod.validate_values(workflow_descriptor, values)
     entry = registry.entry(workflow_name)
-    run_id = str(uuid.uuid4())
+    run_id = run_id or str(uuid.uuid4())
     record = RunRecord(
         run_id=run_id,
         workflow=workflow_name,
@@ -345,21 +361,15 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
             zarr_count = 0 if options.skip_conversion else sum(
                 item.format is InputFormat.ZARR for item in batch_items)
             if zarr_count:
-                if ("zarr", "tiff") not in (profile.converters or {}):
-                    fail(batch, ConversionFailed(str(UnknownConverter("zarr", "tiff"))))
+                if not profile.zarr_to_tiff:
+                    fail(batch, ConversionFailed("no converter configured for zarr -> tiff"))
                     continue
                 batch.conversion_tasks = zarr_count
                 scripts[f"batch{batch.index}/convert.sh"] = jobscript.render_script(
                     jobscript.generate_conversion_script(
-                        zarr_count,
-                        slurm.converter_image_path(profile, "zarr", "tiff"),
-                        "zarr",
-                        "tiff",
-                        in_dir,
-                        entry.resources,
-                        logs_dir,
-                        sim=jobscript.SimAnnotation(duration_s=5, outputs=0),
-                    ))
+                        zarr_count, slurm.converter_image_path(profile), in_dir,
+                        entry.resources, logs_dir,
+                        sim=jobscript.SimAnnotation(duration_s=5, outputs=0)))
             scripts[f"batch{batch.index}/job.sh"] = jobscript.render_script(
                 jobscript.generate_workflow_script(
                     workflow_descriptor,
@@ -407,7 +417,7 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
             if made and not (made.ok and unpacked.ok):
                 step, failed = ("mkdir", made) if not made.ok else ("unpack", unpacked)
                 for batch, _, _ in queued:
-                    fail(batch, TransferFailed(f"remote {step} failed: {failed.stderr}"))
+                    fail(batch, TransferFailed(f"remote {step} failed: {failed.stderr.strip()}"))
             elif removed and not removed.ok:
                 # Only the removal failed, which held the jobs back; they go
                 # in alone, and cleanup_run removes the upload.

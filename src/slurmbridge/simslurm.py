@@ -259,7 +259,10 @@ class SimTask:
     finish_time: int = None
     finish_state: JobState = None
     node: int = None
-    exit_code: int = None
+
+    @property
+    def exit_code(self):  # 0 once completed, 1 once ended otherwise
+        return int(self.state is not JobState.COMPLETED) if self.state.terminal else None
 
 
 @dataclass
@@ -276,7 +279,6 @@ class SimJob:
     submit_time: int = 0
     forced_state: JobState = None
     missing_output: bool = False
-    reported_state: JobState = None  # last parent state emitted in events
     tasks: list = field(default_factory=list)
     name: str = None
     dependency: int = None  # id of the job that must complete first (afterok)
@@ -356,8 +358,8 @@ class SimCluster:
     """Schedules FIFO/first-fit, driven by events: a heap of running tasks in
     the order `advance` finishes them, the ids of jobs with pending tasks in
     submission order, each mapped to a cursor at its first task that may
-    still be pending, and per-job task-state counts. These are derived from
-    `jobs` and never persisted."""
+    still be pending, and per-job task-state counts, which alone give a job's
+    state. These are derived from `jobs` and never persisted."""
 
     def __init__(self, nodes=None):
         specs = nodes if nodes is not None else DEFAULT_NODES
@@ -462,56 +464,41 @@ class SimCluster:
         self.jobs[job_id] = job
         self._pending[job_id] = 0
         self._counts[job_id] = Counter({JobState.PENDING: len(job.tasks)})
-        job.reported_state = JobState.PENDING
-        self._log(SimEvent(self.clock, str(job_id), None, JobState.PENDING))
+        self.event_log.append(SimEvent(self.clock, str(job_id), None, JobState.PENDING))
         return ExecResult(0, f"Submitted batch job {job_id}\n", "", 0)
 
     # -- scheduling and time -----------------------------------------------
 
-    def _log(self, event):
-        self.event_log.append(event)
+    def job_state(self, job):
+        """The job's state, from which task states its counts hold."""
+        counts = self._counts[job.id]
+        return aggregate_array_states(state for state, n in counts.items() if n)
 
-    def _start_task(self, job, task, node_index, events):
-        node = self.nodes[node_index]
-        node.commit(job.resources)
+    def _start_task(self, job, task, node_index):
+        self.nodes[node_index].commit(job.resources)
         task.node = node_index
         task.start_time = self.clock
+        # A task times out at its limit if forced to or if it would run longer.
         limit_s = job.time_limit_min * 60
-        if job.forced_state is JobState.TIMEOUT:
-            task.finish_time = self.clock + limit_s
-            task.finish_state = JobState.TIMEOUT
-        elif job.forced_state is not None:
-            task.finish_time = self.clock + min(job.duration_s, limit_s)
-            task.finish_state = job.forced_state
-        elif job.duration_s > limit_s:
-            task.finish_time = self.clock + limit_s
-            task.finish_state = JobState.TIMEOUT
-        else:
-            task.finish_time = self.clock + job.duration_s
-            task.finish_state = JobState.COMPLETED
+        timeout = job.forced_state is JobState.TIMEOUT or (
+            job.forced_state is None and job.duration_s > limit_s)
+        task.finish_time = self.clock + (limit_s if timeout else min(job.duration_s, limit_s))
+        task.finish_state = JobState.TIMEOUT if timeout else job.forced_state or JobState.COMPLETED
         heapq.heappush(self._running, (task.finish_time, job.id, task.entry_id, task))
-        self._transition(job, task, JobState.RUNNING, events)
+        self._transition(job, task, JobState.RUNNING)
 
-    def _transition(self, job, task, new_state, events):
-        old = task.state
-        task.state = new_state
+    def _transition(self, job, task, new_state):
+        before = self.job_state(job)
+        old, task.state = task.state, new_state
         counts = self._counts[job.id]
         counts[old] -= 1
         counts[new_state] += 1
-        event = SimEvent(self.clock, task.entry_id, old, new_state)
-        self._log(event)
-        events.append(event)
-        # The parent state depends only on which task states are present.
-        parent = aggregate_array_states(state for state, n in counts.items() if n)
-        if job.is_array and parent != job.reported_state:
-            parent_event = SimEvent(self.clock, str(job.id), job.reported_state, parent)
-            job.reported_state = parent
-            self._log(parent_event)
-            events.append(parent_event)
-        elif not job.is_array:
-            job.reported_state = parent
+        self.event_log.append(SimEvent(self.clock, task.entry_id, old, new_state))
+        after = self.job_state(job)
+        if job.is_array and after != before:
+            self.event_log.append(SimEvent(self.clock, str(job.id), before, after))
 
-    def _schedule(self, events):
+    def _schedule(self):
         # FIFO scan over the jobs with pending tasks; a job is passed over
         # while its dependency has not completed, and cancelled unstarted once
         # it ended otherwise (--kill-on-invalid-dep=yes). Its tasks start
@@ -524,30 +511,28 @@ class SimCluster:
                 cursor += 1  # started or cancelled since the cursor was set
             after = JobState.COMPLETED
             if job.dependency is not None:
-                after = self.jobs[job.dependency].reported_state
+                after = self.job_state(self.jobs[job.dependency])
             if after is JobState.COMPLETED:
                 while cursor < len(tasks):
                     index = next((index for index, node in enumerate(self.nodes)
                                   if node.fits(job.resources)), None)
                     if index is None:
                         break
-                    self._start_task(job, tasks[cursor], index, events)
+                    self._start_task(job, tasks[cursor], index)
                     cursor += 1
             elif after.terminal:
-                self._cancel(job, events)
+                self._cancel(job)
                 cursor = len(tasks)
             if cursor < len(tasks):
                 self._pending[job_id] = cursor
             else:
                 del self._pending[job_id]
 
-    def _finish_task(self, job, task, events):
+    def _finish_task(self, job, task):
         self.nodes[task.node].release(job.resources)
-        state = task.finish_state
-        task.exit_code = 0 if state is JobState.COMPLETED else 1
-        self._transition(job, task, state, events)
+        self._transition(job, task, task.finish_state)
         self._write_task_log(job, task)
-        if state is JobState.COMPLETED and not job.is_array:
+        if task.state is JobState.COMPLETED and not job.is_array:
             self._write_outputs(job)
 
     def _write_task_log(self, job, task):
@@ -555,8 +540,8 @@ class SimCluster:
         sbatch(1) does: %A the array's id, %a the task's index. An array task
         has a job id of its own in Slurm, which %j names; the simulator gives
         it none and puts <array id>_<index> there. No log is written for the
-        array as a whole."""
-        if not job.output_pattern:
+        array as a whole, nor for a task that never started."""
+        if not job.output_pattern or task.start_time is None:
             return
         path = job.output_pattern.replace("%A", str(job.id)).replace("%j", task.entry_id)
         if job.is_array:
@@ -587,12 +572,13 @@ class SimCluster:
             self.fs.write(posixpath.join(out_dir, name), content)
 
     def advance(self, dt):
-        """Advance virtual time by dt seconds, returning emitted events."""
-        events = []
+        """Advance virtual time by dt seconds, returning the events it appended
+        to event_log."""
         if dt <= 0:
-            return events
+            return []
+        first = len(self.event_log)
         horizon = self.clock + dt
-        self._schedule(events)
+        self._schedule()
         running = self._running
         while running:
             if running[0][3].state is not JobState.RUNNING:
@@ -605,10 +591,10 @@ class SimCluster:
             while running and running[0][0] == next_time:
                 _, job_id, _, task = heapq.heappop(running)
                 if task.state is JobState.RUNNING:
-                    self._finish_task(self.jobs[job_id], task, events)
-            self._schedule(events)
+                    self._finish_task(self.jobs[job_id], task)
+            self._schedule()
         self.clock = horizon
-        return events
+        return self.event_log[first:]
 
     # -- control -----------------------------------------------------------
 
@@ -622,21 +608,17 @@ class SimCluster:
             jobs = [self.jobs[int(args[0])]] if int(args[0]) in self.jobs else []
         else:
             return ExecResult(1, "", "scancel: error: invalid job id\n", 0)
-        events = []
         for job in jobs:
-            self._cancel(job, events)
+            self._cancel(job)
         return ExecResult(0, "", "", 0)
 
-    def _cancel(self, job, events):
+    def _cancel(self, job):
         for task in job.tasks:
-            if task.state is JobState.PENDING:
-                self._transition(job, task, JobState.CANCELLED, events)
-                task.exit_code = 1
-            elif task.state is JobState.RUNNING:
+            if task.state is JobState.RUNNING:
                 self.nodes[task.node].release(job.resources)
                 task.finish_time = self.clock
-                self._transition(job, task, JobState.CANCELLED, events)
-                task.exit_code = 1
+            if not task.state.terminal:
+                self._transition(job, task, JobState.CANCELLED)
                 self._write_task_log(job, task)
 
     def inject_fault(self, fault):
@@ -701,15 +683,17 @@ class SimCluster:
         """`unzip [-q] archive -d directory` as Info-ZIP 6.00 does it with
         stdin at EOF: directory is created only when its parent exists; a
         file that exists already is kept (unzip asks on stderr whether to
-        replace it, reads EOF and answers "none"), which makes the exit 1; an
+        replace the first, reads EOF and answers "[N]one" for it and every
+        later one), which makes the exit 1; an
         entry that a file stands in the way of is skipped, an entry whose
         bytes fail its CRC is written anyway and named on stderr as -q names
         it, and one that does not inflate is named and not written (Info-ZIP
         keeps what it inflated), which each make it 2; an entry of a method
         other than stored or deflated is skipped, which makes it 81. A file
         that is no archive exits 9. A name's leading '/'s are stripped with
-        a warning, which makes it 1; its '.', '..' and empty directory parts
-        are dropped, a '..' making it 1 without -q; a last part '.' or '..'
+        a warning, which makes it 1, and a name of '/'s alone then fails to map
+        and is skipped, which makes it 2; its '.', '..' and empty directory
+        parts are dropped, a '..' making it 1 without -q; a last part '.' or '..'
         becomes '_' or '__'. A stored entry is an extent of the archive's."""
         if _norm(archive) not in self.fs.files:
             return ExecResult(9, "", f"unzip:  cannot find or open {archive}\n", 0)
@@ -722,16 +706,20 @@ class SimCluster:
                 9, "", f"[{archive}]\n  End-of-central-directory signature not found.\n", 0)
         parent = posixpath.dirname(_norm(directory))
         if not self.fs.is_dir(directory) and (
-                self.fs.exists(directory) or not self.fs.is_dir(parent)):
+                _norm(directory) in self.fs.files or not self.fs.is_dir(parent)):
             return ExecResult(
                 2, "", f"checkdir:  cannot create extraction directory: {directory}\n", 0)
         self.fs.make_dirs(directory)
-        exit_code, err = 0, ""
+        exit_code, err, declined = 0, "", False
         for info in infos:
             name = info.filename.lstrip("/")
             if name != info.filename:
                 exit_code = max(exit_code, 1)
                 err += f"warning:  stripped absolute path spec from {info.filename}\n"
+            if not name:
+                exit_code = max(exit_code, 2)
+                err += "mapname:  conversion of  failed\n"
+                continue
             *parents, last = name.split("/")
             if ".." in parents and not quiet:
                 exit_code = max(exit_code, 1)
@@ -742,7 +730,10 @@ class SimCluster:
                     self.fs.make_dirs(target)
                 elif self.fs.exists(target):
                     exit_code = max(exit_code, 1)
-                    err += f"replace {target}? NULL\n"
+                    if not declined:
+                        declined = True
+                        err += (f"replace {target}? [y]es, [n]o, [A]ll, [N]one, [r]ename:  NULL\n"
+                                '(EOF or read error, treating as "[N]one" ...)\n')
                 elif info.compress_type not in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED):
                     exit_code = max(exit_code, 81)
                 else:

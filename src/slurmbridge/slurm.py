@@ -63,10 +63,8 @@ def image_file_path(profile, name, version):
     )
 
 
-def converter_image_path(profile, src_fmt, dst_fmt):
-    return posixpath.join(
-        profile.scratch_dir, "singularity_images", f"convert_{src_fmt}_to_{dst_fmt}.sif"
-    )
+def converter_image_path(profile):
+    return posixpath.join(profile.scratch_dir, "singularity_images", "convert_zarr_to_tiff.sif")
 
 
 def init_environment(endpoint, profile, registry):
@@ -81,10 +79,10 @@ def init_environment(endpoint, profile, registry):
         (name, image_file_path(profile, name, registry.entry(name).version),
          config_mod.image_reference(registry, name))
         for name in sorted(registry.entries)
-    ] + [
-        (f"converter {src}->{dst}", converter_image_path(profile, src, dst), image)
-        for (src, dst), image in (profile.converters or {}).items()
     ]
+    if profile.zarr_to_tiff:
+        images.append(
+            ("converter zarr->tiff", converter_image_path(profile), profile.zarr_to_tiff))
     *found, made = endpoint.exec_many(
         [["test", "-e", path] for path in dirs + [path for _, path, _ in images]]
         + [["mkdir", "-p", *dirs]])
@@ -164,7 +162,7 @@ def poll_jobs(endpoint, handles):
     except TransportError as exc:
         raise AccountingUnavailable(str(exc)) from exc
     if not result.ok:
-        raise AccountingUnavailable(result.stderr)
+        raise AccountingUnavailable(result.stderr.strip())
     plain = {}
     tasks = {}
     for line in result.stdout.splitlines():

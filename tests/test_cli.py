@@ -4,7 +4,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
-from slurmbridge import cli, simslurm
+from slurmbridge import cli, orchestrator, simslurm
 from slurmbridge import descriptor as descriptor_mod
 from slurmbridge.cli import main
 from slurmbridge.errors import ConnectionLost
@@ -16,6 +16,7 @@ from tests.conftest import (
     make_tiff_inputs,
     make_zarr_inputs,
 )
+from tests.test_orchestrator import packs_damaged
 
 
 @pytest.fixture
@@ -359,6 +360,61 @@ class TestStatusLogsFetch:
                    "--from", str(tmp_path / "missing")])
         assert result.exit_code == 2
         assert "error: artifact directory not found" in result.stderr
+
+    def test_status_and_logs_after_a_damaged_upload(self, runner, workspace, monkeypatch):
+        # Two batches each fail with unzip's stderr in their error, and the
+        # Failed row joins both: each row must still be one journal line.
+        tmp_path, config_path, topology_path, _ = workspace
+        make_tiff_inputs(str(tmp_path / "inputs"), 2)
+        runner.invoke(main, ["init", "--config", config_path, "--simulate", topology_path])
+        monkeypatch.setattr(orchestrator, "pack_inputs", packs_damaged(orchestrator.pack_inputs))
+        run = runner.invoke(
+            main, ["run", "cellpose", "--config", config_path, "--simulate", topology_path,
+                   "--input", str(tmp_path / "inputs"), "--batch-size", "1",
+                   "--output", str(tmp_path / "out"), "--runs-dir", str(tmp_path / "runs")])
+        assert kv_lines(run.stdout)["state"] == ["Failed"]
+        run_id = kv_lines(run.stdout)["run_id"][0]
+        journal = (tmp_path / "runs" / f"{run_id}.journal").read_text()
+        assert all(line.count("\t") >= 2 for line in journal.splitlines())
+        status = runner.invoke(main, ["status", run_id, "--runs-dir", str(tmp_path / "runs")])
+        assert status.exit_code == 0, status.output
+        assert kv_lines(status.stdout)["state"] == ["Failed"]
+        failed = [detail for stage, detail in journal_rows(status.stdout) if stage == "Failed"]
+        assert len(failed) == 1 and failed[0].count("remote unpack failed:") == 2
+        assert "bad CRC" in failed[0]
+        logs = runner.invoke(main, ["logs", run_id, "--runs-dir", str(tmp_path / "runs"),
+                                    "--dir", str(tmp_path / "out")])
+        assert logs.exit_code == 0, logs.output
+
+    def test_sidecar_fetch_places_outputs_beside_their_inputs(self, runner, workspace):
+        tmp_path = workspace[0]
+        run_id = self._completed_run(runner, workspace)
+        result = runner.invoke(
+            main, ["fetch", run_id, str(tmp_path / "imported"),
+                   "--runs-dir", str(tmp_path / "runs"),
+                   "--from", str(tmp_path / "out"), "--mode", "SidecarAttachments"])
+        assert result.exit_code == 0, result.output
+        assert sorted(kv_lines(result.stdout)["written"]) == [
+            str(tmp_path / "inputs" / f"img{k:02d}_mask.tiff") for k in range(2)]
+        assert list((tmp_path / "imported").rglob("*")) == []
+
+    @pytest.mark.parametrize("lost", ["inputs row", "input dir"])
+    def test_sidecar_fetch_without_its_inputs_is_usage_error(self, runner, workspace, lost):
+        tmp_path = workspace[0]
+        run_id = self._completed_run(runner, workspace)
+        if lost == "inputs row":
+            journal = tmp_path / "runs" / f"{run_id}.journal"
+            journal.write_text("".join(row for row in journal.read_text().splitlines(True)
+                                       if "\tinputs\t" not in row))
+        else:
+            (tmp_path / "inputs").rename(tmp_path / "moved")
+        result = runner.invoke(
+            main, ["fetch", run_id, str(tmp_path / "imported"),
+                   "--runs-dir", str(tmp_path / "runs"),
+                   "--from", str(tmp_path / "out"), "--mode", "SidecarAttachments"])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert not (tmp_path / "imported").exists()
 
     def test_fetch_imports_zip(self, runner, workspace):
         tmp_path = workspace[0]

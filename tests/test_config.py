@@ -26,13 +26,14 @@ def test_parse_minimal_empty_registry():
     assert profile.host == "hpc.example.org"
     assert profile.port == 22
     assert profile.scratch_dir == "/scratch/omero"
+    assert profile.zarr_to_tiff is None
     assert registry.entries == {}
 
 
 def test_parse_sample_has_cellpose(sample_profile_registry):
     profile, registry = sample_profile_registry
     assert "cellpose" in registry.entries
-    assert profile.converters[("zarr", "tiff")] == "demo/converter-zarr-tiff:v1.0.0"
+    assert profile.zarr_to_tiff == "demo/converter-zarr-tiff:v1.0.0"
 
 
 def test_missing_sections():
@@ -158,3 +159,12 @@ def test_converter_key_format():
     text = MINIMAL + "[converters]\nbadkey = img\n"
     with pytest.raises(InvalidValue):
         c.parse_config(text)
+
+
+@pytest.mark.parametrize("key", ["zarr_to_tif", "tiff_to_zarr", "zarr_to_png"])
+def test_converter_other_than_zarr_to_tiff_is_refused(key):
+    """ZARR -> TIFF is the one conversion: any other key, a typo included,
+    is refused when the config is parsed, not when a run needs it."""
+    with pytest.raises(InvalidValue) as info:
+        c.parse_config(MINIMAL + f"[converters]\n{key} = img\n")
+    assert info.value.key == f"converters.{key}"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from slurmbridge import descriptor as descriptor_mod
 from slurmbridge import jobscript as js
 from slurmbridge.config import ResourceSpec
-from slurmbridge.errors import InvalidCount, UnknownConverter
+from slurmbridge.errors import InvalidCount
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -82,7 +82,7 @@ class TestConversionScript:
     def _generate(self, n):
         return js.generate_conversion_script(
             n, "/scratch/omero/singularity_images/convert_zarr_to_tiff.sif",
-            "zarr", "tiff", "/scratch/omero/data/RUN/in",
+            "/scratch/omero/data/RUN/in",
             ResourceSpec(4096, 2, 0, 60), LOGS_DIR,
         )
 
@@ -95,19 +95,13 @@ class TestConversionScript:
     def test_single_item_boundary(self):
         assert dict(self._generate(1).directives)["--array"] == "0-0"
 
-    def test_unknown_converter(self):
-        with pytest.raises(UnknownConverter):
-            js.generate_conversion_script(
-                3, None, "zarr", "png", "/d", ResourceSpec(4096, 2, 0, 60), LOGS_DIR
-            )
-
     def test_invalid_count(self):
         with pytest.raises(InvalidCount):
             self._generate(0)
 
     def test_never_requests_gpu(self):
         script = js.generate_conversion_script(
-            2, "img.sif", "zarr", "tiff", "/d", ResourceSpec(4096, 2, 3, 60), LOGS_DIR
+            2, "img.sif", "/d", ResourceSpec(4096, 2, 3, 60), LOGS_DIR
         )
         assert "--gres" not in dict(script.directives)
 
@@ -145,7 +139,7 @@ class TestScanRoundTrip:
 
     def test_conversion_round_trip(self):
         script = js.generate_conversion_script(
-            7, "img.sif", "zarr", "tiff", "/d", ResourceSpec(2048, 4, 0, 30), LOGS_DIR
+            7, "img.sif", "/d", ResourceSpec(2048, 4, 0, 30), LOGS_DIR
         )
         assert js.scan_directives(js.render_script(script)) == script.directives
 

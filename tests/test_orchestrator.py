@@ -9,6 +9,8 @@ import subprocess
 import zipfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slurmbridge import orchestrator as orch
 from slurmbridge import slurm
@@ -154,6 +156,23 @@ def batch_failures(record):
 def batch_errors(record):
     """batch index -> error class name, from the batch records."""
     return {b.index: type(b.error).__name__ for b in record.batches if b.error is not None}
+
+
+def packs_damaged(pack_inputs):
+    """pack_inputs, then flip the first data byte of the archive's first
+    entry, so that the entry fails its CRC."""
+
+    def pack_damaged(*args, **kwargs):
+        zip_path = pack_inputs(*args, **kwargs)
+        with open(zip_path, "r+b") as handle:
+            header = handle.read(30)
+            handle.seek(30 + sum(struct.unpack_from("<HH", header, 26)))
+            first = handle.read(1)[0]
+            handle.seek(-1, os.SEEK_CUR)
+            handle.write(bytes([first ^ 1]))
+        return zip_path
+
+    return pack_damaged
 
 
 def fast_options(**overrides):
@@ -345,6 +364,24 @@ class TestConversionPath:
         assert_no_job_outlives_its_data(
             endpoint.cluster, registry.entry("cellpose").resources.time_limit_min)
 
+    def test_zarr_batch_without_converter_fails_alone(self, run_env, tmp_path):
+        # Two TIFF items sort first, so batch 0 is TIFF and batch 1 ZARR.
+        endpoint, profile, registry, descriptor = run_env
+        make_tiff_inputs(str(tmp_path / "inputs"), 2)
+        make_zarr_inputs(str(tmp_path / "inputs"), 2)
+        items = orch.scan_input_dir(str(tmp_path / "inputs"))
+        record = orch.run_workflow_batched(
+            endpoint, dataclasses.replace(profile, zarr_to_tiff=None), registry, descriptor,
+            "cellpose", {}, items, 2, options=fast_options(),
+            local_output_dir=str(tmp_path / "out"),
+        )
+        assert record.overall_state is orch.RunStage.PARTIAL_FAILURE
+        assert batch_errors(record) == batch_failures(record) == {1: "ConversionFailed"}
+        assert "no converter configured for zarr -> tiff" in str(record.batches[1].error)
+        assert record.batches[1].job is None
+        assert [job.script_path for job in endpoint.cluster.jobs.values()] == [
+            f"{record.batches[0].remote_dir}/job.sh"]
+
     def test_skip_conversion(self, run_env, tmp_path):
         endpoint, profile, registry, descriptor = run_env
         make_zarr_inputs(str(tmp_path / "inputs"), 2)
@@ -510,19 +547,7 @@ class TestRunWorkflowBatched:
     def test_damaged_upload_fails_unpack(self, run_env, tmp_path, monkeypatch):
         # The archive is damaged before it is hashed, so the upload's digest
         # matches; unzip then finds the bad CRC, exits 2 and holds sbatch back.
-        pack_inputs = orch.pack_inputs
-
-        def pack_damaged(*args, **kwargs):
-            zip_path = pack_inputs(*args, **kwargs)
-            with open(zip_path, "r+b") as handle:
-                header = handle.read(30)
-                handle.seek(30 + sum(struct.unpack_from("<HH", header, 26)))
-                first = handle.read(1)[0]
-                handle.seek(-1, os.SEEK_CUR)
-                handle.write(bytes([first ^ 1]))
-            return zip_path
-
-        monkeypatch.setattr(orch, "pack_inputs", pack_damaged)
+        monkeypatch.setattr(orch, "pack_inputs", packs_damaged(orch.pack_inputs))
         endpoint, profile, registry, descriptor = run_env
         counting = CountingEndpoint(endpoint.cluster)
         record = orch.run_workflow_batched(
@@ -658,6 +683,17 @@ class TestRunWorkflowBatched:
         lines = journal.read_text().splitlines()
         assert lines[0].split("\t")[1] == "Preparing"
         assert lines[-1].split("\t")[1] == "Done"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(), min_size=1, max_size=4))
+def test_journal_rows_stay_one_line_and_read_back(tmp_path_factory, details):
+    path = str(tmp_path_factory.mktemp("journal") / "run.journal")
+    for detail in details:
+        orch.append_journal_row(path, "stage", detail, timestamp="t")
+    with open(path, newline="") as handle:
+        assert handle.read().count("\n") == len(details)
+    assert orch.read_journal(path) == [["t", "stage", detail] for detail in details]
 
 
 class TestRunLifecycle:

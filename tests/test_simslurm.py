@@ -1,7 +1,9 @@
 import hashlib
 import itertools
 import json
+import os
 import random
+import sys
 import time
 import tracemalloc
 import zipfile
@@ -409,6 +411,53 @@ def test_state_file_without_newer_fields_loads():
     assert job_state(restored, job_id) is JobState.COMPLETED
 
 
+def mid_run_cluster():
+    """A cluster stopped mid-run: a 6-task array with tasks completed and
+    running, an afterok job waiting on it, a forced-FAILED job that failed,
+    and a 4-task array cancelled while it ran, so some tasks of each state
+    carry an exit code."""
+    cluster = SimCluster()
+    cluster.inject_fault(FaultDirective(script_substring="failing",
+                                        forced_state=JobState.FAILED))
+    array_id = submit_script(cluster, "/scratch/array.sh", cpus=2, duration=20, array="0-5")
+    submit_script(cluster, "/scratch/failing.sh", duration=3)
+    submit_script(cluster, "/scratch/after.sh", duration=5,
+                  options=[f"--dependency=afterok:{array_id}", "--kill-on-invalid-dep=yes"])
+    doomed = submit_script(cluster, "/scratch/doomed.sh", cpus=2, duration=8, array="0-3")
+    cluster.advance(25)
+    cluster.sim_exec(["scancel", str(doomed)])
+    cluster.advance(3)
+    return cluster
+
+
+# mid_run_cluster().to_dict() as the simulator wrote it while SimJob stored
+# its reported_state and SimTask its exit_code.
+OLD_STATE_FILE = os.path.join(os.path.dirname(__file__), "data",
+                              "sim-state-with-stored-states.json")
+
+
+def test_state_file_with_stored_states_continues_alike():
+    """A state document that still carries reported_state and exit_code
+    loads (the keys are ignored: states and exit codes follow from the
+    tasks) and continues to the same events and task states as a cluster
+    that never left memory."""
+    with open(OLD_STATE_FILE) as handle:
+        doc = json.load(handle)
+    assert all("reported_state" in job for job in doc["jobs"])
+    assert {task["exit_code"] for job in doc["jobs"] for task in job["tasks"]} == {None, 0, 1}
+    live, restored = mid_run_cluster(), SimCluster.from_dict(doc)
+    assert restored.to_dict() == live.to_dict()
+    assert {job["id"]: job["reported_state"] for job in doc["jobs"]} == \
+        {job_id: restored.job_state(job).value for job_id, job in restored.jobs.items()}
+    assert [task["exit_code"] for job in doc["jobs"] for task in job["tasks"]] == \
+        [task.exit_code for job in restored.jobs.values() for task in job.tasks]
+    for dt in (1, 7, 30, 3000):
+        assert [e.render() for e in restored.advance(dt)] == [e.render() for e in live.advance(dt)]
+    assert restored.to_dict() == live.to_dict()
+    assert [(task.state, task.exit_code) for job in restored.jobs.values() for task in job.tasks] \
+        == [(task.state, task.exit_code) for job in live.jobs.values() for task in job.tasks]
+
+
 def test_state_round_trip(tmp_path):
     cluster = SimCluster()
     cluster.inject_fault(FaultDirective(script_substring="failing",
@@ -516,6 +565,39 @@ def test_golden_traces(first_seed):
     for seed in range(first_seed, first_seed + 50):
         digest.update(golden_schedule(seed).encode())
     assert digest.hexdigest() == GOLDEN_DIGESTS[first_seed]
+
+
+class CheckedCluster(SimCluster):
+    """Checks after every command and every advance that each job's state
+    from the task-state counts is its parent_state() from its tasks."""
+
+    checks = 0
+
+    def check(self):
+        for job in self.jobs.values():
+            assert self.job_state(job) is job.parent_state(), job.id
+        CheckedCluster.checks += 1
+
+    def sim_exec(self, command):
+        result = super().sim_exec(command)
+        self.check()
+        return result
+
+    def advance(self, dt):
+        events = super().advance(dt)
+        self.check()
+        return events
+
+
+def test_counts_give_every_job_its_parent_state(monkeypatch):
+    """Every golden schedule, run on a CheckedCluster, still gives its digest."""
+    monkeypatch.setattr(sys.modules[__name__], "SimCluster", CheckedCluster)
+    for first_seed, expected in GOLDEN_DIGESTS.items():
+        digest = hashlib.sha256()
+        for seed in range(first_seed, first_seed + 50):
+            digest.update(golden_schedule(seed).encode())
+        assert digest.hexdigest() == expected
+    assert CheckedCluster.checks > 1000
 
 
 def test_unzip_holds_stored_entries_once(tmp_path):

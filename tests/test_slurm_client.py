@@ -114,7 +114,7 @@ class TestInitEnvironment:
         import dataclasses
 
         profile, _ = sample_profile_registry
-        profile = dataclasses.replace(profile, converters={})
+        profile = dataclasses.replace(profile, zarr_to_tiff=None)
         endpoint = SimEndpoint(SimCluster())
         from slurmbridge.config import WorkflowRegistry
 

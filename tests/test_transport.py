@@ -144,11 +144,13 @@ _FILE_OPS = st.one_of(
 
 
 # Entry names as another tool may write them: absolute, with '.' and '..'
-# components, or naming a directory.
-_ENTRY_NAMES = st.builds(lambda lead, parts, tail: lead + "/".join(parts) + tail,
-                         st.sampled_from(["", "/", "//"]),
-                         st.lists(st.sampled_from(["a", "b", ".", ".."]), min_size=1, max_size=3),
-                         st.sampled_from(["", "/"]))
+# components, naming a directory, or with nothing left once mapped.
+_ENTRY_NAMES = st.one_of(
+    st.builds(lambda lead, parts, tail: lead + "/".join(parts) + tail,
+              st.sampled_from(["", "/", "//"]),
+              st.lists(st.sampled_from(["a", "b", ".", ".."]), min_size=1, max_size=3),
+              st.sampled_from(["", "/"])),
+    st.sampled_from(["/", "//", "./"]))
 
 
 # zip writes a new archive of up to three paths each time, as the client's
@@ -187,8 +189,10 @@ def _zip_warnings(output):
 
 
 def _unzip_warnings(output):
-    """The warning lines of unzip's stderr, such as a stripped absolute path."""
-    return [line for line in output.splitlines() if line.startswith("warning:")]
+    """The warning, name-mapping and replace-prompt lines of unzip's stderr,
+    such as a stripped absolute path or a name that maps to nothing."""
+    return [line for line in output.splitlines()
+            if line.startswith(("warning:", "mapname:", "replace ", "(EOF"))]
 
 
 def _real_tree(root):
@@ -227,12 +231,15 @@ def _sim_tree(fs, root):
           ("zip -q -r -D", ["b"])])
 @example([("pack", ["../up.txt", "a/../../x.txt", "./b/./c.txt", "/abs.txt"]),
           ("unzip -q", ["w"]), ("unzip", ["v"]), ("unzip -q", ["w"])])
+@example([("pack", ["/", "a", "//", "./", "/a", "b/"]), ("unzip -q", ["w"]), ("unzip", ["w"])])
+@example([("put", ["a"]), ("zip -r -D", ["a"]), ("unzip", ["a/"])])
 @given(st.lists(st.one_of(_FILE_OPS, _ARCHIVE_OPS), max_size=8))
 def test_file_ops_match_real_tools(tmp_path_factory, ops):
     """mkdir -p, rm -f, rm -rf, test -e, mv -T, zip [-q] -r -D, unzip [-q] and
     put_file give the simulator the same exit codes, the same tree and the
     same archive entries as the installed tools give local disk, and unzip
-    [-q] the same warnings on stderr. The simulator's tree sits at
+    [-q] the same warnings, name-mapping failures and replace prompts on
+    stderr. The simulator's tree sits at
     the same path as the real one, so entry names agree."""
     tmp = tmp_path_factory.mktemp("fileops")
     root = str(tmp / "tree")
@@ -333,6 +340,27 @@ def test_damaged_archive_unzips_as_info_zip_does(tmp_path, damage, exit_code):
     if damage == "deflated-data":
         del files["a/x.bin"]
     assert _sim_tree(cluster.fs, out) == (dirs, files)
+
+
+@pytest.mark.skipif(shutil.which("unzip") is None, reason="Info-ZIP unzip not installed")
+def test_unzip_asks_once_then_keeps_every_existing_file(tmp_path):
+    """Unpacking the same archive twice: the second `unzip -q` finds both of
+    its files there, asks once whether to replace the first, reads EOF as
+    "[N]one" and keeps both silently, as the installed unzip does."""
+    archive, out = str(tmp_path / "twice.zip"), str(tmp_path / "out")
+    data = _packed(["a/b", "c"])
+    (tmp_path / "twice.zip").write_bytes(data)
+    cluster = SimCluster()
+    cluster.fs.make_dirs(str(tmp_path))
+    cluster.fs.write(archive, data)
+    argv = ["unzip", "-q", archive, "-d", out]
+    for _ in range(2):
+        real = subprocess.run(argv, stdin=subprocess.DEVNULL, capture_output=True, text=True)
+        sim = cluster.sim_exec(argv)
+        assert (sim.exit_code, sim.stdout, sim.stderr) == \
+            (real.returncode, real.stdout, real.stderr)
+    assert sim.exit_code == 1 and sim.stderr.count("replace ") == 1
+    assert _sim_tree(cluster.fs, out) == _real_tree(out)
 
 
 @pytest.mark.skipif(shutil.which("unzip") is None, reason="Info-ZIP unzip not installed")
