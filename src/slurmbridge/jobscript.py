@@ -1,6 +1,8 @@
-"""Slurm batch script generation: workflow jobs and conversion array jobs."""
+"""Slurm batch scripts: generated for workflow jobs and conversion array
+jobs, rendered as text, and parsed back."""
 
 import re
+import shlex
 from dataclasses import dataclass, replace
 
 from . import descriptor as descriptor_mod
@@ -8,8 +10,13 @@ from .errors import InvalidCount
 
 SHEBANG = "#!/bin/bash"
 
-_DIRECTIVE_RE = re.compile(r"^#SBATCH\s+(--[A-Za-z][A-Za-z-]*)=(.*)$")
-_SIM_RE = re.compile(r"^#SIM\s+duration=(\d+)\s+outputs=(\d+)\s*$")
+_DIRECTIVE_RE = re.compile(r"#SBATCH\s+(--[A-Za-z][A-Za-z-]*)=(.*)")
+_EXPORT_RE = re.compile(r'export ([A-Za-z_][A-Za-z0-9_]*)="(.*)"')
+_SIM_RE = re.compile(r"#SIM\s+duration=(\d+)\s+outputs=(\d+)\s*")
+# Between double quotes bash still expands $ and `, and gives \ and " their
+# meaning; a backslash before any of the four leaves it as it is.
+_SPECIAL_RE = re.compile(r'([\\"$`])')
+_ESCAPED_RE = re.compile(r'\\([\\"$`])')
 
 
 @dataclass(frozen=True)
@@ -28,15 +35,13 @@ class SimAnnotation:
     duration_s: int = 30
     outputs: int = 0
 
-    def line(self):
-        return f"#SIM duration={self.duration_s} outputs={self.outputs}"
-
 
 @dataclass
 class JobScript:
     directives: list  # ordered (key, value) pairs, keys like "--mem"
     env_exports: list  # ordered (name, value) pairs
     body: list  # ordered shell command lines
+    sim: SimAnnotation = None
 
 
 def minutes_to_clock(minutes):
@@ -75,37 +80,28 @@ def _base_directives(resources, logs_dir, array_size=None):
     return directives
 
 
-def generate_workflow_script(
-    descriptor,
-    resources,
-    values,
-    run_paths,
-    logs_dir,
-    sim=None,
-):
+def _dquote(value):
+    """The text between double quotes that bash reads as value."""
+    return _SPECIAL_RE.sub(r"\\\1", value)
+
+
+def _undquote(text):
+    """Inverse of _dquote."""
+    return _ESCAPED_RE.sub(r"\1", text)
+
+
+def generate_workflow_script(descriptor, resources, values, run_paths, logs_dir, sim=None):
     """Build the batch script that runs the workflow container over one
-    in/out/gt data layout."""
-    env_exports = list(descriptor_mod.env_assignments(descriptor, values))
-    env_exports += [
-        ("IN_PATH", run_paths.in_dir),
-        ("OUT_PATH", run_paths.out_dir),
-        ("GT_PATH", run_paths.gt_dir),
-    ]
-    bind_specs = " ".join(
-        f'--bind "{host}:{guest}"'
-        for host, guest in (
-            (run_paths.in_dir, "/data/in"),
-            (run_paths.out_dir, "/data/out"),
-            (run_paths.gt_dir, "/data/gt"),
-        )
-    )
-    args = " ".join(descriptor_mod.render_cli_args(descriptor, values))
-    command = f"singularity exec {bind_specs} {run_paths.image_file} {args}".rstrip()
-    return JobScript(
-        directives=_base_directives(resources, logs_dir),
-        env_exports=env_exports,
-        body=[sim.line(), command] if sim is not None else [command],
-    )
+    in/out/gt data layout; each token of the command is quoted, so that a
+    value reaches the container as given."""
+    env_exports = [*descriptor_mod.env_assignments(descriptor, values),
+                   ("IN_PATH", run_paths.in_dir), ("OUT_PATH", run_paths.out_dir),
+                   ("GT_PATH", run_paths.gt_dir)]
+    binds = " ".join(f'--bind "{_dquote(host)}:/data/{guest}"' for host, guest in (
+        (run_paths.in_dir, "in"), (run_paths.out_dir, "out"), (run_paths.gt_dir, "gt")))
+    argv = [run_paths.image_file, *descriptor_mod.render_cli_args(descriptor, values)]
+    return JobScript(directives=_base_directives(resources, logs_dir), env_exports=env_exports,
+                     body=[f"singularity exec {binds} {shlex.join(argv)}"], sim=sim)
 
 
 def generate_conversion_script(n_items, converter_image, data_dir, resources, logs_dir,
@@ -118,61 +114,48 @@ def generate_conversion_script(n_items, converter_image, data_dir, resources, lo
     if n_items < 1:
         raise InvalidCount(f"conversion needs at least one item, got {n_items}")
     command = (
-        f'singularity exec --bind "{data_dir}:/data" {converter_image} '
+        f'singularity exec --bind "{_dquote(data_dir)}:/data" {shlex.quote(converter_image)} '
         "convert --source-format zarr --target-format tiff "
         f'--index "$SLURM_ARRAY_TASK_ID" /data'
     )
-    return JobScript(
-        directives=_base_directives(replace(resources, gpus=0), logs_dir, n_items),
-        env_exports=[],
-        body=[sim.line(), command] if sim is not None else [command],
-    )
-
-
-def _quote_env_value(value):
-    return value.replace("\\", "\\\\").replace('"', '\\"')
+    return JobScript(directives=_base_directives(replace(resources, gpus=0), logs_dir, n_items),
+                     env_exports=[], body=[command], sim=sim)
 
 
 def render_script(script):
-    """Deterministic text form: shebang, directives, exports, body."""
+    """Deterministic text form: shebang, directives, exports, the #SIM line,
+    body."""
     lines = [SHEBANG]
     lines += [f"#SBATCH {key}={value}" for key, value in script.directives]
-    lines += [
-        f'export {name}="{_quote_env_value(value)}"'
-        for name, value in script.env_exports
-    ]
-    lines += list(script.body)
+    lines += [f'export {name}="{_dquote(value)}"' for name, value in script.env_exports]
+    if script.sim is not None:
+        lines.append(f"#SIM duration={script.sim.duration_s} outputs={script.sim.outputs}")
+    lines += script.body
     return "\n".join(lines) + "\n"
 
 
-def scan_directives(text):
-    """Recover the #SBATCH directives from a rendered script."""
-    directives = []
-    for line in text.splitlines():
-        match = _DIRECTIVE_RE.match(line)
-        if match:
-            directives.append((match.group(1), match.group(2)))
-    return directives
-
-
-def scan_sim_annotation(text):
-    """Recover the simulator annotation, or None when absent."""
-    for line in text.splitlines():
-        match = _SIM_RE.match(line)
-        if match:
-            return SimAnnotation(
-                duration_s=int(match.group(1)), outputs=int(match.group(2))
-            )
-    return None
-
-
-def scan_env_exports(text):
-    exports = []
-    for line in text.splitlines():
-        if line.startswith("export ") and "=" in line:
-            name, _, raw = line[len("export "):].partition("=")
-            value = raw.strip()
-            if value.startswith('"') and value.endswith('"'):
-                value = value[1:-1].replace('\\"', '"').replace("\\\\", "\\")
-            exports.append((name, value))
-    return exports
+def parse_script(text):
+    """Inverse of render_script. `#SBATCH --key=value` lines are directives
+    up to the first line that is neither blank nor a comment, as sbatch(1)
+    reads them; `export NAME="value"` lines and the #SIM line count wherever
+    they stand; every other line after the `#!` line, which sbatch requires
+    (ValueError without it), is body. Lines end at '\\n' only."""
+    first, *lines = text.removesuffix("\n").split("\n")
+    if not first.startswith("#!"):
+        raise ValueError("This does not look like a batch script")
+    script = JobScript(directives=[], env_exports=[], body=[])
+    header = True
+    for line in lines:
+        header = header and (not line.strip() or line.startswith("#"))
+        directive = header and _DIRECTIVE_RE.fullmatch(line)
+        export = _EXPORT_RE.fullmatch(line)
+        sim = _SIM_RE.fullmatch(line)
+        if directive:
+            script.directives.append(directive.groups())
+        elif export:
+            script.env_exports.append((export[1], _undquote(export[2])))
+        elif sim:
+            script.sim = SimAnnotation(int(sim[1]), int(sim[2]))
+        else:
+            script.body.append(line)
+    return script

@@ -232,8 +232,13 @@ def append_journal_row(path, stage, detail, timestamp=None):
 
 def read_journal(path):
     """The rows of a run's journal as [timestamp, stage, detail as appended]."""
+    rows = []
     with open(path) as handle:
-        rows = [line.rstrip("\n").split("\t", 2) for line in handle if line.strip()]
+        for line in filter(str.strip, handle):
+            if rows and "\t" not in line:  # an older, unescaped detail went on past a newline
+                rows[-1][2] += "\n" + line.rstrip("\n")
+            else:
+                rows.append(line.rstrip("\n").split("\t", 2))
     return [[timestamp, stage, re.sub(r"\\(.)", lambda m: _UNESCAPES.get(m[1], m[1]), detail)]
             for timestamp, stage, detail in rows]
 

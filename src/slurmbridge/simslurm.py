@@ -24,12 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import DestinationUnwritable, SourceMissing
-from .jobscript import (
-    clock_to_minutes,
-    scan_directives,
-    scan_env_exports,
-    scan_sim_annotation,
-)
+from .jobscript import SimAnnotation, clock_to_minutes, parse_script
 from .states import JobState, aggregate_array_states
 from .transport import (
     DEFAULT_DEADLINE_S,
@@ -388,34 +383,6 @@ class SimCluster:
 
     # -- submission --------------------------------------------------------
 
-    def _parse_script(self, path):
-        text = self.fs.read(path).decode()
-        directives = dict(scan_directives(text))
-        sim = scan_sim_annotation(text)
-        exports = dict(scan_env_exports(text))
-        resources = {
-            "cpus": int(directives.get("--cpus-per-task", 1)),
-            "gpus": 0,
-            "mem_mb": int(directives.get("--mem", 1024)),
-        }
-        gres = directives.get("--gres", "")
-        if gres.startswith("gpu:"):
-            resources["gpus"] = int(gres.split(":", 1)[1])
-        time_limit = clock_to_minutes(directives.get("--time", "01:00:00"))
-        array_spec = None
-        if "--array" in directives:
-            lo, hi = directives["--array"].split("-", 1)
-            array_spec = (int(lo), int(hi))
-        return {
-            "resources": resources,
-            "time_limit_min": time_limit,
-            "duration_s": sim.duration_s if sim else _DEFAULT_DURATION_S,
-            "outputs_n": sim.outputs if sim else 0,
-            "output_pattern": directives.get("--output", ""),
-            "exports": exports,
-            "array_spec": array_spec,
-        }
-
     def _sbatch(self, args):
         """`sbatch [--job-name=<name>] [--dependency=afterok:<id>
         --kill-on-invalid-dep=yes] <script>`; any other option, or a
@@ -441,14 +408,25 @@ class SimCluster:
         if not self.fs.exists(path):
             return ExecResult(1, "", f"sbatch: error: Unable to open file {path}\n", 0)
         try:
-            parsed = self._parse_script(path)
+            script = parse_script(self.fs.read(path).decode())
+            directive = dict(script.directives).get  # with the simulator's defaults
+            gres = directive("--gres", "gpu:0")
+            first, _, last = directive("--array", "").partition("-")
+            sim = script.sim or SimAnnotation(_DEFAULT_DURATION_S)
+            job = SimJob(
+                id=self.next_job_id, script_path=path, submit_time=self.clock,
+                resources={"cpus": int(directive("--cpus-per-task", 1)),
+                           "gpus": int(gres[4:]) if gres.startswith("gpu:") else 0,
+                           "mem_mb": int(directive("--mem", 1024))},
+                time_limit_min=clock_to_minutes(directive("--time", "01:00:00")),
+                duration_s=sim.duration_s, outputs_n=sim.outputs,
+                output_pattern=directive("--output", ""), exports=dict(script.env_exports),
+                array_spec=(int(first), int(last or first)) if first else None,
+                name=settings.get("--job-name"), dependency=int(after) if after else None)
         except (ValueError, SourceMissing) as exc:
             return ExecResult(1, "", f"sbatch: error: {exc}\n", 0)
         job_id = self.next_job_id
         self.next_job_id += 1
-        job = SimJob(id=job_id, script_path=path, submit_time=self.clock,
-                     name=settings.get("--job-name"),
-                     dependency=int(after) if after else None, **parsed)
         if job.is_array:
             lo, hi = job.array_spec
             job.tasks = [
@@ -684,11 +662,11 @@ class SimCluster:
         stdin at EOF: directory is created only when its parent exists; a
         file that exists already is kept (unzip asks on stderr whether to
         replace the first, reads EOF and answers "[N]one" for it and every
-        later one), which makes the exit 1; an
-        entry that a file stands in the way of is skipped, an entry whose
-        bytes fail its CRC is written anyway and named on stderr as -q names
-        it, and one that does not inflate is named and not written (Info-ZIP
-        keeps what it inflated), which each make it 2; an entry of a method
+        later one), which makes the exit 1; an entry that a file stands in
+        the way of is skipped and named on stderr with that file, an entry
+        whose bytes fail its CRC is written anyway and named on stderr as -q
+        names it, and one that does not inflate is named and not written
+        (Info-ZIP keeps what it inflated), which each make it 2; an entry of a method
         other than stored or deflated is skipped, which makes it 81. A file
         that is no archive exits 9. A name's leading '/'s are stripped with
         a warning, which makes it 1, and a name of '/'s alone then fails to map
@@ -756,9 +734,10 @@ class SimCluster:
                     if crc != info.CRC:
                         exit_code = max(exit_code, 2)
                         err += f"{target:<22}  bad CRC {crc:08x}  (should be {info.CRC:08x})\n"
-            except DestinationUnwritable as exc:
+            except DestinationUnwritable as exc:  # from make_dirs: a file is in the way
                 exit_code = max(exit_code, 2)
-                err += f"checkdir error:  {exc}\n"
+                err += (f"checkdir error:  {str(exc).removeprefix('not a directory: ')} exists"
+                        f" but is not directory\n                 unable to process {name}.\n")
             except zlib.error:
                 exit_code = max(exit_code, 2)
                 err += f"  error:  invalid compressed data to inflate {target}\n"

@@ -217,7 +217,7 @@ def test_criterion_05_jobscript_golden(cellpose_descriptor):
     assert extra == ["#SBATCH --gres=gpu:1"]
 
     rendered = js.render_script(gpu)
-    assert js.scan_directives(rendered) == list(gpu.directives)
+    assert js.parse_script(rendered).directives == list(gpu.directives)
 
 
 @criterion(6, "descriptor property suite")

@@ -196,6 +196,31 @@ class TestRun:
         assert f"parameter {param.split('=')[0]!r}" in result.stderr
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("supplied,default", [("a\nb", "x"), ("a\rb", "x"), (None, "x\ry")])
+    def test_line_break_in_a_string_journals_nothing(self, runner, workspace, supplied,
+                                                      default):
+        """A String value, supplied or default, that holds a line break could
+        not stay on its one line of the job script."""
+        tmp_path, _, _, descriptor_path = workspace
+        with open(descriptor_path, "w") as handle:
+            json.dump(dict(CELLPOSE_DESCRIPTOR, inputs=CELLPOSE_DESCRIPTOR["inputs"] + [
+                {"id": "label", "type": "String", "default-value": default}]), handle)
+        extra = ["--param", f"label={supplied}"] if supplied is not None else []
+        result = self._init_and_run(runner, workspace, extra_args=extra)
+        assert result.exit_code == 2
+        assert "parameter 'label' holds a line break" in result.stderr
+        assert not (tmp_path / "runs").exists()
+
+    def test_two_inputs_of_one_id_journal_nothing(self, runner, workspace):
+        tmp_path = workspace[0]
+        make_tiff_inputs(str(tmp_path / "inputs"), 1, prefix="img")
+        make_zarr_inputs(str(tmp_path / "inputs"), 1, prefix="img")
+        result = self._init_and_run(runner, workspace, inputs=0)
+        assert result.exit_code == 2
+        assert (f"inputs {tmp_path}/inputs/img00.tiff and {tmp_path}/inputs/img00.zarr"
+                " share the id 'img00'") in result.stderr
+        assert not (tmp_path / "runs").exists()
+
     @pytest.mark.parametrize("raw,value", [
         ("TRUE", True), ("Yes", True), ("1", True), ("false", False), ("NO", False), ("0", False)])
     def test_boolean_param_spellings(self, raw, value):
@@ -307,6 +332,20 @@ class TestStatusLogsFetch:
         result = runner.invoke(main, ["status", "empty", "--runs-dir", str(runs)])
         assert result.exit_code == 2
         assert result.stderr == "error: journal of run empty records no run stage\n"
+
+    def test_status_reads_a_journal_written_before_details_were_escaped(
+            self, runner, workspace):
+        # Such a journal split a detail that held a newline over two lines.
+        runs = workspace[0] / "runs"
+        runs.mkdir()
+        (runs / "old.journal").write_text(
+            "t0\tinputs\t/in\nt1\tPreparing\t\n"
+            "t2\tFailed\tbatch 0: remote unpack failed: a\n; remote unpack failed: b\n")
+        result = runner.invoke(main, ["status", "old", "--runs-dir", str(runs)])
+        assert result.exit_code == 0, result.output
+        assert kv_lines(result.stdout)["state"] == ["Failed"]
+        assert orchestrator.read_journal(str(runs / "old.journal"))[-1][2] == (
+            "batch 0: remote unpack failed: a\n; remote unpack failed: b")
 
     def test_status_unknown_run(self, runner, workspace):
         tmp_path = workspace[0]

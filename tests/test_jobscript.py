@@ -1,5 +1,7 @@
 import os
 import re
+import shutil
+import subprocess
 
 import pytest
 from hypothesis import given, settings
@@ -75,7 +77,7 @@ class TestWorkflowScript:
             RUN_PATHS, LOGS_DIR, sim=js.SimAnnotation(duration_s=25, outputs=4),
         )
         text = js.render_script(script)
-        assert js.scan_sim_annotation(text) == js.SimAnnotation(25, 4)
+        assert js.parse_script(text).sim == js.SimAnnotation(25, 4)
 
 
 class TestConversionScript:
@@ -132,16 +134,66 @@ class TestRenderScript:
         assert 'export MSG="say \\"hi\\""' in js.render_script(script)
 
 
-class TestScanRoundTrip:
-    def test_workflow_round_trip(self, cellpose_descriptor):
-        script = generate_cpu_script(cellpose_descriptor)
-        assert js.scan_directives(js.render_script(script)) == script.directives
+# Text a value may hold: what bash would read as syntax inside or outside
+# double quotes, and text beyond ASCII. No newline (a job script keeps each
+# value on one line) and no NUL (no argv or environment can hold it).
+_VALUE_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\$`\' ;*&|<>(){}[]#~!?=\t\r'),
+              st.characters(exclude_categories=("Cs",), exclude_characters="\n\x00")),
+    max_size=12)
+_PATH_TEXT = _VALUE_TEXT.map(lambda text: "/scratch/" + text)
 
-    def test_conversion_round_trip(self):
-        script = js.generate_conversion_script(
-            7, "img.sif", "/d", ResourceSpec(2048, 4, 0, 30), LOGS_DIR
-        )
-        assert js.scan_directives(js.render_script(script)) == script.directives
+_LABELLED = descriptor_mod.parse_descriptor(
+    '{"name": "W", "schema-version": "cytomine-0.1",'
+    ' "container-image": {"image": "demo/w", "version": "v1"},'
+    ' "command-line": "python run.py [LABEL] [DIAMETER] [FLAG]", "inputs": ['
+    '{"id": "label", "type": "String", "optional": true},'
+    '{"id": "diameter", "type": "Number", "optional": true},'
+    '{"id": "flag", "type": "Boolean", "optional": true}]}'
+)
+
+_resources = st.builds(ResourceSpec, st.integers(1, 1 << 20), st.integers(1, 64),
+                       st.integers(0, 8), st.integers(1, 10080))
+_sims = st.one_of(st.none(), st.builds(js.SimAnnotation, st.integers(0, 10**6),
+                                       st.integers(0, 10**4)))
+_values = st.fixed_dictionaries({}, optional={
+    "label": _VALUE_TEXT,
+    "diameter": st.one_of(st.integers(-10**6, 10**6),
+                          st.floats(allow_nan=False, allow_infinity=False)),
+    "flag": st.booleans(),
+})
+_run_paths = st.builds(js.RunPaths, _PATH_TEXT, _PATH_TEXT, _PATH_TEXT, _PATH_TEXT)
+_scripts = st.one_of(
+    st.builds(js.generate_workflow_script, st.just(_LABELLED), _resources, _values,
+              _run_paths, _PATH_TEXT, _sims),
+    st.builds(js.generate_conversion_script, st.integers(1, 10**4), _PATH_TEXT,
+              _PATH_TEXT, _resources, _PATH_TEXT, _sims),
+)
+
+
+class TestScanRoundTrip:
+    @settings(max_examples=300, deadline=None)
+    @given(_scripts)
+    def test_parse_inverts_render(self, script):
+        assert js.parse_script(js.render_script(script)) == script
+
+    def test_directives_end_at_first_command(self):
+        # As sbatch(1) reads them: #SBATCH after a command is a comment.
+        script = js.parse_script("#!/bin/bash\n#SBATCH --mem=1\n\n# note\n"
+                                 "#SBATCH --time=00:01:00\ntrue\n#SBATCH --mem=2\n")
+        assert script.directives == [("--mem", "1"), ("--time", "00:01:00")]
+        assert script.body == ["", "# note", "true", "#SBATCH --mem=2"]
+
+    def test_exports_and_sim_count_anywhere(self):
+        script = js.parse_script('#!/bin/bash\n#SIM duration=5 outputs=1\ntrue\n'
+                                 'export A="x \\"y\\" \\$z"\n')
+        assert script.sim == js.SimAnnotation(5, 1)
+        assert script.env_exports == [("A", 'x "y" $z')]
+        assert script.body == ["true"]
+
+    def test_script_without_shebang_is_refused(self):
+        with pytest.raises(ValueError):
+            js.parse_script("#SBATCH --mem=1\ntrue\n")
 
     def test_env_export_names_wellformed(self, cellpose_descriptor):
         script = generate_cpu_script(cellpose_descriptor)
@@ -159,3 +211,31 @@ def test_time_rendering_property(minutes):
     assert int(hours) * 60 + int(mins) == minutes
     assert 0 <= int(mins) < 60
     assert re.fullmatch(r"\d{2,}:\d{2}:\d{2}", clock)
+
+
+# Prints each argument it is given, then $LABEL, each ended by a NUL byte.
+_ECHO_ARGV = "#!/bin/bash\nprintf '%s\\0' \"$@\" \"$LABEL\"\n"
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="bash not installed")
+@settings(max_examples=60, deadline=None)
+@given(label=_VALUE_TEXT, in_dir=_PATH_TEXT)
+def test_values_reach_the_container_as_given(tmp_path_factory, label, in_dir):
+    """Run a rendered workflow script under bash with a stub singularity on
+    PATH: the container's argv and its $LABEL hold the value exactly."""
+    tmp = tmp_path_factory.mktemp("bash")
+    stub = tmp / "singularity"
+    stub.write_text(_ECHO_ARGV)
+    stub.chmod(0o755)
+    paths = js.RunPaths(in_dir=in_dir, out_dir="/o", gt_dir="/g", image_file="/w.sif")
+    script = js.generate_workflow_script(
+        _LABELLED, ResourceSpec(1024, 1, 0, 10), {"label": label}, paths, "/logs")
+    (tmp / "job.sh").write_text(js.render_script(script), encoding="utf-8")
+    env = dict(os.environ, PATH=f"{tmp}{os.pathsep}{os.environ.get('PATH', '')}")
+    ran = subprocess.run(["bash", str(tmp / "job.sh")], capture_output=True, env=env,
+                         check=True)
+    *argv, seen_label, _ = ran.stdout.decode().split("\0")
+    assert argv == ["exec", "--bind", f"{in_dir}:/data/in", "--bind", "/o:/data/out",
+                    "--bind", "/g:/data/gt", "/w.sif", "python", "run.py",
+                    "--label", label]
+    assert seen_label == label

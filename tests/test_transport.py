@@ -189,10 +189,12 @@ def _zip_warnings(output):
 
 
 def _unzip_warnings(output):
-    """The warning, name-mapping and replace-prompt lines of unzip's stderr,
-    such as a stripped absolute path or a name that maps to nothing."""
+    """The warning, name-mapping, blocked-entry and replace-prompt lines of
+    unzip's stderr, such as a stripped absolute path, a name that maps to
+    nothing or a file where an entry needs a directory."""
     return [line for line in output.splitlines()
-            if line.startswith(("warning:", "mapname:", "replace ", "(EOF"))]
+            if line.lstrip().startswith(("warning:", "mapname:", "checkdir error:",
+                                         "unable to process", "replace ", "(EOF"))]
 
 
 def _real_tree(root):
@@ -233,6 +235,8 @@ def _sim_tree(fs, root):
           ("unzip -q", ["w"]), ("unzip", ["v"]), ("unzip -q", ["w"])])
 @example([("pack", ["/", "a", "//", "./", "/a", "b/"]), ("unzip -q", ["w"]), ("unzip", ["w"])])
 @example([("put", ["a"]), ("zip -r -D", ["a"]), ("unzip", ["a/"])])
+@example([("mkdir -p", ["c"]), ("put", ["c/b"]), ("pack", ["b/a", "./b/c", "/b/a/c", "b/", "a/b"]),
+          ("unzip -q", ["c"]), ("unzip", ["c/"])])
 @given(st.lists(st.one_of(_FILE_OPS, _ARCHIVE_OPS), max_size=8))
 def test_file_ops_match_real_tools(tmp_path_factory, ops):
     """mkdir -p, rm -f, rm -rf, test -e, mv -T, zip [-q] -r -D, unzip [-q] and
