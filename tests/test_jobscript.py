@@ -177,6 +177,20 @@ class TestScanRoundTrip:
     def test_parse_inverts_render(self, script):
         assert js.parse_script(js.render_script(script)) == script
 
+    def test_workflow_round_trip(self, cellpose_descriptor):
+        script = generate_cpu_script(cellpose_descriptor)
+        parsed = js.parse_script(js.render_script(script))
+        assert parsed.directives == script.directives
+        assert parsed == script
+
+    def test_conversion_round_trip(self):
+        script = js.generate_conversion_script(
+            7, "img.sif", "/d", ResourceSpec(2048, 4, 0, 30), LOGS_DIR
+        )
+        parsed = js.parse_script(js.render_script(script))
+        assert parsed.directives == script.directives
+        assert parsed == script
+
     def test_directives_end_at_first_command(self):
         # As sbatch(1) reads them: #SBATCH after a command is a comment.
         script = js.parse_script("#!/bin/bash\n#SBATCH --mem=1\n\n# note\n"
