@@ -206,9 +206,6 @@ def cmd_run(workflow, config_path, simulate, runs_dir, params, input_dir,
         values = descriptor_mod.validate_values(descriptor, values)
     except SlurmBridgeError as exc:
         _fail(str(exc))
-    for key, value in values.items():
-        if isinstance(value, str) and ("\n" in value or "\r" in value):
-            _fail(f"parameter {key!r} holds a line break, which a job script cannot carry")
     if not os.path.isdir(input_dir):
         _fail(f"input directory not found: {input_dir}")
     items = orchestrator.scan_input_dir(input_dir)

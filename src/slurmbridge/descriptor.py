@@ -14,6 +14,7 @@ from .errors import (
     InvalidDescriptor,
     MalformedDocument,
     MissingRequiredParam,
+    SlurmBridgeError,
     TypeMismatch,
     UnknownParam,
     UnsupportedSchema,
@@ -203,7 +204,9 @@ def serialize_descriptor(descriptor):
 
 
 def validate_values(descriptor, supplied):
-    """Fill defaults and type-check a user-supplied parameter map."""
+    """Fill defaults and type-check a user-supplied parameter map. A String
+    value, supplied or default, must hold no line break: a job script keeps
+    each value on one line."""
     known = {p.id: p for p in descriptor.params}
     for key in supplied:
         if key not in known:
@@ -219,6 +222,10 @@ def validate_values(descriptor, supplied):
             result[spec.id] = spec.default
         elif not spec.optional:
             raise MissingRequiredParam(spec.id)
+        value = result.get(spec.id)
+        if isinstance(value, str) and ("\n" in value or "\r" in value):
+            raise SlurmBridgeError(
+                f"parameter {spec.id!r} holds a line break, which a job script cannot carry")
     return result
 
 

@@ -1,9 +1,10 @@
 """Deterministic discrete-event Slurm cluster simulation.
 
 The simulator answers the exact sbatch/sacct/scancel command grammar the
-client speaks, schedules parsed scripts FIFO/first-fit onto configured
-nodes, and advances a virtual clock. Script "work" is declared via a
-``#SIM duration=<s> outputs=<n>`` annotation instead of being executed.
+client speaks, and its file commands in exactly the forms it sends them,
+refusing every other form; it schedules parsed scripts FIFO/first-fit onto
+configured nodes, and advances a virtual clock. Script "work" is declared
+via a ``#SIM duration=<s> outputs=<n>`` annotation instead of being executed.
 """
 
 import dataclasses
@@ -13,6 +14,7 @@ import io
 import json
 import os
 import posixpath
+import shlex
 import shutil
 import struct
 import tempfile
@@ -167,27 +169,15 @@ class SimFS:
         self.dirs -= {name for name in self.dirs if name == path or name.startswith(prefix)}
 
     def move(self, src, dst):
-        """Like `mv -T src dst` (coreutils 9.1): a file replaces a file, a
-        directory an empty directory; False, changing nothing, where mv
-        exits 1 (src missing or dst itself, dst's parent no directory, a
-        file onto a directory or a path ending in '/', a directory onto a
-        file, a directory that is not empty, or into itself)."""
+        """Like `mv -T src dst` (coreutils 9.1) for a file src, which
+        replaces a file; False, changing nothing, where mv exits 1 (src no
+        file or dst itself, dst's parent no directory, or dst a directory or
+        a path ending in '/'). A directory src is never moved."""
         old, new = _norm(src), _norm(dst)
-        if old == new or posixpath.dirname(new) not in self.dirs:
+        if old not in self.files or src.endswith("/") or old == new or dst.endswith("/") \
+                or new in self.dirs or posixpath.dirname(new) not in self.dirs:
             return False
-        if old in self.files and not src.endswith("/"):
-            if dst.endswith("/") or new in self.dirs:
-                return False
-            self.files[new] = self.files.pop(old)
-            return True
-        inside = old + "/"
-        if old not in self.dirs or new in self.files or (new + "/").startswith(inside) \
-                or self.list_dir(new):
-            return False
-        renamed = {name: new + name[len(old):] for name in [*self.files, *self.dirs]
-                   if name == old or name.startswith(inside)}
-        self.files = {renamed.get(name, name): extent for name, extent in self.files.items()}
-        self.dirs = {renamed.get(name, name) for name in self.dirs}
+        self.files[new] = self.files.pop(old)
         return True
 
     def files_under(self, directory):
@@ -623,28 +613,23 @@ class SimCluster:
         out = "".join(line + "\n" for line in lines)
         return ExecResult(0, out, "", 0)
 
-    def _zip(self, archive, paths, quiet):
-        """`zip [-q] -r -D archive path...` as Info-ZIP does it into a new
+    def _zip(self, archive, paths):
+        """`zip -q -r -D archive path...` as Info-ZIP does it into a new
         archive: each file is named by its path as given, without a leading
         '/'; a directory adds every file below it and no entry of its own; a
-        path that does not exist adds nothing but a warning, which -q leaves
-        out; a file named twice is added once; the archive leaves itself out.
-        Exits 12, writing nothing, when no file was added. Warnings and errors
-        go to stdout, as Info-ZIP writes them."""
-        found, warnings = {}, ""
+        path that does not exist adds nothing; a file named twice is added
+        once; the archive leaves itself out. Exits 12, writing nothing, when
+        no file was added. Errors go to stdout, as Info-ZIP writes them."""
+        found = {}
         for path in paths:
             norm = _norm(path)
             if self.fs.is_dir(path):
                 names = [posixpath.join(norm, name) for name in self.fs.files_under(norm)]
-            elif self.fs.exists(path):
-                names = [norm]
             else:
-                names = []
-                if not quiet:
-                    warnings += f"\tzip warning: name not matched: {path}\n"
+                names = [norm] if self.fs.exists(path) else []
             found.update(dict.fromkeys(name for name in names if name != _norm(archive)))
         if not found:
-            return ExecResult(12, warnings + "zip error: Nothing to do!\n", "", 0)
+            return ExecResult(12, "zip error: Nothing to do!\n", "", 0)
         buffer = io.BytesIO()
         with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED) as archive_file:
             for name in found:
@@ -653,26 +638,22 @@ class SimCluster:
         try:
             self.fs.write(archive, buffer.getvalue())
         except DestinationUnwritable as exc:
-            return ExecResult(15, warnings + f"zip I/O error: {exc}\n"
+            return ExecResult(15, f"zip I/O error: {exc}\n"
                               f"zip error: Could not create output file ({archive})\n", "", 0)
-        return ExecResult(0, warnings, "", 0)
+        return ExecResult(0, "", "", 0)
 
-    def _unzip(self, archive, directory, quiet):
-        """`unzip [-q] archive -d directory` as Info-ZIP 6.00 does it with
-        stdin at EOF: directory is created only when its parent exists; a
-        file that exists already is kept (unzip asks on stderr whether to
-        replace the first, reads EOF and answers "[N]one" for it and every
-        later one), which makes the exit 1; an entry that a file stands in
-        the way of is skipped and named on stderr with that file, an entry
-        whose bytes fail its CRC is written anyway and named on stderr as -q
-        names it, and one that does not inflate is named and not written
-        (Info-ZIP keeps what it inflated), which each make it 2; an entry of a method
-        other than stored or deflated is skipped, which makes it 81. A file
-        that is no archive exits 9. A name's leading '/'s are stripped with
-        a warning, which makes it 1, and a name of '/'s alone then fails to map
-        and is skipped, which makes it 2; its '.', '..' and empty directory
-        parts are dropped, a '..' making it 1 without -q; a last part '.' or '..'
-        becomes '_' or '__'. A stored entry is an extent of the archive's."""
+    def _unzip(self, tokens):
+        """`unzip -q archive -d directory` as Info-ZIP 6.00 does it, over
+        the archives pack_inputs makes: a file that is no archive exits 9,
+        and a directory that cannot be made (its parent is missing, or a
+        file stands there) exits 2. Refused, changing nothing: an entry
+        neither stored nor deflated, a name that is not a clean relative path
+        or that comes twice, and an entry that would land on an existing path,
+        below a file or below another entry. An entry whose bytes fail its
+        CRC is written anyway and named on stderr, and one that does not
+        inflate is named and not written; each makes the exit 2. A stored
+        entry is an extent of the archive's."""
+        archive, directory = tokens[2], tokens[4]
         if _norm(archive) not in self.fs.files:
             return ExecResult(9, "", f"unzip:  cannot find or open {archive}\n", 0)
         source = self.fs.open(archive)
@@ -682,101 +663,91 @@ class SimCluster:
         except zipfile.BadZipFile:
             return ExecResult(
                 9, "", f"[{archive}]\n  End-of-central-directory signature not found.\n", 0)
-        parent = posixpath.dirname(_norm(directory))
-        if not self.fs.is_dir(directory) and (
-                _norm(directory) in self.fs.files or not self.fs.is_dir(parent)):
+        names = {info.filename for info in infos}
+        if len(names) < len(infos) or any(
+                info.compress_type not in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED)
+                or {"", ".", ".."} & set(info.filename.split("/")) for info in infos):
+            return self._refuse(tokens)
+        root = _norm(directory)
+        if not self.fs.is_dir(root) and (root in self.fs.files
+                                         or not self.fs.is_dir(posixpath.dirname(root))):
             return ExecResult(
                 2, "", f"checkdir:  cannot create extraction directory: {directory}\n", 0)
-        self.fs.make_dirs(directory)
-        exit_code, err, declined = 0, "", False
+        # Each directory an entry needs, relative to root: the names are
+        # clean, so a path is its parts joined by '/'.
+        prefix, parents = root.rstrip("/") + "/", set()
+        for parent in {name.rpartition("/")[0] for name in names}:
+            while parent and parent not in parents:
+                parents.add(parent)
+                parent = parent.rpartition("/")[0]
+        if names & parents or any(prefix + name in self.fs.files or prefix + name in self.fs.dirs
+                                  for name in names) \
+                or any(prefix + parent in self.fs.files for parent in parents):
+            return self._refuse(tokens)
+        for parent in [root, *(prefix + parent for parent in parents)]:
+            self.fs.make_dirs(parent)
+        err = ""
         for info in infos:
-            name = info.filename.lstrip("/")
-            if name != info.filename:
-                exit_code = max(exit_code, 1)
-                err += f"warning:  stripped absolute path spec from {info.filename}\n"
-            if not name:
-                exit_code = max(exit_code, 2)
-                err += "mapname:  conversion of  failed\n"
-                continue
-            *parents, last = name.split("/")
-            if ".." in parents and not quiet:
-                exit_code = max(exit_code, 1)
-            kept = [part for part in parents if part not in ("", ".", "..")]
-            target = posixpath.join(directory, *kept, {".": "_", "..": "__"}.get(last, last))
-            try:
-                if info.is_dir():
-                    self.fs.make_dirs(target)
-                elif self.fs.exists(target):
-                    exit_code = max(exit_code, 1)
-                    if not declined:
-                        declined = True
-                        err += (f"replace {target}? [y]es, [n]o, [A]ll, [N]one, [r]ename:  NULL\n"
-                                '(EOF or read error, treating as "[N]one" ...)\n')
-                elif info.compress_type not in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED):
-                    exit_code = max(exit_code, 81)
-                else:
-                    self.fs.make_dirs(posixpath.dirname(target))
-                    # The entry's bytes follow its local header, whose name
-                    # and extra field lengths sit at offset 26.
-                    source.seek(info.header_offset + 26)
-                    start = info.header_offset + zipfile.sizeFileHeader + sum(
-                        struct.unpack("<HH", source.read(4)))
-                    source.seek(start)
-                    if info.compress_type == zipfile.ZIP_STORED:
-                        self.fs.link(target, source, info.compress_size)
-                        pieces = source.chunks(info.compress_size)
-                    else:
-                        pieces = [zlib.decompress(source.read(info.compress_size), -zlib.MAX_WBITS)]
-                        self.fs.write(target, pieces[0])
-                    crc = 0
-                    for piece in pieces:
-                        crc = zlib.crc32(piece, crc)
-                    if crc != info.CRC:
-                        exit_code = max(exit_code, 2)
-                        err += f"{target:<22}  bad CRC {crc:08x}  (should be {info.CRC:08x})\n"
-            except DestinationUnwritable as exc:  # from make_dirs: a file is in the way
-                exit_code = max(exit_code, 2)
-                err += (f"checkdir error:  {str(exc).removeprefix('not a directory: ')} exists"
-                        f" but is not directory\n                 unable to process {name}.\n")
-            except zlib.error:
-                exit_code = max(exit_code, 2)
-                err += f"  error:  invalid compressed data to inflate {target}\n"
-        return ExecResult(exit_code, "", err, 0)
-
-    def _sha256sum(self, paths):
-        """`sha256sum FILE...` as coreutils prints it: `<hex>  <path>` per
-        file; a file it cannot read is named on stderr and makes the exit 1."""
-        out, err = "", ""
-        for path in paths:
-            if self.fs.is_dir(path):
-                err += f"sha256sum: {path}: Is a directory\n"
-            elif _norm(path) in self.fs.files:
-                out += f"{self.fs.digest(path)}  {path}\n"
+            path = prefix + info.filename
+            # The entry's bytes follow its local header, whose name and extra
+            # field lengths sit at offset 26.
+            source.seek(info.header_offset + 26)
+            source.seek(info.header_offset + zipfile.sizeFileHeader
+                        + sum(struct.unpack("<HH", source.read(4))))
+            if info.compress_type == zipfile.ZIP_STORED:
+                self.fs.link(path, source, info.compress_size)
+                pieces = source.chunks(info.compress_size)
             else:
-                err += f"sha256sum: {path}: No such file or directory\n"
-        return ExecResult(1 if err else 0, out, err, 0)
+                try:
+                    pieces = [zlib.decompress(source.read(info.compress_size), -zlib.MAX_WBITS)]
+                except zlib.error:
+                    err += ("  error:  invalid compressed data to inflate "
+                            f"{posixpath.join(directory, info.filename)}\n")
+                    continue
+                self.fs.write(path, pieces[0])
+            crc = 0
+            for piece in pieces:
+                crc = zlib.crc32(piece, crc)
+            if crc != info.CRC:
+                err += (f"{posixpath.join(directory, info.filename):<22}  bad CRC {crc:08x}"
+                        f"  (should be {info.CRC:08x})\n")
+        return ExecResult(2 if err else 0, "", err, 0)
 
-    def _base64(self, path):
-        """`base64 FILE` as coreutils prints it: lines of 76 columns, each
-        ending in a newline, and nothing for an empty file."""
+    def _read_file(self, tool, path):
+        """`sha256sum FILE` or `base64 FILE` as coreutils prints it: `<hex>
+        <path>`, or lines of 76 columns, each ending in a newline; a file it
+        cannot read is named on stderr and makes the exit 1."""
         if self.fs.is_dir(path):
-            return ExecResult(1, "", "base64: read error: Is a directory\n", 0)
-        if _norm(path) not in self.fs.files:
-            return ExecResult(1, "", f"base64: {path}: No such file or directory\n", 0)
-        return ExecResult(0, encodebytes(self.fs.read(path)).decode(), "", 0)
+            what = "read error" if tool == "base64" else path
+            return ExecResult(1, "", f"{tool}: {what}: Is a directory\n", 0)
+        if not self.fs.exists(path):  # missing, or a file named with a trailing '/'
+            what = ("Not a directory" if _norm(path) in self.fs.files
+                    else "No such file or directory")
+            return ExecResult(1, "", f"{tool}: {path}: {what}\n", 0)
+        if tool == "base64":
+            return ExecResult(0, encodebytes(self.fs.read(path)).decode(), "", 0)
+        return ExecResult(0, f"{self.fs.digest(path)}  {path}\n", "", 0)
+
+    def _refuse(self, tokens):
+        """The one answer to a form of a file command or of `sh` that the
+        client never sends: exit 2, naming the command, with nothing changed."""
+        return ExecResult(2, "", f"{tokens[0]}: form not simulated: {shlex.join(tokens)}\n", 0)
 
     def sim_exec(self, command):
         """Execute one supported command against the cluster."""
         return self._dispatch(list(command))
 
     def _dispatch(self, tokens):
+        """Answer the Slurm commands, and the file commands in exactly the
+        forms the client sends: `mkdir -p P...`, `test -e P`, `rm -f P...`,
+        `rm -rf P...`, `mv -T <file> P`, `sha256sum P`, `base64 P`, `zip -q
+        -r -D Z P...`, `unzip -q Z -d D`, `singularity pull P S` and the
+        `sh -c` scripts of exec_many. Any other form of these is refused."""
         if not tokens:
             return ExecResult(127, "", "command not found\n", 0)
         cmd, args = tokens[0], tokens[1:]
-        if cmd == "sh":
-            framed = unframe_commands(args[1]) if len(args) == 2 and args[0] == "-c" else None
-            if framed is None:
-                return ExecResult(2, "", "sh: only exec_many scripts are supported\n", 0)
+        if cmd == "sh" and len(args) == 2 and args[0] == "-c" and (
+                framed := unframe_commands(args[1])):
             mark, commands, then = framed
             # Through sim_exec, so each framed command is seen as one call.
             results = [self.sim_exec(argv) for argv in commands]
@@ -790,60 +761,37 @@ class SimCluster:
             return self._sacct(args)
         if cmd == "scancel":
             return self._scancel(args)
-        if cmd == "mkdir":
+        if cmd == "mkdir" and args[:1] == ["-p"] and args[1:]:
             err = ""
-            for path in args:
-                if path != "-p":
-                    try:
-                        self.fs.make_dirs(path)
-                    except DestinationUnwritable as exc:
-                        err += f"mkdir: {exc}\n"
+            for path in args[1:]:
+                try:
+                    self.fs.make_dirs(path)
+                except DestinationUnwritable as exc:
+                    err += f"mkdir: {exc}\n"
             return ExecResult(1 if err else 0, "", err, 0)
-        if cmd == "rm":
+        if cmd == "rm" and args[:1] in (["-f"], ["-rf"]) and args[1:]:
             # Without -r, rm refuses a directory and keeps its tree.
-            flags = [arg for arg in args if arg.startswith("-")]
-            recursive = any(not flag.startswith("--") and {"r", "R"} & set(flag)
-                            for flag in flags)
             err = ""
-            for path in args:
-                if path in flags:
-                    continue
-                if not recursive and self.fs.is_dir(path):
+            for path in args[1:]:
+                if args[0] == "-f" and self.fs.is_dir(path):
                     err += f"rm: cannot remove '{path}': Is a directory\n"
                 else:
                     self.fs.remove_tree(path)
             return ExecResult(1 if err else 0, "", err, 0)
-        if cmd == "mv":
-            if len(args) != 3 or args[0] != "-T" or not self.fs.move(args[1], args[2]):
+        if cmd == "mv" and len(args) == 3 and args[0] == "-T" and not self.fs.is_dir(args[1]):
+            if not self.fs.move(args[1], args[2]):
                 return ExecResult(1, "", f"mv: cannot move: {' '.join(args)}\n", 0)
             return ExecResult(0, "", "", 0)
-        if cmd == "test":
-            if len(args) == 2 and args[0] == "-e":
-                return ExecResult(0 if self.fs.exists(args[1]) else 1, "", "", 0)
-            return ExecResult(2, "", "test: invalid arguments\n", 0)
-        if cmd == "sha256sum":
-            return self._sha256sum(args)
-        if cmd == "base64":
-            if len(args) == 1:
-                return self._base64(args[0])
-            return ExecResult(1, "", "base64: usage: base64 FILE\n", 0)
-        if cmd == "zip":
-            paths = [a for a in args if not a.startswith("-")]
-            if len(paths) >= 2:
-                return self._zip(paths[0], paths[1:], quiet="-q" in args)
-            return ExecResult(16, "", "zip error: usage\n", 0)
-        if cmd == "unzip":
-            quiet = args[:1] == ["-q"]
-            if quiet:
-                args = args[1:]
-            if len(args) == 3 and args[1] == "-d":
-                return self._unzip(args[0], args[2], quiet)
-            return ExecResult(10, "", "unzip: usage\n", 0)
-        if cmd == "singularity" and args[:1] == ["pull"]:
-            paths = [a for a in args[1:] if not a.startswith("-")]
-            if len(paths) != 2:
-                return ExecResult(1, "", "singularity: usage: pull <dest> <src>\n", 0)
-            dest, src = paths
+        if cmd == "test" and len(args) == 2 and args[0] == "-e":
+            return ExecResult(0 if self.fs.exists(args[1]) else 1, "", "", 0)
+        if cmd in ("sha256sum", "base64") and len(args) == 1:
+            return self._read_file(cmd, args[0])
+        if cmd == "zip" and args[:3] == ["-q", "-r", "-D"] and len(args) >= 5:
+            return self._zip(args[3], args[4:])
+        if cmd == "unzip" and len(args) == 4 and args[0] == "-q" and args[2] == "-d":
+            return self._unzip(tokens)
+        if cmd == "singularity" and len(args) == 3 and args[0] == "pull":
+            dest, src = args[1:]
             if src in self.failing_pulls:
                 return ExecResult(255, "", f"FATAL: unable to pull {src}\n", 0)
             try:
@@ -851,14 +799,9 @@ class SimCluster:
             except DestinationUnwritable as exc:
                 return ExecResult(1, "", f"FATAL: {exc}\n", 0)
             return ExecResult(0, "", "", 0)
-        if cmd == "echo":
-            if args[:1] == ["-n"]:
-                return ExecResult(0, " ".join(args[1:]), "", 0)
-            return ExecResult(0, " ".join(args) + "\n", "", 0)
-        if cmd == "true":
-            return ExecResult(0, "", "", 0)
-        if cmd == "false":
-            return ExecResult(1, "", "", 0)
+        if cmd in ("sh", "mkdir", "rm", "mv", "test", "sha256sum", "base64", "zip", "unzip",
+                   "singularity"):
+            return self._refuse(tokens)
         return ExecResult(127, "", f"{cmd}: command not found\n", 0)
 
     # -- persistence ---------------------------------------------------------

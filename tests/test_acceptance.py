@@ -28,8 +28,8 @@ from slurmbridge.states import (
     is_reachable,
 )
 from tests.conftest import SAMPLE_CONFIG, make_tiff_inputs, make_zarr_inputs
-from tests.test_descriptor import descriptors, descriptors_with_values
-from tests.test_orchestrator import FlakyLink, assert_no_job_outlives_its_data
+from tests.test_descriptor import descriptors, descriptors_with_values, validated
+from tests.test_orchestrator import FlakyLink, GrammarOnly, assert_no_job_outlives_its_data
 from tests.test_simslurm import brute_force_aggregate, submit_script
 
 SCRATCH = "/scratch/omero"
@@ -52,10 +52,11 @@ def criterion(number, title):
     return decorate
 
 
-def fresh_env(descriptor):
-    """Initialized simulator (2 nodes x 4 cpus) plus the sample registry."""
+def fresh_env(descriptor, cluster=None):
+    """Initialized simulator (2 nodes x 4 cpus by default) plus the sample
+    registry."""
     profile, registry = parse_config(SAMPLE_CONFIG)
-    endpoint = SimEndpoint(SimCluster())
+    endpoint = SimEndpoint(cluster or SimCluster())
     slurm.init_environment(endpoint, profile, registry)
     return endpoint, profile, registry
 
@@ -233,7 +234,9 @@ def test_criterion_06_descriptor_properties():
     @given(descriptors_with_values())
     def provenance_and_idempotence(pair):
         descriptor, supplied = pair
-        values = descriptor_mod.validate_values(descriptor, supplied)
+        values = validated(descriptor, supplied)
+        if values is None:
+            return
         assert descriptor_mod.validate_values(descriptor, values) == values
         template_tokens = set(descriptor.command_line_template.split())
         flags = {p.cli_flag for p in descriptor.params}
@@ -365,7 +368,7 @@ def test_criterion_11_no_job_outlives_its_data(cellpose_descriptor, tmp_path):
            input_format=st.sampled_from(["tiff", "zarr"]))
     def no_job_outlives_its_data(sacct_failures, lose_submission, lose_retrieval, lose_upload,
                                  deadline_s, forced, input_format):
-        endpoint, profile, registry = fresh_env(cellpose_descriptor)
+        endpoint, profile, registry = fresh_env(cellpose_descriptor, GrammarOnly())
         for index, state in enumerate(forced):
             if state is not None:
                 endpoint.cluster.inject_fault(FaultDirective(
@@ -381,6 +384,7 @@ def test_criterion_11_no_job_outlives_its_data(cellpose_descriptor, tmp_path):
                 local_output_dir=str(tmp_path / "out"))
         except AccountingUnavailable:
             pass
+        assert endpoint.cluster.refused == []
         assert_no_job_outlives_its_data(
             endpoint.cluster, registry.entry("cellpose").resources.time_limit_min)
 

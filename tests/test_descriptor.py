@@ -9,6 +9,7 @@ from slurmbridge.errors import (
     InvalidDescriptor,
     MalformedDocument,
     MissingRequiredParam,
+    SlurmBridgeError,
     TypeMismatch,
     UnknownParam,
     UnsupportedSchema,
@@ -279,11 +280,27 @@ def descriptors_with_values(draw):
     return descriptor, supplied
 
 
+def validated(descriptor, supplied):
+    """validate_values(descriptor, supplied), or None once it has refused,
+    as it must, the first String value, supplied or default, that holds a
+    line break."""
+    effective = {spec.id: spec.default for spec in descriptor.params} | supplied
+    broken = [spec.id for spec in descriptor.params if spec.value_type is d.ValueType.STRING
+              and isinstance(effective[spec.id], str) and {"\n", "\r"} & set(effective[spec.id])]
+    if broken:
+        with pytest.raises(SlurmBridgeError, match=f"parameter {broken[0]!r} holds a line break"):
+            d.validate_values(descriptor, supplied)
+        return None
+    return d.validate_values(descriptor, supplied)
+
+
 @settings(max_examples=200, deadline=None)
 @given(descriptors_with_values())
 def test_token_provenance(pair):
     descriptor, supplied = pair
-    values = d.validate_values(descriptor, supplied)
+    values = validated(descriptor, supplied)
+    if values is None:
+        return
     template_tokens = set(descriptor.command_line_template.split())
     flags = {p.cli_flag for p in descriptor.params}
     rendered = {d.render_value(v) for v in values.values()}
@@ -295,7 +312,9 @@ def test_token_provenance(pair):
 @given(descriptors_with_values())
 def test_validate_values_idempotent(pair):
     descriptor, supplied = pair
-    once = d.validate_values(descriptor, supplied)
+    once = validated(descriptor, supplied)
+    if once is None:
+        return
     assert d.validate_values(descriptor, once) == once
 
 
@@ -303,7 +322,9 @@ def test_validate_values_idempotent(pair):
 @given(descriptors_with_values())
 def test_env_and_cli_rendering_agree(pair):
     descriptor, supplied = pair
-    values = d.validate_values(descriptor, supplied)
+    values = validated(descriptor, supplied)
+    if values is None:
+        return
     env = dict(d.env_assignments(descriptor, values))
     args = d.render_cli_args(descriptor, values)
     for spec in descriptor.params:

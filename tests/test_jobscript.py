@@ -1,3 +1,4 @@
+import functools
 import os
 import re
 import shutil
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from slurmbridge import descriptor as descriptor_mod
 from slurmbridge import jobscript as js
 from slurmbridge.config import ResourceSpec
-from slurmbridge.errors import InvalidCount
+from slurmbridge.errors import InvalidCount, SlurmBridgeError
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -156,25 +157,47 @@ _resources = st.builds(ResourceSpec, st.integers(1, 1 << 20), st.integers(1, 64)
                        st.integers(0, 8), st.integers(1, 10080))
 _sims = st.one_of(st.none(), st.builds(js.SimAnnotation, st.integers(0, 10**6),
                                        st.integers(0, 10**4)))
+# A label now and then holds a line break, which validate_values refuses.
 _values = st.fixed_dictionaries({}, optional={
-    "label": _VALUE_TEXT,
+    "label": st.one_of(_VALUE_TEXT, st.builds(lambda head, brk, tail: head + brk + tail,
+                                              _VALUE_TEXT, st.sampled_from(["\n", "\r\n"]),
+                                              _VALUE_TEXT)),
     "diameter": st.one_of(st.integers(-10**6, 10**6),
                           st.floats(allow_nan=False, allow_infinity=False)),
     "flag": st.booleans(),
 })
 _run_paths = st.builds(js.RunPaths, _PATH_TEXT, _PATH_TEXT, _PATH_TEXT, _PATH_TEXT)
+
+
+def _workflow_script(resources, values, paths, logs_dir, sim):
+    """The workflow script of values as the library takes them, through
+    validate_values."""
+    return js.generate_workflow_script(
+        _LABELLED, resources, descriptor_mod.validate_values(_LABELLED, values), paths,
+        logs_dir, sim)
+
+
+# Each draw is a call that generates a script.
 _scripts = st.one_of(
-    st.builds(js.generate_workflow_script, st.just(_LABELLED), _resources, _values,
+    st.builds(functools.partial, st.just(_workflow_script), _resources, _values,
               _run_paths, _PATH_TEXT, _sims),
-    st.builds(js.generate_conversion_script, st.integers(1, 10**4), _PATH_TEXT,
-              _PATH_TEXT, _resources, _PATH_TEXT, _sims),
+    st.builds(functools.partial, st.just(js.generate_conversion_script),
+              st.integers(1, 10**4), _PATH_TEXT, _PATH_TEXT, _resources, _PATH_TEXT, _sims),
 )
 
 
 class TestScanRoundTrip:
     @settings(max_examples=300, deadline=None)
     @given(_scripts)
-    def test_parse_inverts_render(self, script):
+    def test_parse_inverts_render(self, generate):
+        """Every script generated parses back to itself; a label holding a
+        line break is refused before any script is generated."""
+        label = generate.args[1].get("label", "") if generate.func is _workflow_script else ""
+        if "\n" in label or "\r" in label:
+            with pytest.raises(SlurmBridgeError, match="parameter 'label' holds a line break"):
+                generate()
+            return
+        script = generate()
         assert js.parse_script(js.render_script(script)) == script
 
     def test_workflow_round_trip(self, cellpose_descriptor):

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import glob
 import io
+import json
 import os
 import shutil
 import struct
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slurmbridge import descriptor as descriptor_mod
 from slurmbridge import orchestrator as orch
 from slurmbridge import slurm
 from slurmbridge.errors import (
@@ -22,11 +24,12 @@ from slurmbridge.errors import (
     InvalidBatchSize,
     MissingInput,
     NoResults,
+    SlurmBridgeError,
 )
 from slurmbridge.simslurm import FaultDirective, SimCluster, SimEndpoint
 from slurmbridge.states import JobState
 from slurmbridge.transport import DEFAULT_DEADLINE_S, ExecResult, unframe_commands
-from tests.conftest import make_tiff_inputs, make_zarr_inputs
+from tests.conftest import CELLPOSE_DESCRIPTOR, make_tiff_inputs, make_zarr_inputs
 from tests.test_slurm_client import DAMAGES, DamagesStream, record_launches
 
 
@@ -131,6 +134,25 @@ class ReportsCompleting(SimEndpoint):
             self.rewritten = True
             return dataclasses.replace(
                 result, stdout=result.stdout.replace("|COMPLETED\n", "|COMPLETING\n"))
+        return result
+
+
+class GrammarOnly(SimCluster):
+    """Records each command it refuses or does not know; a run of the
+    client sends none."""
+
+    def __init__(self, nodes=None):
+        super().__init__(nodes)
+        self.refused = []
+
+    def _refuse(self, tokens):
+        self.refused.append(tokens)
+        return super()._refuse(tokens)
+
+    def sim_exec(self, command):
+        result = super().sim_exec(command)
+        if result.exit_code == 127:
+            self.refused.append(list(command))
         return result
 
 
@@ -683,6 +705,53 @@ class TestRunWorkflowBatched:
         lines = journal.read_text().splitlines()
         assert lines[0].split("\t")[1] == "Preparing"
         assert lines[-1].split("\t")[1] == "Done"
+
+    @pytest.mark.parametrize("supplied,default", [("a\nb", None), (None, "x\ry")])
+    def test_line_break_in_a_string_fails_before_any_row_or_call(
+            self, sample_profile_registry, tmp_path, supplied, default):
+        """Called as a library, a run refuses a String value, supplied or
+        default, that holds a line break before it journals a row or sends
+        a command: a job script could not keep the value on its one line."""
+        profile, registry = sample_profile_registry
+        descriptor = descriptor_mod.parse_descriptor(json.dumps(dict(
+            CELLPOSE_DESCRIPTOR, inputs=CELLPOSE_DESCRIPTOR["inputs"] + [
+                {"id": "label", "type": "String", "optional": True, "default-value": default}])))
+        endpoint, rows = CountingEndpoint(SimCluster()), []
+        with pytest.raises(SlurmBridgeError, match="parameter 'label' holds a line break"):
+            orch.run_workflow_batched(
+                endpoint, profile, registry, descriptor, "cellpose",
+                {} if supplied is None else {"label": supplied}, tiff_items(tmp_path, 2), 2,
+                options=fast_options(journal_dir=str(tmp_path / "runs")),
+                local_output_dir=str(tmp_path / "out"),
+                listener=lambda stage, detail: rows.append(stage))
+        assert (endpoint.counts, rows) == ({}, [])
+        assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("run,state", [("tiff", "Done"), ("tiff+zarr", "Done"),
+                                       ("damaged-upload", "Failed"), ("lost-link", "Failed")])
+def test_whole_runs_send_only_the_grammar(sample_profile_registry, cellpose_descriptor,
+                                          tmp_path, monkeypatch, run, state):
+    """A run, whether it completes or not, sends the simulator no command
+    that it refuses or does not know. The lost link drops two accounting
+    calls and the retrieval launch's answer."""
+    profile, registry = sample_profile_registry
+    cluster = GrammarOnly()
+    endpoint = SimEndpoint(cluster)
+    slurm.init_environment(endpoint, profile, registry)
+    make_tiff_inputs(str(tmp_path / "inputs"), 4)
+    if run == "tiff+zarr":
+        make_zarr_inputs(str(tmp_path / "inputs"), 2)
+    elif run == "damaged-upload":
+        monkeypatch.setattr(orch, "pack_inputs", packs_damaged(orch.pack_inputs))
+    elif run == "lost-link":
+        endpoint = FlakyLink(cluster, [True, False, True], lose_retrieval=True)
+    record = orch.run_workflow_batched(
+        endpoint, profile, registry, cellpose_descriptor, "cellpose", {},
+        orch.scan_input_dir(str(tmp_path / "inputs")), 2, options=fast_options(),
+        local_output_dir=str(tmp_path / "out"))
+    assert record.overall_state.value == state
+    assert cluster.refused == []
 
 
 @settings(max_examples=200, deadline=None)

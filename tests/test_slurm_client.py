@@ -245,7 +245,8 @@ class TestSubmitJob:
         launches = record_launches(sim_endpoint)
         made, held, refused, not_run = slurm.submit_job(
             sim_endpoint, [(path, None, None), (path, None, None)], "sb-r1",
-            setup=[["mkdir", "-p", "/scratch/omero/data/r1/x"], ["false"]])
+            setup=[["mkdir", "-p", "/scratch/omero/data/r1/x"],
+                   ["test", "-e", "/scratch/omero/data/r1/missing"]])
         assert (made.exit_code, held.exit_code) == (0, 1)
         assert (refused, not_run) == (None, None)
         assert sim_endpoint.cluster.jobs == {}
@@ -544,7 +545,7 @@ class TestInfoZipNaming:
             paths = [os.path.join(root, name) for name in names]
             archive = os.path.join(paths[0], "all.zip")
             real_code = self.real_zip(archive, *paths)
-            result = sim_endpoint.exec(["zip", "-r", "-D", archive, *paths])
+            result = sim_endpoint.exec(["zip", "-q", "-r", "-D", archive, *paths])
             assert result.exit_code == real_code
             if real_code:
                 assert real_code == 12  # nothing to do: no file under any path
