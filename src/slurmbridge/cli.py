@@ -1,8 +1,10 @@
 """Command-line surface: validate, init, run, status, logs, fetch, cancel, list."""
 
 import contextlib
+import datetime
 import math
 import os
+import re
 import sys
 import uuid
 
@@ -27,6 +29,36 @@ def _fail(message, code=EXIT_USAGE):
     sys.exit(code)
 
 
+def journal_path(runs_dir, run_id):
+    return os.path.join(runs_dir, f"{run_id}.journal")
+
+
+# A row's detail is escaped, so that the row stays one line whatever text
+# (a tool's stderr, an input path) it carries.
+_ESCAPES = str.maketrans({"\\": "\\\\", "\n": "\\n", "\r": "\\r"})
+_UNESCAPES = {"n": "\n", "r": "\r"}
+
+
+def append_journal_row(path, stage, detail, timestamp=None):
+    """Append one `<timestamp>\t<stage>\t<detail>` row to a run's journal."""
+    timestamp = timestamp or datetime.datetime.now(datetime.timezone.utc).isoformat()
+    with open(path, "a") as handle:
+        handle.write(f"{timestamp}\t{stage}\t{str(detail).translate(_ESCAPES)}\n")
+
+
+def read_journal(path):
+    """The rows of a run's journal as [timestamp, stage, detail as appended]."""
+    rows = []
+    with open(path) as handle:
+        for line in filter(str.strip, handle):
+            if rows and "\t" not in line:  # an older, unescaped detail went on past a newline
+                rows[-1][2] += "\n" + line.rstrip("\n")
+            else:
+                rows.append(line.rstrip("\n").split("\t", 2))
+    return [[timestamp, stage, re.sub(r"\\(.)", lambda m: _UNESCAPES.get(m[1], m[1]), detail)]
+            for timestamp, stage, detail in rows]
+
+
 def _load_config(path):
     try:
         with open(path) as handle:
@@ -42,18 +74,24 @@ def _endpoint(profile, simulate):
     """The cluster a command works on: the profile's host over SSH, or under
     --simulate the embedded simulator. A simulator given a topology file keeps
     its state beside that file, saved on exit, so separate invocations see
-    one cluster."""
+    one cluster. A topology or state file that cannot be loaded is a usage
+    error."""
     if simulate is None:
         yield SshEndpoint(profile)
         return
     state_path = simulate + ".state" if simulate else None
-    if state_path and os.path.exists(state_path):
-        cluster = simslurm.SimCluster.load_state(state_path)
-    elif simulate and os.path.exists(simulate):
-        with open(simulate) as handle:
-            cluster = simslurm.SimCluster(simslurm.load_topology(handle.read()))
-    else:
-        cluster = simslurm.SimCluster()
+    source = next((path for path in (state_path, simulate) if path and os.path.exists(path)),
+                  None)
+    try:
+        if source is None:
+            cluster = simslurm.SimCluster()
+        elif source == state_path:
+            cluster = simslurm.SimCluster.load_state(source)
+        else:
+            with open(source) as handle:
+                cluster = simslurm.SimCluster(simslurm.load_topology(handle.read()))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        _fail(f"cannot load simulator file {source}: {type(exc).__name__}: {exc}")
     try:
         yield simslurm.SimEndpoint(cluster)
     finally:
@@ -202,42 +240,32 @@ def cmd_run(workflow, config_path, simulate, runs_dir, params, input_dir,
         _fail(f"workflow not registered: {workflow}")
     descriptor = _load_descriptor_for(config_path, registry.entries[workflow])
     values = _parse_params(descriptor, params)
-    try:
-        values = descriptor_mod.validate_values(descriptor, values)
-    except SlurmBridgeError as exc:
-        _fail(str(exc))
     if not os.path.isdir(input_dir):
         _fail(f"input directory not found: {input_dir}")
     items = orchestrator.scan_input_dir(input_dir)
-    path_of = {}
-    for item in items:
-        if path_of.setdefault(item.id, item.local_path) != item.local_path:
-            _fail(f"inputs {path_of[item.id]} and {item.local_path} share the id {item.id!r}")
-    options = orchestrator.RunOptions(
-        skip_conversion=skip_conversion,
-        journal_dir=runs_dir,
-        poll_interval_s=2 if simulate is not None else slurm.DEFAULT_POLL_INTERVAL_S,
-    )
+    run_id = str(uuid.uuid4())
+    path = journal_path(runs_dir, run_id)
 
+    # Every run event is journaled. The journal's first row names the inputs,
+    # so that `fetch --mode SidecarAttachments` can place each output beside
+    # its input; a run refused before its first event leaves no journal.
     def listener(stage, detail):
         click.echo(f"[{stage}] {detail}", err=True)
+        if not os.path.exists(path):
+            os.makedirs(runs_dir, exist_ok=True)
+            append_journal_row(path, "inputs", os.path.abspath(input_dir))
+        append_journal_row(path, stage, detail)
 
-    # The journal's first row names the inputs, so that `fetch --mode
-    # SidecarAttachments` can place each output beside its input.
-    run_id = str(uuid.uuid4())
-    os.makedirs(runs_dir, exist_ok=True)
-    orchestrator.append_journal_row(orchestrator.journal_path(runs_dir, run_id), "inputs",
-                                    os.path.abspath(input_dir))
     with _endpoint(profile, simulate) as endpoint:
         try:
             record = orchestrator.run_workflow_batched(
                 endpoint, profile, registry, descriptor, workflow,
                 values, items, batch_size or max(len(items), 1),
-                options=options, local_output_dir=output_dir, listener=listener,
-                run_id=run_id,
+                options=orchestrator.RunOptions(skip_conversion=skip_conversion),
+                local_output_dir=output_dir, listener=listener, run_id=run_id,
             )
         except SlurmBridgeError as exc:
-            _fail(str(exc), code=EXIT_RUN_FAILURE)
+            _fail(str(exc), code=EXIT_RUN_FAILURE if os.path.exists(path) else EXIT_USAGE)
     click.echo(f"run_id={record.run_id}")
     click.echo(f"state={record.overall_state.value}")
     for artifact in record.output_artifacts:
@@ -250,7 +278,7 @@ def _read_journal(runs_dir, run_id):
     """The run's journal rows as [timestamp, stage, detail]; exits 2 when
     runs_dir holds no journal for run_id."""
     try:
-        return orchestrator.read_journal(orchestrator.journal_path(runs_dir, run_id))
+        return read_journal(journal_path(runs_dir, run_id))
     except FileNotFoundError:
         _fail(str(UnknownRunId(run_id)))
 
@@ -375,8 +403,8 @@ def cmd_cancel(run_id, runs_dir, config_path, simulate):
                                         cancel=name)
         except TransportError as exc:
             _fail(str(exc), code=EXIT_RUN_FAILURE)
-    orchestrator.append_journal_row(orchestrator.journal_path(runs_dir, run_id), "cancel",
-                                    f"name={name} removed={len(removed)}")
+    append_journal_row(journal_path(runs_dir, run_id), "cancel",
+                       f"name={name} removed={len(removed)}")
     click.echo(f"cancel={name}")
     click.echo(f"removed={len(removed)}")
     sys.exit(EXIT_OK)

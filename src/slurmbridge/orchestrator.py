@@ -1,11 +1,9 @@
 """End-to-end workflow runs: pack inputs, transfer, schedule conversion and
 workflow jobs per batch, await completion, retrieve results, clean up."""
 
-import datetime
 import io
 import os
 import posixpath
-import re
 import shutil
 import tempfile
 import uuid
@@ -99,7 +97,6 @@ class RunOptions:
     poll_interval_s: float = slurm.DEFAULT_POLL_INTERVAL_S
     deadline_s: float = None
     sim_duration_s: int = 30
-    journal_dir: str = None
 
 
 @dataclass
@@ -112,7 +109,6 @@ class RunRecord:
     batches: list = field(default_factory=list)
     overall_state: RunStage = RunStage.PREPARING
     output_artifacts: list = field(default_factory=list)
-    stage_history: list = field(default_factory=list)  # (timestamp, stage, detail)
 
 
 def _input_suffix(path):
@@ -124,11 +120,6 @@ def _input_suffix(path):
         if name.endswith(suffix) and is_kind(path):
             return suffix, fmt
     return None, None
-
-
-def detect_format(path):
-    """The InputFormat of the input at path, or None."""
-    return _input_suffix(path)[1]
 
 
 def scan_input_dir(directory):
@@ -143,10 +134,6 @@ def scan_input_dir(directory):
     return items
 
 
-def _now():
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
-
-
 def pack_inputs(items, staging_dir, prefix_of=None, scripts=None):
     """Zip every item under <prefix>in/<id>.<format value>, sorted by id,
     plus the scripts (archive name -> text); ZARR items are stored as their
@@ -156,11 +143,7 @@ def pack_inputs(items, staging_dir, prefix_of=None, scripts=None):
     them."""
     if not items:
         raise MissingInput("no input items")
-    seen = set()
     for item in items:
-        if item.id in seen:
-            raise DuplicateId(item.id)
-        seen.add(item.id)
         if not os.path.exists(item.local_path):
             raise MissingInput(item.local_path)
     prefix_of = prefix_of or {}
@@ -183,68 +166,18 @@ def pack_inputs(items, staging_dir, prefix_of=None, scripts=None):
 
 
 def plan_batches(items, batch_size):
-    """The item ids of each batch, in order, batch_size to a batch."""
+    """The item ids of each batch, in order, batch_size to a batch; two
+    items of one id are refused."""
     if batch_size <= 0:
         raise InvalidBatchSize(f"batch size must be positive, got {batch_size}")
+    path_of = {}
+    for item in items:
+        if item.id in path_of:
+            raise DuplicateId(f"inputs {path_of[item.id]} and {item.local_path}"
+                              f" share the id {item.id!r}")
+        path_of[item.id] = item.local_path
     ids = [item.id for item in items]
     return [ids[i:i + batch_size] for i in range(0, len(ids), batch_size)]
-
-
-class _Journal:
-    """Sink for stage transitions, optionally mirrored to a plain-text
-    journal file and a listener callback."""
-
-    def __init__(self, record, journal_dir=None, listener=None):
-        self.record = record
-        self.listener = listener
-        self.path = None
-        if journal_dir is not None:
-            os.makedirs(journal_dir, exist_ok=True)
-            self.path = journal_path(journal_dir, record.run_id)
-
-    def emit(self, stage, detail=""):
-        timestamp = _now()
-        if isinstance(stage, RunStage):
-            self.record.overall_state = stage
-        self.record.stage_history.append((timestamp, _stage_name(stage), detail))
-        if self.path is not None:
-            append_journal_row(self.path, stage, detail, timestamp)
-        if self.listener is not None:
-            self.listener(_stage_name(stage), detail)
-
-
-def journal_path(journal_dir, run_id):
-    return os.path.join(journal_dir, f"{run_id}.journal")
-
-
-# A row's detail is escaped, so that the row stays one line whatever text
-# (a tool's stderr, an input path) it carries.
-_ESCAPES = str.maketrans({"\\": "\\\\", "\n": "\\n", "\r": "\\r"})
-_UNESCAPES = {"n": "\n", "r": "\r"}
-
-
-def append_journal_row(path, stage, detail, timestamp=None):
-    """Append one `<timestamp>\t<stage>\t<detail>` row to a run's journal."""
-    with open(path, "a") as handle:
-        handle.write(f"{timestamp or _now()}\t{_stage_name(stage)}\t"
-                     f"{str(detail).translate(_ESCAPES)}\n")
-
-
-def read_journal(path):
-    """The rows of a run's journal as [timestamp, stage, detail as appended]."""
-    rows = []
-    with open(path) as handle:
-        for line in filter(str.strip, handle):
-            if rows and "\t" not in line:  # an older, unescaped detail went on past a newline
-                rows[-1][2] += "\n" + line.rstrip("\n")
-            else:
-                rows.append(line.rstrip("\n").split("\t", 2))
-    return [[timestamp, stage, re.sub(r"\\(.)", lambda m: _UNESCAPES.get(m[1], m[1]), detail)]
-            for timestamp, stage, detail in rows]
-
-
-def _stage_name(stage):
-    return stage.value if isinstance(stage, RunStage) else str(stage)
 
 
 def _split_results(archive, prefix, local_zip):
@@ -269,10 +202,15 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
     Batches fail independently; a mix of completed and failed batches yields
     PartialFailure. Remote run data is always cleaned up; logs are retained.
     The run is named run_id, a new UUID by default.
+
+    Every stage and event goes to listener(stage, detail). A run refused for
+    its values, workflow, batch size or two inputs of one id raises before
+    the first event and before any remote call.
     """
     options = options or RunOptions()
     values = descriptor_mod.validate_values(workflow_descriptor, values)
     entry = registry.entry(workflow_name)
+    planned = plan_batches(items, batch_size)
     run_id = run_id or str(uuid.uuid4())
     record = RunRecord(
         run_id=run_id,
@@ -281,11 +219,18 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
         values=values,
         items=list(items),
     )
-    journal = _Journal(record, journal_dir=options.journal_dir, listener=listener)
-    journal.emit(RunStage.PREPARING, f"workflow={workflow_name} items={len(items)}")
+
+    def emit(stage, detail):
+        if isinstance(stage, RunStage):
+            record.overall_state = stage
+            stage = stage.value
+        if listener is not None:
+            listener(stage, detail)
+
+    emit(RunStage.PREPARING, f"workflow={workflow_name} items={len(items)}")
 
     if not items:
-        journal.emit(RunStage.DONE, "no input items")
+        emit(RunStage.DONE, "no input items")
         return record
 
     by_id = {item.id: item for item in items}
@@ -295,7 +240,7 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
     run_dir, upload, _ = run_paths
     batches = [
         BatchRun(index=index, items=ids, remote_dir=posixpath.join(run_dir, f"batch{index}"))
-        for index, ids in enumerate(plan_batches(items, batch_size))
+        for index, ids in enumerate(planned)
     ]
     record.batches = batches
 
@@ -309,9 +254,9 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
     live = {}  # handle -> batch, for each job submitted and not yet seen terminal
     torn_down = False  # whether a launch that removed the run data answered
 
-    def journal_cancel():
-        journal.emit("cancel", f"name={job_name} job_ids="
-                     + ",".join(str(handle.job_id) for handle in live))
+    def emit_cancel():
+        emit("cancel", f"name={job_name} job_ids="
+             + ",".join(str(handle.job_id) for handle in live))
 
     def fail(batch, exc):
         batch.error = exc
@@ -347,7 +292,7 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
                 batch.workflow_handle = handle
                 detail = f"kind=workflow job_id={handle.job_id}"
                 detail += f" after={after}" if after else ""
-            journal.emit("submit", f"batch={batch.index} {detail}")
+            emit("submit", f"batch={batch.index} {detail}")
         return outcomes[:len(setup)]
 
     try:
@@ -398,7 +343,7 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
             shipped = []
 
         # Stage: one upload; a failed transfer fails every batch.
-        journal.emit(RunStage.TRANSFERRING, f"batches={len(batches)}")
+        emit(RunStage.TRANSFERRING, f"batches={len(batches)}")
         if shipped:
             try:
                 endpoint.put_file(archive, upload)
@@ -411,7 +356,7 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
         # submits the workflow jobs that must wait for their batch's
         # conversion array: Slurm starts one once the array completed, and
         # cancels it unstarted if the array failed.
-        journal.emit(RunStage.QUEUED, "submitting jobs")
+        emit(RunStage.QUEUED, "submitting jobs")
         queued = [(b, b.conversion_tasks, None) for b in batches if b.error is None]
         if queued:
             made, unpacked, removed = submit(queued, [
@@ -435,7 +380,7 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
         # sleeps before each poll, as no job can have ended at once. Up to
         # two accounting failures in a row only cost a round; the third ends
         # the run.
-        journal.emit(RunStage.RUNNING, "polling")
+        emit(RunStage.RUNNING, "polling")
         elapsed = 0.0
         accounting_failures = 0
         while live:
@@ -456,7 +401,7 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
                 del live[handle]
                 if handle is batch.workflow_handle:
                     batch.state = state
-                    journal.emit("batch-terminal", f"batch={batch.index} state={state.value}")
+                    emit("batch-terminal", f"batch={batch.index} state={state.value}")
                 elif state is not JobState.COMPLETED:
                     fail(batch, ConversionFailed(
                         f"conversion job {handle.job_id} ended {state.value}"))
@@ -475,20 +420,20 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
         # job it submitted that wrote one: a workflow job that never started
         # (its conversion failed or was still running at the deadline) wrote
         # none.
-        journal.emit(RunStage.RETRIEVING, "fetching artifacts")
+        emit(RunStage.RETRIEVING, "fetching artifacts")
         completed = [b for b in batches if b.error is None and b.state is JobState.COMPLETED]
         logged = [b for b in batches if b.job]  # every completed batch among them
         bundle = None
         if logged:
             cancel = None if len(completed) == len(batches) else job_name
             if cancel:
-                journal_cancel()
+                emit_cancel()
             try:
                 bundle, removed = slurm.fetch_results(
                     endpoint, [posixpath.join(b.remote_dir, "out") for b in completed]
                     + [logs_dir], posixpath.join(run_dir, "bundle.zip"), run_paths, cancel)
                 torn_down = True
-                journal.emit("cleanup", f"removed={len(removed)}")
+                emit("cleanup", f"removed={len(removed)}")
             except TransportError as exc:
                 bundle = exc  # the answer was lost; the finally tears down again
             if isinstance(bundle, SlurmBridgeError):
@@ -523,8 +468,8 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
                 )
             if batch.logfile:
                 record.output_artifacts.append(batch.logfile)
-            journal.emit("batch-failed",
-                         f"batch={batch.index} {type(batch.error).__name__}: {batch.error}")
+            emit("batch-failed",
+                 f"batch={batch.index} {type(batch.error).__name__}: {batch.error}")
     finally:
         # No job may outlive its data: unless the retrieval launch answered,
         # cancel the run's jobs by name, as one may be live, unseen (its
@@ -534,22 +479,22 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
         # the uploaded archive, should it be left; both are idempotent. Logs
         # stay.
         if not torn_down:
-            journal_cancel()
+            emit_cancel()
             try:
                 removed = slurm.cleanup_run(endpoint, run_paths, job_name)
-                journal.emit("cleanup", f"removed={len(removed)}")
+                emit("cleanup", f"removed={len(removed)}")
             except TransportError:
-                journal.emit("cleanup", "failed")
+                emit("cleanup", "failed")
         shutil.rmtree(staging_root, ignore_errors=True)
 
     completed = [b for b in batches if b.result_zip]
     if len(completed) == len(batches):
-        journal.emit(RunStage.DONE, f"batches={len(batches)}")
+        emit(RunStage.DONE, f"batches={len(batches)}")
     elif completed:
-        journal.emit(RunStage.PARTIAL_FAILURE,
-                     f"completed={len(completed)} failed={len(batches) - len(completed)}")
+        emit(RunStage.PARTIAL_FAILURE,
+             f"completed={len(completed)} failed={len(batches) - len(completed)}")
     else:
-        journal.emit(RunStage.FAILED, "; ".join(str(b.error) for b in batches if b.error))
+        emit(RunStage.FAILED, "; ".join(str(b.error) for b in batches if b.error))
     return record
 
 

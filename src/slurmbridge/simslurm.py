@@ -378,25 +378,25 @@ class SimCluster:
         --kill-on-invalid-dep=yes] <script>`; any other option, or a
         dependency on an unknown job, exits 1 as sbatch does."""
         if not args:
-            return ExecResult(1, "", "sbatch: error: no batch script\n", 0)
+            return ExecResult(1, "", "sbatch: error: no batch script\n")
         *options, path = args
         settings = {}
         for option in options:
             key, eq, value = option.partition("=")
             if not eq or key not in ("--job-name", "--dependency", "--kill-on-invalid-dep"):
-                return ExecResult(1, "", f"sbatch: unrecognized option '{option}'\n", 0)
+                return ExecResult(1, "", f"sbatch: unrecognized option '{option}'\n")
             settings[key] = value
         kind, _, after = settings.get("--dependency", "afterok:").partition(":")
         kill = settings.get("--kill-on-invalid-dep")
         # Only the dependency the client asks for is modelled: afterok, under
         # which a job whose dependency fails is cancelled, not left pending.
         if kind != "afterok" or kill not in (None, "yes", "no") or (after and kill != "yes"):
-            return ExecResult(1, "", "sbatch: error: unsupported dependency\n", 0)
+            return ExecResult(1, "", "sbatch: error: unsupported dependency\n")
         if after and (not after.isdigit() or int(after) not in self.jobs):
             return ExecResult(
-                1, "", "sbatch: error: Batch job submission failed: Job dependency problem\n", 0)
+                1, "", "sbatch: error: Batch job submission failed: Job dependency problem\n")
         if not self.fs.exists(path):
-            return ExecResult(1, "", f"sbatch: error: Unable to open file {path}\n", 0)
+            return ExecResult(1, "", f"sbatch: error: Unable to open file {path}\n")
         try:
             script = parse_script(self.fs.read(path).decode())
             directive = dict(script.directives).get  # with the simulator's defaults
@@ -414,7 +414,7 @@ class SimCluster:
                 array_spec=(int(first), int(last or first)) if first else None,
                 name=settings.get("--job-name"), dependency=int(after) if after else None)
         except (ValueError, SourceMissing) as exc:
-            return ExecResult(1, "", f"sbatch: error: {exc}\n", 0)
+            return ExecResult(1, "", f"sbatch: error: {exc}\n")
         job_id = self.next_job_id
         self.next_job_id += 1
         if job.is_array:
@@ -433,7 +433,7 @@ class SimCluster:
         self._pending[job_id] = 0
         self._counts[job_id] = Counter({JobState.PENDING: len(job.tasks)})
         self.event_log.append(SimEvent(self.clock, str(job_id), None, JobState.PENDING))
-        return ExecResult(0, f"Submitted batch job {job_id}\n", "", 0)
+        return ExecResult(0, f"Submitted batch job {job_id}\n", "")
 
     # -- scheduling and time -----------------------------------------------
 
@@ -575,10 +575,10 @@ class SimCluster:
         elif len(args) == 1 and args[0].isdigit():
             jobs = [self.jobs[int(args[0])]] if int(args[0]) in self.jobs else []
         else:
-            return ExecResult(1, "", "scancel: error: invalid job id\n", 0)
+            return ExecResult(1, "", "scancel: error: invalid job id\n")
         for job in jobs:
             self._cancel(job)
-        return ExecResult(0, "", "", 0)
+        return ExecResult(0, "", "")
 
     def _cancel(self, job):
         for task in job.tasks:
@@ -602,7 +602,7 @@ class SimCluster:
             j_index = tokens.index("-j")
             ids = [int(x) for x in tokens[j_index + 1].split(",") if x]
         except (ValueError, IndexError):
-            return ExecResult(1, "", "sacct: error: invalid job id list\n", 0)
+            return ExecResult(1, "", "sacct: error: invalid job id list\n")
         lines = []
         for job_id in ids:
             job = self.jobs.get(job_id)
@@ -611,7 +611,7 @@ class SimCluster:
             for task in job.tasks:
                 lines.append(f"{task.entry_id}|{task.state.value}")
         out = "".join(line + "\n" for line in lines)
-        return ExecResult(0, out, "", 0)
+        return ExecResult(0, out, "")
 
     def _zip(self, archive, paths):
         """`zip -q -r -D archive path...` as Info-ZIP does it into a new
@@ -629,7 +629,7 @@ class SimCluster:
                 names = [norm] if self.fs.exists(path) else []
             found.update(dict.fromkeys(name for name in names if name != _norm(archive)))
         if not found:
-            return ExecResult(12, "zip error: Nothing to do!\n", "", 0)
+            return ExecResult(12, "zip error: Nothing to do!\n", "")
         buffer = io.BytesIO()
         with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED) as archive_file:
             for name in found:
@@ -639,8 +639,8 @@ class SimCluster:
             self.fs.write(archive, buffer.getvalue())
         except DestinationUnwritable as exc:
             return ExecResult(15, f"zip I/O error: {exc}\n"
-                              f"zip error: Could not create output file ({archive})\n", "", 0)
-        return ExecResult(0, "", "", 0)
+                              f"zip error: Could not create output file ({archive})\n", "")
+        return ExecResult(0, "", "")
 
     def _unzip(self, tokens):
         """`unzip -q archive -d directory` as Info-ZIP 6.00 does it, over
@@ -655,14 +655,14 @@ class SimCluster:
         entry is an extent of the archive's."""
         archive, directory = tokens[2], tokens[4]
         if _norm(archive) not in self.fs.files:
-            return ExecResult(9, "", f"unzip:  cannot find or open {archive}\n", 0)
+            return ExecResult(9, "", f"unzip:  cannot find or open {archive}\n")
         source = self.fs.open(archive)
         try:
             with zipfile.ZipFile(source) as archive_file:
                 infos = archive_file.infolist()
         except zipfile.BadZipFile:
             return ExecResult(
-                9, "", f"[{archive}]\n  End-of-central-directory signature not found.\n", 0)
+                9, "", f"[{archive}]\n  End-of-central-directory signature not found.\n")
         names = {info.filename for info in infos}
         if len(names) < len(infos) or any(
                 info.compress_type not in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED)
@@ -672,7 +672,7 @@ class SimCluster:
         if not self.fs.is_dir(root) and (root in self.fs.files
                                          or not self.fs.is_dir(posixpath.dirname(root))):
             return ExecResult(
-                2, "", f"checkdir:  cannot create extraction directory: {directory}\n", 0)
+                2, "", f"checkdir:  cannot create extraction directory: {directory}\n")
         # Each directory an entry needs, relative to root: the names are
         # clean, so a path is its parts joined by '/'.
         prefix, parents = root.rstrip("/") + "/", set()
@@ -711,7 +711,7 @@ class SimCluster:
             if crc != info.CRC:
                 err += (f"{posixpath.join(directory, info.filename):<22}  bad CRC {crc:08x}"
                         f"  (should be {info.CRC:08x})\n")
-        return ExecResult(2 if err else 0, "", err, 0)
+        return ExecResult(2 if err else 0, "", err)
 
     def _read_file(self, tool, path):
         """`sha256sum FILE` or `base64 FILE` as coreutils prints it: `<hex>
@@ -719,19 +719,19 @@ class SimCluster:
         cannot read is named on stderr and makes the exit 1."""
         if self.fs.is_dir(path):
             what = "read error" if tool == "base64" else path
-            return ExecResult(1, "", f"{tool}: {what}: Is a directory\n", 0)
+            return ExecResult(1, "", f"{tool}: {what}: Is a directory\n")
         if not self.fs.exists(path):  # missing, or a file named with a trailing '/'
             what = ("Not a directory" if _norm(path) in self.fs.files
                     else "No such file or directory")
-            return ExecResult(1, "", f"{tool}: {path}: {what}\n", 0)
+            return ExecResult(1, "", f"{tool}: {path}: {what}\n")
         if tool == "base64":
-            return ExecResult(0, encodebytes(self.fs.read(path)).decode(), "", 0)
-        return ExecResult(0, f"{self.fs.digest(path)}  {path}\n", "", 0)
+            return ExecResult(0, encodebytes(self.fs.read(path)).decode(), "")
+        return ExecResult(0, f"{self.fs.digest(path)}  {path}\n", "")
 
     def _refuse(self, tokens):
         """The one answer to a form of a file command or of `sh` that the
         client never sends: exit 2, naming the command, with nothing changed."""
-        return ExecResult(2, "", f"{tokens[0]}: form not simulated: {shlex.join(tokens)}\n", 0)
+        return ExecResult(2, "", f"{tokens[0]}: form not simulated: {shlex.join(tokens)}\n")
 
     def sim_exec(self, command):
         """Execute one supported command against the cluster."""
@@ -744,7 +744,7 @@ class SimCluster:
         -r -D Z P...`, `unzip -q Z -d D`, `singularity pull P S` and the
         `sh -c` scripts of exec_many. Any other form of these is refused."""
         if not tokens:
-            return ExecResult(127, "", "command not found\n", 0)
+            return ExecResult(127, "", "command not found\n")
         cmd, args = tokens[0], tokens[1:]
         if cmd == "sh" and len(args) == 2 and args[0] == "-c" and (
                 framed := unframe_commands(args[1])):
@@ -754,7 +754,7 @@ class SimCluster:
             guard = all(result.ok for result in results)
             results += [self.sim_exec(argv) if guard else None for argv in then]
             stdout, stderr = frame_output(mark, results)
-            return ExecResult(0, stdout, stderr, 0)
+            return ExecResult(0, stdout, stderr)
         if cmd == "sbatch":
             return self._sbatch(args)
         if cmd == "sacct":
@@ -768,7 +768,7 @@ class SimCluster:
                     self.fs.make_dirs(path)
                 except DestinationUnwritable as exc:
                     err += f"mkdir: {exc}\n"
-            return ExecResult(1 if err else 0, "", err, 0)
+            return ExecResult(1 if err else 0, "", err)
         if cmd == "rm" and args[:1] in (["-f"], ["-rf"]) and args[1:]:
             # Without -r, rm refuses a directory and keeps its tree.
             err = ""
@@ -777,13 +777,13 @@ class SimCluster:
                     err += f"rm: cannot remove '{path}': Is a directory\n"
                 else:
                     self.fs.remove_tree(path)
-            return ExecResult(1 if err else 0, "", err, 0)
+            return ExecResult(1 if err else 0, "", err)
         if cmd == "mv" and len(args) == 3 and args[0] == "-T" and not self.fs.is_dir(args[1]):
             if not self.fs.move(args[1], args[2]):
-                return ExecResult(1, "", f"mv: cannot move: {' '.join(args)}\n", 0)
-            return ExecResult(0, "", "", 0)
+                return ExecResult(1, "", f"mv: cannot move: {' '.join(args)}\n")
+            return ExecResult(0, "", "")
         if cmd == "test" and len(args) == 2 and args[0] == "-e":
-            return ExecResult(0 if self.fs.exists(args[1]) else 1, "", "", 0)
+            return ExecResult(0 if self.fs.exists(args[1]) else 1, "", "")
         if cmd in ("sha256sum", "base64") and len(args) == 1:
             return self._read_file(cmd, args[0])
         if cmd == "zip" and args[:3] == ["-q", "-r", "-D"] and len(args) >= 5:
@@ -793,16 +793,16 @@ class SimCluster:
         if cmd == "singularity" and len(args) == 3 and args[0] == "pull":
             dest, src = args[1:]
             if src in self.failing_pulls:
-                return ExecResult(255, "", f"FATAL: unable to pull {src}\n", 0)
+                return ExecResult(255, "", f"FATAL: unable to pull {src}\n")
             try:
                 self.fs.write(dest, f"SIF placeholder for {src}\n".encode())
             except DestinationUnwritable as exc:
-                return ExecResult(1, "", f"FATAL: {exc}\n", 0)
-            return ExecResult(0, "", "", 0)
+                return ExecResult(1, "", f"FATAL: {exc}\n")
+            return ExecResult(0, "", "")
         if cmd in ("sh", "mkdir", "rm", "mv", "test", "sha256sum", "base64", "zip", "unzip",
                    "singularity"):
             return self._refuse(tokens)
-        return ExecResult(127, "", f"{cmd}: command not found\n", 0)
+        return ExecResult(127, "", f"{cmd}: command not found\n")
 
     # -- persistence ---------------------------------------------------------
 

@@ -53,7 +53,6 @@ class ExecResult:
     exit_code: int
     stdout: str
     stderr: str
-    duration_ms: int
 
     @property
     def ok(self):
@@ -193,16 +192,15 @@ class Endpoint(ABC):
         each whatever the exit status of the ones before, and then the argv
         lists of then, each only if every one of commands exited 0.
 
-        Returns one ExecResult per command and per then command, each with
-        the duration of the whole launch; a then command that did not run
-        gives None. The commands share the one deadline of that exec."""
+        Returns one ExecResult per command and per then command; a then
+        command that did not run gives None. The commands share the one deadline of that exec."""
         count = len(commands) + len(then)
         if not count:
             return []
         script, mark = frame_commands(commands, then)
         result = self.exec(["sh", "-c", script])
         return [
-            None if code is None else ExecResult(code, stdout, stderr, result.duration_ms)
+            None if code is None else ExecResult(code, stdout, stderr)
             for (code, stdout), (_, stderr) in zip(
                 _unframe_output(result.stdout, mark, count),
                 _unframe_output(result.stderr, mark, count))
@@ -266,10 +264,8 @@ class SshEndpoint(Endpoint):
         return proc
 
     def exec(self, command, timeout=DEFAULT_DEADLINE_S):
-        started = time.monotonic()
         proc = self._spawn(self._ssh + [shlex.join(command)], timeout)
-        duration_ms = int((time.monotonic() - started) * 1000)
-        return ExecResult(proc.returncode, proc.stdout, proc.stderr, duration_ms)
+        return ExecResult(proc.returncode, proc.stdout, proc.stderr)
 
     def _copy_up(self, local, remote):
         copy = self._spawn(self._scp + [local, self._host + remote])

@@ -139,6 +139,23 @@ class TestInit:
             main, ["init", "--config", str(tmp_path / "nope.ini"), "--simulate"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("name,text", [
+        ("topology.json", '[{"cpus": 4}]'), ("topology.json", "not json"),
+        ("topology.json", '{"nodes": 4}'), ("topology.json.state", '{"nodes": []}'),
+        ("topology.json.state", "[]")],
+        ids=["topology-without-mem", "topology-not-json", "topology-nodes-not-a-list",
+             "state-without-clock", "state-not-an-object"])
+    def test_unloadable_simulator_file_is_usage_error(self, runner, workspace, name, text):
+        tmp_path, config_path, topology_path, _ = workspace
+        (tmp_path / name).write_text(text)
+        result = runner.invoke(
+            main, ["init", "--config", config_path, "--simulate", topology_path])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: cannot load simulator file {tmp_path / name}: ")
+        assert result.stderr.count("\n") == 1
+        assert (tmp_path / name).read_text() == text
+        assert os.path.exists(topology_path + ".state") == name.endswith(".state")
+
 
 class TestRun:
     def _init_and_run(self, runner, workspace, extra_args=(), inputs=3):
@@ -344,7 +361,7 @@ class TestStatusLogsFetch:
         result = runner.invoke(main, ["status", "old", "--runs-dir", str(runs)])
         assert result.exit_code == 0, result.output
         assert kv_lines(result.stdout)["state"] == ["Failed"]
-        assert orchestrator.read_journal(str(runs / "old.journal"))[-1][2] == (
+        assert cli.read_journal(str(runs / "old.journal"))[-1][2] == (
             "batch 0: remote unpack failed: a\n; remote unpack failed: b")
 
     def test_status_unknown_run(self, runner, workspace):

@@ -75,10 +75,10 @@ def install_cluster(router, state):
 
 @pytest.fixture
 def shell_run(shell_router, sample_profile_registry, cellpose_descriptor, tmp_path):
-    """(run, profile, registry): run(endpoint, output_dir, **options) runs
-    3 TIFF and 2 ZARR inputs in batches of 2 on profile, whose scratch dir,
-    under tmp_path, is provisioned through SshEndpoint, and returns the
-    RunRecord."""
+    """(run, profile, registry): run(endpoint, output_dir, listener=None,
+    **options) runs 3 TIFF and 2 ZARR inputs in batches of 2 on profile,
+    whose scratch dir, under tmp_path, is provisioned through SshEndpoint,
+    and returns the RunRecord."""
     profile, registry = sample_profile_registry
     profile = dataclasses.replace(profile, scratch_dir=str(tmp_path / "scratch"))
     install_cluster(shell_router, tmp_path / "state")
@@ -88,10 +88,10 @@ def shell_run(shell_router, sample_profile_registry, cellpose_descriptor, tmp_pa
     items = orch.scan_input_dir(str(tmp_path / "inputs"))
     shell_router.launches.clear()
 
-    def run(endpoint, output_dir, **options):
+    def run(endpoint, output_dir, listener=None, **options):
         return orch.run_workflow_batched(
             endpoint, profile, registry, cellpose_descriptor, "cellpose", {}, items, 2,
-            orch.RunOptions(**options), local_output_dir=str(output_dir))
+            orch.RunOptions(**options), local_output_dir=str(output_dir), listener=listener)
 
     return run, profile, registry
 
@@ -118,8 +118,10 @@ def test_run_matches_the_simulator(shell_run, shell_router, tmp_path):
     run of the same inputs on the same scratch dir names them, and it leaves
     nothing under data/."""
     run, profile, registry = shell_run
-    record = run(SshEndpoint(profile), tmp_path / "shell-out", poll_interval_s=0.01)
-    assert record.overall_state is orch.RunStage.DONE, record.stage_history
+    events = []
+    record = run(SshEndpoint(profile), tmp_path / "shell-out", poll_interval_s=0.01,
+                 listener=lambda stage, detail: events.append((stage, detail)))
+    assert record.overall_state is orch.RunStage.DONE, events
     programs = [argv[0] if argv[0] == "scp" else argv[-1].split()[0]
                 for argv in shell_router.launches]
     polls = programs.count("sacct")

@@ -207,7 +207,7 @@ class TestSubmitJob:
 
         monkeypatch.setattr(
             sim_endpoint, "exec_many",
-            lambda *a, **k: [ExecResult(1, "", "sbatch: error: Invalid partition\n", 0)],
+            lambda *a, **k: [ExecResult(1, "", "sbatch: error: Invalid partition\n")],
         )
         with pytest.raises(SubmitRejected):
             submit_workflow(sim_endpoint)
@@ -217,7 +217,7 @@ class TestSubmitJob:
         from slurmbridge.transport import ExecResult
 
         monkeypatch.setattr(
-            sim_endpoint, "exec_many", lambda *a, **k: [ExecResult(0, "weird output\n", "", 0)]
+            sim_endpoint, "exec_many", lambda *a, **k: [ExecResult(0, "weird output\n", "")]
         )
         with pytest.raises(UnparseableJobId):
             submit_workflow(sim_endpoint)
@@ -296,7 +296,7 @@ class TestPollJobs:
         from slurmbridge.transport import ExecResult
 
         monkeypatch.setattr(
-            sim_endpoint, "exec", lambda *a, **k: ExecResult(0, "1|WOBBLY\n", "", 0)
+            sim_endpoint, "exec", lambda *a, **k: ExecResult(0, "1|WOBBLY\n", "")
         )
         handle = slurm.JobHandle(1)
         with pytest.raises(UnknownState) as info:
@@ -327,7 +327,7 @@ class TestPollJobs:
         from slurmbridge.transport import ExecResult
 
         monkeypatch.setattr(
-            sim_endpoint, "exec", lambda *a, **k: ExecResult(0, f"1|{token}\n", "", 0)
+            sim_endpoint, "exec", lambda *a, **k: ExecResult(0, f"1|{token}\n", "")
         )
         assert slurm.poll_jobs(sim_endpoint, [slurm.JobHandle(1)]) == {1: state}
 

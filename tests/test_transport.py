@@ -92,7 +92,7 @@ class TestTransfers:
         class NoDigest(SimEndpoint):
             def exec(self, command, timeout=transport.DEFAULT_DEADLINE_S):
                 if command[0] == "sha256sum":
-                    return transport.ExecResult(1, "", "sha256sum: refused\n", 0)
+                    return transport.ExecResult(1, "", "sha256sum: refused\n")
                 return super().exec(command, timeout)
 
         endpoint = NoDigest(SimCluster())
