@@ -265,11 +265,12 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
     def submit(jobs, setup=()):
         """Submit jobs, given as (batch, tasks, after), in one launch: the
         batch's conversion array of that many tasks, or its workflow job when
-        tasks is 0, to start once job after completed (None: at once). The
-        launch runs the setup commands first and submits the jobs only if
-        every one exited 0; returns their results. When the launch's answer
-        is lost, its batches fail, though their jobs may run, and the setup's
-        results are None."""
+        tasks is 0, to start once the job at index after in jobs completed
+        (None: at once). The launch runs the setup commands first and submits
+        the jobs only if every one exited 0, and a job with an after only if
+        that job's submission exited 0; returns the setup's results. When the
+        launch's answer is lost, its batches fail, though their jobs may run,
+        and the setup's results are None."""
         scripts = [(posixpath.join(b.remote_dir, "convert.sh" if tasks else "job.sh"),
                     tasks or None, after) for b, tasks, after in jobs]
         try:
@@ -278,9 +279,10 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
             # Inputs never known to have arrived count as a failed transfer.
             lost = TransferFailed(str(exc)) if setup else exc
             outcomes = [None] * len(setup) + [lost] * len(jobs)
-        for (batch, tasks, after), handle in zip(jobs, outcomes[len(setup):]):
+        handles = outcomes[len(setup):]
+        for (batch, tasks, after), handle in zip(jobs, handles):
             if handle is None:
-                continue  # not submitted: a setup command failed
+                continue  # not submitted: a setup command or its dependency's failed
             if isinstance(handle, SlurmBridgeError):
                 fail(batch, handle)
                 continue
@@ -291,7 +293,8 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
             else:
                 batch.workflow_handle = handle
                 detail = f"kind=workflow job_id={handle.job_id}"
-                detail += f" after={after}" if after else ""
+                if after is not None:
+                    detail += f" after={getattr(handles[after], 'job_id', None)}"
             emit("submit", f"batch={batch.index} {detail}")
         return outcomes[:len(setup)]
 
@@ -352,29 +355,29 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
                     fail(batch, TransferFailed(str(exc)))
 
         # Stage: one launch makes the dirs, unpacks the archive, removes it
-        # and, only if all three exited 0, submits every job; a second launch
-        # submits the workflow jobs that must wait for their batch's
-        # conversion array: Slurm starts one once the array completed, and
-        # cancels it unstarted if the array failed.
+        # and, only if all three exited 0, submits every batch's first job,
+        # its conversion array or else its workflow job, and then the
+        # workflow job of each converting batch, after its array: Slurm
+        # starts one once the array completed, and cancels it unstarted if
+        # the array failed.
         emit(RunStage.QUEUED, "submitting jobs")
-        queued = [(b, b.conversion_tasks, None) for b in batches if b.error is None]
+        queued = [b for b in batches if b.error is None]
+        jobs = [(b, b.conversion_tasks, None) for b in queued]
+        jobs += [(b, 0, k) for k, b in enumerate(queued) if b.conversion_tasks]
         if queued:
-            made, unpacked, removed = submit(queued, [
+            made, unpacked, removed = submit(jobs, [
                 ["mkdir", "-p", logs_dir] + [posixpath.join(b.remote_dir, name)
-                                             for b, _, _ in queued for name in ("out", "gt")],
+                                             for b in queued for name in ("out", "gt")],
                 ["unzip", "-q", upload, "-d", run_dir],
                 ["rm", "-f", upload]])
             if made and not (made.ok and unpacked.ok):
                 step, failed = ("mkdir", made) if not made.ok else ("unpack", unpacked)
-                for batch, _, _ in queued:
+                for batch in queued:
                     fail(batch, TransferFailed(f"remote {step} failed: {failed.stderr.strip()}"))
             elif removed and not removed.ok:
                 # Only the removal failed, which held the jobs back; they go
                 # in alone, and cleanup_run removes the upload.
-                submit(queued)
-        converting = [b for b in batches if b.conversion_handle and b.error is None]
-        if converting:
-            submit([(b, 0, b.conversion_handle.job_id) for b in converting])
+                submit(jobs)
 
         # Stage: one poll loop over every live job; it only observes, and
         # sleeps before each poll, as no job can have ended at once. Up to
@@ -527,18 +530,26 @@ def record_signature(record):
 
 def import_results(record, destination, mode):
     """Place run outputs locally: unpacked images, sidecar files next to the
-    inputs they derive from, or the raw zips."""
+    inputs they derive from, or the raw zips. A file already at a target,
+    however recently made, is never overwritten: its import stops with
+    CollisionError."""
     zips = [b.result_zip for b in record.batches if b.result_zip]
     if not zips:
         raise NoResults(record.run_id)
     os.makedirs(destination, exist_ok=True)
     written = []
+    made = {destination}
 
     def place(data, target):
-        if os.path.exists(target):
-            raise CollisionError(target)
-        os.makedirs(os.path.dirname(target), exist_ok=True)
-        with open(target, "wb") as handle:
+        directory = os.path.dirname(target)
+        if directory not in made:
+            os.makedirs(directory, exist_ok=True)
+            made.add(directory)
+        try:
+            handle = open(target, "xb")  # made here, or refused if it exists
+        except FileExistsError:
+            raise CollisionError(target) from None
+        with handle:
             handle.write(data)
         written.append(target)
 

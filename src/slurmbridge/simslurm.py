@@ -33,6 +33,7 @@ from .transport import (
     Endpoint,
     ExecResult,
     frame_output,
+    run_framed,
     unframe_commands,
 )
 
@@ -57,10 +58,15 @@ def _norm(path):
 
 class _Extent:
     """A read-only binary file over size bytes of file descriptor fd from
-    offset on, read with pread; a seek before its start goes to its start."""
+    offset on; a seek before its start goes to its start. It reads ahead: a
+    read that falls outside the window of the last pread takes up to _CHUNK
+    bytes from its position on in one pread, so that the small reads of a
+    walk through an archive's entries cost one pread per _CHUNK. The bytes of
+    a spool never change, so the window never goes stale."""
 
     def __init__(self, fd, offset, size):
         self.fd, self.offset, self.size, self.position = fd, offset, size, 0
+        self.window_start, self.window = 0, b""
 
     def seek(self, position, whence=os.SEEK_SET):
         self.position = max(position + (0, self.position, self.size)[whence], 0)
@@ -70,10 +76,13 @@ class _Extent:
         return self.position
 
     def read(self, count=-1):
-        end = self.size if count < 0 else min(self.position + count, self.size)
-        data = os.pread(self.fd, max(end - self.position, 0), self.offset + self.position)
-        self.position += len(data)
-        return data
+        start = self.position
+        end = max(self.size if count < 0 else min(start + count, self.size), start)
+        if not self.window_start <= start <= end <= self.window_start + len(self.window):
+            size = max(end - start, min(_CHUNK, self.size - start))
+            self.window_start, self.window = start, os.pread(self.fd, size, self.offset + start)
+        self.position = end
+        return self.window[start - self.window_start:end - self.window_start]
 
     def chunks(self, count):
         """The next count bytes, or the rest if fewer, in pieces of at most _CHUNK."""
@@ -220,6 +229,11 @@ class SimNode:
             and self.used_gpus + res["gpus"] <= self.gpus
             and self.used_mem + res["mem_mb"] <= self.mem_mb
         )
+
+    def holds(self, res):
+        """Whether the node, were it idle, could run a task asking for res."""
+        return (res["cpus"] <= self.cpus and res["gpus"] <= self.gpus
+                and res["mem_mb"] <= self.mem_mb)
 
     def commit(self, res):
         self.used_cpus += res["cpus"]
@@ -374,16 +388,20 @@ class SimCluster:
     # -- submission --------------------------------------------------------
 
     def _sbatch(self, args):
-        """`sbatch [--job-name=<name>] [--dependency=afterok:<id>
-        --kill-on-invalid-dep=yes] <script>`; any other option, or a
-        dependency on an unknown job, exits 1 as sbatch does."""
+        """`sbatch [--parsable] [--job-name=<name>] [--dependency=afterok:<id>
+        --kill-on-invalid-dep=yes] <script>`, which prints `<id>` under
+        --parsable and `Submitted batch job <id>` otherwise. Exits 1 as sbatch
+        does, taking no job id, on any other option, on a dependency on an
+        unknown job, and on a job that asks any one node for more than it
+        has."""
         if not args:
             return ExecResult(1, "", "sbatch: error: no batch script\n")
         *options, path = args
         settings = {}
         for option in options:
             key, eq, value = option.partition("=")
-            if not eq or key not in ("--job-name", "--dependency", "--kill-on-invalid-dep"):
+            if option != "--parsable" and (
+                    not eq or key not in ("--job-name", "--dependency", "--kill-on-invalid-dep")):
                 return ExecResult(1, "", f"sbatch: unrecognized option '{option}'\n")
             settings[key] = value
         kind, _, after = settings.get("--dependency", "afterok:").partition(":")
@@ -415,6 +433,9 @@ class SimCluster:
                 name=settings.get("--job-name"), dependency=int(after) if after else None)
         except (ValueError, SourceMissing) as exc:
             return ExecResult(1, "", f"sbatch: error: {exc}\n")
+        if not any(node.holds(job.resources) for node in self.nodes):
+            return ExecResult(1, "", "sbatch: error: Batch job submission failed: "
+                              "Requested node configuration is not available\n")
         job_id = self.next_job_id
         self.next_job_id += 1
         if job.is_array:
@@ -433,6 +454,8 @@ class SimCluster:
         self._pending[job_id] = 0
         self._counts[job_id] = Counter({JobState.PENDING: len(job.tasks)})
         self.event_log.append(SimEvent(self.clock, str(job_id), None, JobState.PENDING))
+        if "--parsable" in settings:
+            return ExecResult(0, f"{job_id}\n", "")
         return ExecResult(0, f"Submitted batch job {job_id}\n", "")
 
     # -- scheduling and time -----------------------------------------------
@@ -598,6 +621,10 @@ class SimCluster:
     # -- command grammar -----------------------------------------------------
 
     def _sacct(self, tokens):
+        """`<entry id>|<state>` per task, as `sacct -n -P -X -o JobID,State`
+        prints it, but for an array's pending tasks, which Slurm keeps in one
+        record, `<id>_[<indices>]|PENDING`: runs of indices as <lo>-<hi>,
+        joined by ','."""
         try:
             j_index = tokens.index("-j")
             ids = [int(x) for x in tokens[j_index + 1].split(",") if x]
@@ -608,10 +635,18 @@ class SimCluster:
             job = self.jobs.get(job_id)
             if job is None:
                 continue
+            runs = []  # [lo, hi] of each run of pending array tasks
             for task in job.tasks:
-                lines.append(f"{task.entry_id}|{task.state.value}")
-        out = "".join(line + "\n" for line in lines)
-        return ExecResult(0, out, "")
+                if not job.is_array or task.state is not JobState.PENDING:
+                    lines.append(f"{task.entry_id}|{task.state.value}\n")
+                elif runs and runs[-1][1] == task.index - 1:
+                    runs[-1][1] = task.index
+                else:
+                    runs.append([task.index, task.index])
+            if runs:
+                indices = ",".join(f"{lo}-{hi}" if hi > lo else str(lo) for lo, hi in runs)
+                lines.append(f"{job_id}_[{indices}]|PENDING\n")
+        return ExecResult(0, "".join(lines), "")
 
     def _zip(self, archive, paths):
         """`zip -q -r -D archive path...` as Info-ZIP does it into a new
@@ -750,10 +785,7 @@ class SimCluster:
                 framed := unframe_commands(args[1])):
             mark, commands, then = framed
             # Through sim_exec, so each framed command is seen as one call.
-            results = [self.sim_exec(argv) for argv in commands]
-            guard = all(result.ok for result in results)
-            results += [self.sim_exec(argv) if guard else None for argv in then]
-            stdout, stderr = frame_output(mark, results)
+            stdout, stderr = frame_output(mark, run_framed(commands, then, self.sim_exec))
             return ExecResult(0, stdout, stderr)
         if cmd == "sbatch":
             return self._sbatch(args)

@@ -22,9 +22,9 @@ from .errors import (
     UnparseableJobId,
 )
 from .states import JobState, aggregate_array_states, parse_state_token
-from .transport import sha256_hex, staging_path
+from .transport import Captured, sha256_hex, staging_path
 
-_SUBMIT_RE = re.compile(r"Submitted batch job (\d+)")
+_PARSABLE_RE = re.compile(r"(\d+)(?:;\S*)?")
 
 MANAGED_DIRS = ("singularity_images", "slurm-scripts/jobs", "data", "logs")
 
@@ -121,19 +121,23 @@ def submit_job(endpoint, scripts, name, setup=()):
     """Submit scripts, each as a job named name, in one launch that runs
     the setup commands first; the scripts are submitted only if every setup
     command exited 0. scripts holds (path, array_size, after) triples, where
-    after is the id of a job that must complete first, or None; a job whose
-    dependency fails is cancelled by Slurm without starting.
+    after is the index in scripts of an earlier script whose job must
+    complete first, or None. The launch hands that job's id to the sbatch
+    that names it as a dependency, which runs only if that job's sbatch
+    exited 0; a job whose dependency fails is cancelled by Slurm without
+    starting.
 
     Returns the ExecResult of each setup command, then per script its
     JobHandle, the error that rejected it, or None when it was not
-    submitted because a setup command failed. Raises TransportError when the
-    launch's answer is lost; any of the scripts may then have been submitted.
+    submitted because a setup command failed or the job it depends on was
+    not submitted. Raises TransportError when the launch's answer is lost;
+    any of the scripts may then have been submitted.
     """
     argvs = []
     for path, _, after in scripts:
-        argv = ["sbatch", f"--job-name={name}"]
+        argv = ["sbatch", "--parsable", f"--job-name={name}"]
         if after is not None:
-            argv += [f"--dependency=afterok:{after}", "--kill-on-invalid-dep=yes"]
+            argv += [Captured(after, "--dependency=afterok:"), "--kill-on-invalid-dep=yes"]
         argvs.append(argv + [path])
     ran = endpoint.exec_many(list(setup), then=argvs)
     outcomes = ran[:len(setup)]
@@ -141,7 +145,8 @@ def submit_job(endpoint, scripts, name, setup=()):
         if result is None:
             outcomes.append(None)
             continue
-        match = _SUBMIT_RE.search(result.stdout)
+        # --parsable prints `<id>`, or `<id>;<cluster>` on a federation.
+        match = _PARSABLE_RE.fullmatch(result.stdout.strip())
         if not result.ok:
             outcomes.append(SubmitRejected(result.stderr or result.stdout, result.exit_code))
         elif match is None:

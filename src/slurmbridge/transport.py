@@ -19,7 +19,7 @@ import subprocess
 import time
 import uuid
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import (
     ChecksumMismatch,
@@ -46,6 +46,29 @@ _MARK = "printf '\\n%s %s\\n' \"$mark\" \"$s\"; printf '\\n%s %s\\n' \"$mark\" \
 _RAN = "; s=$?; [ $s = 0 ] || ok=1; "
 _THEN_HEAD = "if [ $ok = 0 ]; then "
 _THEN_TAIL = "; s=$?; else s=-; fi; "
+# A then command whose output a later one takes (through a Captured token)
+# runs as `c<k>=$(...)`, k its index among the then commands, prints what it
+# captured, which is its stdout less any trailing newlines, and keeps its
+# status in r<k>. A then command holding a Captured token runs only if
+# command k exited 0, and the token expands to "${c<k>%%;*}": that stdout up
+# to its first ';'.
+_CAPTURE_HEAD = "if [ $ok = 0 ]; then c{k}=$("
+_CAPTURE_TAIL = "); s=$?; printf %s \"$c{k}\"; else s=-; fi; r{k}=$s; "
+_AFTER_HEAD = "if [ $r{k} = 0 ]; then "
+_CAPTURED = "\"${{c{k}%%;*}}\""
+_AFTER_PIECE = re.compile(r"if \[ \$r(\d+) = 0 \]; then (.*)" + re.escape(_THEN_TAIL) + r"\Z", re.S)
+_CAPTURED_WORD = re.compile(r"(.*)\$\{c(\d+)%%;\*\}\Z", re.S)
+
+
+@dataclass(frozen=True)
+class Captured:
+    """An argv token of a then command: prefix followed by what then command
+    source of the same exec_many printed, up to its first ';' (the id in
+    `sbatch --parsable`'s `<id>` or `<id>;<cluster>`). The command holding
+    the token runs only if command source exited 0."""
+
+    source: int
+    prefix: str = ""
 
 
 @dataclass(frozen=True)
@@ -72,16 +95,46 @@ def sha256_hex(data):
 def frame_commands(commands, then=()):
     """(script, mark): the `sh -c` script that runs argv lists in order,
     each whatever the exit status of the ones before, and then the argv
-    lists of then, each only if every one of commands exited 0."""
+    lists of then, each only if every one of commands exited 0. A then argv
+    may hold one Captured token, naming an earlier then command that holds
+    none."""
     mark = uuid.uuid4().hex
+    return _render(mark, commands, then), mark
+
+
+def _sources(argv):
+    return [token.source for token in argv if isinstance(token, Captured)]
+
+
+def _word(token):
+    """token as the script spells it: a string quoted, a Captured token as
+    its prefix, quoted, and then its expansion."""
+    if isinstance(token, str):
+        return shlex.quote(token)
+    return (shlex.quote(token.prefix) if token.prefix else "") + _CAPTURED.format(k=token.source)
+
+
+def _render(mark, commands, then):
+    captured = {source for argv in then for source in _sources(argv)}
     body = "".join(shlex.join(argv) + _RAN + _MARK for argv in commands)
-    body += "".join(_THEN_HEAD + shlex.join(argv) + _THEN_TAIL + _MARK for argv in then)
-    return f"mark={mark}; ok=0; {body}", mark
+    for k, argv in enumerate(then):
+        sources = _sources(argv)
+        if len(sources) > 1 or any(not 0 <= source < k or _sources(then[source])
+                                   for source in sources):
+            raise ValueError(f"then command {k} takes no output of {sources}")
+        words = " ".join(map(_word, argv))
+        if k in captured:
+            body += _CAPTURE_HEAD.format(k=k) + words + _CAPTURE_TAIL.format(k=k)
+        else:
+            body += (_AFTER_HEAD.format(k=sources[0]) if sources else _THEN_HEAD) \
+                + words + _THEN_TAIL
+        body += _MARK
+    return f"mark={mark}; ok=0; {body}"
 
 
 def unframe_commands(script):
     """(mark, commands, then) of a script made by frame_commands, or None
-    when script is not one."""
+    when script is not exactly one."""
     head = _FRAME_HEAD.match(script)
     if head is None:
         return None
@@ -89,14 +142,55 @@ def unframe_commands(script):
     if rest:
         return None
     commands, then = [], []
-    for piece in pieces:
-        if piece.startswith(_THEN_HEAD) and piece.endswith(_THEN_TAIL):
-            then.append(shlex.split(piece[len(_THEN_HEAD):-len(_THEN_TAIL)]))
-        elif piece.endswith(_RAN) and not then:
-            commands.append(shlex.split(piece[:-len(_RAN)]))
-        else:
-            return None
-    return head.group(1), commands, then
+    try:
+        for piece in pieces:
+            capture = _CAPTURE_HEAD.format(k=len(then)), _CAPTURE_TAIL.format(k=len(then))
+            after = _AFTER_PIECE.match(piece)
+            if piece.startswith(capture[0]) and piece.endswith(capture[1]):
+                then.append(shlex.split(piece[len(capture[0]):-len(capture[1])]))
+            elif after:
+                then.append([_captured(word, int(after.group(1)))
+                             for word in shlex.split(after.group(2))])
+            elif piece.startswith(_THEN_HEAD) and piece.endswith(_THEN_TAIL):
+                then.append(shlex.split(piece[len(_THEN_HEAD):-len(_THEN_TAIL)]))
+            elif piece.endswith(_RAN) and not then:
+                commands.append(shlex.split(piece[:-len(_RAN)]))
+            else:
+                return None
+        framed = head.group(1), commands, then
+        # Parsing is lenient; only a script that renders back unchanged is one.
+        return framed if _render(*framed) == script else None
+    except ValueError:  # unbalanced quotes, or a Captured token out of place
+        return None
+
+
+def _captured(word, source):
+    """word as parsed from a then command that takes command source's
+    output: the Captured token when it ends in that expansion."""
+    match = _CAPTURED_WORD.match(word)
+    return Captured(source, match.group(1)) if match and int(match.group(2)) == source else word
+
+
+def run_framed(commands, then, run):
+    """What `sh` gives running the framed script of commands and then, when
+    run(argv) gives each command's ExecResult: one result per command, None
+    for a then command that did not run."""
+    results = [run(argv) for argv in commands]
+    guard = all(result.ok for result in results)
+    captured = {source for argv in then for source in _sources(argv)}
+    for k, argv in enumerate(then):
+        sources = [results[len(commands) + source] for source in _sources(argv)]
+        if not guard or any(source is None or not source.ok for source in sources):
+            results.append(None)
+            continue
+        # A captured source's stdout has lost its trailing newlines already.
+        result = run([token if isinstance(token, str)
+                      else token.prefix + sources[0].stdout.split(";", 1)[0]
+                      for token in argv])
+        if k in captured:
+            result = replace(result, stdout=result.stdout.rstrip("\n"))
+        results.append(result)
+    return results
 
 
 def frame_output(mark, results):
@@ -191,6 +285,11 @@ class Endpoint(ABC):
         """Run argv lists in order through one exec (one launch over SSH),
         each whatever the exit status of the ones before, and then the argv
         lists of then, each only if every one of commands exited 0.
+
+        A then argv may take the output of an earlier then command through
+        one Captured token (see frame_commands); it runs only if that one
+        exited 0, and that one's stdout comes back less its trailing
+        newlines.
 
         Returns one ExecResult per command and per then command; a then
         command that did not run gives None. The commands share the one deadline of that exec."""

@@ -30,7 +30,7 @@ from slurmbridge.states import (
 from tests.conftest import SAMPLE_CONFIG, make_tiff_inputs, make_zarr_inputs
 from tests.test_descriptor import descriptors, descriptors_with_values, validated
 from tests.test_orchestrator import FlakyLink, GrammarOnly, assert_no_job_outlives_its_data
-from tests.test_simslurm import brute_force_aggregate, submit_script
+from tests.test_simslurm import brute_force_aggregate, fits_some_node, sbatch_script
 
 SCRATCH = "/scratch/omero"
 
@@ -249,17 +249,26 @@ def test_criterion_06_descriptor_properties():
 
 
 def _random_schedule(cluster, rng, tag):
+    """Submit 1-5 random jobs; sbatch refuses, taking no job id, exactly
+    those that no node could hold. Returns the ids of the others."""
     job_ids = []
     for index in range(rng.randint(1, 5)):
-        job_ids.append(submit_script(
+        resources = {"mem_mb": rng.choice([512, 1024, 4096]), "cpus": rng.randint(1, 4),
+                     "gpus": rng.choice([0, 0, 1])}
+        next_id = cluster.next_job_id
+        result = sbatch_script(
             cluster, f"/scratch/{tag}-{index}.sh",
-            mem=rng.choice([512, 1024, 4096]),
-            cpus=rng.randint(1, 4),
-            gpus=rng.choice([0, 0, 1]),
+            mem=resources["mem_mb"], cpus=resources["cpus"], gpus=resources["gpus"],
             time_limit="00:01:00",
             duration=rng.randint(1, 90),
             array=f"0-{rng.randint(0, 3)}" if rng.random() < 0.3 else None,
-        ))
+        )
+        if fits_some_node(cluster, resources):
+            assert result.stdout == f"Submitted batch job {next_id}\n", result.stderr
+            job_ids.append(next_id)
+        else:
+            assert (result.exit_code, cluster.next_job_id) == (1, next_id)
+            assert "Requested node configuration is not available" in result.stderr
         if rng.random() < 0.5:
             cluster.advance(rng.randint(0, 20))
     return job_ids

@@ -90,7 +90,8 @@ class FlakyLink(SimEndpoint):
     upload's launch of that program has run remotely; with lose_submission,
     raises lost_with right after the first launch holding an sbatch has run
     remotely: a plain one, or one framed by exec_many, with or without a
-    guard before it; and with lose_retrieval, raises ConnectionLost right
+    guard before it, and with or without an sbatch that takes an earlier
+    one's job id; and with lose_retrieval, raises ConnectionLost right
     after the first launch holding a base64 (the retrieval launch, which
     also tears the run down) has run remotely."""
 
@@ -136,6 +137,23 @@ class ReportsCompleting(SimEndpoint):
             return dataclasses.replace(
                 result, stdout=result.stdout.replace("|COMPLETED\n", "|COMPLETING\n"))
         return result
+
+
+class RefusesConversion(SimCluster):
+    """Refuses the sbatch of the conversion array under one batch dir, as a
+    cluster refuses a job over its account's limits."""
+
+    def __init__(self, batch_dir):
+        super().__init__()
+        self.script = f"/{batch_dir}convert.sh"
+
+    def _sbatch(self, args):
+        if args[-1].endswith(self.script):
+            return ExecResult(1, "", "sbatch: error: Batch job submission failed: "
+                                     "Job violates accounting/QOS policy "
+                                     "(job submit limit, user's size and/or time limits) "
+                                     "AssocMaxSubmitJobLimit\n")
+        return super()._sbatch(args)
 
 
 class GrammarOnly(SimCluster):
@@ -414,6 +432,56 @@ class TestConversionPath:
         assert [job.script_path for job in endpoint.cluster.jobs.values()] == [
             f"{record.batches[0].remote_dir}/job.sh"]
 
+    def test_refused_conversion_holds_its_workflow_job_back(
+            self, sample_profile_registry, cellpose_descriptor, tmp_path):
+        # Two TIFF items sort first: batch 0 is TIFF, batches 1 and 2 ZARR.
+        profile, registry = sample_profile_registry
+        endpoint = SimEndpoint(RefusesConversion("batch1/"))
+        slurm.init_environment(endpoint, profile, registry)
+        make_tiff_inputs(str(tmp_path / "inputs"), 2)
+        make_zarr_inputs(str(tmp_path / "inputs"), 4)
+        launches = record_launches(endpoint)
+        events = Events()
+        record = orch.run_workflow_batched(
+            endpoint, profile, registry, cellpose_descriptor, "cellpose", {},
+            orch.scan_input_dir(str(tmp_path / "inputs")), 2, options=fast_options(),
+            local_output_dir=str(tmp_path / "out"), listener=events)
+        assert record.overall_state is orch.RunStage.PARTIAL_FAILURE
+        refused = record.batches[1]
+        assert (refused.conversion_handle, refused.workflow_handle) == (None, None)
+        assert batch_errors(record) == batch_failures(events) == {1: "SubmitRejected"}
+        assert "AssocMaxSubmitJobLimit" in str(refused.error)
+        assert [detail.split(" after=")[0] for stage, detail in events if stage == "submit"] == [
+            "batch=0 kind=workflow job_id=1", "batch=2 kind=conversion job_id=2 tasks=2",
+            "batch=2 kind=workflow job_id=3"]
+        assert endpoint.cluster.jobs[3].dependency == 2
+        assert [command[0] for command in launches].count("sh") == 2
+        assert_no_job_outlives_its_data(
+            endpoint.cluster, registry.entry("cellpose").resources.time_limit_min)
+
+    def test_lost_submission_with_conversions_fails_every_batch(self, run_env, tmp_path):
+        # Both batches convert; the one submission launch ran, but its answer
+        # was lost: every batch failed its transfer, and the teardown
+        # cancelled all four jobs by name.
+        endpoint, profile, registry, descriptor = run_env
+        make_zarr_inputs(str(tmp_path / "inputs"), 4)
+        flaky = FlakyLink(endpoint.cluster, lose_submission=True)
+        events = Events()
+        record = orch.run_workflow_batched(
+            flaky, profile, registry, descriptor, "cellpose", {},
+            orch.scan_input_dir(str(tmp_path / "inputs")), 2, options=fast_options(),
+            local_output_dir=str(tmp_path / "out"), listener=events)
+        assert not flaky.lose_submission
+        assert record.overall_state is orch.RunStage.FAILED
+        assert batch_errors(record) == batch_failures(events) == {
+            0: "TransferFailed", 1: "TransferFailed"}
+        assert [job.dependency for job in endpoint.cluster.jobs.values()] == [None, None, 1, 2]
+        assert ("cancel", f"name=sb-{record.run_id} job_ids=") in events
+        assert all(job.parent_state() is JobState.CANCELLED
+                   for job in endpoint.cluster.jobs.values())
+        assert_no_job_outlives_its_data(
+            endpoint.cluster, registry.entry("cellpose").resources.time_limit_min)
+
     def test_skip_conversion(self, run_env, tmp_path):
         endpoint, profile, registry, descriptor = run_env
         make_zarr_inputs(str(tmp_path / "inputs"), 2)
@@ -647,11 +715,11 @@ class TestRunWorkflowBatched:
         # No poll is wasted: one after each sleep.
         assert counts.pop("sacct") == counts.pop("sleep")
         # One archive up (its copy, then `sha256sum` and `mv -T`), then one
-        # launch to make the dirs, unpack it and submit every job (a second
-        # launch for the workflow jobs that wait on a conversion), and one
-        # launch that zips every output and log, sends the bundle back and
-        # removes the run's data.
-        assert counts == {"put_file": 1, "sha256sum": 1, "mv": 1, "sh": 3 if zarr else 2}
+        # launch to make the dirs, unpack it and submit every job, the
+        # workflow jobs that wait on a conversion among them, and one launch
+        # that zips every output and log, sends the bundle back and removes
+        # the run's data.
+        assert counts == {"put_file": 1, "sha256sum": 1, "mv": 1, "sh": 2}
         assert [path for path in endpoint.cluster.fs.files
                 if path.startswith("/scratch/omero/data/")] == []
 
@@ -1024,6 +1092,24 @@ class TestImportResults:
         orch.import_results(record, str(dst), "ImagesFolder")
         with pytest.raises(CollisionError):
             orch.import_results(record, str(dst), "ImagesFolder")
+
+    def test_collision_made_during_the_import_is_kept(self, tmp_path, monkeypatch):
+        """A target that another process makes while the import makes its
+        directory is not overwritten: the import stops with CollisionError
+        and leaves that file byte-identical."""
+        record = self._record_with_zip(tmp_path, {"masks/a.tiff": b"x"})
+        target = tmp_path / "dst" / "r" / "masks" / "a.tiff"
+        make_dirs = os.makedirs
+
+        def makes_the_target_too(path, exist_ok=False):
+            make_dirs(path, exist_ok=exist_ok)
+            if os.path.normpath(path) == str(target.parent):
+                target.write_bytes(b"theirs")
+
+        monkeypatch.setattr(orch.os, "makedirs", makes_the_target_too)
+        with pytest.raises(CollisionError):
+            orch.import_results(record, str(tmp_path / "dst"), "ImagesFolder")
+        assert target.read_bytes() == b"theirs"
 
 
 class TestFormatDetection:

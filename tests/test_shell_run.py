@@ -1,6 +1,7 @@
-"""Whole runs through SshEndpoint, with its ssh and scp processes routed to
-the installed /bin/sh and tools on local disk (the shell_router fixture),
-and stub sbatch, sacct, scancel and singularity on the router's PATH."""
+"""Whole runs, and one submission launch, through SshEndpoint, with its ssh
+and scp processes routed to the installed /bin/sh and tools on local disk
+(the shell_router fixture), and stub sbatch, sacct, scancel and singularity
+on the router's PATH."""
 
 import dataclasses
 import os
@@ -14,8 +15,10 @@ from slurmbridge import orchestrator as orch
 from slurmbridge import slurm
 from slurmbridge.errors import TransferFailed
 from slurmbridge.simslurm import SimCluster, SimEndpoint
-from slurmbridge.transport import SshEndpoint
+from slurmbridge.transport import ExecResult, SshEndpoint
 from tests.conftest import make_tiff_inputs, make_zarr_inputs
+from tests.test_slurm_client import WORKFLOW_SCRIPT
+from tests.test_transport import ssh_endpoint
 
 pytestmark = pytest.mark.skipif(
     any(shutil.which(tool) is None
@@ -25,7 +28,7 @@ pytestmark = pytest.mark.skipif(
 # sbatch runs the script at once, each task of an array in turn, writing
 # each log where --output names it, and adds a `<id>|<state>` line per task
 # to the accounting file that sacct prints. Job ids count up from 1, as the
-# simulator's do.
+# simulator's do; under --parsable it prints the id alone.
 SBATCH = """\
 echo "$@" >> {state}/sbatch.calls
 for arg; do script=$arg; done
@@ -45,7 +48,10 @@ else
         k=$((k + 1))
     done
 fi
-echo "Submitted batch job $id"
+case " $* " in
+*" --parsable "*) echo "$id" ;;
+*) echo "Submitted batch job $id" ;;
+esac
 """
 
 # A conversion leaves its inputs as they are; the workflow writes
@@ -60,6 +66,22 @@ exec)
         echo "mask of $name" > "$OUT_PATH/${name%%.*}_mask.tiff"
     done ;;
 esac
+"""
+
+
+# sbatch --parsable as the simulator answers it: a script that is not there
+# is refused, and any other gets the next id, from 1; each call's arguments
+# are logged.
+PARSABLE_SBATCH = """\
+echo "$@" >> {state}/sbatch.calls
+for arg; do script=$arg; done
+if [ ! -f "$script" ]; then
+    echo "sbatch: error: Unable to open file $script" >&2
+    exit 1
+fi
+id=$(cat {state}/next_id 2>/dev/null || echo 1)
+echo $((id + 1)) > {state}/next_id
+echo "$id"
 """
 
 
@@ -112,11 +134,12 @@ def outputs(record, output_dir):
 
 
 def test_run_matches_the_simulator(shell_run, shell_router, tmp_path):
-    """The run ends Done in 6 processes and one per poll: scp, sha256sum
-    and mv for the upload, two submission launches and the retrieval
-    launch. Its record, result zips and logs are named as the simulator's
-    run of the same inputs on the same scratch dir names them, and it leaves
-    nothing under data/."""
+    """The run ends Done in 5 processes and one per poll: scp, sha256sum
+    and mv for the upload, the submission launch and the retrieval launch.
+    That one submission launch hands each conversion's job id to the sbatch
+    of its batch's workflow job. The run's record, result zips and logs are
+    named as the simulator's run of the same inputs on the same scratch dir
+    names them, and it leaves nothing under data/."""
     run, profile, registry = shell_run
     events = []
     record = run(SshEndpoint(profile), tmp_path / "shell-out", poll_interval_s=0.01,
@@ -126,9 +149,14 @@ def test_run_matches_the_simulator(shell_run, shell_router, tmp_path):
                 for argv in shell_router.launches]
     polls = programs.count("sacct")
     assert polls >= 1
-    assert programs == ["scp", "sha256sum", "mv", "sh", "sh"] + ["sacct"] * polls + ["sh"]
+    assert programs == ["scp", "sha256sum", "mv", "sh"] + ["sacct"] * polls + ["sh"]
     assert data_left(profile) == []
     assert len(record.batches) == 3 and all(b.conversion_handle for b in record.batches[1:])
+    calls = (tmp_path / "state" / "sbatch.calls").read_text().splitlines()
+    # Batch 0 holds TIFF inputs only; batches 1 and 2 convert as jobs 2 and 3.
+    assert [call.split()[2:-1] for call in calls] == [[]] * 3 + [
+        [f"--dependency=afterok:{conversion}", "--kill-on-invalid-dep=yes"]
+        for conversion in (2, 3)]
 
     sim = SimEndpoint(SimCluster())
     slurm.init_environment(sim, profile, registry)
@@ -168,3 +196,39 @@ def test_interrupted_upload_leaves_nothing(shell_run, shell_router, tmp_path, lo
     shell_router.drop = lambda argv: argv[0] == "ssh" and argv[-1].split()[0] == lost
     record = run(SshEndpoint(profile), tmp_path / "out", poll_interval_s=0.01)
     assert_failed_transfer(record, profile, tmp_path / "state")
+
+
+def test_submission_launch_with_stub_sbatch_matches_the_simulator(shell_router, tmp_path):
+    """One submit_job launch, run by /bin/sh with a stub `sbatch --parsable`,
+    gives each script the simulator's outcome: ids count up, a script that
+    waits on a refused one is not submitted, and the sbatch of one that
+    waits on a submitted one gets that job's id as its dependency."""
+    state, jobs = tmp_path / "state", tmp_path / "jobs"
+    state.mkdir()
+    jobs.mkdir()
+    shell_router.stub("sbatch", PARSABLE_SBATCH.format(state=shlex.quote(str(state))))
+    paths = [str(jobs / f"{name}.sh") for name in ("convert", "missing", "job")]
+    sim = SimEndpoint(SimCluster())
+    sim.make_dirs(str(jobs))
+    for path in (paths[0], paths[2]):
+        with open(path, "w") as handle:
+            handle.write(WORKFLOW_SCRIPT)
+        sim.cluster.fs.write(path, WORKFLOW_SCRIPT.encode())
+    scripts = [(paths[0], 2, None), (paths[1], None, None), (paths[2], None, 0),
+               (paths[2], None, 1)]
+
+    def outcomes(endpoint):
+        ran = slurm.submit_job(endpoint, scripts, "sb-t", setup=[["test", "-e", paths[0]]])
+        return [outcome if outcome is None or isinstance(outcome, slurm.JobHandle)
+                else (outcome.ok, outcome.stdout) if isinstance(outcome, ExecResult)
+                else str(outcome) for outcome in ran]
+
+    real = outcomes(ssh_endpoint())
+    assert real == outcomes(sim)
+    assert real == [(True, ""), slurm.JobHandle(1, 2),
+                    f"submission rejected (exit 1): sbatch: error: Unable to open file {paths[1]}",
+                    slurm.JobHandle(2), None]
+    assert (state / "sbatch.calls").read_text().splitlines() == [
+        f"--parsable --job-name=sb-t {paths[0]}", f"--parsable --job-name=sb-t {paths[1]}",
+        f"--parsable --job-name=sb-t --dependency=afterok:1 --kill-on-invalid-dep=yes {paths[2]}"]
+    assert [(job.id, job.dependency) for job in sim.cluster.jobs.values()] == [(1, None), (2, 1)]

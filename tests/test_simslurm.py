@@ -24,9 +24,19 @@ from slurmbridge.states import (
 )
 
 
-def submit_script(cluster, path, mem=1024, cpus=1, gpus=0, time_limit="01:00:00",
+def submit_script(cluster, path, **script):
+    """Write a job script of the given settings at path and submit it;
+    returns the job id."""
+    result = sbatch_script(cluster, path, **script)
+    assert result.exit_code == 0, result.stderr
+    return int(result.stdout.split()[-1])
+
+
+def sbatch_script(cluster, path, mem=1024, cpus=1, gpus=0, time_limit="01:00:00",
                   duration=10, outputs=0, array=None, exports=(), options=(),
                   log="omero-job-%j.log"):
+    """Write a job script of these settings at path; returns what sbatch
+    answers to it."""
     lines = [
         "#!/bin/bash",
         f"#SBATCH --mem={mem}",
@@ -44,9 +54,13 @@ def submit_script(cluster, path, mem=1024, cpus=1, gpus=0, time_limit="01:00:00"
     cluster.fs.make_dirs("/scratch/logs")
     cluster.fs.make_dirs(path.rsplit("/", 1)[0])
     cluster.fs.write(path, ("\n".join(lines) + "\n").encode())
-    result = cluster.sim_exec(["sbatch", *options, path])
-    assert result.exit_code == 0, result.stderr
-    return int(result.stdout.split()[-1])
+    return cluster.sim_exec(["sbatch", *options, path])
+
+
+def fits_some_node(cluster, resources):
+    """Whether some node, idle, has the cpus, gpus and mem_mb asked for."""
+    return any(node.cpus >= resources["cpus"] and node.gpus >= resources["gpus"]
+               and node.mem_mb >= resources["mem_mb"] for node in cluster.nodes)
 
 
 def job_state(cluster, job_id):
@@ -60,6 +74,8 @@ class TestSubmission:
         result = cluster.sim_exec(["sacct", "-n", "-P", "-X", "-o",
                                    "JobID,State", "-j", str(job_id)])
         assert result.stdout == f"{job_id}|PENDING\n"
+        parsable = sbatch_script(cluster, "/scratch/job.sh", options=["--parsable"])
+        assert (parsable.exit_code, parsable.stdout) == (0, f"{job_id + 1}\n")
 
     def test_sacct_unknown_id_empty(self):
         cluster = SimCluster()
@@ -68,12 +84,19 @@ class TestSubmission:
         assert result.exit_code == 0
         assert result.stdout == ""
 
-    def test_oversized_job_pends_forever(self):
-        # Oracle: hand-trace of first-fit; 8 cpus never fit a 4-cpu node.
+    @pytest.mark.parametrize("ask", [dict(cpus=8), dict(gpus=2), dict(mem=16385)],
+                             ids=["cpus", "gpus", "mem"])
+    def test_oversized_job_is_refused(self, ask):
+        """A job that asks more CPUs, GPUs or memory than any one node has
+        is refused as sbatch refuses it, before it takes a job id: it would
+        pend forever."""
         cluster = SimCluster()
-        job_id = submit_script(cluster, "/scratch/big.sh", cpus=8)
-        cluster.advance(1000)
-        assert job_state(cluster, job_id) is JobState.PENDING
+        result = sbatch_script(cluster, "/scratch/big.sh", **ask)
+        assert (result.exit_code, result.stdout, result.stderr) == (
+            1, "", "sbatch: error: Batch job submission failed: "
+                   "Requested node configuration is not available\n")
+        assert (cluster.jobs, cluster.next_job_id) == ({}, 1)
+        assert submit_script(cluster, "/scratch/fits.sh", cpus=4, gpus=1, mem=16384) == 1
 
     def test_job_ids_increment_from_one(self):
         cluster = SimCluster()
@@ -147,8 +170,12 @@ class TestArrays:
                                duration=10, array="0-5")
         result = cluster.sim_exec(["sacct", "-n", "-P", "-X", "-o",
                                    "JobID,State", "-j", str(job_id)])
-        lines = result.stdout.splitlines()
-        assert lines == [f"{job_id}_{k}|PENDING" for k in range(6)]
+        assert result.stdout.splitlines() == [f"{job_id}_[0-5]|PENDING"]
+        cluster.advance(1)
+        result = cluster.sim_exec(["sacct", "-n", "-P", "-X", "-o",
+                                   "JobID,State", "-j", str(job_id)])
+        assert result.stdout.splitlines() == [
+            *(f"{job_id}_{k}|RUNNING" for k in range(4)), f"{job_id}_[4-5]|PENDING"]
 
     def test_array_runs_within_capacity(self):
         # 6 one-cpu tasks on a 4-cpu node: two waves of (4, 2) => 20 s total.
@@ -518,14 +545,18 @@ def golden_schedule(seed):
                 after = rng.choice(sorted(cluster.jobs))
                 options += [f"--dependency=afterok:{after}", "--kill-on-invalid-dep=yes"]
             lo = rng.randint(0, 3)
-            submit_script(
+            resources = {"cpus": rng.randint(1, 4), "mem_mb": rng.choice([1024, 4096, 8192]),
+                         "gpus": rng.choice([0, 0, 0, 1])}
+            result = sbatch_script(
                 cluster, f"/scratch/{tag}{step}.sh",
-                cpus=rng.randint(1, 4), mem=rng.choice([1024, 4096, 8192]),
-                gpus=rng.choice([0, 0, 0, 1]), time_limit="00:01:00",
+                cpus=resources["cpus"], mem=resources["mem_mb"],
+                gpus=resources["gpus"], time_limit="00:01:00",
                 duration=rng.choice([0, rng.randint(1, 90)]), outputs=rng.randint(0, 2),
                 array=f"{lo}-{lo + rng.randint(0, 11)}" if rng.random() < 0.4 else None,
                 exports=[("OUT_PATH", f"/scratch/out{step}")], options=options,
             )
+            # A GPU job on the one-node topology, which has no GPU, is refused.
+            assert result.ok is fits_some_node(cluster, resources)
         elif action < 0.8:
             cluster.advance(rng.randint(0, 40))
         elif action < 0.9:
@@ -548,14 +579,16 @@ def golden_schedule(seed):
 
 
 # sha256 over golden_schedule(seed) for each block of 50 seeds. The
-# scan-based scheduler that preceded the event-driven one produced these
+# scan-based scheduler that preceded the event-driven one produced the
 # schedules; the digests are of its output less the summary log it wrote for
-# each array as a whole, which Slurm does not write.
+# each array as a whole, which Slurm does not write, and less every job that
+# no node could hold, which sbatch now refuses: the event-driven scheduler
+# gave the same digests before that refusal with such jobs left unsubmitted.
 GOLDEN_DIGESTS = {
-    0: "36fdfde4fcc6492f76a15b23c0986cc289e7b3f49b325712ae4c066dd266b045",
-    50: "c5858cb69885af9886a0f7bf2a70ae1d428af8d2702fab3dcc618f186424916d",
-    100: "a106b14db810d030603c679f84f01708d958a09af8d12fc8a62b9b04ba167921",
-    150: "31c599c6b4f56d25d38f84e6a54f6d497c657aa4f2f7b091198f78d9f52cc9dc",
+    0: "8b873eef5d3ba5a07f2273d40885f2489a0fef23e95bf54a8e7d896367294552",
+    50: "f6b4f7eb570418ce372031775611430c2fcd925ea1cce8fc2d4bade177458d79",
+    100: "d632a9df6d209f406326ae070a95b4ed1212a0ec1a81b69dc25ca5cc0c531967",
+    150: "80a3054650af68544a2990e8dae2632012de30b2f0099a7f796b4958cfe52621",
 }
 
 

@@ -1,12 +1,15 @@
 import dataclasses
 import hashlib
 import io
+import itertools
 import os
 import shutil
 import subprocess
 import zipfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slurmbridge import slurm
 from slurmbridge.errors import (
@@ -22,7 +25,7 @@ from slurmbridge.errors import (
     UnparseableJobId,
 )
 from slurmbridge.simslurm import FaultDirective, SimCluster, SimEndpoint
-from slurmbridge.states import JobState
+from slurmbridge.states import JobState, aggregate_array_states
 from slurmbridge.transport import DEFAULT_DEADLINE_S, unframe_commands
 from tests.test_simslurm import submit_script
 from tests.test_transport import ssh_endpoint
@@ -229,11 +232,14 @@ class TestSubmitJob:
         for path in paths[:2]:
             cluster.fs.write(path, WORKFLOW_SCRIPT.encode())
         launches = record_launches(sim_endpoint)
-        first, missing, second = slurm.submit_job(
+        # The third script waits for the first's job, the fourth for the
+        # second's, which sbatch refuses, so the fourth is not submitted.
+        first, missing, second, held = slurm.submit_job(
             sim_endpoint, [(paths[0], None, None), (paths[2], None, None),
-                           (paths[1], None, 1)], "sb-r1")
+                           (paths[1], None, 0), (paths[0], None, 1)], "sb-r1")
         assert len(launches) == 1
         assert isinstance(missing, SubmitRejected)
+        assert held is None
         assert (first.job_id, second.job_id) == (1, 2)
         assert [(job.name, job.dependency) for job in cluster.jobs.values()] == [
             ("sb-r1", None), ("sb-r1", 1)]
@@ -258,10 +264,52 @@ class TestSubmitJob:
     def test_array_submission_single_parent_handle(self, sim_endpoint):
         cluster = sim_endpoint.cluster
         job_id = submit_script(cluster, "/scratch/arr.sh", array="0-3", duration=5)
-        # Oracle: accounting lists exactly 4 task rows for the parent id.
+        # Oracle: accounting keeps the 4 pending tasks in one record, as
+        # Slurm keeps them unsplit, and the client folds it into the parent.
         result = cluster.sim_exec(["sacct", "-n", "-P", "-X", "-o",
                                    "JobID,State", "-j", str(job_id)])
-        assert len(result.stdout.splitlines()) == 4
+        assert result.stdout == f"{job_id}_[0-3]|PENDING\n"
+        handle = slurm.JobHandle(job_id, 4)
+        assert slurm.poll_jobs(sim_endpoint, [handle]) == {job_id: JobState.PENDING}
+
+
+# Task states of one array: any mix, or tasks that no longer pend followed by
+# any number that do.
+_SETTLED = [state for state in JobState if state is not JobState.PENDING]
+_TASK_STATES = st.one_of(
+    st.lists(st.sampled_from(list(JobState)), min_size=1, max_size=10),
+    st.builds(lambda head, tail: head + [JobState.PENDING] * tail,
+              st.lists(st.sampled_from(_SETTLED), max_size=6), st.integers(0, 6)).filter(bool))
+
+
+@settings(max_examples=150, deadline=None)
+@example(states=[JobState.PENDING] * 4, first=0)
+@example(states=[JobState.COMPLETED, JobState.RUNNING, JobState.COMPLETED], first=2)
+@example(states=[JobState.FAILED, JobState.PENDING, JobState.RUNNING, JobState.PENDING], first=1)
+@given(states=_TASK_STATES, first=st.integers(0, 3))
+def test_array_record_folds_into_the_parent_state(states, first):
+    """poll_jobs over the simulator's sacct output gives an array the state
+    that aggregate_array_states gives its task states, whichever of them
+    pend: sacct prints each task that does not pend, and those that do as
+    one `<id>_[<indices>]` record, each run of indices as <lo>-<hi>."""
+    cluster = SimCluster()
+    job_id = submit_script(cluster, "/scratch/arr.sh",
+                           array=f"{first}-{first + len(states) - 1}")
+    for task, state in zip(cluster.jobs[job_id].tasks, states):
+        task.state = state
+    cluster._index_jobs()
+    handle = slurm.JobHandle(job_id, len(states))
+    assert slurm.poll_jobs(SimEndpoint(cluster), [handle]) == {
+        job_id: aggregate_array_states(states)}
+    lines = cluster.sim_exec(["sacct", "-n", "-P", "-X", "-o", "JobID,State",
+                              "-j", str(job_id)]).stdout.splitlines()
+    pending = [first + k for k, state in enumerate(states) if state is JobState.PENDING]
+    assert len(lines) == len(states) - len(pending) + bool(pending)
+    if pending:
+        runs = [[k for _, k in run] for _, run in itertools.groupby(
+            enumerate(pending), lambda pair: pair[1] - pair[0])]
+        assert lines[-1] == f"{job_id}_[" + ",".join(
+            f"{run[0]}-{run[-1]}" if len(run) > 1 else str(run[0]) for run in runs) + "]|PENDING"
 
 
 class TestPollJobs:

@@ -538,6 +538,89 @@ def test_ssh_exec_many_is_one_launch(shell_router):
     assert held[2] is None
 
 
+# A command that prints a text and exits with a status, and what `sh` gives
+# for it; output that `$(...)` captures loses its trailing newlines, and
+# "${c<k>%%;*}" keeps what comes before the first ';'.
+_PRINTS = 'printf %s "$1"; exit "$2"'
+_TEXTS = st.text(alphabet="0123456789ab;\n $'\"*%\\", max_size=8)
+
+
+def _prints(text, status):
+    return ["sh", "-c", _PRINTS, "sh", text, str(status)]
+
+
+def _as_sh_runs(argv):
+    """The ExecResult of one command drawn by _framed_scripts, as sh gives it."""
+    if argv[0] == "sh":
+        return transport.ExecResult(int(argv[5]), argv[4], "")
+    return transport.ExecResult(0, "".join(word + "|" for word in argv[2:]), "")
+
+
+@st.composite
+def _framed_scripts(draw):
+    """(commands, then): commands that print and exit as drawn, and then
+    commands that do too or that print their words, one of them a Captured
+    token that takes an earlier printing then command's output."""
+    commands = [_prints(draw(_TEXTS), draw(st.sampled_from([0, 0, 1])))
+                for _ in range(draw(st.integers(0, 2)))]
+    then, printing = [], []
+    for k in range(draw(st.integers(1, 5))):
+        if printing and draw(st.booleans()):
+            words = draw(st.lists(_TEXTS, max_size=2))
+            token = transport.Captured(draw(st.sampled_from(printing)), draw(_TEXTS))
+            then.append(["printf", "%s|", *words[:1], token, *words[1:]])
+        else:
+            printing.append(k)
+            then.append(_prints(draw(_TEXTS), draw(st.sampled_from([0, 0, 2]))))
+    return commands, then
+
+
+@pytest.mark.skipif(shutil.which("sh") is None, reason="sh not installed")
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(([], [_prints("7;cluster\n\n", 0),
+               ["printf", "%s|", transport.Captured(0, "--dependency=afterok:")]]))
+@example(([_prints("", 1)], [_prints("3", 0), ["printf", "%s|", transport.Captured(0)]]))
+@example(([], [_prints("4\n", 2), ["printf", "%s|", transport.Captured(0, "x")],
+               _prints("5", 0)]))
+@given(_framed_scripts())
+def test_capture_template_matches_real_shell(shell_router, script):
+    """The capture template, run by /bin/sh through SshEndpoint, gives every
+    command the result that run_framed, the simulator's reading of it,
+    gives: a captured command's stdout less its trailing newlines, the
+    captured text up to its first ';' in the later argv, and that argv not
+    run unless the captured command exited 0. The script reads back as
+    written."""
+    commands, then = script
+    real = ssh_endpoint().exec_many(commands, then=then)
+    modelled = transport.run_framed(commands, then, _as_sh_runs)
+    assert [None if r is None else (r.exit_code, r.stdout, r.stderr) for r in real] == [
+        None if r is None else (r.exit_code, r.stdout, r.stderr) for r in modelled]
+    framed, mark = transport.frame_commands(commands, then)
+    assert transport.unframe_commands(framed) == (mark, commands, then)
+
+
+def test_capture_template_reads_back_only_as_written():
+    """unframe_commands refuses a script that differs from the capture
+    template in any way, and frame_commands a Captured token that names no
+    earlier then command, or one that itself takes output."""
+    token = transport.Captured(0, "--dependency=afterok:")
+    script, _ = transport.frame_commands(
+        [["true"]], [["sbatch", "--parsable", "a.sh"], ["sbatch", token, "b.sh"]])
+    assert transport.unframe_commands(script)[2][1] == ["sbatch", token, "b.sh"]
+    for old, new in [("[ $r0 = 0 ]", "[ $r1 = 0 ]"), ('printf %s "$c0"; ', ""),
+                     ("c0=$(", "c1=$("), ('"${c0%%;*}"', "'${c0%%;*}'"),
+                     ('"${c0%%;*}"', '"${c0%;*}"'), ("r0=$s; ", "")]:
+        assert old in script
+        assert transport.unframe_commands(script.replace(old, new, 1)) is None, old
+    for then in ([["echo", transport.Captured(0)]],
+                 [["echo"], ["echo", transport.Captured(1)]],
+                 [["echo"], ["echo", transport.Captured(0)], ["echo", transport.Captured(1)]],
+                 [["echo"], ["echo", transport.Captured(0), transport.Captured(0)]]):
+        with pytest.raises(ValueError):
+            transport.frame_commands([], then)
+
+
 @pytest.mark.skipif(any(shutil.which(tool) is None for tool in ("sh", "cp", "sha256sum")),
                     reason="sh or coreutils cp/sha256sum not installed")
 def test_ssh_processes_never_read_the_terminal(shell_router, tmp_path):
