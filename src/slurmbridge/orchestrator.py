@@ -194,6 +194,40 @@ def _split_results(archive, prefix, local_zip):
     return True
 
 
+@dataclass
+class _Run:
+    """What the stages of one run share: the record they fill in, the one
+    listener every stage and event goes to, where the run's data and logs
+    live on the cluster, the name its jobs carry, and the jobs still live."""
+
+    endpoint: object
+    record: RunRecord
+    listener: object
+    # slurm.run_data_paths: the run dir, and the input archive beside it,
+    # where data/ exists since init, so no launch has to make a dir for it.
+    paths: list
+    logs_dir: str  # Slurm logs of this run only; they outlive the cleanup of the run dir
+    job_name: str
+    live: dict = field(default_factory=dict)  # handle -> batch, for each job submitted and not yet seen terminal
+    torn_down: bool = False  # whether a launch that removed the run data answered
+
+    def emit(self, stage, detail):
+        if isinstance(stage, RunStage):
+            self.record.overall_state = stage
+            stage = stage.value
+        if self.listener is not None:
+            self.listener(stage, detail)
+
+    def emit_cancel(self):
+        self.emit("cancel", f"name={self.job_name} job_ids="
+                  + ",".join(str(handle.job_id) for handle in self.live))
+
+
+def _fail(batch, exc):
+    batch.error = exc
+    batch.state = JobState.FAILED
+
+
 def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
                          workflow_name, values, items, batch_size, options=None,
                          local_output_dir=None, listener=None, run_id=None):
@@ -219,286 +253,296 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
         values=values,
         items=list(items),
     )
-
-    def emit(stage, detail):
-        if isinstance(stage, RunStage):
-            record.overall_state = stage
-            stage = stage.value
-        if listener is not None:
-            listener(stage, detail)
-
-    emit(RunStage.PREPARING, f"workflow={workflow_name} items={len(items)}")
+    run = _Run(endpoint, record, listener, slurm.run_data_paths(profile, run_id),
+               posixpath.join(profile.scratch_dir, "logs", run_id), slurm.run_job_name(run_id))
+    run.emit(RunStage.PREPARING, f"workflow={workflow_name} items={len(items)}")
 
     if not items:
-        emit(RunStage.DONE, "no input items")
+        run.emit(RunStage.DONE, "no input items")
         return record
 
-    by_id = {item.id: item for item in items}
-    # The input archive lands beside run_dir: data/ exists since init, so
-    # no launch has to make a dir for it.
-    run_paths = slurm.run_data_paths(profile, run_id)
-    run_dir, upload, _ = run_paths
-    batches = [
-        BatchRun(index=index, items=ids, remote_dir=posixpath.join(run_dir, f"batch{index}"))
+    record.batches = [
+        BatchRun(index=index, items=ids, remote_dir=posixpath.join(run.paths[0], f"batch{index}"))
         for index, ids in enumerate(planned)
     ]
-    record.batches = batches
-
     local_output_dir = local_output_dir or os.getcwd()
     os.makedirs(local_output_dir, exist_ok=True)
     staging_root = tempfile.mkdtemp(prefix=f"slurmbridge-{run_id}-")
-    # Slurm logs of this run only; they outlive the cleanup of run_dir.
-    logs_dir = posixpath.join(profile.scratch_dir, "logs", run_id)
-    image_path = slurm.image_file_path(profile, workflow_name, entry.version)
-    job_name = slurm.run_job_name(run_id)
-    live = {}  # handle -> batch, for each job submitted and not yet seen terminal
-    torn_down = False  # whether a launch that removed the run data answered
-
-    def emit_cancel():
-        emit("cancel", f"name={job_name} job_ids="
-             + ",".join(str(handle.job_id) for handle in live))
-
-    def fail(batch, exc):
-        batch.error = exc
-        batch.state = JobState.FAILED
-
-    def submit(jobs, setup=()):
-        """Submit jobs, given as (batch, tasks, after), in one launch: the
-        batch's conversion array of that many tasks, or its workflow job when
-        tasks is 0, to start once the job at index after in jobs completed
-        (None: at once). The launch runs the setup commands first and submits
-        the jobs only if every one exited 0, and a job with an after only if
-        that job's submission exited 0; returns the setup's results. When the
-        launch's answer is lost, its batches fail, though their jobs may run,
-        and the setup's results are None."""
-        scripts = [(posixpath.join(b.remote_dir, "convert.sh" if tasks else "job.sh"),
-                    tasks or None, after) for b, tasks, after in jobs]
-        try:
-            outcomes = slurm.submit_job(endpoint, scripts, job_name, setup)
-        except TransportError as exc:
-            # Inputs never known to have arrived count as a failed transfer.
-            lost = TransferFailed(str(exc)) if setup else exc
-            outcomes = [None] * len(setup) + [lost] * len(jobs)
-        handles = outcomes[len(setup):]
-        for (batch, tasks, after), handle in zip(jobs, handles):
-            if handle is None:
-                continue  # not submitted: a setup command or its dependency's failed
-            if isinstance(handle, SlurmBridgeError):
-                fail(batch, handle)
-                continue
-            live[handle] = batch
-            if tasks:
-                batch.conversion_handle = handle
-                detail = f"kind=conversion job_id={handle.job_id} tasks={tasks}"
-            else:
-                batch.workflow_handle = handle
-                detail = f"kind=workflow job_id={handle.job_id}"
-                if after is not None:
-                    detail += f" after={getattr(handles[after], 'job_id', None)}"
-            emit("submit", f"batch={batch.index} {detail}")
-        return outcomes[:len(setup)]
-
     try:
-        # Stage: write every batch's scripts and pack them, with the inputs,
-        # into one archive laid out as the run dir. A batch that cannot be
-        # prepared fails alone.
-        prefix_of, scripts = {}, {}
-        for batch in batches:
-            batch_items = [by_id[i] for i in batch.items]
-            missing = [i.local_path for i in batch_items if not os.path.exists(i.local_path)]
-            if missing:
-                fail(batch, MissingInput(missing[0]))
-                continue
-            in_dir, out_dir, gt_dir = (posixpath.join(batch.remote_dir, name)
-                                       for name in ("in", "out", "gt"))
-            zarr_count = 0 if options.skip_conversion else sum(
-                item.format is InputFormat.ZARR for item in batch_items)
-            if zarr_count:
-                if not profile.zarr_to_tiff:
-                    fail(batch, ConversionFailed("no converter configured for zarr -> tiff"))
-                    continue
-                batch.conversion_tasks = zarr_count
-                scripts[f"batch{batch.index}/convert.sh"] = jobscript.render_script(
-                    jobscript.generate_conversion_script(
-                        zarr_count, slurm.converter_image_path(profile), in_dir,
-                        entry.resources, logs_dir,
-                        sim=jobscript.SimAnnotation(duration_s=5, outputs=0)))
-            scripts[f"batch{batch.index}/job.sh"] = jobscript.render_script(
-                jobscript.generate_workflow_script(
-                    workflow_descriptor,
-                    entry.resources,
-                    values,
-                    jobscript.RunPaths(in_dir=in_dir, out_dir=out_dir, gt_dir=gt_dir,
-                                       image_file=image_path),
-                    logs_dir,
-                    sim=jobscript.SimAnnotation(
-                        duration_s=options.sim_duration_s, outputs=len(batch.items)
-                    ),
-                ))
-            prefix_of.update(dict.fromkeys(batch.items, f"batch{batch.index}/"))
-        shipped = [b for b in batches if b.error is None]
-        try:
-            archive = pack_inputs([by_id[i] for b in shipped for i in b.items],
-                                  staging_root, prefix_of, scripts) if shipped else None
-        except SlurmBridgeError as exc:
-            for batch in shipped:
-                fail(batch, exc)
-            shipped = []
-
-        # Stage: one upload; a failed transfer fails every batch.
-        emit(RunStage.TRANSFERRING, f"batches={len(batches)}")
-        if shipped:
-            try:
-                endpoint.put_file(archive, upload)
-            except TransportError as exc:
-                for batch in shipped:
-                    fail(batch, TransferFailed(str(exc)))
-
-        # Stage: one launch makes the dirs, unpacks the archive, removes it
-        # and, only if all three exited 0, submits every batch's first job,
-        # its conversion array or else its workflow job, and then the
-        # workflow job of each converting batch, after its array: Slurm
-        # starts one once the array completed, and cancels it unstarted if
-        # the array failed.
-        emit(RunStage.QUEUED, "submitting jobs")
-        queued = [b for b in batches if b.error is None]
-        jobs = [(b, b.conversion_tasks, None) for b in queued]
-        jobs += [(b, 0, k) for k, b in enumerate(queued) if b.conversion_tasks]
-        if queued:
-            made, unpacked, removed = submit(jobs, [
-                ["mkdir", "-p", logs_dir] + [posixpath.join(b.remote_dir, name)
-                                             for b in queued for name in ("out", "gt")],
-                ["unzip", "-q", upload, "-d", run_dir],
-                ["rm", "-f", upload]])
-            if made and not (made.ok and unpacked.ok):
-                step, failed = ("mkdir", made) if not made.ok else ("unpack", unpacked)
-                for batch in queued:
-                    fail(batch, TransferFailed(f"remote {step} failed: {failed.stderr.strip()}"))
-            elif removed and not removed.ok:
-                # Only the removal failed, which held the jobs back; they go
-                # in alone, and cleanup_run removes the upload.
-                submit(jobs)
-
-        # Stage: one poll loop over every live job; it only observes, and
-        # sleeps before each poll, as no job can have ended at once. Up to
-        # two accounting failures in a row only cost a round; the third ends
-        # the run.
-        emit(RunStage.RUNNING, "polling")
-        elapsed = 0.0
-        accounting_failures = 0
-        while live:
-            endpoint.sleep(options.poll_interval_s)
-            elapsed += options.poll_interval_s
-            try:
-                states = slurm.poll_jobs(endpoint, list(live))
-                accounting_failures = 0
-            except AccountingUnavailable:
-                accounting_failures += 1
-                if accounting_failures == 3:
-                    raise
-                states = {}
-            for handle, batch in list(live.items()):
-                state = states.get(handle.job_id)
-                if state is None or not state.terminal:
-                    continue
-                del live[handle]
-                if handle is batch.workflow_handle:
-                    batch.state = state
-                    emit("batch-terminal", f"batch={batch.index} state={state.value}")
-                elif state is not JobState.COMPLETED:
-                    fail(batch, ConversionFailed(
-                        f"conversion job {handle.job_id} ended {state.value}"))
-            if live and options.deadline_s is not None and elapsed >= options.deadline_s:
-                for batch in live.values():
-                    batch.error = batch.error or WorkflowFailed(
-                        f"deadline exceeded after {elapsed}s")
-                break
-
-        # Stage: one launch zips the out dir of every completed batch and
-        # the logs dir into one bundle, which comes back on its stdout and is
-        # split locally by batch; the same launch then tears the run down as
-        # the finally below would, cancelling nothing when every batch
-        # completed: all its jobs are terminal then, so a batch that fails to
-        # split leaves no job running. A batch's log is the log of the last
-        # job it submitted that wrote one: a workflow job that never started
-        # (its conversion failed or was still running at the deadline) wrote
-        # none.
-        emit(RunStage.RETRIEVING, "fetching artifacts")
-        completed = [b for b in batches if b.error is None and b.state is JobState.COMPLETED]
-        logged = [b for b in batches if b.job]  # every completed batch among them
-        bundle = None
-        if logged:
-            cancel = None if len(completed) == len(batches) else job_name
-            if cancel:
-                emit_cancel()
-            try:
-                bundle, removed = slurm.fetch_results(
-                    endpoint, [posixpath.join(b.remote_dir, "out") for b in completed]
-                    + [logs_dir], posixpath.join(run_dir, "bundle.zip"), run_paths, cancel)
-                torn_down = True
-                emit("cleanup", f"removed={len(removed)}")
-            except TransportError as exc:
-                bundle = exc  # the answer was lost; the finally tears down again
-            if isinstance(bundle, SlurmBridgeError):
-                for batch in completed:
-                    batch.error = RetrievalFailed(str(bundle))
-                bundle = None
-        if bundle:
-            with zipfile.ZipFile(io.BytesIO(bundle)) as archive:
-                for batch in completed:
-                    local_zip = os.path.join(local_output_dir, f"{run_id}_batch{batch.index}.zip")
-                    out_dir = posixpath.join(batch.remote_dir, "out")
-                    if _split_results(archive, slurm.zip_entry_name(out_dir) + "/", local_zip):
-                        batch.result_zip = local_zip
-                    else:
-                        batch.error = RetrievalFailed(str(EmptyOutput(out_dir)))
-                for batch in logged:
-                    for job in filter(None, (batch.workflow_handle, batch.conversion_handle)):
-                        try:
-                            batch.logfile = slurm.fetch_logfile(
-                                archive, job, logs_dir, local_output_dir)
-                            break
-                        except LogMissing:
-                            pass
-        for batch in batches:
-            if batch.result_zip:
-                record.output_artifacts.append(batch.result_zip)
-                continue
-            if batch.error is None:
-                batch.error = WorkflowFailed(
-                    f"workflow job ended {batch.state.value if batch.state else 'unknown'}",
-                    logfile=batch.logfile,
-                )
-            if batch.logfile:
-                record.output_artifacts.append(batch.logfile)
-            emit("batch-failed",
-                 f"batch={batch.index} {type(batch.error).__name__}: {batch.error}")
+        archive = _prepare(run, profile, workflow_descriptor, entry, options, staging_root)
+        _upload(run, archive)
+        _submit(run)
+        _poll(run, options)
+        _retrieve(run, local_output_dir)
     finally:
-        # No job may outlive its data: unless the retrieval launch answered,
-        # cancel the run's jobs by name, as one may be live, unseen (its
-        # submission's answer was lost, or the run was interrupted before
-        # recording it), or an array whose failed parent state hides tasks
-        # still running. In the same launch, remove the remote run data and
-        # the uploaded archive, should it be left; both are idempotent. Logs
-        # stay.
-        if not torn_down:
-            emit_cancel()
-            try:
-                removed = slurm.cleanup_run(endpoint, run_paths, job_name)
-                emit("cleanup", f"removed={len(removed)}")
-            except TransportError:
-                emit("cleanup", "failed")
+        if not run.torn_down:
+            _tear_down(run)
         shutil.rmtree(staging_root, ignore_errors=True)
+    return _finish(run)
 
+
+def _prepare(run, profile, workflow_descriptor, entry, options, staging_root):
+    """Stage: write every batch's scripts and pack them, with the inputs,
+    into one archive laid out as the run dir; returns its local path, or
+    None when no batch is left to ship. A batch that cannot be prepared
+    fails alone."""
+    record = run.record
+    by_id = {item.id: item for item in record.items}
+    image_path = slurm.image_file_path(profile, record.workflow, entry.version)
+    prefix_of, scripts = {}, {}
+    for batch in record.batches:
+        batch_items = [by_id[i] for i in batch.items]
+        missing = [i.local_path for i in batch_items if not os.path.exists(i.local_path)]
+        if missing:
+            _fail(batch, MissingInput(missing[0]))
+            continue
+        in_dir, out_dir, gt_dir = (posixpath.join(batch.remote_dir, name)
+                                   for name in ("in", "out", "gt"))
+        zarr_count = 0 if options.skip_conversion else sum(
+            item.format is InputFormat.ZARR for item in batch_items)
+        if zarr_count:
+            if not profile.zarr_to_tiff:
+                _fail(batch, ConversionFailed("no converter configured for zarr -> tiff"))
+                continue
+            batch.conversion_tasks = zarr_count
+            scripts[f"batch{batch.index}/convert.sh"] = jobscript.render_script(
+                jobscript.generate_conversion_script(
+                    zarr_count, slurm.converter_image_path(profile), in_dir,
+                    entry.resources, run.logs_dir,
+                    sim=jobscript.SimAnnotation(duration_s=5, outputs=0)))
+        scripts[f"batch{batch.index}/job.sh"] = jobscript.render_script(
+            jobscript.generate_workflow_script(
+                workflow_descriptor,
+                entry.resources,
+                record.values,
+                jobscript.RunPaths(in_dir=in_dir, out_dir=out_dir, gt_dir=gt_dir,
+                                   image_file=image_path),
+                run.logs_dir,
+                sim=jobscript.SimAnnotation(
+                    duration_s=options.sim_duration_s, outputs=len(batch.items)
+                ),
+            ))
+        prefix_of.update(dict.fromkeys(batch.items, f"batch{batch.index}/"))
+    shipped = [b for b in record.batches if b.error is None]
+    try:
+        return pack_inputs([by_id[i] for b in shipped for i in b.items],
+                           staging_root, prefix_of, scripts) if shipped else None
+    except SlurmBridgeError as exc:
+        for batch in shipped:
+            _fail(batch, exc)
+        return None
+
+
+def _upload(run, archive):
+    """Stage: one upload of the archive, when there is one; a failed
+    transfer fails every batch."""
+    run.emit(RunStage.TRANSFERRING, f"batches={len(run.record.batches)}")
+    if archive is None:
+        return
+    try:
+        run.endpoint.put_file(archive, run.paths[1])
+    except TransportError as exc:
+        for batch in run.record.batches:
+            if batch.error is None:
+                _fail(batch, TransferFailed(str(exc)))
+
+
+def _submit(run):
+    """Stage: one launch makes the dirs, unpacks the archive, removes it
+    and, only if all three exited 0, submits every batch's first job, its
+    conversion array or else its workflow job, and then the workflow job of
+    each converting batch, after its array: Slurm starts one once the array
+    completed, and cancels it unstarted if the array failed."""
+    run.emit(RunStage.QUEUED, "submitting jobs")
+    queued = [b for b in run.record.batches if b.error is None]
+    if not queued:
+        return
+    jobs = [(b, b.conversion_tasks, None) for b in queued]
+    jobs += [(b, 0, k) for k, b in enumerate(queued) if b.conversion_tasks]
+    run_dir, upload, _ = run.paths
+    made, unpacked, removed = _submit_jobs(run, jobs, [
+        ["mkdir", "-p", run.logs_dir] + [posixpath.join(b.remote_dir, name)
+                                         for b in queued for name in ("out", "gt")],
+        ["unzip", "-q", upload, "-d", run_dir],
+        ["rm", "-f", upload]])
+    if made and not (made.ok and unpacked.ok):
+        step, failed = ("mkdir", made) if not made.ok else ("unpack", unpacked)
+        for batch in queued:
+            _fail(batch, TransferFailed(f"remote {step} failed: {failed.stderr.strip()}"))
+    elif removed and not removed.ok:
+        # Only the removal failed, which held the jobs back; they go
+        # in alone, and cleanup_run removes the upload.
+        _submit_jobs(run, jobs)
+
+
+def _submit_jobs(run, jobs, setup=()):
+    """Submit jobs, given as (batch, tasks, after), in one launch: the
+    batch's conversion array of that many tasks, or its workflow job when
+    tasks is 0, to start once the job at index after in jobs completed
+    (None: at once). The launch runs the setup commands first and submits
+    the jobs only if every one exited 0, and a job with an after only if
+    that job's submission exited 0; returns the setup's results. When the
+    launch's answer is lost, its batches fail, though their jobs may run,
+    and the setup's results are None."""
+    scripts = [(posixpath.join(b.remote_dir, "convert.sh" if tasks else "job.sh"),
+                tasks or None, after) for b, tasks, after in jobs]
+    try:
+        outcomes = slurm.submit_job(run.endpoint, scripts, run.job_name, setup)
+    except TransportError as exc:
+        # Inputs never known to have arrived count as a failed transfer.
+        lost = TransferFailed(str(exc)) if setup else exc
+        outcomes = [None] * len(setup) + [lost] * len(jobs)
+    handles = outcomes[len(setup):]
+    for (batch, tasks, after), handle in zip(jobs, handles):
+        if handle is None:
+            continue  # not submitted: a setup command or its dependency's failed
+        if isinstance(handle, SlurmBridgeError):
+            _fail(batch, handle)
+            continue
+        run.live[handle] = batch
+        if tasks:
+            batch.conversion_handle = handle
+            detail = f"kind=conversion job_id={handle.job_id} tasks={tasks}"
+        else:
+            batch.workflow_handle = handle
+            detail = f"kind=workflow job_id={handle.job_id}"
+            if after is not None:
+                detail += f" after={getattr(handles[after], 'job_id', None)}"
+        run.emit("submit", f"batch={batch.index} {detail}")
+    return outcomes[:len(setup)]
+
+
+def _poll(run, options):
+    """Stage: one poll loop over every live job; it only observes, and
+    sleeps before each poll, as no job can have ended at once. Up to two
+    accounting failures in a row only cost a round; the third ends the
+    run."""
+    run.emit(RunStage.RUNNING, "polling")
+    live = run.live
+    elapsed = 0.0
+    accounting_failures = 0
+    while live:
+        run.endpoint.sleep(options.poll_interval_s)
+        elapsed += options.poll_interval_s
+        try:
+            states = slurm.poll_jobs(run.endpoint, list(live))
+            accounting_failures = 0
+        except AccountingUnavailable:
+            accounting_failures += 1
+            if accounting_failures == 3:
+                raise
+            states = {}
+        for handle, batch in list(live.items()):
+            state = states.get(handle.job_id)
+            if state is None or not state.terminal:
+                continue
+            del live[handle]
+            if handle is batch.workflow_handle:
+                batch.state = state
+                run.emit("batch-terminal", f"batch={batch.index} state={state.value}")
+            elif state is not JobState.COMPLETED:
+                _fail(batch, ConversionFailed(
+                    f"conversion job {handle.job_id} ended {state.value}"))
+        if live and options.deadline_s is not None and elapsed >= options.deadline_s:
+            for batch in live.values():
+                batch.error = batch.error or WorkflowFailed(
+                    f"deadline exceeded after {elapsed}s")
+            break
+
+
+def _retrieve(run, local_output_dir):
+    """Stage: one launch zips the out dir of every completed batch and the
+    logs dir into one bundle, which comes back on its stdout and is split
+    locally by batch; the same launch then tears the run down as
+    _tear_down would, cancelling nothing when every batch completed: all its
+    jobs are terminal then, so a batch that fails to split leaves no job
+    running. A batch's log is the log of the last job it submitted that
+    wrote one: a workflow job that never started (its conversion failed or
+    was still running at the deadline) wrote none. Every batch left without
+    results fails, each with one `batch-failed` row."""
+    run.emit(RunStage.RETRIEVING, "fetching artifacts")
+    batches = run.record.batches
+    completed = [b for b in batches if b.error is None and b.state is JobState.COMPLETED]
+    # Every completed batch is among them.
+    logged = [b for b in batches if b.workflow_handle or b.conversion_handle]
+    bundle = None
+    if logged:
+        cancel = None if len(completed) == len(batches) else run.job_name
+        if cancel:
+            run.emit_cancel()
+        try:
+            bundle, removed = slurm.fetch_results(
+                run.endpoint, [posixpath.join(b.remote_dir, "out") for b in completed]
+                + [run.logs_dir], posixpath.join(run.paths[0], "bundle.zip"), run.paths, cancel)
+            run.torn_down = True
+            run.emit("cleanup", f"removed={len(removed)}")
+        except TransportError as exc:
+            bundle = exc  # the answer was lost; the teardown runs again
+        if isinstance(bundle, SlurmBridgeError):
+            for batch in completed:
+                batch.error = RetrievalFailed(str(bundle))
+            bundle = None
+    if bundle:
+        with zipfile.ZipFile(io.BytesIO(bundle)) as archive:
+            for batch in completed:
+                local_zip = os.path.join(local_output_dir,
+                                         f"{run.record.run_id}_batch{batch.index}.zip")
+                out_dir = posixpath.join(batch.remote_dir, "out")
+                if _split_results(archive, slurm.zip_entry_name(out_dir) + "/", local_zip):
+                    batch.result_zip = local_zip
+                else:
+                    batch.error = RetrievalFailed(str(EmptyOutput(out_dir)))
+            for batch in logged:
+                for job in filter(None, (batch.workflow_handle, batch.conversion_handle)):
+                    try:
+                        batch.logfile = slurm.fetch_logfile(
+                            archive, job, run.logs_dir, local_output_dir)
+                        break
+                    except LogMissing:
+                        pass
+    for batch in batches:
+        if batch.result_zip:
+            run.record.output_artifacts.append(batch.result_zip)
+            continue
+        if batch.error is None:
+            batch.error = WorkflowFailed(
+                f"workflow job ended {batch.state.value if batch.state else 'unknown'}",
+                logfile=batch.logfile,
+            )
+        if batch.logfile:
+            run.record.output_artifacts.append(batch.logfile)
+        run.emit("batch-failed",
+                 f"batch={batch.index} {type(batch.error).__name__}: {batch.error}")
+
+
+def _tear_down(run):
+    """No job may outlive its data: unless the retrieval launch answered,
+    cancel the run's jobs by name, as one may be live, unseen (its
+    submission's answer was lost, or the run was interrupted before
+    recording it), or an array whose failed parent state hides tasks still
+    running. In the same launch, remove the remote run data and the
+    uploaded archive, should it be left; both are idempotent. Logs stay."""
+    run.emit_cancel()
+    try:
+        removed = slurm.cleanup_run(run.endpoint, run.paths, run.job_name)
+        run.emit("cleanup", f"removed={len(removed)}")
+    except TransportError:
+        run.emit("cleanup", "failed")
+
+
+def _finish(run):
+    """Stage: the run's final state, from which batches brought results
+    back; returns the record."""
+    batches = run.record.batches
     completed = [b for b in batches if b.result_zip]
     if len(completed) == len(batches):
-        emit(RunStage.DONE, f"batches={len(batches)}")
+        run.emit(RunStage.DONE, f"batches={len(batches)}")
     elif completed:
-        emit(RunStage.PARTIAL_FAILURE,
-             f"completed={len(completed)} failed={len(batches) - len(completed)}")
+        run.emit(RunStage.PARTIAL_FAILURE,
+                 f"completed={len(completed)} failed={len(batches) - len(completed)}")
     else:
-        emit(RunStage.FAILED, "; ".join(str(b.error) for b in batches if b.error))
-    return record
+        run.emit(RunStage.FAILED, "; ".join(str(b.error) for b in batches if b.error))
+    return run.record
 
 
 def record_signature(record):
