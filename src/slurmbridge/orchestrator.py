@@ -84,11 +84,6 @@ class BatchRun:
     logfile: str = None
     error: Exception = None  # what failed the batch, or None
 
-    @property
-    def job(self):
-        """The last job the batch submitted, or None."""
-        return self.workflow_handle or self.conversion_handle
-
 
 @dataclass
 class RunOptions:
@@ -348,54 +343,47 @@ def _upload(run, archive):
 
 
 def _submit(run):
-    """Stage: one launch makes the dirs, unpacks the archive, removes it
-    and, only if all three exited 0, submits every batch's first job, its
-    conversion array or else its workflow job, and then the workflow job of
-    each converting batch, after its array: Slurm starts one once the array
-    completed, and cancels it unstarted if the array failed."""
+    """Stage: one launch makes the dirs and unpacks the archive and, only if
+    both exited 0, submits every batch's first job, its conversion array or
+    else its workflow job, and then the workflow job of each converting
+    batch, after its array: Slurm starts one once the array completed, and
+    cancels it unstarted if the array failed. The launch removes the archive
+    last; should that fail, it holds no job back, and the teardown removes
+    it. When the launch's answer is lost, every batch fails, though its jobs
+    may run."""
     run.emit(RunStage.QUEUED, "submitting jobs")
     queued = [b for b in run.record.batches if b.error is None]
     if not queued:
         return
+    # (batch, tasks, after): the batch's conversion array of that many
+    # tasks, or its workflow job when tasks is 0, to start once the job at
+    # index after in jobs completed (None: at once).
     jobs = [(b, b.conversion_tasks, None) for b in queued]
     jobs += [(b, 0, k) for k, b in enumerate(queued) if b.conversion_tasks]
     run_dir, upload, _ = run.paths
-    made, unpacked, removed = _submit_jobs(run, jobs, [
-        ["mkdir", "-p", run.logs_dir] + [posixpath.join(b.remote_dir, name)
-                                         for b in queued for name in ("out", "gt")],
-        ["unzip", "-q", upload, "-d", run_dir],
-        ["rm", "-f", upload]])
-    if made and not (made.ok and unpacked.ok):
+    try:
+        made, unpacked, *handles = slurm.submit_job(
+            run.endpoint,
+            [(posixpath.join(b.remote_dir, "convert.sh" if tasks else "job.sh"),
+              tasks or None, after) for b, tasks, after in jobs],
+            run.job_name,
+            [["mkdir", "-p", run.logs_dir] + [posixpath.join(b.remote_dir, name)
+                                              for b in queued for name in ("out", "gt")],
+             ["unzip", "-q", upload, "-d", run_dir]],
+            last=[["rm", "-f", upload]])
+    except TransportError as exc:
+        # Inputs never known to have arrived count as a failed transfer.
+        for batch in queued:
+            _fail(batch, TransferFailed(str(exc)))
+        return
+    if not (made.ok and unpacked.ok):
         step, failed = ("mkdir", made) if not made.ok else ("unpack", unpacked)
         for batch in queued:
             _fail(batch, TransferFailed(f"remote {step} failed: {failed.stderr.strip()}"))
-    elif removed and not removed.ok:
-        # Only the removal failed, which held the jobs back; they go
-        # in alone, and cleanup_run removes the upload.
-        _submit_jobs(run, jobs)
-
-
-def _submit_jobs(run, jobs, setup=()):
-    """Submit jobs, given as (batch, tasks, after), in one launch: the
-    batch's conversion array of that many tasks, or its workflow job when
-    tasks is 0, to start once the job at index after in jobs completed
-    (None: at once). The launch runs the setup commands first and submits
-    the jobs only if every one exited 0, and a job with an after only if
-    that job's submission exited 0; returns the setup's results. When the
-    launch's answer is lost, its batches fail, though their jobs may run,
-    and the setup's results are None."""
-    scripts = [(posixpath.join(b.remote_dir, "convert.sh" if tasks else "job.sh"),
-                tasks or None, after) for b, tasks, after in jobs]
-    try:
-        outcomes = slurm.submit_job(run.endpoint, scripts, run.job_name, setup)
-    except TransportError as exc:
-        # Inputs never known to have arrived count as a failed transfer.
-        lost = TransferFailed(str(exc)) if setup else exc
-        outcomes = [None] * len(setup) + [lost] * len(jobs)
-    handles = outcomes[len(setup):]
+        return
     for (batch, tasks, after), handle in zip(jobs, handles):
         if handle is None:
-            continue  # not submitted: a setup command or its dependency's failed
+            continue  # not submitted: the job it depends on was not
         if isinstance(handle, SlurmBridgeError):
             _fail(batch, handle)
             continue
@@ -409,7 +397,6 @@ def _submit_jobs(run, jobs, setup=()):
             if after is not None:
                 detail += f" after={getattr(handles[after], 'job_id', None)}"
         run.emit("submit", f"batch={batch.index} {detail}")
-    return outcomes[:len(setup)]
 
 
 def _poll(run, options):

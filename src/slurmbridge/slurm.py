@@ -117,10 +117,12 @@ def run_job_name(run_id):
     return f"sb-{run_id}"
 
 
-def submit_job(endpoint, scripts, name, setup=()):
+def submit_job(endpoint, scripts, name, setup=(), last=()):
     """Submit scripts, each as a job named name, in one launch that runs
-    the setup commands first; the scripts are submitted only if every setup
-    command exited 0. scripts holds (path, array_size, after) triples, where
+    the setup commands first and the commands of last after the sbatches;
+    the scripts and the commands of last run only if every setup command
+    exited 0. A failed command of last holds nothing back, and its result is
+    not returned. scripts holds (path, array_size, after) triples, where
     after is the index in scripts of an earlier script whose job must
     complete first, or None. The launch hands that job's id to the sbatch
     that names it as a dependency, which runs only if that job's sbatch
@@ -139,7 +141,7 @@ def submit_job(endpoint, scripts, name, setup=()):
         if after is not None:
             argv += [Captured(after, "--dependency=afterok:"), "--kill-on-invalid-dep=yes"]
         argvs.append(argv + [path])
-    ran = endpoint.exec_many(list(setup), then=argvs)
+    ran = endpoint.exec_many(list(setup), then=argvs + list(last))
     outcomes = ran[:len(setup)]
     for (_, array_size, _), result in zip(scripts, ran[len(setup):]):
         if result is None:
