@@ -192,18 +192,15 @@ def _split_results(archive, prefix, local_zip):
 @dataclass
 class _Run:
     """What the stages of one run share: the record they fill in, the one
-    listener every stage and event goes to, where the run's data and logs
-    live on the cluster, the name its jobs carry, and the jobs still live."""
+    listener of every stage and event, and where the run lives remotely."""
 
     endpoint: object
     record: RunRecord
     listener: object
-    # slurm.run_data_paths: the run dir, and the input archive beside it,
-    # where data/ exists since init, so no launch has to make a dir for it.
-    paths: list
+    paths: list  # slurm.run_data_paths: the run dir, the input archive beside it, its staging file
     logs_dir: str  # Slurm logs of this run only; they outlive the cleanup of the run dir
     job_name: str
-    live: dict = field(default_factory=dict)  # handle -> batch, for each job submitted and not yet seen terminal
+    live: dict = field(default_factory=dict)  # handle -> batch of each job not yet seen terminal
     torn_down: bool = False  # whether a launch that removed the run data answered
 
     def emit(self, stage, detail):
@@ -241,13 +238,7 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
     entry = registry.entry(workflow_name)
     planned = plan_batches(items, batch_size)
     run_id = run_id or str(uuid.uuid4())
-    record = RunRecord(
-        run_id=run_id,
-        workflow=workflow_name,
-        version=entry.version,
-        values=values,
-        items=list(items),
-    )
+    record = RunRecord(run_id, workflow_name, entry.version, values, list(items))
     run = _Run(endpoint, record, listener, slurm.run_data_paths(profile, run_id),
                posixpath.join(profile.scratch_dir, "logs", run_id), slurm.run_job_name(run_id))
     run.emit(RunStage.PREPARING, f"workflow={workflow_name} items={len(items)}")
@@ -256,10 +247,8 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
         run.emit(RunStage.DONE, "no input items")
         return record
 
-    record.batches = [
-        BatchRun(index=index, items=ids, remote_dir=posixpath.join(run.paths[0], f"batch{index}"))
-        for index, ids in enumerate(planned)
-    ]
+    record.batches = [BatchRun(index, ids, posixpath.join(run.paths[0], f"batch{index}"))
+                      for index, ids in enumerate(planned)]
     local_output_dir = local_output_dir or os.getcwd()
     os.makedirs(local_output_dir, exist_ok=True)
     staging_root = tempfile.mkdtemp(prefix=f"slurmbridge-{run_id}-")
@@ -270,8 +259,20 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
         _poll(run, options)
         _retrieve(run, local_output_dir)
     finally:
+        # No job may outlive its data: unless the retrieval launch answered,
+        # cancel the run's jobs by name, as one may be live, unseen (its
+        # submission's answer was lost, or the run was interrupted before
+        # recording it), or an array whose failed parent state hides tasks
+        # still running. In the same launch, remove the remote run data and
+        # the uploaded archive, should it be left; both are idempotent. Logs
+        # stay.
         if not run.torn_down:
-            _tear_down(run)
+            run.emit_cancel()
+            try:
+                removed = slurm.cleanup_run(endpoint, run.paths, run.job_name)
+                run.emit("cleanup", f"removed={len(removed)}")
+            except TransportError:
+                run.emit("cleanup", "failed")
         shutil.rmtree(staging_root, ignore_errors=True)
     return _finish(run)
 
@@ -283,7 +284,6 @@ def _prepare(run, profile, workflow_descriptor, entry, options, staging_root):
     fails alone."""
     record = run.record
     by_id = {item.id: item for item in record.items}
-    image_path = slurm.image_file_path(profile, record.workflow, entry.version)
     prefix_of, scripts = {}, {}
     for batch in record.batches:
         batch_items = [by_id[i] for i in batch.items]
@@ -307,16 +307,11 @@ def _prepare(run, profile, workflow_descriptor, entry, options, staging_root):
                     sim=jobscript.SimAnnotation(duration_s=5, outputs=0)))
         scripts[f"batch{batch.index}/job.sh"] = jobscript.render_script(
             jobscript.generate_workflow_script(
-                workflow_descriptor,
-                entry.resources,
-                record.values,
-                jobscript.RunPaths(in_dir=in_dir, out_dir=out_dir, gt_dir=gt_dir,
-                                   image_file=image_path),
-                run.logs_dir,
-                sim=jobscript.SimAnnotation(
-                    duration_s=options.sim_duration_s, outputs=len(batch.items)
-                ),
-            ))
+                workflow_descriptor, entry.resources, record.values,
+                jobscript.RunPaths(in_dir, out_dir, gt_dir, slurm.image_file_path(
+                    profile, record.workflow, entry.version)),
+                run.logs_dir, sim=jobscript.SimAnnotation(
+                    duration_s=options.sim_duration_s, outputs=len(batch.items))))
         prefix_of.update(dict.fromkeys(batch.items, f"batch{batch.index}/"))
     shipped = [b for b in record.batches if b.error is None]
     try:
@@ -329,13 +324,11 @@ def _prepare(run, profile, workflow_descriptor, entry, options, staging_root):
 
 
 def _upload(run, archive):
-    """Stage: one upload of the archive, when there is one; a failed
-    transfer fails every batch."""
+    """Stage: one upload of the archive, if any; a failed one fails every batch."""
     run.emit(RunStage.TRANSFERRING, f"batches={len(run.record.batches)}")
-    if archive is None:
-        return
     try:
-        run.endpoint.put_file(archive, run.paths[1])
+        if archive:
+            run.endpoint.put_file(archive, run.paths[1])
     except TransportError as exc:
         for batch in run.record.batches:
             if batch.error is None:
@@ -347,17 +340,15 @@ def _submit(run):
     both exited 0, submits every batch's first job, its conversion array or
     else its workflow job, and then the workflow job of each converting
     batch, after its array: Slurm starts one once the array completed, and
-    cancels it unstarted if the array failed. The launch removes the archive
-    last; should that fail, it holds no job back, and the teardown removes
-    it. When the launch's answer is lost, every batch fails, though its jobs
-    may run."""
+    cancels it unstarted if the array failed. It removes the archive last;
+    a failed removal holds nothing back, and the teardown removes the
+    archive. A lost answer fails every batch, though its jobs may run."""
     run.emit(RunStage.QUEUED, "submitting jobs")
     queued = [b for b in run.record.batches if b.error is None]
     if not queued:
         return
-    # (batch, tasks, after): the batch's conversion array of that many
-    # tasks, or its workflow job when tasks is 0, to start once the job at
-    # index after in jobs completed (None: at once).
+    # (batch, tasks, after): the batch's array of that many tasks, or its
+    # workflow job if 0, to start once job `after` completed (None: at once).
     jobs = [(b, b.conversion_tasks, None) for b in queued]
     jobs += [(b, 0, k) for k, b in enumerate(queued) if b.conversion_tasks]
     run_dir, upload, _ = run.paths
@@ -371,15 +362,14 @@ def _submit(run):
                                               for b in queued for name in ("out", "gt")],
              ["unzip", "-q", upload, "-d", run_dir]],
             last=[["rm", "-f", upload]])
+        failed = next((f"remote {step} failed: {result.stderr.strip()}"
+                       for step, result in (("mkdir", made), ("unpack", unpacked))
+                       if not result.ok), None)
     except TransportError as exc:
-        # Inputs never known to have arrived count as a failed transfer.
+        failed = str(exc)  # inputs never known to have arrived count as a failed transfer
+    if failed is not None:
         for batch in queued:
-            _fail(batch, TransferFailed(str(exc)))
-        return
-    if not (made.ok and unpacked.ok):
-        step, failed = ("mkdir", made) if not made.ok else ("unpack", unpacked)
-        for batch in queued:
-            _fail(batch, TransferFailed(f"remote {step} failed: {failed.stderr.strip()}"))
+            _fail(batch, TransferFailed(failed))
         return
     for (batch, tasks, after), handle in zip(jobs, handles):
         if handle is None:
@@ -440,17 +430,17 @@ def _poll(run, options):
 def _retrieve(run, local_output_dir):
     """Stage: one launch zips the out dir of every completed batch and the
     logs dir into one bundle, which comes back on its stdout and is split
-    locally by batch; the same launch then tears the run down as
-    _tear_down would, cancelling nothing when every batch completed: all its
-    jobs are terminal then, so a batch that fails to split leaves no job
-    running. A batch's log is the log of the last job it submitted that
-    wrote one: a workflow job that never started (its conversion failed or
-    was still running at the deadline) wrote none. Every batch left without
-    results fails, each with one `batch-failed` row."""
+    locally by batch; the same launch then tears the run down as the finally
+    of run_workflow_batched would, cancelling nothing when every batch
+    completed: all its jobs are terminal then, so a batch that fails to
+    split leaves no job running. A batch's log is the log of the last job it
+    submitted that wrote one: a workflow job that never started (its
+    conversion failed or was still running at the deadline) wrote none.
+    Every batch left without results fails, with one `batch-failed` row."""
     run.emit(RunStage.RETRIEVING, "fetching artifacts")
     batches = run.record.batches
     completed = [b for b in batches if b.error is None and b.state is JobState.COMPLETED]
-    # Every completed batch is among them.
+    # Every completed batch is among those that submitted a job.
     logged = [b for b in batches if b.workflow_handle or b.conversion_handle]
     bundle = None
     if logged:
@@ -492,34 +482,17 @@ def _retrieve(run, local_output_dir):
             run.record.output_artifacts.append(batch.result_zip)
             continue
         if batch.error is None:
-            batch.error = WorkflowFailed(
-                f"workflow job ended {batch.state.value if batch.state else 'unknown'}",
-                logfile=batch.logfile,
-            )
+            batch.error = WorkflowFailed(f"workflow job ended "
+                                         f"{batch.state.value if batch.state else 'unknown'}",
+                                         logfile=batch.logfile)
         if batch.logfile:
             run.record.output_artifacts.append(batch.logfile)
         run.emit("batch-failed",
                  f"batch={batch.index} {type(batch.error).__name__}: {batch.error}")
 
 
-def _tear_down(run):
-    """No job may outlive its data: unless the retrieval launch answered,
-    cancel the run's jobs by name, as one may be live, unseen (its
-    submission's answer was lost, or the run was interrupted before
-    recording it), or an array whose failed parent state hides tasks still
-    running. In the same launch, remove the remote run data and the
-    uploaded archive, should it be left; both are idempotent. Logs stay."""
-    run.emit_cancel()
-    try:
-        removed = slurm.cleanup_run(run.endpoint, run.paths, run.job_name)
-        run.emit("cleanup", f"removed={len(removed)}")
-    except TransportError:
-        run.emit("cleanup", "failed")
-
-
 def _finish(run):
-    """Stage: the run's final state, from which batches brought results
-    back; returns the record."""
+    """Stage: the run's final state, from which batches brought results back."""
     batches = run.record.batches
     completed = [b for b in batches if b.result_zip]
     if len(completed) == len(batches):
@@ -545,16 +518,10 @@ def record_signature(record):
         "values": record.values,
         "state": record.overall_state.value,
         "items": [item.id for item in record.items],
-        "batches": [
-            {
-                "index": b.index,
-                "items": list(b.items),
-                "remote_dir": scrub(b.remote_dir),
-                "state": b.state.value if b.state else None,
-                "result_zip": scrub(os.path.basename(b.result_zip)) if b.result_zip else None,
-            }
-            for b in record.batches
-        ],
+        "batches": [{"index": b.index, "items": list(b.items), "remote_dir": scrub(b.remote_dir),
+                     "state": b.state.value if b.state else None,
+                     "result_zip": scrub(os.path.basename(b.result_zip)) if b.result_zip else None}
+                    for b in record.batches],
         "artifacts": sorted(scrub(os.path.basename(p)) for p in record.output_artifacts),
     }
 
@@ -605,15 +572,12 @@ def import_results(record, destination, mode):
         return written
 
     if mode == "SidecarAttachments":
-        stems = sorted(
-            ((item.id, item) for item in record.items),
-            key=lambda pair: -len(pair[0]),
-        )
+        longest_first = sorted(record.items, key=lambda item: -len(item.id))
         for entry, data in entries():
             name = os.path.basename(entry)
             stem = name.rsplit(".", 1)[0]
-            match = next((item for item_id, item in stems if stem == item_id
-                          or stem.startswith((item_id + "_", item_id + "."))), None)
+            match = next((item for item in longest_first if stem == item.id
+                          or stem.startswith((item.id + "_", item.id + "."))), None)
             if match is not None:
                 target = os.path.join(os.path.dirname(match.local_path), name)
             else:

@@ -118,16 +118,14 @@ def run_job_name(run_id):
 
 
 def submit_job(endpoint, scripts, name, setup=(), last=()):
-    """Submit scripts, each as a job named name, in one launch that runs
-    the setup commands first and the commands of last after the sbatches;
-    the scripts and the commands of last run only if every setup command
-    exited 0. A failed command of last holds nothing back, and its result is
-    not returned. scripts holds (path, array_size, after) triples, where
-    after is the index in scripts of an earlier script whose job must
-    complete first, or None. The launch hands that job's id to the sbatch
-    that names it as a dependency, which runs only if that job's sbatch
-    exited 0; a job whose dependency fails is cancelled by Slurm without
-    starting.
+    """Submit scripts, each as a job named name, in one launch that runs the
+    setup commands first, then, only if every one exited 0, the sbatches and
+    the commands of last, whose results are not returned. scripts holds
+    (path, array_size, after) triples, where after is the index in scripts
+    of an earlier script whose job must complete first, or None. The launch
+    hands that job's id to the sbatch that names it as a dependency, which
+    runs only if that job's sbatch exited 0; a job whose dependency fails is
+    cancelled by Slurm without starting.
 
     Returns the ExecResult of each setup command, then per script its
     JobHandle, the error that rejected it, or None when it was not
