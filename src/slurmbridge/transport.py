@@ -352,10 +352,10 @@ class SshEndpoint(Endpoint):
 
     def _spawn(self, argv, timeout=None):
         """Run one ssh or scp process; exit 255 is the link's failure, not
-        the remote command's."""
+        the remote command's. An output byte that is not UTF-8 reads as U+FFFD."""
         try:
             proc = subprocess.run(argv, stdin=subprocess.DEVNULL, capture_output=True,
-                                  text=True, timeout=timeout)
+                                  text=True, errors="replace", timeout=timeout)
         except subprocess.TimeoutExpired as exc:
             raise Timeout(f"deadline of {timeout}s exceeded") from exc
         if proc.returncode == 255:

@@ -520,6 +520,17 @@ def test_output_without_a_final_newline_keeps_its_frame(shell_router):
 
 
 @pytest.mark.skipif(shutil.which("sh") is None, reason="sh not installed")
+def test_output_that_is_not_utf8_keeps_its_frame(shell_router):
+    """A byte that is not UTF-8 on stderr, as a Latin-1 login banner or a
+    file name in a zip message may print, is read as U+FFFD: the launch
+    still unframes into every command's result."""
+    shell_router.stub("latin1", "printf 'bad \\377' >&2\nprintf 'caf\\351\\n'\n")
+    results = ssh_endpoint().exec_many([["latin1"], ["echo", "after"]], then=[["latin1"]])
+    assert [(r.exit_code, r.stdout, r.stderr) for r in results] == [
+        (0, "caf\ufffd\n", "bad \ufffd"), (0, "after\n", ""), (0, "caf\ufffd\n", "bad \ufffd")]
+
+
+@pytest.mark.skipif(shutil.which("sh") is None, reason="sh not installed")
 def test_ssh_exec_many_is_one_launch(shell_router):
     """SshEndpoint.exec_many starts one ssh process, whose remote command a
     POSIX shell splits back into every command, quoting intact, with or
