@@ -197,16 +197,6 @@ class SimFS:
             name[len(prefix):] for name in self.files if name.startswith(prefix)
         )
 
-    def list_dir(self, directory):
-        """Immediate child names (files and dirs) of directory, sorted."""
-        directory = _norm(directory)
-        prefix = directory + "/"
-        children = set()
-        for name in list(self.files) + list(self.dirs):
-            if name.startswith(prefix):
-                children.add(name[len(prefix):].split("/", 1)[0])
-        return sorted(children)
-
     def snapshot(self):
         """Canonical text rendering of the whole tree, for idempotence checks."""
         lines = [f"D {name}" for name in sorted(self.dirs)]
@@ -552,10 +542,9 @@ class SimCluster:
         if not out_dir:
             return
         in_dir = job.exports.get("IN_PATH")
-        stems = []
-        if in_dir and self.fs.is_dir(in_dir):
-            for child in self.fs.list_dir(in_dir):
-                stems.append(child.split(".", 1)[0])
+        # Each input in in_dir is a file or a tree of files.
+        inputs = {name.split("/", 1)[0] for name in self.fs.files_under(in_dir)} if in_dir else ()
+        stems = [name.split(".", 1)[0] for name in sorted(inputs)]
         self.fs.make_dirs(out_dir)
         for k in range(job.outputs_n):
             name = f"{stems[k]}_mask.tiff" if k < len(stems) else f"output_{k}.tiff"
@@ -624,7 +613,10 @@ class SimCluster:
         """`<entry id>|<state>` per task, as `sacct -n -P -X -o JobID,State`
         prints it, but for an array's pending tasks, which Slurm keeps in one
         record, `<id>_[<indices>]|PENDING`: runs of indices as <lo>-<hi>,
-        joined by ','."""
+        joined by ','. Tasks start in index order, and a cancel ends all that
+        pend, so they pend from the first pending one at or after the job's
+        cursor on: only the tasks before it are walked, unless a state loaded
+        from a file holds another mix."""
         try:
             j_index = tokens.index("-j")
             ids = [int(x) for x in tokens[j_index + 1].split(",") if x]
@@ -635,8 +627,15 @@ class SimCluster:
             job = self.jobs.get(job_id)
             if job is None:
                 continue
+            tasks = job.tasks
+            cursor = self._pending.get(job_id, len(tasks))
+            while cursor < len(tasks) and tasks[cursor].state is not JobState.PENDING:
+                cursor += 1  # started or cancelled since the cursor was set
             runs = []  # [lo, hi] of each run of pending array tasks
-            for task in job.tasks:
+            if job.is_array and self._counts[job_id][JobState.PENDING] == len(tasks) - cursor:
+                runs = [[tasks[cursor].index, tasks[-1].index]] if cursor < len(tasks) else []
+                tasks = tasks[:cursor]
+            for task in tasks:
                 if not job.is_array or task.state is not JobState.PENDING:
                     lines.append(f"{task.entry_id}|{task.state.value}\n")
                 elif runs and runs[-1][1] == task.index - 1:

@@ -30,7 +30,7 @@ from slurmbridge.states import (
 from tests.conftest import SAMPLE_CONFIG, make_tiff_inputs, make_zarr_inputs
 from tests.test_descriptor import descriptors, descriptors_with_values, validated
 from tests.test_orchestrator import FlakyLink, GrammarOnly, assert_no_job_outlives_its_data
-from tests.test_simslurm import brute_force_aggregate, fits_some_node, sbatch_script
+from tests.test_simslurm import brute_force_aggregate, random_schedule
 
 SCRATCH = "/scratch/omero"
 
@@ -248,38 +248,12 @@ def test_criterion_06_descriptor_properties():
     provenance_and_idempotence()
 
 
-def _random_schedule(cluster, rng, tag):
-    """Submit 1-5 random jobs; sbatch refuses, taking no job id, exactly
-    those that no node could hold. Returns the ids of the others."""
-    job_ids = []
-    for index in range(rng.randint(1, 5)):
-        resources = {"mem_mb": rng.choice([512, 1024, 4096]), "cpus": rng.randint(1, 4),
-                     "gpus": rng.choice([0, 0, 1])}
-        next_id = cluster.next_job_id
-        result = sbatch_script(
-            cluster, f"/scratch/{tag}-{index}.sh",
-            mem=resources["mem_mb"], cpus=resources["cpus"], gpus=resources["gpus"],
-            time_limit="00:01:00",
-            duration=rng.randint(1, 90),
-            array=f"0-{rng.randint(0, 3)}" if rng.random() < 0.3 else None,
-        )
-        if fits_some_node(cluster, resources):
-            assert result.stdout == f"Submitted batch job {next_id}\n", result.stderr
-            job_ids.append(next_id)
-        else:
-            assert (result.exit_code, cluster.next_job_id) == (1, next_id)
-            assert "Requested node configuration is not available" in result.stderr
-        if rng.random() < 0.5:
-            cluster.advance(rng.randint(0, 20))
-    return job_ids
-
-
 @criterion(7, "state-machine transition discipline")
 def test_criterion_07_state_machine():
     for seed in range(500):
         rng = random.Random(seed)
         cluster = SimCluster()
-        job_ids = _random_schedule(cluster, rng, f"s{seed}")
+        job_ids = random_schedule(cluster, rng, f"s{seed}")
         observed = {}
         for _ in range(rng.randint(3, 8)):
             cluster.advance(rng.randint(0, 40))
@@ -302,7 +276,7 @@ def test_criterion_08_determinism_resource_safety():
     def build_trace(seed):
         rng = random.Random(seed)
         cluster = SimCluster()
-        _random_schedule(cluster, rng, "d")
+        random_schedule(cluster, rng, "d")
         for _ in range(6):
             cluster.advance(rng.randint(1, 50))
         return cluster.render_event_trace()
@@ -316,7 +290,7 @@ def test_criterion_08_determinism_resource_safety():
                   "mem_mb": rng.choice([2048, 8192])}
                  for _ in range(rng.randint(1, 3))]
         cluster = SimCluster(nodes=nodes)
-        _random_schedule(cluster, rng, f"r{seed}")
+        random_schedule(cluster, rng, f"r{seed}")
         for _ in range(4):
             cluster.advance(rng.randint(1, 60))  # commit() asserts capacity
             for node in cluster.nodes:

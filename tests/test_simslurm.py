@@ -9,6 +9,8 @@ import tracemalloc
 import zipfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slurmbridge.simslurm import (
     DEFAULT_NODES,
@@ -61,6 +63,32 @@ def fits_some_node(cluster, resources):
     """Whether some node, idle, has the cpus, gpus and mem_mb asked for."""
     return any(node.cpus >= resources["cpus"] and node.gpus >= resources["gpus"]
                and node.mem_mb >= resources["mem_mb"] for node in cluster.nodes)
+
+
+def random_schedule(cluster, rng, tag):
+    """Submit 1-5 random jobs; sbatch refuses, taking no job id, exactly
+    those that no node could hold. Returns the ids of the others."""
+    job_ids = []
+    for index in range(rng.randint(1, 5)):
+        resources = {"mem_mb": rng.choice([512, 1024, 4096]), "cpus": rng.randint(1, 4),
+                     "gpus": rng.choice([0, 0, 1])}
+        next_id = cluster.next_job_id
+        result = sbatch_script(
+            cluster, f"/scratch/{tag}-{index}.sh",
+            mem=resources["mem_mb"], cpus=resources["cpus"], gpus=resources["gpus"],
+            time_limit="00:01:00",
+            duration=rng.randint(1, 90),
+            array=f"0-{rng.randint(0, 3)}" if rng.random() < 0.3 else None,
+        )
+        if fits_some_node(cluster, resources):
+            assert result.stdout == f"Submitted batch job {next_id}\n", result.stderr
+            job_ids.append(next_id)
+        else:
+            assert (result.exit_code, cluster.next_job_id) == (1, next_id)
+            assert "Requested node configuration is not available" in result.stderr
+        if rng.random() < 0.5:
+            cluster.advance(rng.randint(0, 20))
+    return job_ids
 
 
 def job_state(cluster, job_id):
@@ -697,3 +725,58 @@ def test_large_upload_is_never_read_whole(tmp_path):
     assert [fs.read(f"/scratch/data/r1/in/{k}.tiff") for k in range(8)] == payload
     restored = SimCluster.from_dict(json.loads(json.dumps(endpoint.cluster.to_dict())))
     assert restored.fs.snapshot() == fs.snapshot()
+
+
+def full_walk_sacct(cluster, job_ids):
+    """sacct's output for job_ids by a walk over every task of every job,
+    as the simulator printed it before it walked from each job's cursor."""
+    lines = []
+    for job_id in job_ids:
+        job = cluster.jobs.get(job_id)
+        if job is None:
+            continue
+        runs = []  # [lo, hi] of each run of pending array tasks
+        for task in job.tasks:
+            if not job.is_array or task.state is not JobState.PENDING:
+                lines.append(f"{task.entry_id}|{task.state.value}\n")
+            elif runs and runs[-1][1] == task.index - 1:
+                runs[-1][1] = task.index
+            else:
+                runs.append([task.index, task.index])
+        if runs:
+            indices = ",".join(f"{lo}-{hi}" if hi > lo else str(lo) for lo, hi in runs)
+            lines.append(f"{job_id}_[{indices}]|PENDING\n")
+    return "".join(lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       steps=st.lists(st.tuples(st.integers(0, 60), st.booleans()), min_size=1, max_size=8),
+       dependent=st.booleans())
+def test_pending_tasks_are_a_suffix_and_sacct_prints_as_the_full_walk(seed, steps, dependent):
+    """Over the random schedules of criteria 7 and 8, on drawn nodes, with
+    cancels between advances and an array that waits on another job: every
+    job's pending tasks are a suffix of its tasks, and sacct, walking from
+    each job's cursor, prints exactly what the walk over every task did."""
+    rng = random.Random(seed)
+    cluster = SimCluster(nodes=[{"cpus": rng.randint(1, 4), "gpus": rng.randint(0, 1),
+                                 "mem_mb": rng.choice([2048, 8192])}
+                                for _ in range(rng.randint(1, 3))])
+    job_ids = random_schedule(cluster, rng, "p")
+    if dependent and job_ids:
+        result = sbatch_script(
+            cluster, "/scratch/p-after.sh", duration=rng.randint(1, 30), array="0-3",
+            options=[f"--dependency=afterok:{rng.choice(job_ids)}", "--kill-on-invalid-dep=yes"])
+        job_ids.append(int(result.stdout.split()[-1]))
+    for dt, cancel in steps:
+        cluster.advance(dt)
+        if cancel and job_ids:
+            cluster.sim_exec(["scancel", str(rng.choice(job_ids))])
+        for job in cluster.jobs.values():
+            states = [task.state for task in job.tasks]
+            first = next((k for k, state in enumerate(states) if state is JobState.PENDING),
+                         len(states))
+            assert all(state is JobState.PENDING for state in states[first:]), (job.id, states)
+        listed = ",".join(map(str, job_ids))
+        assert cluster.sim_exec(["sacct", "-n", "-P", "-X", "-o", "JobID,State", "-j", listed]
+                                ).stdout == full_walk_sacct(cluster, job_ids)
