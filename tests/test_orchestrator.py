@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slurmbridge import cli
+from slurmbridge import config as config_mod
 from slurmbridge import descriptor as descriptor_mod
 from slurmbridge import orchestrator as orch
 from slurmbridge import slurm
@@ -30,7 +31,7 @@ from slurmbridge.errors import (
 from slurmbridge.simslurm import FaultDirective, SimCluster, SimEndpoint
 from slurmbridge.states import JobState
 from slurmbridge.transport import DEFAULT_DEADLINE_S, ExecResult, unframe_commands
-from tests.conftest import CELLPOSE_DESCRIPTOR, make_tiff_inputs, make_zarr_inputs
+from tests.conftest import CELLPOSE_DESCRIPTOR, SAMPLE_CONFIG, make_tiff_inputs, make_zarr_inputs
 from tests.test_slurm_client import DAMAGES, DamagesStream, record_launches
 
 
@@ -428,7 +429,7 @@ class TestConversionPath:
         assert record.overall_state is orch.RunStage.PARTIAL_FAILURE
         assert batch_errors(record) == batch_failures(events) == {1: "ConversionFailed"}
         assert "no converter configured for zarr -> tiff" in str(record.batches[1].error)
-        assert record.batches[1].job is None
+        assert record.batches[1].conversion_handle is record.batches[1].workflow_handle is None
         assert [job.script_path for job in endpoint.cluster.jobs.values()] == [
             f"{record.batches[0].remote_dir}/job.sh"]
 
@@ -532,7 +533,7 @@ class TestRunWorkflowBatched:
         failed = record.batches[1]
         assert failed.result_zip is None
         assert failed.logfile and os.path.exists(failed.logfile)
-        assert failed.job is failed.workflow_handle
+        assert failed.workflow_handle is not None
         assert batch_errors(record) == batch_failures(events) == {1: "WorkflowFailed"}
         assert failed.error.logfile == failed.logfile
 
@@ -560,8 +561,12 @@ class TestRunWorkflowBatched:
     def test_failed_upload_removal_keeps_results(self, run_env, tmp_path, monkeypatch):
         class UploadUnremovable(SimCluster):
             refused = []
+            submissions = []  # each launch that holds an sbatch
 
             def sim_exec(self, command):
+                framed = unframe_commands(command[-1]) if command[0] == "sh" else None
+                if framed and any(argv[0] == "sbatch" for argv in framed[2]):
+                    self.submissions.append(command)
                 if command[:2] == ["rm", "-f"] and command[2].endswith(".zip"):
                     self.refused.append(command[2])
                     return ExecResult(1, "", "rm: cannot remove: Permission denied\n")
@@ -586,6 +591,9 @@ class TestRunWorkflowBatched:
         )
         run_dir = f"/scratch/omero/data/{record.run_id}"
         assert UploadUnremovable.refused == [run_dir + ".zip"]
+        # The refused removal comes after the sbatches and holds no job back:
+        # the jobs go in by the one submission launch.
+        assert len(UploadUnremovable.submissions) == 1
         assert record.overall_state is orch.RunStage.DONE
         for batch in record.batches:
             with zipfile.ZipFile(batch.result_zip) as archive:
@@ -860,6 +868,58 @@ def test_whole_runs_send_only_the_grammar(sample_profile_registry, cellpose_desc
         local_output_dir=str(tmp_path / "out"))
     assert record.overall_state.value == state
     assert cluster.refused == []
+
+
+class SleepGuard(SimEndpoint):
+    """Raises on the run's 1,001st sleep: a run that polls without end."""
+
+    def __init__(self, cluster):
+        super().__init__(cluster)
+        self.sleeps = 0
+
+    def sleep(self, seconds):
+        self.sleeps += 1
+        if self.sleeps > 1000:
+            raise AssertionError("the run polled 1,000 times and did not end")
+        super().sleep(seconds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nodes=st.lists(st.fixed_dictionaries({
+           "cpus": st.integers(1, 4), "gpus": st.integers(0, 1),
+           "mem_mb": st.sampled_from([512, 2048, 8192])}), min_size=1, max_size=3),
+       resources=st.builds(config_mod.ResourceSpec, mem_mb=st.sampled_from([256, 1024, 4096]),
+                           cpus=st.integers(1, 4), gpus=st.integers(0, 1),
+                           time_limit_min=st.sampled_from([1, 60])),
+       zarr=st.booleans())
+def test_every_run_ends_on_any_topology(tmp_path_factory, nodes, resources, zarr):
+    """On 1-3 small nodes, with drawn workflow resources and no deadline, a
+    run ends Done or with its failures journaled, every job is terminal,
+    and nothing is left under data/: a job that no node can hold is refused
+    at submission, not polled for ever."""
+    profile, registry = config_mod.parse_config(SAMPLE_CONFIG)
+    descriptor = descriptor_mod.parse_descriptor(json.dumps(CELLPOSE_DESCRIPTOR))
+    entry = dataclasses.replace(registry.entry("cellpose"), resources=resources)
+    registry = dataclasses.replace(registry, entries={"cellpose": entry})
+    workdir = tmp_path_factory.mktemp("run")
+    make_tiff_inputs(str(workdir / "inputs"), 2)
+    if zarr:
+        make_zarr_inputs(str(workdir / "inputs"), 2)
+    cluster = SimCluster(nodes=nodes)
+    slurm.init_environment(SimEndpoint(cluster), profile, registry)
+    journal = str(workdir / "run.journal")
+    record = orch.run_workflow_batched(
+        SleepGuard(cluster), profile, registry, descriptor, "cellpose", {},
+        orch.scan_input_dir(str(workdir / "inputs")), 2, options=fast_options(),
+        local_output_dir=str(workdir / "out"),
+        listener=lambda stage, detail: cli.append_journal_row(journal, stage, detail))
+    rows = [(stage, detail) for _, stage, detail in cli.read_journal(journal)]
+    assert rows[-1][0] == record.overall_state.value
+    assert record.overall_state in orch.TERMINAL_STAGES
+    failed = {b.index for b in record.batches if not b.result_zip}
+    assert failed == set(batch_failures(rows))
+    assert (record.overall_state is orch.RunStage.DONE) == (not failed)
+    assert_no_job_outlives_its_data(cluster, resources.time_limit_min)
 
 
 @settings(max_examples=200, deadline=None)
