@@ -284,6 +284,7 @@ def _prepare(run, profile, workflow_descriptor, entry, options, staging_root):
     fails alone."""
     record = run.record
     by_id = {item.id: item for item in record.items}
+    image_path = slurm.image_file_path(profile, record.workflow, entry.version)
     prefix_of, scripts = {}, {}
     for batch in record.batches:
         batch_items = [by_id[i] for i in batch.items]
@@ -308,8 +309,7 @@ def _prepare(run, profile, workflow_descriptor, entry, options, staging_root):
         scripts[f"batch{batch.index}/job.sh"] = jobscript.render_script(
             jobscript.generate_workflow_script(
                 workflow_descriptor, entry.resources, record.values,
-                jobscript.RunPaths(in_dir, out_dir, gt_dir, slurm.image_file_path(
-                    profile, record.workflow, entry.version)),
+                jobscript.RunPaths(in_dir, out_dir, gt_dir, image_path),
                 run.logs_dir, sim=jobscript.SimAnnotation(
                     duration_s=options.sim_duration_s, outputs=len(batch.items))))
         prefix_of.update(dict.fromkeys(batch.items, f"batch{batch.index}/"))
@@ -324,7 +324,9 @@ def _prepare(run, profile, workflow_descriptor, entry, options, staging_root):
 
 
 def _upload(run, archive):
-    """Stage: one upload of the archive, if any; a failed one fails every batch."""
+    """Stage: one upload of the archive, if any, beside the run dir: data/
+    exists since init, so no launch has to make a dir for it. A failed
+    upload fails every batch."""
     run.emit(RunStage.TRANSFERRING, f"batches={len(run.record.batches)}")
     try:
         if archive:
@@ -482,9 +484,10 @@ def _retrieve(run, local_output_dir):
             run.record.output_artifacts.append(batch.result_zip)
             continue
         if batch.error is None:
-            batch.error = WorkflowFailed(f"workflow job ended "
-                                         f"{batch.state.value if batch.state else 'unknown'}",
-                                         logfile=batch.logfile)
+            batch.error = WorkflowFailed(
+                f"workflow job ended {batch.state.value if batch.state else 'unknown'}",
+                logfile=batch.logfile,
+            )
         if batch.logfile:
             run.record.output_artifacts.append(batch.logfile)
         run.emit("batch-failed",

@@ -613,10 +613,11 @@ class SimCluster:
         """`<entry id>|<state>` per task, as `sacct -n -P -X -o JobID,State`
         prints it, but for an array's pending tasks, which Slurm keeps in one
         record, `<id>_[<indices>]|PENDING`: runs of indices as <lo>-<hi>,
-        joined by ','. Tasks start in index order, and a cancel ends all that
-        pend, so they pend from the first pending one at or after the job's
-        cursor on: only the tasks before it are walked, unless a state loaded
-        from a file holds another mix."""
+        joined by ','. Tasks start in index order, and a cancel ends every
+        task that pends, so an array's pending tasks are those from the first
+        pending one at or after its cursor: only the tasks before that one are
+        walked. A state loaded from a file may hold another mix, which the
+        job's count of pending tasks shows; such a job is walked whole."""
         try:
             j_index = tokens.index("-j")
             ids = [int(x) for x in tokens[j_index + 1].split(",") if x]
