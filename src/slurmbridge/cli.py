@@ -265,7 +265,7 @@ def cmd_run(workflow, config_path, simulate, runs_dir, params, input_dir,
                 local_output_dir=output_dir, listener=listener, run_id=run_id,
             )
         except SlurmBridgeError as exc:
-            _fail(str(exc), code=EXIT_RUN_FAILURE if os.path.exists(path) else EXIT_USAGE)
+            _fail(str(exc))
     click.echo(f"run_id={record.run_id}")
     click.echo(f"state={record.overall_state.value}")
     for artifact in record.output_artifacts:

@@ -163,11 +163,8 @@ class InvalidBatchSize(SlurmBridgeError):
 
 
 class StageFailure(SlurmBridgeError):
-    """A run failed in a specific pipeline stage; optionally carries a logfile."""
-
-    def __init__(self, message, logfile=None):
-        self.logfile = logfile
-        super().__init__(message)
+    """A batch failed in a specific pipeline stage; its logfile, if any, is
+    BatchRun.logfile."""
 
 
 class TransferFailed(StageFailure):

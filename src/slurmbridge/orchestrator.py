@@ -27,6 +27,7 @@ from .errors import (
     SlurmBridgeError,
     TransferFailed,
     TransportError,
+    UnknownState,
     WorkflowFailed,
 )
 from .states import JobState
@@ -231,7 +232,9 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
 
     Every stage and event goes to listener(stage, detail). A run refused for
     its values, workflow, batch size or two inputs of one id raises before
-    the first event and before any remote call.
+    the first event and before any remote call, and raises nothing else of
+    this package: a poll that gives up fails the batches still live, as the
+    deadline does, and the run still retrieves and journals its end.
     """
     options = options or RunOptions()
     values = descriptor_mod.validate_values(workflow_descriptor, values)
@@ -394,8 +397,10 @@ def _submit(run):
 def _poll(run, options):
     """Stage: one poll loop over every live job; it only observes, and
     sleeps before each poll, as no job can have ended at once. Up to two
-    accounting failures in a row only cost a round; the third ends the
-    run."""
+    accounting failures in a row only cost a round. The loop gives up at
+    the deadline, at the third accounting failure in a row or at a state
+    token it cannot map: every batch still live then fails with that error,
+    and the retrieval brings back what completed and cancels the rest."""
     run.emit(RunStage.RUNNING, "polling")
     live = run.live
     elapsed = 0.0
@@ -403,14 +408,16 @@ def _poll(run, options):
     while live:
         run.endpoint.sleep(options.poll_interval_s)
         elapsed += options.poll_interval_s
+        states, give_up = {}, None
         try:
             states = slurm.poll_jobs(run.endpoint, list(live))
             accounting_failures = 0
-        except AccountingUnavailable:
+        except AccountingUnavailable as exc:
             accounting_failures += 1
             if accounting_failures == 3:
-                raise
-            states = {}
+                give_up = exc
+        except UnknownState as exc:
+            give_up = exc
         for handle, batch in list(live.items()):
             state = states.get(handle.job_id)
             if state is None or not state.terminal:
@@ -422,10 +429,11 @@ def _poll(run, options):
             elif state is not JobState.COMPLETED:
                 _fail(batch, ConversionFailed(
                     f"conversion job {handle.job_id} ended {state.value}"))
-        if live and options.deadline_s is not None and elapsed >= options.deadline_s:
+        if give_up is None and options.deadline_s is not None and elapsed >= options.deadline_s:
+            give_up = WorkflowFailed(f"deadline exceeded after {elapsed}s")
+        if live and give_up is not None:
             for batch in live.values():
-                batch.error = batch.error or WorkflowFailed(
-                    f"deadline exceeded after {elapsed}s")
+                batch.error = batch.error or give_up
             break
 
 
@@ -485,9 +493,7 @@ def _retrieve(run, local_output_dir):
             continue
         if batch.error is None:
             batch.error = WorkflowFailed(
-                f"workflow job ended {batch.state.value if batch.state else 'unknown'}",
-                logfile=batch.logfile,
-            )
+                f"workflow job ended {batch.state.value if batch.state else 'unknown'}")
         if batch.logfile:
             run.record.output_artifacts.append(batch.logfile)
         run.emit("batch-failed",
@@ -539,13 +545,9 @@ def import_results(record, destination, mode):
         raise NoResults(record.run_id)
     os.makedirs(destination, exist_ok=True)
     written = []
-    made = {destination}
 
     def place(data, target):
-        directory = os.path.dirname(target)
-        if directory not in made:
-            os.makedirs(directory, exist_ok=True)
-            made.add(directory)
+        os.makedirs(os.path.dirname(target), exist_ok=True)
         try:
             handle = open(target, "xb")  # made here, or refused if it exists
         except FileExistsError:

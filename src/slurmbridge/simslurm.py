@@ -58,15 +58,10 @@ def _norm(path):
 
 class _Extent:
     """A read-only binary file over size bytes of file descriptor fd from
-    offset on; a seek before its start goes to its start. It reads ahead: a
-    read that falls outside the window of the last pread takes up to _CHUNK
-    bytes from its position on in one pread, so that the small reads of a
-    walk through an archive's entries cost one pread per _CHUNK. The bytes of
-    a spool never change, so the window never goes stale."""
+    offset on, read with pread; a seek before its start goes to its start."""
 
     def __init__(self, fd, offset, size):
         self.fd, self.offset, self.size, self.position = fd, offset, size, 0
-        self.window_start, self.window = 0, b""
 
     def seek(self, position, whence=os.SEEK_SET):
         self.position = max(position + (0, self.position, self.size)[whence], 0)
@@ -76,13 +71,10 @@ class _Extent:
         return self.position
 
     def read(self, count=-1):
-        start = self.position
-        end = max(self.size if count < 0 else min(start + count, self.size), start)
-        if not self.window_start <= start <= end <= self.window_start + len(self.window):
-            size = max(end - start, min(_CHUNK, self.size - start))
-            self.window_start, self.window = start, os.pread(self.fd, size, self.offset + start)
-        self.position = end
-        return self.window[start - self.window_start:end - self.window_start]
+        end = self.size if count < 0 else min(self.position + count, self.size)
+        data = os.pread(self.fd, max(end - self.position, 0), self.offset + self.position)
+        self.position += len(data)
+        return data
 
     def chunks(self, count):
         """The next count bytes, or the rest if fewer, in pieces of at most _CHUNK."""
@@ -613,11 +605,7 @@ class SimCluster:
         """`<entry id>|<state>` per task, as `sacct -n -P -X -o JobID,State`
         prints it, but for an array's pending tasks, which Slurm keeps in one
         record, `<id>_[<indices>]|PENDING`: runs of indices as <lo>-<hi>,
-        joined by ','. Tasks start in index order, and a cancel ends every
-        task that pends, so an array's pending tasks are those from the first
-        pending one at or after its cursor: only the tasks before that one are
-        walked. A state loaded from a file may hold another mix, which the
-        job's count of pending tasks shows; such a job is walked whole."""
+        joined by ','."""
         try:
             j_index = tokens.index("-j")
             ids = [int(x) for x in tokens[j_index + 1].split(",") if x]
@@ -628,15 +616,8 @@ class SimCluster:
             job = self.jobs.get(job_id)
             if job is None:
                 continue
-            tasks = job.tasks
-            cursor = self._pending.get(job_id, len(tasks))
-            while cursor < len(tasks) and tasks[cursor].state is not JobState.PENDING:
-                cursor += 1  # started or cancelled since the cursor was set
             runs = []  # [lo, hi] of each run of pending array tasks
-            if job.is_array and self._counts[job_id][JobState.PENDING] == len(tasks) - cursor:
-                runs = [[tasks[cursor].index, tasks[-1].index]] if cursor < len(tasks) else []
-                tasks = tasks[:cursor]
-            for task in tasks:
+            for task in job.tasks:
                 if not job.is_array or task.state is not JobState.PENDING:
                     lines.append(f"{task.entry_id}|{task.state.value}\n")
                 elif runs and runs[-1][1] == task.index - 1:

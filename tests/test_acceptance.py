@@ -20,7 +20,6 @@ from slurmbridge import jobscript as js
 from slurmbridge import orchestrator as orch
 from slurmbridge import slurm
 from slurmbridge.config import ResourceSpec, parse_config
-from slurmbridge.errors import AccountingUnavailable
 from slurmbridge.simslurm import FaultDirective, SimCluster, SimEndpoint
 from slurmbridge.states import (
     JobState,
@@ -357,16 +356,13 @@ def test_criterion_11_no_job_outlives_its_data(cellpose_descriptor, tmp_path):
                 endpoint.cluster.inject_fault(FaultDirective(
                     script_substring=f"batch{index}/job.sh", forced_state=state))
         items = orch.scan_input_dir(str(tmp_path / input_format))[:2 * len(forced)]
-        try:
-            orch.run_workflow_batched(
-                FlakyLink(endpoint.cluster, sacct_failures, lose_submission,
-                          lose_retrieval=lose_retrieval, lose_upload=lose_upload),
-                profile, registry,
-                cellpose_descriptor, "cellpose", {}, items, 2,
-                options=run_options(deadline_s=deadline_s),
-                local_output_dir=str(tmp_path / "out"))
-        except AccountingUnavailable:
-            pass
+        orch.run_workflow_batched(
+            FlakyLink(endpoint.cluster, sacct_failures, lose_submission,
+                      lose_retrieval=lose_retrieval, lose_upload=lose_upload),
+            profile, registry,
+            cellpose_descriptor, "cellpose", {}, items, 2,
+            options=run_options(deadline_s=deadline_s),
+            local_output_dir=str(tmp_path / "out"))
         assert endpoint.cluster.refused == []
         assert_no_job_outlives_its_data(
             endpoint.cluster, registry.entry("cellpose").resources.time_limit_min)

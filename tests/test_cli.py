@@ -16,7 +16,7 @@ from tests.conftest import (
     make_tiff_inputs,
     make_zarr_inputs,
 )
-from tests.test_orchestrator import packs_damaged
+from tests.test_orchestrator import FlakyLink, ReportsUnmapped, packs_damaged
 
 
 @pytest.fixture
@@ -341,6 +341,34 @@ class TestStatusLogsFetch:
         assert result.exit_code == 1
         assert kv_lines(result.stdout)["state"] == ["Running"]
         assert "host unreachable" in result.stderr
+
+    @pytest.mark.parametrize("endpoint_class, error", [
+        (lambda cluster: FlakyLink(cluster, [True] * 3), "AccountingUnavailable"),
+        (ReportsUnmapped, "UnknownState"),
+    ], ids=["accounting", "unknown-state"])
+    def test_status_after_the_poll_gave_up_makes_no_remote_call(
+            self, runner, workspace, monkeypatch, endpoint_class, error):
+        tmp_path, config_path, topology_path, _ = workspace
+        make_tiff_inputs(str(tmp_path / "inputs"), 2)
+        runner.invoke(main, ["init", "--config", config_path, "--simulate", topology_path])
+        monkeypatch.setattr(simslurm, "SimEndpoint", endpoint_class)
+        run = runner.invoke(
+            main, ["run", "cellpose", "--config", config_path, "--simulate", topology_path,
+                   "--input", str(tmp_path / "inputs"), "--output", str(tmp_path / "out"),
+                   "--runs-dir", str(tmp_path / "runs")])
+        assert run.exit_code == 1, run.output
+        assert kv_lines(run.stdout)["state"] == ["Failed"]
+        opened = []
+        monkeypatch.setattr(cli, "SshEndpoint", opened.append)
+        result = runner.invoke(
+            main, ["status", kv_lines(run.stdout)["run_id"][0],
+                   "--runs-dir", str(tmp_path / "runs"), "--config", config_path])
+        assert result.exit_code == 0, result.output
+        assert opened == []
+        pairs = kv_lines(result.stdout)
+        assert pairs["state"] == ["Failed"] and "job" not in pairs
+        assert [detail.split()[1] for stage, detail in journal_rows(result.stdout)
+                if stage == "batch-failed"] == [f"{error}:"]
 
     def test_status_of_a_journal_without_a_stage_is_usage_error(self, runner, workspace):
         runs = workspace[0] / "runs"

@@ -19,7 +19,6 @@ from slurmbridge import descriptor as descriptor_mod
 from slurmbridge import orchestrator as orch
 from slurmbridge import slurm
 from slurmbridge.errors import (
-    AccountingUnavailable,
     CollisionError,
     ConnectionLost,
     DuplicateId,
@@ -137,6 +136,18 @@ class ReportsCompleting(SimEndpoint):
             self.rewritten = True
             return dataclasses.replace(
                 result, stdout=result.stdout.replace("|COMPLETED\n", "|COMPLETING\n"))
+        return result
+
+
+class ReportsUnmapped(SimEndpoint):
+    """Answers every sacct poll with a state token that no JobState maps,
+    as a newer Slurm than the client knows may print."""
+
+    def exec(self, command, timeout=DEFAULT_DEADLINE_S):
+        result = super().exec(command, timeout)
+        if command[0] == "sacct":
+            return dataclasses.replace(result, stdout="".join(
+                line.split("|")[0] + "|WOBBLY\n" for line in result.stdout.splitlines()))
         return result
 
 
@@ -535,7 +546,25 @@ class TestRunWorkflowBatched:
         assert failed.logfile and os.path.exists(failed.logfile)
         assert failed.workflow_handle is not None
         assert batch_errors(record) == batch_failures(events) == {1: "WorkflowFailed"}
-        assert failed.error.logfile == failed.logfile
+        assert failed.logfile in record.output_artifacts
+
+    def test_accounting_lost_mid_run_keeps_the_completed_batches(self, run_env, tmp_path):
+        # sacct fails from its 4th call on. The three polls before it saw 4
+        # of the 6 batches complete; the third failure in a row fails the
+        # other 2, which the retrieval launch cancels by name.
+        endpoint, profile, registry, descriptor = run_env
+        events = Events()
+        record = orch.run_workflow_batched(
+            FlakyLink(endpoint.cluster, [False] * 3 + [True] * 3), profile, registry,
+            descriptor, "cellpose", {}, tiff_items(tmp_path, 12), 2,
+            options=orch.RunOptions(), local_output_dir=str(tmp_path / "out"),
+            listener=events)
+        assert events[-1] == ("PartialFailure", "completed=4 failed=2")
+        assert len([p for p in record.output_artifacts if p.endswith(".zip")]) == 4
+        assert batch_errors(record) == batch_failures(events) == {
+            4: "AccountingUnavailable", 5: "AccountingUnavailable"}
+        assert_no_job_outlives_its_data(
+            endpoint.cluster, registry.entry("cellpose").resources.time_limit_min)
 
     def test_missing_output_fails_only_its_batch(self, run_env, tmp_path):
         endpoint, profile, registry, descriptor = run_env
@@ -956,10 +985,19 @@ class TestRunLifecycle:
         assert record.overall_state is orch.RunStage.DONE
         assert all(batch.result_zip for batch in record.batches)
 
-    def test_third_accounting_failure_cancels_then_raises(self, run_env, tmp_path):
+    @pytest.mark.parametrize("endpoint_class, error", [
+        (lambda cluster: FlakyLink(cluster, [True, True, True]), "AccountingUnavailable"),
+        # An unmapped token gives up at once, though no accounting failed.
+        (ReportsUnmapped, "UnknownState"),
+    ], ids=["accounting", "unknown-state"])
+    def test_poll_giving_up_fails_live_batches(self, run_env, tmp_path, endpoint_class, error):
         cluster = run_env[0].cluster
-        with pytest.raises(AccountingUnavailable):
-            self.run(FlakyLink(cluster, [True, True, True]), run_env, tmp_path)
+        events = Events()
+        record = self.run(endpoint_class(cluster), run_env, tmp_path, listener=events)
+        assert record.overall_state is orch.RunStage.FAILED
+        assert events[-1][0] == "Failed"
+        assert batch_errors(record) == batch_failures(events) == {0: error, 1: error}
+        assert "cancel" in [stage for stage, _ in events]
         assert len(cluster.jobs) == 2
         assert_no_job_outlives_its_data(
             cluster, run_env[2].entry("cellpose").resources.time_limit_min)

@@ -15,7 +15,6 @@ import pytest
 
 from slurmbridge import orchestrator as orch
 from slurmbridge import slurm
-from slurmbridge.errors import AccountingUnavailable
 from slurmbridge.simslurm import SimCluster, SimEndpoint
 from slurmbridge.transport import ExecResult, unframe_commands
 from tests.conftest import make_tiff_inputs, make_zarr_inputs
@@ -74,13 +73,10 @@ def record_run(name, profile, registry, descriptor, workdir, monkeypatch):
     cluster.sim_exec = recording
     events = Events()
     run_id = "golden-run"
-    try:
-        orch.run_workflow_batched(
-            make_endpoint(cluster), profile, registry, descriptor, "cellpose", {},
-            orch.scan_input_dir(inputs), 2, options=fast_options(**overrides),
-            local_output_dir=os.path.join(workdir, "out"), listener=events, run_id=run_id)
-    except AccountingUnavailable as exc:
-        events.append(("raised", type(exc).__name__))
+    orch.run_workflow_batched(
+        make_endpoint(cluster), profile, registry, descriptor, "cellpose", {},
+        orch.scan_input_dir(inputs), 2, options=fast_options(**overrides),
+        local_output_dir=os.path.join(workdir, "out"), listener=events, run_id=run_id)
 
     def scrub(text):
         return text.replace(workdir, "<workdir>").replace(run_id, "<run>")
