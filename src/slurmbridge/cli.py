@@ -276,11 +276,14 @@ def cmd_run(workflow, config_path, simulate, runs_dir, params, input_dir,
 
 def _read_journal(runs_dir, run_id):
     """The run's journal rows as [timestamp, stage, detail]; exits 2 when
-    runs_dir holds no journal for run_id."""
+    runs_dir holds no journal for run_id, or one with a row of fewer than
+    three fields."""
     try:
         return read_journal(journal_path(runs_dir, run_id))
     except FileNotFoundError:
         _fail(str(UnknownRunId(run_id)))
+    except ValueError:
+        _fail(f"journal of run {run_id} holds a damaged row")
 
 
 @main.command("status")
@@ -292,6 +295,7 @@ def cmd_status(run_id, runs_dir, config_path, simulate):
     """Show the stage journal of a run and its state, the last run stage
     journaled, plus the live states of its jobs while it is not terminal."""
     lines = _read_journal(runs_dir, run_id)
+    handles = _journal_handles(lines, run_id)
     for timestamp, stage, detail in lines:
         click.echo(f"time={timestamp}\tstage={stage}\tdetail={detail}")
     stages = {stage.value for stage in orchestrator.RunStage}
@@ -299,7 +303,6 @@ def cmd_status(run_id, runs_dir, config_path, simulate):
     if final is None:
         _fail(f"journal of run {run_id} records no run stage")
     click.echo(f"state={final}")
-    handles = _journal_handles(lines)
     if handles and final not in {s.value for s in orchestrator.TERMINAL_STAGES}:
         profile, _ = _load_config(config_path)
         with _endpoint(profile, simulate) as endpoint:
@@ -312,14 +315,18 @@ def cmd_status(run_id, runs_dir, config_path, simulate):
     sys.exit(EXIT_OK)
 
 
-def _journal_handles(lines):
+def _journal_handles(lines, run_id):
+    """The job of each `submit` row; exits 2 at a row it cannot read."""
     handles = []
     for _, stage, detail in lines:
         if stage != "submit":
             continue
         fields = dict(part.split("=", 1) for part in detail.split() if "=" in part)
-        handles.append(slurm.JobHandle(
-            int(fields["job_id"]), int(fields["tasks"]) if "tasks" in fields else None))
+        try:
+            handles.append(slurm.JobHandle(
+                int(fields["job_id"]), int(fields["tasks"]) if "tasks" in fields else None))
+        except (KeyError, ValueError):
+            _fail(f"journal of run {run_id} holds a damaged submit row: {detail}")
     return handles
 
 
@@ -330,7 +337,8 @@ def _journal_handles(lines):
 def cmd_logs(run_id, runs_dir, log_dir):
     """Print the fetched logfiles of a run, an array's task logs included."""
     paths = [os.path.join(log_dir, log)
-             for job in _journal_handles(_read_journal(runs_dir, run_id)) for log in job.logs]
+             for job in _journal_handles(_read_journal(runs_dir, run_id), run_id)
+             for log in job.logs]
     paths = [path for path in paths if os.path.exists(path)]
     for path in paths:
         click.echo(f"== {path}")

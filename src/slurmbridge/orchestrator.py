@@ -1,6 +1,7 @@
 """End-to-end workflow runs: pack inputs, transfer, schedule conversion and
 workflow jobs per batch, await completion, retrieve results, clean up."""
 
+import collections
 import io
 import os
 import posixpath
@@ -28,9 +29,11 @@ from .errors import (
     TransferFailed,
     TransportError,
     UnknownState,
+    UnparseableJobId,
     WorkflowFailed,
 )
 from .states import JobState
+from .transport import PIECE
 
 
 class InputFormat(Enum):
@@ -149,16 +152,24 @@ def pack_inputs(items, staging_dir, prefix_of=None, scripts=None):
         for item in sorted(items, key=lambda i: i.id):
             arcbase = f"{prefix_of.get(item.id, '')}in/{item.id}.{item.format.value}"
             if os.path.isdir(item.local_path):
-                for root, _, files in os.walk(item.local_path):
+                top = os.path.normpath(item.local_path)
+                for root, _, files in os.walk(top):
+                    inner = arcbase + root[len(top):]
                     for name in sorted(files):
-                        full = os.path.join(root, name)
-                        rel = os.path.relpath(full, item.local_path)
-                        archive.write(full, f"{arcbase}/{rel}")
+                        _store(archive, os.path.join(root, name), f"{inner}/{name}")
             else:
-                archive.write(item.local_path, arcbase)
+                _store(archive, item.local_path, arcbase)
         for name, text in sorted((scripts or {}).items()):
             archive.writestr(name, text)
     return zip_path
+
+
+def _store(archive, path, name):
+    """Copy the file at path into archive as the entry name, as
+    ZipFile.write would, but in pieces of PIECE bytes, not 8 KiB."""
+    with open(path, "rb") as source, \
+            archive.open(zipfile.ZipInfo.from_file(path, name), "w") as target:
+        shutil.copyfileobj(source, target, PIECE)
 
 
 def plan_batches(items, batch_size):
@@ -398,9 +409,10 @@ def _poll(run, options):
     """Stage: one poll loop over every live job; it only observes, and
     sleeps before each poll, as no job can have ended at once. Up to two
     accounting failures in a row only cost a round. The loop gives up at
-    the deadline, at the third accounting failure in a row or at a state
-    token it cannot map: every batch still live then fails with that error,
-    and the retrieval brings back what completed and cancels the rest."""
+    the deadline, at the third accounting failure in a row, or at an
+    accounting line or state token it cannot read: every batch still live
+    then fails with that error, and the retrieval brings back what
+    completed and cancels the rest."""
     run.emit(RunStage.RUNNING, "polling")
     live = run.live
     elapsed = 0.0
@@ -416,7 +428,7 @@ def _poll(run, options):
             accounting_failures += 1
             if accounting_failures == 3:
                 give_up = exc
-        except UnknownState as exc:
+        except (UnknownState, UnparseableJobId) as exc:
             give_up = exc
         for handle, batch in list(live.items()):
             state = states.get(handle.job_id)
@@ -501,7 +513,9 @@ def _retrieve(run, local_output_dir):
 
 
 def _finish(run):
-    """Stage: the run's final state, from which batches brought results back."""
+    """Stage: the run's final state, from which batches brought results back;
+    a failed run names each distinct error once, with the number of batches
+    it failed when more than one."""
     batches = run.record.batches
     completed = [b for b in batches if b.result_zip]
     if len(completed) == len(batches):
@@ -510,7 +524,10 @@ def _finish(run):
         run.emit(RunStage.PARTIAL_FAILURE,
                  f"completed={len(completed)} failed={len(batches) - len(completed)}")
     else:
-        run.emit(RunStage.FAILED, "; ".join(str(b.error) for b in batches if b.error))
+        counts = collections.Counter(str(b.error) for b in batches if b.error)
+        run.emit(RunStage.FAILED, "; ".join(
+            f"{message} ({count} batches)" if count > 1 else message
+            for message, count in counts.items()))
     return run.record
 
 
@@ -539,46 +556,48 @@ def import_results(record, destination, mode):
     """Place run outputs locally: unpacked images, sidecar files next to the
     inputs they derive from, or the raw zips. A file already at a target,
     however recently made, is never overwritten: its import stops with
-    CollisionError."""
+    CollisionError. Each file is copied in pieces of PIECE bytes, so no
+    result is held whole in memory."""
     zips = [b.result_zip for b in record.batches if b.result_zip]
     if not zips:
         raise NoResults(record.run_id)
     os.makedirs(destination, exist_ok=True)
     written = []
 
-    def place(data, target):
+    def place(source, target):
         os.makedirs(os.path.dirname(target), exist_ok=True)
         try:
             handle = open(target, "xb")  # made here, or refused if it exists
         except FileExistsError:
             raise CollisionError(target) from None
         with handle:
-            handle.write(data)
+            shutil.copyfileobj(source, handle, PIECE)
         written.append(target)
 
     def entries():
-        """(name, bytes) of every file in the result zips."""
+        """(name, open entry) of every file in the result zips."""
         for zip_path in zips:
             with zipfile.ZipFile(zip_path) as archive:
                 for info in archive.infolist():
                     if not info.is_dir():
-                        yield info.filename, archive.read(info)
+                        with archive.open(info) as source:
+                            yield info.filename, source
 
     if mode == "SingleZip":
         for zip_path in zips:
-            with open(zip_path, "rb") as handle:
-                place(handle.read(), os.path.join(destination, os.path.basename(zip_path)))
+            with open(zip_path, "rb") as source:
+                place(source, os.path.join(destination, os.path.basename(zip_path)))
         return written
 
     run_dir = os.path.join(destination, record.run_id)
     if mode == "ImagesFolder":
-        for name, data in entries():
-            place(data, os.path.join(run_dir, name))
+        for name, source in entries():
+            place(source, os.path.join(run_dir, name))
         return written
 
     if mode == "SidecarAttachments":
         longest_first = sorted(record.items, key=lambda item: -len(item.id))
-        for entry, data in entries():
+        for entry, source in entries():
             name = os.path.basename(entry)
             stem = name.rsplit(".", 1)[0]
             match = next((item for item in longest_first if stem == item.id
@@ -587,7 +606,7 @@ def import_results(record, destination, mode):
                 target = os.path.join(os.path.dirname(match.local_path), name)
             else:
                 target = os.path.join(run_dir, "unmatched", name)
-            place(data, target)
+            place(source, target)
         return written
 
     raise ValueError(f"unknown import mode: {mode}")

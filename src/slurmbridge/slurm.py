@@ -25,6 +25,11 @@ from .states import JobState, aggregate_array_states, parse_state_token
 from .transport import Captured, sha256_hex, staging_path
 
 _PARSABLE_RE = re.compile(r"(\d+)(?:;\S*)?")
+# Each line of `sacct -P -o JobID,State` that is not blank: the job id of
+# `<id>`, an array task `<id>_<k>` or an array's pending tasks
+# `<id>_[<ranges>]`, the rest of that id and the state token; or, in the
+# fourth group, a line that is none of these.
+_SACCT_RE = re.compile(r"^(?:(\d+)(_(?:\d+|\[[\d,%-]+\]))?\|(.*)|(.*\S.*))$", re.MULTILINE)
 
 MANAGED_DIRS = ("singularity_images", "slurm-scripts/jobs", "data", "logs")
 
@@ -158,11 +163,13 @@ def submit_job(endpoint, scripts, name, setup=(), last=()):
 
 def poll_jobs(endpoint, handles):
     """One accounting round trip covering every handle; array parents are
-    aggregated from their task states."""
-    ids = ",".join(str(h.job_id) for h in handles)
+    aggregated from their task states. A line for a job not asked about is
+    ignored; one whose job id cannot be read raises UnparseableJobId, and
+    one whose state token cannot be mapped UnknownState."""
+    asked = {str(h.job_id): h.job_id for h in handles}
     try:
         result = endpoint.exec(
-            ["sacct", "-n", "-P", "-X", "-o", "JobID,State", "-j", ids]
+            ["sacct", "-n", "-P", "-X", "-o", "JobID,State", "-j", ",".join(asked)]
         )
     except TransportError as exc:
         raise AccountingUnavailable(str(exc)) from exc
@@ -170,18 +177,20 @@ def poll_jobs(endpoint, handles):
         raise AccountingUnavailable(result.stderr.strip())
     plain = {}
     tasks = {}
-    for line in result.stdout.splitlines():
-        if "|" not in line:
+    parsed = {}  # state token -> JobState, mapped once per token
+    for entry_id, task, token, unreadable in _SACCT_RE.findall(result.stdout):
+        if unreadable:
+            raise UnparseableJobId(f"unreadable accounting line: {unreadable!r}")
+        job_id = asked.get(entry_id)
+        if job_id is None:
             continue
-        entry_id, _, token = line.partition("|")
-        state = parse_state_token(token)
+        state = parsed.get(token) or parsed.setdefault(token, parse_state_token(token))
         if state is None:
             raise UnknownState(token)
-        if "_" in entry_id:
-            parent, _, _ = entry_id.partition("_")
-            tasks.setdefault(int(parent), []).append(state)
+        if task:
+            tasks.setdefault(job_id, []).append(state)
         else:
-            plain[int(entry_id)] = state
+            plain[job_id] = state
     plain.update((job_id, aggregate_array_states(states)) for job_id, states in tasks.items())
     # A job submitted but not yet visible to accounting is PENDING.
     return {handle.job_id: plain.get(handle.job_id, JobState.PENDING) for handle in handles}

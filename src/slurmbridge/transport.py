@@ -32,6 +32,9 @@ from .errors import (
 
 DEFAULT_DEADLINE_S = 300
 
+# The bytes a local file is read or copied in: few syscalls, little memory.
+PIECE = 1 << 20
+
 # exec_many runs its commands as one `sh -c` script: it sets `mark` to a
 # fresh nonce and the guard `ok` to 0, then runs each command, followed by
 # the line "<mark> <exit status>" on stdout and on stderr; a command that
@@ -216,7 +219,7 @@ def _unframe_output(text, mark, count):
 def file_sha256(path):
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
+        for chunk in iter(lambda: handle.read(PIECE), b""):
             digest.update(chunk)
     return digest.hexdigest()
 

@@ -378,6 +378,23 @@ class TestStatusLogsFetch:
         assert result.exit_code == 2
         assert result.stderr == "error: journal of run empty records no run stage\n"
 
+    @pytest.mark.parametrize("row", [
+        "t2\tsubmit\tbatch=0 kind=workflow job_id=12x",
+        "t2\tsubmit\tbatch=0 kind=conversion job_id=12 tasks=many",
+        "t2\tsubmit\tbatch=0 kind=workflow",
+        "t2\tsubmit",
+    ], ids=["job-id", "tasks", "no-job-id", "two-fields"])
+    @pytest.mark.parametrize("command", ["status", "logs"])
+    def test_damaged_journal_row_is_usage_error(self, runner, workspace, command, row):
+        runs = workspace[0] / "runs"
+        runs.mkdir()
+        (runs / "bad.journal").write_text(f"t0\tinputs\t/in\nt1\tQueued\tx\n{row}\n")
+        result = runner.invoke(main, [command, "bad", "--runs-dir", str(runs)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: journal of run bad holds a damaged")
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.output
+
     def test_status_reads_a_journal_written_before_details_were_escaped(
             self, runner, workspace):
         # Such a journal split a detail that held a newline over two lines.
@@ -447,7 +464,8 @@ class TestStatusLogsFetch:
 
     def test_status_and_logs_after_a_damaged_upload(self, runner, workspace, monkeypatch):
         # Two batches each fail with unzip's stderr in their error, and the
-        # Failed row joins both: each row must still be one journal line.
+        # Failed row names it once for both: each row must still be one
+        # journal line.
         tmp_path, config_path, topology_path, _ = workspace
         make_tiff_inputs(str(tmp_path / "inputs"), 2)
         runner.invoke(main, ["init", "--config", config_path, "--simulate", topology_path])
@@ -464,7 +482,8 @@ class TestStatusLogsFetch:
         assert status.exit_code == 0, status.output
         assert kv_lines(status.stdout)["state"] == ["Failed"]
         failed = [detail for stage, detail in journal_rows(status.stdout) if stage == "Failed"]
-        assert len(failed) == 1 and failed[0].count("remote unpack failed:") == 2
+        assert len(failed) == 1 and failed[0].count("remote unpack failed:") == 1
+        assert failed[0].endswith(" (2 batches)")
         assert "bad CRC" in failed[0]
         logs = runner.invoke(main, ["logs", run_id, "--runs-dir", str(tmp_path / "runs"),
                                     "--dir", str(tmp_path / "out")])

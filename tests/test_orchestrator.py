@@ -7,6 +7,7 @@ import os
 import shutil
 import struct
 import subprocess
+import tracemalloc
 import zipfile
 
 import pytest
@@ -151,6 +152,17 @@ class ReportsUnmapped(SimEndpoint):
         return result
 
 
+class ReportsHeterogeneous(SimEndpoint):
+    """Answers every sacct poll with a heterogeneous job's component line,
+    `<id>+<offset>`, which no job id of the client reads as."""
+
+    def exec(self, command, timeout=DEFAULT_DEADLINE_S):
+        result = super().exec(command, timeout)
+        if command[0] == "sacct":
+            return dataclasses.replace(result, stdout="1+0|COMPLETED\n")
+        return result
+
+
 class RefusesConversion(SimCluster):
     """Refuses the sbatch of the conversion array under one batch dir, as a
     cluster refuses a job over its account's limits."""
@@ -282,6 +294,62 @@ class TestPackInputs:
         with zipfile.ZipFile(zip_path) as archive:
             assert sorted(archive.namelist()) == sorted(source_files)
         assert len(source_files) >= 6  # 5 chunks + .zattrs
+
+
+    def test_archive_is_what_zipfile_write_makes(self, tmp_path):
+        """Entries copied in pieces are what ZipFile.write makes of the same
+        walk: the same infolist, in order, the same bytes, and, with no
+        script entry to carry a wall-clock stamp, the same archive."""
+        inputs = tmp_path / "inputs"
+        make_tiff_inputs(str(inputs), 2)
+        make_zarr_inputs(str(inputs), 1, chunks=2)
+        os.makedirs(inputs / "vol00.zarr" / "0" / "sub")
+        (inputs / "vol00.zarr" / "0" / "sub" / "0").write_bytes(b"nested chunk")
+        (inputs / "big.tiff").write_bytes(b"II*\x00" + os.urandom(3 << 20))
+        os.utime(inputs / "big.tiff", (0, 1_000_000_000))
+        items = orch.scan_input_dir(str(inputs))
+        prefix_of = {"img00": "batch0/", "img01": "batch1/"}
+        packed = orch.pack_inputs(items, str(tmp_path / "staging"), prefix_of)
+        written = str(tmp_path / "written.zip")
+        with zipfile.ZipFile(written, "w", zipfile.ZIP_STORED) as archive:
+            for item in sorted(items, key=lambda i: i.id):
+                arcbase = f"{prefix_of.get(item.id, '')}in/{item.id}.{item.format.value}"
+                if not os.path.isdir(item.local_path):
+                    archive.write(item.local_path, arcbase)
+                    continue
+                for root, _, files in os.walk(item.local_path):
+                    for name in sorted(files):
+                        full = os.path.join(root, name)
+                        archive.write(full, f"{arcbase}/{os.path.relpath(full, item.local_path)}")
+
+        def listing(path):
+            with zipfile.ZipFile(path) as archive:
+                return [(i.filename, i.date_time, i.external_attr, i.CRC, i.file_size,
+                         i.compress_size, i.compress_type, archive.read(i))
+                        for i in archive.infolist()]
+
+        expected = listing(written)
+        assert listing(packed) == expected
+        assert "in/vol00.zarr/0/sub/0" in [entry[0] for entry in expected]
+        assert max(entry[4] for entry in expected) > 1 << 20
+        with open(packed, "rb") as ours, open(written, "rb") as theirs:
+            assert ours.read() == theirs.read()
+
+    def test_one_input_costs_few_writes(self, tmp_path):
+        # /proc/self/io counts the write syscalls of this process: 8 KiB
+        # pieces would cost over 1,000 for 8 MiB, 1 MiB pieces about 10.
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        (inputs / "big.tiff").write_bytes(b"II*\x00" + os.urandom(8 << 20))
+        items = orch.scan_input_dir(str(inputs))
+
+        def writes():
+            with open("/proc/self/io") as handle:
+                return int(dict(line.split(": ") for line in handle.read().splitlines())["syscw"])
+
+        before = writes()
+        orch.pack_inputs(items, str(tmp_path / "staging"))
+        assert writes() - before <= 16
 
 
 class TestPlanBatches:
@@ -586,6 +654,25 @@ class TestRunWorkflowBatched:
             with zipfile.ZipFile(batch.result_zip) as archive:
                 assert sorted(archive.namelist()) == sorted(
                     f"{item_id}_mask.tiff" for item_id in batch.items)
+
+    def test_failed_row_names_each_error_once(self, sample_profile_registry,
+                                              cellpose_descriptor, tmp_path):
+        # On one node too small for any job, sbatch refuses three batches
+        # alike; the fourth fails alone, its input gone before the run.
+        profile, registry = sample_profile_registry
+        endpoint = SimEndpoint(SimCluster(nodes=[{"cpus": 1, "gpus": 0, "mem_mb": 512}]))
+        slurm.init_environment(endpoint, profile, registry)
+        items = tiff_items(tmp_path, 4)
+        os.remove(items[3].local_path)
+        events = Events()
+        record = orch.run_workflow_batched(
+            endpoint, profile, registry, cellpose_descriptor, "cellpose", {}, items, 1,
+            options=fast_options(), local_output_dir=str(tmp_path / "out"), listener=events)
+        assert batch_errors(record) == {0: "SubmitRejected", 1: "SubmitRejected",
+                                        2: "SubmitRejected", 3: "MissingInput"}
+        rejected = str(record.batches[0].error)
+        assert "Requested node configuration is not available" in rejected
+        assert events[-1] == ("Failed", f"{rejected} (3 batches); {items[3].local_path}")
 
     def test_failed_upload_removal_keeps_results(self, run_env, tmp_path, monkeypatch):
         class UploadUnremovable(SimCluster):
@@ -989,7 +1076,9 @@ class TestRunLifecycle:
         (lambda cluster: FlakyLink(cluster, [True, True, True]), "AccountingUnavailable"),
         # An unmapped token gives up at once, though no accounting failed.
         (ReportsUnmapped, "UnknownState"),
-    ], ids=["accounting", "unknown-state"])
+        # So does a line whose job id it cannot read.
+        (ReportsHeterogeneous, "UnparseableJobId"),
+    ], ids=["accounting", "unknown-state", "unreadable-line"])
     def test_poll_giving_up_fails_live_batches(self, run_env, tmp_path, endpoint_class, error):
         cluster = run_env[0].cluster
         events = Events()
@@ -1208,6 +1297,20 @@ class TestImportResults:
         with pytest.raises(CollisionError):
             orch.import_results(record, str(tmp_path / "dst"), "ImagesFolder")
         assert target.read_bytes() == b"theirs"
+
+
+    @pytest.mark.parametrize("mode", ["SingleZip", "ImagesFolder", "SidecarAttachments"])
+    def test_import_holds_no_result_whole(self, tmp_path, mode):
+        record = self._record_with_zip(tmp_path, {"a_mask.tiff": os.urandom(16 << 20)})
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            written = orch.import_results(record, str(tmp_path / "dst"), mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - baseline < 4 << 20
+        assert len(written) == 1 and os.path.getsize(written[0]) >= 16 << 20
 
 
 class TestFormatDetection:

@@ -351,6 +351,24 @@ class TestPollJobs:
             slurm.poll_jobs(sim_endpoint, [handle])
         assert info.value.token == "WOBBLY"
 
+    @pytest.mark.parametrize("line", ["1+0|COMPLETED", "1.batch|COMPLETED", "abc|RUNNING",
+                                      "1_|PENDING", "RUNNING"])
+    def test_unreadable_line_gives_up(self, sim_endpoint, monkeypatch, line):
+        from slurmbridge.transport import ExecResult
+
+        monkeypatch.setattr(
+            sim_endpoint, "exec", lambda *a, **k: ExecResult(0, f"1|RUNNING\n{line}\n", "")
+        )
+        with pytest.raises(UnparseableJobId):
+            slurm.poll_jobs(sim_endpoint, [slurm.JobHandle(1)])
+
+    def test_lines_of_jobs_not_asked_about_are_ignored(self, sim_endpoint, monkeypatch):
+        from slurmbridge.transport import ExecResult
+
+        answer = "2|WOBBLY\n1_0|COMPLETED\n1_[1-3,5%2]|PENDING\n12_4|FAILED\n\n"
+        monkeypatch.setattr(sim_endpoint, "exec", lambda *a, **k: ExecResult(0, answer, ""))
+        assert slurm.poll_jobs(sim_endpoint, [slurm.JobHandle(1, 6)]) == {1: JobState.RUNNING}
+
     @pytest.mark.parametrize("token, state", [
         ("PENDING", JobState.PENDING),
         ("REQUEUED", JobState.PENDING),
