@@ -214,6 +214,7 @@ class _Run:
     job_name: str
     live: dict = field(default_factory=dict)  # handle -> batch of each job not yet seen terminal
     torn_down: bool = False  # whether a launch that removed the run data answered
+    bundle: object = None  # the bytes, or error, of a poll that tore the run down
 
     def emit(self, stage, detail):
         if isinstance(stage, RunStage):
@@ -406,23 +407,42 @@ def _submit(run):
 
 
 def _poll(run, options):
-    """Stage: one poll loop over every live job; it only observes, and
-    sleeps before each poll, as no job can have ended at once. Up to two
-    accounting failures in a row only cost a round. The loop gives up at
+    """Stage: one poll loop over every live job; it observes, and its last
+    round retrieves. It sleeps before each poll, as no job can have ended at
+    once. The launch that first finds no job the run submitted queued also
+    brings the results back and tears the run down (slurm.poll_and_fetch);
+    the run holds the bundle for _retrieve. Later rounds, and every round
+    of a run whose job may be unseen (its id unreadable), poll sacct alone.
+    Up to two accounting failures in a row only cost a round; a lost
+    answer is one, though its retrieval may have run. The loop gives up at
     the deadline, at the third accounting failure in a row, or at an
     accounting line or state token it cannot read: every batch still live
     then fails with that error, and the retrieval brings back what
-    completed and cancels the rest."""
+    completed and, unless a poll tore the run down, cancels the rest."""
     run.emit(RunStage.RUNNING, "polling")
     live = run.live
+    batches = run.record.batches
+    submitted = list(live)
+    unseen = any(isinstance(b.error, UnparseableJobId) for b in batches)
     elapsed = 0.0
     accounting_failures = 0
     while live:
         run.endpoint.sleep(options.poll_interval_s)
         elapsed += options.poll_interval_s
-        states, give_up = {}, None
+        states, give_up, removed = {}, None, None
         try:
-            states = slurm.poll_jobs(run.endpoint, list(live))
+            if run.torn_down or unseen:
+                states = slurm.poll_jobs(run.endpoint, list(live))
+            else:  # the out dir of every batch not known to have failed
+                outputs = [posixpath.join(b.remote_dir, "out") for b in batches
+                           if b.error is None and b.state in (None, JobState.COMPLETED)]
+                result, fetched = slurm.poll_and_fetch(
+                    run.endpoint, list(live), submitted, outputs + [run.logs_dir],
+                    posixpath.join(run.paths[0], "bundle.zip"), run.paths)
+                if fetched is not None:
+                    run.bundle, removed = fetched
+                    run.torn_down = True
+                states = slurm.job_states(result, list(live))
             accounting_failures = 0
         except AccountingUnavailable as exc:
             accounting_failures += 1
@@ -441,6 +461,8 @@ def _poll(run, options):
             elif state is not JobState.COMPLETED:
                 _fail(batch, ConversionFailed(
                     f"conversion job {handle.job_id} ended {state.value}"))
+        if removed is not None:
+            run.emit("cleanup", f"removed={len(removed)}")
         if give_up is None and options.deadline_s is not None and elapsed >= options.deadline_s:
             give_up = WorkflowFailed(f"deadline exceeded after {elapsed}s")
         if live and give_up is not None:
@@ -450,13 +472,14 @@ def _poll(run, options):
 
 
 def _retrieve(run, local_output_dir):
-    """Stage: one launch zips the out dir of every completed batch and the
-    logs dir into one bundle, which comes back on its stdout and is split
-    locally by batch; the same launch then tears the run down as the finally
-    of run_workflow_batched would, cancelling nothing when every batch
-    completed: all its jobs are terminal then, so a batch that fails to
-    split leaves no job running. A batch's log is the log of the last job it
-    submitted that wrote one: a workflow job that never started (its
+    """Stage: split the bundle, by batch, that the last poll brought back,
+    or else bring it back in a launch of its own. That launch zips the out
+    dir of every completed batch and the logs dir into one bundle, which
+    comes back on its stdout; the same launch then tears the run down as the
+    finally of run_workflow_batched would, cancelling nothing when every
+    batch completed: all its jobs are terminal then, so a batch that fails
+    to split leaves no job running. A batch's log is the log of the last job
+    it submitted that wrote one: a workflow job that never started (its
     conversion failed or was still running at the deadline) wrote none.
     Every batch left without results fails, with one `batch-failed` row."""
     run.emit(RunStage.RETRIEVING, "fetching artifacts")
@@ -464,8 +487,8 @@ def _retrieve(run, local_output_dir):
     completed = [b for b in batches if b.error is None and b.state is JobState.COMPLETED]
     # Every completed batch is among those that submitted a job.
     logged = [b for b in batches if b.workflow_handle or b.conversion_handle]
-    bundle = None
-    if logged:
+    bundle = run.bundle
+    if logged and not run.torn_down:
         cancel = None if len(completed) == len(batches) else run.job_name
         if cancel:
             run.emit_cancel()
@@ -477,10 +500,10 @@ def _retrieve(run, local_output_dir):
             run.emit("cleanup", f"removed={len(removed)}")
         except TransportError as exc:
             bundle = exc  # the answer was lost; the teardown runs again
-        if isinstance(bundle, SlurmBridgeError):
-            for batch in completed:
-                batch.error = RetrievalFailed(str(bundle))
-            bundle = None
+    if isinstance(bundle, SlurmBridgeError):
+        for batch in completed:
+            batch.error = RetrievalFailed(str(bundle))
+        bundle = None
     if bundle:
         with zipfile.ZipFile(io.BytesIO(bundle)) as archive:
             for batch in completed:

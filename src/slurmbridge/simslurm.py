@@ -1,7 +1,7 @@
 """Deterministic discrete-event Slurm cluster simulation.
 
-The simulator answers the exact sbatch/sacct/scancel command grammar the
-client speaks, and its file commands in exactly the forms it sends them,
+The simulator answers the exact sbatch/sacct/squeue/scancel command grammar
+the client speaks, and its file commands in exactly the forms it sends them,
 refusing every other form; it schedules parsed scripts FIFO/first-fit onto
 configured nodes, and advances a virtual clock. Script "work" is declared
 via a ``#SIM duration=<s> outputs=<n>`` annotation instead of being executed.
@@ -601,33 +601,50 @@ class SimCluster:
 
     # -- command grammar -----------------------------------------------------
 
-    def _sacct(self, tokens):
-        """`<entry id>|<state>` per task, as `sacct -n -P -X -o JobID,State`
-        prints it, but for an array's pending tasks, which Slurm keeps in one
-        record, `<id>_[<indices>]|PENDING`: runs of indices as <lo>-<hi>,
-        joined by ','."""
+    def _records(self, job, queued=False):
+        """(entry id, state) of each record Slurm keeps of the job, or with
+        queued of each one queued or running: one per task, but
+        `<id>_[<indices>]`, last, for all of an array's pending tasks, runs
+        of indices as <lo>-<hi>, joined by ','."""
+        pending, running, runs = JobState.PENDING, JobState.RUNNING, []
+        is_array = job.is_array
+        for task in job.tasks:  # states compared by identity: hashing an Enum is slow
+            state = task.state
+            if state is not pending or not is_array:
+                if not queued or state is running or state is pending:
+                    yield task.entry_id, state
+            elif runs and runs[-1][1] == task.index - 1:
+                runs[-1][1] = task.index
+            else:
+                runs.append([task.index, task.index])
+        if runs:
+            indices = ",".join(f"{lo}-{hi}" if hi > lo else str(lo) for lo, hi in runs)
+            yield f"{job.id}_[{indices}]", pending
+
+    def _listed(self, tokens):
+        """The known jobs of `-j <ids>` in tokens, or None if there is none."""
         try:
-            j_index = tokens.index("-j")
-            ids = [int(x) for x in tokens[j_index + 1].split(",") if x]
+            ids = [int(x) for x in tokens[tokens.index("-j") + 1].split(",") if x]
         except (ValueError, IndexError):
+            return None
+        return [self.jobs[job_id] for job_id in ids if job_id in self.jobs]
+
+    def _sacct(self, tokens):
+        """`<entry id>|<state>` per record, as `sacct -n -P -X -o JobID,State`
+        prints it."""
+        if (jobs := self._listed(tokens)) is None:
             return ExecResult(1, "", "sacct: error: invalid job id list\n")
-        lines = []
-        for job_id in ids:
-            job = self.jobs.get(job_id)
-            if job is None:
-                continue
-            runs = []  # [lo, hi] of each run of pending array tasks
-            for task in job.tasks:
-                if not job.is_array or task.state is not JobState.PENDING:
-                    lines.append(f"{task.entry_id}|{task.state.value}\n")
-                elif runs and runs[-1][1] == task.index - 1:
-                    runs[-1][1] = task.index
-                else:
-                    runs.append([task.index, task.index])
-            if runs:
-                indices = ",".join(f"{lo}-{hi}" if hi > lo else str(lo) for lo, hi in runs)
-                lines.append(f"{job_id}_[{indices}]|PENDING\n")
-        return ExecResult(0, "".join(lines), "")
+        return ExecResult(0, "".join(f"{entry}|{state.value}\n" for job in jobs
+                                     for entry, state in self._records(job)), "")
+
+    def _squeue(self, tokens):
+        """`squeue -h -j <ids> -o %i`: a line per record queued or running."""
+        if (jobs := self._listed(tokens)) is None:
+            return ExecResult(1, "", "squeue: error: Invalid job id specified\n")
+        return ExecResult(0, "".join(
+            f"{entry}\n" for job in jobs
+            if self._counts[job.id][JobState.PENDING] or self._counts[job.id][JobState.RUNNING]
+            for entry, _ in self._records(job, queued=True)), "")
 
     def _zip(self, archive, paths):
         """`zip -q -r -D archive path...` as Info-ZIP does it into a new
@@ -754,11 +771,12 @@ class SimCluster:
         return self._dispatch(list(command))
 
     def _dispatch(self, tokens):
-        """Answer the Slurm commands, and the file commands in exactly the
-        forms the client sends: `mkdir -p P...`, `test -e P`, `rm -f P...`,
-        `rm -rf P...`, `mv -T <file> P`, `sha256sum P`, `base64 P`, `zip -q
-        -r -D Z P...`, `unzip -q Z -d D`, `singularity pull P S` and the
-        `sh -c` scripts of exec_many. Any other form of these is refused."""
+        """Answer the Slurm commands, and squeue and the file commands in
+        exactly the forms the client sends: `squeue -h -j <ids> -o %i`,
+        `mkdir -p P...`, `test -e P`, `rm -f P...`, `rm -rf P...`, `mv -T
+        <file> P`, `sha256sum P`, `base64 P`, `zip -q -r -D Z P...`, `unzip
+        -q Z -d D`, `singularity pull P S` and the `sh -c` scripts of
+        exec_many. Any other form of these is refused."""
         if not tokens:
             return ExecResult(127, "", "command not found\n")
         cmd, args = tokens[0], tokens[1:]
@@ -774,6 +792,9 @@ class SimCluster:
             return self._sacct(args)
         if cmd == "scancel":
             return self._scancel(args)
+        if cmd == "squeue" and len(args) == 5 and args[:2] == ["-h", "-j"] \
+                and args[3:] == ["-o", "%i"]:
+            return self._squeue(args)
         if cmd == "mkdir" and args[:1] == ["-p"] and args[1:]:
             err = ""
             for path in args[1:]:
@@ -812,8 +833,8 @@ class SimCluster:
             except DestinationUnwritable as exc:
                 return ExecResult(1, "", f"FATAL: {exc}\n")
             return ExecResult(0, "", "")
-        if cmd in ("sh", "mkdir", "rm", "mv", "test", "sha256sum", "base64", "zip", "unzip",
-                   "singularity"):
+        if cmd in ("sh", "squeue", "mkdir", "rm", "mv", "test", "sha256sum", "base64", "zip",
+                   "unzip", "singularity"):
             return self._refuse(tokens)
         return ExecResult(127, "", f"{cmd}: command not found\n")
 

@@ -22,7 +22,7 @@ from .errors import (
     UnparseableJobId,
 )
 from .states import JobState, aggregate_array_states, parse_state_token
-from .transport import Captured, sha256_hex, staging_path
+from .transport import Captured, Quiet, sha256_hex, staging_path
 
 _PARSABLE_RE = re.compile(r"(\d+)(?:;\S*)?")
 # Each line of `sacct -P -o JobID,State` that is not blank: the job id of
@@ -161,20 +161,29 @@ def submit_job(endpoint, scripts, name, setup=(), last=()):
     return outcomes
 
 
+def _sacct(handles):
+    return ["sacct", "-n", "-P", "-X", "-o", "JobID,State", "-j",
+            ",".join(str(h.job_id) for h in handles)]
+
+
 def poll_jobs(endpoint, handles):
-    """One accounting round trip covering every handle; array parents are
-    aggregated from their task states. A line for a job not asked about is
-    ignored; one whose job id cannot be read raises UnparseableJobId, and
-    one whose state token cannot be mapped UnknownState."""
-    asked = {str(h.job_id): h.job_id for h in handles}
+    """One accounting round trip covering every handle; see job_states."""
     try:
-        result = endpoint.exec(
-            ["sacct", "-n", "-P", "-X", "-o", "JobID,State", "-j", ",".join(asked)]
-        )
+        result = endpoint.exec(_sacct(handles))
     except TransportError as exc:
         raise AccountingUnavailable(str(exc)) from exc
+    return job_states(result, handles)
+
+
+def job_states(result, handles):
+    """Each handle's job id -> its state, from the result of its sacct (one
+    failed raises AccountingUnavailable); array parents are aggregated from
+    their task states. A line for a job not asked about is ignored; one
+    whose job id cannot be read raises UnparseableJobId, and one whose state
+    token cannot be mapped UnknownState."""
     if not result.ok:
         raise AccountingUnavailable(result.stderr.strip())
+    asked = {str(h.job_id): h.job_id for h in handles}
     plain = {}
     tasks = {}
     parsed = {}  # state token -> JobState, mapped once per token
@@ -194,6 +203,28 @@ def poll_jobs(endpoint, handles):
     plain.update((job_id, aggregate_array_states(states)) for job_id, states in tasks.items())
     # A job submitted but not yet visible to accounting is PENDING.
     return {handle.job_id: plain.get(handle.job_id, JobState.PENDING) for handle in handles}
+
+
+def poll_and_fetch(endpoint, handles, submitted, paths, remote_zip, run_paths):
+    """One poll launch: the guard `squeue -h -j <ids> -o %i` over every
+    submitted handle, then the sacct of poll_jobs over handles, and only if
+    squeue printed nothing and both exited 0, fetch_results' retrieval and
+    teardown, with no scancel: squeue lists every queued or running job and
+    array task of those ids. Returns (sacct's ExecResult, for job_states;
+    fetch_results' (bundle, removed), or None when the guard held them
+    back). Raises AccountingUnavailable when the answer is lost; its
+    retrieval and teardown may have run."""
+    guard = Quiet(["squeue", "-h", "-j", ",".join(str(h.job_id) for h in submitted),
+                   "-o", "%i"])
+    try:
+        _, result, *tail = endpoint.exec_many(
+            [guard, _sacct(handles)],
+            then=_bundle_commands(paths, remote_zip) + teardown_commands(run_paths))
+    except TransportError as exc:
+        raise AccountingUnavailable(str(exc)) from exc
+    if tail[0] is None:  # the guard or sacct failed, and nothing after them ran
+        return result, None
+    return result, (_bundle(paths, remote_zip, *tail[:3]), _removed(run_paths, tail[3:]))
 
 
 def zip_entry_name(remote_path):
@@ -235,25 +266,34 @@ def fetch_results(endpoint, paths, remote_zip, run_paths=(), cancel=None):
     the zip fails; and the run paths that existed. Raises TransportError
     when the launch's answer is lost; its teardown may have run.
     """
-    zipped, digest, stream, *teardown = endpoint.exec_many(
-        [["zip", "-q", "-r", "-D", remote_zip, *paths], ["sha256sum", remote_zip],
-         ["base64", remote_zip]] + teardown_commands(run_paths, cancel))
+    ran = endpoint.exec_many(
+        _bundle_commands(paths, remote_zip) + teardown_commands(run_paths, cancel))
+    return _bundle(paths, remote_zip, *ran[:3]), _removed(run_paths, ran[3:])
+
+
+def _bundle_commands(paths, remote_zip):
+    """Zip the paths into remote_zip, hash it and print it as base64."""
+    return [["zip", "-q", "-r", "-D", remote_zip, *paths], ["sha256sum", remote_zip],
+            ["base64", remote_zip]]
+
+
+def _bundle(paths, remote_zip, zipped, digest, stream):
+    """The bundle, or its error, as fetch_results gives it, from the
+    results of _bundle_commands."""
     if zipped.exit_code == 12:
-        bundle = EmptyOutput(" ".join(paths))
-    elif not zipped.ok:
+        return EmptyOutput(" ".join(paths))
+    if not zipped.ok:
         # Info-ZIP writes its errors on stdout.
         cause = (zipped.stdout or zipped.stderr).strip()
-        bundle = TransportError(f"remote zip failed (exit {zipped.exit_code}): {cause}")
-    else:
-        try:
-            bundle = base64.b64decode(stream.stdout)
-            verified = (stream.ok and digest.ok
-                        and digest.stdout.split()[:1] == [sha256_hex(bundle)])
-        except ValueError:  # not base64, or not even ASCII
-            verified = False
-        if not verified:
-            bundle = ChecksumMismatch(f"{remote_zip} came back failing its sha256 digest")
-    return bundle, _removed(run_paths, teardown)
+        return TransportError(f"remote zip failed (exit {zipped.exit_code}): {cause}")
+    try:
+        bundle = base64.b64decode(stream.stdout)
+        verified = (stream.ok and digest.ok
+                    and digest.stdout.split()[:1] == [sha256_hex(bundle)])
+    except ValueError:  # not base64, or not even ASCII
+        verified = False
+    return bundle if verified else ChecksumMismatch(
+        f"{remote_zip} came back failing its sha256 digest")
 
 
 def teardown_commands(run_paths, cancel=None):

@@ -6,11 +6,13 @@ primitives: exec, a raw copy up (_copy_up), a raw copy down (_copy_down)
 and sleep. The transfers are defined once, on Endpoint, over those
 primitives: every copy is staged, checked against the remote `sha256sum`
 and only then moved into place. A run brings its results bundle back on
-the stdout of an exec_many launch instead of through get_file; that launch
-prints the bundle's sha256 digest beside its base64 stream, and the client
-verifies the decoded bytes against it (slurm.fetch_results).
+the stdout of an exec_many launch (its last poll, or one of its own)
+instead of through get_file; that launch prints the bundle's sha256 digest
+beside its base64 stream, and the client verifies the decoded bytes
+against it (slurm.fetch_results).
 """
 
+import functools
 import hashlib
 import os
 import re
@@ -61,6 +63,10 @@ _AFTER_HEAD = "if [ $r{k} = 0 ]; then "
 _CAPTURED = "\"${{c{k}%%;*}}\""
 _AFTER_PIECE = re.compile(r"if \[ \$r(\d+) = 0 \]; then (.*)" + re.escape(_THEN_TAIL) + r"\Z", re.S)
 _CAPTURED_WORD = re.compile(r"(.*)\$\{c(\d+)%%;\*\}\Z", re.S)
+# A Quiet command runs as `q=$(...) && [ -z "$q" ]`: sh keeps its stdout in
+# q, and the command exits 0 only if it did and printed nothing but newlines.
+_QUIET_HEAD = "q=$("
+_QUIET_TAIL = ') && [ -z "$q" ]'
 
 
 @dataclass(frozen=True)
@@ -72,6 +78,14 @@ class Captured:
 
     source: int
     prefix: str = ""
+
+
+@dataclass(frozen=True)
+class Quiet:
+    """A command (not a then command) of exec_many that keeps argv's stdout
+    and exits 0 only if argv exited 0 and printed nothing: a guard."""
+
+    argv: list
 
 
 @dataclass(frozen=True)
@@ -98,9 +112,9 @@ def sha256_hex(data):
 def frame_commands(commands, then=()):
     """(script, mark): the `sh -c` script that runs argv lists in order,
     each whatever the exit status of the ones before, and then the argv
-    lists of then, each only if every one of commands exited 0. A then argv
-    may hold one Captured token, naming an earlier then command that holds
-    none."""
+    lists of then, each only if every one of commands exited 0. A command
+    may be Quiet, and a then argv may hold one Captured token, naming an
+    earlier then command that holds none."""
     mark = uuid.uuid4().hex
     return _render(mark, commands, then), mark
 
@@ -119,7 +133,8 @@ def _word(token):
 
 def _render(mark, commands, then):
     captured = {source for argv in then for source in _sources(argv)}
-    body = "".join(shlex.join(argv) + _RAN + _MARK for argv in commands)
+    body = "".join((_QUIET_HEAD + shlex.join(argv.argv) + _QUIET_TAIL if isinstance(argv, Quiet)
+                    else shlex.join(argv)) + _RAN + _MARK for argv in commands)
     for k, argv in enumerate(then):
         sources = _sources(argv)
         if len(sources) > 1 or any(not 0 <= source < k or _sources(then[source])
@@ -133,6 +148,13 @@ def _render(mark, commands, then):
                 + words + _THEN_TAIL
         body += _MARK
     return f"mark={mark}; ok=0; {body}"
+
+
+@functools.lru_cache(maxsize=32)
+def _split(text):
+    """shlex.split(text) as a tuple, cached: a poll sends the same commands
+    round after round, and shlex reads a character at a time."""
+    return tuple(shlex.split(text))
 
 
 def unframe_commands(script):
@@ -150,14 +172,19 @@ def unframe_commands(script):
             capture = _CAPTURE_HEAD.format(k=len(then)), _CAPTURE_TAIL.format(k=len(then))
             after = _AFTER_PIECE.match(piece)
             if piece.startswith(capture[0]) and piece.endswith(capture[1]):
-                then.append(shlex.split(piece[len(capture[0]):-len(capture[1])]))
+                then.append(list(_split(piece[len(capture[0]):-len(capture[1])])))
             elif after:
                 then.append([_captured(word, int(after.group(1)))
-                             for word in shlex.split(after.group(2))])
+                             for word in _split(after.group(2))])
             elif piece.startswith(_THEN_HEAD) and piece.endswith(_THEN_TAIL):
-                then.append(shlex.split(piece[len(_THEN_HEAD):-len(_THEN_TAIL)]))
+                then.append(list(_split(piece[len(_THEN_HEAD):-len(_THEN_TAIL)])))
             elif piece.endswith(_RAN) and not then:
-                commands.append(shlex.split(piece[:-len(_RAN)]))
+                command = piece[:-len(_RAN)]
+                if command.startswith(_QUIET_HEAD) and command.endswith(_QUIET_TAIL):
+                    command = command[len(_QUIET_HEAD):-len(_QUIET_TAIL)]
+                    commands.append(Quiet(list(_split(command))))
+                else:
+                    commands.append(list(_split(command)))
             else:
                 return None
         framed = head.group(1), commands, then
@@ -177,8 +204,9 @@ def _captured(word, source):
 def run_framed(commands, then, run):
     """What `sh` gives running the framed script of commands and then, when
     run(argv) gives each command's ExecResult: one result per command, None
-    for a then command that did not run."""
-    results = [run(argv) for argv in commands]
+    for a then command that did not run. A Quiet command runs its argv."""
+    results = [_quiet(run(argv.argv)) if isinstance(argv, Quiet) else run(argv)
+               for argv in commands]
     guard = all(result.ok for result in results)
     captured = {source for argv in then for source in _sources(argv)}
     for k, argv in enumerate(then):
@@ -196,6 +224,12 @@ def run_framed(commands, then, run):
     return results
 
 
+def _quiet(result):
+    """The result of a Quiet command whose argv gave result."""
+    code = 1 if result.ok and result.stdout.rstrip("\n") else result.exit_code
+    return ExecResult(code, "", result.stderr)
+
+
 def frame_output(mark, results):
     """(stdout, stderr) that `sh` prints running a framed script whose
     commands gave results, None for a command that did not run."""
@@ -208,12 +242,13 @@ def frame_output(mark, results):
 def _unframe_output(text, mark, count):
     """[(exit status, output)] of each framed command in text; the status
     is None for a command that did not run."""
-    parts = re.split(f"\n{mark} (\\d+|-)\n", text)
-    if len(parts) != 2 * count + 1:
-        raise TransportError(
-            f"framed output holds {len(parts) // 2} of {count} exit markers")
-    return [(None if parts[k + 1] == "-" else int(parts[k + 1]), parts[k])
-            for k in range(0, 2 * count, 2)]
+    first, *parts = text.split(f"\n{mark} ")  # no regex: each mark is new
+    parts = [part.partition("\n") for part in parts]  # (status, "\n", next output)
+    statuses = [s for s, newline, _ in parts if newline and (s == "-" or s.isdigit())]
+    if len(statuses) != count or len(parts) != count:
+        raise TransportError(f"framed output holds {len(statuses)} of {count} exit markers")
+    return [(None if status == "-" else int(status), output) for status, output
+            in zip(statuses, [first] + [rest for _, _, rest in parts])]
 
 
 def file_sha256(path):
@@ -246,7 +281,8 @@ class Endpoint(ABC):
     def _remote_sha256(self, remote):
         """The remote file's hex sha256 digest, or None when it cannot be hashed."""
         result = self.exec(["sha256sum", remote])
-        return result.stdout.split()[0] if result.ok else None
+        words = result.stdout.split() if result.ok else []
+        return words[0] if words else None
 
     def put_file(self, local, remote):
         """Copy local -> remote atomically: stage it at staging_path(remote),
@@ -287,7 +323,8 @@ class Endpoint(ABC):
     def exec_many(self, commands, then=()):
         """Run argv lists in order through one exec (one launch over SSH),
         each whatever the exit status of the ones before, and then the argv
-        lists of then, each only if every one of commands exited 0.
+        lists of then, each only if every one of commands exited 0. A Quiet
+        command exits 0 only if its argv exited 0 and printed nothing.
 
         A then argv may take the output of an earlier then command through
         one Captured token (see frame_commands); it runs only if that one

@@ -67,17 +67,22 @@ def run_options(**overrides):
 
 
 def capture_out_checksums(endpoint):
-    """Listener capturing remote out-dir hashes just before retrieval."""
+    """Capture the remote out-dir hashes just before the first remote zip,
+    the one that bundles the results; returns the dict it fills."""
     captured = {}
+    sim_exec = endpoint.cluster.sim_exec
 
-    def listener(stage, detail):
-        if stage == "Retrieving" and not captured:
+    def capturing(command):
+        if command[0] == "zip" and not captured:
             fs = endpoint.cluster.fs
             for path in fs.files:
                 if path.startswith(f"{SCRATCH}/data/"):
                     captured[path] = hashlib.sha256(fs.read(path)).hexdigest()
+        return sim_exec(command)
 
-    return captured, listener
+    # The commands of a launch run through the instance's sim_exec.
+    endpoint.cluster.sim_exec = capturing
+    return captured
 
 
 def staging_leftovers(run_id):
@@ -91,13 +96,13 @@ def test_criterion_01_batched_run(cellpose_descriptor, tmp_path):
     endpoint, profile, registry = fresh_env(cellpose_descriptor)
     make_tiff_inputs(str(tmp_path / "inputs"), 12)
     items = orch.scan_input_dir(str(tmp_path / "inputs"))
-    captured, listener = capture_out_checksums(endpoint)
+    captured = capture_out_checksums(endpoint)
 
     started = time.monotonic()
     record = orch.run_workflow_batched(
         endpoint, profile, registry, cellpose_descriptor, "cellpose",
         {}, items, 5, options=run_options(),
-        local_output_dir=str(tmp_path / "out"), listener=listener,
+        local_output_dir=str(tmp_path / "out"),
     )
     elapsed = time.monotonic() - started
 

@@ -4,6 +4,7 @@ import glob
 import io
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -30,7 +31,7 @@ from slurmbridge.errors import (
 )
 from slurmbridge.simslurm import FaultDirective, SimCluster, SimEndpoint
 from slurmbridge.states import JobState
-from slurmbridge.transport import DEFAULT_DEADLINE_S, ExecResult, unframe_commands
+from slurmbridge.transport import DEFAULT_DEADLINE_S, ExecResult, Quiet, unframe_commands
 from tests.conftest import CELLPOSE_DESCRIPTOR, SAMPLE_CONFIG, make_tiff_inputs, make_zarr_inputs
 from tests.test_slurm_client import DAMAGES, DamagesStream, record_launches
 
@@ -85,16 +86,18 @@ class CountingEndpoint(SimEndpoint):
 
 
 class FlakyLink(SimEndpoint):
-    """Loses the link on each sacct call whose entry in failures is true
-    (calls past the end of the list go through); with lose_upload, the
-    program "sha256sum" or "mv", raises ConnectionLost right after the
-    upload's launch of that program has run remotely; with lose_submission,
-    raises lost_with right after the first launch holding an sbatch has run
+    """Loses the link on each launch holding a sacct, bare or framed by
+    exec_many, whose entry in failures is true, before it runs (launches
+    past the end of the list go through); with lose_upload, the program
+    "sha256sum" or "mv", raises ConnectionLost right after the upload's
+    launch of that program has run remotely; with lose_submission, raises
+    lost_with right after the first launch holding an sbatch has run
     remotely: a plain one, or one framed by exec_many, with or without a
     guard before it, and with or without an sbatch that takes an earlier
-    one's job id; and with lose_retrieval, raises ConnectionLost right
-    after the first launch holding a base64 (the retrieval launch, which
-    also tears the run down) has run remotely."""
+    one's job id; and with lose_retrieval, raises ConnectionLost right after the first
+    launch in which a base64 ran remotely (a poll launch that went on to
+    bring the results back, or the retrieval launch; either also tears the
+    run down)."""
 
     def __init__(self, cluster, failures=(), lose_submission=False, lost_with=ConnectionLost,
                  lose_retrieval=False, lose_upload=None):
@@ -106,24 +109,45 @@ class FlakyLink(SimEndpoint):
         self.lose_upload = lose_upload
 
     def exec(self, command, timeout=DEFAULT_DEADLINE_S):
-        if command[0] == "sacct" and next(self.failures, False):
+        framed = unframe_commands(command[-1]) if command[0] == "sh" else None
+        argvs = [command] if framed is None else [
+            getattr(argv, "argv", argv) for argv in framed[1] + framed[2]]
+        held = {argv[0] for argv in argvs}
+        if "sacct" in held and next(self.failures, False):
             raise ConnectionLost("accounting link dropped")
         result = super().exec(command, timeout)
         if command[0] == self.lose_upload:
             self.lose_upload = None
             raise ConnectionLost(f"link dropped after the upload's {command[0]} ran")
-        framed = unframe_commands(command[-1]) if command[0] == "sh" else None
-        programs = {argv[0] for argv in [command] + ([*framed[1], *framed[2]] if framed else [])}
-        if self.lose_submission and "sbatch" in programs:
+        # A framed command that did not run has the status "-".
+        statuses = ["0"] if framed is None else re.findall(
+            f"\n{framed[0]} (\\d+|-)\n", result.stdout)
+        ran = {argv[0] for argv, status in zip(argvs, statuses) if status != "-"}
+        if self.lose_submission and "sbatch" in held:
             self.lose_submission = False
             raise self.lost_with("link dropped after the submission ran")
-        if self.lose_retrieval and "base64" in programs:
+        if self.lose_retrieval and "base64" in ran:
             self.lose_retrieval = False
             raise ConnectionLost("link dropped after the retrieval ran")
         return result
 
 
-class ReportsCompleting(SimEndpoint):
+class RewritesSacct(SimEndpoint):
+    """Passes the stdout of every sacct the cluster answers, bare or inside
+    a launch, through rewrite."""
+
+    def __init__(self, cluster):
+        super().__init__(cluster)
+        sacct = cluster._sacct
+
+        def rewritten(tokens):
+            result = sacct(tokens)
+            return dataclasses.replace(result, stdout=self.rewrite(result.stdout))
+
+        cluster._sacct = rewritten
+
+
+class ReportsCompleting(RewritesSacct):
     """Rewrites COMPLETED to COMPLETING in the first sacct answer that
     reports it, as a real cluster does while a finished job's epilog runs."""
 
@@ -131,36 +155,27 @@ class ReportsCompleting(SimEndpoint):
         super().__init__(cluster)
         self.rewritten = False
 
-    def exec(self, command, timeout=DEFAULT_DEADLINE_S):
-        result = super().exec(command, timeout)
-        if command[0] == "sacct" and not self.rewritten and "|COMPLETED\n" in result.stdout:
+    def rewrite(self, stdout):
+        if not self.rewritten and "|COMPLETED\n" in stdout:
             self.rewritten = True
-            return dataclasses.replace(
-                result, stdout=result.stdout.replace("|COMPLETED\n", "|COMPLETING\n"))
-        return result
+            return stdout.replace("|COMPLETED\n", "|COMPLETING\n")
+        return stdout
 
 
-class ReportsUnmapped(SimEndpoint):
+class ReportsUnmapped(RewritesSacct):
     """Answers every sacct poll with a state token that no JobState maps,
     as a newer Slurm than the client knows may print."""
 
-    def exec(self, command, timeout=DEFAULT_DEADLINE_S):
-        result = super().exec(command, timeout)
-        if command[0] == "sacct":
-            return dataclasses.replace(result, stdout="".join(
-                line.split("|")[0] + "|WOBBLY\n" for line in result.stdout.splitlines()))
-        return result
+    def rewrite(self, stdout):
+        return "".join(line.split("|")[0] + "|WOBBLY\n" for line in stdout.splitlines())
 
 
-class ReportsHeterogeneous(SimEndpoint):
+class ReportsHeterogeneous(RewritesSacct):
     """Answers every sacct poll with a heterogeneous job's component line,
     `<id>+<offset>`, which no job id of the client reads as."""
 
-    def exec(self, command, timeout=DEFAULT_DEADLINE_S):
-        result = super().exec(command, timeout)
-        if command[0] == "sacct":
-            return dataclasses.replace(result, stdout="1+0|COMPLETED\n")
-        return result
+    def rewrite(self, stdout):
+        return "1+0|COMPLETED\n"
 
 
 class RefusesConversion(SimCluster):
@@ -535,7 +550,10 @@ class TestConversionPath:
             "batch=0 kind=workflow job_id=1", "batch=2 kind=conversion job_id=2 tasks=2",
             "batch=2 kind=workflow job_id=3"]
         assert endpoint.cluster.jobs[3].dependency == 2
-        assert [command[0] for command in launches].count("sh") == 2
+        # One submission launch; the other launches poll, and the last of
+        # them brings the results back.
+        assert [command[0] for command in launches
+                if "squeue" not in command[-1]].count("sh") == 1
         assert_no_job_outlives_its_data(
             endpoint.cluster, registry.entry("cellpose").resources.time_limit_min)
 
@@ -688,15 +706,16 @@ class TestRunWorkflowBatched:
                     return ExecResult(1, "", "rm: cannot remove: Permission denied\n")
                 return super().sim_exec(command)
 
-        fetch_results = slurm.fetch_results
+        poll_and_fetch = slurm.poll_and_fetch
 
         def keeps_bundle(*args):
-            bundle, removed = fetch_results(*args)
-            with zipfile.ZipFile(io.BytesIO(bundle)) as archive:
-                endpoint.bundle = archive.namelist()
-            return bundle, removed
+            result, fetched = poll_and_fetch(*args)
+            if fetched is not None:
+                with zipfile.ZipFile(io.BytesIO(fetched[0])) as archive:
+                    endpoint.bundle = archive.namelist()
+            return result, fetched
 
-        monkeypatch.setattr(slurm, "fetch_results", keeps_bundle)
+        monkeypatch.setattr(slurm, "poll_and_fetch", keeps_bundle)
         _, profile, registry, descriptor = run_env
         endpoint = SimEndpoint(UploadUnremovable())
         slurm.init_environment(endpoint, profile, registry)
@@ -836,14 +855,13 @@ class TestRunWorkflowBatched:
         assert record.overall_state is orch.RunStage.DONE
         assert len(endpoint.cluster.jobs) == (2 if zarr else 1) * batches
         counts = dict(endpoint.counts)
-        # No poll is wasted: one after each sleep.
-        assert counts.pop("sacct") == counts.pop("sleep")
         # One archive up (its copy, then `sha256sum` and `mv -T`), then one
         # launch to make the dirs, unpack it and submit every job, the
-        # workflow jobs that wait on a conversion among them, and one launch
-        # that zips every output and log, sends the bundle back and removes
-        # the run's data.
-        assert counts == {"put_file": 1, "sha256sum": 1, "mv": 1, "sh": 2}
+        # workflow jobs that wait on a conversion among them, and one poll
+        # launch after each sleep, no poll wasted; the last poll zips every
+        # output and log, sends the bundle back and removes the run's data.
+        assert counts.pop("sh") == 1 + counts.pop("sleep")
+        assert counts == {"put_file": 1, "sha256sum": 1, "mv": 1}
         assert [path for path in endpoint.cluster.fs.files
                 if path.startswith("/scratch/omero/data/")] == []
 
@@ -1141,13 +1159,16 @@ class TestRunLifecycle:
         events = Events()
         record = self.run(endpoint, run_env, tmp_path, listener=events)
         assert record.overall_state is orch.RunStage.PARTIAL_FAILURE
-        # The last launch brings the bundle back and tears the run down.
+        # The last launch polls, and as squeue lists neither job, it brings
+        # the bundle back and tears the run down, cancelling nothing.
         run_dir = f"/scratch/omero/data/{record.run_id}"
-        fetch, digest, stream, *teardown = unframe_commands(launches[-1][-1])[1]
+        _, (guard, poll), (fetch, digest, stream, *teardown) = unframe_commands(
+            launches[-1][-1])
+        assert guard == Quiet(["squeue", "-h", "-j", "1,2", "-o", "%i"])
+        assert poll == ["sacct", "-n", "-P", "-X", "-o", "JobID,State", "-j", "1,2"]
         assert (fetch[0], digest, stream) == (
             "zip", ["sha256sum", run_dir + "/bundle.zip"], ["base64", run_dir + "/bundle.zip"])
         assert teardown == [
-            ["scancel", f"--name=sb-{record.run_id}"],
             ["test", "-e", run_dir], ["rm", "-rf", run_dir],
             ["test", "-e", run_dir + ".zip"], ["rm", "-rf", run_dir + ".zip"],
             ["test", "-e", run_dir + ".zip.part"], ["rm", "-rf", run_dir + ".zip.part"]]
@@ -1169,8 +1190,9 @@ class TestRunLifecycle:
             endpoint.cluster, registry.entry("cellpose").resources.time_limit_min)
 
     def test_lost_retrieval_answer_tears_down_again(self, run_env, tmp_path):
-        # The retrieval launch ran, but its answer was lost: the run cancels
-        # and removes once more, which finds nothing left.
+        # The poll launch that went on to the retrieval ran, but its answer
+        # was lost: one accounting failure. The next poll retrieves and
+        # removes once more, finding no result and nothing left to remove.
         cluster = run_env[0].cluster
         endpoint = FlakyLink(cluster, lose_retrieval=True)
         events = Events()
@@ -1180,7 +1202,7 @@ class TestRunLifecycle:
         assert batch_errors(record) == {0: "RetrievalFailed", 1: "RetrievalFailed"}
         rows = [(stage, detail) for stage, detail in events
                 if stage in ("cancel", "cleanup")]
-        assert rows == [("cancel", f"name=sb-{record.run_id} job_ids="), ("cleanup", "removed=0")]
+        assert rows == [("cleanup", "removed=0")]
         assert_no_job_outlives_its_data(
             cluster, run_env[2].entry("cellpose").resources.time_limit_min)
 
@@ -1225,6 +1247,160 @@ class TestRunLifecycle:
         assert batch.logfile in record.output_artifacts
         assert_no_job_outlives_its_data(
             endpoint.cluster, registry.entry("cellpose").resources.time_limit_min)
+
+
+class RemovesOnlyEnded(SimCluster):
+    """Records each `rm -rf` under data/ that runs while a task of any job
+    is queued or running: a job outliving its data."""
+
+    def __init__(self, nodes=None):
+        super().__init__(nodes)
+        self.early = []
+        self.ran = []  # the program of every command, in order
+
+    def sim_exec(self, command):
+        self.ran.append(command[0])
+        if command[:2] == ["rm", "-rf"] and "/data/" in command[2]:
+            live = [task.entry_id for job in self.jobs.values() for task in job.tasks
+                    if not task.state.terminal]
+            if live:
+                self.early.append((command[2], live))
+        return super().sim_exec(command)
+
+
+class SacctLags(RemovesOnlyEnded):
+    """Answers each sacct with what it printed for the one before, nothing
+    the first time: accounting a round behind the controller."""
+
+    def __init__(self, nodes=None):
+        super().__init__(nodes)
+        self.last = ExecResult(0, "", "")
+
+    def _sacct(self, tokens):
+        answer, self.last = self.last, super()._sacct(tokens)
+        return answer
+
+
+class PrintsNoJobId(RemovesOnlyEnded):
+    """Makes the --parsable answer of batch 1's sbatch unreadable, though
+    the job went in."""
+
+    def _sbatch(self, args):
+        result = super()._sbatch(args)
+        if "/batch1/" in args[-1]:
+            return dataclasses.replace(result, stdout="queued as " + result.stdout)
+        return result
+
+
+class HashesNothing(SimCluster):
+    """Answers `sha256sum` with exit 0 and no output."""
+
+    def sim_exec(self, command):
+        if command[0] == "sha256sum":
+            return ExecResult(0, "", "")
+        return super().sim_exec(command)
+
+
+class TestLastPollRetrieves:
+    def run(self, cluster, run_env, tmp_path, items, batch_size, listener=None, **options):
+        _, profile, registry, descriptor = run_env
+        endpoint = SimEndpoint(cluster)
+        slurm.init_environment(endpoint, profile, registry)
+        return orch.run_workflow_batched(
+            endpoint, profile, registry, descriptor, "cellpose", {}, items, batch_size,
+            options=fast_options(**options), local_output_dir=str(tmp_path / "out"),
+            listener=listener)
+
+    @pytest.mark.parametrize("duration", [10, 20])
+    def test_failed_array_keeps_the_run_dir_while_a_task_runs(self, run_env, tmp_path,
+                                                              duration):
+        # On one node of two slots, batch 0's workflow job takes one slot
+        # and batch 1's conversion array of 3 failing tasks the other, so
+        # that its parent state reads FAILED from t=5 while its tasks run
+        # on to t=15. The guard lists every job submitted: with batch 0's
+        # job ending at t=10, no poll removes the data, and the retrieval
+        # launch cancels the last task first; ending at t=20, after every
+        # task, the last poll brings the results back and cancels nothing.
+        cluster = RemovesOnlyEnded(nodes=[{"cpus": 4, "gpus": 0, "mem_mb": 16384}])
+        cluster.inject_fault(FaultDirective(script_substring="batch1/convert.sh",
+                                            forced_state=JobState.FAILED))
+        make_tiff_inputs(str(tmp_path / "inputs"), 3)
+        make_zarr_inputs(str(tmp_path / "inputs"), 3)
+        events = Events()
+        record = self.run(cluster, run_env, tmp_path,
+                          orch.scan_input_dir(str(tmp_path / "inputs")), 3,
+                          listener=events, sim_duration_s=duration)
+        assert record.overall_state is orch.RunStage.PARTIAL_FAILURE
+        assert batch_errors(record) == {1: "ConversionFailed"}
+        assert cluster.early == []
+        assert ("cancel" in [stage for stage, _ in events]) == (duration == 10)
+        assert_no_job_outlives_its_data(
+            cluster, run_env[2].entry("cellpose").resources.time_limit_min)
+
+    def test_lagging_accounting_retrieves_once(self, run_env, tmp_path):
+        # The poll at t=20 finds no job queued but reads t=15's accounting:
+        # it brings the results back and tears down, and the next polls,
+        # sacct alone, wait until accounting shows every job completed.
+        cluster = SacctLags()
+        events = Events()
+        record = self.run(cluster, run_env, tmp_path, tiff_items(tmp_path, 4), 2,
+                          listener=events)
+        assert record.overall_state is orch.RunStage.DONE
+        assert all(batch.result_zip for batch in record.batches)
+        assert cluster.ran.count("base64") == 1
+        assert cluster.ran.count("squeue") == 4 and cluster.ran.count("sacct") == 5
+        assert [stage for stage, _ in events].count("cleanup") == 1
+        assert cluster.early == []
+
+    def test_unseen_job_keeps_its_run_from_retrieving_in_a_poll(self, run_env, tmp_path):
+        # Batch 1's job went in with an id the client could not read, and
+        # runs to its time limit: no squeue could name it, so the polls ask
+        # sacct alone, and the retrieval launch cancels it by name.
+        cluster = PrintsNoJobId()
+        cluster.inject_fault(FaultDirective(script_substring="batch1/job.sh",
+                                            forced_state=JobState.TIMEOUT))
+        events = Events()
+        record = self.run(cluster, run_env, tmp_path, tiff_items(tmp_path, 4), 2,
+                          listener=events)
+        assert record.overall_state is orch.RunStage.PARTIAL_FAILURE
+        assert batch_errors(record) == {1: "UnparseableJobId"}
+        assert "squeue" not in cluster.ran
+        assert "cancel" in [stage for stage, _ in events]
+        assert cluster.early == []
+        assert_no_job_outlives_its_data(
+            cluster, run_env[2].entry("cellpose").resources.time_limit_min)
+
+    def test_upload_digest_with_no_output_fails_the_transfer(self, run_env, tmp_path):
+        # sha256sum exits 0 but prints nothing: the upload fails its digest.
+        events = Events()
+        record = self.run(HashesNothing(), run_env, tmp_path, tiff_items(tmp_path, 4), 2,
+                          listener=events)
+        assert record.overall_state is orch.RunStage.FAILED
+        assert events[-1][0] == "Failed"
+        assert batch_errors(record) == batch_failures(events) == {
+            0: "TransferFailed", 1: "TransferFailed"}
+
+    def test_pending_array_tasks_cost_one_sacct_line(self, run_env, tmp_path):
+        # One conversion array of 250 tasks, 4 running at a time: each
+        # sacct prints a line per task that no longer pends and one for all
+        # those that do, 8,436 lines over the run's 67 polls, where a line
+        # per task named would be 15,817.
+        cluster = SimCluster()
+        sacct, printed, named = cluster._sacct, [], []
+
+        def counting(tokens):
+            result = sacct(tokens)
+            printed.append(result.stdout.count("\n"))
+            named.append(sum(len(cluster.jobs[int(job_id)].tasks)
+                             for job_id in tokens[tokens.index("-j") + 1].split(",")))
+            return result
+
+        cluster._sacct = counting
+        make_zarr_inputs(str(tmp_path / "inputs"), 250, chunks=1)
+        record = self.run(cluster, run_env, tmp_path,
+                          orch.scan_input_dir(str(tmp_path / "inputs")), 250)
+        assert record.overall_state is orch.RunStage.DONE
+        assert sum(printed) < 10_000 < sum(named)
 
 
 class TestImportResults:

@@ -1,7 +1,7 @@
 """Whole runs, and one submission launch, through SshEndpoint, with its ssh
 and scp processes routed to the installed /bin/sh and tools on local disk
-(the shell_router fixture), and stub sbatch, sacct, scancel and singularity
-on the router's PATH."""
+(the shell_router fixture), and stub sbatch, sacct, squeue, scancel and
+singularity on the router's PATH."""
 
 import dataclasses
 import os
@@ -91,6 +91,8 @@ def install_cluster(router, state):
     quoted = shlex.quote(str(state))
     router.stub("sbatch", SBATCH.format(state=quoted))
     router.stub("sacct", f"cat {quoted}/accounting\n")
+    # Every job ran to its end within its sbatch: none is queued.
+    router.stub("squeue", "exit 0\n")
     router.stub("scancel", f'echo "$@" >> {quoted}/scancel.calls\n')
     router.stub("singularity", SINGULARITY)
 
@@ -134,9 +136,10 @@ def outputs(record, output_dir):
 
 
 def test_run_matches_the_simulator(shell_run, shell_router, tmp_path):
-    """The run ends Done in 5 processes and one per poll: scp, sha256sum
-    and mv for the upload, the submission launch and the retrieval launch.
-    That one submission launch hands each conversion's job id to the sbatch
+    """The run ends Done in 4 processes and one per poll: scp, sha256sum
+    and mv for the upload and the submission launch; the one poll, as
+    squeue lists no job, also brings the results back. That one submission
+    launch hands each conversion's job id to the sbatch
     of its batch's workflow job. The run's record, result zips and logs are
     named as the simulator's run of the same inputs on the same scratch dir
     names them, and it leaves nothing under data/."""
@@ -147,9 +150,8 @@ def test_run_matches_the_simulator(shell_run, shell_router, tmp_path):
     assert record.overall_state is orch.RunStage.DONE, events
     programs = [argv[0] if argv[0] == "scp" else argv[-1].split()[0]
                 for argv in shell_router.launches]
-    polls = programs.count("sacct")
-    assert polls >= 1
-    assert programs == ["scp", "sha256sum", "mv", "sh"] + ["sacct"] * polls + ["sh"]
+    assert programs == ["scp", "sha256sum", "mv", "sh", "sh"]
+    assert "squeue" in shell_router.launches[-1][-1]
     assert data_left(profile) == []
     assert len(record.batches) == 3 and all(b.conversion_handle for b in record.batches[1:])
     calls = (tmp_path / "state" / "sbatch.calls").read_text().splitlines()
@@ -232,3 +234,32 @@ def test_submission_launch_with_stub_sbatch_matches_the_simulator(shell_router, 
         f"--parsable --job-name=sb-t {paths[0]}", f"--parsable --job-name=sb-t {paths[1]}",
         f"--parsable --job-name=sb-t --dependency=afterok:1 --kill-on-invalid-dep=yes {paths[2]}"]
     assert [(job.id, job.dependency) for job in sim.cluster.jobs.values()] == [(1, None), (2, 1)]
+
+
+@pytest.mark.parametrize("squeue", ["exit 1\n", 'echo "$3" | cut -d, -f1\n'],
+                         ids=["fails", "lists-one-id"])
+def test_guard_that_does_not_pass_keeps_the_run_dir(shell_run, shell_router, tmp_path, squeue):
+    """Every job has ended and sacct says so, but squeue exits 1 with no
+    output, or lists one of the run's job ids: the poll launch removes
+    nothing, and the run brings its results back in a retrieval launch of
+    its own, which cancels nothing."""
+    run, profile, _ = shell_run
+    shell_router.stub("squeue", squeue)
+    run_dir = []  # whether the run dir was there after each poll launch
+    route = shell_router.run
+
+    def routed(argv, **kwargs):
+        result = route(argv, **kwargs)
+        if argv[:2] == ["sh", "-c"] and "squeue" in argv[-1]:
+            run_dir.append(data_left(profile) != [])
+        return result
+
+    shell_router.run = routed
+    record = run(SshEndpoint(profile), tmp_path / "out", poll_interval_s=0.01)
+    assert record.overall_state is orch.RunStage.DONE
+    assert run_dir == [True]
+    scripts = [argv[-1] for argv in shell_router.launches if argv[0] == "ssh"]
+    assert ["squeue" in script for script in scripts] == [False] * 3 + [True, False]
+    assert "base64" in scripts[-1]
+    assert not (tmp_path / "state" / "scancel.calls").exists()
+    assert data_left(profile) == []

@@ -24,6 +24,7 @@ from slurmbridge.states import (
     aggregate_array_states,
     is_valid_transition,
 )
+from slurmbridge.transport import ExecResult
 
 
 def submit_script(cluster, path, **script):
@@ -111,6 +112,27 @@ class TestSubmission:
                                    "JobID,State", "-j", "999"])
         assert result.exit_code == 0
         assert result.stdout == ""
+
+    def test_squeue_lists_each_queued_record(self):
+        """`squeue -h -j <ids> -o %i` prints a line per record still queued
+        or running: a job's id, a running array task's `<id>_<k>`, and an
+        array's pending tasks as one `<id>_[<ranges>]`; an ended job or
+        task, or an unknown id, prints nothing. A malformed id list exits 1."""
+        cluster = SimCluster(nodes=[{"cpus": 4, "gpus": 0, "mem_mb": 8192}])
+        array = submit_script(cluster, "/scratch/a.sh", cpus=2, duration=10, array="0-5")
+        plain = submit_script(cluster, "/scratch/p.sh", cpus=1, duration=5)
+        squeue = ["squeue", "-h", "-j", f"{array},{plain},999", "-o", "%i"]
+        assert cluster.sim_exec(squeue).stdout == f"{array}_[0-5]\n{plain}\n"
+        cluster.advance(1)
+        assert cluster.sim_exec(squeue).stdout == (
+            f"{array}_0\n{array}_1\n{array}_[2-5]\n{plain}\n")
+        cluster.advance(20)
+        assert cluster.sim_exec(squeue).stdout == f"{array}_4\n{array}_5\n{plain}\n"
+        cluster.advance(10)  # the plain job starts as the last tasks end
+        assert cluster.sim_exec(squeue).stdout == f"{plain}\n"
+        cluster.advance(10)
+        assert cluster.sim_exec(squeue) == ExecResult(0, "", "")
+        assert cluster.sim_exec(["squeue", "-h", "-j", "1,x", "-o", "%i"]).exit_code == 1
 
     @pytest.mark.parametrize("ask", [dict(cpus=8), dict(gpus=2), dict(mem=16385)],
                              ids=["cpus", "gpus", "mem"])
@@ -752,9 +774,9 @@ def expand_sacct(stdout):
 def test_pending_tasks_are_a_suffix_and_sacct_names_every_task_state(seed, steps, dependent):
     """Over the random schedules of criteria 7 and 8, on drawn nodes, with
     cancels between advances and an array that waits on another job: every
-    job's pending tasks are a suffix of its tasks, and sacct's lines, each
+    job's pending tasks are a suffix of its tasks, sacct's lines, each
     pending record expanded, name exactly the tasks of the listed jobs, each
-    once, in its state."""
+    once, in its state, and squeue's exactly those not ended."""
     rng = random.Random(seed)
     cluster = SimCluster(nodes=[{"cpus": rng.randint(1, 4), "gpus": rng.randint(0, 1),
                                  "mem_mb": rng.choice([2048, 8192])}
@@ -779,3 +801,8 @@ def test_pending_tasks_are_a_suffix_and_sacct_names_every_task_state(seed, steps
         assert sorted(expand_sacct(printed.stdout)) == sorted(
             (task.entry_id, task.state.value)
             for job_id in job_ids for task in cluster.jobs[job_id].tasks)
+        # squeue names, in the same records, exactly the tasks not ended.
+        queued = cluster.sim_exec(["squeue", "-h", "-j", listed, "-o", "%i"]).stdout
+        assert sorted(entry for entry, _ in expand_sacct(queued.replace("\n", "|PENDING\n"))) \
+            == sorted(task.entry_id for job_id in job_ids
+                      for task in cluster.jobs[job_id].tasks if not task.state.terminal)

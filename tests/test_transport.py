@@ -20,6 +20,7 @@ from slurmbridge.errors import (
     DestinationUnwritable,
     SourceMissing,
     Timeout,
+    TransportError,
 )
 from slurmbridge.simslurm import SimCluster, SimEndpoint
 
@@ -412,6 +413,9 @@ def _packed_twice(name):
     pytest.param(b"", ["mv", "-T", "/w/d", "/w/e"], id="mv-directory"),
     pytest.param(b"", ["rm", "-r", "/w/d"], id="rm-r"),
     pytest.param(b"", ["echo", "hi"], id="echo"),
+    pytest.param(b"", ["squeue", "-j", "1", "-o", "%i"], id="squeue-without-h"),
+    pytest.param(b"", ["squeue", "-h", "-j", "1", "-o", "%A"], id="squeue-other-format"),
+    pytest.param(b"", ["squeue"], id="squeue-bare"),
 ])
 def test_forms_the_client_never_sends_are_refused(archive, argv):
     """A form of a command outside the client's grammar answers non-zero
@@ -530,6 +534,20 @@ def test_output_that_is_not_utf8_keeps_its_frame(shell_router):
         (0, "caf\ufffd\n", "bad \ufffd"), (0, "after\n", ""), (0, "caf\ufffd\n", "bad \ufffd")]
 
 
+@pytest.mark.parametrize("cut", [-1, -36], ids=["last-newline", "last-marker"])
+def test_framed_output_short_of_a_marker_is_lost(cut):
+    """An answer cut short of its last exit marker line reads as a lost
+    answer, not as fewer results."""
+
+    class CutsShort(SimEndpoint):
+        def exec(self, command, timeout=transport.DEFAULT_DEADLINE_S):
+            result = super().exec(command, timeout)
+            return transport.ExecResult(result.exit_code, result.stdout[:cut], result.stderr)
+
+    with pytest.raises(TransportError, match="framed output holds 1 of 2 exit markers"):
+        CutsShort(SimCluster()).exec_many([["test", "-e", "/"]], then=[["test", "-e", "/x"]])
+
+
 @pytest.mark.skipif(shutil.which("sh") is None, reason="sh not installed")
 def test_ssh_exec_many_is_one_launch(shell_router):
     """SshEndpoint.exec_many starts one ssh process, whose remote command a
@@ -569,11 +587,13 @@ def _as_sh_runs(argv):
 
 @st.composite
 def _framed_scripts(draw):
-    """(commands, then): commands that print and exit as drawn, and then
-    commands that do too or that print their words, one of them a Captured
-    token that takes an earlier printing then command's output."""
+    """(commands, then): commands that print and exit as drawn, some of
+    them Quiet, and then commands that do too or that print their words,
+    one of them a Captured token that takes an earlier printing then
+    command's output."""
     commands = [_prints(draw(_TEXTS), draw(st.sampled_from([0, 0, 1])))
                 for _ in range(draw(st.integers(0, 2)))]
+    commands = [transport.Quiet(argv) if draw(st.booleans()) else argv for argv in commands]
     then, printing = [], []
     for k in range(draw(st.integers(1, 5))):
         if printing and draw(st.booleans()):
@@ -594,14 +614,19 @@ def _framed_scripts(draw):
 @example(([_prints("", 1)], [_prints("3", 0), ["printf", "%s|", transport.Captured(0)]]))
 @example(([], [_prints("4\n", 2), ["printf", "%s|", transport.Captured(0, "x")],
                _prints("5", 0)]))
+@example(([transport.Quiet(_prints("\n\n", 0)), transport.Quiet(_prints("", 0))],
+          [_prints("ran", 0)]))
+@example(([transport.Quiet(_prints("7_[1-3]\n", 0))], [_prints("held", 0)]))
+@example(([transport.Quiet(_prints("", 1))], [_prints("held", 0)]))
 @given(_framed_scripts())
 def test_capture_template_matches_real_shell(shell_router, script):
-    """The capture template, run by /bin/sh through SshEndpoint, gives every
-    command the result that run_framed, the simulator's reading of it,
-    gives: a captured command's stdout less its trailing newlines, the
-    captured text up to its first ';' in the later argv, and that argv not
-    run unless the captured command exited 0. The script reads back as
-    written."""
+    """The capture and Quiet templates, run by /bin/sh through SshEndpoint,
+    give every command the result that run_framed, the simulator's reading
+    of them, gives: a captured command's stdout less its trailing newlines,
+    the captured text up to its first ';' in the later argv, and that argv
+    not run unless the captured command exited 0; a Quiet command no
+    stdout, and exit 0 only if its argv exited 0 and printed nothing but
+    newlines. The script reads back as written."""
     commands, then = script
     real = ssh_endpoint().exec_many(commands, then=then)
     modelled = transport.run_framed(commands, then, _as_sh_runs)
@@ -612,16 +637,19 @@ def test_capture_template_matches_real_shell(shell_router, script):
 
 
 def test_capture_template_reads_back_only_as_written():
-    """unframe_commands refuses a script that differs from the capture
-    template in any way, and frame_commands a Captured token that names no
-    earlier then command, or one that itself takes output."""
+    """unframe_commands refuses a script that differs from the capture or
+    Quiet template in any way, and frame_commands a Captured token that
+    names no earlier then command, or one that itself takes output."""
     token = transport.Captured(0, "--dependency=afterok:")
+    guard = transport.Quiet(["squeue", "-h", "-j", "1,2", "-o", "%i"])
     script, _ = transport.frame_commands(
-        [["true"]], [["sbatch", "--parsable", "a.sh"], ["sbatch", token, "b.sh"]])
-    assert transport.unframe_commands(script)[2][1] == ["sbatch", token, "b.sh"]
+        [guard, ["true"]], [["sbatch", "--parsable", "a.sh"], ["sbatch", token, "b.sh"]])
+    assert transport.unframe_commands(script)[1:] == (
+        [guard, ["true"]], [["sbatch", "--parsable", "a.sh"], ["sbatch", token, "b.sh"]])
     for old, new in [("[ $r0 = 0 ]", "[ $r1 = 0 ]"), ('printf %s "$c0"; ', ""),
                      ("c0=$(", "c1=$("), ('"${c0%%;*}"', "'${c0%%;*}'"),
-                     ('"${c0%%;*}"', '"${c0%;*}"'), ("r0=$s; ", "")]:
+                     ('"${c0%%;*}"', '"${c0%;*}"'), ("r0=$s; ", ""),
+                     ("q=$(", "r=$("), ('[ -z "$q" ]', '[ -n "$q" ]'), (") && [", ") || [")]:
         assert old in script
         assert transport.unframe_commands(script.replace(old, new, 1)) is None, old
     for then in ([["echo", transport.Captured(0)]],
