@@ -215,6 +215,13 @@ class _Run:
     live: dict = field(default_factory=dict)  # handle -> batch of each job not yet seen terminal
     torn_down: bool = False  # whether a launch that removed the run data answered
     bundle: object = None  # the bytes, or error, of a poll that tore the run down
+    unseen: bool = False  # whether a job may run whose id its sbatch answer did not give
+
+    def bundle_paths(self, batches):
+        """(dirs, bundle): the out dir of each of batches and the logs dir,
+        to zip into the results bundle, and where the bundle is made."""
+        return ([posixpath.join(b.remote_dir, "out") for b in batches] + [self.logs_dir],
+                posixpath.join(self.paths[0], "bundle.zip"))
 
     def emit(self, stage, detail):
         if isinstance(stage, RunStage):
@@ -392,6 +399,8 @@ def _submit(run):
         if handle is None:
             continue  # not submitted: the job it depends on was not
         if isinstance(handle, SlurmBridgeError):
+            if isinstance(handle, UnparseableJobId):
+                run.unseen = True  # later errors of its batch must not hide it
             _fail(batch, handle)
             continue
         run.live[handle] = batch
@@ -423,7 +432,6 @@ def _poll(run, options):
     live = run.live
     batches = run.record.batches
     submitted = list(live)
-    unseen = any(isinstance(b.error, UnparseableJobId) for b in batches)
     elapsed = 0.0
     accounting_failures = 0
     while live:
@@ -431,14 +439,14 @@ def _poll(run, options):
         elapsed += options.poll_interval_s
         states, give_up, removed = {}, None, None
         try:
-            if run.torn_down or unseen:
+            if run.torn_down or run.unseen:
                 states = slurm.poll_jobs(run.endpoint, list(live))
-            else:  # the out dir of every batch not known to have failed
-                outputs = [posixpath.join(b.remote_dir, "out") for b in batches
-                           if b.error is None and b.state in (None, JobState.COMPLETED)]
+            else:  # every batch not known to have failed
                 result, fetched = slurm.poll_and_fetch(
-                    run.endpoint, list(live), submitted, outputs + [run.logs_dir],
-                    posixpath.join(run.paths[0], "bundle.zip"), run.paths)
+                    run.endpoint, list(live), submitted, *run.bundle_paths(
+                        b for b in batches
+                        if b.error is None and b.state in (None, JobState.COMPLETED)),
+                    run.paths)
                 if fetched is not None:
                     run.bundle, removed = fetched
                     run.torn_down = True
@@ -494,8 +502,7 @@ def _retrieve(run, local_output_dir):
             run.emit_cancel()
         try:
             bundle, removed = slurm.fetch_results(
-                run.endpoint, [posixpath.join(b.remote_dir, "out") for b in completed]
-                + [run.logs_dir], posixpath.join(run.paths[0], "bundle.zip"), run.paths, cancel)
+                run.endpoint, *run.bundle_paths(completed), run.paths, cancel)
             run.torn_down = True
             run.emit("cleanup", f"removed={len(removed)}")
         except TransportError as exc:

@@ -606,20 +606,18 @@ class SimCluster:
         queued of each one queued or running: one per task, but
         `<id>_[<indices>]`, last, for all of an array's pending tasks, runs
         of indices as <lo>-<hi>, joined by ','."""
-        pending, running, runs = JobState.PENDING, JobState.RUNNING, []
-        is_array = job.is_array
-        for task in job.tasks:  # states compared by identity: hashing an Enum is slow
-            state = task.state
-            if state is not pending or not is_array:
-                if not queued or state is running or state is pending:
-                    yield task.entry_id, state
+        runs = []  # [lo, hi] of each run of pending array tasks
+        for task in job.tasks:
+            if not job.is_array or task.state is not JobState.PENDING:
+                if not queued or task.state in (JobState.PENDING, JobState.RUNNING):
+                    yield task.entry_id, task.state
             elif runs and runs[-1][1] == task.index - 1:
                 runs[-1][1] = task.index
             else:
                 runs.append([task.index, task.index])
         if runs:
             indices = ",".join(f"{lo}-{hi}" if hi > lo else str(lo) for lo, hi in runs)
-            yield f"{job.id}_[{indices}]", pending
+            yield f"{job.id}_[{indices}]", JobState.PENDING
 
     def _listed(self, tokens):
         """The known jobs of `-j <ids>` in tokens, or None if there is none."""

@@ -242,13 +242,12 @@ def frame_output(mark, results):
 def _unframe_output(text, mark, count):
     """[(exit status, output)] of each framed command in text; the status
     is None for a command that did not run."""
-    first, *parts = text.split(f"\n{mark} ")  # no regex: each mark is new
-    parts = [part.partition("\n") for part in parts]  # (status, "\n", next output)
-    statuses = [s for s, newline, _ in parts if newline and (s == "-" or s.isdigit())]
-    if len(statuses) != count or len(parts) != count:
-        raise TransportError(f"framed output holds {len(statuses)} of {count} exit markers")
-    return [(None if status == "-" else int(status), output) for status, output
-            in zip(statuses, [first] + [rest for _, _, rest in parts])]
+    parts = re.split(f"\n{mark} (\\d+|-)\n", text)
+    if len(parts) != 2 * count + 1:
+        raise TransportError(
+            f"framed output holds {len(parts) // 2} of {count} exit markers")
+    return [(None if parts[k + 1] == "-" else int(parts[k + 1]), parts[k])
+            for k in range(0, 2 * count, 2)]
 
 
 def file_sha256(path):

@@ -1282,12 +1282,16 @@ class SacctLags(RemovesOnlyEnded):
 
 
 class PrintsNoJobId(RemovesOnlyEnded):
-    """Makes the --parsable answer of batch 1's sbatch unreadable, though
-    the job went in."""
+    """Makes the --parsable answer of the sbatch of script unreadable,
+    though the job went in."""
+
+    def __init__(self, script, nodes=None):
+        super().__init__(nodes)
+        self.script = script
 
     def _sbatch(self, args):
         result = super()._sbatch(args)
-        if "/batch1/" in args[-1]:
+        if self.script in args[-1]:
             return dataclasses.replace(result, stdout="queued as " + result.stdout)
         return result
 
@@ -1352,18 +1356,26 @@ class TestLastPollRetrieves:
         assert [stage for stage, _ in events].count("cleanup") == 1
         assert cluster.early == []
 
-    def test_unseen_job_keeps_its_run_from_retrieving_in_a_poll(self, run_env, tmp_path):
-        # Batch 1's job went in with an id the client could not read, and
-        # runs to its time limit: no squeue could name it, so the polls ask
-        # sacct alone, and the retrieval launch cancels it by name.
-        cluster = PrintsNoJobId()
-        cluster.inject_fault(FaultDirective(script_substring="batch1/job.sh",
+    @pytest.mark.parametrize("script, error", [("batch1/job.sh", "UnparseableJobId"),
+                                               ("batch1/convert.sh", "SubmitRejected")])
+    def test_unseen_job_keeps_its_run_from_retrieving_in_a_poll(self, run_env, tmp_path,
+                                                                script, error):
+        # Batch 1's workflow job, or its conversion array, went in with an
+        # id the client could not read, and runs to its time limit. An
+        # unreadable array id also gets the workflow job's sbatch refused,
+        # and the batch ends with that error. No squeue could name the job,
+        # so the polls ask sacct alone, and the retrieval launch cancels it
+        # by name.
+        cluster = PrintsNoJobId(script)
+        cluster.inject_fault(FaultDirective(script_substring=script,
                                             forced_state=JobState.TIMEOUT))
+        make_tiff_inputs(str(tmp_path / "inputs"), 3)
+        make_zarr_inputs(str(tmp_path / "inputs"), 3)
         events = Events()
-        record = self.run(cluster, run_env, tmp_path, tiff_items(tmp_path, 4), 2,
-                          listener=events)
+        record = self.run(cluster, run_env, tmp_path,
+                          orch.scan_input_dir(str(tmp_path / "inputs")), 3, listener=events)
         assert record.overall_state is orch.RunStage.PARTIAL_FAILURE
-        assert batch_errors(record) == {1: "UnparseableJobId"}
+        assert batch_errors(record) == {1: error}
         assert "squeue" not in cluster.ran
         assert "cancel" in [stage for stage, _ in events]
         assert cluster.early == []
