@@ -12,7 +12,6 @@ SHEBANG = "#!/bin/bash"
 
 _DIRECTIVE_RE = re.compile(r"#SBATCH\s+(--[A-Za-z][A-Za-z-]*)=(.*)")
 _EXPORT_RE = re.compile(r'export ([A-Za-z_][A-Za-z0-9_]*)="(.*)"')
-_SIM_RE = re.compile(r"#SIM\s+duration=(\d+)\s+outputs=(\d+)\s*")
 # Between double quotes bash still expands $ and `, and gives \ and " their
 # meaning; a backslash before any of the four leaves it as it is.
 _SPECIAL_RE = re.compile(r'([\\"$`])')
@@ -27,21 +26,11 @@ class RunPaths:
     image_file: str
 
 
-@dataclass(frozen=True)
-class SimAnnotation:
-    """Declared behavior for the simulated cluster: runtime seconds and the
-    number of placeholder output files written on completion."""
-
-    duration_s: int = 30
-    outputs: int = 0
-
-
 @dataclass
 class JobScript:
     directives: list  # ordered (key, value) pairs, keys like "--mem"
     env_exports: list  # ordered (name, value) pairs
     body: list  # ordered shell command lines
-    sim: SimAnnotation = None
 
 
 def minutes_to_clock(minutes):
@@ -90,7 +79,7 @@ def _undquote(text):
     return _ESCAPED_RE.sub(r"\1", text)
 
 
-def generate_workflow_script(descriptor, resources, values, run_paths, logs_dir, sim=None):
+def generate_workflow_script(descriptor, resources, values, run_paths, logs_dir):
     """Build the batch script that runs the workflow container over one
     in/out/gt data layout; each token of the command is quoted, so that a
     value reaches the container as given."""
@@ -101,11 +90,10 @@ def generate_workflow_script(descriptor, resources, values, run_paths, logs_dir,
         (run_paths.in_dir, "in"), (run_paths.out_dir, "out"), (run_paths.gt_dir, "gt")))
     argv = [run_paths.image_file, *descriptor_mod.render_cli_args(descriptor, values)]
     return JobScript(directives=_base_directives(resources, logs_dir), env_exports=env_exports,
-                     body=[f"singularity exec {binds} {shlex.join(argv)}"], sim=sim)
+                     body=[f"singularity exec {binds} {shlex.join(argv)}"])
 
 
-def generate_conversion_script(n_items, converter_image, data_dir, resources, logs_dir,
-                               sim=None):
+def generate_conversion_script(n_items, converter_image, data_dir, resources, logs_dir):
     """Build the array job that converts every ZARR input item to TIFF in place.
 
     Each array task converts the item whose index is $SLURM_ARRAY_TASK_ID.
@@ -119,17 +107,14 @@ def generate_conversion_script(n_items, converter_image, data_dir, resources, lo
         f'--index "$SLURM_ARRAY_TASK_ID" /data'
     )
     return JobScript(directives=_base_directives(replace(resources, gpus=0), logs_dir, n_items),
-                     env_exports=[], body=[command], sim=sim)
+                     env_exports=[], body=[command])
 
 
 def render_script(script):
-    """Deterministic text form: shebang, directives, exports, the #SIM line,
-    body."""
+    """Deterministic text form: shebang, directives, exports, body."""
     lines = [SHEBANG]
     lines += [f"#SBATCH {key}={value}" for key, value in script.directives]
     lines += [f'export {name}="{_dquote(value)}"' for name, value in script.env_exports]
-    if script.sim is not None:
-        lines.append(f"#SIM duration={script.sim.duration_s} outputs={script.sim.outputs}")
     lines += script.body
     return "\n".join(lines) + "\n"
 
@@ -137,8 +122,8 @@ def render_script(script):
 def parse_script(text):
     """Inverse of render_script. `#SBATCH --key=value` lines are directives
     up to the first line that is neither blank nor a comment, as sbatch(1)
-    reads them; `export NAME="value"` lines and the #SIM line count wherever
-    they stand; every other line after the `#!` line, which sbatch requires
+    reads them; `export NAME="value"` lines count wherever they stand;
+    every other line after the `#!` line, which sbatch requires
     (ValueError without it), is body. Lines end at '\\n' only."""
     first, *lines = text.removesuffix("\n").split("\n")
     if not first.startswith("#!"):
@@ -149,13 +134,10 @@ def parse_script(text):
         header = header and (not line.strip() or line.startswith("#"))
         directive = header and _DIRECTIVE_RE.fullmatch(line)
         export = _EXPORT_RE.fullmatch(line)
-        sim = _SIM_RE.fullmatch(line)
         if directive:
             script.directives.append(directive.groups())
         elif export:
             script.env_exports.append((export[1], _undquote(export[2])))
-        elif sim:
-            script.sim = SimAnnotation(int(sim[1]), int(sim[2]))
         else:
             script.body.append(line)
     return script

@@ -95,7 +95,7 @@ class RunOptions:
     parallelism: int = 4  # ignored: a run makes its remote calls one at a time
     poll_interval_s: float = slurm.DEFAULT_POLL_INTERVAL_S
     deadline_s: float = None
-    sim_duration_s: int = 30
+    sim_duration_s: int = 30  # ignored: the simulator times jobs by script name; perfbench sets it
 
 
 @dataclass
@@ -187,18 +187,24 @@ def plan_batches(items, batch_size):
     return [ids[i:i + batch_size] for i in range(0, len(ids), batch_size)]
 
 
-def _split_results(archive, prefix, local_zip):
-    """Copy the files under prefix in archive to local_zip, named relative to
-    prefix; returns False, writing nothing, when there are none."""
-    members = [info for info in archive.infolist()
-               if info.filename.startswith(prefix) and not info.is_dir()]
-    if not members:
-        return False
-    with zipfile.ZipFile(local_zip, "w") as target:
-        for info in members:
-            entry = zipfile.ZipInfo(info.filename[len(prefix):], date_time=info.date_time)
-            target.writestr(entry, archive.read(info), compress_type=info.compress_type)
-    return True
+def _split_results(archive, local_zips):
+    """In one walk over archive's entries, copy the files under each prefix
+    of local_zips to the local zip it maps to, named relative to the prefix;
+    returns the prefixes that held a file, the only ones given a zip."""
+    members = collections.defaultdict(list)
+    for info in archive.infolist():
+        name = info.filename
+        end = -1 if info.is_dir() else name.find("/")
+        while end >= 0 and name[:end + 1] not in local_zips:
+            end = name.find("/", end + 1)
+        if end >= 0:
+            members[name[:end + 1]].append(info)
+    for prefix, infos in members.items():
+        with zipfile.ZipFile(local_zips[prefix], "w") as target:
+            for info in infos:
+                entry = zipfile.ZipInfo(info.filename[len(prefix):], date_time=info.date_time)
+                target.writestr(entry, archive.read(info), compress_type=info.compress_type)
+    return set(members)
 
 
 @dataclass
@@ -326,14 +332,11 @@ def _prepare(run, profile, workflow_descriptor, entry, options, staging_root):
             scripts[f"batch{batch.index}/convert.sh"] = jobscript.render_script(
                 jobscript.generate_conversion_script(
                     zarr_count, slurm.converter_image_path(profile), in_dir,
-                    entry.resources, run.logs_dir,
-                    sim=jobscript.SimAnnotation(duration_s=5, outputs=0)))
+                    entry.resources, run.logs_dir))
         scripts[f"batch{batch.index}/job.sh"] = jobscript.render_script(
             jobscript.generate_workflow_script(
                 workflow_descriptor, entry.resources, record.values,
-                jobscript.RunPaths(in_dir, out_dir, gt_dir, image_path),
-                run.logs_dir, sim=jobscript.SimAnnotation(
-                    duration_s=options.sim_duration_s, outputs=len(batch.items))))
+                jobscript.RunPaths(in_dir, out_dir, gt_dir, image_path), run.logs_dir))
         prefix_of.update(dict.fromkeys(batch.items, f"batch{batch.index}/"))
     shipped = [b for b in record.batches if b.error is None]
     try:
@@ -513,12 +516,14 @@ def _retrieve(run, local_output_dir):
         bundle = None
     if bundle:
         with zipfile.ZipFile(io.BytesIO(bundle)) as archive:
-            for batch in completed:
-                local_zip = os.path.join(local_output_dir,
-                                         f"{run.record.run_id}_batch{batch.index}.zip")
-                out_dir = posixpath.join(batch.remote_dir, "out")
-                if _split_results(archive, slurm.zip_entry_name(out_dir) + "/", local_zip):
-                    batch.result_zip = local_zip
+            out_dirs = [posixpath.join(b.remote_dir, "out") for b in completed]
+            local_zips = {slurm.zip_entry_name(out_dir) + "/": os.path.join(
+                local_output_dir, f"{run.record.run_id}_batch{b.index}.zip")
+                for b, out_dir in zip(completed, out_dirs)}
+            split = _split_results(archive, local_zips)
+            for batch, out_dir, prefix in zip(completed, out_dirs, local_zips):
+                if prefix in split:
+                    batch.result_zip = local_zips[prefix]
                 else:
                     batch.error = RetrievalFailed(str(EmptyOutput(out_dir)))
             for batch in logged:

@@ -3,8 +3,9 @@
 The simulator answers the exact sbatch/sacct/squeue/scancel command grammar
 the client speaks, and its file commands in exactly the forms it sends them,
 refusing every other form; it schedules parsed scripts FIFO/first-fit onto
-configured nodes, and advances a virtual clock. Script "work" is declared
-via a ``#SIM duration=<s> outputs=<n>`` annotation instead of being executed.
+configured nodes, and advances a virtual clock. Scripts are not executed: a
+job runs for the time _DURATIONS_S gives its script's file name, and a
+completed workflow job writes one placeholder mask per input.
 """
 
 import dataclasses
@@ -26,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import DestinationUnwritable, SourceMissing
-from .jobscript import SimAnnotation, clock_to_minutes, parse_script
+from .jobscript import clock_to_minutes, parse_script
 from .states import JobState, aggregate_array_states
 from .transport import (
     DEFAULT_DEADLINE_S,
@@ -45,7 +46,13 @@ DEFAULT_NODES = [
 # A fixed archive timestamp keeps zip output byte-deterministic.
 _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
 
+# Seconds a job runs, by its script's file name: a workflow job, a
+# conversion array's task, and any other script.
+_DURATIONS_S = {"job.sh": 30, "convert.sh": 5}
 _DEFAULT_DURATION_S = 10
+
+# The suffix of an input in a workflow job's IN_PATH, by format, longest first.
+_INPUT_SUFFIXES = (".ome.tiff", ".tiff", ".zarr")
 
 # The largest piece in which a file's bytes are copied or hashed; the next
 # piece is read before the last is freed, so a copy holds at most two.
@@ -253,7 +260,6 @@ class SimJob:
     resources: dict  # cpus, gpus, mem_mb per task
     time_limit_min: int
     duration_s: int
-    outputs_n: int
     output_pattern: str
     exports: dict
     array_spec: tuple = None  # (lo, hi) or None
@@ -289,11 +295,13 @@ class SimEvent:
 @dataclass(frozen=True)
 class FaultDirective:
     """Force jobs whose script path contains script_substring into a
-    terminal state, or suppress their outputs."""
+    terminal state, suppress their outputs, or run them for duration_s
+    seconds instead of the time their script's name gives."""
 
     script_substring: str
     forced_state: JobState = None
     missing_output: bool = False
+    duration_s: int = None
 
 
 def load_topology(text):
@@ -402,14 +410,13 @@ class SimCluster:
             directive = dict(script.directives).get  # with the simulator's defaults
             gres = directive("--gres", "gpu:0")
             first, _, last = directive("--array", "").partition("-")
-            sim = script.sim or SimAnnotation(_DEFAULT_DURATION_S)
             job = SimJob(
                 id=self.next_job_id, script_path=path, submit_time=self.clock,
                 resources={"cpus": int(directive("--cpus-per-task", 1)),
                            "gpus": int(gres[4:]) if gres.startswith("gpu:") else 0,
                            "mem_mb": int(directive("--mem", 1024))},
                 time_limit_min=clock_to_minutes(directive("--time", "01:00:00")),
-                duration_s=sim.duration_s, outputs_n=sim.outputs,
+                duration_s=_DURATIONS_S.get(posixpath.basename(path), _DEFAULT_DURATION_S),
                 output_pattern=directive("--output", ""), exports=dict(script.env_exports),
                 array_spec=(int(first), int(last or first)) if first else None,
                 name=settings.get("--job-name"), dependency=int(after) if after else None)
@@ -431,6 +438,8 @@ class SimCluster:
             if fault.script_substring in path:
                 if fault.forced_state is not None:
                     job.forced_state = fault.forced_state
+                if fault.duration_s is not None:
+                    job.duration_s = fault.duration_s
                 job.missing_output = job.missing_output or fault.missing_output
         self.jobs[job_id] = job
         self._pending[job_id] = 0
@@ -528,18 +537,15 @@ class SimCluster:
         self.fs.write(path, ("\n".join(lines) + "\n").encode())
 
     def _write_outputs(self, job):
-        if job.missing_output or job.outputs_n <= 0:
+        """Write `<id>_mask.tiff` in the job's OUT_PATH for each input in its
+        IN_PATH: a file or a tree of files named `<id>` and its suffix."""
+        in_dir, out_dir = job.exports.get("IN_PATH"), job.exports.get("OUT_PATH")
+        if job.missing_output or not in_dir or not out_dir:
             return
-        out_dir = job.exports.get("OUT_PATH")
-        if not out_dir:
-            return
-        in_dir = job.exports.get("IN_PATH")
-        # Each input in in_dir is a file or a tree of files.
-        inputs = {name.split("/", 1)[0] for name in self.fs.files_under(in_dir)} if in_dir else ()
-        stems = [name.split(".", 1)[0] for name in sorted(inputs)]
         self.fs.make_dirs(out_dir)
-        for k in range(job.outputs_n):
-            name = f"{stems[k]}_mask.tiff" if k < len(stems) else f"output_{k}.tiff"
+        for entry in sorted({name.split("/", 1)[0] for name in self.fs.files_under(in_dir)}):
+            suffix = next((s for s in _INPUT_SUFFIXES if entry.endswith(s)), "")
+            name = f"{entry[:len(entry) - len(suffix)]}_mask.tiff"
             content = f"placeholder output {name} from job {job.id}\n".encode()
             self.fs.write(posixpath.join(out_dir, name), content)
 

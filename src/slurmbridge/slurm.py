@@ -239,14 +239,15 @@ def fetch_logfile(bundle, handle, logs_dir, local_dir):
     local_dir; returns the local path of the first, the lowest-index task's
     for an array. Raises LogMissing when the job wrote none."""
     os.makedirs(local_dir, exist_ok=True)
-    names = set(bundle.namelist())
     fetched = []
     for log in handle.logs:
-        entry = zip_entry_name(posixpath.join(logs_dir, log))
-        if entry in names:
-            fetched.append(os.path.join(local_dir, log))
-            with open(fetched[-1], "wb") as out:
-                out.write(bundle.read(entry))
+        try:
+            info = bundle.getinfo(zip_entry_name(posixpath.join(logs_dir, log)))
+        except KeyError:
+            continue
+        fetched.append(os.path.join(local_dir, log))
+        with open(fetched[-1], "wb") as out:
+            out.write(bundle.read(info))
     if not fetched:
         raise LogMissing(f"no log of job {handle.job_id} in {logs_dir}")
     return fetched[0]

@@ -12,7 +12,7 @@ import tempfile
 import time
 import zipfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slurmbridge import descriptor as descriptor_mod
@@ -61,7 +61,7 @@ def fresh_env(descriptor, cluster=None):
 
 
 def run_options(**overrides):
-    defaults = dict(poll_interval_s=5, sim_duration_s=20)
+    defaults = dict(poll_interval_s=5)
     defaults.update(overrides)
     return orch.RunOptions(**defaults)
 
@@ -341,31 +341,51 @@ def test_criterion_10_cleanup():
 
 @criterion(11, "no job outlives its data")
 def test_criterion_11_no_job_outlives_its_data(cellpose_descriptor, tmp_path):
-    make_tiff_inputs(str(tmp_path / "tiff"), 6)
-    make_zarr_inputs(str(tmp_path / "zarr"), 6)
+    make_tiff_inputs(str(tmp_path / "inputs"), 9)
+    make_zarr_inputs(str(tmp_path / "inputs"), 9)
+    scanned = orch.scan_input_dir(str(tmp_path / "inputs"))
+    pools = {fmt: [item for item in scanned if item.format is fmt]
+             for fmt in (orch.InputFormat.TIFF_2D, orch.InputFormat.ZARR)}
 
+    # Each batch draws its input format and a forced state for its workflow
+    # job or its conversion array. On one node of two slots, an array of
+    # three tasks runs in two waves or more, so a failed array's parent state
+    # can read FAILED while a task runs on past the end of a 10 s workflow
+    # job; the example pins that case.
     @settings(max_examples=60, deadline=None)
     @given(sacct_failures=st.lists(st.booleans(), max_size=8),
            lose_submission=st.booleans(),
            lose_retrieval=st.booleans(),
            lose_upload=st.sampled_from([None, "sha256sum", "mv"]),
            deadline_s=st.sampled_from([None, 0, 5, 15, 40]),
-           forced=st.lists(st.sampled_from([None, JobState.FAILED, JobState.TIMEOUT]),
-                           min_size=1, max_size=3),
-           input_format=st.sampled_from(["tiff", "zarr"]))
+           batches=st.lists(st.tuples(
+               st.sampled_from(list(pools)), st.sampled_from(["job.sh", "convert.sh"]),
+               st.sampled_from([None, JobState.FAILED, JobState.TIMEOUT])),
+               min_size=1, max_size=3),
+           one_node=st.booleans(),
+           batch_size=st.sampled_from([2, 3]),
+           workflow_s=st.sampled_from([10, 30]))
+    @example(sacct_failures=[], lose_submission=False, lose_retrieval=False, lose_upload=None,
+             deadline_s=None, one_node=True, batch_size=3, workflow_s=10,
+             batches=[(orch.InputFormat.TIFF_2D, "job.sh", None),
+                      (orch.InputFormat.ZARR, "convert.sh", JobState.FAILED)])
     def no_job_outlives_its_data(sacct_failures, lose_submission, lose_retrieval, lose_upload,
-                                 deadline_s, forced, input_format):
-        endpoint, profile, registry = fresh_env(cellpose_descriptor, GrammarOnly())
-        for index, state in enumerate(forced):
+                                 deadline_s, batches, one_node, batch_size, workflow_s):
+        nodes = [{"cpus": 4, "gpus": 0, "mem_mb": 16384}] if one_node else None
+        endpoint, profile, registry = fresh_env(cellpose_descriptor, GrammarOnly(nodes))
+        endpoint.cluster.inject_fault(FaultDirective(script_substring="job.sh",
+                                                     duration_s=workflow_s))
+        items = []
+        for index, (fmt, script, state) in enumerate(batches):
+            items += pools[fmt][batch_size * index:batch_size * (index + 1)]
             if state is not None:
                 endpoint.cluster.inject_fault(FaultDirective(
-                    script_substring=f"batch{index}/job.sh", forced_state=state))
-        items = orch.scan_input_dir(str(tmp_path / input_format))[:2 * len(forced)]
+                    script_substring=f"batch{index}/{script}", forced_state=state))
         orch.run_workflow_batched(
             FlakyLink(endpoint.cluster, sacct_failures, lose_submission,
                       lose_retrieval=lose_retrieval, lose_upload=lose_upload),
             profile, registry,
-            cellpose_descriptor, "cellpose", {}, items, 2,
+            cellpose_descriptor, "cellpose", {}, items, batch_size,
             options=run_options(deadline_s=deadline_s),
             local_output_dir=str(tmp_path / "out"))
         assert endpoint.cluster.refused == []

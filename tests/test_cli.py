@@ -596,7 +596,8 @@ class TestCancelAndList:
         cluster = simslurm.SimCluster.load_state(topology_path + ".state")
         run_dir = f"/scratch/omero/data/{run_id}"
         cluster.fs.make_dirs(run_dir)
-        cluster.fs.write(run_dir + "/job.sh", b"#!/bin/bash\n#SIM duration=600 outputs=0\n")
+        cluster.fs.write(run_dir + "/job.sh", b"#!/bin/bash\n")
+        cluster.inject_fault(simslurm.FaultDirective(script_substring=run_dir, duration_s=600))
         cluster.fs.write(run_dir + ".zip", b"upload")
         cluster.sim_exec(["sbatch", f"--job-name=sb-{run_id}", run_dir + "/job.sh"])
         cluster.advance(1)

@@ -71,15 +71,6 @@ class TestWorkflowScript:
             "IN_PATH", "OUT_PATH", "GT_PATH",
         ]
 
-    def test_sim_annotation_in_body(self, cellpose_descriptor):
-        values = descriptor_mod.validate_values(cellpose_descriptor, {})
-        script = js.generate_workflow_script(
-            cellpose_descriptor, ResourceSpec(4096, 2, 0, 60), values,
-            RUN_PATHS, LOGS_DIR, sim=js.SimAnnotation(duration_s=25, outputs=4),
-        )
-        text = js.render_script(script)
-        assert js.parse_script(text).sim == js.SimAnnotation(25, 4)
-
 
 class TestConversionScript:
     def _generate(self, n):
@@ -155,8 +146,6 @@ _LABELLED = descriptor_mod.parse_descriptor(
 
 _resources = st.builds(ResourceSpec, st.integers(1, 1 << 20), st.integers(1, 64),
                        st.integers(0, 8), st.integers(1, 10080))
-_sims = st.one_of(st.none(), st.builds(js.SimAnnotation, st.integers(0, 10**6),
-                                       st.integers(0, 10**4)))
 # A label now and then holds a line break, which validate_values refuses.
 _values = st.fixed_dictionaries({}, optional={
     "label": st.one_of(_VALUE_TEXT, st.builds(lambda head, brk, tail: head + brk + tail,
@@ -169,20 +158,20 @@ _values = st.fixed_dictionaries({}, optional={
 _run_paths = st.builds(js.RunPaths, _PATH_TEXT, _PATH_TEXT, _PATH_TEXT, _PATH_TEXT)
 
 
-def _workflow_script(resources, values, paths, logs_dir, sim):
+def _workflow_script(resources, values, paths, logs_dir):
     """The workflow script of values as the library takes them, through
     validate_values."""
     return js.generate_workflow_script(
         _LABELLED, resources, descriptor_mod.validate_values(_LABELLED, values), paths,
-        logs_dir, sim)
+        logs_dir)
 
 
 # Each draw is a call that generates a script.
 _scripts = st.one_of(
     st.builds(functools.partial, st.just(_workflow_script), _resources, _values,
-              _run_paths, _PATH_TEXT, _sims),
+              _run_paths, _PATH_TEXT),
     st.builds(functools.partial, st.just(js.generate_conversion_script),
-              st.integers(1, 10**4), _PATH_TEXT, _PATH_TEXT, _resources, _PATH_TEXT, _sims),
+              st.integers(1, 10**4), _PATH_TEXT, _PATH_TEXT, _resources, _PATH_TEXT),
 )
 
 
@@ -221,12 +210,14 @@ class TestScanRoundTrip:
         assert script.directives == [("--mem", "1"), ("--time", "00:01:00")]
         assert script.body == ["", "# note", "true", "#SBATCH --mem=2"]
 
-    def test_exports_and_sim_count_anywhere(self):
-        script = js.parse_script('#!/bin/bash\n#SIM duration=5 outputs=1\ntrue\n'
-                                 'export A="x \\"y\\" \\$z"\n')
-        assert script.sim == js.SimAnnotation(5, 1)
+    def test_exports_count_anywhere_and_sim_is_a_comment(self):
+        # A #SIM line is a comment like any other: body, and no end to the
+        # directives.
+        script = js.parse_script('#!/bin/bash\n#SIM duration=5 outputs=1\n#SBATCH --mem=1\n'
+                                 'true\nexport A="x \\"y\\" \\$z"\n')
+        assert script.directives == [("--mem", "1")]
         assert script.env_exports == [("A", 'x "y" $z')]
-        assert script.body == ["true"]
+        assert script.body == ["#SIM duration=5 outputs=1", "true"]
 
     def test_script_without_shebang_is_refused(self):
         with pytest.raises(ValueError):

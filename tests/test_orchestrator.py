@@ -94,15 +94,21 @@ class FlakyLink(SimEndpoint):
     lost_with right after the first launch holding an sbatch has run
     remotely: a plain one, or one framed by exec_many, with or without a
     guard before it, and with or without an sbatch that takes an earlier
-    one's job id; and with lose_retrieval, raises ConnectionLost right after the first
+    one's job id; with lose_retrieval, raises ConnectionLost right after the first
     launch in which a base64 ran remotely (a poll launch that went on to
     bring the results back, or the retrieval launch; either also tears the
-    run down)."""
+    run down); and with garble, a (program, nth, lines) triple, answers the
+    nth launch (from 0) in which program ran with lines in place of that
+    program's output (of its first command of program, if it is framed by
+    exec_many), or, with program None, the nth launch with lines in place of
+    all its stdout."""
 
     def __init__(self, cluster, failures=(), lose_submission=False, lost_with=ConnectionLost,
-                 lose_retrieval=False, lose_upload=None):
+                 lose_retrieval=False, lose_upload=None, garble=None):
         super().__init__(cluster)
         self.failures = iter(failures)
+        self.garble = garble
+        self.garble_seen = 0  # launches that ran the program garble names
         self.lose_submission = lose_submission
         self.lost_with = lost_with
         self.lose_retrieval = lose_retrieval
@@ -129,6 +135,17 @@ class FlakyLink(SimEndpoint):
         if self.lose_retrieval and "base64" in ran:
             self.lose_retrieval = False
             raise ConnectionLost("link dropped after the retrieval ran")
+        program, nth, lines = self.garble or (None, -1, ())
+        if program is None or program in ran:
+            self.garble_seen += 1
+            if self.garble_seen == nth + 1:
+                text = "".join(line + "\n" for line in lines)
+                if framed is not None and program is not None:
+                    # Each framed command's output, then its marker.
+                    pieces = re.split(f"(\n{framed[0]} (?:\\d+|-)\n)", result.stdout)
+                    pieces[2 * [argv[0] for argv in argvs].index(program)] = text
+                    text = "".join(pieces)
+                result = dataclasses.replace(result, stdout=text)
         return result
 
 
@@ -263,7 +280,7 @@ def packs_damaged(pack_inputs):
 
 
 def fast_options(**overrides):
-    defaults = dict(poll_interval_s=5, sim_duration_s=20)
+    defaults = dict(poll_interval_s=5)
     defaults.update(overrides)
     return orch.RunOptions(**defaults)
 
@@ -424,6 +441,46 @@ class TestRunWorkflow:
         assert record.overall_state is orch.RunStage.FAILED
         assert record.output_artifacts
         assert all(p.endswith(".log") for p in record.output_artifacts)
+
+    def test_job_scripts_carry_nothing_for_the_simulator(self, run_env, tmp_path):
+        # Each script submitted is the shebang, #SBATCH directives, exports
+        # and the container command; nothing in it is for the simulator.
+        endpoint, profile, registry, descriptor = run_env
+        submitted = {}
+        sbatch = endpoint.cluster._sbatch
+
+        def recording(args):
+            name = "/".join(args[-1].split("/")[-2:])
+            submitted[name] = endpoint.cluster.fs.read(args[-1]).decode()
+            return sbatch(args)
+
+        endpoint.cluster._sbatch = recording
+        make_tiff_inputs(str(tmp_path / "inputs"), 2)
+        make_zarr_inputs(str(tmp_path / "inputs"), 2)
+        record = orch.run_workflow_batched(
+            endpoint, profile, registry, descriptor, "cellpose", {},
+            orch.scan_input_dir(str(tmp_path / "inputs")), 2, options=fast_options(),
+            local_output_dir=str(tmp_path / "out"))
+        assert record.overall_state is orch.RunStage.DONE
+        assert sorted(submitted) == ["batch0/job.sh", "batch1/convert.sh", "batch1/job.sh"]
+        for text in submitted.values():
+            assert all(line.startswith(("#!/bin/bash", "#SBATCH --", "export ", "singularity "))
+                       for line in text.splitlines()), text
+
+    def test_one_mask_comes_back_per_input_whose_id_holds_a_dot(self, run_env, tmp_path):
+        endpoint, profile, registry, descriptor = run_env
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        for name in ["a.x.tiff", "a.y.tiff", "b.tiff", "c.v1.ome.tiff"]:
+            (inputs / name).write_bytes(b"II*\x00" + name.encode())
+        record = orch.run_workflow_batched(
+            endpoint, profile, registry, descriptor, "cellpose", {},
+            orch.scan_input_dir(str(inputs)), 4, options=fast_options(),
+            local_output_dir=str(tmp_path / "out"))
+        assert record.overall_state is orch.RunStage.DONE
+        with zipfile.ZipFile(record.batches[0].result_zip) as archive:
+            assert sorted(archive.namelist()) == [
+                "a.x_mask.tiff", "a.y_mask.tiff", "b_mask.tiff", "c.v1_mask.tiff"]
 
     def test_zero_items_done_without_remote_activity(self, run_env, tmp_path):
         endpoint, profile, registry, descriptor = run_env
@@ -823,16 +880,18 @@ class TestRunWorkflowBatched:
         (run_dir / "batch2" / "out").mkdir(parents=True)
         results = str(run_dir / "results.zip")
         subprocess.run(["zip", "-q", "-r", "-D", results, str(run_dir)], check=True)
-        split = {}
+        local_zips = {slurm.zip_entry_name(str(run_dir / f"batch{index}" / "out")) + "/":
+                      str(tmp_path / f"batch{index}.zip") for index in range(3)}
         with zipfile.ZipFile(results) as archive:
-            for index in range(3):
-                prefix = slurm.zip_entry_name(str(run_dir / f"batch{index}" / "out")) + "/"
-                local = str(tmp_path / f"batch{index}.zip")
-                if orch._split_results(archive, prefix, local):
-                    with zipfile.ZipFile(local) as part:
-                        split[index] = {n: part.read(n) for n in part.namelist()}
+            written = orch._split_results(archive, local_zips)
+        split = {}
+        for index, (prefix, local) in enumerate(local_zips.items()):
+            if prefix in written:
+                with zipfile.ZipFile(local) as part:
+                    split[index] = {n: part.read(n) for n in part.namelist()}
         assert split == {0: {"a_mask.tiff": b"a"},
                          1: {"b_mask.tiff": b"b", "sub/c.tiff": b"c"}}
+        assert not os.path.exists(tmp_path / "batch2.zip")
 
     @pytest.mark.parametrize("batch_size,batches,zarr", [
         pytest.param(12, 1, False, id="12-1"), pytest.param(3, 4, False, id="3-4"),
@@ -1056,6 +1115,50 @@ def test_every_run_ends_on_any_topology(tmp_path_factory, nodes, resources, zarr
     assert_no_job_outlives_its_data(cluster, resources.time_limit_min)
 
 
+# Lines no command prints, none of them a well-formed job id or accounting
+# record: odd ids, empty or non-digit fields, stray '|' and very long lines.
+# A line of digits, or `<id>|<state>`, would be an answer the client must
+# believe, not a damaged one.
+_DAMAGED_LINES = st.lists(st.one_of(
+    st.sampled_from(["1+0|COMPLETED", "1.batch|COMPLETED", "abc|RUNNING", "12x", "1_|RUNNING",
+                     "1_[|PENDING", "|COMPLETED", "1|", "1||RUNNING", "|", "", " 1 2"]),
+    st.builds("{}|{}".format, st.from_regex(r"[0-9]*[^0-9\n|_][0-9_\[\],|-]*", fullmatch=True),
+              st.sampled_from(["RUNNING", "COMPLETED", "", "WOBBLY"])),
+    st.integers(1000, 20000).map(lambda n: "1|" + "R" * n),
+    st.integers(1000, 20000).map(lambda n: "x" * n)), min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(program=st.sampled_from([None, "sbatch", "sacct", "sha256sum", "base64"]),
+       nth=st.integers(0, 2), lines=_DAMAGED_LINES)
+def test_a_damaged_answer_ends_the_run_at_a_journaled_stage(tmp_path_factory, program, nth,
+                                                            lines):
+    """The output of one command the client reads, or one launch's whole
+    answer, is replaced by damaged lines: the run raises nothing and journals a final stage, every
+    job is terminal, and once a teardown has answered nothing is left under
+    data/."""
+    profile, registry = config_mod.parse_config(SAMPLE_CONFIG)
+    descriptor = descriptor_mod.parse_descriptor(json.dumps(CELLPOSE_DESCRIPTOR))
+    workdir = tmp_path_factory.mktemp("run")
+    make_tiff_inputs(str(workdir / "inputs"), 2)
+    make_zarr_inputs(str(workdir / "inputs"), 2)
+    cluster = SimCluster()
+    slurm.init_environment(SimEndpoint(cluster), profile, registry)
+    journal = str(workdir / "run.journal")
+    record = orch.run_workflow_batched(
+        FlakyLink(cluster, garble=(program, nth, lines)), profile, registry, descriptor,
+        "cellpose", {}, orch.scan_input_dir(str(workdir / "inputs")), 2,
+        options=fast_options(deadline_s=600), local_output_dir=str(workdir / "out"),
+        listener=lambda stage, detail: cli.append_journal_row(journal, stage, detail))
+    rows = [(stage, detail) for _, stage, detail in cli.read_journal(journal)]
+    assert rows[-1][0] == record.overall_state.value
+    assert record.overall_state in orch.TERMINAL_STAGES
+    assert all(task.state.terminal for job in cluster.jobs.values() for task in job.tasks)
+    if any(stage == "cleanup" and detail.startswith("removed=") for stage, detail in rows):
+        assert [path for path in list(cluster.fs.files) + list(cluster.fs.dirs)
+                if path.startswith("/scratch/omero/data/")] == []
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.text(), min_size=1, max_size=4))
 def test_journal_rows_stay_one_line_and_read_back(tmp_path_factory, details):
@@ -1214,9 +1317,9 @@ class TestRunLifecycle:
 
     def test_deadline_cancels_live_jobs(self, run_env, tmp_path):
         endpoint, _, registry, _ = run_env
+        endpoint.cluster.inject_fault(FaultDirective(script_substring="job.sh", duration_s=600))
         events = Events()
-        record = self.run(endpoint, run_env, tmp_path, listener=events,
-                          deadline_s=5, sim_duration_s=600)
+        record = self.run(endpoint, run_env, tmp_path, listener=events, deadline_s=5)
         assert record.overall_state is orch.RunStage.FAILED
         assert batch_errors(record) == batch_failures(events) == {
             0: "WorkflowFailed", 1: "WorkflowFailed"}
@@ -1228,12 +1331,13 @@ class TestRunLifecycle:
         # The conversion completed by the deadline; the workflow job wrote no
         # log yet, so the batch keeps the conversion's.
         endpoint, profile, registry, descriptor = run_env
+        endpoint.cluster.inject_fault(FaultDirective(script_substring="job.sh", duration_s=600))
         make_zarr_inputs(str(tmp_path / "inputs"), 4)
         items = orch.scan_input_dir(str(tmp_path / "inputs"))
         events = Events()
         record = orch.run_workflow_batched(
             endpoint, profile, registry, descriptor, "cellpose",
-            {}, items, len(items), options=fast_options(deadline_s=5, sim_duration_s=600),
+            {}, items, len(items), options=fast_options(deadline_s=5),
             local_output_dir=str(tmp_path / "out"), listener=events,
         )
         assert batch_errors(record) == batch_failures(events) == {0: "WorkflowFailed"}
@@ -1328,12 +1432,12 @@ class TestLastPollRetrieves:
         cluster = RemovesOnlyEnded(nodes=[{"cpus": 4, "gpus": 0, "mem_mb": 16384}])
         cluster.inject_fault(FaultDirective(script_substring="batch1/convert.sh",
                                             forced_state=JobState.FAILED))
+        cluster.inject_fault(FaultDirective(script_substring="job.sh", duration_s=duration))
         make_tiff_inputs(str(tmp_path / "inputs"), 3)
         make_zarr_inputs(str(tmp_path / "inputs"), 3)
         events = Events()
         record = self.run(cluster, run_env, tmp_path,
-                          orch.scan_input_dir(str(tmp_path / "inputs")), 3,
-                          listener=events, sim_duration_s=duration)
+                          orch.scan_input_dir(str(tmp_path / "inputs")), 3, listener=events)
         assert record.overall_state is orch.RunStage.PARTIAL_FAILURE
         assert batch_errors(record) == {1: "ConversionFailed"}
         assert cluster.early == []
@@ -1346,6 +1450,7 @@ class TestLastPollRetrieves:
         # it brings the results back and tears down, and the next polls,
         # sacct alone, wait until accounting shows every job completed.
         cluster = SacctLags()
+        cluster.inject_fault(FaultDirective(script_substring="job.sh", duration_s=20))
         events = Events()
         record = self.run(cluster, run_env, tmp_path, tiff_items(tmp_path, 4), 2,
                           listener=events)

@@ -15,7 +15,7 @@ import pytest
 
 from slurmbridge import orchestrator as orch
 from slurmbridge import slurm
-from slurmbridge.simslurm import SimCluster, SimEndpoint
+from slurmbridge.simslurm import FaultDirective, SimCluster, SimEndpoint
 from slurmbridge.transport import ExecResult, unframe_commands
 from tests.conftest import make_tiff_inputs, make_zarr_inputs
 from tests.test_orchestrator import Events, FlakyLink, fast_options, packs_damaged
@@ -59,6 +59,7 @@ def record_run(name, profile, registry, descriptor, workdir, monkeypatch):
     if damaged:
         monkeypatch.setattr(orch, "pack_inputs", packs_damaged(orch.pack_inputs))
     cluster = cluster_class()
+    cluster.inject_fault(FaultDirective(script_substring="job.sh", duration_s=20))
     slurm.init_environment(SimEndpoint(cluster), profile, registry)
     commands = []
     sim_exec = cluster.sim_exec

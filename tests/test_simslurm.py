@@ -36,10 +36,11 @@ def submit_script(cluster, path, **script):
 
 
 def sbatch_script(cluster, path, mem=1024, cpus=1, gpus=0, time_limit="01:00:00",
-                  duration=10, outputs=0, array=None, exports=(), options=(),
+                  duration=10, array=None, exports=(), options=(),
                   log="omero-job-%j.log"):
     """Write a job script of these settings at path; returns what sbatch
-    answers to it."""
+    answers to it. Unless duration is None, a fault directive on path runs
+    the job for duration seconds."""
     lines = [
         "#!/bin/bash",
         f"#SBATCH --mem={mem}",
@@ -51,12 +52,13 @@ def sbatch_script(cluster, path, mem=1024, cpus=1, gpus=0, time_limit="01:00:00"
         lines.append(f"#SBATCH --gres=gpu:{gpus}")
     if array is not None:
         lines.append(f"#SBATCH --array={array}")
-    lines.append(f"#SIM duration={duration} outputs={outputs}")
     lines += [f'export {name}="{value}"' for name, value in exports]
     lines.append("true")
     cluster.fs.make_dirs("/scratch/logs")
     cluster.fs.make_dirs(path.rsplit("/", 1)[0])
     cluster.fs.write(path, ("\n".join(lines) + "\n").encode())
+    if duration is not None:
+        cluster.inject_fault(FaultDirective(script_substring=path, duration_s=duration))
     return cluster.sim_exec(["sbatch", *options, path])
 
 
@@ -192,19 +194,36 @@ class TestScheduling:
         assert job_state(cluster, head) is JobState.RUNNING
 
     def test_outputs_written_on_completion(self):
+        # A mask is named by its input's id, the entry name less its
+        # format's suffix, however many dots the id holds.
         cluster = SimCluster()
-        cluster.fs.make_dirs("/scratch/run/in")
+        cluster.fs.make_dirs("/scratch/run/in/c.v1.zarr/0")
         cluster.fs.make_dirs("/scratch/run/out")
-        cluster.fs.write("/scratch/run/in/a.tiff", b"x")
-        cluster.fs.write("/scratch/run/in/b.tiff", b"y")
+        for name in ("a.x.tiff", "a.y.tiff", "b.tiff", "d.e.ome.tiff", "c.v1.zarr/0/0"):
+            cluster.fs.write(f"/scratch/run/in/{name}", b"x")
         submit_script(
-            cluster, "/scratch/job.sh", duration=5, outputs=2,
+            cluster, "/scratch/job.sh", duration=5,
             exports=[("IN_PATH", "/scratch/run/in"), ("OUT_PATH", "/scratch/run/out")],
         )
         cluster.advance(10)
         assert cluster.fs.files_under("/scratch/run/out") == [
-            "a_mask.tiff", "b_mask.tiff",
+            "a.x_mask.tiff", "a.y_mask.tiff", "b_mask.tiff", "c.v1_mask.tiff", "d.e_mask.tiff",
         ]
+
+    def test_script_name_sets_the_run_time(self):
+        """job.sh runs 30 s, convert.sh's tasks 5 s and any other script
+        10 s; a directive with duration_s overrides that for the scripts it
+        names."""
+        cluster = SimCluster(nodes=[{"cpus": 64, "gpus": 0, "mem_mb": 65536}])
+        cluster.inject_fault(FaultDirective(script_substring="b1/", duration_s=7))
+        ids = {path: submit_script(cluster, path, duration=None, array=array)
+               for path, array in (("/scratch/b0/job.sh", None), ("/scratch/b0/convert.sh", "0-1"),
+                                   ("/scratch/b0/other.sh", None), ("/scratch/b1/job.sh", None))}
+        cluster.advance(100)
+        assert {path: sorted({t.finish_time - t.start_time for t in cluster.jobs[i].tasks})
+                for path, i in ids.items()} == {
+            "/scratch/b0/job.sh": [30], "/scratch/b0/convert.sh": [5],
+            "/scratch/b0/other.sh": [10], "/scratch/b1/job.sh": [7]}
 
     def test_logfile_written(self):
         cluster = SimCluster()
@@ -356,8 +375,10 @@ class TestFaults:
         cluster.fs.make_dirs("/scratch/run/out")
         cluster.inject_fault(FaultDirective(script_substring="job",
                                             missing_output=True))
-        submit_script(cluster, "/scratch/job.sh", duration=5, outputs=3,
-                      exports=[("OUT_PATH", "/scratch/run/out")])
+        cluster.fs.make_dirs("/scratch/run/in")
+        cluster.fs.write("/scratch/run/in/a.tiff", b"x")
+        submit_script(cluster, "/scratch/job.sh", duration=5,
+                      exports=[("IN_PATH", "/scratch/run/in"), ("OUT_PATH", "/scratch/run/out")])
         cluster.advance(10)
         assert cluster.fs.files_under("/scratch/run/out") == []
 
@@ -508,19 +529,20 @@ def mid_run_cluster():
 
 
 # mid_run_cluster().to_dict() as the simulator wrote it while SimJob stored
-# its reported_state and SimTask its exit_code.
+# its reported_state and outputs_n and SimTask its exit_code; its scripts have
+# since lost the `#SIM` line that then set their run time.
 OLD_STATE_FILE = os.path.join(os.path.dirname(__file__), "data",
                               "sim-state-with-stored-states.json")
 
 
 def test_state_file_with_stored_states_continues_alike():
-    """A state document that still carries reported_state and exit_code
-    loads (the keys are ignored: states and exit codes follow from the
-    tasks) and continues to the same events and task states as a cluster
+    """A state document that still carries reported_state, outputs_n and
+    exit_code loads (the keys are ignored: states and exit codes follow from
+    the tasks) and continues to the same events and task states as a cluster
     that never left memory."""
     with open(OLD_STATE_FILE) as handle:
         doc = json.load(handle)
-    assert all("reported_state" in job for job in doc["jobs"])
+    assert all("reported_state" in job and "outputs_n" in job for job in doc["jobs"])
     assert {task["exit_code"] for job in doc["jobs"] for task in job["tasks"]} == {None, 0, 1}
     live, restored = mid_run_cluster(), SimCluster.from_dict(doc)
     assert restored.to_dict() == live.to_dict()
@@ -544,7 +566,7 @@ def test_state_round_trip(tmp_path):
     array_id = submit_script(cluster, "/scratch/array.sh", cpus=2, duration=20,
                              array="0-2")
     failing_id = submit_script(cluster, "/scratch/failing.sh", duration=3)
-    silent_id = submit_script(cluster, "/scratch/silent.sh", duration=3, outputs=1,
+    silent_id = submit_script(cluster, "/scratch/silent.sh", duration=3,
                               exports=[("OUT_PATH", "/scratch/out")])
     cluster.advance(2)
     path = tmp_path / "state.json"
@@ -597,11 +619,12 @@ def golden_schedule(seed):
             lo = rng.randint(0, 3)
             resources = {"cpus": rng.randint(1, 4), "mem_mb": rng.choice([1024, 4096, 8192]),
                          "gpus": rng.choice([0, 0, 0, 1])}
+            duration = rng.choice([0, rng.randint(1, 90)])
+            rng.randint(0, 2)  # once an output count, drawn still so each seed keeps its schedule
             result = sbatch_script(
                 cluster, f"/scratch/{tag}{step}.sh",
                 cpus=resources["cpus"], mem=resources["mem_mb"],
-                gpus=resources["gpus"], time_limit="00:01:00",
-                duration=rng.choice([0, rng.randint(1, 90)]), outputs=rng.randint(0, 2),
+                gpus=resources["gpus"], time_limit="00:01:00", duration=duration,
                 array=f"{lo}-{lo + rng.randint(0, 11)}" if rng.random() < 0.4 else None,
                 exports=[("OUT_PATH", f"/scratch/out{step}")], options=options,
             )
@@ -634,11 +657,13 @@ def golden_schedule(seed):
 # each array as a whole, which Slurm does not write, and less every job that
 # no node could hold, which sbatch now refuses: the event-driven scheduler
 # gave the same digests before that refusal with such jobs left unsubmitted.
+# The scripts it ran held a `#SIM` line and its jobs wrote placeholder
+# outputs; without them the file tree differs and nothing else does.
 GOLDEN_DIGESTS = {
-    0: "8b873eef5d3ba5a07f2273d40885f2489a0fef23e95bf54a8e7d896367294552",
-    50: "f6b4f7eb570418ce372031775611430c2fcd925ea1cce8fc2d4bade177458d79",
-    100: "d632a9df6d209f406326ae070a95b4ed1212a0ec1a81b69dc25ca5cc0c531967",
-    150: "80a3054650af68544a2990e8dae2632012de30b2f0099a7f796b4958cfe52621",
+    0: "aecfb8ef1675e0893a3db24f6f273676f581b2da972a2802bd3667086e64bc6d",
+    50: "3d09d07095aacc72778a693412bcaec7c656b6d62192691b8e8dbb5ab81e7562",
+    100: "89acf40a41ab2ebbe3c1e44b1c592c346d5928fbeff5a05d9adf136ab9c86c6c",
+    150: "ec2866d7e17460d82801e6a99b06c7e1b08b2bfbc09dfc6f651b114a191ef0f7",
 }
 
 

@@ -44,7 +44,6 @@ WORKFLOW_SCRIPT = """\
 #SBATCH --cpus-per-task=1
 #SBATCH --time=00:30:00
 #SBATCH --output=/scratch/omero/logs/omero-job-%j.log
-#SIM duration=30 outputs=2
 export IN_PATH="/scratch/omero/data/r1/in"
 export OUT_PATH="/scratch/omero/data/r1/out"
 true
