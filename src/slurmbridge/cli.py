@@ -310,8 +310,9 @@ def cmd_status(run_id, runs_dir, config_path, simulate):
                 states = slurm.poll_jobs(endpoint, handles)
             except SlurmBridgeError as exc:
                 _fail(str(exc), code=EXIT_RUN_FAILURE)
-        for job_id, state in sorted(states.items()):
-            click.echo(f"job={job_id}\tstate={state.value}")
+        # A job that sacct does not list yet is pending.
+        for job_id in sorted({handle.job_id for handle in handles}):
+            click.echo(f"job={job_id}\tstate={states.get(job_id, JobState.PENDING).value}")
     sys.exit(EXIT_OK)
 
 

@@ -221,7 +221,6 @@ class _Run:
     live: dict = field(default_factory=dict)  # handle -> batch of each job not yet seen terminal
     torn_down: bool = False  # whether a launch that removed the run data answered
     bundle: object = None  # the bytes, or error, of a poll that tore the run down
-    unseen: bool = False  # whether a job may run whose id its sbatch answer did not give
 
     def bundle_paths(self, batches):
         """(dirs, bundle): the out dir of each of batches and the logs dir,
@@ -288,12 +287,12 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
         _retrieve(run, local_output_dir)
     finally:
         # No job may outlive its data: unless the retrieval launch answered,
-        # cancel the run's jobs by name, as one may be live, unseen (its
-        # submission's answer was lost, or the run was interrupted before
-        # recording it), or an array whose failed parent state hides tasks
-        # still running. In the same launch, remove the remote run data and
-        # the uploaded archive, should it be left; both are idempotent. Logs
-        # stay.
+        # cancel the run's jobs by name, as one may be live whose id the run
+        # never read (its submission's answer was lost, or the run was
+        # interrupted first), or an array whose failed parent state hides
+        # tasks still running. In the same launch, remove the remote run
+        # data and the uploaded archive, should it be left; both are
+        # idempotent. Logs stay.
         if not run.torn_down:
             run.emit_cancel()
             try:
@@ -402,8 +401,6 @@ def _submit(run):
         if handle is None:
             continue  # not submitted: the job it depends on was not
         if isinstance(handle, SlurmBridgeError):
-            if isinstance(handle, UnparseableJobId):
-                run.unseen = True  # later errors of its batch must not hide it
             _fail(batch, handle)
             continue
         run.live[handle] = batch
@@ -421,10 +418,12 @@ def _submit(run):
 def _poll(run, options):
     """Stage: one poll loop over every live job; it observes, and its last
     round retrieves. It sleeps before each poll, as no job can have ended at
-    once. The launch that first finds no job the run submitted queued also
-    brings the results back and tears the run down (slurm.poll_and_fetch);
-    the run holds the bundle for _retrieve. Later rounds, and every round
-    of a run whose job may be unseen (its id unreadable), poll sacct alone.
+    once. The launch whose guard first finds no job of the run's name
+    queued, whatever ids their sbatch answers gave, also brings the results
+    back and tears the run down (slurm.poll_and_fetch); the run holds the
+    bundle for _retrieve. Later rounds poll sacct alone: no job of the run
+    is queued then, so a live job their sacct does not list is gone, and
+    its batch fails with UnparseableJobId.
     Up to two accounting failures in a row only cost a round; a lost
     answer is one, though its retrieval may have run. The loop gives up at
     the deadline, at the third accounting failure in a row, or at an
@@ -434,19 +433,19 @@ def _poll(run, options):
     run.emit(RunStage.RUNNING, "polling")
     live = run.live
     batches = run.record.batches
-    submitted = list(live)
     elapsed = 0.0
     accounting_failures = 0
     while live:
         run.endpoint.sleep(options.poll_interval_s)
         elapsed += options.poll_interval_s
-        states, give_up, removed = {}, None, None
+        states, give_up, removed = None, None, None
+        torn_down = run.torn_down  # by an earlier round
         try:
-            if run.torn_down or run.unseen:
+            if torn_down:
                 states = slurm.poll_jobs(run.endpoint, list(live))
             else:  # every batch not known to have failed
                 result, fetched = slurm.poll_and_fetch(
-                    run.endpoint, list(live), submitted, *run.bundle_paths(
+                    run.endpoint, list(live), run.job_name, *run.bundle_paths(
                         b for b in batches
                         if b.error is None and b.state in (None, JobState.COMPLETED)),
                     run.paths)
@@ -461,8 +460,12 @@ def _poll(run, options):
                 give_up = exc
         except (UnknownState, UnparseableJobId) as exc:
             give_up = exc
-        for handle, batch in list(live.items()):
+        for handle, batch in list(live.items()) if states is not None else ():
             state = states.get(handle.job_id)
+            if state is None and torn_down:
+                del live[handle]
+                _fail(batch, UnparseableJobId(
+                    f"job {handle.job_id} is neither queued nor in accounting"))
             if state is None or not state.terminal:
                 continue
             del live[handle]
@@ -487,12 +490,13 @@ def _retrieve(run, local_output_dir):
     or else bring it back in a launch of its own. That launch zips the out
     dir of every completed batch and the logs dir into one bundle, which
     comes back on its stdout; the same launch then tears the run down as the
-    finally of run_workflow_batched would, cancelling nothing when every
-    batch completed: all its jobs are terminal then, so a batch that fails
-    to split leaves no job running. A batch's log is the log of the last job
-    it submitted that wrote one: a workflow job that never started (its
-    conversion failed or was still running at the deadline) wrote none.
-    Every batch left without results fails, with one `batch-failed` row."""
+    finally of run_workflow_batched does, cancelling every job of the run's
+    name first: as no poll found them all gone from the queue, one may run
+    whatever the batches' states say, as under an sbatch answer that named
+    another job. A batch's log is the log of the last job it submitted that
+    wrote one: a workflow job that never started (its conversion failed or
+    was still running at the deadline) wrote none. Every batch left without
+    results fails, with one `batch-failed` row."""
     run.emit(RunStage.RETRIEVING, "fetching artifacts")
     batches = run.record.batches
     completed = [b for b in batches if b.error is None and b.state is JobState.COMPLETED]
@@ -500,12 +504,10 @@ def _retrieve(run, local_output_dir):
     logged = [b for b in batches if b.workflow_handle or b.conversion_handle]
     bundle = run.bundle
     if logged and not run.torn_down:
-        cancel = None if len(completed) == len(batches) else run.job_name
-        if cancel:
-            run.emit_cancel()
+        run.emit_cancel()
         try:
             bundle, removed = slurm.fetch_results(
-                run.endpoint, *run.bundle_paths(completed), run.paths, cancel)
+                run.endpoint, *run.bundle_paths(completed), run.paths, run.job_name)
             run.torn_down = True
             run.emit("cleanup", f"removed={len(removed)}")
         except TransportError as exc:

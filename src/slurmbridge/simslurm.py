@@ -580,8 +580,7 @@ class SimCluster:
         """`scancel <id>` or `scancel --name=<name>`; an unknown id or name
         cancels nothing."""
         if len(args) == 1 and args[0].startswith("--name="):
-            name = args[0][len("--name="):]
-            jobs = [job for job in self.jobs.values() if job.name == name]
+            jobs = self._named(args[0])
         elif len(args) == 1 and args[0].isdigit():
             jobs = [self.jobs[int(args[0])]] if int(args[0]) in self.jobs else []
         else:
@@ -625,28 +624,26 @@ class SimCluster:
             indices = ",".join(f"{lo}-{hi}" if hi > lo else str(lo) for lo, hi in runs)
             yield f"{job.id}_[{indices}]", JobState.PENDING
 
-    def _listed(self, tokens):
-        """The known jobs of `-j <ids>` in tokens, or None if there is none."""
+    def _sacct(self, tokens):
+        """`<entry id>|<state>` per record of each known job of `-j <ids>`,
+        as `sacct -n -P -X -o JobID,State` prints it."""
         try:
             ids = [int(x) for x in tokens[tokens.index("-j") + 1].split(",") if x]
         except (ValueError, IndexError):
-            return None
-        return [self.jobs[job_id] for job_id in ids if job_id in self.jobs]
-
-    def _sacct(self, tokens):
-        """`<entry id>|<state>` per record, as `sacct -n -P -X -o JobID,State`
-        prints it."""
-        if (jobs := self._listed(tokens)) is None:
             return ExecResult(1, "", "sacct: error: invalid job id list\n")
-        return ExecResult(0, "".join(f"{entry}|{state.value}\n" for job in jobs
-                                     for entry, state in self._records(job)), "")
+        return ExecResult(0, "".join(f"{entry}|{state.value}\n" for job_id in ids
+                                     if job_id in self.jobs
+                                     for entry, state in self._records(self.jobs[job_id])), "")
 
-    def _squeue(self, tokens):
-        """`squeue -h -j <ids> -o %i`: a line per record queued or running."""
-        if (jobs := self._listed(tokens)) is None:
-            return ExecResult(1, "", "squeue: error: Invalid job id specified\n")
+    def _named(self, option):
+        """The jobs of `--name=<name>`."""
+        return [job for job in self.jobs.values() if option == f"--name={job.name}"]
+
+    def _squeue(self, option):
+        """`squeue -a -h --name=<name> -o %i`: a line per record queued or
+        running of a job of that name."""
         return ExecResult(0, "".join(
-            f"{entry}\n" for job in jobs
+            f"{entry}\n" for job in self._named(option)
             if self._counts[job.id][JobState.PENDING] or self._counts[job.id][JobState.RUNNING]
             for entry, _ in self._records(job, queued=True)), "")
 
@@ -766,7 +763,7 @@ class SimCluster:
         return ExecResult(0, f"{self.fs.digest(path)}  {path}\n", "")
 
     def _refuse(self, tokens):
-        """The one answer to a form of a file command or of `sh` that the
+        """The one answer to a form of squeue, a file command or `sh` that the
         client never sends: exit 2, naming the command, with nothing changed."""
         return ExecResult(2, "", f"{tokens[0]}: form not simulated: {shlex.join(tokens)}\n")
 
@@ -776,11 +773,11 @@ class SimCluster:
 
     def _dispatch(self, tokens):
         """Answer the Slurm commands, and squeue and the file commands in
-        exactly the forms the client sends: `squeue -h -j <ids> -o %i`,
-        `mkdir -p P...`, `test -e P`, `rm -f P...`, `rm -rf P...`, `mv -T
-        <file> P`, `sha256sum P`, `base64 P`, `zip -q -r -D Z P...`, `unzip
-        -q Z -d D`, `singularity pull P S` and the `sh -c` scripts of
-        exec_many. Any other form of these is refused."""
+        exactly the forms the client sends: `squeue -a -h --name=<name> -o
+        %i`, `mkdir -p P...`, `test -e P`, `rm -f P...`, `rm -rf P...`, `mv
+        -T <file> P`, `sha256sum P`, `base64 P`, `zip -q -r -D Z P...`,
+        `unzip -q Z -d D`, `singularity pull P S` and the `sh -c` scripts of
+        exec_many. Any other form of these, `squeue -j` too, is refused."""
         if not tokens:
             return ExecResult(127, "", "command not found\n")
         cmd, args = tokens[0], tokens[1:]
@@ -796,9 +793,9 @@ class SimCluster:
             return self._sacct(args)
         if cmd == "scancel":
             return self._scancel(args)
-        if cmd == "squeue" and len(args) == 5 and args[:2] == ["-h", "-j"] \
-                and args[3:] == ["-o", "%i"]:
-            return self._squeue(args)
+        if cmd == "squeue" and len(args) == 5 and args[:2] == ["-a", "-h"] \
+                and args[2].startswith("--name=") and args[3:] == ["-o", "%i"]:
+            return self._squeue(args[2])
         if cmd == "mkdir" and args[:1] == ["-p"] and args[1:]:
             err = ""
             for path in args[1:]:

@@ -21,7 +21,7 @@ from .errors import (
     UnknownState,
     UnparseableJobId,
 )
-from .states import JobState, aggregate_array_states, parse_state_token
+from .states import aggregate_array_states, parse_state_token
 from .transport import Captured, Quiet, sha256_hex, staging_path
 
 _PARSABLE_RE = re.compile(r"(\d+)(?:;\S*)?")
@@ -176,11 +176,11 @@ def poll_jobs(endpoint, handles):
 
 
 def job_states(result, handles):
-    """Each handle's job id -> its state, from the result of its sacct (one
-    failed raises AccountingUnavailable); array parents are aggregated from
-    their task states. A line for a job not asked about is ignored; one
-    whose job id cannot be read raises UnparseableJobId, and one whose state
-    token cannot be mapped UnknownState."""
+    """Each handle's job id that the result of its sacct lists (one failed
+    raises AccountingUnavailable) -> its state; array parents are
+    aggregated from their task states. A line for a job not asked about is
+    ignored; one whose job id cannot be read raises UnparseableJobId, and
+    one whose state token cannot be mapped UnknownState."""
     if not result.ok:
         raise AccountingUnavailable(result.stderr.strip())
     asked = {str(h.job_id): h.job_id for h in handles}
@@ -201,21 +201,19 @@ def job_states(result, handles):
         else:
             plain[job_id] = state
     plain.update((job_id, aggregate_array_states(states)) for job_id, states in tasks.items())
-    # A job submitted but not yet visible to accounting is PENDING.
-    return {handle.job_id: plain.get(handle.job_id, JobState.PENDING) for handle in handles}
+    return plain
 
 
-def poll_and_fetch(endpoint, handles, submitted, paths, remote_zip, run_paths):
-    """One poll launch: the guard `squeue -h -j <ids> -o %i` over every
-    submitted handle, then the sacct of poll_jobs over handles, and only if
-    squeue printed nothing and both exited 0, fetch_results' retrieval and
-    teardown, with no scancel: squeue lists every queued or running job and
-    array task of those ids. Returns (sacct's ExecResult, for job_states;
-    fetch_results' (bundle, removed), or None when the guard held them
-    back). Raises AccountingUnavailable when the answer is lost; its
-    retrieval and teardown may have run."""
-    guard = Quiet(["squeue", "-h", "-j", ",".join(str(h.job_id) for h in submitted),
-                   "-o", "%i"])
+def poll_and_fetch(endpoint, handles, name, paths, remote_zip, run_paths):
+    """One poll launch: the guard `squeue -a -h --name=<name> -o %i`, then
+    the sacct of poll_jobs over handles, and only if squeue printed nothing
+    and both exited 0, fetch_results' retrieval and teardown, with no
+    scancel: squeue lists every queued or running job and array task named
+    name, on any partition, whatever id its sbatch printed. Returns (sacct's
+    ExecResult, for job_states; fetch_results' (bundle, removed), or None
+    when the guard held them back). Raises AccountingUnavailable when the
+    answer is lost; its retrieval and teardown may have run."""
+    guard = Quiet(["squeue", "-a", "-h", f"--name={name}", "-o", "%i"])
     try:
         _, result, *tail = endpoint.exec_many(
             [guard, _sacct(handles)],

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -325,6 +326,22 @@ class TestStatusLogsFetch:
         pairs = kv_lines(result.stdout)
         assert pairs["state"] == ["Running"]
         assert pairs["job"] == [f"{job_id}\tstate=COMPLETED" for job_id in job_ids]
+
+    def test_status_prints_a_job_accounting_does_not_list_as_pending(self, runner, workspace,
+                                                                     monkeypatch):
+        tmp_path, config_path, topology_path, _ = workspace
+        run_id = self._completed_run(runner, workspace)
+        first, *rest = cut_journal_after_running(workspace, run_id)
+        journal = tmp_path / "runs" / f"{run_id}.journal"
+        journal.write_text(re.sub(rf"job_id={first}\b", "job_id=99", journal.read_text(), 1))
+        cluster = simslurm.SimCluster.load_state(topology_path + ".state")
+        monkeypatch.setattr(cli, "SshEndpoint", lambda profile: simslurm.SimEndpoint(cluster))
+        result = runner.invoke(
+            main, ["status", run_id, "--runs-dir", str(tmp_path / "runs"),
+                   "--config", config_path])
+        assert result.exit_code == 0, result.output
+        assert kv_lines(result.stdout)["job"] == [
+            f"{job_id}\tstate=COMPLETED" for job_id in rest] + ["99\tstate=PENDING"]
 
     def test_status_unreachable_cluster_exits_one(self, runner, workspace, monkeypatch):
         class Unreachable(simslurm.SimEndpoint):

@@ -12,7 +12,7 @@ import tracemalloc
 import zipfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slurmbridge import cli
@@ -99,9 +99,9 @@ class FlakyLink(SimEndpoint):
     bring the results back, or the retrieval launch; either also tears the
     run down); and with garble, a (program, nth, lines) triple, answers the
     nth launch (from 0) in which program ran with lines in place of that
-    program's output (of its first command of program, if it is framed by
-    exec_many), or, with program None, the nth launch with lines in place of
-    all its stdout."""
+    program's output (of its first command of program, or with a fourth
+    item k of its kth from 0, if it is framed by exec_many), or, with
+    program None, the nth launch with lines in place of all its stdout."""
 
     def __init__(self, cluster, failures=(), lose_submission=False, lost_with=ConnectionLost,
                  lose_retrieval=False, lose_upload=None, garble=None):
@@ -135,7 +135,7 @@ class FlakyLink(SimEndpoint):
         if self.lose_retrieval and "base64" in ran:
             self.lose_retrieval = False
             raise ConnectionLost("link dropped after the retrieval ran")
-        program, nth, lines = self.garble or (None, -1, ())
+        program, nth, lines, *which = self.garble or (None, -1, ())
         if program is None or program in ran:
             self.garble_seen += 1
             if self.garble_seen == nth + 1:
@@ -143,7 +143,8 @@ class FlakyLink(SimEndpoint):
                 if framed is not None and program is not None:
                     # Each framed command's output, then its marker.
                     pieces = re.split(f"(\n{framed[0]} (?:\\d+|-)\n)", result.stdout)
-                    pieces[2 * [argv[0] for argv in argvs].index(program)] = text
+                    at = [k for k, argv in enumerate(argvs) if argv[0] == program]
+                    pieces[2 * at[which[0] if which else 0]] = text
                     text = "".join(pieces)
                 result = dataclasses.replace(result, stdout=text)
         return result
@@ -1159,6 +1160,44 @@ def test_a_damaged_answer_ends_the_run_at_a_journaled_stage(tmp_path_factory, pr
                 if path.startswith("/scratch/omero/data/")] == []
 
 
+@settings(max_examples=30, deadline=None)
+@given(which=st.integers(0, 2),
+       answer=st.builds("{}{}".format, st.sampled_from([99, 1, 2, 3]),
+                        st.sampled_from(["", ";other"])),
+       slow=st.sampled_from(["batch0/job.sh", "batch1/job.sh", "batch1/convert.sh"]))
+@example(which=0, answer="99", slow="batch0/job.sh")
+@example(which=2, answer="2", slow="batch1/job.sh")
+def test_a_forged_job_id_removes_no_data_under_a_live_job(tmp_path_factory, which, answer,
+                                                         slow):
+    """One of the three sbatch answers of a run (batch 0's workflow job,
+    batch 1's conversion array and its workflow job, ids 1-3) is replaced
+    by a well-formed id: one no job has, another of the run's, or either
+    with a cluster name; one of the run's jobs runs for 60 s. No data is
+    removed while a job of the run is queued or running, the run ends at a
+    journaled final stage before its deadline, every job is terminal and
+    nothing is left under data/."""
+    profile, registry = config_mod.parse_config(SAMPLE_CONFIG)
+    descriptor = descriptor_mod.parse_descriptor(json.dumps(CELLPOSE_DESCRIPTOR))
+    workdir = tmp_path_factory.mktemp("run")
+    make_tiff_inputs(str(workdir / "inputs"), 2)
+    make_zarr_inputs(str(workdir / "inputs"), 2)
+    cluster = RemovesOnlyEnded()
+    cluster.inject_fault(FaultDirective(script_substring=slow, duration_s=60))
+    slurm.init_environment(SimEndpoint(cluster), profile, registry)
+    journal = str(workdir / "run.journal")
+    record = orch.run_workflow_batched(
+        FlakyLink(cluster, garble=("sbatch", 0, [answer], which)), profile, registry,
+        descriptor, "cellpose", {}, orch.scan_input_dir(str(workdir / "inputs")), 2,
+        options=fast_options(deadline_s=600), local_output_dir=str(workdir / "out"),
+        listener=lambda stage, detail: cli.append_journal_row(journal, stage, detail))
+    assert cluster.early == []
+    rows = [(stage, detail) for _, stage, detail in cli.read_journal(journal)]
+    assert rows[-1][0] == record.overall_state.value
+    assert record.overall_state in orch.TERMINAL_STAGES
+    assert cluster.clock < 600
+    assert_no_job_outlives_its_data(cluster, registry.entry("cellpose").resources.time_limit_min)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.text(), min_size=1, max_size=4))
 def test_journal_rows_stay_one_line_and_read_back(tmp_path_factory, details):
@@ -1267,7 +1306,7 @@ class TestRunLifecycle:
         run_dir = f"/scratch/omero/data/{record.run_id}"
         _, (guard, poll), (fetch, digest, stream, *teardown) = unframe_commands(
             launches[-1][-1])
-        assert guard == Quiet(["squeue", "-h", "-j", "1,2", "-o", "%i"])
+        assert guard == Quiet(["squeue", "-a", "-h", f"--name=sb-{record.run_id}", "-o", "%i"])
         assert poll == ["sacct", "-n", "-P", "-X", "-o", "JobID,State", "-j", "1,2"]
         assert (fetch[0], digest, stream) == (
             "zip", ["sha256sum", run_dir + "/bundle.zip"], ["base64", run_dir + "/bundle.zip"])
@@ -1306,6 +1345,25 @@ class TestRunLifecycle:
         rows = [(stage, detail) for stage, detail in events
                 if stage in ("cancel", "cleanup")]
         assert rows == [("cleanup", "removed=0")]
+        assert_no_job_outlives_its_data(
+            cluster, run_env[2].entry("cellpose").resources.time_limit_min)
+
+    def test_job_accounting_never_lists_fails_its_batch_after_the_teardown(self, run_env,
+                                                                          tmp_path):
+        # Batch 0's sbatch answer reads 99, an id no job has; its job, 1,
+        # runs as batch 1's does, to t=30. The poll at t=30 finds no job of
+        # the run queued and tears the run down; the next, at t=35, finds
+        # that sacct still lists no job 99 and fails the batch, well before
+        # the deadline.
+        cluster = run_env[0].cluster
+        endpoint = FlakyLink(cluster, garble=("sbatch", 0, ["99"]))
+        events = Events()
+        record = self.run(endpoint, run_env, tmp_path, listener=events, deadline_s=600)
+        assert cluster.clock == 35
+        assert record.overall_state is orch.RunStage.PARTIAL_FAILURE
+        assert batch_errors(record) == batch_failures(events) == {0: "UnparseableJobId"}
+        assert "job 99 " in str(record.batches[0].error)
+        assert [stage for stage, _ in events].count("cleanup") == 1
         assert_no_job_outlives_its_data(
             cluster, run_env[2].entry("cellpose").resources.time_limit_min)
 
@@ -1463,14 +1521,14 @@ class TestLastPollRetrieves:
 
     @pytest.mark.parametrize("script, error", [("batch1/job.sh", "UnparseableJobId"),
                                                ("batch1/convert.sh", "SubmitRejected")])
-    def test_unseen_job_keeps_its_run_from_retrieving_in_a_poll(self, run_env, tmp_path,
-                                                                script, error):
+    def test_unreadable_job_id_holds_the_guard_while_job_runs(self, run_env, tmp_path,
+                                                              script, error):
         # Batch 1's workflow job, or its conversion array, went in with an
         # id the client could not read, and runs to its time limit. An
         # unreadable array id also gets the workflow job's sbatch refused,
-        # and the batch ends with that error. No squeue could name the job,
-        # so the polls ask sacct alone, and the retrieval launch cancels it
-        # by name.
+        # and the batch ends with that error. The guard lists the job by
+        # its name, so no poll removes the data, and the one retrieval
+        # launch cancels the job by name first.
         cluster = PrintsNoJobId(script)
         cluster.inject_fault(FaultDirective(script_substring=script,
                                             forced_state=JobState.TIMEOUT))
@@ -1481,7 +1539,7 @@ class TestLastPollRetrieves:
                           orch.scan_input_dir(str(tmp_path / "inputs")), 3, listener=events)
         assert record.overall_state is orch.RunStage.PARTIAL_FAILURE
         assert batch_errors(record) == {1: error}
-        assert "squeue" not in cluster.ran
+        assert "squeue" in cluster.ran and cluster.ran.count("base64") == 1
         assert "cancel" in [stage for stage, _ in events]
         assert cluster.early == []
         assert_no_job_outlives_its_data(

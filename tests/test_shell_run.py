@@ -236,13 +236,14 @@ def test_submission_launch_with_stub_sbatch_matches_the_simulator(shell_router, 
     assert [(job.id, job.dependency) for job in sim.cluster.jobs.values()] == [(1, None), (2, 1)]
 
 
-@pytest.mark.parametrize("squeue", ["exit 1\n", 'echo "$3" | cut -d, -f1\n'],
-                         ids=["fails", "lists-one-id"])
+@pytest.mark.parametrize("squeue", [
+    "exit 1\n", 'case "$1 $2 $3 $4 $5" in "-a -h --name=sb-"*" -o %i") echo 1 ;; esac\n'],
+    ids=["fails", "lists-one-id"])
 def test_guard_that_does_not_pass_keeps_the_run_dir(shell_run, shell_router, tmp_path, squeue):
     """Every job has ended and sacct says so, but squeue exits 1 with no
-    output, or lists one of the run's job ids: the poll launch removes
+    output, or lists a job of the run's name: the poll launch removes
     nothing, and the run brings its results back in a retrieval launch of
-    its own, which cancels nothing."""
+    its own, which first cancels the jobs of that name."""
     run, profile, _ = shell_run
     shell_router.stub("squeue", squeue)
     run_dir = []  # whether the run dir was there after each poll launch
@@ -261,5 +262,5 @@ def test_guard_that_does_not_pass_keeps_the_run_dir(shell_run, shell_router, tmp
     scripts = [argv[-1] for argv in shell_router.launches if argv[0] == "ssh"]
     assert ["squeue" in script for script in scripts] == [False] * 3 + [True, False]
     assert "base64" in scripts[-1]
-    assert not (tmp_path / "state" / "scancel.calls").exists()
+    assert (tmp_path / "state" / "scancel.calls").read_text() == f"--name=sb-{record.run_id}\n"
     assert data_left(profile) == []

@@ -68,9 +68,10 @@ def fits_some_node(cluster, resources):
                and node.mem_mb >= resources["mem_mb"] for node in cluster.nodes)
 
 
-def random_schedule(cluster, rng, tag):
-    """Submit 1-5 random jobs; sbatch refuses, taking no job id, exactly
-    those that no node could hold. Returns the ids of the others."""
+def random_schedule(cluster, rng, tag, options=()):
+    """Submit 1-5 random jobs, with the sbatch options given; sbatch
+    refuses, taking no job id, exactly those that no node could hold.
+    Returns the ids of the others."""
     job_ids = []
     for index in range(rng.randint(1, 5)):
         resources = {"mem_mb": rng.choice([512, 1024, 4096]), "cpus": rng.randint(1, 4),
@@ -82,6 +83,7 @@ def random_schedule(cluster, rng, tag):
             time_limit="00:01:00",
             duration=rng.randint(1, 90),
             array=f"0-{rng.randint(0, 3)}" if rng.random() < 0.3 else None,
+            options=options,
         )
         if fits_some_node(cluster, resources):
             assert result.stdout == f"Submitted batch job {next_id}\n", result.stderr
@@ -116,14 +118,20 @@ class TestSubmission:
         assert result.stdout == ""
 
     def test_squeue_lists_each_queued_record(self):
-        """`squeue -h -j <ids> -o %i` prints a line per record still queued
-        or running: a job's id, a running array task's `<id>_<k>`, and an
-        array's pending tasks as one `<id>_[<ranges>]`; an ended job or
-        task, or an unknown id, prints nothing. A malformed id list exits 1."""
+        """`squeue -a -h --name=<name> -o %i` prints a line per record still
+        queued or running of a job of that name: a job's id, a running array
+        task's `<id>_<k>`, and an array's pending tasks as one
+        `<id>_[<ranges>]`; an ended job or task, a job of another name or
+        none, and an unknown name print nothing. The `-j <ids>` form the
+        client no longer sends is refused."""
         cluster = SimCluster(nodes=[{"cpus": 4, "gpus": 0, "mem_mb": 8192}])
-        array = submit_script(cluster, "/scratch/a.sh", cpus=2, duration=10, array="0-5")
-        plain = submit_script(cluster, "/scratch/p.sh", cpus=1, duration=5)
-        squeue = ["squeue", "-h", "-j", f"{array},{plain},999", "-o", "%i"]
+        named = ["--job-name=n"]
+        array = submit_script(cluster, "/scratch/a.sh", cpus=2, duration=10, array="0-5",
+                              options=named)
+        plain = submit_script(cluster, "/scratch/p.sh", cpus=1, duration=5, options=named)
+        other = submit_script(cluster, "/scratch/o.sh", duration=60, options=["--job-name=o"])
+        submit_script(cluster, "/scratch/u.sh", duration=60)
+        squeue = ["squeue", "-a", "-h", "--name=n", "-o", "%i"]
         assert cluster.sim_exec(squeue).stdout == f"{array}_[0-5]\n{plain}\n"
         cluster.advance(1)
         assert cluster.sim_exec(squeue).stdout == (
@@ -134,7 +142,12 @@ class TestSubmission:
         assert cluster.sim_exec(squeue).stdout == f"{plain}\n"
         cluster.advance(10)
         assert cluster.sim_exec(squeue) == ExecResult(0, "", "")
-        assert cluster.sim_exec(["squeue", "-h", "-j", "1,x", "-o", "%i"]).exit_code == 1
+        assert cluster.sim_exec(["squeue", "-a", "-h", "--name=o", "-o", "%i"]).stdout == (
+            f"{other}\n")
+        assert cluster.sim_exec(["squeue", "-a", "-h", "--name=x", "-o", "%i"]) == ExecResult(
+            0, "", "")
+        assert cluster.sim_exec(["squeue", "-h", "-j", f"{array},{plain}", "-o", "%i"]) == (
+            ExecResult(2, "", f"squeue: form not simulated: squeue -h -j {array},{plain} -o %i\n"))
 
     @pytest.mark.parametrize("ask", [dict(cpus=8), dict(gpus=2), dict(mem=16385)],
                              ids=["cpus", "gpus", "mem"])
@@ -801,16 +814,20 @@ def test_pending_tasks_are_a_suffix_and_sacct_names_every_task_state(seed, steps
     cancels between advances and an array that waits on another job: every
     job's pending tasks are a suffix of its tasks, sacct's lines, each
     pending record expanded, name exactly the tasks of the listed jobs, each
-    once, in its state, and squeue's exactly those not ended."""
+    once, in its state, and squeue's, asked for the name the listed jobs
+    carry among jobs of another name, exactly those not ended. squeue's
+    `-j <ids>` form is refused."""
     rng = random.Random(seed)
     cluster = SimCluster(nodes=[{"cpus": rng.randint(1, 4), "gpus": rng.randint(0, 1),
                                  "mem_mb": rng.choice([2048, 8192])}
                                 for _ in range(rng.randint(1, 3))])
-    job_ids = random_schedule(cluster, rng, "p")
+    job_ids = random_schedule(cluster, rng, "p", ["--job-name=p"])
+    random_schedule(cluster, rng, "q", ["--job-name=q"])
     if dependent and job_ids:
         result = sbatch_script(
             cluster, "/scratch/p-after.sh", duration=rng.randint(1, 30), array="0-3",
-            options=[f"--dependency=afterok:{rng.choice(job_ids)}", "--kill-on-invalid-dep=yes"])
+            options=["--job-name=p", f"--dependency=afterok:{rng.choice(job_ids)}",
+                     "--kill-on-invalid-dep=yes"])
         job_ids.append(int(result.stdout.split()[-1]))
     for dt, cancel in steps:
         cluster.advance(dt)
@@ -827,7 +844,8 @@ def test_pending_tasks_are_a_suffix_and_sacct_names_every_task_state(seed, steps
             (task.entry_id, task.state.value)
             for job_id in job_ids for task in cluster.jobs[job_id].tasks)
         # squeue names, in the same records, exactly the tasks not ended.
-        queued = cluster.sim_exec(["squeue", "-h", "-j", listed, "-o", "%i"]).stdout
+        queued = cluster.sim_exec(["squeue", "-a", "-h", "--name=p", "-o", "%i"]).stdout
         assert sorted(entry for entry, _ in expand_sacct(queued.replace("\n", "|PENDING\n"))) \
             == sorted(task.entry_id for job_id in job_ids
                       for task in cluster.jobs[job_id].tasks if not task.state.terminal)
+        assert cluster.sim_exec(["squeue", "-h", "-j", listed, "-o", "%i"]).exit_code == 2

@@ -413,8 +413,11 @@ def _packed_twice(name):
     pytest.param(b"", ["mv", "-T", "/w/d", "/w/e"], id="mv-directory"),
     pytest.param(b"", ["rm", "-r", "/w/d"], id="rm-r"),
     pytest.param(b"", ["echo", "hi"], id="echo"),
-    pytest.param(b"", ["squeue", "-j", "1", "-o", "%i"], id="squeue-without-h"),
-    pytest.param(b"", ["squeue", "-h", "-j", "1", "-o", "%A"], id="squeue-other-format"),
+    pytest.param(b"", ["squeue", "-h", "-j", "1", "-o", "%i"], id="squeue-by-id"),
+    pytest.param(b"", ["squeue", "-h", "--name=n", "-o", "%i"], id="squeue-without-a"),
+    pytest.param(b"", ["squeue", "-a", "--name=n", "-o", "%i"], id="squeue-without-h"),
+    pytest.param(b"", ["squeue", "-a", "-h", "--name=n", "-o", "%A"], id="squeue-other-format"),
+    pytest.param(b"", ["squeue", "-a", "-h", "-n", "n", "-o", "%i"], id="squeue-short-name"),
     pytest.param(b"", ["squeue"], id="squeue-bare"),
 ])
 def test_forms_the_client_never_sends_are_refused(archive, argv):
@@ -641,7 +644,7 @@ def test_capture_template_reads_back_only_as_written():
     Quiet template in any way, and frame_commands a Captured token that
     names no earlier then command, or one that itself takes output."""
     token = transport.Captured(0, "--dependency=afterok:")
-    guard = transport.Quiet(["squeue", "-h", "-j", "1,2", "-o", "%i"])
+    guard = transport.Quiet(["squeue", "-a", "-h", "--name=n", "-o", "%i"])
     script, _ = transport.frame_commands(
         [guard, ["true"]], [["sbatch", "--parsable", "a.sh"], ["sbatch", token, "b.sh"]])
     assert transport.unframe_commands(script)[1:] == (
