@@ -218,15 +218,32 @@ class _Run:
     paths: list  # slurm.run_data_paths: the run dir, the input archive beside it, its staging file
     logs_dir: str  # Slurm logs of this run only; they outlive the cleanup of the run dir
     job_name: str
-    live: dict = field(default_factory=dict)  # handle -> batch of each job not yet seen terminal
+    # (batch index, job kind) -> handle of each job not yet seen terminal;
+    # two sbatch answers may name one job id
+    live: dict = field(default_factory=dict)
     torn_down: bool = False  # whether a launch that removed the run data answered
-    bundle: object = None  # the bytes, or error, of a poll that tore the run down
+    bundle: object = None  # the bytes, or error, that the launch that tore the run down sent
 
-    def bundle_paths(self, batches):
-        """(dirs, bundle): the out dir of each of batches and the logs dir,
-        to zip into the results bundle, and where the bundle is made."""
-        return ([posixpath.join(b.remote_dir, "out") for b in batches] + [self.logs_dir],
-                posixpath.join(self.paths[0], "bundle.zip"))
+    def end(self, batches, guard=()):
+        """One launch, slurm.fetch_results: the guard's commands, then, only
+        if each exited 0, the results bundle of the out dir of each of
+        batches and the logs dir, and the teardown, which cancels every job
+        of the run's name unless a guard found none queued. Keeps the
+        bundle, or the error of a lost answer, which it raises; returns
+        what fetch_results returns."""
+        try:
+            ran, fetched = slurm.fetch_results(
+                self.endpoint,
+                [posixpath.join(b.remote_dir, "out") for b in batches] + [self.logs_dir],
+                posixpath.join(self.paths[0], "bundle.zip"), self.paths,
+                None if guard else self.job_name, guard)
+        except TransportError as exc:
+            self.bundle = exc  # unless a later launch brings the bundle back
+            raise
+        if fetched is not None:
+            self.bundle, _ = fetched
+            self.torn_down = True
+        return ran, fetched
 
     def emit(self, stage, detail):
         if isinstance(stage, RunStage):
@@ -237,7 +254,7 @@ class _Run:
 
     def emit_cancel(self):
         self.emit("cancel", f"name={self.job_name} job_ids="
-                  + ",".join(str(handle.job_id) for handle in self.live))
+                  + ",".join(dict.fromkeys(str(h.job_id) for h in self.live.values())))
 
 
 def _fail(batch, exc):
@@ -286,13 +303,13 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
         _poll(run, options)
         _retrieve(run, local_output_dir)
     finally:
-        # No job may outlive its data: unless the retrieval launch answered,
-        # cancel the run's jobs by name, as one may be live whose id the run
-        # never read (its submission's answer was lost, or the run was
-        # interrupted first), or an array whose failed parent state hides
-        # tasks still running. In the same launch, remove the remote run
-        # data and the uploaded archive, should it be left; both are
-        # idempotent. Logs stay.
+        # No job may outlive its data: unless a launch that tore the run
+        # down answered, cancel the run's jobs by name, as one may be live
+        # whose id the run never read (its submission's answer was lost, or
+        # the run was interrupted first), or an array whose failed parent
+        # state hides tasks still running. In the same launch, remove the
+        # remote run data and the uploaded archive, should it be left; both
+        # are idempotent. Logs stay.
         if not run.torn_down:
             run.emit_cancel()
             try:
@@ -403,7 +420,7 @@ def _submit(run):
         if isinstance(handle, SlurmBridgeError):
             _fail(batch, handle)
             continue
-        run.live[handle] = batch
+        run.live[batch.index, "conversion" if tasks else "workflow"] = handle
         if tasks:
             batch.conversion_handle = handle
             detail = f"kind=conversion job_id={handle.job_id} tasks={tasks}"
@@ -416,20 +433,23 @@ def _submit(run):
 
 
 def _poll(run, options):
-    """Stage: one poll loop over every live job; it observes, and its last
-    round retrieves. It sleeps before each poll, as no job can have ended at
-    once. The launch whose guard first finds no job of the run's name
-    queued, whatever ids their sbatch answers gave, also brings the results
-    back and tears the run down (slurm.poll_and_fetch); the run holds the
-    bundle for _retrieve. Later rounds poll sacct alone: no job of the run
-    is queued then, so a live job their sacct does not list is gone, and
-    its batch fails with UnparseableJobId.
+    """Stage: one poll loop over every live job, and every remote call of
+    the run after its submission. It sleeps before each poll, as no job can
+    have ended at once. Each round's launch is guarded (slurm.poll_guard):
+    the first whose guard finds no job of the run's name queued, whatever
+    ids their sbatch answers gave, also brings the results back and tears
+    the run down. Later rounds poll sacct alone: no job of the run is
+    queued then, so a live job their sacct does not list is gone, and its
+    batch fails with UnparseableJobId.
     Up to two accounting failures in a row only cost a round; a lost
     answer is one, though its retrieval may have run. The loop gives up at
     the deadline, at the third accounting failure in a row, or at an
     accounting line or state token it cannot read: every batch still live
-    then fails with that error, and the retrieval brings back what
-    completed and, unless a poll tore the run down, cancels the rest."""
+    then fails with that error. A loop that ends with no teardown while
+    some batch submitted a job ends the run in a launch of its own, with no
+    guard: it brings back what completed and first cancels every job of
+    the run's name, as one may still run whatever the batches' states say
+    (an sbatch answer may have named another job)."""
     run.emit(RunStage.RUNNING, "polling")
     live = run.live
     batches = run.record.batches
@@ -438,86 +458,74 @@ def _poll(run, options):
     while live:
         run.endpoint.sleep(options.poll_interval_s)
         elapsed += options.poll_interval_s
-        states, give_up, removed = None, None, None
+        states, give_up, fetched = None, None, None
         torn_down = run.torn_down  # by an earlier round
+        handles = list(live.values())
         try:
             if torn_down:
-                states = slurm.poll_jobs(run.endpoint, list(live))
+                states = slurm.poll_jobs(run.endpoint, handles)
             else:  # every batch not known to have failed
-                result, fetched = slurm.poll_and_fetch(
-                    run.endpoint, list(live), run.job_name, *run.bundle_paths(
-                        b for b in batches
-                        if b.error is None and b.state in (None, JobState.COMPLETED)),
-                    run.paths)
-                if fetched is not None:
-                    run.bundle, removed = fetched
-                    run.torn_down = True
-                states = slurm.job_states(result, list(live))
+                (_, result), fetched = run.end(
+                    [b for b in batches
+                     if b.error is None and b.state in (None, JobState.COMPLETED)],
+                    slurm.poll_guard(run.job_name, handles))
+                states = slurm.job_states(result, handles)
             accounting_failures = 0
-        except AccountingUnavailable as exc:
+        except (AccountingUnavailable, TransportError) as exc:  # a lost answer is one
             accounting_failures += 1
             if accounting_failures == 3:
-                give_up = exc
+                give_up = AccountingUnavailable(str(exc))
         except (UnknownState, UnparseableJobId) as exc:
             give_up = exc
-        for handle, batch in list(live.items()) if states is not None else ():
+        for (index, kind), handle in list(live.items()) if states is not None else ():
+            batch = batches[index]
             state = states.get(handle.job_id)
             if state is None and torn_down:
-                del live[handle]
+                del live[index, kind]
                 _fail(batch, UnparseableJobId(
                     f"job {handle.job_id} is neither queued nor in accounting"))
             if state is None or not state.terminal:
                 continue
-            del live[handle]
-            if handle is batch.workflow_handle:
+            del live[index, kind]
+            if kind == "workflow":
                 batch.state = state
                 run.emit("batch-terminal", f"batch={batch.index} state={state.value}")
             elif state is not JobState.COMPLETED:
                 _fail(batch, ConversionFailed(
                     f"conversion job {handle.job_id} ended {state.value}"))
-        if removed is not None:
-            run.emit("cleanup", f"removed={len(removed)}")
+        if fetched is not None:
+            run.emit("cleanup", f"removed={len(fetched[1])}")
         if give_up is None and options.deadline_s is not None and elapsed >= options.deadline_s:
             give_up = WorkflowFailed(f"deadline exceeded after {elapsed}s")
         if live and give_up is not None:
-            for batch in live.values():
-                batch.error = batch.error or give_up
+            for index, _ in live:
+                batches[index].error = batches[index].error or give_up
             break
+    if not run.torn_down and any(b.workflow_handle or b.conversion_handle for b in batches):
+        run.emit_cancel()
+        try:
+            _, (_, removed) = run.end(
+                [b for b in batches if b.error is None and b.state is JobState.COMPLETED])
+            run.emit("cleanup", f"removed={len(removed)}")
+        except TransportError:
+            pass  # the answer was lost; the teardown runs again
 
 
 def _retrieve(run, local_output_dir):
-    """Stage: split the bundle, by batch, that the last poll brought back,
-    or else bring it back in a launch of its own. That launch zips the out
-    dir of every completed batch and the logs dir into one bundle, which
-    comes back on its stdout; the same launch then tears the run down as the
-    finally of run_workflow_batched does, cancelling every job of the run's
-    name first: as no poll found them all gone from the queue, one may run
-    whatever the batches' states say, as under an sbatch answer that named
-    another job. A batch's log is the log of the last job it submitted that
-    wrote one: a workflow job that never started (its conversion failed or
-    was still running at the deadline) wrote none. Every batch left without
-    results fails, with one `batch-failed` row."""
+    """Stage, with no remote call: split, by batch, the bundle that the
+    launch that tore the run down brought back. A batch's log is the log of
+    the last job it submitted that wrote one: a workflow job that never
+    started (its conversion failed or was still running at the deadline)
+    wrote none. Every batch left without results fails, with one
+    `batch-failed` row."""
     run.emit(RunStage.RETRIEVING, "fetching artifacts")
     batches = run.record.batches
     completed = [b for b in batches if b.error is None and b.state is JobState.COMPLETED]
-    # Every completed batch is among those that submitted a job.
-    logged = [b for b in batches if b.workflow_handle or b.conversion_handle]
-    bundle = run.bundle
-    if logged and not run.torn_down:
-        run.emit_cancel()
-        try:
-            bundle, removed = slurm.fetch_results(
-                run.endpoint, *run.bundle_paths(completed), run.paths, run.job_name)
-            run.torn_down = True
-            run.emit("cleanup", f"removed={len(removed)}")
-        except TransportError as exc:
-            bundle = exc  # the answer was lost; the teardown runs again
-    if isinstance(bundle, SlurmBridgeError):
+    if isinstance(run.bundle, SlurmBridgeError):
         for batch in completed:
-            batch.error = RetrievalFailed(str(bundle))
-        bundle = None
-    if bundle:
-        with zipfile.ZipFile(io.BytesIO(bundle)) as archive:
+            batch.error = RetrievalFailed(str(run.bundle))
+    elif run.bundle:
+        with zipfile.ZipFile(io.BytesIO(run.bundle)) as archive:
             out_dirs = [posixpath.join(b.remote_dir, "out") for b in completed]
             local_zips = {slurm.zip_entry_name(out_dir) + "/": os.path.join(
                 local_output_dir, f"{run.record.run_id}_batch{b.index}.zip")
@@ -528,7 +536,7 @@ def _retrieve(run, local_output_dir):
                     batch.result_zip = local_zips[prefix]
                 else:
                     batch.error = RetrievalFailed(str(EmptyOutput(out_dir)))
-            for batch in logged:
+            for batch in batches:
                 for job in filter(None, (batch.workflow_handle, batch.conversion_handle)):
                     try:
                         batch.logfile = slurm.fetch_logfile(
@@ -566,27 +574,6 @@ def _finish(run):
             f"{message} ({count} batches)" if count > 1 else message
             for message, count in counts.items()))
     return run.record
-
-
-def record_signature(record):
-    """Structure of a RunRecord with run ids, job ids, and timestamps
-    normalized away, for equivalence comparisons."""
-
-    def scrub(text):
-        return str(text).replace(record.run_id, "<run>")
-
-    return {
-        "workflow": record.workflow,
-        "version": record.version,
-        "values": record.values,
-        "state": record.overall_state.value,
-        "items": [item.id for item in record.items],
-        "batches": [{"index": b.index, "items": list(b.items), "remote_dir": scrub(b.remote_dir),
-                     "state": b.state.value if b.state else None,
-                     "result_zip": scrub(os.path.basename(b.result_zip)) if b.result_zip else None}
-                    for b in record.batches],
-        "artifacts": sorted(scrub(os.path.basename(p)) for p in record.output_artifacts),
-    }
 
 
 def import_results(record, destination, mode):

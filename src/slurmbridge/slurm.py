@@ -204,25 +204,12 @@ def job_states(result, handles):
     return plain
 
 
-def poll_and_fetch(endpoint, handles, name, paths, remote_zip, run_paths):
-    """One poll launch: the guard `squeue -a -h --name=<name> -o %i`, then
-    the sacct of poll_jobs over handles, and only if squeue printed nothing
-    and both exited 0, fetch_results' retrieval and teardown, with no
-    scancel: squeue lists every queued or running job and array task named
-    name, on any partition, whatever id its sbatch printed. Returns (sacct's
-    ExecResult, for job_states; fetch_results' (bundle, removed), or None
-    when the guard held them back). Raises AccountingUnavailable when the
-    answer is lost; its retrieval and teardown may have run."""
-    guard = Quiet(["squeue", "-a", "-h", f"--name={name}", "-o", "%i"])
-    try:
-        _, result, *tail = endpoint.exec_many(
-            [guard, _sacct(handles)],
-            then=_bundle_commands(paths, remote_zip) + teardown_commands(run_paths))
-    except TransportError as exc:
-        raise AccountingUnavailable(str(exc)) from exc
-    if tail[0] is None:  # the guard or sacct failed, and nothing after them ran
-        return result, None
-    return result, (_bundle(paths, remote_zip, *tail[:3]), _removed(run_paths, tail[3:]))
+def poll_guard(name, handles):
+    """The commands a poll launch runs before its retrieval: the Quiet
+    `squeue -a -h --name=<name> -o %i`, which exits 0 only when no job or
+    array task named name is queued or running, on any partition, whatever
+    id its sbatch printed; then the sacct of poll_jobs over handles."""
+    return [Quiet(["squeue", "-a", "-h", f"--name={name}", "-o", "%i"]), _sacct(handles)]
 
 
 def zip_entry_name(remote_path):
@@ -251,34 +238,35 @@ def fetch_logfile(bundle, handle, logs_dir, local_dir):
     return fetched[0]
 
 
-def fetch_results(endpoint, paths, remote_zip, run_paths=(), cancel=None):
-    """In one launch, zip every file under the remote paths into remote_zip,
-    hash it and send it back on stdout, then tear the run down as
-    cleanup_run does: cancel every job named cancel when given, and remove
-    the run paths, remote_zip among them.
+def fetch_results(endpoint, paths, remote_zip, run_paths=(), cancel=None, guard=()):
+    """In one launch, run the guard's commands and then, only if every one
+    exited 0, zip every file under the remote paths into remote_zip, hash
+    it and send it back on stdout, then tear the run down as cleanup_run
+    does: cancel every job named cancel when given, and remove the run
+    paths, remote_zip among them.
 
     Entries are named by zip_entry_name. A path that does not exist adds
-    nothing (under -q without a warning). Returns (bundle, removed): the
-    archive's bytes, verified against the remote digest, or else the error
-    that kept them from coming back, EmptyOutput when no path holds a file,
-    ChecksumMismatch when the bytes fail the digest and TransportError when
-    the zip fails; and the run paths that existed. Raises TransportError
-    when the launch's answer is lost; its teardown may have run.
+    nothing (under -q without a warning). Returns (the ExecResult of each
+    guard command, (bundle, removed) or None when the guard held the rest
+    back): the archive's bytes, verified against the remote digest, or else
+    the error that kept them from coming back, EmptyOutput when no path
+    holds a file, ChecksumMismatch when the bytes fail the digest and
+    TransportError when the zip fails; and the run paths that existed.
+    Raises TransportError when the launch's answer is lost; its teardown
+    may have run.
     """
-    ran = endpoint.exec_many(
-        _bundle_commands(paths, remote_zip) + teardown_commands(run_paths, cancel))
-    return _bundle(paths, remote_zip, *ran[:3]), _removed(run_paths, ran[3:])
-
-
-def _bundle_commands(paths, remote_zip):
-    """Zip the paths into remote_zip, hash it and print it as base64."""
-    return [["zip", "-q", "-r", "-D", remote_zip, *paths], ["sha256sum", remote_zip],
-            ["base64", remote_zip]]
+    ran = endpoint.exec_many(list(guard), then=[
+        ["zip", "-q", "-r", "-D", remote_zip, *paths], ["sha256sum", remote_zip],
+        ["base64", remote_zip]] + teardown_commands(run_paths, cancel))
+    guarded, tail = ran[:len(guard)], ran[len(guard):]
+    if tail[0] is None:  # a guard command failed, and nothing after them ran
+        return guarded, None
+    return guarded, (_bundle(paths, remote_zip, *tail[:3]), _removed(run_paths, tail[3:]))
 
 
 def _bundle(paths, remote_zip, zipped, digest, stream):
     """The bundle, or its error, as fetch_results gives it, from the
-    results of _bundle_commands."""
+    results of its zip, sha256sum and base64."""
     if zipped.exit_code == 12:
         return EmptyOutput(" ".join(paths))
     if not zipped.ok:

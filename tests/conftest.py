@@ -150,3 +150,24 @@ def make_zarr_inputs(directory, count, prefix="vol", chunks=3):
                 handle.write(f"chunk {index}/{chunk}".encode())
         paths.append(root)
     return paths
+
+
+def record_signature(record):
+    """Structure of a RunRecord with run ids, job ids, and timestamps
+    normalized away, for equivalence comparisons."""
+
+    def scrub(text):
+        return str(text).replace(record.run_id, "<run>")
+
+    return {
+        "workflow": record.workflow,
+        "version": record.version,
+        "values": record.values,
+        "state": record.overall_state.value,
+        "items": [item.id for item in record.items],
+        "batches": [{"index": b.index, "items": list(b.items), "remote_dir": scrub(b.remote_dir),
+                     "state": b.state.value if b.state else None,
+                     "result_zip": scrub(os.path.basename(b.result_zip)) if b.result_zip else None}
+                    for b in record.batches],
+        "artifacts": sorted(scrub(os.path.basename(p)) for p in record.output_artifacts),
+    }

@@ -26,7 +26,7 @@ from slurmbridge.states import (
     aggregate_array_states,
     is_reachable,
 )
-from tests.conftest import SAMPLE_CONFIG, make_tiff_inputs, make_zarr_inputs
+from tests.conftest import SAMPLE_CONFIG, make_tiff_inputs, make_zarr_inputs, record_signature
 from tests.test_descriptor import descriptors, descriptors_with_values, validated
 from tests.test_orchestrator import FlakyLink, GrammarOnly, assert_no_job_outlives_its_data
 from tests.test_simslurm import brute_force_aggregate, random_schedule
@@ -322,9 +322,9 @@ def test_criterion_09_equivalence(cellpose_descriptor, tmp_path):
             {}, items, batch_size, options=run_options(),
             local_output_dir=str(tmp_path / "out-b"))
 
-    single = orch.record_signature(run_single())
-    assert single == orch.record_signature(run_batched(4))
-    assert single == orch.record_signature(run_batched(99))
+    single = record_signature(run_single())
+    assert single == record_signature(run_batched(4))
+    assert single == record_signature(run_batched(99))
 
 
 @criterion(10, "cleanup invariant")

@@ -32,7 +32,13 @@ from slurmbridge.errors import (
 from slurmbridge.simslurm import FaultDirective, SimCluster, SimEndpoint
 from slurmbridge.states import JobState
 from slurmbridge.transport import DEFAULT_DEADLINE_S, ExecResult, Quiet, unframe_commands
-from tests.conftest import CELLPOSE_DESCRIPTOR, SAMPLE_CONFIG, make_tiff_inputs, make_zarr_inputs
+from tests.conftest import (
+    CELLPOSE_DESCRIPTOR,
+    SAMPLE_CONFIG,
+    make_tiff_inputs,
+    make_zarr_inputs,
+    record_signature,
+)
 from tests.test_slurm_client import DAMAGES, DamagesStream, record_launches
 
 
@@ -101,11 +107,16 @@ class FlakyLink(SimEndpoint):
     nth launch (from 0) in which program ran with lines in place of that
     program's output (of its first command of program, or with a fourth
     item k of its kth from 0, if it is framed by exec_many), or, with
-    program None, the nth launch with lines in place of all its stdout."""
+    program None, the nth launch with lines in place of all its stdout; and
+    with lose_launch, a (k, ran) pair, raises ConnectionLost at the kth
+    launch from 0, an exec or the upload's copy, before it runs or, with
+    ran true, right after it has run."""
 
     def __init__(self, cluster, failures=(), lose_submission=False, lost_with=ConnectionLost,
-                 lose_retrieval=False, lose_upload=None, garble=None):
+                 lose_retrieval=False, lose_upload=None, garble=None, lose_launch=None):
         super().__init__(cluster)
+        self.lose_launch = lose_launch
+        self.launches = 0
         self.failures = iter(failures)
         self.garble = garble
         self.garble_seen = 0  # launches that ran the program garble names
@@ -114,7 +125,25 @@ class FlakyLink(SimEndpoint):
         self.lose_retrieval = lose_retrieval
         self.lose_upload = lose_upload
 
+    def _launch(self, run):
+        """run() as one launch, counted, and lost if lose_launch names it."""
+        k = self.launches
+        self.launches += 1
+        if self.lose_launch == (k, False):
+            raise ConnectionLost(f"link dropped before launch {k} ran")
+        result = run()
+        if self.lose_launch == (k, True):
+            raise ConnectionLost(f"link dropped after launch {k} ran")
+        return result
+
+    def _copy_up(self, local, remote):
+        copy_up = super()._copy_up
+        self._launch(lambda: copy_up(local, remote))
+
     def exec(self, command, timeout=DEFAULT_DEADLINE_S):
+        return self._launch(lambda: self._answer(command, timeout))
+
+    def _answer(self, command, timeout):
         framed = unframe_commands(command[-1]) if command[0] == "sh" else None
         argvs = [command] if framed is None else [
             getattr(argv, "argv", argv) for argv in framed[1] + framed[2]]
@@ -764,16 +793,16 @@ class TestRunWorkflowBatched:
                     return ExecResult(1, "", "rm: cannot remove: Permission denied\n")
                 return super().sim_exec(command)
 
-        poll_and_fetch = slurm.poll_and_fetch
+        fetch_results = slurm.fetch_results
 
         def keeps_bundle(*args):
-            result, fetched = poll_and_fetch(*args)
+            ran, fetched = fetch_results(*args)
             if fetched is not None:
                 with zipfile.ZipFile(io.BytesIO(fetched[0])) as archive:
                     endpoint.bundle = archive.namelist()
-            return result, fetched
+            return ran, fetched
 
-        monkeypatch.setattr(slurm, "poll_and_fetch", keeps_bundle)
+        monkeypatch.setattr(slurm, "fetch_results", keeps_bundle)
         _, profile, registry, descriptor = run_env
         endpoint = SimEndpoint(UploadUnremovable())
         slurm.init_environment(endpoint, profile, registry)
@@ -938,7 +967,7 @@ class TestRunWorkflowBatched:
             {}, items, 50, options=fast_options(),
             local_output_dir=str(tmp_path / "out-batched"),
         )
-        assert orch.record_signature(single) == orch.record_signature(batched)
+        assert record_signature(single) == record_signature(batched)
 
     def test_item_conservation(self, run_env, tmp_path):
         endpoint, profile, registry, descriptor = run_env
@@ -1167,6 +1196,7 @@ def test_a_damaged_answer_ends_the_run_at_a_journaled_stage(tmp_path_factory, pr
        slow=st.sampled_from(["batch0/job.sh", "batch1/job.sh", "batch1/convert.sh"]))
 @example(which=0, answer="99", slow="batch0/job.sh")
 @example(which=2, answer="2", slow="batch1/job.sh")
+@example(which=2, answer="1", slow="batch1/job.sh")
 def test_a_forged_job_id_removes_no_data_under_a_live_job(tmp_path_factory, which, answer,
                                                          slow):
     """One of the three sbatch answers of a run (batch 0's workflow job,
@@ -1175,7 +1205,9 @@ def test_a_forged_job_id_removes_no_data_under_a_live_job(tmp_path_factory, whic
     with a cluster name; one of the run's jobs runs for 60 s. No data is
     removed while a job of the run is queued or running, the run ends at a
     journaled final stage before its deadline, every job is terminal and
-    nothing is left under data/."""
+    nothing is left under data/. The batch whose sbatch answers were all
+    left as sent brings its results back, even when the forged id is its
+    job's."""
     profile, registry = config_mod.parse_config(SAMPLE_CONFIG)
     descriptor = descriptor_mod.parse_descriptor(json.dumps(CELLPOSE_DESCRIPTOR))
     workdir = tmp_path_factory.mktemp("run")
@@ -1195,6 +1227,8 @@ def test_a_forged_job_id_removes_no_data_under_a_live_job(tmp_path_factory, whic
     assert rows[-1][0] == record.overall_state.value
     assert record.overall_state in orch.TERMINAL_STAGES
     assert cluster.clock < 600
+    untouched = record.batches[1 if which == 0 else 0]
+    assert untouched.result_zip in record.output_artifacts
     assert_no_job_outlives_its_data(cluster, registry.entry("cellpose").resources.time_limit_min)
 
 

@@ -16,7 +16,7 @@ from slurmbridge import slurm
 from slurmbridge.errors import TransferFailed
 from slurmbridge.simslurm import SimCluster, SimEndpoint
 from slurmbridge.transport import ExecResult, SshEndpoint
-from tests.conftest import make_tiff_inputs, make_zarr_inputs
+from tests.conftest import make_tiff_inputs, make_zarr_inputs, record_signature
 from tests.test_slurm_client import WORKFLOW_SCRIPT
 from tests.test_transport import ssh_endpoint
 
@@ -163,7 +163,7 @@ def test_run_matches_the_simulator(shell_run, shell_router, tmp_path):
     sim = SimEndpoint(SimCluster())
     slurm.init_environment(sim, profile, registry)
     sim_record = run(sim, tmp_path / "sim-out")
-    assert orch.record_signature(record) == orch.record_signature(sim_record)
+    assert record_signature(record) == record_signature(sim_record)
     assert outputs(record, tmp_path / "shell-out") == outputs(sim_record, tmp_path / "sim-out")
 
 

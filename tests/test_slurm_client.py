@@ -107,7 +107,7 @@ class DamagesStream(SimCluster):
 
 def fetch_logs(endpoint, logs_dir):
     """The logs dir as one archive, brought back the way a run does it."""
-    bundle, _ = slurm.fetch_results(endpoint, [logs_dir], "/scratch/logs.zip")
+    _, (bundle, _) = slurm.fetch_results(endpoint, [logs_dir], "/scratch/logs.zip")
     return zipfile.ZipFile(io.BytesIO(bundle))
 
 
@@ -494,8 +494,8 @@ class TestFetchResults:
         fs.make_dirs("/scratch/omero/data/r1/out/masks")
         fs.write("/scratch/omero/data/r1/out/masks/a.tiff", b"mask")
         # An archive written inside the dir it zips leaves itself out.
-        bundle, removed = slurm.fetch_results(sim_endpoint, ["/scratch/omero/data/r1/out"],
-                                              "/scratch/omero/data/r1/out/results.zip")
+        _, (bundle, removed) = slurm.fetch_results(
+            sim_endpoint, ["/scratch/omero/data/r1/out"], "/scratch/omero/data/r1/out/results.zip")
         assert removed == []
         assert bundle == fs.read("/scratch/omero/data/r1/out/results.zip")
         with zipfile.ZipFile(io.BytesIO(bundle)) as archive:
@@ -513,7 +513,7 @@ class TestFetchResults:
         fs.write("/scratch/omero/data/r1/out/x.tiff", b"xxx")
         fs.write("/scratch/omero/logs/omero-job-1.log", b"log")
         launches = record_launches(sim_endpoint)
-        bundle, _ = slurm.fetch_results(
+        _, (bundle, _) = slurm.fetch_results(
             sim_endpoint, ["/scratch/omero/data/r1/out", "/scratch/omero/data/r2/out",
                            "/scratch/omero/logs"], "/scratch/omero/data/r1/bundle.zip")
         assert [command[0] for command in launches] == ["sh"]
@@ -530,11 +530,14 @@ class TestFetchResults:
         handle = submit_workflow(sim_endpoint)
         sim_endpoint.cluster.fs.write("/scratch/omero/data/r1/out/x.tiff", b"xxx")
         launches = record_launches(sim_endpoint)
-        bundle, removed = slurm.fetch_results(
+        _, (bundle, removed) = slurm.fetch_results(
             sim_endpoint, ["/scratch/omero/data/r1/out"], "/scratch/omero/data/r1/bundle.zip",
             ["/scratch/omero/data/r1", "/scratch/omero/data/r1.zip"], cancel="sb-test")
         assert len(launches) == 1
-        assert unframe_commands(launches[0][-1])[1][3:] == slurm.teardown_commands(
+        # With no guard, every command runs behind an empty one.
+        _, guard, then = unframe_commands(launches[0][-1])
+        assert guard == []
+        assert then[3:] == slurm.teardown_commands(
             ["/scratch/omero/data/r1", "/scratch/omero/data/r1.zip"], "sb-test")
         with zipfile.ZipFile(io.BytesIO(bundle)) as archive:
             assert archive.read("scratch/omero/data/r1/out/x.tiff") == b"xxx"
@@ -542,10 +545,33 @@ class TestFetchResults:
         assert not sim_endpoint.path_exists("/scratch/omero/data/r1")
         assert slurm.poll_jobs(sim_endpoint, [handle]) == {1: JobState.CANCELLED}
 
+    def test_guard_holds_the_bundle_and_teardown_back_while_a_job_is_queued(
+            self, sim_endpoint):
+        # The poll guard fails while job 1 is queued: only its own commands
+        # run. Once the job has ended, the same launch brings the bundle
+        # back and removes the run dir, and the guard's sacct reads the job.
+        prepare_run_dirs(sim_endpoint)
+        handle = submit_workflow(sim_endpoint)
+        sim_endpoint.cluster.fs.write("/scratch/omero/data/r1/out/x.tiff", b"xxx")
+        args = (sim_endpoint, ["/scratch/omero/data/r1/out"],
+                "/scratch/omero/data/r1/bundle.zip", ["/scratch/omero/data/r1"])
+        guard = slurm.poll_guard("sb-test", [handle])
+        (queued, polled), fetched = slurm.fetch_results(*args, guard=guard)
+        assert not queued.ok and fetched is None
+        assert slurm.job_states(polled, [handle]) == {1: JobState.PENDING}
+        assert sim_endpoint.path_exists("/scratch/omero/data/r1")
+        sim_endpoint.sleep(3600)
+        (queued, polled), (bundle, removed) = slurm.fetch_results(*args, guard=guard)
+        assert queued.ok
+        assert slurm.job_states(polled, [handle]) == {1: JobState.COMPLETED}
+        with zipfile.ZipFile(io.BytesIO(bundle)) as archive:
+            assert archive.read("scratch/omero/data/r1/out/x.tiff") == b"xxx"
+        assert removed == ["/scratch/omero/data/r1"]
+
     def test_empty_output(self, sim_endpoint):
         # Nothing to send back; the teardown runs all the same.
         prepare_run_dirs(sim_endpoint)
-        bundle, removed = slurm.fetch_results(
+        _, (bundle, removed) = slurm.fetch_results(
             sim_endpoint, ["/scratch/omero/data/r1/out", "/scratch/omero/data/r2/out"],
             "/scratch/omero/data/r1/out.zip", ["/scratch/omero/data/r1"])
         assert isinstance(bundle, EmptyOutput)
@@ -556,8 +582,8 @@ class TestFetchResults:
         # The archive's dir does not exist; zip says so on stdout.
         prepare_run_dirs(sim_endpoint)
         sim_endpoint.cluster.fs.write("/scratch/omero/data/r1/out/x.tiff", b"x")
-        bundle, _ = slurm.fetch_results(sim_endpoint, ["/scratch/omero/data/r1/out"],
-                                        "/scratch/gone/b.zip")
+        _, (bundle, _) = slurm.fetch_results(sim_endpoint, ["/scratch/omero/data/r1/out"],
+                                             "/scratch/gone/b.zip")
         assert isinstance(bundle, TransportError)
         assert "zip error: Could not create output file (/scratch/gone/b.zip)" in str(bundle)
 
@@ -566,7 +592,7 @@ class TestFetchResults:
         endpoint = SimEndpoint(DamagesStream(DAMAGES[damage]))
         prepare_run_dirs(endpoint)
         endpoint.cluster.fs.write("/scratch/omero/data/r1/out/x.tiff", bytes(range(256)))
-        bundle, removed = slurm.fetch_results(
+        _, (bundle, removed) = slurm.fetch_results(
             endpoint, ["/scratch/omero/data/r1/out"], "/scratch/omero/data/r1/bundle.zip",
             ["/scratch/omero/data/r1"])
         assert isinstance(bundle, ChecksumMismatch)
@@ -627,7 +653,7 @@ class TestInfoZipNaming:
         (tmp_path / "out").mkdir()
         (tmp_path / "out" / "x.tiff").write_bytes(b"x")
         archive = str(tmp_path / "gone" / "b.zip")
-        bundle, _ = slurm.fetch_results(ssh_endpoint(), [str(tmp_path / "out")], archive)
+        _, (bundle, _) = slurm.fetch_results(ssh_endpoint(), [str(tmp_path / "out")], archive)
         assert isinstance(bundle, TransportError)
         assert f"zip error: Could not create output file ({archive})" in str(bundle)
 
@@ -645,7 +671,7 @@ class TestInfoZipNaming:
         kept, cancels = tmp_path / "kept.zip", tmp_path / "scancel.log"
         shell_router.stub("scancel", f'echo "$@" >> {cancels}\n')
         shell_router.stub("zip", f'{shutil.which("zip")} "$@" || exit $?\ncp "$4" {kept}\n')
-        bundle, removed = slurm.fetch_results(
+        _, (bundle, removed) = slurm.fetch_results(
             ssh_endpoint(), [os.path.join(run_dir, f"batch{k}", "out") for k in range(3)]
             + [logs_dir], os.path.join(run_dir, "bundle.zip"), [run_dir, run_dir + ".zip"],
             cancel="sb-run")
