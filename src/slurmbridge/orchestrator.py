@@ -33,7 +33,7 @@ from .errors import (
     WorkflowFailed,
 )
 from .states import JobState
-from .transport import PIECE
+from .transport import PIECE, piece_buffer, read_pieces
 
 
 class InputFormat(Enum):
@@ -148,6 +148,7 @@ def pack_inputs(items, staging_dir, prefix_of=None, scripts=None):
     prefix_of = prefix_of or {}
     os.makedirs(staging_dir, exist_ok=True)
     zip_path = os.path.join(staging_dir, "input.zip")
+    buffer = b""  # one piece_buffer, made anew only for a larger file
     with zipfile.ZipFile(zip_path, "w", zipfile.ZIP_STORED) as archive:
         for item in sorted(items, key=lambda i: i.id):
             arcbase = f"{prefix_of.get(item.id, '')}in/{item.id}.{item.format.value}"
@@ -156,20 +157,26 @@ def pack_inputs(items, staging_dir, prefix_of=None, scripts=None):
                 for root, _, files in os.walk(top):
                     inner = arcbase + root[len(top):]
                     for name in sorted(files):
-                        _store(archive, os.path.join(root, name), f"{inner}/{name}")
+                        buffer = _store(archive, os.path.join(root, name), f"{inner}/{name}",
+                                        buffer)
             else:
-                _store(archive, item.local_path, arcbase)
+                buffer = _store(archive, item.local_path, arcbase, buffer)
         for name, text in sorted((scripts or {}).items()):
             archive.writestr(name, text)
     return zip_path
 
 
-def _store(archive, path, name):
+def _store(archive, path, name, buffer):
     """Copy the file at path into archive as the entry name, as
-    ZipFile.write would, but in pieces of PIECE bytes, not 8 KiB."""
-    with open(path, "rb") as source, \
-            archive.open(zipfile.ZipInfo.from_file(path, name), "w") as target:
-        shutil.copyfileobj(source, target, PIECE)
+    ZipFile.write would, but reading into buffer, a piece_buffer, where
+    ZipFile.write reads a new 8 KiB bytes at a time; returns the buffer,
+    made anew when the file needs a larger one."""
+    info = zipfile.ZipInfo.from_file(path, name)
+    buffer = piece_buffer(info.file_size, buffer)
+    with open(path, "rb", buffering=0) as source, archive.open(info, "w") as target:
+        for piece in read_pieces(source, buffer):
+            target.write(piece)
+    return buffer
 
 
 def plan_batches(items, batch_size):
@@ -325,7 +332,8 @@ def _prepare(run, profile, workflow_descriptor, entry, options, staging_root):
     """Stage: write every batch's scripts and pack them, with the inputs,
     into one archive laid out as the run dir; returns its local path, or
     None when no batch is left to ship. A batch that cannot be prepared
-    fails alone."""
+    fails alone; a file that cannot be packed (an OSError naming it) fails
+    every batch shipped."""
     record = run.record
     by_id = {item.id: item for item in record.items}
     image_path = slurm.image_file_path(profile, record.workflow, entry.version)
@@ -358,7 +366,7 @@ def _prepare(run, profile, workflow_descriptor, entry, options, staging_root):
     try:
         return pack_inputs([by_id[i] for b in shipped for i in b.items],
                            staging_root, prefix_of, scripts) if shipped else None
-    except SlurmBridgeError as exc:
+    except (SlurmBridgeError, OSError) as exc:  # OSError: a file that cannot be read
         for batch in shipped:
             _fail(batch, exc)
         return None

@@ -1,7 +1,7 @@
 """Slurm operations over a transport Endpoint: environment provisioning,
 submission, polling, log/result retrieval, cleanup with cancellation."""
 
-import base64
+import binascii
 import os
 import posixpath
 import re
@@ -274,7 +274,9 @@ def _bundle(paths, remote_zip, zipped, digest, stream):
         cause = (zipped.stdout or zipped.stderr).strip()
         return TransportError(f"remote zip failed (exit {zipped.exit_code}): {cause}")
     try:
-        bundle = base64.b64decode(stream.stdout)
+        # Decoded from the str itself: base64.b64decode would first make an
+        # ASCII bytes copy of the whole stream.
+        bundle = binascii.a2b_base64(stream.stdout)
         verified = (stream.ok and digest.ok
                     and digest.stdout.split()[:1] == [sha256_hex(bundle)])
     except ValueError:  # not base64, or not even ASCII

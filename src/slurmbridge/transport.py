@@ -34,7 +34,10 @@ from .errors import (
 
 DEFAULT_DEADLINE_S = 300
 
-# The bytes a local file is read or copied in: few syscalls, little memory.
+# The most bytes a local file is read or copied in at once: few syscalls,
+# little memory. Hashing a file, or packing an archive, reads into one
+# buffer of at most a piece and no larger than the largest file read
+# (piece_buffer).
 PIECE = 1 << 20
 
 # exec_many runs its commands as one `sh -c` script: it sets `mark` to a
@@ -241,20 +244,47 @@ def frame_output(mark, results):
 
 def _unframe_output(text, mark, count):
     """[(exit status, output)] of each framed command in text; the status
-    is None for a command that did not run."""
-    parts = re.split(f"\n{mark} (\\d+|-)\n", text)
-    if len(parts) != 2 * count + 1:
-        raise TransportError(
-            f"framed output holds {len(parts) // 2} of {count} exit markers")
-    return [(None if parts[k + 1] == "-" else int(parts[k + 1]), parts[k])
-            for k in range(0, 2 * count, 2)]
+    is None for a command that did not run. A marker line is "<mark> " and
+    then decimal digits or "-", between newlines; what follows the last one
+    is no command's output."""
+    head = f"\n{mark} "
+    framed, start = [], 0
+    at = text.find(head)
+    while at >= 0:
+        end = text.find("\n", at + len(head))
+        status = text[at + len(head):end] if end >= 0 else ""
+        if status != "-" and not status.isdecimal():
+            at = text.find(head, at + 1)
+            continue
+        framed.append((None if status == "-" else int(status), text[start:at]))
+        start = end + 1
+        at = text.find(head, start)
+    if len(framed) != count:
+        raise TransportError(f"framed output holds {len(framed)} of {count} exit markers")
+    return framed
+
+
+def piece_buffer(size, buffer=b""):
+    """buffer, when it holds a piece of a file of size bytes, else a new
+    one that does: min(PIECE, size) bytes, and at least 1, so that a read
+    into it gives 0 bytes only at the end of a file."""
+    need = max(1, min(PIECE, size))
+    return buffer if len(buffer) >= need else memoryview(bytearray(need))
+
+
+def read_pieces(handle, buffer):
+    """Read the binary file handle to its end into buffer, a piece_buffer,
+    yielding a view of each piece read; a view holds its piece only until
+    the next is read."""
+    while count := handle.readinto(buffer):
+        yield buffer[:count]
 
 
 def file_sha256(path):
     digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(PIECE), b""):
-            digest.update(chunk)
+    with open(path, "rb", buffering=0) as handle:
+        for piece in read_pieces(handle, piece_buffer(os.fstat(handle.fileno()).st_size)):
+            digest.update(piece)
     return digest.hexdigest()
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import re
 import subprocess
+import tracemalloc
 
 import pytest
 
@@ -171,3 +172,15 @@ def record_signature(record):
                     for b in record.batches],
         "artifacts": sorted(scrub(os.path.basename(p)) for p in record.output_artifacts),
     }
+
+
+def traced_peak(call):
+    """(call(), the most bytes that Python allocations held during it above
+    what they held when it began), as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()

@@ -190,6 +190,29 @@ class TestRun:
         assert result.exit_code == 0
         assert len(kv_lines(result.stdout)["artifact"]) == 3
 
+    def test_an_input_that_cannot_be_read_fails_the_run_without_a_traceback(
+            self, runner, workspace):
+        # A ZARR chunk that is a dangling symlink: the run ends Failed,
+        # with a final stage journaled and an error that names the chunk.
+        tmp_path, config_path, topology_path, _ = workspace
+        inputs = tmp_path / "inputs"
+        make_tiff_inputs(str(inputs), 1, prefix="a")
+        make_zarr_inputs(str(inputs), 1, prefix="v", chunks=1)
+        chunk = inputs / "v00.zarr" / "0" / "1"
+        chunk.symlink_to(tmp_path / "gone")
+        runner.invoke(main, ["init", "--config", config_path, "--simulate", topology_path])
+        result = runner.invoke(main, [
+            "run", "cellpose", "--config", config_path, "--simulate", topology_path,
+            "--input", str(inputs), "--output", str(tmp_path / "out"),
+            "--runs-dir", str(tmp_path / "runs")])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.exc_info
+        assert "Traceback" not in result.output
+        run_id = kv_lines(result.stdout)["run_id"][0]
+        status = runner.invoke(main, ["status", run_id, "--runs-dir", str(tmp_path / "runs")])
+        assert kv_lines(status.stdout)["state"] == ["Failed"]
+        stage, detail = journal_rows(status.stdout)[-1]
+        assert stage == "Failed" and str(chunk) in detail
+
     def test_unknown_workflow(self, runner, workspace):
         tmp_path, config_path, topology_path, _ = workspace
         result = runner.invoke(

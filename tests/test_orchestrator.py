@@ -31,13 +31,14 @@ from slurmbridge.errors import (
 )
 from slurmbridge.simslurm import FaultDirective, SimCluster, SimEndpoint
 from slurmbridge.states import JobState
-from slurmbridge.transport import DEFAULT_DEADLINE_S, ExecResult, Quiet, unframe_commands
+from slurmbridge.transport import DEFAULT_DEADLINE_S, PIECE, ExecResult, Quiet, unframe_commands
 from tests.conftest import (
     CELLPOSE_DESCRIPTOR,
     SAMPLE_CONFIG,
     make_tiff_inputs,
     make_zarr_inputs,
     record_signature,
+    traced_peak,
 )
 from tests.test_slurm_client import DAMAGES, DamagesStream, record_launches
 
@@ -108,14 +109,14 @@ class FlakyLink(SimEndpoint):
     program's output (of its first command of program, or with a fourth
     item k of its kth from 0, if it is framed by exec_many), or, with
     program None, the nth launch with lines in place of all its stdout; and
-    with lose_launch, a (k, ran) pair, raises ConnectionLost at the kth
-    launch from 0, an exec or the upload's copy, before it runs or, with
-    ran true, right after it has run."""
+    with lose_launch, (k, ran) pairs, raises ConnectionLost at the kth
+    launch from 0 of each pair, an exec or the upload's copy, before it
+    runs or, with ran true, right after it has run."""
 
     def __init__(self, cluster, failures=(), lose_submission=False, lost_with=ConnectionLost,
-                 lose_retrieval=False, lose_upload=None, garble=None, lose_launch=None):
+                 lose_retrieval=False, lose_upload=None, garble=None, lose_launch=()):
         super().__init__(cluster)
-        self.lose_launch = lose_launch
+        self.lose_launch = set(lose_launch)
         self.launches = 0
         self.failures = iter(failures)
         self.garble = garble
@@ -129,10 +130,10 @@ class FlakyLink(SimEndpoint):
         """run() as one launch, counted, and lost if lose_launch names it."""
         k = self.launches
         self.launches += 1
-        if self.lose_launch == (k, False):
+        if (k, False) in self.lose_launch:
             raise ConnectionLost(f"link dropped before launch {k} ran")
         result = run()
-        if self.lose_launch == (k, True):
+        if (k, True) in self.lose_launch:
             raise ConnectionLost(f"link dropped after launch {k} ran")
         return result
 
@@ -333,8 +334,8 @@ class TestPackInputs:
                 "batch0/job.sh", "batch1/job.sh",
             ]
             assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_STORED}
-            assert archive.read("batch1/in/img02.tiff") == \
-                open(items[2].local_path, "rb").read()
+            with open(items[2].local_path, "rb") as source:
+                assert archive.read("batch1/in/img02.tiff") == source.read()
 
     def test_missing_input(self, tmp_path):
         item = orch.InputItem("ghost", str(tmp_path / "ghost.tiff"),
@@ -412,6 +413,42 @@ class TestPackInputs:
         before = writes()
         orch.pack_inputs(items, str(tmp_path / "staging"))
         assert writes() - before <= 16
+
+    def test_small_inputs_are_copied_through_one_small_buffer(self, tmp_path):
+        # 40 inputs of 4 KiB: a new 1 MiB bytes per read would peak at
+        # about 1 MiB; one buffer the size of the largest file, at 4 KiB.
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        for k in range(40):
+            (inputs / f"small{k:02d}.tiff").write_bytes(bytes([k]) * (4 << 10))
+        items = orch.scan_input_dir(str(inputs))
+        zip_path, peak = traced_peak(lambda: orch.pack_inputs(items, str(tmp_path / "staging")))
+        assert peak <= 256 << 10, peak
+        with zipfile.ZipFile(zip_path) as archive:
+            assert [archive.read(f"in/small{k:02d}.tiff") for k in range(40)] == [
+                bytes([k]) * (4 << 10) for k in range(40)]
+
+    @pytest.mark.parametrize("sizes", [(0,), (0, 0, 5), (1, 8 << 20, 3), (PIECE, 2 * PIECE)])
+    def test_a_larger_file_gets_a_larger_buffer(self, tmp_path, sizes):
+        # Every file comes back whole, and one after a smaller file is
+        # still read a piece at a time (/proc/self/io counts the read
+        # syscalls): the buffer made for 1 byte would take 8 Mi reads.
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        payload = [os.urandom(size) for size in sizes]
+        for k, data in enumerate(payload):
+            (inputs / f"f{k}.tiff").write_bytes(data)
+        items = orch.scan_input_dir(str(inputs))
+
+        def reads():
+            with open("/proc/self/io") as handle:
+                return int(dict(line.split(": ") for line in handle.read().splitlines())["syscr"])
+
+        before = reads()
+        zip_path = orch.pack_inputs(items, str(tmp_path / "staging"))
+        assert reads() - before <= 32
+        with zipfile.ZipFile(zip_path) as archive:
+            assert [archive.read(f"in/f{k}.tiff") for k in range(len(sizes))] == payload
 
 
 class TestPlanBatches:
@@ -778,6 +815,29 @@ class TestRunWorkflowBatched:
         rejected = str(record.batches[0].error)
         assert "Requested node configuration is not available" in rejected
         assert events[-1] == ("Failed", f"{rejected} (3 batches); {items[3].local_path}")
+
+    def test_an_input_file_that_cannot_be_read_fails_the_run(self, run_env, tmp_path):
+        # A ZARR chunk that is a dangling symlink cannot be packed: every
+        # batch shipped fails with the error that names it, nothing is
+        # uploaded or submitted, and the run still journals its end.
+        endpoint, profile, registry, descriptor = run_env
+        inputs = tmp_path / "inputs"
+        make_tiff_inputs(str(inputs), 1, prefix="a")
+        make_zarr_inputs(str(inputs), 1, prefix="v", chunks=1)
+        chunk = inputs / "v00.zarr" / "0" / "1"
+        chunk.symlink_to(tmp_path / "gone")
+        events = Events()
+        record = orch.run_workflow_batched(
+            endpoint, profile, registry, descriptor, "cellpose", {},
+            orch.scan_input_dir(str(inputs)), 1, options=fast_options(),
+            local_output_dir=str(tmp_path / "out"), listener=events)
+        assert record.overall_state is orch.RunStage.FAILED
+        assert batch_errors(record) == batch_failures(events) == {
+            0: "FileNotFoundError", 1: "FileNotFoundError"}
+        assert events[-1][0] == "Failed" and str(chunk) in events[-1][1]
+        assert endpoint.cluster.jobs == {}
+        assert [path for path in list(endpoint.cluster.fs.files) + list(endpoint.cluster.fs.dirs)
+                if path.startswith("/scratch/omero/data/")] == []
 
     def test_failed_upload_removal_keeps_results(self, run_env, tmp_path, monkeypatch):
         class UploadUnremovable(SimCluster):
@@ -1259,6 +1319,31 @@ class TestRunLifecycle:
         assert record.overall_state is orch.RunStage.DONE
         assert all(batch.result_zip for batch in record.batches)
 
+    @pytest.mark.parametrize("refusals", [2, 3])
+    def test_a_guarded_poll_whose_sacct_exits_non_zero(self, run_env, tmp_path, refusals):
+        # sacct exits 1 in the first polls, as while slurmdbd is down: two
+        # such rounds cost only rounds; the third in a row fails every live
+        # batch, and the ending launch cancels the run's jobs by name.
+        _, profile, registry, _ = run_env
+        cluster = SacctRefused(refusals)
+        slurm.init_environment(SimEndpoint(cluster), profile, registry)
+        events = Events()
+        record = self.run(SimEndpoint(cluster), run_env, tmp_path, listener=events)
+        assert cluster.refusals == 0
+        assert events[-1][0] == record.overall_state.value
+        assert cluster.early == []
+        if refusals == 2:
+            assert record.overall_state is orch.RunStage.DONE
+            assert all(batch.result_zip for batch in record.batches)
+        else:
+            assert record.overall_state is orch.RunStage.FAILED
+            assert batch_errors(record) == batch_failures(events) == {
+                0: "AccountingUnavailable", 1: "AccountingUnavailable"}
+            assert "Problem talking to the database" in str(record.batches[0].error)
+            assert "cancel" in [stage for stage, _ in events]
+            assert "scancel" in cluster.ran
+        assert_no_job_outlives_its_data(cluster, registry.entry("cellpose").resources.time_limit_min)
+
     def test_completing_job_is_polled_again(self, run_env, tmp_path):
         endpoint = ReportsCompleting(run_env[0].cluster)
         record = self.run(endpoint, run_env, tmp_path)
@@ -1462,6 +1547,22 @@ class RemovesOnlyEnded(SimCluster):
             if live:
                 self.early.append((command[2], live))
         return super().sim_exec(command)
+
+
+class SacctRefused(RemovesOnlyEnded):
+    """Answers the first refusals sacct calls as sacct does while slurmdbd
+    is down: exit 1, with the error on stderr."""
+
+    def __init__(self, refusals, nodes=None):
+        super().__init__(nodes)
+        self.refusals = refusals
+
+    def _sacct(self, tokens):
+        if not self.refusals:
+            return super()._sacct(tokens)
+        self.refusals -= 1
+        return ExecResult(
+            1, "", "sacct: error: Problem talking to the database: Connection refused\n")
 
 
 class SacctLags(RemovesOnlyEnded):

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import hashlib
 import io
@@ -26,7 +27,8 @@ from slurmbridge.errors import (
 )
 from slurmbridge.simslurm import FaultDirective, SimCluster, SimEndpoint
 from slurmbridge.states import JobState, aggregate_array_states
-from slurmbridge.transport import DEFAULT_DEADLINE_S, unframe_commands
+from slurmbridge.transport import DEFAULT_DEADLINE_S, ExecResult, unframe_commands
+from tests.conftest import traced_peak
 from tests.test_simslurm import submit_script
 from tests.test_transport import ssh_endpoint
 
@@ -586,6 +588,17 @@ class TestFetchResults:
                                              "/scratch/gone/b.zip")
         assert isinstance(bundle, TransportError)
         assert "zip error: Could not create output file (/scratch/gone/b.zip)" in str(bundle)
+
+    def test_an_8_mib_bundle_decodes_without_an_ascii_copy(self):
+        # The stream is decoded from its str: the peak is the bundle and
+        # little more, not also an ASCII bytes copy of the 11 MiB stream.
+        data = bytes(range(256)) * (32 << 10)
+        zipped, digest, stream = (ExecResult(0, "", ""),
+                                  ExecResult(0, f"{hashlib.sha256(data).hexdigest()}  b.zip\n", ""),
+                                  ExecResult(0, base64.encodebytes(data).decode(), ""))
+        bundle, peak = traced_peak(lambda: slurm._bundle(["out"], "b.zip", zipped, digest, stream))
+        assert bundle == data
+        assert peak < 9 << 20, peak
 
     @pytest.mark.parametrize("damage", sorted(DAMAGES))
     def test_damaged_stream_fails_its_digest(self, damage):

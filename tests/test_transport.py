@@ -1,10 +1,13 @@
+import gc
 import hashlib
 import io
 import itertools
 import os
 import posixpath
+import re
 import shutil
 import subprocess
+import tracemalloc
 import warnings
 import zipfile
 
@@ -23,6 +26,7 @@ from slurmbridge.errors import (
     TransportError,
 )
 from slurmbridge.simslurm import SimCluster, SimEndpoint
+from tests.conftest import traced_peak
 
 
 class TestExec:
@@ -71,6 +75,25 @@ class TestTransfers:
         assert report.checksum == hashlib.sha256(data).hexdigest()
         stored = sim_endpoint.cluster.fs.read("/remote/big.bin")
         assert hashlib.sha256(stored).hexdigest() == report.checksum
+
+    def test_hashing_holds_one_piece(self, tmp_path):
+        # An 8 MiB file is read into one buffer of a piece: the peak stays
+        # under 1.5 MiB, where a new piece per read, kept beside the last
+        # until the next is read, takes two.
+        data = os.urandom(8 << 20)
+        local = tmp_path / "big.bin"
+        local.write_bytes(data)
+        digest, peak = traced_peak(lambda: transport.file_sha256(str(local)))
+        assert digest == hashlib.sha256(data).hexdigest()
+        assert peak <= 3 << 19, peak
+
+    @pytest.mark.parametrize("size", [0, 1, transport.PIECE - 1, transport.PIECE,
+                                      transport.PIECE + 1, 3 * transport.PIECE])
+    def test_hash_at_each_side_of_a_piece(self, tmp_path, size):
+        data = os.urandom(size)
+        local = tmp_path / "payload.bin"
+        local.write_bytes(data)
+        assert transport.file_sha256(str(local)) == hashlib.sha256(data).hexdigest()
 
     def test_source_missing(self, sim_endpoint, tmp_path):
         with pytest.raises(SourceMissing):
@@ -549,6 +572,28 @@ def test_framed_output_short_of_a_marker_is_lost(cut):
 
     with pytest.raises(TransportError, match="framed output holds 1 of 2 exit markers"):
         CutsShort(SimCluster()).exec_many([["test", "-e", "/"]], then=[["test", "-e", "/x"]])
+
+
+def test_launches_leave_no_pattern_behind():
+    """Each exec_many frames its commands with a fresh mark, and reading
+    the output back compiles nothing: 600 launches retain under 64 KiB,
+    where a pattern per mark would fill re's cache with 512."""
+    endpoint = SimEndpoint(SimCluster())
+    commands = [["mkdir", "-p", "/scratch/x"], ["test", "-e", "/scratch/x"]]
+    for _ in range(50):
+        endpoint.exec_many(commands)
+    re.purge()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        for _ in range(600):
+            assert [result.ok for result in endpoint.exec_many(commands)] == [True, True]
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - baseline
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 << 10, retained
 
 
 @pytest.mark.skipif(shutil.which("sh") is None, reason="sh not installed")
