@@ -33,7 +33,7 @@ from .errors import (
     WorkflowFailed,
 )
 from .states import JobState
-from .transport import PIECE, piece_buffer, read_pieces
+from .transport import piece_buffer, read_pieces
 
 
 class InputFormat(Enum):
@@ -259,9 +259,28 @@ class _Run:
         if self.listener is not None:
             self.listener(stage, detail)
 
-    def emit_cancel(self):
+    def close(self, fetch):
+        """No job may outlive its data: unless a launch that tore the run
+        down answered, one launch cancels the run's jobs by name, as one may
+        be live whose id the run never read (its submission's answer was
+        lost, or the run was interrupted first) or an array whose failed
+        parent state hides running tasks, and removes the run data and the
+        uploaded archive, should it be left. Both are idempotent; logs stay.
+        With fetch, it first brings back what completed (end, no guard)."""
+        if self.torn_down:
+            return
         self.emit("cancel", f"name={self.job_name} job_ids="
                   + ",".join(dict.fromkeys(str(h.job_id) for h in self.live.values())))
+        try:
+            if fetch:
+                _, (_, removed) = self.end([b for b in self.record.batches
+                                            if b.error is None and b.state is JobState.COMPLETED])
+            else:
+                removed = slurm.cleanup_run(self.endpoint, self.paths, self.job_name)
+                self.torn_down = True
+            self.emit("cleanup", f"removed={len(removed)}")
+        except TransportError:
+            self.emit("cleanup", "failed")
 
 
 def _fail(batch, exc):
@@ -310,20 +329,7 @@ def run_workflow_batched(endpoint, profile, registry, workflow_descriptor,
         _poll(run, options)
         _retrieve(run, local_output_dir)
     finally:
-        # No job may outlive its data: unless a launch that tore the run
-        # down answered, cancel the run's jobs by name, as one may be live
-        # whose id the run never read (its submission's answer was lost, or
-        # the run was interrupted first), or an array whose failed parent
-        # state hides tasks still running. In the same launch, remove the
-        # remote run data and the uploaded archive, should it be left; both
-        # are idempotent. Logs stay.
-        if not run.torn_down:
-            run.emit_cancel()
-            try:
-                removed = slurm.cleanup_run(endpoint, run.paths, run.job_name)
-                run.emit("cleanup", f"removed={len(removed)}")
-            except TransportError:
-                run.emit("cleanup", "failed")
+        run.close(fetch=False)  # after an interrupt, or when _poll's close lost its answer
         shutil.rmtree(staging_root, ignore_errors=True)
     return _finish(run)
 
@@ -453,11 +459,8 @@ def _poll(run, options):
     answer is one, though its retrieval may have run. The loop gives up at
     the deadline, at the third accounting failure in a row, or at an
     accounting line or state token it cannot read: every batch still live
-    then fails with that error. A loop that ends with no teardown while
-    some batch submitted a job ends the run in a launch of its own, with no
-    guard: it brings back what completed and first cancels every job of
-    the run's name, as one may still run whatever the batches' states say
-    (an sbatch answer may have named another job)."""
+    then fails with that error. The loop ends the run with close, which
+    brings back what completed if some batch submitted a job."""
     run.emit(RunStage.RUNNING, "polling")
     live = run.live
     batches = run.record.batches
@@ -509,14 +512,7 @@ def _poll(run, options):
             for index, _ in live:
                 batches[index].error = batches[index].error or give_up
             break
-    if not run.torn_down and any(b.workflow_handle or b.conversion_handle for b in batches):
-        run.emit_cancel()
-        try:
-            _, (_, removed) = run.end(
-                [b for b in batches if b.error is None and b.state is JobState.COMPLETED])
-            run.emit("cleanup", f"removed={len(removed)}")
-        except TransportError:
-            pass  # the answer was lost; the teardown runs again
+    run.close(fetch=any(b.workflow_handle or b.conversion_handle for b in batches))
 
 
 def _retrieve(run, local_output_dir):
@@ -588,13 +584,14 @@ def import_results(record, destination, mode):
     """Place run outputs locally: unpacked images, sidecar files next to the
     inputs they derive from, or the raw zips. A file already at a target,
     however recently made, is never overwritten: its import stops with
-    CollisionError. Each file is copied in pieces of PIECE bytes, so no
-    result is held whole in memory."""
+    CollisionError. Each file is copied through one piece_buffer, sized by
+    the largest result zip, so no result is held whole in memory."""
     zips = [b.result_zip for b in record.batches if b.result_zip]
     if not zips:
         raise NoResults(record.run_id)
     os.makedirs(destination, exist_ok=True)
     written = []
+    buffer = piece_buffer(max(map(os.path.getsize, zips)))
 
     def place(source, target):
         os.makedirs(os.path.dirname(target), exist_ok=True)
@@ -603,7 +600,7 @@ def import_results(record, destination, mode):
         except FileExistsError:
             raise CollisionError(target) from None
         with handle:
-            shutil.copyfileobj(source, handle, PIECE)
+            handle.writelines(read_pieces(source, buffer))
         written.append(target)
 
     def entries():
@@ -617,7 +614,7 @@ def import_results(record, destination, mode):
 
     if mode == "SingleZip":
         for zip_path in zips:
-            with open(zip_path, "rb") as source:
+            with open(zip_path, "rb", buffering=0) as source:
                 place(source, os.path.join(destination, os.path.basename(zip_path)))
         return written
 

@@ -109,7 +109,7 @@ class FlakyLink(SimEndpoint):
     program's output (of its first command of program, or with a fourth
     item k of its kth from 0, if it is framed by exec_many), or, with
     program None, the nth launch with lines in place of all its stdout; and
-    with lose_launch, (k, ran) pairs, raises ConnectionLost at the kth
+    with lose_launch, (k, ran) pairs, raises lost_with at the kth
     launch from 0 of each pair, an exec or the upload's copy, before it
     runs or, with ran true, right after it has run."""
 
@@ -131,10 +131,10 @@ class FlakyLink(SimEndpoint):
         k = self.launches
         self.launches += 1
         if (k, False) in self.lose_launch:
-            raise ConnectionLost(f"link dropped before launch {k} ran")
+            raise self.lost_with(f"link dropped before launch {k} ran")
         result = run()
         if (k, True) in self.lose_launch:
-            raise ConnectionLost(f"link dropped after launch {k} ran")
+            raise self.lost_with(f"link dropped after launch {k} ran")
         return result
 
     def _copy_up(self, local, remote):
@@ -1784,6 +1784,16 @@ class TestImportResults:
             orch.import_results(record, str(tmp_path / "dst"), "ImagesFolder")
         assert target.read_bytes() == b"theirs"
 
+
+    def test_single_zip_of_a_small_result_reads_no_whole_piece(self, tmp_path):
+        # The copy's one buffer is no larger than the largest result zip,
+        # not a PIECE of 1 MiB.
+        record = self._record_with_zip(tmp_path, {"a.tiff": os.urandom(4096)})
+        written, peak = traced_peak(
+            lambda: orch.import_results(record, str(tmp_path / "dst"), "SingleZip"))
+        assert peak < 128 << 10
+        with open(written[0], "rb") as copy, open(record.batches[0].result_zip, "rb") as source:
+            assert copy.read() == source.read()
 
     @pytest.mark.parametrize("mode", ["SingleZip", "ImagesFolder", "SidecarAttachments"])
     def test_import_holds_no_result_whole(self, tmp_path, mode):
