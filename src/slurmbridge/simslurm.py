@@ -776,13 +776,12 @@ class SimCluster:
         exactly the forms the client sends: `squeue -a -h --name=<name> -o
         %i`, `mkdir -p P...`, `test -e P`, `rm -f P...`, `rm -rf P...`, `mv
         -T <file> P`, `sha256sum P`, `base64 P`, `zip -q -r -D Z P...`,
-        `unzip -q Z -d D`, `singularity pull P S` and the `sh -c` scripts of
-        exec_many. Any other form of these, `squeue -j` too, is refused."""
+        `unzip -q Z -d D`, `singularity pull P S` and the framed `sh -c` launches
+        of exec_many. Any other form of these, `squeue -j` too, is refused."""
         if not tokens:
             return ExecResult(127, "", "command not found\n")
         cmd, args = tokens[0], tokens[1:]
-        if cmd == "sh" and len(args) == 2 and args[0] == "-c" and (
-                framed := unframe_commands(args[1])):
+        if cmd == "sh" and (framed := unframe_commands(tokens)):
             mark, commands, then = framed
             # Through sim_exec, so each framed command is seen as one call.
             stdout, stderr = frame_output(mark, run_framed(commands, then, self.sim_exec))

@@ -12,10 +12,8 @@ beside its base64 stream, and the client verifies the decoded bytes
 against it (slurm.fetch_results).
 """
 
-import functools
 import hashlib
 import os
-import re
 import shlex
 import subprocess
 import time
@@ -40,36 +38,40 @@ DEFAULT_DEADLINE_S = 300
 # (piece_buffer).
 PIECE = 1 << 20
 
-# exec_many runs its commands as one `sh -c` script: it sets `mark` to a
-# fresh nonce and the guard `ok` to 0, then runs each command, followed by
-# the line "<mark> <exit status>" on stdout and on stderr; a command that
-# fails sets `ok` to 1. Each `then` command runs only while `ok` is 0, and
-# one that does not run gives the status "-". A newline is printed before
-# each marker line, so output without a trailing newline keeps its last line
-# apart from the marker. The script holds no newline of its own, so a login
-# shell that rejects newlines inside quotes (csh) can pass it on; nor does it
-# hold a '!', which csh expands even inside quotes.
-_FRAME_HEAD = re.compile(r"mark=(\w+); ok=0; ")
-_MARK = "printf '\\n%s %s\\n' \"$mark\" \"$s\"; printf '\\n%s %s\\n' \"$mark\" \"$s\" >&2; "
-_RAN = "; s=$?; [ $s = 0 ] || ok=1; "
-_THEN_HEAD = "if [ $ok = 0 ]; then "
-_THEN_TAIL = "; s=$?; else s=-; fi; "
-# A then command whose output a later one takes (through a Captured token)
-# runs as `c<k>=$(...)`, k its index among the then commands, prints what it
-# captured, which is its stdout less any trailing newlines, and keeps its
-# status in r<k>. A then command holding a Captured token runs only if
-# command k exited 0, and the token expands to "${c<k>%%;*}": that stdout up
-# to its first ';'.
-_CAPTURE_HEAD = "if [ $ok = 0 ]; then c{k}=$("
-_CAPTURE_TAIL = "); s=$?; printf %s \"$c{k}\"; else s=-; fi; r{k}=$s; "
-_AFTER_HEAD = "if [ $r{k} = 0 ]; then "
-_CAPTURED = "\"${{c{k}%%;*}}\""
-_AFTER_PIECE = re.compile(r"if \[ \$r(\d+) = 0 \]; then (.*)" + re.escape(_THEN_TAIL) + r"\Z", re.S)
-_CAPTURED_WORD = re.compile(r"(.*)\$\{c(\d+)%%;\*\}\Z", re.S)
-# A Quiet command runs as `q=$(...) && [ -z "$q" ]`: sh keeps its stdout in
-# q, and the command exits 0 only if it did and printed nothing but newlines.
-_QUIET_HEAD = "q=$("
-_QUIET_TAIL = ') && [ -z "$q" ]'
+# exec_many runs its commands as one fixed `sh -c` program, given a fresh
+# nonce as mark and then each command as its words after a header: its kind
+# and its word count. It runs each command with `eval` of references to its
+# words ("${1}" "${2}"...), so no word is ever read as shell text, followed by
+# the line "<mark> <exit status>" on stdout and on stderr. A command (kind c)
+# that fails sets the guard `ok` to 1, and so does a Quiet one (q), run as
+# `q=$(...) && [ -z "$q" ]`: it exits 0 only if its argv did and printed
+# nothing but newlines. A then command (t) runs only while `ok` is 0, and one
+# that does not run gives the status "-". A then command whose output a later
+# one takes (k) runs as `o=$(...)`, prints what it captured, its stdout less
+# any trailing newlines, and keeps it in o<t> and its status in r<t>, t its
+# index among the then commands. One that takes it (a) has in its header the
+# source's index j and the position of the word that gets "${o<j>%%;*}",
+# that stdout up to its first ';', appended, and runs only if r<j> is 0. A
+# newline is printed before each marker line, so output without a trailing
+# newline keeps its last line apart from the marker. The program holds no
+# newline, so a login shell that rejects newlines inside quotes (csh) can
+# pass it on, nor a '!', which csh expands even inside quotes.
+_FRAMED = (
+    r'mark=$1; shift; ok=0; t=0; while [ $# -gt 0 ]; do kind=$1; shift; '
+    r'if [ $kind = a ]; then j=$1; p=$2; shift 2; fi; n=$1; shift; c=; w=0; '
+    r'while [ $w -lt $n ]; do w=$((w + 1)); if [ $kind = a ] && [ $w = $p ]; '
+    r'then c="$c \"\${$w}\${o$j%%;*}\""; else c="$c \"\${$w}\""; fi; done; '
+    r'case $kind in '
+    r'c) eval "$c"; s=$?; [ $s = 0 ] || ok=1 ;; '
+    r'q) q=$(eval "$c") && [ -z "$q" ]; s=$?; [ $s = 0 ] || ok=1 ;; '
+    r't) if [ $ok = 0 ]; then eval "$c"; s=$?; else s=-; fi ;; '
+    r'k) if [ $ok = 0 ]; then o=$(eval "$c"); s=$?; printf %s "$o"; eval "o$t=\$o"; '
+    r'else s=-; fi; eval "r$t=\$s" ;; '
+    r'a) eval "s=\$r$j"; if [ $s = 0 ]; then eval "$c"; s=$?; else s=-; fi ;; '
+    r'esac; printf "\n%s %s\n" "$mark" "$s"; printf "\n%s %s\n" "$mark" "$s" >&2; '
+    r'shift $n; case $kind in [tka]) t=$((t + 1)) ;; esac; done'
+)
+_HEAD = ["sh", "-c", _FRAMED, "sh"]
 
 
 @dataclass(frozen=True)
@@ -113,99 +115,72 @@ def sha256_hex(data):
 
 
 def frame_commands(commands, then=()):
-    """(script, mark): the `sh -c` script that runs argv lists in order,
-    each whatever the exit status of the ones before, and then the argv
-    lists of then, each only if every one of commands exited 0. A command
-    may be Quiet, and a then argv may hold one Captured token, naming an
-    earlier then command that holds none."""
-    mark = uuid.uuid4().hex
-    return _render(mark, commands, then), mark
+    """The argv that runs argv lists in order, each whatever the exit status
+    of the ones before, and then the argv lists of then, each only if every
+    one of commands exited 0: `sh -c` _FRAMED with a fresh mark and each
+    command's header and words. A command may be Quiet, and a then argv may
+    hold one Captured token, naming an earlier then command that holds none."""
+    return _frame(uuid.uuid4().hex, commands, then)
 
 
 def _sources(argv):
     return [token.source for token in argv if isinstance(token, Captured)]
 
 
-def _word(token):
-    """token as the script spells it: a string quoted, a Captured token as
-    its prefix, quoted, and then its expansion."""
-    if isinstance(token, str):
-        return shlex.quote(token)
-    return (shlex.quote(token.prefix) if token.prefix else "") + _CAPTURED.format(k=token.source)
-
-
-def _render(mark, commands, then):
+def _frame(mark, commands, then):
     captured = {source for argv in then for source in _sources(argv)}
-    body = "".join((_QUIET_HEAD + shlex.join(argv.argv) + _QUIET_TAIL if isinstance(argv, Quiet)
-                    else shlex.join(argv)) + _RAN + _MARK for argv in commands)
+    words = [*_HEAD, mark]
+    for argv in commands:
+        quiet = isinstance(argv, Quiet)
+        argv = argv.argv if quiet else argv
+        words += ["q" if quiet else "c", str(len(argv)), *argv]
     for k, argv in enumerate(then):
         sources = _sources(argv)
         if len(sources) > 1 or any(not 0 <= source < k or _sources(then[source])
                                    for source in sources):
             raise ValueError(f"then command {k} takes no output of {sources}")
-        words = " ".join(map(_word, argv))
-        if k in captured:
-            body += _CAPTURE_HEAD.format(k=k) + words + _CAPTURE_TAIL.format(k=k)
+        if sources:
+            at = next(n for n, token in enumerate(argv) if isinstance(token, Captured))
+            words += ["a", str(sources[0]), str(at + 1), str(len(argv)),
+                      *argv[:at], argv[at].prefix, *argv[at + 1:]]
         else:
-            body += (_AFTER_HEAD.format(k=sources[0]) if sources else _THEN_HEAD) \
-                + words + _THEN_TAIL
-        body += _MARK
-    return f"mark={mark}; ok=0; {body}"
+            words += ["k" if k in captured else "t", str(len(argv)), *argv]
+    return words
 
 
-@functools.lru_cache(maxsize=32)
-def _split(text):
-    """shlex.split(text) as a tuple, cached: a poll sends the same commands
-    round after round, and shlex reads a character at a time."""
-    return tuple(shlex.split(text))
-
-
-def unframe_commands(script):
-    """(mark, commands, then) of a script made by frame_commands, or None
-    when script is not exactly one."""
-    head = _FRAME_HEAD.match(script)
-    if head is None:
+def unframe_commands(argv):
+    """(mark, commands, then) of an argv made by frame_commands, or None
+    when argv is not exactly one."""
+    if argv[:4] != _HEAD:
         return None
-    *pieces, rest = script[head.end():].split(_MARK)
-    if rest:
-        return None
-    commands, then = [], []
+    commands, then, at = [], [], 5
     try:
-        for piece in pieces:
-            capture = _CAPTURE_HEAD.format(k=len(then)), _CAPTURE_TAIL.format(k=len(then))
-            after = _AFTER_PIECE.match(piece)
-            if piece.startswith(capture[0]) and piece.endswith(capture[1]):
-                then.append(list(_split(piece[len(capture[0]):-len(capture[1])])))
-            elif after:
-                then.append([_captured(word, int(after.group(1)))
-                             for word in _split(after.group(2))])
-            elif piece.startswith(_THEN_HEAD) and piece.endswith(_THEN_TAIL):
-                then.append(list(_split(piece[len(_THEN_HEAD):-len(_THEN_TAIL)])))
-            elif piece.endswith(_RAN) and not then:
-                command = piece[:-len(_RAN)]
-                if command.startswith(_QUIET_HEAD) and command.endswith(_QUIET_TAIL):
-                    command = command[len(_QUIET_HEAD):-len(_QUIET_TAIL)]
-                    commands.append(Quiet(list(_split(command))))
-                else:
-                    commands.append(list(_split(command)))
+        while at < len(argv):
+            kind, at = argv[at], at + 1
+            if kind == "a":
+                source, position, at = int(argv[at]), int(argv[at + 1]) - 1, at + 2
+            count = int(argv[at])
+            words, at = argv[at + 1:at + 1 + count], at + 1 + count
+            if kind == "c":
+                commands.append(words)
+            elif kind == "q":
+                commands.append(Quiet(words))
+            elif kind in ("t", "k"):
+                then.append(words)
+            elif kind == "a" and 0 <= position < len(words):
+                words[position] = Captured(source, words[position])
+                then.append(words)
             else:
                 return None
-        framed = head.group(1), commands, then
-        # Parsing is lenient; only a script that renders back unchanged is one.
-        return framed if _render(*framed) == script else None
-    except ValueError:  # unbalanced quotes, or a Captured token out of place
+        framed = argv[4], commands, then
+        # Reading is lenient; only words that frame back unchanged are a launch.
+        return framed if _frame(*framed) == argv else None
+    except (ValueError, IndexError):  # no mark, a header word out of place, or a misused Captured
         return None
-
-
-def _captured(word, source):
-    """word as parsed from a then command that takes command source's
-    output: the Captured token when it ends in that expansion."""
-    match = _CAPTURED_WORD.match(word)
-    return Captured(source, match.group(1)) if match and int(match.group(2)) == source else word
 
 
 def run_framed(commands, then, run):
-    """What `sh` gives running the framed script of commands and then, when
+    """What `sh` gives running the framed launch of commands and then, when
     run(argv) gives each command's ExecResult: one result per command, None
     for a then command that did not run. A Quiet command runs its argv."""
     results = [_quiet(run(argv.argv)) if isinstance(argv, Quiet) else run(argv)
@@ -234,7 +209,7 @@ def _quiet(result):
 
 
 def frame_output(mark, results):
-    """(stdout, stderr) that `sh` prints running a framed script whose
+    """(stdout, stderr) that `sh` prints running a framed launch whose
     commands gave results, None for a command that did not run."""
     ran = [("-", "", "") if r is None else (r.exit_code, r.stdout, r.stderr) for r in results]
     stdout = "".join(f"{out}\n{mark} {code}\n" for code, out, _ in ran)
@@ -365,8 +340,9 @@ class Endpoint(ABC):
         count = len(commands) + len(then)
         if not count:
             return []
-        script, mark = frame_commands(commands, then)
-        result = self.exec(["sh", "-c", script])
+        framed = frame_commands(commands, then)
+        mark = framed[4]
+        result = self.exec(framed)
         return [
             None if code is None else ExecResult(code, stdout, stderr)
             for (code, stdout), (_, stderr) in zip(

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import tracemalloc
 
@@ -103,6 +104,11 @@ class ShellRouter:
         path = self.bin_dir / name
         path.write_text("#!/bin/sh\n" + body)
         path.chmod(0o755)
+
+    def sh_as(self, shell):
+        """Make `sh` on the PATH, the login shell's and the one it starts,
+        the installed shell of that name, run as `sh`."""
+        (self.bin_dir / "sh").symlink_to(shutil.which(shell))
 
     def __call__(self, argv, **kwargs):
         if argv[0] not in ("ssh", "scp"):

@@ -104,6 +104,25 @@ def test_a_lost_launch_keeps_every_run_safe(name, k, ran, sample_profile_registr
     assert answered  # one lost launch leaves a later teardown to answer
 
 
+@pytest.mark.parametrize("name,k,answer", [
+    (name, k, answer) for name in sorted(SWEPT) for k in range(LAUNCHES[name])
+    for answer in ("empty", "cut")])
+def test_an_empty_or_cut_answer_keeps_every_run_safe(name, k, answer, sample_profile_registry,
+                                                     cellpose_descriptor, tmp_path):
+    # Each launch after the upload's copy, sha256sum and mv is framed, and
+    # an answer short of a marker reads as the answer lost after it ran; the
+    # upload's answers read as what they say.
+    profile, registry = sample_profile_registry
+    link, answered, events = swept_run(name, profile, registry, cellpose_descriptor,
+                                       tmp_path / answer, [(k, answer)])
+    assert link.launches > k
+    assert answered
+    if k >= 3:
+        _, _, lost = swept_run(name, profile, registry, cellpose_descriptor, tmp_path / "lost",
+                               [(k, True)])
+        assert [stage for stage, _ in events] == [stage for stage, _ in lost]
+
+
 @pytest.mark.parametrize("first,second", [
     ((k1, ran1), (k2, ran2))
     for k1, k2 in itertools.combinations(range(LAUNCHES["tiff"]), 2)

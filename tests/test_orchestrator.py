@@ -111,7 +111,9 @@ class FlakyLink(SimEndpoint):
     program None, the nth launch with lines in place of all its stdout; and
     with lose_launch, (k, ran) pairs, raises lost_with at the kth
     launch from 0 of each pair, an exec or the upload's copy, before it
-    runs or, with ran true, right after it has run."""
+    runs or, with ran true, right after it has run; with ran "empty" or
+    "cut", the kth launch, an exec, runs and answers exit 0 with no output,
+    or with its stdout cut to its first half."""
 
     def __init__(self, cluster, failures=(), lose_submission=False, lost_with=ConnectionLost,
                  lose_retrieval=False, lose_upload=None, garble=None, lose_launch=()):
@@ -135,6 +137,10 @@ class FlakyLink(SimEndpoint):
         result = run()
         if (k, True) in self.lose_launch:
             raise self.lost_with(f"link dropped after launch {k} ran")
+        if result is not None and (k, "empty") in self.lose_launch:
+            return ExecResult(0, "", "")
+        if result is not None and (k, "cut") in self.lose_launch:
+            return dataclasses.replace(result, stdout=result.stdout[:len(result.stdout) // 2])
         return result
 
     def _copy_up(self, local, remote):
@@ -145,7 +151,7 @@ class FlakyLink(SimEndpoint):
         return self._launch(lambda: self._answer(command, timeout))
 
     def _answer(self, command, timeout):
-        framed = unframe_commands(command[-1]) if command[0] == "sh" else None
+        framed = unframe_commands(command)
         argvs = [command] if framed is None else [
             getattr(argv, "argv", argv) for argv in framed[1] + framed[2]]
         held = {argv[0] for argv in argvs}
@@ -677,7 +683,7 @@ class TestConversionPath:
         # One submission launch; the other launches poll, and the last of
         # them brings the results back.
         assert [command[0] for command in launches
-                if "squeue" not in command[-1]].count("sh") == 1
+                if "squeue" not in command].count("sh") == 1
         assert_no_job_outlives_its_data(
             endpoint.cluster, registry.entry("cellpose").resources.time_limit_min)
 
@@ -845,7 +851,7 @@ class TestRunWorkflowBatched:
             submissions = []  # each launch that holds an sbatch
 
             def sim_exec(self, command):
-                framed = unframe_commands(command[-1]) if command[0] == "sh" else None
+                framed = unframe_commands(command)
                 if framed and any(argv[0] == "sbatch" for argv in framed[2]):
                     self.submissions.append(command)
                 if command[:2] == ["rm", "-f"] and command[2].endswith(".zip"):
@@ -890,7 +896,7 @@ class TestRunWorkflowBatched:
     def test_link_lost_after_upload_leaves_no_remote_zip(self, run_env, tmp_path):
         class LosesUnpack(SimEndpoint):
             def exec(self, command, timeout=DEFAULT_DEADLINE_S):
-                if command[0] == "sh" and "; unzip " in command[-1]:
+                if command[0] == "sh" and "unzip" in command:
                     raise ConnectionLost("link dropped after the upload")
                 return super().exec(command, timeout)
 
@@ -1423,8 +1429,7 @@ class TestRunLifecycle:
         # The last launch polls, and as squeue lists neither job, it brings
         # the bundle back and tears the run down, cancelling nothing.
         run_dir = f"/scratch/omero/data/{record.run_id}"
-        _, (guard, poll), (fetch, digest, stream, *teardown) = unframe_commands(
-            launches[-1][-1])
+        _, (guard, poll), (fetch, digest, stream, *teardown) = unframe_commands(launches[-1])
         assert guard == Quiet(["squeue", "-a", "-h", f"--name=sb-{record.run_id}", "-o", "%i"])
         assert poll == ["sacct", "-n", "-P", "-X", "-o", "JobID,State", "-j", "1,2"]
         assert (fetch[0], digest, stream) == (

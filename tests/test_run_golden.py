@@ -65,7 +65,7 @@ def record_run(name, profile, registry, descriptor, workdir, monkeypatch):
     sim_exec = cluster.sim_exec
 
     def recording(command):
-        framed = unframe_commands(command[2]) if command[:2] == ["sh", "-c"] else None
+        framed = unframe_commands(command)
         commands.append(["sh", "-c", "<framed>"] if framed else list(command))
         return sim_exec(command)
 

@@ -537,7 +537,7 @@ class TestFetchResults:
             ["/scratch/omero/data/r1", "/scratch/omero/data/r1.zip"], cancel="sb-test")
         assert len(launches) == 1
         # With no guard, every command runs behind an empty one.
-        _, guard, then = unframe_commands(launches[0][-1])
+        _, guard, then = unframe_commands(launches[0])
         assert guard == []
         assert then[3:] == slurm.teardown_commands(
             ["/scratch/omero/data/r1", "/scratch/omero/data/r1.zip"], "sb-test")

@@ -668,44 +668,118 @@ def _framed_scripts(draw):
 @example(([transport.Quiet(_prints("", 1))], [_prints("held", 0)]))
 @given(_framed_scripts())
 def test_capture_template_matches_real_shell(shell_router, script):
-    """The capture and Quiet templates, run by /bin/sh through SshEndpoint,
-    give every command the result that run_framed, the simulator's reading
-    of them, gives: a captured command's stdout less its trailing newlines,
-    the captured text up to its first ';' in the later argv, and that argv
-    not run unless the captured command exited 0; a Quiet command no
-    stdout, and exit 0 only if its argv exited 0 and printed nothing but
-    newlines. The script reads back as written."""
+    """The capture and Quiet kinds of the framing program, run by sh
+    through SshEndpoint, give every command the result that run_framed, the
+    simulator's reading of them, gives: a captured command's stdout less
+    its trailing newlines, the captured text up to its first ';' in the
+    later argv, and that argv not run unless the captured command exited 0;
+    a Quiet command no stdout, and exit 0 only if its argv exited 0 and
+    printed nothing but newlines. The launch reads back as written."""
     commands, then = script
     real = ssh_endpoint().exec_many(commands, then=then)
     modelled = transport.run_framed(commands, then, _as_sh_runs)
     assert [None if r is None else (r.exit_code, r.stdout, r.stderr) for r in real] == [
         None if r is None else (r.exit_code, r.stdout, r.stderr) for r in modelled]
-    framed, mark = transport.frame_commands(commands, then)
-    assert transport.unframe_commands(framed) == (mark, commands, then)
+    framed = transport.frame_commands(commands, then)
+    assert transport.unframe_commands(framed) == (framed[4], commands, then)
 
 
 def test_capture_template_reads_back_only_as_written():
-    """unframe_commands refuses a script that differs from the capture or
-    Quiet template in any way, and frame_commands a Captured token that
-    names no earlier then command, or one that itself takes output."""
-    token = transport.Captured(0, "--dependency=afterok:")
+    """A launch of every kind of command frames as the program and then each
+    command's header and words, and unframe_commands refuses the words when
+    any of them is changed, dropped or added; frame_commands refuses a
+    Captured token that names no earlier then command, or one that itself
+    takes output."""
     guard = transport.Quiet(["squeue", "-a", "-h", "--name=n", "-o", "%i"])
-    script, _ = transport.frame_commands(
-        [guard, ["true"]], [["sbatch", "--parsable", "a.sh"], ["sbatch", token, "b.sh"]])
-    assert transport.unframe_commands(script)[1:] == (
-        [guard, ["true"]], [["sbatch", "--parsable", "a.sh"], ["sbatch", token, "b.sh"]])
-    for old, new in [("[ $r0 = 0 ]", "[ $r1 = 0 ]"), ('printf %s "$c0"; ', ""),
-                     ("c0=$(", "c1=$("), ('"${c0%%;*}"', "'${c0%%;*}'"),
-                     ('"${c0%%;*}"', '"${c0%;*}"'), ("r0=$s; ", ""),
-                     ("q=$(", "r=$("), ('[ -z "$q" ]', '[ -n "$q" ]'), (") && [", ") || [")]:
-        assert old in script
-        assert transport.unframe_commands(script.replace(old, new, 1)) is None, old
+    token = transport.Captured(1, "--dependency=afterok:")
+    commands = [guard, ["true"]]
+    then = [["echo"], ["sbatch", "--parsable", "a.sh"], ["sbatch", token, "b.sh"],
+            ["echo", transport.Captured(1)]]
+    framed = transport.frame_commands(commands, then)
+    assert framed[:4] == ["sh", "-c", transport._FRAMED, "sh"]
+    assert framed[5:] == [
+        "q", "6", "squeue", "-a", "-h", "--name=n", "-o", "%i", "c", "1", "true",
+        "t", "1", "echo", "k", "3", "sbatch", "--parsable", "a.sh",
+        "a", "1", "2", "3", "sbatch", "--dependency=afterok:", "b.sh",
+        "a", "1", "2", "2", "echo", ""]
+    assert transport.unframe_commands(framed) == (framed[4], commands, then)
+    changes = {
+        "kind": [(5, "x"), (13, "k"), (16, "c"), (19, "t"), (24, "t"), (31, "k")],
+        "source": [(25, "2"), (25, "-1"), (25, "0"), (32, "2"), (32, "1 ")],
+        "position": [(26, "0"), (26, "4"), (26, "x")],
+        "count": [(6, "7"), (6, "5"), (20, "4"), (20, "2"), (20, "03"), (34, "3")],
+    }
+    for what, edits in changes.items():
+        for at, word in edits:
+            changed = framed[:at] + [word] + framed[at + 1:]
+            assert transport.unframe_commands(changed) is None, (what, at, word)
+    for changed in (framed[:19] + ["c", "1", "true"] + framed[19:],  # a command after a then
+                    framed[:-1], framed + ["true"], framed + ["t"], framed + ["t", "1"],
+                    framed[:4], ["bash"] + framed[1:], framed[:1] + ["-e"] + framed[2:],
+                    framed[:2] + [transport._FRAMED + " "] + framed[3:],
+                    framed[:3] + ["bash"] + framed[4:]):
+        assert transport.unframe_commands(changed) is None, changed
     for then in ([["echo", transport.Captured(0)]],
                  [["echo"], ["echo", transport.Captured(1)]],
                  [["echo"], ["echo", transport.Captured(0)], ["echo", transport.Captured(1)]],
                  [["echo"], ["echo", transport.Captured(0), transport.Captured(0)]]):
         with pytest.raises(ValueError):
             transport.frame_commands([], then)
+
+
+def test_framing_holds_no_newline_and_no_bang():
+    """A login shell passes the framing on as it is: it holds no newline,
+    which csh rejects inside quotes, and no '!', which csh expands even
+    inside them; neither does any word it adds to a launch of every kind."""
+    assert "\n" not in transport._FRAMED and "!" not in transport._FRAMED
+    framed = transport.frame_commands(
+        [["true"], transport.Quiet(["true"])],
+        [["true"], ["echo"], ["echo", transport.Captured(1, "x")]])
+    assert [framed[5], framed[8], framed[11], framed[14], framed[17]] == ["c", "q", "t", "k", "a"]
+    assert not [word for word in framed if "\n" in word or "!" in word]
+
+
+@pytest.mark.skipif(shutil.which("sh") is None, reason="sh not installed")
+def test_hostile_words_are_never_shell_text(shell_router, tmp_path):
+    """Words that sh would expand, split, glob or run, in a command, a Quiet
+    command, a Captured token's prefix and the output it captures, reach
+    their command verbatim, and nothing they name is made."""
+    made = tmp_path / "made"
+    made.mkdir()
+    words = [f"$(touch {made}/a)", f"`touch {made}/b`", f"'; touch {made}/c; '", '"', "\\",
+             "*", "%%;*", "${IFS}", "$((1+1))", "-n", "", "two\nlines"]
+    shell_router.stub("words", 'for w; do printf "[%s]" "$w" >&2; done\n')
+    printed = f"1$(touch {made}/f);x"
+    commands = [["words", *words], transport.Quiet(["words", *words])]
+    then = [["printf", "%s", printed], *(["words", transport.Captured(0, word)] for word in words)]
+    framed = transport.frame_commands(commands, then)
+    assert transport.unframe_commands(framed) == (framed[4], commands, then)
+    results = ssh_endpoint().exec_many(commands, then=then)
+    listed = "".join(f"[{word}]" for word in words)
+    assert [(r.exit_code, r.stdout, r.stderr) for r in results[:3]] == [
+        (0, "", listed), (0, "", listed), (0, printed, "")]
+    assert [(r.exit_code, r.stderr) for r in results[3:]] == [
+        (0, f"[{word}1$(touch {made}/f)]") for word in words]
+    assert os.listdir(made) == []
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="bash not installed")
+class TestBashAsSh:
+    """The framing differential tests again, with bash as `sh` (run under
+    that name, so in POSIX mode), as on the login nodes of RHEL-family
+    clusters; above, the system sh runs them."""
+
+    @pytest.fixture
+    def shell_router(self, shell_router):
+        shell_router.sh_as("bash")
+        return shell_router
+
+    test_exec_many_matches_real_shell = staticmethod(test_exec_many_matches_real_shell)
+    test_capture_template_matches_real_shell = staticmethod(
+        test_capture_template_matches_real_shell)
+    test_ssh_exec_many_is_one_launch = staticmethod(test_ssh_exec_many_is_one_launch)
+    test_hostile_words_are_never_shell_text = staticmethod(
+        test_hostile_words_are_never_shell_text)
 
 
 @pytest.mark.skipif(any(shutil.which(tool) is None for tool in ("sh", "cp", "sha256sum")),
