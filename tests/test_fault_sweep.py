@@ -1,9 +1,17 @@
 """A deterministic launch-fault sweep: every launch of a few whole runs, an
 exec or the upload's copy, is lost in turn, before it runs and after it has
 run, and so is every pair of launches of one run, and each run must still
-keep criterion 11's promises."""
+keep criterion 11's promises.
+
+Each run with no fault or one fault must also end with the outcome that
+tests/data/sweep_outcomes.json records for it: its final stage, the sorted
+error classes of its failed batches and its number of result zips. After a
+change that alters an outcome on purpose, rewrite the table with
+`PYTHONPATH=src python -m tests.test_fault_sweep` and review the diff."""
 
 import itertools
+import json
+import os
 
 import pytest
 
@@ -22,6 +30,24 @@ SWEPT = {name: (SCENARIOS[name][0], SCENARIOS[name][3], None)
 SWEPT["failed-conversion"] = (("tiff", "zarr"), {}, "batch1/convert.sh")
 # The launches each makes with no fault.
 LAUNCHES = {"tiff": 8, "tiff-zarr": 9, "deadline": 6, "failed-conversion": 8}
+# The name of each fault a launch of lose_launch is given, by its ran.
+FAULTS = {False: "lost-before", True: "lost-after", "empty": "empty", "cut": "cut"}
+OUTCOMES = os.path.join(os.path.dirname(__file__), "data", "sweep_outcomes.json")
+with open(OUTCOMES) as _table:
+    EXPECTED = json.load(_table)
+
+
+def cell(lose_launch):
+    """The key of the outcome table for a run of no fault or one."""
+    return " ".join(f"{k} {FAULTS[ran]}" for k, ran in lose_launch) or "none"
+
+
+def outcome(record):
+    """A run's final stage, the sorted error classes of its failed batches
+    and its number of result zips."""
+    return [record.overall_state.value,
+            sorted({type(b.error).__name__ for b in record.batches if not b.result_zip}),
+            sum(1 for b in record.batches if b.result_zip)]
 
 
 def swept_cluster(name, profile, registry, workdir):
@@ -48,8 +74,9 @@ def swept_run(name, profile, registry, descriptor, workdir, lose_launch):
     lose_launch, (k, ran) pairs, and check what no fault may break: once a
     teardown answered, no job is live and nothing is left under data/;
     until one does, the run journals the cleanup that failed; and a run
-    journals a cleanup before its Retrieving row. Returns the link,
-    whether a teardown answered and the run's (stage, detail) rows."""
+    journals a cleanup before its Retrieving row; and a run of no fault or
+    one ends with the outcome the table records. Returns the link, whether
+    a teardown answered and the run's (stage, detail) rows."""
     cluster, items, overrides = swept_cluster(name, profile, registry, workdir)
     link = FlakyLink(cluster, lose_launch=lose_launch)
     events = Events()
@@ -80,7 +107,16 @@ def swept_run(name, profile, registry, descriptor, workdir, lose_launch):
     assert {"zip", "base64"}.isdisjoint(cluster.ran[retrieving[0]:])
     stages = [stage for stage, _ in events]
     assert "cleanup" in stages[:stages.index(orch.RunStage.RETRIEVING.value)]
+    if len(lose_launch) < 2:
+        assert outcome(record) == EXPECTED[name][cell(lose_launch)]
     return link, answered, events
+
+
+def test_the_outcome_table_holds_every_run_of_no_fault_or_one():
+    assert {name: sorted(cells) for name, cells in EXPECTED.items()} == {
+        name: sorted([cell(())] + [cell([(k, ran)]) for k in range(LAUNCHES[name])
+                                   for ran in FAULTS])
+        for name in SWEPT}
 
 
 @pytest.mark.parametrize("name", sorted(SWEPT))
@@ -197,3 +233,38 @@ def test_an_interrupt_while_polling_tears_the_run_down_without_fetching(
     assert all(task.state.terminal for job in cluster.jobs.values() for task in job.tasks)
     assert [path for path in list(cluster.fs.files) + list(cluster.fs.dirs)
             if path.startswith("/scratch/omero/data/")] == []
+
+
+def _rewrite():
+    """Write the outcome of every run of no fault or one to OUTCOMES."""
+    import pathlib
+    import tempfile
+
+    from slurmbridge import config as config_mod
+    from slurmbridge import descriptor as descriptor_mod
+    from tests.conftest import CELLPOSE_DESCRIPTOR, SAMPLE_CONFIG
+
+    profile, registry = config_mod.parse_config(SAMPLE_CONFIG)
+    descriptor = descriptor_mod.parse_descriptor(json.dumps(CELLPOSE_DESCRIPTOR))
+    table = {}
+    for name in sorted(SWEPT):
+        faults = [()] + [[(k, ran)] for k in range(LAUNCHES[name]) for ran in FAULTS]
+        for lose_launch in faults:
+            with tempfile.TemporaryDirectory() as workdir:
+                cluster, items, overrides = swept_cluster(name, profile, registry,
+                                                          pathlib.Path(workdir))
+                record = orch.run_workflow_batched(
+                    FlakyLink(cluster, lose_launch=lose_launch), profile, registry,
+                    descriptor, "cellpose", {}, items, 2, options=fast_options(**overrides),
+                    local_output_dir=os.path.join(workdir, "out"))
+            table.setdefault(name, {})[cell(lose_launch)] = outcome(record)
+    # One run to a line, so that a diff shows what changed.
+    with open(OUTCOMES, "w") as handle:
+        handle.write("{\n" + ",\n".join(
+            f" {json.dumps(name)}: {{\n" + ",\n".join(
+                f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in cells.items())
+            + "\n }" for name, cells in table.items()) + "\n}\n")
+
+
+if __name__ == "__main__":
+    _rewrite()
