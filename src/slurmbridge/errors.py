@@ -104,6 +104,10 @@ class ChecksumMismatch(TransportError):
     pass
 
 
+class SpawnFailed(TransportError):
+    pass
+
+
 # --- slurm client ---
 
 class ScratchUnwritable(SlurmBridgeError):

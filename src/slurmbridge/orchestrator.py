@@ -231,26 +231,56 @@ class _Run:
     torn_down: bool = False  # whether a launch that removed the run data answered
     bundle: object = None  # the bytes, or error, that the launch that tore the run down sent
 
-    def end(self, batches, guard=()):
+    def end(self, guard=()):
         """One launch, slurm.fetch_results: the guard's commands, then, only
-        if each exited 0, the results bundle of the out dir of each of
-        batches and the logs dir, and the teardown, which cancels every job
-        of the run's name unless a guard found none queued. Keeps the
-        bundle, or the error of a lost answer, which it raises; returns
-        what fetch_results returns."""
+        if each exited 0, the run's one sacct of its live jobs, the results
+        bundle of the out dir of every batch with no error and of the logs
+        dir, and the teardown, which cancels every job of the run's name
+        unless a guard found none queued. Keeps the bundle, or the error of
+        a lost answer, which it raises; journals the cleanup, then settles
+        the live jobs by that sacct, raising what job_states raises. A guard
+        that failed listing no job is a squeue that failed, and raises
+        AccountingUnavailable."""
         try:
             ran, fetched = slurm.fetch_results(
-                self.endpoint,
-                [posixpath.join(b.remote_dir, "out") for b in batches] + [self.logs_dir],
+                self.endpoint, self.live.values(),
+                [posixpath.join(b.remote_dir, "out") for b in self.record.batches
+                 if b.error is None] + [self.logs_dir],
                 posixpath.join(self.paths[0], "bundle.zip"), self.paths,
                 None if guard else self.job_name, guard)
         except TransportError as exc:
             self.bundle = exc  # unless a later launch brings the bundle back
             raise
-        if fetched is not None:
-            self.bundle, _ = fetched
-            self.torn_down = True
-        return ran, fetched
+        if fetched is None:
+            if not ran[0].stdout:
+                raise AccountingUnavailable(ran[0].stderr.strip() or "squeue failed")
+            return
+        accounting, self.bundle, removed = fetched
+        self.torn_down = True
+        self.emit("cleanup", f"removed={len(removed)}")
+        self.settle(slurm.job_states(accounting, self.live.values()))
+
+    def settle(self, states, gone=False):
+        """Apply states, job id -> JobState as job_states gives them, to the
+        live jobs: each terminal one leaves live, a workflow job's state
+        becomes its batch's, journaled as `batch-terminal`, and a conversion
+        array that did not complete fails its batch. With gone, a live job
+        that states do not list is gone too, and fails its batch."""
+        for (index, kind), handle in list(self.live.items()):
+            batch = self.record.batches[index]
+            state = states.get(handle.job_id)
+            if (state is None and not gone) or (state is not None and not state.terminal):
+                continue
+            del self.live[index, kind]
+            if state is None:
+                _fail(batch, UnparseableJobId(
+                    f"job {handle.job_id} is neither queued nor in accounting"))
+            elif kind == "workflow":
+                batch.state = state
+                self.emit("batch-terminal", f"batch={batch.index} state={state.value}")
+            elif state is not JobState.COMPLETED:
+                _fail(batch, ConversionFailed(
+                    f"conversion job {handle.job_id} ended {state.value}"))
 
     def emit(self, stage, detail):
         if isinstance(stage, RunStage):
@@ -266,21 +296,22 @@ class _Run:
         lost, or the run was interrupted first) or an array whose failed
         parent state hides running tasks, and removes the run data and the
         uploaded archive, should it be left. Both are idempotent; logs stay.
-        With fetch, it first brings back what completed (end, no guard)."""
+        With fetch, the same launch first reads accounting and brings back
+        what completed (end, no guard); a job it cannot read stays live."""
         if self.torn_down:
             return
         self.emit("cancel", f"name={self.job_name} job_ids="
                   + ",".join(dict.fromkeys(str(h.job_id) for h in self.live.values())))
         try:
             if fetch:
-                _, (_, removed) = self.end([b for b in self.record.batches
-                                            if b.error is None and b.state is JobState.COMPLETED])
+                self.end()
             else:
                 removed = slurm.cleanup_run(self.endpoint, self.paths, self.job_name)
                 self.torn_down = True
-            self.emit("cleanup", f"removed={len(removed)}")
-        except TransportError:
-            self.emit("cleanup", "failed")
+                self.emit("cleanup", f"removed={len(removed)}")
+        except SlurmBridgeError:  # a lost answer, or accounting that could not be read
+            if not self.torn_down:
+                self.emit("cleanup", "failed")
 
 
 def _fail(batch, exc):
@@ -449,38 +480,30 @@ def _submit(run):
 def _poll(run, options):
     """Stage: one poll loop over every live job, and every remote call of
     the run after its submission. It sleeps before each poll, as no job can
-    have ended at once. Each round's launch is guarded (slurm.poll_guard):
-    the first whose guard finds no job of the run's name queued, whatever
-    ids their sbatch answers gave, also brings the results back and tears
-    the run down. Later rounds poll sacct alone: no job of the run is
-    queued then, so a live job their sacct does not list is gone, and its
-    batch fails with UnparseableJobId.
+    have ended at once. Each round's launch asks squeue alone
+    (slurm.poll_guard) whether a job of the run's name is queued, whatever
+    ids their sbatch answers gave; the first that finds none ends the run
+    (_Run.end): it reads accounting, once, brings the results back and
+    tears the run down. Later rounds, while accounting lags the controller,
+    poll sacct alone: no job of the run is queued then, so a live job their
+    sacct does not list is gone, and its batch fails with UnparseableJobId.
     Up to two accounting failures in a row only cost a round; a lost
-    answer is one, though its retrieval may have run. The loop gives up at
-    the deadline, at the third accounting failure in a row, or at an
-    accounting line or state token it cannot read: every batch still live
-    then fails with that error. The loop ends the run with close, which
-    brings back what completed if some batch submitted a job."""
+    answer is one, though its retrieval may have run, and so is a squeue or
+    sacct that fails. The loop gives up at the deadline, at the third
+    accounting failure in a row, or at an accounting line or state token it
+    cannot read. It ends the run with close, which after a give-up reads
+    accounting and brings back what completed before it cancels the rest:
+    every batch still live then fails with that error."""
     run.emit(RunStage.RUNNING, "polling")
-    live = run.live
-    batches = run.record.batches
-    elapsed = 0.0
-    accounting_failures = 0
-    while live:
+    elapsed, accounting_failures, give_up = 0.0, 0, None
+    while run.live and give_up is None:
         run.endpoint.sleep(options.poll_interval_s)
         elapsed += options.poll_interval_s
-        states, give_up, fetched = None, None, None
-        torn_down = run.torn_down  # by an earlier round
-        handles = list(live.values())
         try:
-            if torn_down:
-                states = slurm.poll_jobs(run.endpoint, handles)
-            else:  # every batch not known to have failed
-                (_, result), fetched = run.end(
-                    [b for b in batches
-                     if b.error is None and b.state in (None, JobState.COMPLETED)],
-                    slurm.poll_guard(run.job_name, handles))
-                states = slurm.job_states(result, handles)
+            if run.torn_down:  # by an earlier round
+                run.settle(slurm.poll_jobs(run.endpoint, run.live.values()), gone=True)
+            else:
+                run.end(slurm.poll_guard(run.job_name))
             accounting_failures = 0
         except (AccountingUnavailable, TransportError) as exc:  # a lost answer is one
             accounting_failures += 1
@@ -488,31 +511,11 @@ def _poll(run, options):
                 give_up = AccountingUnavailable(str(exc))
         except (UnknownState, UnparseableJobId) as exc:
             give_up = exc
-        for (index, kind), handle in list(live.items()) if states is not None else ():
-            batch = batches[index]
-            state = states.get(handle.job_id)
-            if state is None and torn_down:
-                del live[index, kind]
-                _fail(batch, UnparseableJobId(
-                    f"job {handle.job_id} is neither queued nor in accounting"))
-            if state is None or not state.terminal:
-                continue
-            del live[index, kind]
-            if kind == "workflow":
-                batch.state = state
-                run.emit("batch-terminal", f"batch={batch.index} state={state.value}")
-            elif state is not JobState.COMPLETED:
-                _fail(batch, ConversionFailed(
-                    f"conversion job {handle.job_id} ended {state.value}"))
-        if fetched is not None:
-            run.emit("cleanup", f"removed={len(fetched[1])}")
         if give_up is None and options.deadline_s is not None and elapsed >= options.deadline_s:
             give_up = WorkflowFailed(f"deadline exceeded after {elapsed}s")
-        if live and give_up is not None:
-            for index, _ in live:
-                batches[index].error = batches[index].error or give_up
-            break
-    run.close(fetch=any(b.workflow_handle or b.conversion_handle for b in batches))
+    run.close(fetch=bool(run.live))
+    for index, _ in run.live:
+        run.record.batches[index].error = run.record.batches[index].error or give_up
 
 
 def _retrieve(run, local_output_dir):

@@ -26,7 +26,7 @@ from base64 import b64decode, b64encode, encodebytes
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import DestinationUnwritable, SourceMissing
+from .errors import DestinationUnwritable, SourceMissing, SpawnFailed
 from .jobscript import clock_to_minutes, parse_script
 from .states import JobState, aggregate_array_states
 from .transport import (
@@ -881,12 +881,19 @@ class SimCluster:
 class SimEndpoint(Endpoint):
     """Endpoint backend over an in-process SimCluster: exec runs sim_exec,
     the raw copies write to and read from its SimFS, and poll sleeps advance
-    the virtual clock."""
+    the virtual clock. As Linux refuses ssh an argument over MAX_ARG_STRLEN
+    (131,072 bytes with its NUL), and SshEndpoint hands ssh each command as
+    one, exec refuses a command whose shlex.join is over 131,071 bytes."""
 
     def __init__(self, cluster=None):
         self.cluster = cluster if cluster is not None else SimCluster()
 
     def exec(self, command, timeout=DEFAULT_DEADLINE_S):
+        # shlex.join writes at most 5 bytes for a character ('"'"' for a
+        # ') and 3 more for a word: a short command needs no join.
+        if 5 * sum(map(len, command)) + 3 * len(command) > 131071 \
+                and len(shlex.join(command).encode()) > 131071:
+            raise SpawnFailed("ssh could not start: Argument list too long")
         return self.cluster.sim_exec(command)
 
     def _copy_up(self, local, remote):

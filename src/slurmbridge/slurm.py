@@ -204,12 +204,13 @@ def job_states(result, handles):
     return plain
 
 
-def poll_guard(name, handles):
-    """The commands a poll launch runs before its retrieval: the Quiet
-    `squeue -a -h --name=<name> -o %i`, which exits 0 only when no job or
-    array task named name is queued or running, on any partition, whatever
-    id its sbatch printed; then the sacct of poll_jobs over handles."""
-    return [Quiet(["squeue", "-a", "-h", f"--name={name}", "-o", "%i"]), _sacct(handles)]
+def poll_guard(name):
+    """The one command a poll launch runs before the rest of fetch_results:
+    the Quiet `squeue -a -h --name=<name> -o %i`, which exits 0 only when no
+    job or array task named name is queued or running, on any partition,
+    whatever id its sbatch printed. Its stdout lists the id of each one
+    that is; a guard that fails listing none is a squeue that failed."""
+    return [Quiet(["squeue", "-a", "-h", f"--name={name}", "-o", "%i"])]
 
 
 def zip_entry_name(remote_path):
@@ -238,30 +239,32 @@ def fetch_logfile(bundle, handle, logs_dir, local_dir):
     return fetched[0]
 
 
-def fetch_results(endpoint, paths, remote_zip, run_paths=(), cancel=None, guard=()):
+def fetch_results(endpoint, handles, paths, remote_zip, run_paths=(), cancel=None, guard=()):
     """In one launch, run the guard's commands and then, only if every one
-    exited 0, zip every file under the remote paths into remote_zip, hash
-    it and send it back on stdout, then tear the run down as cleanup_run
+    exited 0, each of these, whatever the ones before it gave: the sacct of
+    poll_jobs over handles, which a run reads once, here, before any job is
+    cancelled; zip every file under the remote paths into remote_zip, hash
+    it and send it back on stdout; and tear the run down as cleanup_run
     does: cancel every job named cancel when given, and remove the run
     paths, remote_zip among them.
 
     Entries are named by zip_entry_name. A path that does not exist adds
     nothing (under -q without a warning). Returns (the ExecResult of each
-    guard command, (bundle, removed) or None when the guard held the rest
-    back): the archive's bytes, verified against the remote digest, or else
-    the error that kept them from coming back, EmptyOutput when no path
-    holds a file, ChecksumMismatch when the bytes fail the digest and
-    TransportError when the zip fails; and the run paths that existed.
-    Raises TransportError when the launch's answer is lost; its teardown
-    may have run.
+    guard command, (sacct, bundle, removed) or None when the guard held the
+    rest back): the sacct's ExecResult, for job_states; the archive's
+    bytes, verified against the remote digest, or else the error that kept
+    them from coming back, EmptyOutput when no path holds a file,
+    ChecksumMismatch when the bytes fail the digest and TransportError when
+    the zip fails; and the run paths that existed. Raises TransportError
+    when the launch's answer is lost; its teardown may have run.
     """
     ran = endpoint.exec_many(list(guard), then=[
-        ["zip", "-q", "-r", "-D", remote_zip, *paths], ["sha256sum", remote_zip],
-        ["base64", remote_zip]] + teardown_commands(run_paths, cancel))
-    guarded, tail = ran[:len(guard)], ran[len(guard):]
-    if tail[0] is None:  # a guard command failed, and nothing after them ran
+        _sacct(handles), ["zip", "-q", "-r", "-D", remote_zip, *paths],
+        ["sha256sum", remote_zip], ["base64", remote_zip]] + teardown_commands(run_paths, cancel))
+    guarded, (sacct, *tail) = ran[:len(guard)], ran[len(guard):]
+    if sacct is None:  # a guard command failed, and nothing after them ran
         return guarded, None
-    return guarded, (_bundle(paths, remote_zip, *tail[:3]), _removed(run_paths, tail[3:]))
+    return guarded, (sacct, _bundle(paths, remote_zip, *tail[:3]), _removed(run_paths, tail[3:]))
 
 
 def _bundle(paths, remote_zip, zipped, digest, stream):

@@ -26,6 +26,7 @@ from .errors import (
     ConnectionLost,
     DestinationUnwritable,
     SourceMissing,
+    SpawnFailed,
     Timeout,
     TransportError,
 )
@@ -45,12 +46,13 @@ PIECE = 1 << 20
 # the line "<mark> <exit status>" on stdout and on stderr. A command (kind c)
 # that fails sets the guard `ok` to 1, and so does a Quiet one (q), run as
 # `q=$(...) && [ -z "$q" ]`: it exits 0 only if its argv did and printed
-# nothing but newlines. A then command (t) runs only while `ok` is 0, and one
-# that does not run gives the status "-". A then command whose output a later
-# one takes (k) runs as `o=$(...)`, prints what it captured, its stdout less
-# any trailing newlines, and keeps it in o<t> and its status in r<t>, t its
-# index among the then commands. One that takes it (a) has in its header the
-# source's index j and the position of the word that gets "${o<j>%%;*}",
+# nothing but newlines, and it prints what it captured. A then command (t)
+# runs only while `ok` is 0, whatever the then commands before it gave, and
+# one that does not run gives the status "-". A then command whose output a
+# later one takes (k) runs as `o=$(...)`, prints what it captured, its stdout
+# less any trailing newlines, and keeps it in o<t> and its status in r<t>, t
+# its index among the then commands. One that takes it (a) has in its header
+# the source's index j and the position of the word that gets "${o<j>%%;*}",
 # that stdout up to its first ';', appended, and runs only if r<j> is 0. A
 # newline is printed before each marker line, so output without a trailing
 # newline keeps its last line apart from the marker. The program holds no
@@ -63,7 +65,7 @@ _FRAMED = (
     r'then c="$c \"\${$w}\${o$j%%;*}\""; else c="$c \"\${$w}\""; fi; done; '
     r'case $kind in '
     r'c) eval "$c"; s=$?; [ $s = 0 ] || ok=1 ;; '
-    r'q) q=$(eval "$c") && [ -z "$q" ]; s=$?; [ $s = 0 ] || ok=1 ;; '
+    r'q) q=$(eval "$c") && [ -z "$q" ]; s=$?; printf %s "$q"; [ $s = 0 ] || ok=1 ;; '
     r't) if [ $ok = 0 ]; then eval "$c"; s=$?; else s=-; fi ;; '
     r'k) if [ $ok = 0 ]; then o=$(eval "$c"); s=$?; printf %s "$o"; eval "o$t=\$o"; '
     r'else s=-; fi; eval "r$t=\$s" ;; '
@@ -87,8 +89,10 @@ class Captured:
 
 @dataclass(frozen=True)
 class Quiet:
-    """A command (not a then command) of exec_many that keeps argv's stdout
-    and exits 0 only if argv exited 0 and printed nothing: a guard."""
+    """A command (not a then command) of exec_many that exits 0 only if argv
+    exited 0 and printed nothing but newlines: a guard. Its stdout is
+    argv's, less any trailing newlines, so a guard that fails tells what it
+    found from a guard whose argv failed."""
 
     argv: list
 
@@ -204,8 +208,8 @@ def run_framed(commands, then, run):
 
 def _quiet(result):
     """The result of a Quiet command whose argv gave result."""
-    code = 1 if result.ok and result.stdout.rstrip("\n") else result.exit_code
-    return ExecResult(code, "", result.stderr)
+    stdout = result.stdout.rstrip("\n")
+    return ExecResult(1 if result.ok and stdout else result.exit_code, stdout, result.stderr)
 
 
 def frame_output(mark, results):
@@ -282,11 +286,13 @@ class Endpoint(ABC):
         """Copy the remote file to local as is; raises SourceMissing."""
         raise NotImplementedError
 
-    def _remote_sha256(self, remote):
-        """The remote file's hex sha256 digest, or None when it cannot be hashed."""
+    def _check_sha256(self, remote, checksum):
+        """Raise ChecksumMismatch, naming both digests, unless the remote
+        file's `sha256sum` gives checksum, the local file's digest."""
         result = self.exec(["sha256sum", remote])
-        words = result.stdout.split() if result.ok else []
-        return words[0] if words else None
+        digest = (result.stdout.split() if result.ok else [])[:1] or ["did not come back"]
+        if digest != [checksum]:
+            raise ChecksumMismatch(f"{remote}: remote sha256 {digest[0]}, local sha256 {checksum}")
 
     def put_file(self, local, remote):
         """Copy local -> remote atomically: stage it at staging_path(remote),
@@ -299,8 +305,7 @@ class Endpoint(ABC):
         self._copy_up(local, tmp)
         checksum = file_sha256(local)
         try:
-            if self._remote_sha256(tmp) != checksum:
-                raise ChecksumMismatch(remote)
+            self._check_sha256(tmp, checksum)
             move = self.exec(["mv", "-T", tmp, remote])
             if not move.ok:
                 raise DestinationUnwritable(move.stderr.strip())
@@ -318,17 +323,21 @@ class Endpoint(ABC):
         tmp = staging_path(local)
         self._copy_down(remote, tmp)
         checksum = file_sha256(tmp)
-        if self._remote_sha256(remote) != checksum:
+        try:
+            self._check_sha256(remote, checksum)
+        except ChecksumMismatch:
             os.unlink(tmp)
-            raise ChecksumMismatch(remote)
+            raise
         os.replace(tmp, local)
         return TransferReport(bytes=os.path.getsize(local), checksum=checksum)
 
     def exec_many(self, commands, then=()):
         """Run argv lists in order through one exec (one launch over SSH),
         each whatever the exit status of the ones before, and then the argv
-        lists of then, each only if every one of commands exited 0. A Quiet
-        command exits 0 only if its argv exited 0 and printed nothing.
+        lists of then, each only if every one of commands exited 0, whatever
+        the ones before it gave. A Quiet command exits 0 only if its argv
+        exited 0 and printed nothing, and gives argv's stdout less its
+        trailing newlines.
 
         A then argv may take the output of an earlier then command through
         one Captured token (see frame_commands); it runs only if that one
@@ -340,14 +349,13 @@ class Endpoint(ABC):
         count = len(commands) + len(then)
         if not count:
             return []
-        framed = frame_commands(commands, then)
-        mark = framed[4]
+        framed = frame_commands(commands, then)  # framed[4] is the mark
         result = self.exec(framed)
         return [
             None if code is None else ExecResult(code, stdout, stderr)
             for (code, stdout), (_, stderr) in zip(
-                _unframe_output(result.stdout, mark, count),
-                _unframe_output(result.stderr, mark, count))
+                _unframe_output(result.stdout, framed[4], count),
+                _unframe_output(result.stderr, framed[4], count))
         ]
 
     def path_exists(self, remote):
@@ -397,12 +405,16 @@ class SshEndpoint(Endpoint):
 
     def _spawn(self, argv, timeout=None):
         """Run one ssh or scp process; exit 255 is the link's failure, not
-        the remote command's. An output byte that is not UTF-8 reads as U+FFFD."""
+        the remote command's, and a process that cannot start (an argument
+        over the kernel's limit, or no such program) raises SpawnFailed. An
+        output byte that is not UTF-8 reads as U+FFFD."""
         try:
             proc = subprocess.run(argv, stdin=subprocess.DEVNULL, capture_output=True,
                                   text=True, errors="replace", timeout=timeout)
         except subprocess.TimeoutExpired as exc:
             raise Timeout(f"deadline of {timeout}s exceeded") from exc
+        except OSError as exc:
+            raise SpawnFailed(f"{argv[0]} could not start: {exc.strerror}") from exc
         if proc.returncode == 255:
             raise ConnectionLost(proc.stderr.strip())
         return proc

@@ -309,6 +309,12 @@ class TestRun:
         assert result.exit_code == 2
 
 
+def slowed(cluster):
+    """cluster, its workflow jobs made to run for 600 s."""
+    cluster.inject_fault(simslurm.FaultDirective(script_substring="job.sh", duration_s=600))
+    return cluster
+
+
 class TestStatusLogsFetch:
     def _completed_run(self, runner, workspace):
         tmp_path, config_path, topology_path, _ = workspace
@@ -383,7 +389,9 @@ class TestStatusLogsFetch:
         assert "host unreachable" in result.stderr
 
     @pytest.mark.parametrize("endpoint_class, error", [
-        (lambda cluster: FlakyLink(cluster, [True] * 3), "AccountingUnavailable"),
+        # The polls at t=10, 20 and 30 are lost while the job runs on: the
+        # launch that ends the run reads it RUNNING, and cancels it.
+        (lambda cluster: FlakyLink(slowed(cluster), [True] * 3), "AccountingUnavailable"),
         (ReportsUnmapped, "UnknownState"),
     ], ids=["accounting", "unknown-state"])
     def test_status_after_the_poll_gave_up_makes_no_remote_call(

@@ -93,8 +93,8 @@ class CountingEndpoint(SimEndpoint):
 
 
 class FlakyLink(SimEndpoint):
-    """Loses the link on each launch holding a sacct, bare or framed by
-    exec_many, whose entry in failures is true, before it runs (launches
+    """Loses the link on each poll launch, one holding a squeue or a sacct,
+    bare or framed by exec_many, whose entry in failures is true, before it runs (launches
     past the end of the list go through); with lose_upload, the program
     "sha256sum" or "mv", raises ConnectionLost right after the upload's
     launch of that program has run remotely; with lose_submission, raises
@@ -155,7 +155,7 @@ class FlakyLink(SimEndpoint):
         argvs = [command] if framed is None else [
             getattr(argv, "argv", argv) for argv in framed[1] + framed[2]]
         held = {argv[0] for argv in argvs}
-        if "sacct" in held and next(self.failures, False):
+        if held & {"squeue", "sacct"} and next(self.failures, False):
             raise ConnectionLost("accounting link dropped")
         result = super().exec(command, timeout)
         if command[0] == self.lose_upload:
@@ -765,13 +765,15 @@ class TestRunWorkflowBatched:
         assert failed.logfile in record.output_artifacts
 
     def test_accounting_lost_mid_run_keeps_the_completed_batches(self, run_env, tmp_path):
-        # sacct fails from its 4th call on. The three polls before it saw 4
-        # of the 6 batches complete; the third failure in a row fails the
-        # other 2, which the retrieval launch cancels by name.
+        # Batches 0-3 run from t=0 to 30 and batches 4 and 5 from t=30 to
+        # 60. The polls at t=30, 40 and 50 are lost, and the third failure in
+        # a row gives up while batches 4 and 5 run. The launch that ends the
+        # run reads accounting first: it brings back the 4 batches that
+        # completed, and cancels the other 2 by name, which fail.
         endpoint, profile, registry, descriptor = run_env
         events = Events()
         record = orch.run_workflow_batched(
-            FlakyLink(endpoint.cluster, [False] * 3 + [True] * 3), profile, registry,
+            FlakyLink(endpoint.cluster, [False] * 2 + [True] * 3), profile, registry,
             descriptor, "cellpose", {}, tiff_items(tmp_path, 12), 2,
             options=orch.RunOptions(), local_output_dir=str(tmp_path / "out"),
             listener=events)
@@ -864,7 +866,7 @@ class TestRunWorkflowBatched:
         def keeps_bundle(*args):
             ran, fetched = fetch_results(*args)
             if fetched is not None:
-                with zipfile.ZipFile(io.BytesIO(fetched[0])) as archive:
+                with zipfile.ZipFile(io.BytesIO(fetched[1])) as archive:
                     endpoint.bundle = archive.namelist()
             return ran, fetched
 
@@ -1224,15 +1226,23 @@ _DAMAGED_LINES = st.lists(st.one_of(
     st.integers(1000, 20000).map(lambda n: "x" * n)), min_size=1, max_size=4)
 
 
+# program -> how many launches of the fault-free run run it: the run's sbatches
+# share one launch, its one sacct is in the launch that ends it, and its
+# sha256sum hashes the upload and then the bundle; with None, any launch.
+_RAN_IN = {None: 3, "sbatch": 1, "sacct": 1, "sha256sum": 2, "base64": 1}
+
+
 @settings(max_examples=60, deadline=None)
-@given(program=st.sampled_from([None, "sbatch", "sacct", "sha256sum", "base64"]),
-       nth=st.integers(0, 2), lines=_DAMAGED_LINES)
-def test_a_damaged_answer_ends_the_run_at_a_journaled_stage(tmp_path_factory, program, nth,
+@given(program_nth=st.sampled_from(sorted(_RAN_IN, key=str)).flatmap(
+           lambda program: st.tuples(st.just(program), st.integers(0, _RAN_IN[program] - 1))),
+       lines=_DAMAGED_LINES)
+def test_a_damaged_answer_ends_the_run_at_a_journaled_stage(tmp_path_factory, program_nth,
                                                             lines):
     """The output of one command the client reads, or one launch's whole
     answer, is replaced by damaged lines: the run raises nothing and journals a final stage, every
     job is terminal, and once a teardown has answered nothing is left under
-    data/."""
+    data/. Each (program, nth) drawn names a launch that the run makes."""
+    program, nth = program_nth
     profile, registry = config_mod.parse_config(SAMPLE_CONFIG)
     descriptor = descriptor_mod.parse_descriptor(json.dumps(CELLPOSE_DESCRIPTOR))
     workdir = tmp_path_factory.mktemp("run")
@@ -1241,9 +1251,10 @@ def test_a_damaged_answer_ends_the_run_at_a_journaled_stage(tmp_path_factory, pr
     cluster = SimCluster()
     slurm.init_environment(SimEndpoint(cluster), profile, registry)
     journal = str(workdir / "run.journal")
+    link = FlakyLink(cluster, garble=(program, nth, lines))
     record = orch.run_workflow_batched(
-        FlakyLink(cluster, garble=(program, nth, lines)), profile, registry, descriptor,
-        "cellpose", {}, orch.scan_input_dir(str(workdir / "inputs")), 2,
+        link, profile, registry, descriptor, "cellpose", {},
+        orch.scan_input_dir(str(workdir / "inputs")), 2,
         options=fast_options(deadline_s=600), local_output_dir=str(workdir / "out"),
         listener=lambda stage, detail: cli.append_journal_row(journal, stage, detail))
     rows = [(stage, detail) for _, stage, detail in cli.read_journal(journal)]
@@ -1253,6 +1264,7 @@ def test_a_damaged_answer_ends_the_run_at_a_journaled_stage(tmp_path_factory, pr
     if any(stage == "cleanup" and detail.startswith("removed=") for stage, detail in rows):
         assert [path for path in list(cluster.fs.files) + list(cluster.fs.dirs)
                 if path.startswith("/scratch/omero/data/")] == []
+    assert link.garble_seen > nth  # the answer was damaged
 
 
 @settings(max_examples=30, deadline=None)
@@ -1327,9 +1339,11 @@ class TestRunLifecycle:
 
     @pytest.mark.parametrize("refusals", [2, 3])
     def test_a_guarded_poll_whose_sacct_exits_non_zero(self, run_env, tmp_path, refusals):
-        # sacct exits 1 in the first polls, as while slurmdbd is down: two
-        # such rounds cost only rounds; the third in a row fails every live
-        # batch, and the ending launch cancels the run's jobs by name.
+        # sacct exits 1 in its first calls, as while slurmdbd is down. The
+        # first is in the launch that ends the run, whose zip and teardown
+        # run all the same; the rounds after it poll sacct alone. Two such
+        # failures cost only rounds; the third in a row fails every live
+        # batch, and nothing is left to cancel.
         _, profile, registry, _ = run_env
         cluster = SacctRefused(refusals)
         slurm.init_environment(SimEndpoint(cluster), profile, registry)
@@ -1346,9 +1360,35 @@ class TestRunLifecycle:
             assert batch_errors(record) == batch_failures(events) == {
                 0: "AccountingUnavailable", 1: "AccountingUnavailable"}
             assert "Problem talking to the database" in str(record.batches[0].error)
-            assert "cancel" in [stage for stage, _ in events]
-            assert "scancel" in cluster.ran
+            assert "cancel" not in [stage for stage, _ in events]
+            assert "scancel" not in cluster.ran
+        assert cluster.ran.count("base64") == 1
         assert_no_job_outlives_its_data(cluster, registry.entry("cellpose").resources.time_limit_min)
+
+    def test_a_squeue_that_fails_gives_up_and_keeps_what_completed(self, run_env, tmp_path):
+        # squeue exits 1 listing nothing in every round, as while the
+        # controller is down: three accounting failures in a row, at t=5,
+        # 10 and 15. Batch 0's job completed at t=10 and batch 1's runs on.
+        # The launch that ends the run reads sacct once, before it cancels
+        # the run's jobs by name: batch 0's results come back, and batch 1
+        # fails.
+        _, profile, registry, _ = run_env
+        cluster = SqueueFails()
+        cluster.inject_fault(FaultDirective(script_substring="job.sh", duration_s=10))
+        cluster.inject_fault(FaultDirective(script_substring="batch1/job.sh", duration_s=600))
+        slurm.init_environment(SimEndpoint(cluster), profile, registry)
+        events = Events()
+        record = self.run(SimEndpoint(cluster), run_env, tmp_path, listener=events)
+        assert record.overall_state is orch.RunStage.PARTIAL_FAILURE
+        assert record.batches[0].result_zip in record.output_artifacts
+        assert batch_errors(record) == batch_failures(events) == {1: "AccountingUnavailable"}
+        assert "Unable to contact slurm controller" in str(record.batches[1].error)
+        assert (cluster.ran.count("squeue"), cluster.ran.count("sacct")) == (3, 1)
+        assert cluster.ran.index("sacct") < cluster.ran.index("scancel")
+        assert [stage for stage, _ in events].count("cancel") == 1
+        assert cluster.early == []
+        assert_no_job_outlives_its_data(
+            cluster, registry.entry("cellpose").resources.time_limit_min)
 
     def test_completing_job_is_polled_again(self, run_env, tmp_path):
         endpoint = ReportsCompleting(run_env[0].cluster)
@@ -1365,13 +1405,16 @@ class TestRunLifecycle:
         (ReportsHeterogeneous, "UnparseableJobId"),
     ], ids=["accounting", "unknown-state", "unreadable-line"])
     def test_poll_giving_up_fails_live_batches(self, run_env, tmp_path, endpoint_class, error):
+        # The polls lost give up while the jobs run, and the launch that
+        # ends the run cancels them; a line or token that cannot be read
+        # comes in the sacct of the launch that has torn the run down.
         cluster = run_env[0].cluster
         events = Events()
         record = self.run(endpoint_class(cluster), run_env, tmp_path, listener=events)
         assert record.overall_state is orch.RunStage.FAILED
         assert events[-1][0] == "Failed"
         assert batch_errors(record) == batch_failures(events) == {0: error, 1: error}
-        assert "cancel" in [stage for stage, _ in events]
+        assert ("cancel" in [stage for stage, _ in events]) == (error == "AccountingUnavailable")
         assert len(cluster.jobs) == 2
         assert_no_job_outlives_its_data(
             cluster, run_env[2].entry("cellpose").resources.time_limit_min)
@@ -1426,10 +1469,11 @@ class TestRunLifecycle:
         events = Events()
         record = self.run(endpoint, run_env, tmp_path, listener=events)
         assert record.overall_state is orch.RunStage.PARTIAL_FAILURE
-        # The last launch polls, and as squeue lists neither job, it brings
-        # the bundle back and tears the run down, cancelling nothing.
+        # The last launch polls, and as squeue lists neither job, it reads
+        # accounting, brings the bundle back and tears the run down,
+        # cancelling nothing.
         run_dir = f"/scratch/omero/data/{record.run_id}"
-        _, (guard, poll), (fetch, digest, stream, *teardown) = unframe_commands(launches[-1])
+        _, [guard], (poll, fetch, digest, stream, *teardown) = unframe_commands(launches[-1])
         assert guard == Quiet(["squeue", "-a", "-h", f"--name=sb-{record.run_id}", "-o", "%i"])
         assert poll == ["sacct", "-n", "-P", "-X", "-o", "JobID,State", "-j", "1,2"]
         assert (fetch[0], digest, stream) == (
@@ -1570,6 +1614,15 @@ class SacctRefused(RemovesOnlyEnded):
             1, "", "sacct: error: Problem talking to the database: Connection refused\n")
 
 
+class SqueueFails(RemovesOnlyEnded):
+    """Answers every squeue as squeue does while the controller is down:
+    exit 1, with nothing listed and the error on stderr."""
+
+    def _squeue(self, option):
+        return ExecResult(1, "", "squeue: error: slurm_load_jobs error: "
+                                 "Unable to contact slurm controller (connect failure)\n")
+
+
 class SacctLags(RemovesOnlyEnded):
     """Answers each sacct with what it printed for the one before, nothing
     the first time: accounting a round behind the controller."""
@@ -1624,9 +1677,9 @@ class TestLastPollRetrieves:
         # and batch 1's conversion array of 3 failing tasks the other, so
         # that its parent state reads FAILED from t=5 while its tasks run
         # on to t=15. The guard lists every job submitted: with batch 0's
-        # job ending at t=10, no poll removes the data, and the retrieval
-        # launch cancels the last task first; ending at t=20, after every
-        # task, the last poll brings the results back and cancels nothing.
+        # job ending at t=10 or at t=20, no poll removes the data while a
+        # task runs, and the poll that finds none queued brings the results
+        # back and cancels nothing.
         cluster = RemovesOnlyEnded(nodes=[{"cpus": 4, "gpus": 0, "mem_mb": 16384}])
         cluster.inject_fault(FaultDirective(script_substring="batch1/convert.sh",
                                             forced_state=JobState.FAILED))
@@ -1639,14 +1692,14 @@ class TestLastPollRetrieves:
         assert record.overall_state is orch.RunStage.PARTIAL_FAILURE
         assert batch_errors(record) == {1: "ConversionFailed"}
         assert cluster.early == []
-        assert ("cancel" in [stage for stage, _ in events]) == (duration == 10)
+        assert "cancel" not in [stage for stage, _ in events]
         assert_no_job_outlives_its_data(
             cluster, run_env[2].entry("cellpose").resources.time_limit_min)
 
     def test_lagging_accounting_retrieves_once(self, run_env, tmp_path):
-        # The poll at t=20 finds no job queued but reads t=15's accounting:
-        # it brings the results back and tears down, and the next polls,
-        # sacct alone, wait until accounting shows every job completed.
+        # The poll at t=20 finds no job queued, but its sacct, the run's
+        # first, lists none yet: it brings the results back and tears down,
+        # and the next poll, sacct alone, reads every job completed.
         cluster = SacctLags()
         cluster.inject_fault(FaultDirective(script_substring="job.sh", duration_s=20))
         events = Events()
@@ -1655,7 +1708,7 @@ class TestLastPollRetrieves:
         assert record.overall_state is orch.RunStage.DONE
         assert all(batch.result_zip for batch in record.batches)
         assert cluster.ran.count("base64") == 1
-        assert cluster.ran.count("squeue") == 4 and cluster.ran.count("sacct") == 5
+        assert cluster.ran.count("squeue") == 4 and cluster.ran.count("sacct") == 2
         assert [stage for stage, _ in events].count("cleanup") == 1
         assert cluster.early == []
 
@@ -1667,8 +1720,9 @@ class TestLastPollRetrieves:
         # id the client could not read, and runs to its time limit. An
         # unreadable array id also gets the workflow job's sbatch refused,
         # and the batch ends with that error. The guard lists the job by
-        # its name, so no poll removes the data, and the one retrieval
-        # launch cancels the job by name first.
+        # its name, so the run holds until the job ends: no poll removes
+        # the data while it runs, and the poll that finds no job queued
+        # brings the results back and cancels nothing.
         cluster = PrintsNoJobId(script)
         cluster.inject_fault(FaultDirective(script_substring=script,
                                             forced_state=JobState.TIMEOUT))
@@ -1680,7 +1734,7 @@ class TestLastPollRetrieves:
         assert record.overall_state is orch.RunStage.PARTIAL_FAILURE
         assert batch_errors(record) == {1: error}
         assert "squeue" in cluster.ran and cluster.ran.count("base64") == 1
-        assert "cancel" in [stage for stage, _ in events]
+        assert "cancel" not in [stage for stage, _ in events]
         assert cluster.early == []
         assert_no_job_outlives_its_data(
             cluster, run_env[2].entry("cellpose").resources.time_limit_min)
@@ -1696,10 +1750,11 @@ class TestLastPollRetrieves:
             0: "TransferFailed", 1: "TransferFailed"}
 
     def test_pending_array_tasks_cost_one_sacct_line(self, run_env, tmp_path):
-        # One conversion array of 250 tasks, 4 running at a time: each
-        # sacct prints a line per task that no longer pends and one for all
-        # those that do, 8,436 lines over the run's 67 polls, where a line
-        # per task named would be 15,817.
+        # One conversion array of 250 tasks, 4 running at a time, and its
+        # workflow job: the run reads sacct once, in the launch that ends
+        # it, when no task pends, and it prints a line per task and one for
+        # the workflow job. Read in each of the run's 67 polls, it printed
+        # 8,436 lines.
         cluster = SimCluster()
         sacct, printed, named = cluster._sacct, [], []
 
@@ -1715,7 +1770,7 @@ class TestLastPollRetrieves:
         record = self.run(cluster, run_env, tmp_path,
                           orch.scan_input_dir(str(tmp_path / "inputs")), 250)
         assert record.overall_state is orch.RunStage.DONE
-        assert sum(printed) < 10_000 < sum(named)
+        assert printed == named == [251]
 
 
 class TestImportResults:

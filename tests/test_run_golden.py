@@ -10,6 +10,7 @@ alters a run's commands or rows on purpose, rewrite them with
 
 import json
 import os
+import re
 
 import pytest
 
@@ -48,9 +49,11 @@ SCENARIOS = {
 }
 
 
-def record_run(name, profile, registry, descriptor, workdir, monkeypatch):
-    """The listener rows and simulator commands of the named scenario."""
-    formats, cluster_class, make_endpoint, overrides, damaged = SCENARIOS[name]
+def record_run(name, profile, registry, descriptor, workdir, monkeypatch, make_endpoint=None):
+    """The listener rows and simulator commands of the named scenario, run
+    through make_endpoint(cluster) when given in place of its own."""
+    formats, cluster_class, own_endpoint, overrides, damaged = SCENARIOS[name]
+    make_endpoint = make_endpoint or own_endpoint
     inputs = os.path.join(workdir, "inputs")
     if "tiff" in formats:
         make_tiff_inputs(inputs, 2)
@@ -94,6 +97,44 @@ def test_run_matches_its_golden_record(name, sample_profile_registry, cellpose_d
         expected = json.load(handle)[name]
     assert record_run(name, profile, registry, cellpose_descriptor, str(tmp_path),
                       monkeypatch) == expected
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_a_run_reads_accounting_once(name):
+    """In each golden run that knows a job id, every poll launch runs squeue
+    alone, and sacct runs once, in the launch that ends the run, before its
+    zip and teardown: after squeue in a poll that found no job queued, or
+    first in the launch that ends a run that gave up (deadline)."""
+    with open(GOLDEN) as handle:
+        record = json.load(handle)[name]
+    launches = []  # the programs of each framed launch
+    for argv in record["commands"]:
+        if argv == ["sh", "-c", "<framed>"]:
+            launches.append([])
+        elif launches:
+            launches[-1].append(argv[0])
+    _, *polls, last = launches  # the submission, the polls and the launch that ends the run
+    if not any(stage == "submit" for stage, _ in record["events"]):
+        assert polls == [] and "sacct" not in last
+        return
+    assert all(poll == ["squeue"] for poll in polls)
+    assert last[:3] in (["squeue", "sacct", "zip"], ["sacct", "zip", "sha256sum"])
+    assert sum(launch.count("sacct") for launch in launches) == 1
+
+
+def test_an_upload_digest_that_did_not_come_back_is_journaled(
+        sample_profile_registry, cellpose_descriptor, tmp_path, monkeypatch):
+    """The tiff run, with the answer of the upload's sha256sum (launch 1,
+    after the copy) empty: the transfer fails, and its batch-failed row says
+    that no remote digest came back, beside the local one."""
+    profile, registry = sample_profile_registry
+    record = record_run(
+        "tiff", profile, registry, cellpose_descriptor, str(tmp_path), monkeypatch,
+        lambda cluster: FlakyLink(cluster, lose_launch=[(1, "empty")]))
+    [failed] = [detail for stage, detail in record["events"] if stage == "batch-failed"]
+    assert re.fullmatch(r"batch=0 TransferFailed: /scratch/omero/data/<run>\.zip\.part: "
+                        r"remote sha256 did not come back, local sha256 [0-9a-f]{64}", failed)
+    assert record["events"][-1][0] == "Failed"
 
 
 def _rewrite():

@@ -241,11 +241,14 @@ def test_submission_launch_with_stub_sbatch_matches_the_simulator(shell_router, 
     ids=["fails", "lists-one-id"])
 def test_guard_that_does_not_pass_keeps_the_run_dir(shell_run, shell_router, tmp_path, squeue):
     """Every job has ended and sacct says so, but squeue exits 1 with no
-    output, or lists a job of the run's name: the poll launch removes
-    nothing, and the run brings its results back in a retrieval launch of
-    its own, which first cancels the jobs of that name."""
+    output, three accounting failures in a row, or lists a job of the run's
+    name until the deadline, after three polls: no poll launch removes
+    anything, and the run brings its results back in a retrieval launch of
+    its own, which reads sacct and then cancels the jobs of that name."""
     run, profile, _ = shell_run
     shell_router.stub("squeue", squeue)
+    state = shlex.quote(str(tmp_path / "state"))
+    shell_router.stub("sacct", f"echo ran >> {state}/sacct.calls; cat {state}/accounting\n")
     run_dir = []  # whether the run dir was there after each poll launch
     route = shell_router.run
 
@@ -256,11 +259,44 @@ def test_guard_that_does_not_pass_keeps_the_run_dir(shell_run, shell_router, tmp
         return result
 
     shell_router.run = routed
-    record = run(SshEndpoint(profile), tmp_path / "out", poll_interval_s=0.01)
+    record = run(SshEndpoint(profile), tmp_path / "out", poll_interval_s=0.01,
+                 deadline_s=0.025)
     assert record.overall_state is orch.RunStage.DONE
-    assert run_dir == [True]
+    assert run_dir == [True] * 3
     scripts = [argv[-1] for argv in shell_router.launches if argv[0] == "ssh"]
-    assert ["squeue" in script for script in scripts] == [False] * 3 + [True, False]
+    assert ["squeue" in script for script in scripts] == [False] * 3 + [True] * 3 + [False]
+    assert (tmp_path / "state" / "sacct.calls").read_text() == "ran\n"
     assert "base64" in scripts[-1]
     assert (tmp_path / "state" / "scancel.calls").read_text() == f"--name=sb-{record.run_id}\n"
     assert data_left(profile) == []
+
+
+def test_a_submission_over_the_argument_limit_fails_the_run(
+        shell_router, sample_profile_registry, cellpose_descriptor, tmp_path):
+    """500 TIFFs at batch size 1 make a submission launch whose command,
+    one argument of ssh, is over Linux's 131,071 bytes: ssh cannot start,
+    through SshEndpoint as on the simulator. Either run fails every batch
+    with the cause, journals its Failed stage, submits no job and leaves
+    nothing under data/."""
+    profile, registry = sample_profile_registry
+    profile = dataclasses.replace(profile, scratch_dir=str(tmp_path / "scratch"))
+    install_cluster(shell_router, tmp_path / "state")
+    make_tiff_inputs(str(tmp_path / "inputs"), 500)
+    items = orch.scan_input_dir(str(tmp_path / "inputs"))
+    sim = SimEndpoint(SimCluster())
+    for endpoint in (SshEndpoint(profile), sim):
+        slurm.init_environment(endpoint, profile, registry)
+        events = []
+        record = orch.run_workflow_batched(
+            endpoint, profile, registry, cellpose_descriptor, "cellpose", {}, items, 1,
+            orch.RunOptions(poll_interval_s=0.01), local_output_dir=str(tmp_path / "out"),
+            listener=lambda stage, detail: events.append((stage, detail)))
+        assert events[-1] == ("Failed", "ssh could not start: Argument list too long"
+                                        " (500 batches)")
+        assert record.overall_state is orch.RunStage.FAILED
+        assert all(isinstance(batch.error, TransferFailed) for batch in record.batches)
+        assert ("cleanup", "removed=1") in events
+    assert not (tmp_path / "state" / "sbatch.calls").exists() and sim.cluster.jobs == {}
+    assert data_left(profile) == []
+    assert [path for path in list(sim.cluster.fs.files) + list(sim.cluster.fs.dirs)
+            if "/data/" in path] == []

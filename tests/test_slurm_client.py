@@ -109,7 +109,7 @@ class DamagesStream(SimCluster):
 
 def fetch_logs(endpoint, logs_dir):
     """The logs dir as one archive, brought back the way a run does it."""
-    _, (bundle, _) = slurm.fetch_results(endpoint, [logs_dir], "/scratch/logs.zip")
+    _, (_, bundle, _) = slurm.fetch_results(endpoint, [], [logs_dir], "/scratch/logs.zip")
     return zipfile.ZipFile(io.BytesIO(bundle))
 
 
@@ -496,8 +496,9 @@ class TestFetchResults:
         fs.make_dirs("/scratch/omero/data/r1/out/masks")
         fs.write("/scratch/omero/data/r1/out/masks/a.tiff", b"mask")
         # An archive written inside the dir it zips leaves itself out.
-        _, (bundle, removed) = slurm.fetch_results(
-            sim_endpoint, ["/scratch/omero/data/r1/out"], "/scratch/omero/data/r1/out/results.zip")
+        _, (_, bundle, removed) = slurm.fetch_results(
+            sim_endpoint, [], ["/scratch/omero/data/r1/out"],
+            "/scratch/omero/data/r1/out/results.zip")
         assert removed == []
         assert bundle == fs.read("/scratch/omero/data/r1/out/results.zip")
         with zipfile.ZipFile(io.BytesIO(bundle)) as archive:
@@ -515,8 +516,8 @@ class TestFetchResults:
         fs.write("/scratch/omero/data/r1/out/x.tiff", b"xxx")
         fs.write("/scratch/omero/logs/omero-job-1.log", b"log")
         launches = record_launches(sim_endpoint)
-        _, (bundle, _) = slurm.fetch_results(
-            sim_endpoint, ["/scratch/omero/data/r1/out", "/scratch/omero/data/r2/out",
+        _, (_, bundle, _) = slurm.fetch_results(
+            sim_endpoint, [], ["/scratch/omero/data/r1/out", "/scratch/omero/data/r2/out",
                            "/scratch/omero/logs"], "/scratch/omero/data/r1/bundle.zip")
         assert [command[0] for command in launches] == ["sh"]
         with zipfile.ZipFile(io.BytesIO(bundle)) as archive:
@@ -526,20 +527,24 @@ class TestFetchResults:
         assert fs.files_under("/scratch/omero/data/r1/in") == ["a.tiff", "b.tiff"]
 
     def test_teardown_rides_in_the_launch(self, sim_endpoint):
-        # The launch that brings the bundle back cancels the named jobs and
-        # removes the run paths after the stream, the archive with them.
+        # The launch that brings the bundle back reads the job's state
+        # first, and then cancels the named jobs and removes the run paths
+        # after the stream, the archive with them.
         prepare_run_dirs(sim_endpoint)
         handle = submit_workflow(sim_endpoint)
         sim_endpoint.cluster.fs.write("/scratch/omero/data/r1/out/x.tiff", b"xxx")
         launches = record_launches(sim_endpoint)
-        _, (bundle, removed) = slurm.fetch_results(
-            sim_endpoint, ["/scratch/omero/data/r1/out"], "/scratch/omero/data/r1/bundle.zip",
+        _, (polled, bundle, removed) = slurm.fetch_results(
+            sim_endpoint, [handle], ["/scratch/omero/data/r1/out"],
+            "/scratch/omero/data/r1/bundle.zip",
             ["/scratch/omero/data/r1", "/scratch/omero/data/r1.zip"], cancel="sb-test")
         assert len(launches) == 1
         # With no guard, every command runs behind an empty one.
         _, guard, then = unframe_commands(launches[0])
         assert guard == []
-        assert then[3:] == slurm.teardown_commands(
+        assert then[0] == ["sacct", "-n", "-P", "-X", "-o", "JobID,State", "-j", "1"]
+        assert slurm.job_states(polled, [handle]) == {1: JobState.PENDING}
+        assert then[4:] == slurm.teardown_commands(
             ["/scratch/omero/data/r1", "/scratch/omero/data/r1.zip"], "sb-test")
         with zipfile.ZipFile(io.BytesIO(bundle)) as archive:
             assert archive.read("scratch/omero/data/r1/out/x.tiff") == b"xxx"
@@ -549,22 +554,21 @@ class TestFetchResults:
 
     def test_guard_holds_the_bundle_and_teardown_back_while_a_job_is_queued(
             self, sim_endpoint):
-        # The poll guard fails while job 1 is queued: only its own commands
-        # run. Once the job has ended, the same launch brings the bundle
-        # back and removes the run dir, and the guard's sacct reads the job.
+        # The poll guard fails while job 1 is queued, listing it: nothing
+        # else runs. Once the job has ended, the same launch reads its
+        # state, brings the bundle back and removes the run dir.
         prepare_run_dirs(sim_endpoint)
         handle = submit_workflow(sim_endpoint)
         sim_endpoint.cluster.fs.write("/scratch/omero/data/r1/out/x.tiff", b"xxx")
-        args = (sim_endpoint, ["/scratch/omero/data/r1/out"],
+        args = (sim_endpoint, [handle], ["/scratch/omero/data/r1/out"],
                 "/scratch/omero/data/r1/bundle.zip", ["/scratch/omero/data/r1"])
-        guard = slurm.poll_guard("sb-test", [handle])
-        (queued, polled), fetched = slurm.fetch_results(*args, guard=guard)
-        assert not queued.ok and fetched is None
-        assert slurm.job_states(polled, [handle]) == {1: JobState.PENDING}
+        guard = slurm.poll_guard("sb-test")
+        [queued], fetched = slurm.fetch_results(*args, guard=guard)
+        assert (queued.exit_code, queued.stdout, fetched) == (1, "1", None)
         assert sim_endpoint.path_exists("/scratch/omero/data/r1")
         sim_endpoint.sleep(3600)
-        (queued, polled), (bundle, removed) = slurm.fetch_results(*args, guard=guard)
-        assert queued.ok
+        [queued], (polled, bundle, removed) = slurm.fetch_results(*args, guard=guard)
+        assert (queued.exit_code, queued.stdout) == (0, "")
         assert slurm.job_states(polled, [handle]) == {1: JobState.COMPLETED}
         with zipfile.ZipFile(io.BytesIO(bundle)) as archive:
             assert archive.read("scratch/omero/data/r1/out/x.tiff") == b"xxx"
@@ -573,8 +577,8 @@ class TestFetchResults:
     def test_empty_output(self, sim_endpoint):
         # Nothing to send back; the teardown runs all the same.
         prepare_run_dirs(sim_endpoint)
-        _, (bundle, removed) = slurm.fetch_results(
-            sim_endpoint, ["/scratch/omero/data/r1/out", "/scratch/omero/data/r2/out"],
+        _, (_, bundle, removed) = slurm.fetch_results(
+            sim_endpoint, [], ["/scratch/omero/data/r1/out", "/scratch/omero/data/r2/out"],
             "/scratch/omero/data/r1/out.zip", ["/scratch/omero/data/r1"])
         assert isinstance(bundle, EmptyOutput)
         assert removed == ["/scratch/omero/data/r1"]
@@ -584,8 +588,8 @@ class TestFetchResults:
         # The archive's dir does not exist; zip says so on stdout.
         prepare_run_dirs(sim_endpoint)
         sim_endpoint.cluster.fs.write("/scratch/omero/data/r1/out/x.tiff", b"x")
-        _, (bundle, _) = slurm.fetch_results(sim_endpoint, ["/scratch/omero/data/r1/out"],
-                                             "/scratch/gone/b.zip")
+        _, (_, bundle, _) = slurm.fetch_results(sim_endpoint, [], ["/scratch/omero/data/r1/out"],
+                                                "/scratch/gone/b.zip")
         assert isinstance(bundle, TransportError)
         assert "zip error: Could not create output file (/scratch/gone/b.zip)" in str(bundle)
 
@@ -605,8 +609,8 @@ class TestFetchResults:
         endpoint = SimEndpoint(DamagesStream(DAMAGES[damage]))
         prepare_run_dirs(endpoint)
         endpoint.cluster.fs.write("/scratch/omero/data/r1/out/x.tiff", bytes(range(256)))
-        _, (bundle, removed) = slurm.fetch_results(
-            endpoint, ["/scratch/omero/data/r1/out"], "/scratch/omero/data/r1/bundle.zip",
+        _, (_, bundle, removed) = slurm.fetch_results(
+            endpoint, [], ["/scratch/omero/data/r1/out"], "/scratch/omero/data/r1/bundle.zip",
             ["/scratch/omero/data/r1"])
         assert isinstance(bundle, ChecksumMismatch)
         assert "sha256" in str(bundle)
@@ -666,7 +670,8 @@ class TestInfoZipNaming:
         (tmp_path / "out").mkdir()
         (tmp_path / "out" / "x.tiff").write_bytes(b"x")
         archive = str(tmp_path / "gone" / "b.zip")
-        _, (bundle, _) = slurm.fetch_results(ssh_endpoint(), [str(tmp_path / "out")], archive)
+        _, (_, bundle, _) = slurm.fetch_results(ssh_endpoint(), [], [str(tmp_path / "out")],
+                                                archive)
         assert isinstance(bundle, TransportError)
         assert f"zip error: Could not create output file ({archive})" in str(bundle)
 
@@ -675,20 +680,24 @@ class TestInfoZipNaming:
     def test_retrieval_launch_through_real_shell(self, shell_router, tmp_path):
         # A run's retrieval launch through SshEndpoint, /bin/sh and the
         # installed zip, sha256sum, base64, test and rm. On the router's
-        # PATH, scancel is a stub that logs its arguments, and zip a wrapper
-        # of the installed one that keeps a copy of the archive it wrote.
+        # PATH, sacct and scancel are stubs, the second logging its
+        # arguments, and zip a wrapper of the installed one that keeps a
+        # copy of the archive it wrote.
         root = self.tree(tmp_path, SimCluster().fs)
         run_dir, logs_dir = os.path.join(root, "run"), os.path.join(root, "logs")
         with open(run_dir + ".zip", "wb") as upload:
             upload.write(b"upload")
         kept, cancels = tmp_path / "kept.zip", tmp_path / "scancel.log"
+        shell_router.stub("sacct", 'echo "6|COMPLETED"\n')
         shell_router.stub("scancel", f'echo "$@" >> {cancels}\n')
         shell_router.stub("zip", f'{shutil.which("zip")} "$@" || exit $?\ncp "$4" {kept}\n')
-        _, (bundle, removed) = slurm.fetch_results(
-            ssh_endpoint(), [os.path.join(run_dir, f"batch{k}", "out") for k in range(3)]
+        handles = [slurm.JobHandle(6)]
+        _, (polled, bundle, removed) = slurm.fetch_results(
+            ssh_endpoint(), handles, [os.path.join(run_dir, f"batch{k}", "out") for k in range(3)]
             + [logs_dir], os.path.join(run_dir, "bundle.zip"), [run_dir, run_dir + ".zip"],
             cancel="sb-run")
         assert [argv[0] for argv in shell_router.launches] == ["ssh"]
+        assert slurm.job_states(polled, handles) == {6: JobState.COMPLETED}
         # The stream decoded and passed the digest sha256sum gave.
         assert isinstance(bundle, bytes) and bundle == kept.read_bytes()
         with zipfile.ZipFile(io.BytesIO(bundle)) as archive:

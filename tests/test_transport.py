@@ -5,6 +5,7 @@ import itertools
 import os
 import posixpath
 import re
+import shlex
 import shutil
 import subprocess
 import tracemalloc
@@ -22,6 +23,7 @@ from slurmbridge.errors import (
     ConnectionLost,
     DestinationUnwritable,
     SourceMissing,
+    SpawnFailed,
     Timeout,
     TransportError,
 )
@@ -131,6 +133,27 @@ class TestTransfers:
             endpoint.put_file(str(local), "/remote/g")
         assert sorted(os.listdir(tmp_path)) == ["up"]
         assert sorted(endpoint.cluster.fs.files) == ["/remote/f"]
+
+    def test_a_digest_mismatch_names_both_digests(self, tmp_path):
+        class WrongDigest(SimEndpoint):
+            def exec(self, command, timeout=transport.DEFAULT_DEADLINE_S):
+                if command[0] == "sha256sum":
+                    return transport.ExecResult(0, "0" * 64 + "  " + command[1] + "\n", "")
+                return super().exec(command, timeout)
+
+        endpoint = WrongDigest(SimCluster())
+        endpoint.make_dirs("/remote")
+        endpoint.cluster.fs.write("/remote/f", b"remote")
+        local = tmp_path / "g"
+        local.write_bytes(b"local")
+        with pytest.raises(ChecksumMismatch) as got:
+            endpoint.get_file("/remote/f", str(tmp_path / "f"))
+        assert str(got.value) == ("/remote/f: remote sha256 " + "0" * 64
+                                  + ", local sha256 " + hashlib.sha256(b"remote").hexdigest())
+        with pytest.raises(ChecksumMismatch) as got:
+            endpoint.put_file(str(local), "/remote/g")
+        assert str(got.value) == ("/remote/g.part: remote sha256 " + "0" * 64
+                                  + ", local sha256 " + hashlib.sha256(b"local").hexdigest())
 
     def test_path_ops(self, sim_endpoint):
         assert not sim_endpoint.path_exists("/a/b")
@@ -487,12 +510,15 @@ def ssh_endpoint(scratch_dir="/scratch"):
         ClusterProfile(host="hpc", user="u", key_path="/k", scratch_dir=str(scratch_dir)))
 
 
-# The client's commands that need no local file. `mv -T` is left out: whether
-# its source is a directory, which the simulator refuses, depends on the
-# commands before it in the same launch.
+# The client's commands that need no local file: _FILE_OPS less put, drawn
+# without a filter, which hypothesis's health check may refuse for the draws
+# it discards. `mv -T` is left out: whether its source is a directory, which
+# the simulator refuses, depends on the commands before it in the same launch.
 _LISTED_OPS = st.one_of(
-    _FILE_OPS.filter(lambda op: op[0] not in ("put", "mv -T")),
-    st.tuples(st.sampled_from(["sha256sum", "base64"]), _PATHS.map(lambda path: [path])),
+    st.tuples(st.sampled_from(["mkdir -p", "rm -f", "rm -rf"]),
+              st.lists(_PATHS, min_size=1, max_size=2)),
+    st.tuples(st.sampled_from(["test -e", "sha256sum", "base64"]),
+              _PATHS.map(lambda path: [path])),
 )
 
 
@@ -673,8 +699,9 @@ def test_capture_template_matches_real_shell(shell_router, script):
     simulator's reading of them, gives: a captured command's stdout less
     its trailing newlines, the captured text up to its first ';' in the
     later argv, and that argv not run unless the captured command exited 0;
-    a Quiet command no stdout, and exit 0 only if its argv exited 0 and
-    printed nothing but newlines. The launch reads back as written."""
+    a Quiet command its argv's stdout less its trailing newlines, and exit
+    0 only if its argv exited 0 and printed nothing but newlines. The
+    launch reads back as written."""
     commands, then = script
     real = ssh_endpoint().exec_many(commands, then=then)
     modelled = transport.run_framed(commands, then, _as_sh_runs)
@@ -817,6 +844,34 @@ def test_ssh_put_onto_directory_is_refused(shell_router, tmp_path, slash):
     with pytest.raises(DestinationUnwritable):
         ssh_endpoint(tmp_path).put_file(str(local), str(target) + slash)
     assert _real_tree(tmp_path / "remote") == ({"target"}, {"target/kept.bin": b"kept"})
+
+
+@pytest.mark.skipif(any(shutil.which(tool) is None for tool in ("sh", "true")),
+                    reason="sh or true not installed")
+@pytest.mark.parametrize("size", [131071, 131072])
+def test_a_command_over_the_argument_limit_cannot_start(shell_router, size):
+    """ssh gets each command as one argument, which Linux refuses over
+    131,071 bytes (MAX_ARG_STRLEN, with its NUL): SshEndpoint raises
+    SpawnFailed, naming the cause, where ssh cannot start, and the
+    simulator refuses the same command alike."""
+    command = ["true", "x" * (size - len("true "))]
+    assert len(shlex.join(command).encode()) == size
+    endpoints = (ssh_endpoint(), SimEndpoint(SimCluster()))
+    if size < 131072:  # it runs; the simulator knows no `true`
+        assert [endpoint.exec(command).exit_code for endpoint in endpoints] == [0, 127]
+        return
+    for endpoint in endpoints:
+        with pytest.raises(SpawnFailed, match="^ssh could not start: Argument list too long$"):
+            endpoint.exec(command)
+
+
+def test_ssh_not_installed_raises_spawn_failed(monkeypatch):
+    def no_ssh(argv, **kwargs):
+        raise FileNotFoundError(2, "No such file or directory", argv[0])
+
+    monkeypatch.setattr(transport.subprocess, "run", no_ssh)
+    with pytest.raises(SpawnFailed, match="^ssh could not start: No such file or directory$"):
+        ssh_endpoint().exec(["true"])
 
 
 @pytest.mark.skipif(shutil.which("sh") is None, reason="sh not installed")
