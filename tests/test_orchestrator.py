@@ -94,10 +94,10 @@ class CountingEndpoint(SimEndpoint):
 
 class FlakyLink(SimEndpoint):
     """Loses the link on each poll launch, one holding a squeue or a sacct,
-    bare or framed by exec_many, whose entry in failures is true, before it runs (launches
-    past the end of the list go through); with lose_upload, the program
-    "sha256sum" or "mv", raises ConnectionLost right after the upload's
-    launch of that program has run remotely; with lose_submission, raises
+    bare or framed by exec_many, whose entry in failures is true, before it
+    runs (launches past the end of the list go through); with lose_upload,
+    the program "sha256sum" or "mv", raises ConnectionLost right after the
+    upload's launch of that program has run remotely; with lose_submission, raises
     lost_with right after the first launch holding an sbatch has run
     remotely: a plain one, or one framed by exec_many, with or without a
     guard before it, and with or without an sbatch that takes an earlier
@@ -1753,8 +1753,7 @@ class TestLastPollRetrieves:
         # One conversion array of 250 tasks, 4 running at a time, and its
         # workflow job: the run reads sacct once, in the launch that ends
         # it, when no task pends, and it prints a line per task and one for
-        # the workflow job. Read in each of the run's 67 polls, it printed
-        # 8,436 lines.
+        # the workflow job.
         cluster = SimCluster()
         sacct, printed, named = cluster._sacct, [], []
 
