@@ -310,9 +310,11 @@ def cmd_status(run_id, runs_dir, config_path, simulate):
                 states = slurm.poll_jobs(endpoint, handles)
             except SlurmBridgeError as exc:
                 _fail(str(exc), code=EXIT_RUN_FAILURE)
-        # A job that sacct does not list yet is pending.
+        # A job that sacct does not list yet is pending; one whose state
+        # cannot be read shows the error.
         for job_id in sorted({handle.job_id for handle in handles}):
-            click.echo(f"job={job_id}\tstate={states.get(job_id, JobState.PENDING).value}")
+            state = states.get(job_id, JobState.PENDING)
+            click.echo(f"job={job_id}\tstate={getattr(state, 'value', state)}")
     sys.exit(EXIT_OK)
 
 

@@ -28,7 +28,6 @@ from .errors import (
     SlurmBridgeError,
     TransferFailed,
     TransportError,
-    UnknownState,
     UnparseableJobId,
     WorkflowFailed,
 )
@@ -228,6 +227,7 @@ class _Run:
     # (batch index, job kind) -> handle of each job not yet seen terminal;
     # two sbatch answers may name one job id
     live: dict = field(default_factory=dict)
+    listed: set = frozenset()  # the job ids this round's guard found queued
     torn_down: bool = False  # whether a launch that removed the run data answered
     bundle: object = None  # the bytes, or error, that the launch that tore the run down sent
 
@@ -235,45 +235,60 @@ class _Run:
         """One launch, slurm.fetch_results: the guard's commands, then, only
         if each exited 0, the run's one sacct of its live jobs, the results
         bundle of the out dir of every batch with no error and of the logs
-        dir, and the teardown, which cancels every job of the run's name
-        unless a guard found none queued. Keeps the bundle, or the error of
-        a lost answer, which it raises; journals the cleanup, then settles
-        the live jobs by that sacct, raising what job_states raises. A guard
-        that failed listing no job is a squeue that failed, and raises
-        AccountingUnavailable."""
+        dir, and the teardown. Keeps the bundle, or the error of a lost
+        answer, which it raises; journals the cleanup, then settles the live
+        jobs by that sacct. A guard that fails keeps the job ids it lists
+        (slurm.queued_ids raises AccountingUnavailable for a squeue that
+        failed); when they name no live workflow job, only jobs the run no
+        longer waits for are queued (tasks of a failed conversion array, or
+        a job whose id the run never read), and the run ends at once, with
+        no guard. The launch with no guard, also the one that ends a
+        give-up, journals and sends the cancel of every job of the run's
+        name, and holds out of the bundle and of the settling each batch
+        whose workflow job this round's guard listed: that job runs on until
+        the cancel, so its batch fails."""
+        waited = {h.job_id for (_, kind), h in self.live.items() if kind == "workflow"}
+        held = set() if guard else self.listed & waited
+        self.listed = frozenset()  # until this round's guard lists what is queued
+        if not guard:
+            self.cancelling()
         try:
             ran, fetched = slurm.fetch_results(
                 self.endpoint, self.live.values(),
                 [posixpath.join(b.remote_dir, "out") for b in self.record.batches
-                 if b.error is None] + [self.logs_dir],
+                 if b.error is None and b.workflow_handle.job_id not in held] + [self.logs_dir],
                 posixpath.join(self.paths[0], "bundle.zip"), self.paths,
                 None if guard else self.job_name, guard)
         except TransportError as exc:
             self.bundle = exc  # unless a later launch brings the bundle back
             raise
         if fetched is None:
-            if not ran[0].stdout:
-                raise AccountingUnavailable(ran[0].stderr.strip() or "squeue failed")
+            self.listed = slurm.queued_ids(ran[0])
+            if self.listed.isdisjoint(waited):
+                self.end()
             return
         accounting, self.bundle, removed = fetched
         self.torn_down = True
         self.emit("cleanup", f"removed={len(removed)}")
-        self.settle(slurm.job_states(accounting, self.live.values()))
+        self.settle({job: state for job, state in
+                     slurm.job_states(accounting, self.live.values()).items() if job not in held})
 
     def settle(self, states, gone=False):
-        """Apply states, job id -> JobState as job_states gives them, to the
-        live jobs: each terminal one leaves live, a workflow job's state
-        becomes its batch's, journaled as `batch-terminal`, and a conversion
-        array that did not complete fails its batch. With gone, a live job
-        that states do not list is gone too, and fails its batch."""
+        """Apply states, job id -> JobState or error as job_states gives
+        them, to the live jobs: each terminal one leaves live, a workflow
+        job's state becomes its batch's, journaled as `batch-terminal`, and
+        a conversion array that did not complete fails its batch; a job
+        whose state could not be read leaves live and fails its batch with
+        that error. With gone, a live job that states do not list is gone
+        too, and fails its batch."""
         for (index, kind), handle in list(self.live.items()):
             batch = self.record.batches[index]
             state = states.get(handle.job_id)
-            if (state is None and not gone) or (state is not None and not state.terminal):
+            if (state is None and not gone) or not getattr(state, "terminal", True):
                 continue
             del self.live[index, kind]
-            if state is None:
-                _fail(batch, UnparseableJobId(
+            if not isinstance(state, JobState):
+                _fail(batch, state or UnparseableJobId(
                     f"job {handle.job_id} is neither queued nor in accounting"))
             elif kind == "workflow":
                 batch.state = state
@@ -281,6 +296,12 @@ class _Run:
             elif state is not JobState.COMPLETED:
                 _fail(batch, ConversionFailed(
                     f"conversion job {handle.job_id} ended {state.value}"))
+
+    def cancelling(self):
+        """Journal the cancel of every job of the run's name, naming each
+        job not yet seen terminal."""
+        self.emit("cancel", f"name={self.job_name} job_ids="
+                  + ",".join(dict.fromkeys(str(h.job_id) for h in self.live.values())))
 
     def emit(self, stage, detail):
         if isinstance(stage, RunStage):
@@ -296,16 +317,15 @@ class _Run:
         lost, or the run was interrupted first) or an array whose failed
         parent state hides running tasks, and removes the run data and the
         uploaded archive, should it be left. Both are idempotent; logs stay.
-        With fetch, the same launch first reads accounting and brings back
-        what completed (end, no guard); a job it cannot read stays live."""
+        With fetch, that launch is end's with no guard: it first reads
+        accounting and brings back what completed."""
         if self.torn_down:
             return
-        self.emit("cancel", f"name={self.job_name} job_ids="
-                  + ",".join(dict.fromkeys(str(h.job_id) for h in self.live.values())))
         try:
             if fetch:
                 self.end()
             else:
+                self.cancelling()
                 removed = slurm.cleanup_run(self.endpoint, self.paths, self.job_name)
                 self.torn_down = True
                 self.emit("cleanup", f"removed={len(removed)}")
@@ -482,18 +502,21 @@ def _poll(run, options):
     the run after its submission. It sleeps before each poll, as no job can
     have ended at once. Each round's launch asks squeue alone
     (slurm.poll_guard) whether a job of the run's name is queued, whatever
-    ids their sbatch answers gave; the first that finds none ends the run
-    (_Run.end): it reads accounting, once, brings the results back and
-    tears the run down. Later rounds, while accounting lags the controller,
-    poll sacct alone: no job of the run is queued then, so a live job their
-    sacct does not list is gone, and its batch fails with UnparseableJobId.
-    Up to two accounting failures in a row only cost a round; a lost
-    answer is one, though its retrieval may have run, and so is a squeue or
-    sacct that fails. The loop gives up at the deadline, at the third
-    accounting failure in a row, or at an accounting line or state token it
-    cannot read. It ends the run with close, which after a give-up reads
-    accounting and brings back what completed before it cancels the rest:
-    every batch still live then fails with that error."""
+    ids their sbatch answers gave; the first that finds none, or finds none
+    the run waits for, ends the run (_Run.end): it reads accounting, once,
+    brings the results back and tears the run down. Later rounds, while
+    accounting lags the controller, poll sacct alone: no job of the run is
+    queued then, so a live job their sacct does not list is gone, and its
+    batch fails with UnparseableJobId. A job whose accounting line or state
+    token cannot be read fails its batch alone. Up to two accounting
+    failures in a row only cost a round; a lost answer is one, though its
+    retrieval may have run, and so is a squeue or sacct that fails. The loop
+    gives up at the deadline or at the third accounting failure in a row.
+    It ends the run with close, which after a give-up reads accounting and
+    brings back what completed before it cancels the rest: every batch
+    still live then fails with that error. Before the teardown, no batch is
+    known to have completed, so an accounting outage that spans the launch
+    that ends the run and the two rounds after it fails every batch."""
     run.emit(RunStage.RUNNING, "polling")
     elapsed, accounting_failures, give_up = 0.0, 0, None
     while run.live and give_up is None:
@@ -509,8 +532,6 @@ def _poll(run, options):
             accounting_failures += 1
             if accounting_failures == 3:
                 give_up = AccountingUnavailable(str(exc))
-        except (UnknownState, UnparseableJobId) as exc:
-            give_up = exc
         if give_up is None and options.deadline_s is not None and elapsed >= options.deadline_s:
             give_up = WorkflowFailed(f"deadline exceeded after {elapsed}s")
     run.close(fetch=bool(run.live))

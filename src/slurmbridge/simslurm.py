@@ -45,6 +45,9 @@ DEFAULT_NODES = [
 
 # A fixed archive timestamp keeps zip output byte-deterministic.
 _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
+# The longest argument Linux passes to a program: MAX_ARG_STRLEN, 131,072
+# bytes, less the argument's NUL.
+_ARG_LIMIT = 131071
 
 # Seconds a job runs, by its script's file name: a workflow job, a
 # conversion array's task, and any other script.
@@ -881,18 +884,15 @@ class SimCluster:
 class SimEndpoint(Endpoint):
     """Endpoint backend over an in-process SimCluster: exec runs sim_exec,
     the raw copies write to and read from its SimFS, and poll sleeps advance
-    the virtual clock. As Linux refuses ssh an argument over MAX_ARG_STRLEN
-    (131,072 bytes with its NUL), and SshEndpoint hands ssh each command as
-    one, exec refuses a command whose shlex.join is over 131,071 bytes."""
+    the virtual clock. As Linux refuses ssh an argument over _ARG_LIMIT,
+    and SshEndpoint hands ssh each command as one, exec refuses a command
+    whose shlex.join is longer."""
 
     def __init__(self, cluster=None):
         self.cluster = cluster if cluster is not None else SimCluster()
 
     def exec(self, command, timeout=DEFAULT_DEADLINE_S):
-        # shlex.join writes at most 5 bytes for a character ('"'"' for a
-        # ') and 3 more for a word: a short command needs no join.
-        if 5 * sum(map(len, command)) + 3 * len(command) > 131071 \
-                and len(shlex.join(command).encode()) > 131071:
+        if len(shlex.join(command).encode()) > _ARG_LIMIT:
             raise SpawnFailed("ssh could not start: Argument list too long")
         return self.cluster.sim_exec(command)
 

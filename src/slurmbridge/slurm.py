@@ -30,6 +30,8 @@ _PARSABLE_RE = re.compile(r"(\d+)(?:;\S*)?")
 # `<id>_[<ranges>]`, the rest of that id and the state token; or, in the
 # fourth group, a line that is none of these.
 _SACCT_RE = re.compile(r"^(?:(\d+)(_(?:\d+|\[[\d,%-]+\]))?\|(.*)|(.*\S.*))$", re.MULTILINE)
+# A line of `squeue -o %i`: the job id of the same three forms.
+_SQUEUE_RE = re.compile(r"(\d+)(?:_(?:\d+|\[[\d,%-]+\]))?")
 
 MANAGED_DIRS = ("singularity_images", "slurm-scripts/jobs", "data", "logs")
 
@@ -177,30 +179,35 @@ def poll_jobs(endpoint, handles):
 
 def job_states(result, handles):
     """Each handle's job id that the result of its sacct lists (one failed
-    raises AccountingUnavailable) -> its state; array parents are
-    aggregated from their task states. A line for a job not asked about is
-    ignored; one whose job id cannot be read raises UnparseableJobId, and
-    one whose state token cannot be mapped UnknownState."""
+    raises AccountingUnavailable) -> its state, array parents aggregated
+    from their task states, or else the error that kept it from being read,
+    so that one job's unreadable state costs only that job: UnknownState
+    for a state token that cannot be mapped, and, when a line's job id
+    cannot be read, UnparseableJobId for each job read from no other line.
+    A line for a job not asked about is ignored."""
     if not result.ok:
         raise AccountingUnavailable(result.stderr.strip())
     asked = {str(h.job_id): h.job_id for h in handles}
     plain = {}
     tasks = {}
-    parsed = {}  # state token -> JobState, mapped once per token
+    parsed = {}  # state token -> JobState or UnknownState, mapped once per token
+    unread = None
     for entry_id, task, token, unreadable in _SACCT_RE.findall(result.stdout):
         if unreadable:
-            raise UnparseableJobId(f"unreadable accounting line: {unreadable!r}")
+            unread = UnparseableJobId(f"unreadable accounting line: {unreadable!r}")
         job_id = asked.get(entry_id)
         if job_id is None:
             continue
-        state = parsed.get(token) or parsed.setdefault(token, parse_state_token(token))
-        if state is None:
-            raise UnknownState(token)
+        state = parsed.get(token) or parsed.setdefault(
+            token, parse_state_token(token) or UnknownState(token))
         if task:
             tasks.setdefault(job_id, []).append(state)
         else:
             plain[job_id] = state
-    plain.update((job_id, aggregate_array_states(states)) for job_id, states in tasks.items())
+    plain.update((job_id, next((s for s in states if isinstance(s, UnknownState)), None)
+                  or aggregate_array_states(states)) for job_id, states in tasks.items())
+    if unread:
+        plain.update((h.job_id, unread) for h in handles if h.job_id not in plain)
     return plain
 
 
@@ -208,9 +215,20 @@ def poll_guard(name):
     """The one command a poll launch runs before the rest of fetch_results:
     the Quiet `squeue -a -h --name=<name> -o %i`, which exits 0 only when no
     job or array task named name is queued or running, on any partition,
-    whatever id its sbatch printed. Its stdout lists the id of each one
-    that is; a guard that fails listing none is a squeue that failed."""
+    whatever id its sbatch printed. Its stdout lists the record of each one
+    that is; see queued_ids."""
     return [Quiet(["squeue", "-a", "-h", f"--name={name}", "-o", "%i"])]
+
+
+def queued_ids(result):
+    """The job ids that a poll_guard which failed lists, one per record: a
+    job `<id>`, an array task `<id>_<k>` or an array's pending tasks
+    `<id>_[<ranges>]`. A guard that lists nothing, or a line that is none of
+    these, is a squeue that failed, and raises AccountingUnavailable."""
+    listed = [_SQUEUE_RE.fullmatch(line) for line in result.stdout.splitlines()]
+    if not listed or None in listed:
+        raise AccountingUnavailable(result.stderr.strip() or f"squeue printed {result.stdout!r}")
+    return {int(match.group(1)) for match in listed}
 
 
 def zip_entry_name(remote_path):

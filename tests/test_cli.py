@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -371,6 +372,25 @@ class TestStatusLogsFetch:
         assert result.exit_code == 0, result.output
         assert kv_lines(result.stdout)["job"] == [
             f"{job_id}\tstate=COMPLETED" for job_id in rest] + ["99\tstate=PENDING"]
+
+    def test_status_prints_the_error_of_a_state_it_cannot_read(self, runner, workspace,
+                                                              monkeypatch):
+        tmp_path, config_path, topology_path, _ = workspace
+        run_id = self._completed_run(runner, workspace)
+        first, *rest = cut_journal_after_running(workspace, run_id)
+        cluster = simslurm.SimCluster.load_state(topology_path + ".state")
+        endpoint = simslurm.SimEndpoint(cluster)
+        sacct = cluster._sacct
+        cluster._sacct = lambda tokens: dataclasses.replace(sacct(tokens), stdout=re.sub(
+            rf"^{first}\|COMPLETED$", f"{first}|WOBBLY", sacct(tokens).stdout, flags=re.M))
+        monkeypatch.setattr(cli, "SshEndpoint", lambda profile: endpoint)
+        result = runner.invoke(
+            main, ["status", run_id, "--runs-dir", str(tmp_path / "runs"),
+                   "--config", config_path])
+        assert result.exit_code == 0, result.output
+        assert kv_lines(result.stdout)["job"] == [
+            f"{first}\tstate=unmapped scheduler state token: 'WOBBLY'"] + [
+            f"{job_id}\tstate=COMPLETED" for job_id in rest]
 
     def test_status_unreachable_cluster_exits_one(self, runner, workspace, monkeypatch):
         class Unreachable(simslurm.SimEndpoint):

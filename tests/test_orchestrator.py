@@ -224,6 +224,14 @@ class ReportsUnmapped(RewritesSacct):
         return "".join(line.split("|")[0] + "|WOBBLY\n" for line in stdout.splitlines())
 
 
+class ReportsJob3Unmapped(RewritesSacct):
+    """Answers job 3's line of every sacct with a state token that no
+    JobState maps, and every other line as the cluster does."""
+
+    def rewrite(self, stdout):
+        return re.sub(r"^3\|.*$", "3|WOBBLY", stdout, flags=re.MULTILINE)
+
+
 class ReportsHeterogeneous(RewritesSacct):
     """Answers every sacct poll with a heterogeneous job's component line,
     `<id>+<offset>`, which no job id of the client reads as."""
@@ -781,6 +789,24 @@ class TestRunWorkflowBatched:
         assert len([p for p in record.output_artifacts if p.endswith(".zip")]) == 4
         assert batch_errors(record) == batch_failures(events) == {
             4: "AccountingUnavailable", 5: "AccountingUnavailable"}
+        assert_no_job_outlives_its_data(
+            endpoint.cluster, registry.entry("cellpose").resources.time_limit_min)
+
+    def test_an_unmapped_state_fails_only_its_batch(self, run_env, tmp_path):
+        # Accounting prints a token no JobState maps for batch 2's job, 3,
+        # alone, in the sacct of the launch that ends the run: that batch
+        # fails with UnknownState, and the other 5 keep their results.
+        endpoint, profile, registry, descriptor = run_env
+        events = Events()
+        record = orch.run_workflow_batched(
+            ReportsJob3Unmapped(endpoint.cluster), profile, registry, descriptor,
+            "cellpose", {}, tiff_items(tmp_path, 12), 2, options=fast_options(),
+            local_output_dir=str(tmp_path / "out"), listener=events)
+        assert [batch.workflow_handle.job_id for batch in record.batches] == [1, 2, 3, 4, 5, 6]
+        assert events[-1] == ("PartialFailure", "completed=5 failed=1")
+        assert batch_errors(record) == batch_failures(events) == {2: "UnknownState"}
+        assert "WOBBLY" in str(record.batches[2].error)
+        assert len([p for p in record.output_artifacts if p.endswith(".zip")]) == 5
         assert_no_job_outlives_its_data(
             endpoint.cluster, registry.entry("cellpose").resources.time_limit_min)
 
@@ -1399,9 +1425,10 @@ class TestRunLifecycle:
 
     @pytest.mark.parametrize("endpoint_class, error", [
         (lambda cluster: FlakyLink(cluster, [True, True, True]), "AccountingUnavailable"),
-        # An unmapped token gives up at once, though no accounting failed.
+        # An unmapped token gives up on each job it is printed for.
         (ReportsUnmapped, "UnknownState"),
-        # So does a line whose job id it cannot read.
+        # A line whose job id cannot be read gives up on each job that no
+        # other line reads: here, every job.
         (ReportsHeterogeneous, "UnparseableJobId"),
     ], ids=["accounting", "unknown-state", "unreadable-line"])
     def test_poll_giving_up_fails_live_batches(self, run_env, tmp_path, endpoint_class, error):
@@ -1676,10 +1703,13 @@ class TestLastPollRetrieves:
         # On one node of two slots, batch 0's workflow job takes one slot
         # and batch 1's conversion array of 3 failing tasks the other, so
         # that its parent state reads FAILED from t=5 while its tasks run
-        # on to t=15. The guard lists every job submitted: with batch 0's
-        # job ending at t=10 or at t=20, no poll removes the data while a
-        # task runs, and the poll that finds none queued brings the results
-        # back and cancels nothing.
+        # on to t=15; batch 1's workflow job is cancelled unstarted. The
+        # guard lists every job submitted: with batch 0's job ending at
+        # t=10, the poll whose guard lists only the array's tasks, no
+        # workflow job, ends the run and cancels the last task first;
+        # ending at t=20, after every task, the poll that finds none queued
+        # brings the results back and cancels nothing. No poll removes the
+        # data while a task runs.
         cluster = RemovesOnlyEnded(nodes=[{"cpus": 4, "gpus": 0, "mem_mb": 16384}])
         cluster.inject_fault(FaultDirective(script_substring="batch1/convert.sh",
                                             forced_state=JobState.FAILED))
@@ -1692,7 +1722,7 @@ class TestLastPollRetrieves:
         assert record.overall_state is orch.RunStage.PARTIAL_FAILURE
         assert batch_errors(record) == {1: "ConversionFailed"}
         assert cluster.early == []
-        assert "cancel" not in [stage for stage, _ in events]
+        assert ("cancel" in [stage for stage, _ in events]) == (duration == 10)
         assert_no_job_outlives_its_data(
             cluster, run_env[2].entry("cellpose").resources.time_limit_min)
 
@@ -1720,9 +1750,10 @@ class TestLastPollRetrieves:
         # id the client could not read, and runs to its time limit. An
         # unreadable array id also gets the workflow job's sbatch refused,
         # and the batch ends with that error. The guard lists the job by
-        # its name, so the run holds until the job ends: no poll removes
-        # the data while it runs, and the poll that finds no job queued
-        # brings the results back and cancels nothing.
+        # its name, so no poll removes the data while it runs; once the
+        # guard lists no workflow job the run waits for, one launch brings
+        # the results back and cancels the job by name first, long before
+        # its time limit.
         cluster = PrintsNoJobId(script)
         cluster.inject_fault(FaultDirective(script_substring=script,
                                             forced_state=JobState.TIMEOUT))
@@ -1734,10 +1765,11 @@ class TestLastPollRetrieves:
         assert record.overall_state is orch.RunStage.PARTIAL_FAILURE
         assert batch_errors(record) == {1: error}
         assert "squeue" in cluster.ran and cluster.ran.count("base64") == 1
-        assert "cancel" not in [stage for stage, _ in events]
+        assert "cancel" in [stage for stage, _ in events]
         assert cluster.early == []
-        assert_no_job_outlives_its_data(
-            cluster, run_env[2].entry("cellpose").resources.time_limit_min)
+        time_limit_min = run_env[2].entry("cellpose").resources.time_limit_min
+        assert cluster.clock < 60 * time_limit_min
+        assert_no_job_outlives_its_data(cluster, time_limit_min)
 
     def test_upload_digest_with_no_output_fails_the_transfer(self, run_env, tmp_path):
         # sha256sum exits 0 but prints nothing: the upload fails its digest.

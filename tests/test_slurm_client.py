@@ -347,21 +347,33 @@ class TestPollJobs:
         monkeypatch.setattr(
             sim_endpoint, "exec", lambda *a, **k: ExecResult(0, "1|WOBBLY\n", "")
         )
-        handle = slurm.JobHandle(1)
-        with pytest.raises(UnknownState) as info:
-            slurm.poll_jobs(sim_endpoint, [handle])
-        assert info.value.token == "WOBBLY"
+        # The unmapped token costs its own job only.
+        states = slurm.poll_jobs(sim_endpoint, [slurm.JobHandle(1), slurm.JobHandle(2)])
+        assert isinstance(states[1], UnknownState) and states[1].token == "WOBBLY"
+        assert set(states) == {1}
 
     @pytest.mark.parametrize("line", ["1+0|COMPLETED", "1.batch|COMPLETED", "abc|RUNNING",
                                       "1_|PENDING", "RUNNING"])
     def test_unreadable_line_gives_up(self, sim_endpoint, monkeypatch, line):
         from slurmbridge.transport import ExecResult
 
+        # The line might be any job's: each job no other line reads is
+        # given up with UnparseableJobId; job 1, read, keeps its state.
         monkeypatch.setattr(
             sim_endpoint, "exec", lambda *a, **k: ExecResult(0, f"1|RUNNING\n{line}\n", "")
         )
-        with pytest.raises(UnparseableJobId):
-            slurm.poll_jobs(sim_endpoint, [slurm.JobHandle(1)])
+        states = slurm.poll_jobs(sim_endpoint, [slurm.JobHandle(1), slurm.JobHandle(2, 3)])
+        assert states[1] is JobState.RUNNING
+        assert isinstance(states[2], UnparseableJobId) and line in str(states[2])
+
+    def test_an_unmapped_task_token_costs_its_array_only(self, sim_endpoint, monkeypatch):
+        from slurmbridge.transport import ExecResult
+
+        answer = "1_0|COMPLETED\n1_1|WOBBLY\n1_[2-3]|PENDING\n2|COMPLETED\n"
+        monkeypatch.setattr(sim_endpoint, "exec", lambda *a, **k: ExecResult(0, answer, ""))
+        states = slurm.poll_jobs(sim_endpoint, [slurm.JobHandle(1, 4), slurm.JobHandle(2)])
+        assert isinstance(states[1], UnknownState) and states[1].token == "WOBBLY"
+        assert states[2] is JobState.COMPLETED
 
     def test_lines_of_jobs_not_asked_about_are_ignored(self, sim_endpoint, monkeypatch):
         from slurmbridge.transport import ExecResult
@@ -408,6 +420,22 @@ class TestPollJobs:
         handle = slurm.JobHandle(1)
         with pytest.raises(AccountingUnavailable):
             slurm.poll_jobs(sim_endpoint, [handle])
+
+
+class TestQueuedIds:
+    def test_each_record_gives_its_job_id(self):
+        from slurmbridge.transport import ExecResult
+
+        listed = ExecResult(1, "7\n8_3\n8_[4-9%2]\n12", "")
+        assert slurm.queued_ids(listed) == {7, 8, 12}
+
+    @pytest.mark.parametrize("stdout", ["", "7\nslurm_load_jobs error", "7+0", "8_"])
+    def test_a_guard_that_lists_no_job_id_is_a_failed_squeue(self, stdout):
+        from slurmbridge.transport import ExecResult
+
+        with pytest.raises(AccountingUnavailable) as info:
+            slurm.queued_ids(ExecResult(1, stdout, "squeue: error: down\n"))
+        assert "squeue: error: down" in str(info.value)
 
 
 class TestCancel:
