@@ -1726,6 +1726,48 @@ class TestLastPollRetrieves:
         assert_no_job_outlives_its_data(
             cluster, run_env[2].entry("cellpose").resources.time_limit_min)
 
+    def test_a_fault_in_any_launch_of_a_run_that_ends_early_keeps_it_safe(self, run_env,
+                                                                           tmp_path):
+        # The run above whose batch 0 job ends at t=10, so that its last
+        # launch ends it early and cancels the array's last task, with each
+        # of its launches lost before or after it ran, or answered empty or
+        # cut: every run ends at its journaled final stage, no data is
+        # removed while a task runs, and once a teardown answered no task
+        # runs and nothing is left under data/.
+        _, profile, registry, descriptor = run_env
+        make_tiff_inputs(str(tmp_path / "inputs"), 3)
+        make_zarr_inputs(str(tmp_path / "inputs"), 3)
+        items = orch.scan_input_dir(str(tmp_path / "inputs"))
+
+        def run(lose_launch):
+            cluster = RemovesOnlyEnded(nodes=[{"cpus": 4, "gpus": 0, "mem_mb": 16384}])
+            cluster.inject_fault(FaultDirective(script_substring="batch1/convert.sh",
+                                                forced_state=JobState.FAILED))
+            cluster.inject_fault(FaultDirective(script_substring="job.sh", duration_s=10))
+            slurm.init_environment(SimEndpoint(cluster), profile, registry)
+            link = FlakyLink(cluster, lose_launch=lose_launch)
+            events = Events()
+            record = orch.run_workflow_batched(
+                link, profile, registry, descriptor, "cellpose", {}, items, 3,
+                options=fast_options(), local_output_dir=str(tmp_path / "out"),
+                listener=events)
+            assert events[-1][0] == record.overall_state.value
+            assert record.overall_state in orch.TERMINAL_STAGES
+            assert cluster.early == []
+            if any(stage == "cleanup" and detail.startswith("removed=")
+                   for stage, detail in events):
+                assert_no_job_outlives_its_data(
+                    cluster, registry.entry("cellpose").resources.time_limit_min)
+            else:
+                assert ("cleanup", "failed") in events
+            return link, events
+
+        link, events = run(())
+        assert [stage for stage, _ in events].count("cancel") == 1
+        for k in range(link.launches):
+            for ran in (False, True, "empty", "cut"):
+                run([(k, ran)])
+
     def test_lagging_accounting_retrieves_once(self, run_env, tmp_path):
         # The poll at t=20 finds no job queued, but its sacct, the run's
         # first, lists none yet: it brings the results back and tears down,
