@@ -78,7 +78,9 @@ def init_environment(endpoint, profile, registry):
     """Provision the managed scratch layout and pull missing images.
 
     One probe launch tests every managed dir and image and creates the dirs;
-    each missing image then costs one pull launch. Idempotent: a second call
+    each missing image then costs one pull launch, framed as exec_many
+    frames every launch, so that singularity's exit 255 on a failed pull
+    reads as its status, not as ssh's lost link. Idempotent: a second call
     with an unchanged registry creates nothing and pulls nothing.
     """
     dirs = list(scratch_layout(profile).values())
@@ -101,7 +103,7 @@ def init_environment(endpoint, profile, registry):
         if present.ok:
             continue
         try:
-            result = endpoint.exec(["singularity", "pull", path, f"docker://{reference}"])
+            [result] = endpoint.exec_many([["singularity", "pull", path, f"docker://{reference}"]])
             if not result.ok:
                 raise PullFailed(name, result.exit_code, result.stderr)
             report.pulled_images.append((name, path))

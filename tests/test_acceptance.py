@@ -28,7 +28,15 @@ from slurmbridge.states import (
 )
 from tests.conftest import SAMPLE_CONFIG, make_tiff_inputs, make_zarr_inputs, record_signature
 from tests.test_descriptor import descriptors, descriptors_with_values, validated
-from tests.test_orchestrator import FlakyLink, GrammarOnly, assert_no_job_outlives_its_data
+from tests.test_orchestrator import (
+    FIRST_POLL,
+    SUBMISSION,
+    UPLOAD_MV,
+    UPLOAD_SHA256SUM,
+    FlakyLink,
+    GrammarOnly,
+    assert_no_job_outlives_its_data,
+)
 from tests.test_simslurm import brute_force_aggregate, random_schedule
 
 SCRATCH = "/scratch/omero"
@@ -353,10 +361,10 @@ def test_criterion_11_no_job_outlives_its_data(cellpose_descriptor, tmp_path):
     # can read FAILED while a task runs on past the end of a 10 s workflow
     # job; the example pins that case.
     @settings(max_examples=60, deadline=None)
-    @given(sacct_failures=st.lists(st.booleans(), max_size=8),
-           lose_submission=st.booleans(),
-           lose_retrieval=st.booleans(),
-           lose_upload=st.sampled_from([None, "sha256sum", "mv"]),
+    @given(lost_polls=st.lists(st.booleans(), max_size=8),
+           submission_lost=st.booleans(),
+           retrieval_lost=st.booleans(),
+           upload_lost=st.sampled_from([None, UPLOAD_SHA256SUM, UPLOAD_MV]),
            deadline_s=st.sampled_from([None, 0, 5, 15, 40]),
            batches=st.lists(st.tuples(
                st.sampled_from(list(pools)), st.sampled_from(["job.sh", "convert.sh"]),
@@ -365,11 +373,11 @@ def test_criterion_11_no_job_outlives_its_data(cellpose_descriptor, tmp_path):
            one_node=st.booleans(),
            batch_size=st.sampled_from([2, 3]),
            workflow_s=st.sampled_from([10, 30]))
-    @example(sacct_failures=[], lose_submission=False, lose_retrieval=False, lose_upload=None,
+    @example(lost_polls=[], submission_lost=False, retrieval_lost=False, upload_lost=None,
              deadline_s=None, one_node=True, batch_size=3, workflow_s=10,
              batches=[(orch.InputFormat.TIFF_2D, "job.sh", None),
                       (orch.InputFormat.ZARR, "convert.sh", JobState.FAILED)])
-    def no_job_outlives_its_data(sacct_failures, lose_submission, lose_retrieval, lose_upload,
+    def no_job_outlives_its_data(lost_polls, submission_lost, retrieval_lost, upload_lost,
                                  deadline_s, batches, one_node, batch_size, workflow_s):
         nodes = [{"cpus": 4, "gpus": 0, "mem_mb": 16384}] if one_node else None
         endpoint, profile, registry = fresh_env(cellpose_descriptor, GrammarOnly(nodes))
@@ -381,10 +389,17 @@ def test_criterion_11_no_job_outlives_its_data(cellpose_descriptor, tmp_path):
             if state is not None:
                 endpoint.cluster.inject_fault(FaultDirective(
                     script_substring=f"batch{index}/{script}", forced_state=state))
+        # The submission, the launch that brings the results back and the
+        # upload's sha256sum or mv are lost after they ran, and so is each
+        # drawn launch from the first poll on: a poll's answer, or, past the
+        # polls, a teardown's. A teardown lost before it runs, each time, is
+        # a link that never comes back, which the sweep checks apart.
+        faults = [(at, "lost-after") for at, lost in (
+            (SUBMISSION, submission_lost), ("base64", retrieval_lost),
+            (upload_lost, upload_lost is not None)) if lost]
+        faults += [(FIRST_POLL + k, "lost-after") for k, lost in enumerate(lost_polls) if lost]
         orch.run_workflow_batched(
-            FlakyLink(endpoint.cluster, sacct_failures, lose_submission,
-                      lose_retrieval=lose_retrieval, lose_upload=lose_upload),
-            profile, registry,
+            FlakyLink(endpoint.cluster, faults), profile, registry,
             cellpose_descriptor, "cellpose", {}, items, batch_size,
             options=run_options(deadline_s=deadline_s),
             local_output_dir=str(tmp_path / "out"))

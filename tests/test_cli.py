@@ -18,7 +18,7 @@ from tests.conftest import (
     make_tiff_inputs,
     make_zarr_inputs,
 )
-from tests.test_orchestrator import FlakyLink, ReportsUnmapped, packs_damaged
+from tests.test_orchestrator import FIRST_POLL, FlakyLink, ReportsUnmapped, packs_damaged
 
 
 @pytest.fixture
@@ -411,7 +411,8 @@ class TestStatusLogsFetch:
     @pytest.mark.parametrize("endpoint_class, error", [
         # The polls at t=10, 20 and 30 are lost while the job runs on: the
         # launch that ends the run reads it RUNNING, and cancels it.
-        (lambda cluster: FlakyLink(slowed(cluster), [True] * 3), "AccountingUnavailable"),
+        (lambda cluster: FlakyLink(slowed(cluster), [
+            (FIRST_POLL + k, "lost-before") for k in range(3)]), "AccountingUnavailable"),
         (ReportsUnmapped, "UnknownState"),
     ], ids=["accounting", "unknown-state"])
     def test_status_after_the_poll_gave_up_makes_no_remote_call(

@@ -1,7 +1,8 @@
 """A deterministic launch-fault sweep: every launch of a few whole runs, an
-exec or the upload's copy, is lost in turn, before it runs and after it has
-run, and so is every pair of launches of one run, and each run must still
-keep criterion 11's promises.
+exec or the upload's copy, is broken in turn with each kind of fault that
+FlakyLink's one fault list takes (lost before it runs or after it ran, or
+answered empty or cut), every pair of launches of one run is lost, and
+each run must still keep criterion 11's promises.
 
 Each run with no fault or one fault must also end with the outcome that
 tests/data/sweep_outcomes.json records for it: its final stage, the sorted
@@ -17,10 +18,24 @@ import pytest
 
 from slurmbridge import orchestrator as orch
 from slurmbridge import slurm
+from slurmbridge.errors import SlurmBridgeError
 from slurmbridge.simslurm import FaultDirective, SimEndpoint
 from slurmbridge.states import JobState
+from tests import mutants
 from tests.conftest import make_tiff_inputs, make_zarr_inputs
-from tests.test_orchestrator import Events, FlakyLink, RemovesOnlyEnded, fast_options
+from tests.test_orchestrator import (
+    FIRST_POLL,
+    KINDS,
+    LOST,
+    SUBMISSION,
+    UPLOAD_COPY,
+    UPLOAD_MV,
+    UPLOAD_SHA256SUM,
+    Events,
+    FlakyLink,
+    RemovesOnlyEnded,
+    fast_options,
+)
 from tests.test_run_golden import SCENARIOS
 
 # name -> (input formats, RunOptions overrides, script whose job is forced
@@ -30,16 +45,14 @@ SWEPT = {name: (SCENARIOS[name][0], SCENARIOS[name][3], None)
 SWEPT["failed-conversion"] = (("tiff", "zarr"), {}, "batch1/convert.sh")
 # The launches each makes with no fault.
 LAUNCHES = {"tiff": 8, "tiff-zarr": 9, "deadline": 6, "failed-conversion": 8}
-# The name of each fault a launch of lose_launch is given, by its ran.
-FAULTS = {False: "lost-before", True: "lost-after", "empty": "empty", "cut": "cut"}
 OUTCOMES = os.path.join(os.path.dirname(__file__), "data", "sweep_outcomes.json")
 with open(OUTCOMES) as _table:
     EXPECTED = json.load(_table)
 
 
-def cell(lose_launch):
+def cell(faults):
     """The key of the outcome table for a run of no fault or one."""
-    return " ".join(f"{k} {FAULTS[ran]}" for k, ran in lose_launch) or "none"
+    return " ".join(f"{k} {kind}" for k, kind in faults) or "none"
 
 
 def outcome(record):
@@ -69,16 +82,15 @@ def swept_cluster(name, profile, registry, workdir):
     return cluster, orch.scan_input_dir(inputs), overrides
 
 
-def swept_run(name, profile, registry, descriptor, workdir, lose_launch):
-    """Run the named scenario on a FlakyLink that loses the launches of
-    lose_launch, (k, ran) pairs, and check what no fault may break: once a
+def swept_run(name, profile, registry, descriptor, workdir, faults):
+    """Run the named scenario on a FlakyLink with faults, and check what no fault may break: once a
     teardown answered, no job is live and nothing is left under data/;
     until one does, the run journals the cleanup that failed; and a run
     journals a cleanup before its Retrieving row; and a run of no fault or
     one ends with the outcome the table records. Returns the link, whether
     a teardown answered and the run's (stage, detail) rows."""
     cluster, items, overrides = swept_cluster(name, profile, registry, workdir)
-    link = FlakyLink(cluster, lose_launch=lose_launch)
+    link = FlakyLink(cluster, faults)
     events = Events()
     retrieving = []  # how many commands had run when the Retrieving row came
 
@@ -107,15 +119,15 @@ def swept_run(name, profile, registry, descriptor, workdir, lose_launch):
     assert {"zip", "base64"}.isdisjoint(cluster.ran[retrieving[0]:])
     stages = [stage for stage, _ in events]
     assert "cleanup" in stages[:stages.index(orch.RunStage.RETRIEVING.value)]
-    if len(lose_launch) < 2:
-        assert outcome(record) == EXPECTED[name][cell(lose_launch)]
+    if len(faults) < 2:
+        assert outcome(record) == EXPECTED[name][cell(faults)]
     return link, answered, events
 
 
 def test_the_outcome_table_holds_every_run_of_no_fault_or_one():
     assert {name: sorted(cells) for name, cells in EXPECTED.items()} == {
-        name: sorted([cell(())] + [cell([(k, ran)]) for k in range(LAUNCHES[name])
-                                   for ran in FAULTS])
+        name: sorted([cell(())] + [cell([(k, kind)]) for k in range(LAUNCHES[name])
+                                   for kind in KINDS])
         for name in SWEPT}
 
 
@@ -128,6 +140,17 @@ def test_a_run_with_no_fault_makes_the_launches_swept(name, sample_profile_regis
     assert answered
 
 
+def test_the_launches_that_faults_name_by_position(sample_profile_registry,
+                                                  cellpose_descriptor, tmp_path):
+    # A change in the order of a run's launches fails here, rather than
+    # moving, unseen, every fault that names a launch by its position.
+    profile, registry = sample_profile_registry
+    link, _, _ = swept_run("tiff", profile, registry, cellpose_descriptor, tmp_path, ())
+    assert [link.ran[k] for k in (UPLOAD_COPY, UPLOAD_SHA256SUM, UPLOAD_MV, SUBMISSION,
+                                  FIRST_POLL)] == [
+        [], ["sha256sum"], ["mv"], ["sh", "mkdir", "unzip", "sbatch", "rm"], ["sh", "squeue"]]
+
+
 @pytest.mark.parametrize("name,k,ran", [
     (name, k, ran) for name in sorted(SWEPT) for k in range(LAUNCHES[name])
     for ran in (False, True)])
@@ -135,7 +158,7 @@ def test_a_lost_launch_keeps_every_run_safe(name, k, ran, sample_profile_registr
                                             cellpose_descriptor, tmp_path):
     profile, registry = sample_profile_registry
     link, answered, _ = swept_run(name, profile, registry, cellpose_descriptor, tmp_path,
-                                  [(k, ran)])
+                                  [(k, LOST[ran])])
     assert link.launches > k  # the launch was made, and lost
     assert answered  # one lost launch leaves a later teardown to answer
 
@@ -153,16 +176,16 @@ def test_an_empty_or_cut_answer_keeps_every_run_safe(name, k, answer, sample_pro
                                        tmp_path / answer, [(k, answer)])
     assert link.launches > k
     assert answered
-    if k >= 3:
+    if k >= SUBMISSION:
         _, _, lost = swept_run(name, profile, registry, cellpose_descriptor, tmp_path / "lost",
-                               [(k, True)])
+                               [(k, "lost-after")])
         assert [stage for stage, _ in events] == [stage for stage, _ in lost]
 
 
 @pytest.mark.parametrize("first,second", [
-    ((k1, ran1), (k2, ran2))
+    ((k1, kind1), (k2, kind2))
     for k1, k2 in itertools.combinations(range(LAUNCHES["tiff"]), 2)
-    for ran1 in (False, True) for ran2 in (False, True)])
+    for kind1 in LOST for kind2 in LOST])
 def test_two_lost_launches_keep_the_tiff_run_safe(first, second, sample_profile_registry,
                                                   cellpose_descriptor, tmp_path):
     profile, registry = sample_profile_registry
@@ -178,7 +201,8 @@ def test_a_lost_submission_answer_and_teardown_leave_a_second_teardown(
     # close of the run's end makes another, which cancels the jobs.
     profile, registry = sample_profile_registry
     link, answered, events = swept_run("tiff", profile, registry, cellpose_descriptor,
-                                       tmp_path, [(3, True), (4, False)])
+                                       tmp_path, [(SUBMISSION, "lost-after"),
+                                                  (FIRST_POLL, "lost-before")])
     assert link.launches == 6
     assert answered
     assert [detail if stage == "cleanup" else stage for stage, detail in events
@@ -193,10 +217,25 @@ def test_a_run_whose_every_teardown_is_lost_journals_the_failed_cleanups(
     # the run's finally: no teardown answers.
     profile, registry = sample_profile_registry
     link, answered, events = swept_run("tiff", profile, registry, cellpose_descriptor,
-                                       tmp_path, [(0, False), (1, False), (2, False)])
+                                       tmp_path, [(k, "lost-before") for k in range(3)])
     assert link.launches == 3
     assert not answered
     assert events.count(("cleanup", "failed")) == 2
+
+
+def test_three_polls_lost_in_a_row_give_up_and_cancel_the_job(
+        sample_profile_registry, cellpose_descriptor, tmp_path):
+    # The tiff run's polls at t=5, 10 and 15 are lost while its job runs to
+    # t=20: the third gives up, and the launch that ends the run cancels the
+    # job and fails its batch.
+    profile, registry = sample_profile_registry
+    link, answered, events = swept_run("tiff", profile, registry, cellpose_descriptor,
+                                       tmp_path, [(FIRST_POLL + k, "lost-before")
+                                                  for k in range(3)])
+    assert link.fired == link.faults
+    assert answered
+    assert [stage for stage, _ in events].count("cancel") == 1
+    assert events[-1][0] == orch.RunStage.FAILED.value
 
 
 @pytest.mark.parametrize("ran", [False, True])
@@ -208,7 +247,7 @@ def test_an_interrupt_while_polling_tears_the_run_down_without_fetching(
     # nothing back.
     profile, registry = sample_profile_registry
     cluster, items, overrides = swept_cluster("tiff", profile, registry, tmp_path)
-    link = FlakyLink(cluster, lose_launch=[(4, ran)], lost_with=KeyboardInterrupt)
+    link = FlakyLink(cluster, [(FIRST_POLL, LOST[ran])], lost_with=KeyboardInterrupt)
     commands = []
     sim_exec = cluster.sim_exec
     cluster.sim_exec = lambda command: commands.append(command) or sim_exec(command)
@@ -235,6 +274,30 @@ def test_an_interrupt_while_polling_tears_the_run_down_without_fetching(
             if path.startswith("/scratch/omero/data/")] == []
 
 
+# Each known mutant and the runs of this sweep that catch it: a test of
+# this file and its arguments other than fixtures.
+CATCHES = {
+    "unguarded-poll": [(test_a_run_with_no_fault_makes_the_launches_swept, {"name": "tiff"})],
+    "poll-raises": [(test_three_polls_lost_in_a_row_give_up_and_cancel_the_job, {})],
+    "one-teardown": [(test_a_lost_submission_answer_and_teardown_leave_a_second_teardown, {})],
+}
+
+
+@pytest.mark.parametrize("name", sorted(mutants.MUTANTS))
+def test_the_sweep_catches_each_known_mutant(name, sample_profile_registry,
+                                             cellpose_descriptor, tmp_path, monkeypatch):
+    # Each run of the subset fails under the mutant, 3 times out of 3; the
+    # same runs pass unmutated, as tests of their own.
+    for attempt in range(3):
+        for test, args in CATCHES[name]:
+            with monkeypatch.context() as patch:
+                mutants.mutate(patch, name)
+                with pytest.raises((AssertionError, SlurmBridgeError)):
+                    test(sample_profile_registry=sample_profile_registry,
+                         cellpose_descriptor=cellpose_descriptor,
+                         tmp_path=tmp_path / f"{attempt}-{test.__name__}", **args)
+
+
 def _rewrite():
     """Write the outcome of every run of no fault or one to OUTCOMES."""
     import pathlib
@@ -248,16 +311,15 @@ def _rewrite():
     descriptor = descriptor_mod.parse_descriptor(json.dumps(CELLPOSE_DESCRIPTOR))
     table = {}
     for name in sorted(SWEPT):
-        faults = [()] + [[(k, ran)] for k in range(LAUNCHES[name]) for ran in FAULTS]
-        for lose_launch in faults:
+        for faults in [()] + [[(k, kind)] for k in range(LAUNCHES[name]) for kind in KINDS]:
             with tempfile.TemporaryDirectory() as workdir:
                 cluster, items, overrides = swept_cluster(name, profile, registry,
                                                           pathlib.Path(workdir))
                 record = orch.run_workflow_batched(
-                    FlakyLink(cluster, lose_launch=lose_launch), profile, registry,
+                    FlakyLink(cluster, faults), profile, registry,
                     descriptor, "cellpose", {}, items, 2, options=fast_options(**overrides),
                     local_output_dir=os.path.join(workdir, "out"))
-            table.setdefault(name, {})[cell(lose_launch)] = outcome(record)
+            table.setdefault(name, {})[cell(faults)] = outcome(record)
     # One run to a line, so that a diff shows what changed.
     with open(OUTCOMES, "w") as handle:
         handle.write("{\n" + ",\n".join(

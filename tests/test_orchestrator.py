@@ -92,98 +92,94 @@ class CountingEndpoint(SimEndpoint):
         return super().sleep(seconds)
 
 
-class FlakyLink(SimEndpoint):
-    """Loses the link on each poll launch, one holding a squeue or a sacct,
-    bare or framed by exec_many, whose entry in failures is true, before it
-    runs (launches past the end of the list go through); with lose_upload,
-    the program "sha256sum" or "mv", raises ConnectionLost right after the
-    upload's launch of that program has run remotely; with lose_submission, raises
-    lost_with right after the first launch holding an sbatch has run
-    remotely: a plain one, or one framed by exec_many, with or without a
-    guard before it, and with or without an sbatch that takes an earlier
-    one's job id; with lose_retrieval, raises ConnectionLost right after the first
-    launch in which a base64 ran remotely (a poll launch that went on to
-    bring the results back, or the retrieval launch; either also tears the
-    run down); and with garble, a (program, nth, lines) triple, answers the
-    nth launch (from 0) in which program ran with lines in place of that
-    program's output (of its first command of program, or with a fourth
-    item k of its kth from 0, if it is framed by exec_many), or, with
-    program None, the nth launch with lines in place of all its stdout; and
-    with lose_launch, (k, ran) pairs, raises lost_with at the kth
-    launch from 0 of each pair, an exec or the upload's copy, before it
-    runs or, with ran true, right after it has run; with ran "empty" or
-    "cut", the kth launch, an exec, runs and answers exit 0 with no output,
-    or with its stdout cut to its first half."""
+# The first launches of a run that uploads, by index from 0, as a fault
+# names them: the upload's copy, its sha256sum and its mv -T, the launch
+# that submits every job, and the first poll.
+UPLOAD_COPY, UPLOAD_SHA256SUM, UPLOAD_MV, SUBMISSION, FIRST_POLL = range(5)
 
-    def __init__(self, cluster, failures=(), lose_submission=False, lost_with=ConnectionLost,
-                 lose_retrieval=False, lose_upload=None, garble=None, lose_launch=()):
+# What a fault does to its launch, by its name in the sweep's outcome
+# table; LOST is indexed by whether the launch ran.
+LOST = ("lost-before", "lost-after")
+KINDS = LOST + ("empty", "cut")
+
+# A fault's kind: the launch answers lines in place of the stdout of its
+# which-th command (from 0) of program; a framed launch's own is its "sh".
+Answer = collections.namedtuple("Answer", "program lines which", defaults=[0])
+
+
+class FlakyLink(SimEndpoint):
+    """Breaks the launches its faults name. A fault is a pair (at, kind).
+    at is a launch's index k from 0, counting execs and the upload's copy,
+    or a program: the first launch in which that program ran, known only
+    once it ran, so not before the launch runs. kind is one of KINDS:
+    lost_with raised before the launch runs or right after it ran, or, for
+    an exec, an answer of exit 0 with no output or with its stdout cut to
+    its first half; or an Answer. ran lists the programs that ran in each
+    launch, and fired the faults that acted."""
+
+    def __init__(self, cluster, faults=(), lost_with=ConnectionLost):
         super().__init__(cluster)
-        self.lose_launch = set(lose_launch)
-        self.launches = 0
-        self.failures = iter(failures)
-        self.garble = garble
-        self.garble_seen = 0  # launches that ran the program garble names
-        self.lose_submission = lose_submission
-        self.lost_with = lost_with
-        self.lose_retrieval = lose_retrieval
-        self.lose_upload = lose_upload
+        self.faults, self.lost_with = list(faults), lost_with
+        self.fired, self.ran = [], []
+
+    @property
+    def launches(self):
+        return len(self.ran)
+
+    def _naming(self):
+        """The faults that name the launch being made."""
+        *earlier, now = self.ran
+        return [fault for fault in self.faults if fault[0] == len(earlier)
+                or fault[0] in now and not any(fault[0] in ran for ran in earlier)]
+
+    def _fires(self, kind):
+        """Whether a fault of kind names the launch being made; it goes to fired."""
+        fired = [fault for fault in self._naming() if fault[1] == kind]
+        self.fired += fired
+        return bool(fired)
+
+    def _answer(self, sim_exec, command):
+        """sim_exec's answer to a command of the launch being made, or an Answer's."""
+        which = self.ran[-1].count(command[0])
+        self.ran[-1].append(command[0])
+        result = sim_exec(command)
+        for fault in self._naming():
+            answer = fault[1]
+            if (isinstance(answer, Answer) and answer.program == command[0]
+                    and answer.which == which):
+                self.fired.append(fault)
+                result = dataclasses.replace(
+                    result, stdout="".join(line + "\n" for line in answer.lines))
+        return result
 
     def _launch(self, run):
-        """run() as one launch, counted, and lost if lose_launch names it."""
-        k = self.launches
-        self.launches += 1
-        if (k, False) in self.lose_launch:
-            raise self.lost_with(f"link dropped before launch {k} ran")
-        result = run()
-        if (k, True) in self.lose_launch:
-            raise self.lost_with(f"link dropped after launch {k} ran")
-        if result is not None and (k, "empty") in self.lose_launch:
-            return ExecResult(0, "", "")
-        if result is not None and (k, "cut") in self.lose_launch:
-            return dataclasses.replace(result, stdout=result.stdout[:len(result.stdout) // 2])
-        return result
+        """run() as one launch, broken as the faults that name it say."""
+        k, sim_exec = len(self.ran), self.cluster.sim_exec
+        self.ran.append([])
+        # Each command of a framed launch comes through here too, after its sh.
+        self.cluster.sim_exec = lambda command: self._answer(sim_exec, command)
+        try:
+            if self._fires("lost-before"):
+                raise self.lost_with(f"link dropped before launch {k} ran")
+            result = run()
+            if self._fires("lost-after"):
+                what = "the submission" if "sbatch" in self.ran[k] else f"launch {k}"
+                raise self.lost_with(f"link dropped after {what} ran")
+            if result is not None and self._fires("empty"):
+                return ExecResult(0, "", "")
+            if result is not None and self._fires("cut"):
+                return dataclasses.replace(result, stdout=result.stdout[:len(result.stdout) // 2])
+            return result
+        finally:
+            self.cluster.sim_exec = sim_exec
 
     def _copy_up(self, local, remote):
         copy_up = super()._copy_up
         self._launch(lambda: copy_up(local, remote))
 
     def exec(self, command, timeout=DEFAULT_DEADLINE_S):
-        return self._launch(lambda: self._answer(command, timeout))
-
-    def _answer(self, command, timeout):
-        framed = unframe_commands(command)
-        argvs = [command] if framed is None else [
-            getattr(argv, "argv", argv) for argv in framed[1] + framed[2]]
-        held = {argv[0] for argv in argvs}
-        if held & {"squeue", "sacct"} and next(self.failures, False):
-            raise ConnectionLost("accounting link dropped")
-        result = super().exec(command, timeout)
-        if command[0] == self.lose_upload:
-            self.lose_upload = None
-            raise ConnectionLost(f"link dropped after the upload's {command[0]} ran")
-        # A framed command that did not run has the status "-".
-        statuses = ["0"] if framed is None else re.findall(
-            f"\n{framed[0]} (\\d+|-)\n", result.stdout)
-        ran = {argv[0] for argv, status in zip(argvs, statuses) if status != "-"}
-        if self.lose_submission and "sbatch" in held:
-            self.lose_submission = False
-            raise self.lost_with("link dropped after the submission ran")
-        if self.lose_retrieval and "base64" in ran:
-            self.lose_retrieval = False
-            raise ConnectionLost("link dropped after the retrieval ran")
-        program, nth, lines, *which = self.garble or (None, -1, ())
-        if program is None or program in ran:
-            self.garble_seen += 1
-            if self.garble_seen == nth + 1:
-                text = "".join(line + "\n" for line in lines)
-                if framed is not None and program is not None:
-                    # Each framed command's output, then its marker.
-                    pieces = re.split(f"(\n{framed[0]} (?:\\d+|-)\n)", result.stdout)
-                    at = [k for k, argv in enumerate(argvs) if argv[0] == program]
-                    pieces[2 * at[which[0] if which else 0]] = text
-                    text = "".join(pieces)
-                result = dataclasses.replace(result, stdout=text)
-        return result
+        exec_one = super().exec
+        return self._launch(lambda: exec_one(command, timeout))
 
 
 class RewritesSacct(SimEndpoint):
@@ -701,13 +697,13 @@ class TestConversionPath:
         # cancelled all four jobs by name.
         endpoint, profile, registry, descriptor = run_env
         make_zarr_inputs(str(tmp_path / "inputs"), 4)
-        flaky = FlakyLink(endpoint.cluster, lose_submission=True)
+        flaky = FlakyLink(endpoint.cluster, [(SUBMISSION, "lost-after")])
         events = Events()
         record = orch.run_workflow_batched(
             flaky, profile, registry, descriptor, "cellpose", {},
             orch.scan_input_dir(str(tmp_path / "inputs")), 2, options=fast_options(),
             local_output_dir=str(tmp_path / "out"), listener=events)
-        assert not flaky.lose_submission
+        assert flaky.fired == flaky.faults
         assert record.overall_state is orch.RunStage.FAILED
         assert batch_errors(record) == batch_failures(events) == {
             0: "TransferFailed", 1: "TransferFailed"}
@@ -781,8 +777,8 @@ class TestRunWorkflowBatched:
         endpoint, profile, registry, descriptor = run_env
         events = Events()
         record = orch.run_workflow_batched(
-            FlakyLink(endpoint.cluster, [False] * 2 + [True] * 3), profile, registry,
-            descriptor, "cellpose", {}, tiff_items(tmp_path, 12), 2,
+            FlakyLink(endpoint.cluster, [(FIRST_POLL + k, "lost-before") for k in (2, 3, 4)]),
+            profile, registry, descriptor, "cellpose", {}, tiff_items(tmp_path, 12), 2,
             options=orch.RunOptions(), local_output_dir=str(tmp_path / "out"),
             listener=events)
         assert events[-1] == ("PartialFailure", "completed=4 failed=2")
@@ -1178,7 +1174,8 @@ def test_whole_runs_send_only_the_grammar(sample_profile_registry, cellpose_desc
     elif run == "damaged-upload":
         monkeypatch.setattr(orch, "pack_inputs", packs_damaged(orch.pack_inputs))
     elif run == "lost-link":
-        endpoint = FlakyLink(cluster, [True, False, True], lose_retrieval=True)
+        endpoint = FlakyLink(cluster, [(FIRST_POLL, "lost-before"),
+                                       (FIRST_POLL + 2, "lost-before"), ("base64", "lost-after")])
     record = orch.run_workflow_batched(
         endpoint, profile, registry, cellpose_descriptor, "cellpose", {},
         orch.scan_input_dir(str(tmp_path / "inputs")), 2, options=fast_options(),
@@ -1252,23 +1249,22 @@ _DAMAGED_LINES = st.lists(st.one_of(
     st.integers(1000, 20000).map(lambda n: "x" * n)), min_size=1, max_size=4)
 
 
-# program -> how many launches of the fault-free run run it: the run's sbatches
-# share one launch, its one sacct is in the launch that ends it, and its
-# sha256sum hashes the upload and then the bundle; with None, any launch.
-_RAN_IN = {None: 3, "sbatch": 1, "sacct": 1, "sha256sum": 2, "base64": 1}
+# (launch, program) of each answer of the fault-free run that the client
+# reads: the upload's sha256sum and mv, the submission launch's whole answer
+# and its sbatch, and, in the launch that ends the run, the run's one sacct
+# and the bundle's sha256sum and base64.
+_READ = [(UPLOAD_SHA256SUM, "sha256sum"), (UPLOAD_MV, "mv"), (SUBMISSION, "sh"),
+         (SUBMISSION, "sbatch"), ("sacct", "sacct"), ("sacct", "sha256sum"), ("sacct", "base64")]
 
 
 @settings(max_examples=60, deadline=None)
-@given(program_nth=st.sampled_from(sorted(_RAN_IN, key=str)).flatmap(
-           lambda program: st.tuples(st.just(program), st.integers(0, _RAN_IN[program] - 1))),
-       lines=_DAMAGED_LINES)
-def test_a_damaged_answer_ends_the_run_at_a_journaled_stage(tmp_path_factory, program_nth,
-                                                            lines):
+@given(read=st.sampled_from(_READ), lines=_DAMAGED_LINES)
+def test_a_damaged_answer_ends_the_run_at_a_journaled_stage(tmp_path_factory, read, lines):
     """The output of one command the client reads, or one launch's whole
     answer, is replaced by damaged lines: the run raises nothing and journals a final stage, every
     job is terminal, and once a teardown has answered nothing is left under
-    data/. Each (program, nth) drawn names a launch that the run makes."""
-    program, nth = program_nth
+    data/. Each answer drawn is one that the run reads."""
+    at, program = read
     profile, registry = config_mod.parse_config(SAMPLE_CONFIG)
     descriptor = descriptor_mod.parse_descriptor(json.dumps(CELLPOSE_DESCRIPTOR))
     workdir = tmp_path_factory.mktemp("run")
@@ -1277,7 +1273,7 @@ def test_a_damaged_answer_ends_the_run_at_a_journaled_stage(tmp_path_factory, pr
     cluster = SimCluster()
     slurm.init_environment(SimEndpoint(cluster), profile, registry)
     journal = str(workdir / "run.journal")
-    link = FlakyLink(cluster, garble=(program, nth, lines))
+    link = FlakyLink(cluster, [(at, Answer(program, lines))])
     record = orch.run_workflow_batched(
         link, profile, registry, descriptor, "cellpose", {},
         orch.scan_input_dir(str(workdir / "inputs")), 2,
@@ -1290,7 +1286,7 @@ def test_a_damaged_answer_ends_the_run_at_a_journaled_stage(tmp_path_factory, pr
     if any(stage == "cleanup" and detail.startswith("removed=") for stage, detail in rows):
         assert [path for path in list(cluster.fs.files) + list(cluster.fs.dirs)
                 if path.startswith("/scratch/omero/data/")] == []
-    assert link.garble_seen > nth  # the answer was damaged
+    assert link.fired == link.faults  # the answer was damaged
 
 
 @settings(max_examples=30, deadline=None)
@@ -1322,7 +1318,7 @@ def test_a_forged_job_id_removes_no_data_under_a_live_job(tmp_path_factory, whic
     slurm.init_environment(SimEndpoint(cluster), profile, registry)
     journal = str(workdir / "run.journal")
     record = orch.run_workflow_batched(
-        FlakyLink(cluster, garble=("sbatch", 0, [answer], which)), profile, registry,
+        FlakyLink(cluster, [(SUBMISSION, Answer("sbatch", [answer], which))]), profile, registry,
         descriptor, "cellpose", {}, orch.scan_input_dir(str(workdir / "inputs")), 2,
         options=fast_options(deadline_s=600), local_output_dir=str(workdir / "out"),
         listener=lambda stage, detail: cli.append_journal_row(journal, stage, detail))
@@ -1357,9 +1353,10 @@ class TestRunLifecycle:
         )
 
     def test_two_accounting_failures_cost_only_rounds(self, run_env, tmp_path):
-        endpoint = FlakyLink(run_env[0].cluster, [True, True])
+        endpoint = FlakyLink(run_env[0].cluster,
+                             [(FIRST_POLL, "lost-before"), (FIRST_POLL + 1, "lost-before")])
         record = self.run(endpoint, run_env, tmp_path)
-        assert list(endpoint.failures) == []
+        assert endpoint.fired == endpoint.faults
         assert record.overall_state is orch.RunStage.DONE
         assert all(batch.result_zip for batch in record.batches)
 
@@ -1424,7 +1421,8 @@ class TestRunLifecycle:
         assert all(batch.result_zip for batch in record.batches)
 
     @pytest.mark.parametrize("endpoint_class, error", [
-        (lambda cluster: FlakyLink(cluster, [True, True, True]), "AccountingUnavailable"),
+        (lambda cluster: FlakyLink(cluster, [(FIRST_POLL + i, "lost-before") for i in range(3)]),
+         "AccountingUnavailable"),
         # An unmapped token gives up on each job it is printed for.
         (ReportsUnmapped, "UnknownState"),
         # A line whose job id cannot be read gives up on each job that no
@@ -1452,10 +1450,11 @@ class TestRunLifecycle:
         # every batch fails, and the teardown removes the archive, staged
         # or in place.
         cluster = run_env[0].cluster
-        endpoint = FlakyLink(cluster, lose_upload=program)
+        k = {"sha256sum": UPLOAD_SHA256SUM, "mv": UPLOAD_MV}[program]
+        endpoint = FlakyLink(cluster, [(k, "lost-after")])
         events = Events()
         record = self.run(endpoint, run_env, tmp_path, listener=events)
-        assert endpoint.lose_upload is None
+        assert endpoint.fired == endpoint.faults
         assert record.overall_state is orch.RunStage.FAILED
         assert batch_errors(record) == batch_failures(events) == {
             0: "TransferFailed", 1: "TransferFailed"}
@@ -1467,10 +1466,10 @@ class TestRunLifecycle:
         cluster = run_env[0].cluster
         cluster.inject_fault(FaultDirective(script_substring="batch0/job.sh",
                                             forced_state=JobState.TIMEOUT))
-        endpoint = FlakyLink(cluster, lose_submission=True)
+        endpoint = FlakyLink(cluster, [(SUBMISSION, "lost-after")])
         events = Events()
         record = self.run(endpoint, run_env, tmp_path, listener=events)
-        assert not endpoint.lose_submission
+        assert endpoint.fired == endpoint.faults
         assert len(cluster.jobs) == 2
         assert_no_job_outlives_its_data(
             cluster, run_env[2].entry("cellpose").resources.time_limit_min)
@@ -1481,7 +1480,7 @@ class TestRunLifecycle:
     def test_interrupt_after_submission_orphans_no_job(self, run_env, tmp_path):
         # The run is interrupted before it records a single job id.
         cluster = run_env[0].cluster
-        endpoint = FlakyLink(cluster, lose_submission=True, lost_with=KeyboardInterrupt)
+        endpoint = FlakyLink(cluster, [(SUBMISSION, "lost-after")], lost_with=KeyboardInterrupt)
         with pytest.raises(KeyboardInterrupt):
             self.run(endpoint, run_env, tmp_path)
         assert len(cluster.jobs) == 2
@@ -1531,10 +1530,10 @@ class TestRunLifecycle:
         # was lost: one accounting failure. The next poll retrieves and
         # removes once more, finding no result and nothing left to remove.
         cluster = run_env[0].cluster
-        endpoint = FlakyLink(cluster, lose_retrieval=True)
+        endpoint = FlakyLink(cluster, [("base64", "lost-after")])
         events = Events()
         record = self.run(endpoint, run_env, tmp_path, listener=events)
-        assert not endpoint.lose_retrieval
+        assert endpoint.fired == endpoint.faults
         assert record.overall_state is orch.RunStage.FAILED
         assert batch_errors(record) == {0: "RetrievalFailed", 1: "RetrievalFailed"}
         rows = [(stage, detail) for stage, detail in events
@@ -1551,7 +1550,7 @@ class TestRunLifecycle:
         # that sacct still lists no job 99 and fails the batch, well before
         # the deadline.
         cluster = run_env[0].cluster
-        endpoint = FlakyLink(cluster, garble=("sbatch", 0, ["99"]))
+        endpoint = FlakyLink(cluster, [(SUBMISSION, Answer("sbatch", ["99"]))])
         events = Events()
         record = self.run(endpoint, run_env, tmp_path, listener=events, deadline_s=600)
         assert cluster.clock == 35
@@ -1739,13 +1738,13 @@ class TestLastPollRetrieves:
         make_zarr_inputs(str(tmp_path / "inputs"), 3)
         items = orch.scan_input_dir(str(tmp_path / "inputs"))
 
-        def run(lose_launch):
+        def run(faults):
             cluster = RemovesOnlyEnded(nodes=[{"cpus": 4, "gpus": 0, "mem_mb": 16384}])
             cluster.inject_fault(FaultDirective(script_substring="batch1/convert.sh",
                                                 forced_state=JobState.FAILED))
             cluster.inject_fault(FaultDirective(script_substring="job.sh", duration_s=10))
             slurm.init_environment(SimEndpoint(cluster), profile, registry)
-            link = FlakyLink(cluster, lose_launch=lose_launch)
+            link = FlakyLink(cluster, faults)
             events = Events()
             record = orch.run_workflow_batched(
                 link, profile, registry, descriptor, "cellpose", {}, items, 3,
@@ -1765,8 +1764,8 @@ class TestLastPollRetrieves:
         link, events = run(())
         assert [stage for stage, _ in events].count("cancel") == 1
         for k in range(link.launches):
-            for ran in (False, True, "empty", "cut"):
-                run([(k, ran)])
+            for kind in KINDS:
+                run([(k, kind)])
 
     def test_lagging_accounting_retrieves_once(self, run_env, tmp_path):
         # The poll at t=20 finds no job queued, but its sacct, the run's

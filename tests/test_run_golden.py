@@ -19,7 +19,15 @@ from slurmbridge import slurm
 from slurmbridge.simslurm import FaultDirective, SimCluster, SimEndpoint
 from slurmbridge.transport import ExecResult, unframe_commands
 from tests.conftest import make_tiff_inputs, make_zarr_inputs
-from tests.test_orchestrator import Events, FlakyLink, fast_options, packs_damaged
+from tests.test_orchestrator import (
+    FIRST_POLL,
+    SUBMISSION,
+    UPLOAD_SHA256SUM,
+    Events,
+    FlakyLink,
+    fast_options,
+    packs_damaged,
+)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "run_golden.json")
 
@@ -40,10 +48,12 @@ SCENARIOS = {
     "tiff-zarr": (("tiff", "zarr"), SimCluster, SimEndpoint, {}, False),
     "damaged-upload": (("tiff",), SimCluster, SimEndpoint, {}, True),
     "lost-submission": (("tiff", "zarr"), SimCluster,
-                        lambda cluster: FlakyLink(cluster, lose_submission=True), {}, False),
+                        lambda cluster: FlakyLink(cluster, [(SUBMISSION, "lost-after")]),
+                        {}, False),
     "deadline": (("tiff", "zarr"), SimCluster, SimEndpoint, {"deadline_s": 5}, False),
     "third-accounting-failure": (("tiff",), SimCluster,
-                                 lambda cluster: FlakyLink(cluster, [False, True, True, True]),
+                                 lambda cluster: FlakyLink(cluster, [
+                                     (FIRST_POLL + k, "lost-before") for k in (1, 2, 3)]),
                                  {}, False),
     "upload-unremovable": (("tiff",), UploadUnremovable, SimEndpoint, {}, False),
 }
@@ -130,7 +140,7 @@ def test_an_upload_digest_that_did_not_come_back_is_journaled(
     profile, registry = sample_profile_registry
     record = record_run(
         "tiff", profile, registry, cellpose_descriptor, str(tmp_path), monkeypatch,
-        lambda cluster: FlakyLink(cluster, lose_launch=[(1, "empty")]))
+        lambda cluster: FlakyLink(cluster, [(UPLOAD_SHA256SUM, "empty")]))
     [failed] = [detail for stage, detail in record["events"] if stage == "batch-failed"]
     assert re.fullmatch(r"batch=0 TransferFailed: /scratch/omero/data/<run>\.zip\.part: "
                         r"remote sha256 did not come back, local sha256 [0-9a-f]{64}", failed)

@@ -276,6 +276,27 @@ def test_guard_that_does_not_pass_keeps_the_run_dir(shell_run, shell_router, tmp
     assert data_left(profile) == []
 
 
+def test_a_failed_image_pull_reads_as_on_the_simulator(shell_router, sample_profile_registry,
+                                                       tmp_path):
+    """singularity exits 255 on FATAL, as ssh does when the link drops. The
+    pull's framed status tells the two apart, so a failed pull is the same
+    PullFailed through SshEndpoint as on the simulator."""
+    profile, registry = sample_profile_registry
+    profile = dataclasses.replace(profile, scratch_dir=str(tmp_path / "scratch"))
+    shell_router.stub("singularity", 'echo "FATAL: unable to pull $3" >&2\nexit 255\n')
+    cluster = SimCluster()
+    cluster.failing_pulls.update(["docker://demo/w_nucleisegmentation-cellpose:v1.2.9",
+                                  "docker://demo/converter-zarr-tiff:v1.0.0"])
+    reports = [slurm.init_environment(endpoint, profile, registry)
+               for endpoint in (SshEndpoint(profile), SimEndpoint(cluster))]
+    assert reports[0].failures == reports[1].failures == [
+        (name, f"image pull failed for {name!r} (exit 255): FATAL: unable to pull "
+               f"docker://demo/{image}")
+        for name, image in (("cellpose", "w_nucleisegmentation-cellpose:v1.2.9"),
+                            ("converter zarr->tiff", "converter-zarr-tiff:v1.0.0"))]
+    assert reports[0].pulled_images == reports[1].pulled_images == []
+
+
 def test_a_submission_over_the_argument_limit_fails_the_run(
         shell_router, sample_profile_registry, cellpose_descriptor, tmp_path):
     """500 TIFFs at batch size 1 make a submission launch whose command,

@@ -171,8 +171,9 @@ class TestInitEnvironment:
         endpoint, profile, registry = env
         launches = record_launches(endpoint)
         slurm.init_environment(endpoint, profile, registry)
-        assert [command[:2] for command in launches] == [
-            ["sh", "-c"], ["singularity", "pull"], ["singularity", "pull"]]
+        assert [command[:2] for command in launches] == [["sh", "-c"]] * 3
+        assert [[argv[:2] for argv in unframe_commands(command)[1]]
+                for command in launches[1:]] == [[["singularity", "pull"]]] * 2
         launches.clear()
         report = slurm.init_environment(endpoint, profile, registry)
         assert [command[0] for command in launches] == ["sh"]
@@ -188,7 +189,7 @@ class TestInitEnvironment:
     def test_lost_link_during_pulls_reported_per_image(self, env):
         class DropsPulls(SimEndpoint):
             def exec(self, command, timeout=DEFAULT_DEADLINE_S):
-                if command[0] == "singularity":
+                if unframe_commands(command)[1][0][0] == "singularity":
                     raise ConnectionLost("link dropped")
                 return super().exec(command, timeout)
 
