@@ -83,12 +83,13 @@ def swept_cluster(name, profile, registry, workdir):
 
 
 def swept_run(name, profile, registry, descriptor, workdir, faults):
-    """Run the named scenario on a FlakyLink with faults, and check what no fault may break: once a
-    teardown answered, no job is live and nothing is left under data/;
-    until one does, the run journals the cleanup that failed; and a run
-    journals a cleanup before its Retrieving row; and a run of no fault or
-    one ends with the outcome the table records. Returns the link, whether
-    a teardown answered and the run's (stage, detail) rows."""
+    """Run the named scenario on a FlakyLink with faults, and check what
+    no fault may break: once a teardown answered, no job is live and
+    nothing is left under data/; until one does, the run journals the
+    cleanup that failed; and a run journals a cleanup before its Retrieving
+    row; and a run of no fault or one ends with the outcome the table
+    records. Returns the link, whether a teardown answered and the run's
+    (stage, detail) rows."""
     cluster, items, overrides = swept_cluster(name, profile, registry, workdir)
     link = FlakyLink(cluster, faults)
     events = Events()
