@@ -14,15 +14,14 @@ from slurmbridge import orchestrator as orch
 MUTANTS = {
     # The poll's guard removed: each round's launch reads accounting,
     # brings the results back and removes the run data, whatever squeue
-    # would have listed queued (mended in PRs 27-29).
+    # would have listed queued.
     "unguarded-poll": (orch._Run, "end", "None if guard else self.job_name, guard)",
                        "None if guard else self.job_name, ())"),
     # The third accounting failure in a row raises out of the run where it
-    # should give up and end it (mended in PR 23).
+    # should give up and end it.
     "poll-raises": (orch, "_poll", "give_up = AccountingUnavailable(str(exc))", "raise"),
     # The run's finally makes no second teardown when the first one's
-    # answer was lost: only the first close of a run makes a launch
-    # (mended in PR 33).
+    # answer was lost: only the first close of a run makes a launch.
     "one-teardown": (orch._Run, "close", "if self.torn_down:\n        return\n",
                      "if self.torn_down or vars(self).get('closed'):\n        return\n"
                      "    self.closed = True\n"),

@@ -29,12 +29,12 @@ from slurmbridge.states import (
 from tests.conftest import SAMPLE_CONFIG, make_tiff_inputs, make_zarr_inputs, record_signature
 from tests.test_descriptor import descriptors, descriptors_with_values, validated
 from tests.test_orchestrator import (
-    FIRST_POLL,
     SUBMISSION,
     UPLOAD_MV,
     UPLOAD_SHA256SUM,
     FlakyLink,
     GrammarOnly,
+    Holding,
     assert_no_job_outlives_its_data,
 )
 from tests.test_simslurm import brute_force_aggregate, random_schedule
@@ -390,14 +390,15 @@ def test_criterion_11_no_job_outlives_its_data(cellpose_descriptor, tmp_path):
                 endpoint.cluster.inject_fault(FaultDirective(
                     script_substring=f"batch{index}/{script}", forced_state=state))
         # The submission, the launch that brings the results back and the
-        # upload's sha256sum or mv are lost after they ran, and so is each
-        # drawn launch from the first poll on: a poll's answer, or, past the
-        # polls, a teardown's. A teardown lost before it runs, each time, is
-        # a link that never comes back, which the sweep checks apart.
+        # upload's sha256sum or mv are lost after they ran; each drawn
+        # launch that holds a squeue or a sacct (a poll, the guarded launch
+        # that ends the run, or the ending after a give-up) is lost before
+        # it runs. The finally's teardown holds neither, so no draw loses it.
         faults = [(at, "lost-after") for at, lost in (
             (SUBMISSION, submission_lost), ("base64", retrieval_lost),
             (upload_lost, upload_lost is not None)) if lost]
-        faults += [(FIRST_POLL + k, "lost-after") for k, lost in enumerate(lost_polls) if lost]
+        faults += [(Holding({"squeue", "sacct"}, n), "lost-before")
+                   for n, lost in enumerate(lost_polls) if lost]
         orch.run_workflow_batched(
             FlakyLink(endpoint.cluster, faults), profile, registry,
             cellpose_descriptor, "cellpose", {}, items, batch_size,

@@ -137,7 +137,7 @@ def test_a_run_with_no_fault_makes_the_launches_swept(name, sample_profile_regis
                                                       cellpose_descriptor, tmp_path):
     profile, registry = sample_profile_registry
     link, answered, _ = swept_run(name, profile, registry, cellpose_descriptor, tmp_path, ())
-    assert link.launches == LAUNCHES[name]
+    assert len(link.ran) == LAUNCHES[name]
     assert answered
 
 
@@ -159,8 +159,8 @@ def test_a_lost_launch_keeps_every_run_safe(name, k, ran, sample_profile_registr
                                             cellpose_descriptor, tmp_path):
     profile, registry = sample_profile_registry
     link, answered, _ = swept_run(name, profile, registry, cellpose_descriptor, tmp_path,
-                                  [(k, LOST[ran])])
-    assert link.launches > k  # the launch was made, and lost
+                                  [(k, "lost-after" if ran else "lost-before")])
+    assert len(link.ran) > k  # the launch was made, and lost
     assert answered  # one lost launch leaves a later teardown to answer
 
 
@@ -175,7 +175,7 @@ def test_an_empty_or_cut_answer_keeps_every_run_safe(name, k, answer, sample_pro
     profile, registry = sample_profile_registry
     link, answered, events = swept_run(name, profile, registry, cellpose_descriptor,
                                        tmp_path / answer, [(k, answer)])
-    assert link.launches > k
+    assert len(link.ran) > k
     assert answered
     if k >= SUBMISSION:
         _, _, lost = swept_run(name, profile, registry, cellpose_descriptor, tmp_path / "lost",
@@ -204,7 +204,7 @@ def test_a_lost_submission_answer_and_teardown_leave_a_second_teardown(
     link, answered, events = swept_run("tiff", profile, registry, cellpose_descriptor,
                                        tmp_path, [(SUBMISSION, "lost-after"),
                                                   (FIRST_POLL, "lost-before")])
-    assert link.launches == 6
+    assert len(link.ran) == 6
     assert answered
     assert [detail if stage == "cleanup" else stage for stage, detail in events
             if stage in ("cancel", "cleanup", orch.RunStage.RETRIEVING.value)] == [
@@ -219,7 +219,7 @@ def test_a_run_whose_every_teardown_is_lost_journals_the_failed_cleanups(
     profile, registry = sample_profile_registry
     link, answered, events = swept_run("tiff", profile, registry, cellpose_descriptor,
                                        tmp_path, [(k, "lost-before") for k in range(3)])
-    assert link.launches == 3
+    assert len(link.ran) == 3
     assert not answered
     assert events.count(("cleanup", "failed")) == 2
 
@@ -248,7 +248,8 @@ def test_an_interrupt_while_polling_tears_the_run_down_without_fetching(
     # nothing back.
     profile, registry = sample_profile_registry
     cluster, items, overrides = swept_cluster("tiff", profile, registry, tmp_path)
-    link = FlakyLink(cluster, [(FIRST_POLL, LOST[ran])], lost_with=KeyboardInterrupt)
+    link = FlakyLink(cluster, [(FIRST_POLL, "lost-after" if ran else "lost-before")],
+                     lost_with=KeyboardInterrupt)
     commands = []
     sim_exec = cluster.sim_exec
     cluster.sim_exec = lambda command: commands.append(command) or sim_exec(command)
@@ -263,7 +264,7 @@ def test_an_interrupt_while_polling_tears_the_run_down_without_fetching(
             link, profile, registry, cellpose_descriptor, "cellpose", {}, items, 2,
             options=fast_options(**overrides), local_output_dir=str(tmp_path / "out"),
             listener=listener, run_id="stopped")
-    assert link.launches == 6
+    assert len(link.ran) == 6
     [mark] = cancelled  # one teardown
     teardown = commands[mark:]
     assert teardown[0][:2] == ["sh", "-c"]

@@ -92,72 +92,69 @@ class CountingEndpoint(SimEndpoint):
         return super().sleep(seconds)
 
 
-# The first launches of a run that uploads, by index from 0, as a fault
-# names them: the upload's copy, its sha256sum and its mv -T, the launch
-# that submits every job, and the first poll.
+# The first launches of a run that uploads, by index from 0: the upload's
+# copy, sha256sum and mv -T, the submission and the first poll.
 UPLOAD_COPY, UPLOAD_SHA256SUM, UPLOAD_MV, SUBMISSION, FIRST_POLL = range(5)
-
-# What a fault does to its launch, by its name in the sweep's outcome
-# table; LOST is indexed by whether the launch ran.
+# What a fault does to its launch, by its name in the sweep's outcome table.
 LOST = ("lost-before", "lost-after")
 KINDS = LOST + ("empty", "cut")
-
-# A fault's kind: the launch answers lines in place of the stdout of its
+# A fault's launch: the nth (from 0) that holds one of programs.
+Holding = collections.namedtuple("Holding", "programs n")
+# A fault's kind: the client reads lines as the stdout of the launch's
 # which-th command (from 0) of program; a framed launch's own is its "sh".
 Answer = collections.namedtuple("Answer", "program lines which", defaults=[0])
 
 
 class FlakyLink(SimEndpoint):
     """Breaks the launches its faults name. A fault is a pair (at, kind).
-    at is a launch's index k from 0, counting execs and the upload's copy,
-    or a program: the first launch in which that program ran, known only
-    once it ran, so not before the launch runs. kind is one of KINDS:
-    lost_with raised before the launch runs or right after it ran, or, for
-    an exec, an answer of exit 0 with no output or with its stdout cut to
-    its first half; or an Answer. ran lists the programs that ran in each
-    launch, and fired the faults that acted."""
+    at is a launch's index k from 0, counting execs and the upload's copy;
+    a program, for the first launch in which it ran (so never before it
+    runs); or a Holding. kind is one of KINDS: lost_with raised before the
+    launch runs or right after it ran, or, for an exec, exit 0 with no
+    output or with its stdout cut to its first half; or an Answer. held
+    and ran list the programs each launch holds and ran, and fired the
+    faults that acted."""
 
     def __init__(self, cluster, faults=(), lost_with=ConnectionLost):
         super().__init__(cluster)
         self.faults, self.lost_with = list(faults), lost_with
-        self.fired, self.ran = [], []
+        self.fired, self.held, self.ran = [], [], []
+        self.framing = []  # the programs of the exec_many whose exec is next
 
-    @property
-    def launches(self):
-        return len(self.ran)
-
-    def _naming(self):
-        """The faults that name the launch being made."""
+    def _names(self, at):
+        """Whether at names the launch being made."""
         *earlier, now = self.ran
-        return [fault for fault in self.faults if fault[0] == len(earlier)
-                or fault[0] in now and not any(fault[0] in ran for ran in earlier)]
+        if isinstance(at, Holding):
+            holding = [not set(at.programs).isdisjoint(held) for held in self.held]
+            return holding[-1] and sum(holding) == at.n + 1
+        return at == len(earlier) or at in now and not any(at in ran for ran in earlier)
 
     def _fires(self, kind):
         """Whether a fault of kind names the launch being made; it goes to fired."""
-        fired = [fault for fault in self._naming() if fault[1] == kind]
+        fired = [fault for fault in self.faults if fault[1] == kind and self._names(fault[0])]
         self.fired += fired
         return bool(fired)
 
-    def _answer(self, sim_exec, command):
-        """sim_exec's answer to a command of the launch being made, or an Answer's."""
-        which = self.ran[-1].count(command[0])
-        self.ran[-1].append(command[0])
-        result = sim_exec(command)
-        for fault in self._naming():
-            answer = fault[1]
-            if (isinstance(answer, Answer) and answer.program == command[0]
-                    and answer.which == which):
-                self.fired.append(fault)
-                result = dataclasses.replace(
-                    result, stdout="".join(line + "\n" for line in answer.lines))
-        return result
+    def _answered(self, results, programs):
+        """results, what the client reads of the launch just made, one per
+        command of programs, with the Answers that name the launch in."""
+        for at, answer in self.faults:
+            if isinstance(answer, Answer) and self._names(at):
+                picked = [k for k, program in enumerate(programs) if program == answer.program]
+                for k in picked[answer.which:answer.which + 1]:  # the which-th, if any
+                    if results[k] is not None:
+                        self.fired.append((at, answer))
+                        stdout = "".join(f"{line}\n" for line in answer.lines)
+                        results[k] = dataclasses.replace(results[k], stdout=stdout)
+        return results
 
-    def _launch(self, run):
-        """run() as one launch, broken as the faults that name it say."""
+    def _launch(self, held, run):
+        """run() as one launch that holds held, broken as its faults say."""
         k, sim_exec = len(self.ran), self.cluster.sim_exec
+        self.held.append(held)
         self.ran.append([])
         # Each command of a framed launch comes through here too, after its sh.
-        self.cluster.sim_exec = lambda command: self._answer(sim_exec, command)
+        self.cluster.sim_exec = lambda command: self.ran[k].append(command[0]) or sim_exec(command)
         try:
             if self._fires("lost-before"):
                 raise self.lost_with(f"link dropped before launch {k} ran")
@@ -175,11 +172,19 @@ class FlakyLink(SimEndpoint):
 
     def _copy_up(self, local, remote):
         copy_up = super()._copy_up
-        self._launch(lambda: copy_up(local, remote))
+        self._launch([], lambda: copy_up(local, remote))
 
     def exec(self, command, timeout=DEFAULT_DEADLINE_S):
+        held, self.framing = self.framing or command[:1], []
         exec_one = super().exec
-        return self._launch(lambda: exec_one(command, timeout))
+        return self._answered([self._launch(held, lambda: exec_one(command, timeout))],
+                              command[:1])[0]
+
+    def exec_many(self, commands, then=()):
+        # Its one launch is the exec it makes, which holds these programs.
+        programs = self.framing = [getattr(argv, "argv", argv)[0] for argv in [*commands, *then]]
+        results = super().exec_many(commands, then)
+        return self._answered(results, programs) if results else results
 
 
 class RewritesSacct(SimEndpoint):
@@ -1763,7 +1768,7 @@ class TestLastPollRetrieves:
 
         link, events = run(())
         assert [stage for stage, _ in events].count("cancel") == 1
-        for k in range(link.launches):
+        for k in range(len(link.ran)):
             for kind in KINDS:
                 run([(k, kind)])
 
