@@ -293,9 +293,10 @@ def _read_journal(runs_dir, run_id):
 @_simulate_option
 def cmd_status(run_id, runs_dir, config_path, simulate):
     """Show the stage journal of a run and its state, the last run stage
-    journaled, plus the live states of its jobs while it is not terminal."""
+    journaled, plus, while it is not terminal, the state of each job that
+    accounting lists under the run's name."""
     lines = _read_journal(runs_dir, run_id)
-    handles = _journal_handles(lines, run_id)
+    _journal_handles(lines, run_id)  # a damaged submit row is a damaged journal, as for logs
     for timestamp, stage, detail in lines:
         click.echo(f"time={timestamp}\tstage={stage}\tdetail={detail}")
     stages = {stage.value for stage in orchestrator.RunStage}
@@ -303,17 +304,15 @@ def cmd_status(run_id, runs_dir, config_path, simulate):
     if final is None:
         _fail(f"journal of run {run_id} records no run stage")
     click.echo(f"state={final}")
-    if handles and final not in {s.value for s in orchestrator.TERMINAL_STAGES}:
+    if final not in {s.value for s in orchestrator.TERMINAL_STAGES}:
         profile, _ = _load_config(config_path)
         with _endpoint(profile, simulate) as endpoint:
             try:
-                states = slurm.poll_jobs(endpoint, handles)
+                jobs = slurm.poll_jobs(endpoint, slurm.run_job_name(run_id), slurm.SINCE_EVER)
             except SlurmBridgeError as exc:
                 _fail(str(exc), code=EXIT_RUN_FAILURE)
-        # A job that sacct does not list yet is pending; one whose state
-        # cannot be read shows the error.
-        for job_id in sorted({handle.job_id for handle in handles}):
-            state = states.get(job_id, JobState.PENDING)
+        # A job whose state cannot be read shows the error.
+        for job_id, state in sorted(jobs.values(), key=lambda job: job[0]):
             click.echo(f"job={job_id}\tstate={getattr(state, 'value', state)}")
     sys.exit(EXIT_OK)
 

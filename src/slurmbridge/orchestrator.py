@@ -224,84 +224,100 @@ class _Run:
     paths: list  # slurm.run_data_paths: the run dir, the input archive beside it, its staging file
     logs_dir: str  # Slurm logs of this run only; they outlive the cleanup of the run dir
     job_name: str
-    # (batch index, job kind) -> handle of each job not yet seen terminal;
-    # two sbatch answers may name one job id
+    # (batch dir, job kind) of each job not yet seen terminal -> None, or,
+    # while no squeue or sacct has listed a job whose submission's answer was
+    # lost, the TransferFailed of that loss
     live: dict = field(default_factory=dict)
-    listed: set = frozenset()  # the job ids this round's guard found queued
+    since: str = slurm.SINCE_EVER  # the -S of the run's sacct
+    listed: set = frozenset()  # the (batch dir, kind) of each job this round's guard found queued
     torn_down: bool = False  # whether a launch that removed the run data answered
     bundle: object = None  # the bytes, or error, that the launch that tore the run down sent
 
     def end(self, guard=()):
         """One launch, slurm.fetch_results: the guard's commands, then, only
-        if each exited 0, the run's one sacct of its live jobs, the results
+        if each exited 0, the run's one sacct of its jobs, the results
         bundle of the out dir of every batch with no error and of the logs
         dir, and the teardown. Keeps the bundle, or the error of a lost
         answer, which it raises; journals the cleanup, then settles the live
-        jobs by that sacct. A guard that fails keeps the job ids it lists
-        (slurm.queued_ids raises AccountingUnavailable for a squeue that
-        failed); when they name no live workflow job, only jobs the run no
-        longer waits for are queued (tasks of a failed conversion array, or
-        a job whose id the run never read), and the run ends at once, with
-        no guard. The launch with no guard, also the one that ends a
-        give-up, journals and sends the cancel of every job of the run's
-        name, and holds out of the bundle and of the settling each batch
-        whose workflow job this round's guard listed: that job runs on until
-        the cancel, so its batch fails."""
-        waited = {h.job_id for (_, kind), h in self.live.items() if kind == "workflow"}
+        jobs by that sacct. A guard that fails keeps the (batch dir, kind)
+        of each job it lists (slurm.queued_ids raises AccountingUnavailable
+        for a squeue that failed); when they name no live workflow job, only
+        jobs the run no longer waits for are queued (tasks of a failed
+        conversion array), and the run ends at once, with no guard. The
+        launch with no guard, also the one that ends a give-up, journals and
+        sends the cancel of every job of the run's name, and holds out of
+        the bundle and of the settling each batch whose workflow job this
+        round's guard listed: that job runs on until the cancel, so its
+        batch fails."""
+        waited = {key for key in self.live if key[1] == "workflow"}
         held = set() if guard else self.listed & waited
         self.listed = frozenset()  # until this round's guard lists what is queued
         if not guard:
-            self.cancelling()
+            self.emit("cancel", f"name={self.job_name}")
         try:
             ran, fetched = slurm.fetch_results(
-                self.endpoint, self.live.values(),
+                self.endpoint, self.job_name, self.since,
                 [posixpath.join(b.remote_dir, "out") for b in self.record.batches
-                 if b.error is None and b.workflow_handle.job_id not in held] + [self.logs_dir],
-                posixpath.join(self.paths[0], "bundle.zip"), self.paths,
-                None if guard else self.job_name, guard)
+                 if b.error is None and (b.remote_dir, "workflow") not in held]
+                + [self.logs_dir],
+                posixpath.join(self.paths[0], "bundle.zip"), self.paths, not guard, guard)
         except TransportError as exc:
             self.bundle = exc  # unless a later launch brings the bundle back
             raise
         if fetched is None:
             self.listed = slurm.queued_ids(ran[0])
+            self.live.update(dict.fromkeys(self.listed & self.live.keys()))
             if self.listed.isdisjoint(waited):
                 self.end()
             return
         accounting, self.bundle, removed = fetched
         self.torn_down = True
         self.emit("cleanup", f"removed={len(removed)}")
-        self.settle({job: state for job, state in
-                     slurm.job_states(accounting, self.live.values()).items() if job not in held})
+        self.settle({key: job for key, job in slurm.job_states(accounting, self.live).items()
+                     if key not in held})
 
-    def settle(self, states, gone=False):
-        """Apply states, job id -> JobState or error as job_states gives
-        them, to the live jobs: each terminal one leaves live, a workflow
-        job's state becomes its batch's, journaled as `batch-terminal`, and
-        a conversion array that did not complete fails its batch; a job
-        whose state could not be read leaves live and fails its batch with
-        that error. With gone, a live job that states do not list is gone
-        too, and fails its batch."""
-        for (index, kind), handle in list(self.live.items()):
-            batch = self.record.batches[index]
-            state = states.get(handle.job_id)
-            if (state is None and not gone) or not getattr(state, "terminal", True):
+    def settle(self, jobs, gone=False):
+        """Apply jobs, (batch dir, kind) -> (job id, JobState or error) as
+        slurm.job_states gives them, to the live jobs: the first time a job
+        is listed its handle is kept and its `submit` row journaled; each
+        terminal one leaves live, a workflow job's state becomes its
+        batch's, journaled as `batch-terminal`, and a conversion array that
+        did not complete fails its batch; a job whose state could not be
+        read leaves live and fails its batch with that error. A live job
+        that jobs do not list is gone too when no squeue or sacct has listed
+        it since its submission's answer was lost, and fails its batch with
+        that TransferFailed; with gone, every one is, failing its batch with
+        UnparseableJobId when its submission answered."""
+        batches = {b.remote_dir: b for b in self.record.batches}
+        for (work_dir, kind), lost in list(self.live.items()):
+            batch = batches[work_dir]
+            job_id, state = jobs.get((work_dir, kind), (None, None))
+            if job_id is not None and getattr(batch, f"{kind}_handle") is None:
+                self.submitted(batch, kind, job_id)
+            if (state is None and not gone and lost is None) \
+                    or not getattr(state, "terminal", True):
                 continue
-            del self.live[index, kind]
+            del self.live[work_dir, kind]
             if not isinstance(state, JobState):
-                _fail(batch, state or UnparseableJobId(
-                    f"job {handle.job_id} is neither queued nor in accounting"))
+                _fail(batch, state or lost or UnparseableJobId(
+                    f"{kind} job of batch {batch.index} is neither queued nor in accounting"))
             elif kind == "workflow":
                 batch.state = state
                 self.emit("batch-terminal", f"batch={batch.index} state={state.value}")
             elif state is not JobState.COMPLETED:
-                _fail(batch, ConversionFailed(
-                    f"conversion job {handle.job_id} ended {state.value}"))
+                _fail(batch, ConversionFailed(f"conversion job {job_id} ended {state.value}"))
 
-    def cancelling(self):
-        """Journal the cancel of every job of the run's name, naming each
-        job not yet seen terminal."""
-        self.emit("cancel", f"name={self.job_name} job_ids="
-                  + ",".join(dict.fromkeys(str(h.job_id) for h in self.live.values())))
+    def submitted(self, batch, kind, job_id):
+        """Keep the handle of the batch's job of kind, which accounting
+        lists as job_id, and journal its `submit` row."""
+        tasks = batch.conversion_tasks if kind == "conversion" else None
+        setattr(batch, f"{kind}_handle", slurm.JobHandle(job_id, tasks))
+        detail = f"batch={batch.index} kind={kind} job_id={job_id}"
+        if tasks:
+            detail += f" tasks={tasks}"
+        elif batch.conversion_tasks:
+            detail += f" after={getattr(batch.conversion_handle, 'job_id', None)}"
+        self.emit("submit", detail)
 
     def emit(self, stage, detail):
         if isinstance(stage, RunStage):
@@ -312,30 +328,34 @@ class _Run:
 
     def close(self, fetch):
         """No job may outlive its data: unless a launch that tore the run
-        down answered, one launch cancels the run's jobs by name, as one may
-        be live whose id the run never read (its submission's answer was
+        down answered, a launch cancels the run's jobs by name, as one may
+        be live that accounting has not listed (its submission's answer was
         lost, or the run was interrupted first) or an array whose failed
         parent state hides running tasks, and removes the run data and the
         uploaded archive, should it be left. Both are idempotent; logs stay.
         With fetch, that launch is end's with no guard: it first reads
-        accounting and brings back what completed."""
-        if self.torn_down:
-            return
-        try:
-            if fetch:
-                self.end()
-            else:
-                self.cancelling()
-                removed = slurm.cleanup_run(self.endpoint, self.paths, self.job_name)
-                self.torn_down = True
-                self.emit("cleanup", f"removed={len(removed)}")
-        except SlurmBridgeError:  # a lost answer, or accounting that could not be read
-            if not self.torn_down:
-                self.emit("cleanup", "failed")
+        accounting and brings back what completed. A launch whose answer is
+        lost is made again, up to three in all, the poll's own bound on lost
+        answers in a row."""
+        for _ in range(3):
+            if self.torn_down:
+                return
+            try:
+                if fetch:
+                    self.end()
+                else:
+                    self.emit("cancel", f"name={self.job_name}")
+                    removed = slurm.cleanup_run(self.endpoint, self.paths, self.job_name)
+                    self.torn_down = True
+                    self.emit("cleanup", f"removed={len(removed)}")
+            except SlurmBridgeError:  # a lost answer, or accounting that could not be read
+                if not self.torn_down:
+                    self.emit("cleanup", "failed")
 
 
 def _fail(batch, exc):
-    batch.error = exc
+    """Fail the batch with exc, unless an earlier error failed it first."""
+    batch.error = batch.error or exc
     batch.state = JobState.FAILED
 
 
@@ -439,18 +459,22 @@ def _upload(run, archive):
             run.endpoint.put_file(archive, run.paths[1])
     except TransportError as exc:
         for batch in run.record.batches:
-            if batch.error is None:
-                _fail(batch, TransferFailed(str(exc)))
+            _fail(batch, TransferFailed(str(exc)))
 
 
 def _submit(run):
-    """Stage: one launch makes the dirs and unpacks the archive and, only if
-    both exited 0, submits every batch's first job, its conversion array or
-    else its workflow job, and then the workflow job of each converting
-    batch, after its array: Slurm starts one once the array completed, and
-    cancels it unstarted if the array failed. It removes the archive last;
-    a failed removal holds nothing back, and the teardown removes the
-    archive. A lost answer fails every batch, though its jobs may run."""
+    """Stage: one launch reads the cluster's clock, from which the run's
+    sacct starts (slurm.since), makes the dirs and unpacks the archive and,
+    only if both exited 0, submits every batch's first job, its conversion
+    array or else its workflow job, and then the workflow job of each
+    converting batch, after its array: Slurm starts one once the array
+    completed, and cancels it unstarted if the array failed. It removes the
+    archive last; a failed removal holds nothing back, and the teardown
+    removes the archive. Each job submitted goes live, keyed by its batch
+    dir and kind, by which the polls find it. A lost answer costs no batch
+    yet: every job the launch would submit goes live, and one that neither
+    a poll's squeue nor the sacct of the launch that tears the run down
+    lists fails its batch with TransferFailed."""
     run.emit(RunStage.QUEUED, "submitting jobs")
     queued = [b for b in run.record.batches if b.error is None]
     if not queued:
@@ -459,55 +483,47 @@ def _submit(run):
     # workflow job if 0, to start once job `after` completed (None: at once).
     jobs = [(b, b.conversion_tasks, None) for b in queued]
     jobs += [(b, 0, k) for k, b in enumerate(queued) if b.conversion_tasks]
+    keys = [(b.remote_dir, "conversion" if tasks else "workflow") for b, tasks, _ in jobs]
     run_dir, upload, _ = run.paths
     try:
-        made, unpacked, *handles = slurm.submit_job(
+        date, made, unpacked, *submitted = slurm.submit_job(
             run.endpoint,
-            [(posixpath.join(b.remote_dir, "convert.sh" if tasks else "job.sh"),
-              tasks or None, after) for b, tasks, after in jobs],
+            [(posixpath.join(b.remote_dir, "convert.sh" if tasks else "job.sh"), after)
+             for b, tasks, after in jobs],
             run.job_name,
-            [["mkdir", "-p", run.logs_dir] + [posixpath.join(b.remote_dir, name)
-                                              for b in queued for name in ("out", "gt")],
+            [slurm.DATE, ["mkdir", "-p", run.logs_dir] + [
+                posixpath.join(b.remote_dir, name) for b in queued for name in ("out", "gt")],
              ["unzip", "-q", upload, "-d", run_dir]],
             last=[["rm", "-f", upload]])
-        failed = next((f"remote {step} failed: {result.stderr.strip()}"
-                       for step, result in (("mkdir", made), ("unpack", unpacked))
-                       if not result.ok), None)
     except TransportError as exc:
-        failed = str(exc)  # inputs never known to have arrived count as a failed transfer
+        run.live.update(dict.fromkeys(keys, TransferFailed(str(exc))))
+        return
+    failed = next((f"remote {step} failed: {result.stderr.strip()}"
+                   for step, result in (("mkdir", made), ("unpack", unpacked))
+                   if not result.ok), None)
     if failed is not None:
         for batch in queued:
             _fail(batch, TransferFailed(failed))
         return
-    for (batch, tasks, after), handle in zip(jobs, handles):
-        if handle is None:
-            continue  # not submitted: the job it depends on was not
-        if isinstance(handle, SlurmBridgeError):
-            _fail(batch, handle)
-            continue
-        run.live[batch.index, "conversion" if tasks else "workflow"] = handle
-        if tasks:
-            batch.conversion_handle = handle
-            detail = f"kind=conversion job_id={handle.job_id} tasks={tasks}"
-        else:
-            batch.workflow_handle = handle
-            detail = f"kind=workflow job_id={handle.job_id}"
-            if after is not None:
-                detail += f" after={getattr(handles[after], 'job_id', None)}"
-        run.emit("submit", f"batch={batch.index} {detail}")
+    run.since = slurm.since(date)
+    for (batch, _, _), key, outcome in zip(jobs, keys, submitted):
+        if isinstance(outcome, SlurmBridgeError):
+            _fail(batch, outcome)
+        elif outcome:  # None: not submitted, as the job it depends on was not
+            run.live[key] = None
 
 
 def _poll(run, options):
     """Stage: one poll loop over every live job, and every remote call of
     the run after its submission. It sleeps before each poll, as no job can
     have ended at once. Each round's launch asks squeue alone
-    (slurm.poll_guard) whether a job of the run's name is queued, whatever
-    ids their sbatch answers gave; the first that finds none, or finds none
-    the run waits for, ends the run (_Run.end): it reads accounting, once,
-    brings the results back and tears the run down. Later rounds, while
-    accounting lags the controller, poll sacct alone: no job of the run is
-    queued then, so a live job their sacct does not list is gone, and its
-    batch fails with UnparseableJobId. A job whose accounting line or state
+    (slurm.poll_guard) whether a job of the run's name is queued, and in
+    which batch dir; the first that finds none, or finds none the run waits
+    for, ends the run (_Run.end): it reads accounting, once, brings the
+    results back and tears the run down. Later rounds, while accounting lags
+    the controller, poll sacct alone: no job of the run is queued then, so
+    a live job their sacct does not list is gone, and its batch fails with
+    UnparseableJobId. A job whose accounting line or state
     token cannot be read fails its batch alone. Up to two accounting
     failures in a row only cost a round; a lost answer is one, though its
     retrieval may have run, and so is a squeue or sacct that fails. The loop
@@ -524,7 +540,8 @@ def _poll(run, options):
         elapsed += options.poll_interval_s
         try:
             if run.torn_down:  # by an earlier round
-                run.settle(slurm.poll_jobs(run.endpoint, run.live.values()), gone=True)
+                run.settle(slurm.poll_jobs(run.endpoint, run.job_name, run.since, run.live),
+                           gone=True)
             else:
                 run.end(slurm.poll_guard(run.job_name))
             accounting_failures = 0
@@ -535,8 +552,9 @@ def _poll(run, options):
         if give_up is None and options.deadline_s is not None and elapsed >= options.deadline_s:
             give_up = WorkflowFailed(f"deadline exceeded after {elapsed}s")
     run.close(fetch=bool(run.live))
-    for index, _ in run.live:
-        run.record.batches[index].error = run.record.batches[index].error or give_up
+    for batch in run.record.batches:
+        if any(work_dir == batch.remote_dir for work_dir, _ in run.live):
+            _fail(batch, give_up)
 
 
 def _retrieve(run, local_output_dir):

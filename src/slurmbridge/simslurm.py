@@ -9,6 +9,7 @@ completed workflow job writes one placeholder mask per input.
 """
 
 import dataclasses
+import datetime
 import hashlib
 import heapq
 import io
@@ -53,6 +54,11 @@ _ARG_LIMIT = 131071
 # conversion array's task, and any other script.
 _DURATIONS_S = {"job.sh": 30, "convert.sh": 5}
 _DEFAULT_DURATION_S = 10
+
+# The local time at clock 0, and the form in which `date` prints a time and
+# sacct reads one (-S).
+_EPOCH = datetime.datetime(2024, 1, 1)
+_TIME_FORMAT = "%Y-%m-%dT%H:%M:%S"
 
 # The suffix of an input in a workflow job's IN_PATH, by format, longest first.
 _INPUT_SUFFIXES = (".ome.tiff", ".tiff", ".zarr")
@@ -272,6 +278,7 @@ class SimJob:
     tasks: list = field(default_factory=list)
     name: str = None
     dependency: int = None  # id of the job that must complete first (afterok)
+    work_dir: str = "/"  # --chdir, else where ssh lands
 
     @property
     def is_array(self):
@@ -381,8 +388,9 @@ class SimCluster:
     # -- submission --------------------------------------------------------
 
     def _sbatch(self, args):
-        """`sbatch [--parsable] [--job-name=<name>] [--dependency=afterok:<id>
-        --kill-on-invalid-dep=yes] <script>`, which prints `<id>` under
+        """`sbatch [--parsable] [--job-name=<name>] [--chdir=<dir>]
+        [--dependency=afterok:<id> --kill-on-invalid-dep=yes] <script>`, which
+        stores the work dir as given and prints `<id>` under
         --parsable and `Submitted batch job <id>` otherwise. Exits 1 as sbatch
         does, taking no job id, on any other option, on a dependency on an
         unknown job, and on a job that asks any one node for more than it
@@ -393,8 +401,8 @@ class SimCluster:
         settings = {}
         for option in options:
             key, eq, value = option.partition("=")
-            if option != "--parsable" and (
-                    not eq or key not in ("--job-name", "--dependency", "--kill-on-invalid-dep")):
+            if option != "--parsable" and (not eq or key not in (
+                    "--job-name", "--chdir", "--dependency", "--kill-on-invalid-dep")):
                 return ExecResult(1, "", f"sbatch: unrecognized option '{option}'\n")
             settings[key] = value
         kind, _, after = settings.get("--dependency", "afterok:").partition(":")
@@ -422,7 +430,8 @@ class SimCluster:
                 duration_s=_DURATIONS_S.get(posixpath.basename(path), _DEFAULT_DURATION_S),
                 output_pattern=directive("--output", ""), exports=dict(script.env_exports),
                 array_spec=(int(first), int(last or first)) if first else None,
-                name=settings.get("--job-name"), dependency=int(after) if after else None)
+                name=settings.get("--job-name"), dependency=int(after) if after else None,
+                work_dir=settings.get("--chdir", "/"))
         except (ValueError, SourceMissing) as exc:
             return ExecResult(1, "", f"sbatch: error: {exc}\n")
         if not any(node.holds(job.resources) for node in self.nodes):
@@ -627,26 +636,37 @@ class SimCluster:
             indices = ",".join(f"{lo}-{hi}" if hi > lo else str(lo) for lo, hi in runs)
             yield f"{job.id}_[{indices}]", JobState.PENDING
 
-    def _sacct(self, tokens):
-        """`<entry id>|<state>` per record of each known job of `-j <ids>`,
-        as `sacct -n -P -X -o JobID,State` prints it."""
+    def _sacct(self, args):
+        """`sacct -n -P -X --name=<name> [-S <time>] -o JobID,WorkDir,State`:
+        `<entry id>|<work dir>|<state>` per record of each job of that name
+        that had not ended by the time (local, as `date` prints it), or by
+        00:00 of the current day without -S, as sacct(1) selects jobs; a
+        task cancelled before it started ended when its job was submitted."""
+        window = args[4:-2]  # [] or ["-S", <time>]
+        if args[:3] + args[-2:] != ["-n", "-P", "-X", "-o", "JobID,WorkDir,State"] \
+                or not args[3].startswith("--name=") or window[:1] not in ([], ["-S"]) \
+                or len(window) not in (0, 2):
+            return self._refuse(["sacct", *args])
         try:
-            ids = [int(x) for x in tokens[tokens.index("-j") + 1].split(",") if x]
-        except (ValueError, IndexError):
-            return ExecResult(1, "", "sacct: error: invalid job id list\n")
-        return ExecResult(0, "".join(f"{entry}|{state.value}\n" for job_id in ids
-                                     if job_id in self.jobs
-                                     for entry, state in self._records(self.jobs[job_id])), "")
+            since = (datetime.datetime.strptime(window[1], _TIME_FORMAT) - _EPOCH).total_seconds() \
+                if window else self.clock - self.clock % 86400
+        except ValueError:  # a time of another form
+            return self._refuse(["sacct", *args])
+        return ExecResult(0, "".join(
+            f"{entry}|{job.work_dir}|{state.value}\n" for job in self._named(args[3])
+            if any(not task.state.terminal or (task.finish_time or job.submit_time) >= since
+                   for task in job.tasks)
+            for entry, state in self._records(job)), "")
 
     def _named(self, option):
         """The jobs of `--name=<name>`."""
         return [job for job in self.jobs.values() if option == f"--name={job.name}"]
 
     def _squeue(self, option):
-        """`squeue -a -h --name=<name> -o %i`: a line per record queued or
-        running of a job of that name."""
+        """`squeue -a -h --name=<name> -o %i|%Z`: a line per record queued or
+        running of a job of that name, with its work dir."""
         return ExecResult(0, "".join(
-            f"{entry}\n" for job in self._named(option)
+            f"{entry}|{job.work_dir}\n" for job in self._named(option)
             if self._counts[job.id][JobState.PENDING] or self._counts[job.id][JobState.RUNNING]
             for entry, _ in self._records(job, queued=True)), "")
 
@@ -766,8 +786,9 @@ class SimCluster:
         return ExecResult(0, f"{self.fs.digest(path)}  {path}\n", "")
 
     def _refuse(self, tokens):
-        """The one answer to a form of squeue, a file command or `sh` that the
-        client never sends: exit 2, naming the command, with nothing changed."""
+        """The one answer to a form of sacct, squeue, date, a file command or
+        `sh` that the client never sends: exit 2, naming the command, with
+        nothing changed."""
         return ExecResult(2, "", f"{tokens[0]}: form not simulated: {shlex.join(tokens)}\n")
 
     def sim_exec(self, command):
@@ -775,12 +796,14 @@ class SimCluster:
         return self._dispatch(list(command))
 
     def _dispatch(self, tokens):
-        """Answer the Slurm commands, and squeue and the file commands in
-        exactly the forms the client sends: `squeue -a -h --name=<name> -o
-        %i`, `mkdir -p P...`, `test -e P`, `rm -f P...`, `rm -rf P...`, `mv
+        """Answer the Slurm commands, and sacct, squeue, date and the file
+        commands in exactly the forms the client sends: `sacct -n -P -X
+        --name=<name> [-S <time>] -o JobID,WorkDir,State`, `squeue -a -h
+        --name=<name> -o %i|%Z`, `date +%Y-%m-%dT%H:%M:%S`, `mkdir -p P...`, `test -e P`, `rm -f P...`, `rm -rf P...`, `mv
         -T <file> P`, `sha256sum P`, `base64 P`, `zip -q -r -D Z P...`,
         `unzip -q Z -d D`, `singularity pull P S` and the framed `sh -c` launches
-        of exec_many. Any other form of these, `squeue -j` too, is refused."""
+        of exec_many. Any other form of these, `sacct -j` and `squeue -j` too,
+        is refused."""
         if not tokens:
             return ExecResult(127, "", "command not found\n")
         cmd, args = tokens[0], tokens[1:]
@@ -796,8 +819,11 @@ class SimCluster:
         if cmd == "scancel":
             return self._scancel(args)
         if cmd == "squeue" and len(args) == 5 and args[:2] == ["-a", "-h"] \
-                and args[2].startswith("--name=") and args[3:] == ["-o", "%i"]:
+                and args[2].startswith("--name=") and args[3:] == ["-o", "%i|%Z"]:
             return self._squeue(args[2])
+        if tokens == ["date", "+" + _TIME_FORMAT]:
+            now = _EPOCH + datetime.timedelta(seconds=self.clock)
+            return ExecResult(0, now.strftime(_TIME_FORMAT) + "\n", "")
         if cmd == "mkdir" and args[:1] == ["-p"] and args[1:]:
             err = ""
             for path in args[1:]:
@@ -836,8 +862,8 @@ class SimCluster:
             except DestinationUnwritable as exc:
                 return ExecResult(1, "", f"FATAL: {exc}\n")
             return ExecResult(0, "", "")
-        if cmd in ("sh", "squeue", "mkdir", "rm", "mv", "test", "sha256sum", "base64", "zip",
-                   "unzip", "singularity"):
+        if cmd in ("sh", "squeue", "date", "mkdir", "rm", "mv", "test", "sha256sum", "base64",
+                   "zip", "unzip", "singularity"):
             return self._refuse(tokens)
         return ExecResult(127, "", f"{cmd}: command not found\n")
 

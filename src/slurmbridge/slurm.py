@@ -2,6 +2,7 @@
 submission, polling, log/result retrieval, cleanup with cancellation."""
 
 import binascii
+import datetime
 import os
 import posixpath
 import re
@@ -24,14 +25,24 @@ from .errors import (
 from .states import aggregate_array_states, parse_state_token
 from .transport import Captured, Quiet, sha256_hex, staging_path
 
-_PARSABLE_RE = re.compile(r"(\d+)(?:;\S*)?")
-# Each line of `sacct -P -o JobID,State` that is not blank: the job id of
-# `<id>`, an array task `<id>_<k>` or an array's pending tasks
-# `<id>_[<ranges>]`, the rest of that id and the state token; or, in the
-# fourth group, a line that is none of these.
-_SACCT_RE = re.compile(r"^(?:(\d+)(_(?:\d+|\[[\d,%-]+\]))?\|(.*)|(.*\S.*))$", re.MULTILINE)
-# A line of `squeue -o %i`: the job id of the same three forms.
-_SQUEUE_RE = re.compile(r"(\d+)(?:_(?:\d+|\[[\d,%-]+\]))?")
+# Each line of `sacct -P -o JobID,WorkDir,State` that is not blank: the job
+# id of `<id>`, an array task `<id>_<k>` or an array's pending tasks
+# `<id>_[<ranges>]`, the rest of that id, the work dir (up to the last '|')
+# and the state token; or, in the fifth group, a line that is none of these.
+_SACCT_RE = re.compile(
+    r"^(?:(\d+)(_(?:\d+|\[[\d,%-]+\]))?\|(.*)\|(.*)|(.*\S.*))$", re.MULTILINE)
+# A line of `squeue -o %i|%Z`: the job id of the same three forms, and the work dir.
+_SQUEUE_RE = re.compile(r"\d+(_(?:\d+|\[[\d,%-]+\]))?\|(.*)")
+
+# The first command of a run's submission launch: the cluster's local time,
+# which is how sacct(1) reads -S. The run's sacct starts _SINCE_MARGIN
+# before it, wide of any skew, as the run's name lists no other run's jobs.
+_DATE_FORMAT = "%Y-%m-%dT%H:%M:%S"
+DATE = ["date", "+" + _DATE_FORMAT]
+_SINCE_MARGIN = datetime.timedelta(days=1)
+# The -S of a sacct with no date to start from: the run's name keeps even
+# this window to the run's own jobs.
+SINCE_EVER = "2000-01-01T00:00:00"
 
 MANAGED_DIRS = ("singularity_images", "slurm-scripts/jobs", "data", "logs")
 
@@ -127,110 +138,114 @@ def run_job_name(run_id):
 
 
 def submit_job(endpoint, scripts, name, setup=(), last=()):
-    """Submit scripts, each as a job named name, in one launch that runs the
-    setup commands first, then, only if every one exited 0, the sbatches and
-    the commands of last, whose results are not returned. scripts holds
-    (path, array_size, after) triples, where after is the index in scripts
-    of an earlier script whose job must complete first, or None. The launch
-    hands that job's id to the sbatch that names it as a dependency, which
-    runs only if that job's sbatch exited 0; a job whose dependency fails is
-    cancelled by Slurm without starting.
+    """Submit scripts, each as a job named name whose work dir (--chdir) is
+    its script's dir, in one launch that runs the setup commands first,
+    then, only if every one exited 0, the sbatches and the commands of last,
+    whose results are not returned. scripts holds (path, after) pairs, where
+    after is the index in scripts of an earlier script whose job must
+    complete first, or None. The shell hands that job's id to the sbatch
+    that names it as a dependency, which runs only if that job's sbatch
+    exited 0; a job whose dependency fails is cancelled by Slurm without
+    starting. No sbatch answer is read here: a run finds its jobs by name
+    and work dir (job_states).
 
-    Returns the ExecResult of each setup command, then per script its
-    JobHandle, the error that rejected it, or None when it was not
-    submitted because a setup command failed or the job it depends on was
-    not submitted. Raises TransportError when the launch's answer is lost;
-    any of the scripts may then have been submitted.
+    Returns the ExecResult of each setup command, then per script True when
+    its sbatch exited 0, the SubmitRejected that refused it, or None when it
+    was not submitted because a setup command failed or the job it depends
+    on was not submitted. Raises TransportError when the launch's answer is
+    lost; any of the scripts may then have been submitted.
     """
     argvs = []
-    for path, _, after in scripts:
-        argv = ["sbatch", "--parsable", f"--job-name={name}"]
+    for path, after in scripts:
+        argv = ["sbatch", "--parsable", f"--job-name={name}",
+                f"--chdir={posixpath.dirname(path)}"]
         if after is not None:
             argv += [Captured(after, "--dependency=afterok:"), "--kill-on-invalid-dep=yes"]
         argvs.append(argv + [path])
     ran = endpoint.exec_many(list(setup), then=argvs + list(last))
-    outcomes = ran[:len(setup)]
-    for (_, array_size, _), result in zip(scripts, ran[len(setup):]):
-        if result is None:
-            outcomes.append(None)
-            continue
-        # --parsable prints `<id>`, or `<id>;<cluster>` on a federation.
-        match = _PARSABLE_RE.fullmatch(result.stdout.strip())
-        if not result.ok:
-            outcomes.append(SubmitRejected(result.stderr or result.stdout, result.exit_code))
-        elif match is None:
-            outcomes.append(UnparseableJobId(f"no job id in submitter output: {result.stdout!r}"))
-        else:
-            outcomes.append(JobHandle(int(match.group(1)), array_size))
-    return outcomes
+    return ran[:len(setup)] + [
+        result if result is None
+        else result.ok or SubmitRejected(result.stderr or result.stdout, result.exit_code)
+        for result in ran[len(setup):len(setup) + len(scripts)]]
 
 
-def _sacct(handles):
-    return ["sacct", "-n", "-P", "-X", "-o", "JobID,State", "-j",
-            ",".join(str(h.job_id) for h in handles)]
-
-
-def poll_jobs(endpoint, handles):
-    """One accounting round trip covering every handle; see job_states."""
+def since(date):
+    """The -S of a run's sacct, from the ExecResult of its DATE: a margin
+    before that time, or SINCE_EVER when it cannot be read."""
     try:
-        result = endpoint.exec(_sacct(handles))
+        start = datetime.datetime.strptime(date.stdout.strip(), _DATE_FORMAT)
+    except ValueError:
+        return SINCE_EVER
+    return (start - _SINCE_MARGIN).strftime(_DATE_FORMAT)
+
+
+def _sacct(name, start):
+    return ["sacct", "-n", "-P", "-X", f"--name={name}", "-S", start,
+            "-o", "JobID,WorkDir,State"]
+
+
+def poll_jobs(endpoint, name, start, keys=()):
+    """One accounting round trip over every job named name since start; see
+    job_states."""
+    try:
+        result = endpoint.exec(_sacct(name, start))
     except TransportError as exc:
         raise AccountingUnavailable(str(exc)) from exc
-    return job_states(result, handles)
+    return job_states(result, keys)
 
 
-def job_states(result, handles):
-    """Each handle's job id that the result of its sacct lists (one failed
-    raises AccountingUnavailable) -> its state, array parents aggregated
-    from their task states, or else the error that kept it from being read,
-    so that one job's unreadable state costs only that job: UnknownState
-    for a state token that cannot be mapped, and, when a line's job id
-    cannot be read, UnparseableJobId for each job read from no other line.
-    A line for a job not asked about is ignored."""
+def job_states(result, keys=()):
+    """The (work dir, kind) of each job that the result of its sacct lists
+    (one failed raises AccountingUnavailable), kind "conversion" for an
+    array and "workflow" for a plain job -> (its job id, its state, an
+    array's aggregated from its task states, or else UnknownState for a
+    state token that cannot be mapped), so that one job's unreadable state
+    costs only that job. When a line cannot be read, each of keys that no
+    other line lists -> (None, UnparseableJobId)."""
     if not result.ok:
         raise AccountingUnavailable(result.stderr.strip())
-    asked = {str(h.job_id): h.job_id for h in handles}
-    plain = {}
+    jobs = {}
     tasks = {}
     parsed = {}  # state token -> JobState or UnknownState, mapped once per token
     unread = None
-    for entry_id, task, token, unreadable in _SACCT_RE.findall(result.stdout):
+    for job_id, task, work_dir, token, unreadable in _SACCT_RE.findall(result.stdout):
         if unreadable:
             unread = UnparseableJobId(f"unreadable accounting line: {unreadable!r}")
-        job_id = asked.get(entry_id)
-        if job_id is None:
             continue
         state = parsed.get(token) or parsed.setdefault(
             token, parse_state_token(token) or UnknownState(token))
         if task:
-            tasks.setdefault(job_id, []).append(state)
+            tasks.setdefault((work_dir, "conversion"), (int(job_id), []))[1].append(state)
         else:
-            plain[job_id] = state
-    plain.update((job_id, next((s for s in states if isinstance(s, UnknownState)), None)
-                  or aggregate_array_states(states)) for job_id, states in tasks.items())
+            jobs[work_dir, "workflow"] = (int(job_id), state)
+    jobs.update((key, (job_id, next((s for s in states if isinstance(s, UnknownState)), None)
+                       or aggregate_array_states(states)))
+                for key, (job_id, states) in tasks.items())
     if unread:
-        plain.update((h.job_id, unread) for h in handles if h.job_id not in plain)
-    return plain
+        jobs.update((key, (None, unread)) for key in keys if key not in jobs)
+    return jobs
 
 
 def poll_guard(name):
     """The one command a poll launch runs before the rest of fetch_results:
-    the Quiet `squeue -a -h --name=<name> -o %i`, which exits 0 only when no
-    job or array task named name is queued or running, on any partition,
-    whatever id its sbatch printed. Its stdout lists the record of each one
-    that is; see queued_ids."""
-    return [Quiet(["squeue", "-a", "-h", f"--name={name}", "-o", "%i"])]
+    the Quiet `squeue -a -h --name=<name> -o %i|%Z`, which exits 0 only when
+    no job or array task named name is queued or running, on any partition.
+    Its stdout lists the record of each one that is, with its work dir; see
+    queued_ids."""
+    return [Quiet(["squeue", "-a", "-h", f"--name={name}", "-o", "%i|%Z"])]
 
 
 def queued_ids(result):
-    """The job ids that a poll_guard which failed lists, one per record: a
-    job `<id>`, an array task `<id>_<k>` or an array's pending tasks
-    `<id>_[<ranges>]`. A guard that lists nothing, or a line that is none of
-    these, is a squeue that failed, and raises AccountingUnavailable."""
+    """The (work dir, kind) of each job that a poll_guard which failed
+    lists, as job_states keys them, one per record: a job `<id>`, an array
+    task `<id>_<k>` or an array's pending tasks `<id>_[<ranges>]`, each with
+    its work dir. A guard
+    that lists nothing, or a line that is none of these, is a squeue that
+    failed, and raises AccountingUnavailable."""
     listed = [_SQUEUE_RE.fullmatch(line) for line in result.stdout.splitlines()]
     if not listed or None in listed:
         raise AccountingUnavailable(result.stderr.strip() or f"squeue printed {result.stdout!r}")
-    return {int(match.group(1)) for match in listed}
+    return {(match.group(2), "conversion" if match.group(1) else "workflow") for match in listed}
 
 
 def zip_entry_name(remote_path):
@@ -259,14 +274,15 @@ def fetch_logfile(bundle, handle, logs_dir, local_dir):
     return fetched[0]
 
 
-def fetch_results(endpoint, handles, paths, remote_zip, run_paths=(), cancel=None, guard=()):
+def fetch_results(endpoint, name, start, paths, remote_zip, run_paths=(), cancel=False,
+                  guard=()):
     """In one launch, run the guard's commands and then, only if every one
     exited 0, each of these, whatever the ones before it gave: the sacct of
-    poll_jobs over handles, which a run reads once, here, before any job is
-    cancelled; zip every file under the remote paths into remote_zip, hash
-    it and send it back on stdout; and tear the run down as cleanup_run
-    does: cancel every job named cancel when given, and remove the run
-    paths, remote_zip among them.
+    poll_jobs over the jobs named name since start, which a run reads once,
+    here, before any job is cancelled; zip every file under the remote paths
+    into remote_zip, hash it and send it back on stdout; and tear the run
+    down as cleanup_run does: with cancel, cancel every job named name, and
+    remove the run paths, remote_zip among them.
 
     Entries are named by zip_entry_name. A path that does not exist adds
     nothing (under -q without a warning). Returns (the ExecResult of each
@@ -279,8 +295,9 @@ def fetch_results(endpoint, handles, paths, remote_zip, run_paths=(), cancel=Non
     when the launch's answer is lost; its teardown may have run.
     """
     ran = endpoint.exec_many(list(guard), then=[
-        _sacct(handles), ["zip", "-q", "-r", "-D", remote_zip, *paths],
-        ["sha256sum", remote_zip], ["base64", remote_zip]] + teardown_commands(run_paths, cancel))
+        _sacct(name, start), ["zip", "-q", "-r", "-D", remote_zip, *paths],
+        ["sha256sum", remote_zip], ["base64", remote_zip]]
+        + teardown_commands(run_paths, name if cancel else None))
     guarded, (sacct, *tail) = ran[:len(guard)], ran[len(guard):]
     if sacct is None:  # a guard command failed, and nothing after them ran
         return guarded, None

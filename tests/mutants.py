@@ -8,6 +8,7 @@ import inspect
 import textwrap
 
 from slurmbridge import orchestrator as orch
+from slurmbridge import slurm
 
 # name -> (module or class, function name, text of the function, the
 # mutant's text in its place)
@@ -15,16 +16,34 @@ MUTANTS = {
     # The poll's guard removed: each round's launch reads accounting,
     # brings the results back and removes the run data, whatever squeue
     # would have listed queued.
-    "unguarded-poll": (orch._Run, "end", "None if guard else self.job_name, guard)",
-                       "None if guard else self.job_name, ())"),
+    "unguarded-poll": (orch._Run, "end", "self.paths, not guard, guard)",
+                       "self.paths, not guard, ())"),
     # The third accounting failure in a row raises out of the run where it
     # should give up and end it.
     "poll-raises": (orch, "_poll", "give_up = AccountingUnavailable(str(exc))", "raise"),
-    # The run's finally makes no second teardown when the first one's
-    # answer was lost: only the first close of a run makes a launch.
-    "one-teardown": (orch._Run, "close", "if self.torn_down:\n        return\n",
-                     "if self.torn_down or vars(self).get('closed'):\n        return\n"
-                     "    self.closed = True\n"),
+    # A teardown whose answer was lost is not made again: each close of a
+    # run makes one launch.
+    "one-teardown": (orch._Run, "close", "for _ in range(3):", "for _ in range(1):"),
+    # The launch that ends a run cancels the jobs of its name only while
+    # the guard lists one the run waits for, as the retrieval launch once
+    # skipped scancel when every batch read completed.
+    "uncancelled-ending": (orch._Run, "end", "self.paths, not guard, guard)",
+                           "self.paths, bool(held), guard)"),
+    # An accounting line that names no job id is read with int(), which
+    # raises ValueError out of the run.
+    "int-of-unreadable-line": (
+        slurm, "job_states",
+        'unread = UnparseableJobId(f"unreadable accounting line: {unreadable!r}")',
+        'unread = int(unreadable.split("|")[0])'),
+    # A live job that accounting never lists is polled until it does, or
+    # for ever.
+    "unlisted-polled-for-ever": (orch._Run, "settle", "state is None and not gone and lost is None",
+                                 "state is None and lost is None"),
+    # A lost submission answer fails every batch, though its jobs may be
+    # queued.
+    "lost-submission-fails-all": (
+        orch, "_submit", "run.live.update(dict.fromkeys(keys, TransferFailed(str(exc))))",
+        "[_fail(batch, TransferFailed(str(exc))) for batch in queued]"),
 }
 
 

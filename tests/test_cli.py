@@ -357,21 +357,23 @@ class TestStatusLogsFetch:
         assert pairs["state"] == ["Running"]
         assert pairs["job"] == [f"{job_id}\tstate=COMPLETED" for job_id in job_ids]
 
-    def test_status_prints_a_job_accounting_does_not_list_as_pending(self, runner, workspace,
-                                                                     monkeypatch):
+    def test_status_lists_the_jobs_of_the_run_name_whatever_the_journal_holds(
+            self, runner, workspace, monkeypatch):
+        # A journal that names job 99 changes nothing: status lists the jobs
+        # that accounting lists under the run's name, its own job 1 too.
         tmp_path, config_path, topology_path, _ = workspace
         run_id = self._completed_run(runner, workspace)
-        first, *rest = cut_journal_after_running(workspace, run_id)
+        job_ids = cut_journal_after_running(workspace, run_id)
         journal = tmp_path / "runs" / f"{run_id}.journal"
-        journal.write_text(re.sub(rf"job_id={first}\b", "job_id=99", journal.read_text(), 1))
+        journal.write_text(journal.read_text() + "t\tsubmit\tbatch=0 kind=workflow job_id=99\n")
         cluster = simslurm.SimCluster.load_state(topology_path + ".state")
         monkeypatch.setattr(cli, "SshEndpoint", lambda profile: simslurm.SimEndpoint(cluster))
         result = runner.invoke(
             main, ["status", run_id, "--runs-dir", str(tmp_path / "runs"),
                    "--config", config_path])
         assert result.exit_code == 0, result.output
-        assert kv_lines(result.stdout)["job"] == [
-            f"{job_id}\tstate=COMPLETED" for job_id in rest] + ["99\tstate=PENDING"]
+        assert job_ids == ["1"]
+        assert kv_lines(result.stdout)["job"] == ["1\tstate=COMPLETED"]
 
     def test_status_prints_the_error_of_a_state_it_cannot_read(self, runner, workspace,
                                                               monkeypatch):
@@ -382,7 +384,7 @@ class TestStatusLogsFetch:
         endpoint = simslurm.SimEndpoint(cluster)
         sacct = cluster._sacct
         cluster._sacct = lambda tokens: dataclasses.replace(sacct(tokens), stdout=re.sub(
-            rf"^{first}\|COMPLETED$", f"{first}|WOBBLY", sacct(tokens).stdout, flags=re.M))
+            rf"^({first}\|.*)\|COMPLETED$", r"\1|WOBBLY", sacct(tokens).stdout, flags=re.M))
         monkeypatch.setattr(cli, "SshEndpoint", lambda profile: endpoint)
         result = runner.invoke(
             main, ["status", run_id, "--runs-dir", str(tmp_path / "runs"),
@@ -715,7 +717,9 @@ class TestCancelAndList:
         pairs = kv_lines(status.stdout)
         assert pairs["state"] == ["Running"]
         assert journal_rows(status.stdout)[-1] == ("cancel", f"name=sb-{run_id} removed=2")
-        assert all(job.endswith("state=COMPLETED") for job in pairs["job"])
+        # The run's two jobs, and the one of its name that its journal never saw.
+        assert pairs["job"] == ["1\tstate=COMPLETED", "2\tstate=COMPLETED",
+                                "3\tstate=CANCELLED"]
 
 
 class TestConfigDiscovery:

@@ -1,7 +1,7 @@
 """A deterministic launch-fault sweep: every launch of a few whole runs, an
 exec or the upload's copy, is broken in turn with each kind of fault that
 FlakyLink's one fault list takes (lost before it runs or after it ran, or
-answered empty or cut), every pair of launches of one run is lost, and
+answered empty or cut), every pair of launches of two runs is lost, and
 each run must still keep criterion 11's promises.
 
 Each run with no fault or one fault must also end with the outcome that
@@ -26,6 +26,8 @@ from tests.conftest import make_tiff_inputs, make_zarr_inputs
 from tests.test_orchestrator import (
     FIRST_POLL,
     KINDS,
+    Answer,
+    Holding,
     LOST,
     SUBMISSION,
     UPLOAD_COPY,
@@ -120,7 +122,7 @@ def swept_run(name, profile, registry, descriptor, workdir, faults):
     assert {"zip", "base64"}.isdisjoint(cluster.ran[retrieving[0]:])
     stages = [stage for stage, _ in events]
     assert "cleanup" in stages[:stages.index(orch.RunStage.RETRIEVING.value)]
-    if len(faults) < 2:
+    if len(faults) < 2 and all(kind in KINDS for _, kind in faults):
         assert outcome(record) == EXPECTED[name][cell(faults)]
     return link, answered, events
 
@@ -149,7 +151,8 @@ def test_the_launches_that_faults_name_by_position(sample_profile_registry,
     link, _, _ = swept_run("tiff", profile, registry, cellpose_descriptor, tmp_path, ())
     assert [link.ran[k] for k in (UPLOAD_COPY, UPLOAD_SHA256SUM, UPLOAD_MV, SUBMISSION,
                                   FIRST_POLL)] == [
-        [], ["sha256sum"], ["mv"], ["sh", "mkdir", "unzip", "sbatch", "rm"], ["sh", "squeue"]]
+        [], ["sha256sum"], ["mv"], ["sh", "date", "mkdir", "unzip", "sbatch", "rm"],
+        ["sh", "squeue"]]
 
 
 @pytest.mark.parametrize("name,k,ran", [
@@ -195,33 +198,88 @@ def test_two_lost_launches_keep_the_tiff_run_safe(first, second, sample_profile_
     assert answered  # two lost launches leave a later teardown to answer
 
 
+# Every pair of the deadline run's launches, launch 6 (the launch that ends
+# it, made again) too, each lost either way: 84 runs.
+@pytest.mark.parametrize("first,second", [
+    ((k1, kind1), (k2, kind2))
+    for k1, k2 in itertools.combinations(range(LAUNCHES["deadline"] + 1), 2)
+    for kind1 in LOST for kind2 in LOST])
+def test_two_lost_launches_keep_the_deadline_run_safe(first, second, sample_profile_registry,
+                                                      cellpose_descriptor, tmp_path):
+    profile, registry = sample_profile_registry
+    _, answered, _ = swept_run("deadline", profile, registry, cellpose_descriptor, tmp_path,
+                               [first, second])
+    assert answered
+
+
+def test_two_lost_endings_of_a_give_up_leave_a_third_teardown(
+        sample_profile_registry, cellpose_descriptor, tmp_path):
+    # The deadline run gives up after its first poll, launch 4, while its
+    # jobs run. The launch that ends it, 5, is lost, and so is the one
+    # _poll's close makes again, 6: the third, 7, answers, cancels the jobs
+    # and removes the run data.
+    profile, registry = sample_profile_registry
+    link, answered, events = swept_run("deadline", profile, registry, cellpose_descriptor,
+                                       tmp_path, [(5, "lost-before"), (6, "lost-before")])
+    assert answered
+    assert len(link.ran) == 8
+    assert events.count(("cleanup", "failed")) == 2
+
+
 def test_a_lost_submission_answer_and_teardown_leave_a_second_teardown(
         sample_profile_registry, cellpose_descriptor, tmp_path):
-    # The submission runs but its answer is lost, so no job id is known,
-    # and so is the answer of the teardown that _poll's close makes: the
-    # close of the run's end makes another, which cancels the jobs.
+    # The submission runs but its answer is lost, and so is the answer of
+    # the launch that ends the deadline run after its first poll, which
+    # found the jobs queued: _poll's close makes that launch again, which
+    # cancels the jobs by name.
     profile, registry = sample_profile_registry
-    link, answered, events = swept_run("tiff", profile, registry, cellpose_descriptor,
+    link, answered, events = swept_run("deadline", profile, registry, cellpose_descriptor,
                                        tmp_path, [(SUBMISSION, "lost-after"),
-                                                  (FIRST_POLL, "lost-before")])
-    assert len(link.ran) == 6
+                                                  (SUBMISSION + 2, "lost-before")])
+    assert len(link.ran) == 7
     assert answered
     assert [detail if stage == "cleanup" else stage for stage, detail in events
             if stage in ("cancel", "cleanup", orch.RunStage.RETRIEVING.value)] == [
-        "cancel", "failed", "Retrieving", "cancel", "removed=1"]
+        "cancel", "failed", "cancel", "removed=1", "Retrieving"]
 
 
 def test_a_run_whose_every_teardown_is_lost_journals_the_failed_cleanups(
         sample_profile_registry, cellpose_descriptor, tmp_path):
-    # The upload's copy is lost, so nothing is submitted, and so are both
-    # teardown launches that follow it, of _poll's close and of the one in
-    # the run's finally: no teardown answers.
+    # The upload's copy is lost, so nothing is submitted, and so are all
+    # six teardown launches that follow it, three of _poll's close and
+    # three of the one in the run's finally: no teardown answers.
     profile, registry = sample_profile_registry
     link, answered, events = swept_run("tiff", profile, registry, cellpose_descriptor,
-                                       tmp_path, [(k, "lost-before") for k in range(3)])
-    assert len(link.ran) == 3
+                                       tmp_path, [(k, "lost-before") for k in range(7)])
+    assert len(link.ran) == 7
     assert not answered
-    assert events.count(("cleanup", "failed")) == 2
+    assert events.count(("cleanup", "failed")) == 6
+
+
+def test_an_unreadable_accounting_line_fails_the_jobs_it_hides(
+        sample_profile_registry, cellpose_descriptor, tmp_path):
+    # The sacct of the launch that ends the tiff run answers a line no job
+    # reads as: its one job is given up with UnparseableJobId, and the run
+    # ends at a journaled stage.
+    profile, registry = sample_profile_registry
+    _, answered, events = swept_run("tiff", profile, registry, cellpose_descriptor, tmp_path,
+                                    [("sacct", Answer("sacct", ["1+0|/scratch|COMPLETED"]))])
+    assert answered
+    assert events[-1] == ("Failed", "unreadable accounting line: '1+0|/scratch|COMPLETED'")
+
+
+def test_a_job_accounting_never_lists_fails_after_the_round_that_tore_the_run_down(
+        sample_profile_registry, cellpose_descriptor, tmp_path):
+    # Every sacct answers nothing: the launch that ends the tiff run, at
+    # t=20, lists no job, and the next round's sacct, alone, fails the
+    # batch, though later answers would list the job.
+    profile, registry = sample_profile_registry
+    link, answered, events = swept_run(
+        "tiff", profile, registry, cellpose_descriptor, tmp_path,
+        [(Holding({"sacct"}, n), Answer("sacct", [])) for n in range(8)])
+    assert answered
+    assert [ran.count("sacct") for ran in link.ran] == [0] * 7 + [1, 1]
+    assert events[-1] == ("Failed", "workflow job of batch 0 is neither queued nor in accounting")
 
 
 def test_three_polls_lost_in_a_row_give_up_and_cancel_the_job(
@@ -281,7 +339,14 @@ def test_an_interrupt_while_polling_tears_the_run_down_without_fetching(
 CATCHES = {
     "unguarded-poll": [(test_a_run_with_no_fault_makes_the_launches_swept, {"name": "tiff"})],
     "poll-raises": [(test_three_polls_lost_in_a_row_give_up_and_cancel_the_job, {})],
-    "one-teardown": [(test_a_lost_submission_answer_and_teardown_leave_a_second_teardown, {})],
+    "one-teardown": [(test_two_lost_endings_of_a_give_up_leave_a_third_teardown, {})],
+    "uncancelled-ending": [(test_three_polls_lost_in_a_row_give_up_and_cancel_the_job, {})],
+    "int-of-unreadable-line": [(test_an_unreadable_accounting_line_fails_the_jobs_it_hides, {})],
+    "unlisted-polled-for-ever": [
+        (test_a_job_accounting_never_lists_fails_after_the_round_that_tore_the_run_down, {})],
+    "lost-submission-fails-all": [
+        (test_a_lost_launch_keeps_every_run_safe, {"name": name, "k": SUBMISSION, "ran": True})
+        for name in sorted(SWEPT)],
 }
 
 
@@ -294,7 +359,7 @@ def test_the_sweep_catches_each_known_mutant(name, sample_profile_registry,
         for test, args in CATCHES[name]:
             with monkeypatch.context() as patch:
                 mutants.mutate(patch, name)
-                with pytest.raises((AssertionError, SlurmBridgeError)):
+                with pytest.raises((AssertionError, SlurmBridgeError, ValueError)):
                     test(sample_profile_registry=sample_profile_registry,
                          cellpose_descriptor=cellpose_descriptor,
                          tmp_path=tmp_path / f"{attempt}-{test.__name__}", **args)

@@ -4,7 +4,9 @@ import glob
 import io
 import json
 import os
+import posixpath
 import re
+import shlex
 import shutil
 import struct
 import subprocess
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 from slurmbridge import cli
 from slurmbridge import config as config_mod
 from slurmbridge import descriptor as descriptor_mod
+from slurmbridge import jobscript
 from slurmbridge import orchestrator as orch
 from slurmbridge import slurm
 from slurmbridge.errors import (
@@ -222,7 +225,7 @@ class ReportsUnmapped(RewritesSacct):
     as a newer Slurm than the client knows may print."""
 
     def rewrite(self, stdout):
-        return "".join(line.split("|")[0] + "|WOBBLY\n" for line in stdout.splitlines())
+        return "".join(line.rsplit("|", 1)[0] + "|WOBBLY\n" for line in stdout.splitlines())
 
 
 class ReportsJob3Unmapped(RewritesSacct):
@@ -230,7 +233,7 @@ class ReportsJob3Unmapped(RewritesSacct):
     JobState maps, and every other line as the cluster does."""
 
     def rewrite(self, stdout):
-        return re.sub(r"^3\|.*$", "3|WOBBLY", stdout, flags=re.MULTILINE)
+        return re.sub(r"^3\|(.*)\|.*$", r"3|\1|WOBBLY", stdout, flags=re.MULTILINE)
 
 
 class ReportsHeterogeneous(RewritesSacct):
@@ -238,7 +241,16 @@ class ReportsHeterogeneous(RewritesSacct):
     `<id>+<offset>`, which no job id of the client reads as."""
 
     def rewrite(self, stdout):
-        return "1+0|COMPLETED\n"
+        return "1+0|/scratch|COMPLETED\n"
+
+
+class OmitsBatch0(RewritesSacct):
+    """Answers every sacct without the lines of batch 0's jobs, as if
+    accounting never recorded them."""
+
+    def rewrite(self, stdout):
+        return "".join(line + "\n" for line in stdout.splitlines()
+                       if not line.rsplit("|", 1)[0].endswith("/batch0"))
 
 
 class RefusesConversion(SimCluster):
@@ -549,6 +561,42 @@ class TestRunWorkflow:
             assert all(line.startswith(("#!/bin/bash", "#SBATCH --", "export ", "singularity "))
                        for line in text.splitlines()), text
 
+    def test_job_scripts_hold_no_relative_path_and_each_job_works_in_their_dir(
+            self, run_env, tmp_path):
+        # Each job works in its batch's dir (--chdir), by which the run
+        # finds it; that changes nothing a script does only because every
+        # host path in it is absolute: each directive and export value and
+        # each word of its command that holds a '/', a bind's host side too.
+        endpoint, profile, registry, descriptor = run_env
+        cluster = endpoint.cluster
+        submitted = {}
+        sbatch = cluster._sbatch
+
+        def recording(args):
+            submitted[args[-1]] = jobscript.parse_script(cluster.fs.read(args[-1]).decode())
+            return sbatch(args)
+
+        cluster._sbatch = recording
+        make_tiff_inputs(str(tmp_path / "inputs"), 2)
+        make_zarr_inputs(str(tmp_path / "inputs"), 2)
+        record = orch.run_workflow_batched(
+            endpoint, profile, registry, descriptor, "cellpose", {},
+            orch.scan_input_dir(str(tmp_path / "inputs")), 2, options=fast_options(),
+            local_output_dir=str(tmp_path / "out"))
+        assert record.overall_state is orch.RunStage.DONE
+        assert sorted(path.rsplit("/", 2)[-2] + "/" + path.rsplit("/", 1)[-1]
+                      for path in submitted) == [
+            "batch0/job.sh", "batch1/convert.sh", "batch1/job.sh"]
+        for script in submitted.values():
+            words = [value for _, value in script.directives + script.env_exports]
+            words += [part for line in script.body for word in shlex.split(line)
+                      for part in word.split(":")]
+            assert all(word.startswith("/") for word in words if "/" in word), words
+        assert [(job.work_dir, posixpath.dirname(job.script_path))
+                for job in cluster.jobs.values()] == [
+            (batch.remote_dir, batch.remote_dir)
+            for batch in (record.batches[0], record.batches[1], record.batches[1])]
+
     def test_one_mask_comes_back_per_input_whose_id_holds_a_dot(self, run_env, tmp_path):
         endpoint, profile, registry, descriptor = run_env
         inputs = tmp_path / "inputs"
@@ -697,12 +745,16 @@ class TestConversionPath:
             endpoint.cluster, registry.entry("cellpose").resources.time_limit_min)
 
     def test_lost_submission_with_conversions_fails_every_batch(self, run_env, tmp_path):
-        # Both batches convert; the one submission launch ran, but its answer
-        # was lost: every batch failed its transfer, and the teardown
-        # cancelled all four jobs by name.
+        # Both batches convert; the one submission launch was lost before
+        # it ran. The first poll's squeue lists no job of the run, so that
+        # launch tears the run down, and its sacct lists none of the four
+        # jobs the run would have submitted: every batch fails its transfer,
+        # after one round, and nothing is left under data/. (With the
+        # answer lost after the launch ran, the golden lost-submission run
+        # ends Done.)
         endpoint, profile, registry, descriptor = run_env
         make_zarr_inputs(str(tmp_path / "inputs"), 4)
-        flaky = FlakyLink(endpoint.cluster, [(SUBMISSION, "lost-after")])
+        flaky = FlakyLink(endpoint.cluster, [(SUBMISSION, "lost-before")])
         events = Events()
         record = orch.run_workflow_batched(
             flaky, profile, registry, descriptor, "cellpose", {},
@@ -712,12 +764,11 @@ class TestConversionPath:
         assert record.overall_state is orch.RunStage.FAILED
         assert batch_errors(record) == batch_failures(events) == {
             0: "TransferFailed", 1: "TransferFailed"}
-        assert [job.dependency for job in endpoint.cluster.jobs.values()] == [None, None, 1, 2]
-        assert ("cancel", f"name=sb-{record.run_id} job_ids=") in events
-        assert all(job.parent_state() is JobState.CANCELLED
-                   for job in endpoint.cluster.jobs.values())
-        assert_no_job_outlives_its_data(
-            endpoint.cluster, registry.entry("cellpose").resources.time_limit_min)
+        assert "link dropped before launch 3 ran" in str(record.batches[1].error)
+        assert endpoint.cluster.jobs == {} and len(flaky.ran) == SUBMISSION + 2
+        assert events.count(("cleanup", "removed=1")) == 1
+        assert [path for path in list(endpoint.cluster.fs.files) + list(endpoint.cluster.fs.dirs)
+                if path.startswith("/scratch/omero/data/")] == []
 
     def test_skip_conversion(self, run_env, tmp_path):
         endpoint, profile, registry, descriptor = run_env
@@ -1256,10 +1307,10 @@ _DAMAGED_LINES = st.lists(st.one_of(
 
 # (launch, program) of each answer of the fault-free run that the client
 # reads: the upload's sha256sum and mv, the submission launch's whole answer
-# and its sbatch, and, in the launch that ends the run, the run's one sacct
+# and its date, and, in the launch that ends the run, the run's one sacct
 # and the bundle's sha256sum and base64.
 _READ = [(UPLOAD_SHA256SUM, "sha256sum"), (UPLOAD_MV, "mv"), (SUBMISSION, "sh"),
-         (SUBMISSION, "sbatch"), ("sacct", "sacct"), ("sacct", "sha256sum"), ("sacct", "base64")]
+         (SUBMISSION, "date"), ("sacct", "sacct"), ("sacct", "sha256sum"), ("sacct", "base64")]
 
 
 @settings(max_examples=60, deadline=None)
@@ -1310,9 +1361,9 @@ def test_a_forged_job_id_removes_no_data_under_a_live_job(tmp_path_factory, whic
     with a cluster name; one of the run's jobs runs for 60 s. No data is
     removed while a job of the run is queued or running, the run ends at a
     journaled final stage before its deadline, every job is terminal and
-    nothing is left under data/. The batch whose sbatch answers were all
-    left as sent brings its results back, even when the forged id is its
-    job's."""
+    nothing is left under data/. The run reads no sbatch answer: it finds
+    its jobs by name and batch dir, so it ends Done with both result zips,
+    even when the forged id is the other batch's job's."""
     profile, registry = config_mod.parse_config(SAMPLE_CONFIG)
     descriptor = descriptor_mod.parse_descriptor(json.dumps(CELLPOSE_DESCRIPTOR))
     workdir = tmp_path_factory.mktemp("run")
@@ -1332,8 +1383,8 @@ def test_a_forged_job_id_removes_no_data_under_a_live_job(tmp_path_factory, whic
     assert rows[-1][0] == record.overall_state.value
     assert record.overall_state in orch.TERMINAL_STAGES
     assert cluster.clock < 600
-    untouched = record.batches[1 if which == 0 else 0]
-    assert untouched.result_zip in record.output_artifacts
+    assert record.overall_state is orch.RunStage.DONE
+    assert all(batch.result_zip in record.output_artifacts for batch in record.batches)
     assert_no_job_outlives_its_data(cluster, registry.entry("cellpose").resources.time_limit_min)
 
 
@@ -1478,9 +1529,11 @@ class TestRunLifecycle:
         assert len(cluster.jobs) == 2
         assert_no_job_outlives_its_data(
             cluster, run_env[2].entry("cellpose").resources.time_limit_min)
-        # The client never learned either job id, so no batch can succeed.
-        assert record.overall_state is orch.RunStage.FAILED
-        assert "cancel" in [stage for stage, _ in events]
+        # The polls find both jobs by name and batch dir: batch 0's ends
+        # TIMEOUT, and batch 1 brings its results back.
+        assert record.overall_state is orch.RunStage.PARTIAL_FAILURE
+        assert batch_errors(record) == {0: "WorkflowFailed"}
+        assert [stage for stage, _ in events].count("submit") == 2
 
     def test_interrupt_after_submission_orphans_no_job(self, run_env, tmp_path):
         # The run is interrupted before it records a single job id.
@@ -1505,8 +1558,10 @@ class TestRunLifecycle:
         # cancelling nothing.
         run_dir = f"/scratch/omero/data/{record.run_id}"
         _, [guard], (poll, fetch, digest, stream, *teardown) = unframe_commands(launches[-1])
-        assert guard == Quiet(["squeue", "-a", "-h", f"--name=sb-{record.run_id}", "-o", "%i"])
-        assert poll == ["sacct", "-n", "-P", "-X", "-o", "JobID,State", "-j", "1,2"]
+        assert guard == Quiet(["squeue", "-a", "-h", f"--name=sb-{record.run_id}",
+                               "-o", "%i|%Z"])
+        assert poll == ["sacct", "-n", "-P", "-X", f"--name=sb-{record.run_id}",
+                        "-S", "2023-12-31T00:00:00", "-o", "JobID,WorkDir,State"]
         assert (fetch[0], digest, stream) == (
             "zip", ["sha256sum", run_dir + "/bundle.zip"], ["base64", run_dir + "/bundle.zip"])
         assert teardown == [
@@ -1547,21 +1602,46 @@ class TestRunLifecycle:
         assert_no_job_outlives_its_data(
             cluster, run_env[2].entry("cellpose").resources.time_limit_min)
 
+    def test_jobs_that_cross_midnight_are_still_listed(self, run_env, tmp_path):
+        # The run submits at 23:59:53 of the simulated day. Batch 1's
+        # conversion ends at 23:59:58; its workflow job, and the run, end
+        # after midnight. The run's sacct starts a day before the clock
+        # that its submission launch read, so it still lists the
+        # conversion, which a sacct without -S, from 00:00 of the day it
+        # runs, would not: both batches bring their results back.
+        endpoint, profile, registry, descriptor = run_env
+        cluster = endpoint.cluster
+        cluster.clock = 86400 - 7
+        launches = record_launches(endpoint)
+        make_tiff_inputs(str(tmp_path / "inputs"), 2)
+        make_zarr_inputs(str(tmp_path / "inputs"), 2)
+        record = orch.run_workflow_batched(
+            endpoint, profile, registry, descriptor, "cellpose", {},
+            orch.scan_input_dir(str(tmp_path / "inputs")), 2, options=fast_options(),
+            local_output_dir=str(tmp_path / "out"))
+        assert record.overall_state is orch.RunStage.DONE
+        assert all(batch.result_zip for batch in record.batches)
+        assert cluster.clock > 86400
+        conversion = cluster.jobs[record.batches[1].conversion_handle.job_id]
+        assert max(task.finish_time for task in conversion.tasks) < 86400
+        _, _, (sacct, *_) = unframe_commands(launches[-1])  # the launch that ended the run
+        assert sacct[5:7] == ["-S", "2023-12-31T23:59:53"]
+
     def test_job_accounting_never_lists_fails_its_batch_after_the_teardown(self, run_env,
                                                                           tmp_path):
-        # Batch 0's sbatch answer reads 99, an id no job has; its job, 1,
-        # runs as batch 1's does, to t=30. The poll at t=30 finds no job of
-        # the run queued and tears the run down; the next, at t=35, finds
-        # that sacct still lists no job 99 and fails the batch, well before
-        # the deadline.
+        # Accounting never lists batch 0's job, 1, which runs as batch 1's
+        # does, to t=30. The poll at t=30 finds no job of the run queued and
+        # tears the run down; the next, at t=35, finds that sacct still
+        # lists no job of batch 0 and fails the batch, well before the
+        # deadline.
         cluster = run_env[0].cluster
-        endpoint = FlakyLink(cluster, [(SUBMISSION, Answer("sbatch", ["99"]))])
         events = Events()
-        record = self.run(endpoint, run_env, tmp_path, listener=events, deadline_s=600)
+        record = self.run(OmitsBatch0(cluster), run_env, tmp_path, listener=events,
+                          deadline_s=600)
         assert cluster.clock == 35
         assert record.overall_state is orch.RunStage.PARTIAL_FAILURE
         assert batch_errors(record) == batch_failures(events) == {0: "UnparseableJobId"}
-        assert "job 99 " in str(record.batches[0].error)
+        assert "workflow job of batch 0 " in str(record.batches[0].error)
         assert [stage for stage, _ in events].count("cleanup") == 1
         assert_no_job_outlives_its_data(
             cluster, run_env[2].entry("cellpose").resources.time_limit_min)
@@ -1788,21 +1868,23 @@ class TestLastPollRetrieves:
         assert [stage for stage, _ in events].count("cleanup") == 1
         assert cluster.early == []
 
-    @pytest.mark.parametrize("script, error", [("batch1/job.sh", "UnparseableJobId"),
-                                               ("batch1/convert.sh", "SubmitRejected")])
+    @pytest.mark.parametrize("script, forced, error", [
+        ("batch1/job.sh", JobState.FAILED, "WorkflowFailed"),
+        ("batch1/convert.sh", JobState.TIMEOUT, "SubmitRejected")])
     def test_unreadable_job_id_holds_the_guard_while_job_runs(self, run_env, tmp_path,
-                                                              script, error):
+                                                              script, forced, error):
         # Batch 1's workflow job, or its conversion array, went in with an
-        # id the client could not read, and runs to its time limit. An
-        # unreadable array id also gets the workflow job's sbatch refused,
-        # and the batch ends with that error. The guard lists the job by
-        # its name, so no poll removes the data while it runs; once the
-        # guard lists no workflow job the run waits for, one launch brings
-        # the results back and cancels the job by name first, long before
-        # its time limit.
+        # answer that holds no id. The run reads no sbatch answer: it finds
+        # the workflow job by name and batch dir, waits for it, and reads
+        # it FAILED. The shell hands the array's id to its workflow job's
+        # sbatch, which an unreadable one gets refused; the batch fails with
+        # that error, and its array runs on, to its time limit. The guard
+        # lists the job by its name, so no poll removes the data while it
+        # runs; once the guard lists no workflow job the run waits for, one
+        # launch brings the results back and cancels the job by name first,
+        # long before its time limit.
         cluster = PrintsNoJobId(script)
-        cluster.inject_fault(FaultDirective(script_substring=script,
-                                            forced_state=JobState.TIMEOUT))
+        cluster.inject_fault(FaultDirective(script_substring=script, forced_state=forced))
         make_tiff_inputs(str(tmp_path / "inputs"), 3)
         make_zarr_inputs(str(tmp_path / "inputs"), 3)
         events = Events()
@@ -1811,7 +1893,7 @@ class TestLastPollRetrieves:
         assert record.overall_state is orch.RunStage.PARTIAL_FAILURE
         assert batch_errors(record) == {1: error}
         assert "squeue" in cluster.ran and cluster.ran.count("base64") == 1
-        assert "cancel" in [stage for stage, _ in events]
+        assert ("cancel" in [stage for stage, _ in events]) == (forced is JobState.TIMEOUT)
         assert cluster.early == []
         time_limit_min = run_env[2].entry("cellpose").resources.time_limit_min
         assert cluster.clock < 60 * time_limit_min
@@ -1838,8 +1920,7 @@ class TestLastPollRetrieves:
         def counting(tokens):
             result = sacct(tokens)
             printed.append(result.stdout.count("\n"))
-            named.append(sum(len(cluster.jobs[int(job_id)].tasks)
-                             for job_id in tokens[tokens.index("-j") + 1].split(",")))
+            named.append(sum(len(job.tasks) for job in cluster.jobs.values()))
             return result
 
         cluster._sacct = counting

@@ -26,25 +26,25 @@ pytestmark = pytest.mark.skipif(
     reason="sh, sed, Info-ZIP zip/unzip or coreutils cp/sha256sum/base64 not installed")
 
 # sbatch runs the script at once, each task of an array in turn, writing
-# each log where --output names it, and adds a `<id>|<state>` line per task
-# to the accounting file that sacct prints. Job ids count up from 1, as the
-# simulator's do; under --parsable it prints the id alone.
+# each log where --output names it, and adds a `<id>|<work dir>|<state>`
+# line per task to the accounting file that sacct prints. Job ids count up
+# from 1, as the simulator's do; under --parsable it prints the id alone.
 SBATCH = """\
 echo "$@" >> {state}/sbatch.calls
-for arg; do script=$arg; done
+for arg; do case $arg in --chdir=*) dir=${{arg#--chdir=}} ;; esac; script=$arg; done
 id=$(cat {state}/next_id 2>/dev/null || echo 1)
 echo $((id + 1)) > {state}/next_id
 log=$(sed -n 's/^#SBATCH --output=//p' "$script")
 last=$(sed -n 's/^#SBATCH --array=0-//p' "$script")
 if [ -z "$last" ]; then
     sh "$script" > "$(echo "$log" | sed "s/%j/$id/")" 2>&1 && s=COMPLETED || s=FAILED
-    echo "$id|$s" >> {state}/accounting
+    echo "$id|$dir|$s" >> {state}/accounting
 else
     k=0
     while [ "$k" -le "$last" ]; do
         SLURM_ARRAY_TASK_ID=$k sh "$script" > "$(echo "$log" | sed "s/%A/$id/; s/%a/$k/")" 2>&1 \\
             && s=COMPLETED || s=FAILED
-        echo "${{id}}_$k|$s" >> {state}/accounting
+        echo "${{id}}_$k|$dir|$s" >> {state}/accounting
         k=$((k + 1))
     done
 fi
@@ -90,7 +90,8 @@ def install_cluster(router, state):
     state.mkdir()
     quoted = shlex.quote(str(state))
     router.stub("sbatch", SBATCH.format(state=quoted))
-    router.stub("sacct", f"cat {quoted}/accounting\n")
+    # Before any job, accounting lists nothing.
+    router.stub("sacct", f"[ ! -f {quoted}/accounting ] || cat {quoted}/accounting\n")
     # Every job ran to its end within its sbatch: none is queued.
     router.stub("squeue", "exit 0\n")
     router.stub("scancel", f'echo "$@" >> {quoted}/scancel.calls\n')
@@ -155,10 +156,12 @@ def test_run_matches_the_simulator(shell_run, shell_router, tmp_path):
     assert data_left(profile) == []
     assert len(record.batches) == 3 and all(b.conversion_handle for b in record.batches[1:])
     calls = (tmp_path / "state" / "sbatch.calls").read_text().splitlines()
-    # Batch 0 holds TIFF inputs only; batches 1 and 2 convert as jobs 2 and 3.
-    assert [call.split()[2:-1] for call in calls] == [[]] * 3 + [
-        [f"--dependency=afterok:{conversion}", "--kill-on-invalid-dep=yes"]
-        for conversion in (2, 3)]
+    # Batch 0 holds TIFF inputs only; batches 1 and 2 convert as jobs 2 and
+    # 3. Each job works in its batch's dir.
+    assert [call.split()[2:-1] for call in calls] == [
+        [f"--chdir={record.batches[k].remote_dir}"] for k in range(3)] + [
+        [f"--chdir={record.batches[k].remote_dir}", f"--dependency=afterok:{k + 1}",
+         "--kill-on-invalid-dep=yes"] for k in (1, 2)]
 
     sim = SimEndpoint(SimCluster())
     slurm.init_environment(sim, profile, registry)
@@ -204,7 +207,8 @@ def test_submission_launch_with_stub_sbatch_matches_the_simulator(shell_router, 
     """One submit_job launch, run by /bin/sh with a stub `sbatch --parsable`,
     gives each script the simulator's outcome: ids count up, a script that
     waits on a refused one is not submitted, and the sbatch of one that
-    waits on a submitted one gets that job's id as its dependency."""
+    waits on a submitted one gets that job's id as its dependency, handed
+    over in the shell; each works in its script's dir."""
     state, jobs = tmp_path / "state", tmp_path / "jobs"
     state.mkdir()
     jobs.mkdir()
@@ -216,40 +220,43 @@ def test_submission_launch_with_stub_sbatch_matches_the_simulator(shell_router, 
         with open(path, "w") as handle:
             handle.write(WORKFLOW_SCRIPT)
         sim.cluster.fs.write(path, WORKFLOW_SCRIPT.encode())
-    scripts = [(paths[0], 2, None), (paths[1], None, None), (paths[2], None, 0),
-               (paths[2], None, 1)]
+    scripts = [(paths[0], None), (paths[1], None), (paths[2], 0), (paths[2], 1)]
 
     def outcomes(endpoint):
         ran = slurm.submit_job(endpoint, scripts, "sb-t", setup=[["test", "-e", paths[0]]])
-        return [outcome if outcome is None or isinstance(outcome, slurm.JobHandle)
-                else (outcome.ok, outcome.stdout) if isinstance(outcome, ExecResult)
-                else str(outcome) for outcome in ran]
+        return [(outcome.ok, outcome.stdout) if isinstance(outcome, ExecResult)
+                else outcome if outcome in (True, None) else str(outcome) for outcome in ran]
 
     real = outcomes(ssh_endpoint())
     assert real == outcomes(sim)
-    assert real == [(True, ""), slurm.JobHandle(1, 2),
+    assert real == [(True, ""), True,
                     f"submission rejected (exit 1): sbatch: error: Unable to open file {paths[1]}",
-                    slurm.JobHandle(2), None]
+                    True, None]
+    chdir = f"--chdir={jobs}"
     assert (state / "sbatch.calls").read_text().splitlines() == [
-        f"--parsable --job-name=sb-t {paths[0]}", f"--parsable --job-name=sb-t {paths[1]}",
-        f"--parsable --job-name=sb-t --dependency=afterok:1 --kill-on-invalid-dep=yes {paths[2]}"]
-    assert [(job.id, job.dependency) for job in sim.cluster.jobs.values()] == [(1, None), (2, 1)]
+        f"--parsable --job-name=sb-t {chdir} {paths[0]}",
+        f"--parsable --job-name=sb-t {chdir} {paths[1]}",
+        f"--parsable --job-name=sb-t {chdir} --dependency=afterok:1 --kill-on-invalid-dep=yes "
+        f"{paths[2]}"]
+    assert [(job.id, job.dependency, job.work_dir) for job in sim.cluster.jobs.values()] == [
+        (1, None, str(jobs)), (2, 1, str(jobs))]
 
 
 @pytest.mark.parametrize("squeue", [
-    "exit 1\n", 'case "$1 $2 $3 $4 $5" in "-a -h --name=sb-"*" -o %i") echo 1 ;; esac\n'],
+    "exit 1\n", 'case "$1 $2 $3 $4 $5" in "-a -h --name=sb-"*" -o %i|%Z") '
+                'sed -n "s/^\\(1|.*\\)|[A-Z]*$/\\1/p" {state}/accounting ;; esac\n'],
     ids=["fails", "lists-one-id"])
 def test_guard_that_does_not_pass_keeps_the_run_dir(shell_run, shell_router, tmp_path, squeue):
     """Every job has ended and sacct says so, but squeue exits 1 with no
     output, three accounting failures in a row, or lists job 1, batch 0's
-    workflow job, until the deadline, after three polls: no poll launch
+    workflow job, with its work dir, until the deadline, after three polls: no poll launch
     removes anything, and the run brings its results back in a retrieval
     launch of its own, which reads sacct and then cancels the jobs of that
     name. A job listed at the deadline runs on as far as the run knows: its
     batch's out dir stays out of the zip, and the batch fails."""
     run, profile, _ = shell_run
-    shell_router.stub("squeue", squeue)
     state = shlex.quote(str(tmp_path / "state"))
+    shell_router.stub("squeue", squeue.format(state=state))
     shell_router.stub("sacct", f"echo ran >> {state}/sacct.calls; cat {state}/accounting\n")
     run_dir = []  # whether the run dir was there after each poll launch
     route = shell_router.run

@@ -100,52 +100,84 @@ def job_state(cluster, job_id):
     return cluster.jobs[job_id].parent_state()
 
 
+def sacct(cluster, name, since="2000-01-01T00:00:00"):
+    """What the simulator's sacct of the client's form prints for the jobs
+    named name since the local time since, or, if None, since 00:00 of the
+    current day, less each record's work dir: `<entry id>|<state>` lines."""
+    window = [] if since is None else ["-S", since]
+    result = cluster.sim_exec(["sacct", "-n", "-P", "-X", f"--name={name}", *window,
+                               "-o", "JobID,WorkDir,State"])
+    assert result.exit_code == 0, result.stderr
+    return "".join(f"{line.split('|')[0]}|{line.split('|')[-1]}\n"
+                   for line in result.stdout.splitlines())
+
+
 class TestSubmission:
     def test_sbatch_grammar_and_initial_state(self):
         cluster = SimCluster()
-        job_id = submit_script(cluster, "/scratch/job.sh", cpus=2)
-        result = cluster.sim_exec(["sacct", "-n", "-P", "-X", "-o",
-                                   "JobID,State", "-j", str(job_id)])
-        assert result.stdout == f"{job_id}|PENDING\n"
+        job_id = submit_script(cluster, "/scratch/job.sh", cpus=2, options=["--job-name=j"])
+        assert sacct(cluster, "j") == f"{job_id}|PENDING\n"
         parsable = sbatch_script(cluster, "/scratch/job.sh", options=["--parsable"])
         assert (parsable.exit_code, parsable.stdout) == (0, f"{job_id + 1}\n")
 
     def test_sacct_unknown_id_empty(self):
+        # An unknown name lists nothing; the `-j <ids>` form the client no
+        # longer sends is refused.
         cluster = SimCluster()
-        result = cluster.sim_exec(["sacct", "-n", "-P", "-X", "-o",
-                                   "JobID,State", "-j", "999"])
-        assert result.exit_code == 0
-        assert result.stdout == ""
+        submit_script(cluster, "/scratch/job.sh", options=["--job-name=j"])
+        assert sacct(cluster, "other") == ""
+        result = cluster.sim_exec(["sacct", "-n", "-P", "-X", "-o", "JobID,State", "-j", "1"])
+        assert (result.exit_code, result.stdout) == (2, "")
+
+    def test_sacct_lists_each_job_that_had_not_ended_by_its_start(self):
+        # `date` prints the clock as the local time from 2024-01-01T00:00:00;
+        # sacct lists a job of the name when it had not ended by -S, or, with
+        # no -S, by 00:00 of the current day, as sacct(1) does.
+        cluster = SimCluster()
+        cluster.clock = 86400 - 20
+        date = cluster.sim_exec(["date", "+%Y-%m-%dT%H:%M:%S"])
+        assert (date.exit_code, date.stdout) == (0, "2024-01-01T23:59:40\n")
+        early = submit_script(cluster, "/scratch/e.sh", duration=5, options=["--job-name=j"])
+        late = submit_script(cluster, "/scratch/l.sh", duration=60, options=["--job-name=j"])
+        cluster.advance(30)  # the early job ended at 23:59:45; the late one runs on
+        assert sacct(cluster, "j", None) == f"{late}|RUNNING\n"
+        assert sacct(cluster, "j", "2024-01-01T23:59:45") == (
+            f"{early}|COMPLETED\n{late}|RUNNING\n")
+        assert sacct(cluster, "j", "2024-01-01T23:59:46") == f"{late}|RUNNING\n"
 
     def test_squeue_lists_each_queued_record(self):
-        """`squeue -a -h --name=<name> -o %i` prints a line per record still
-        queued or running of a job of that name: a job's id, a running array
-        task's `<id>_<k>`, and an array's pending tasks as one
-        `<id>_[<ranges>]`; an ended job or task, a job of another name or
-        none, and an unknown name print nothing. The `-j <ids>` form the
-        client no longer sends is refused."""
+        """`squeue -a -h --name=<name> -o %i|%Z` prints a line per record
+        still queued or running of a job of that name, with the job's work
+        dir: a job's id, a running array task's `<id>_<k>`, and an array's
+        pending tasks as one `<id>_[<ranges>]`; an ended job or task, a job
+        of another name or none, and an unknown name print nothing. A job
+        submitted without --chdir works in `/`. The `-o %i` form the client
+        no longer sends is refused."""
         cluster = SimCluster(nodes=[{"cpus": 4, "gpus": 0, "mem_mb": 8192}])
         named = ["--job-name=n"]
         array = submit_script(cluster, "/scratch/a.sh", cpus=2, duration=10, array="0-5",
-                              options=named)
+                              options=named + ["--chdir=/scratch/b0"])
         plain = submit_script(cluster, "/scratch/p.sh", cpus=1, duration=5, options=named)
         other = submit_script(cluster, "/scratch/o.sh", duration=60, options=["--job-name=o"])
         submit_script(cluster, "/scratch/u.sh", duration=60)
-        squeue = ["squeue", "-a", "-h", "--name=n", "-o", "%i"]
-        assert cluster.sim_exec(squeue).stdout == f"{array}_[0-5]\n{plain}\n"
+        squeue = ["squeue", "-a", "-h", "--name=n", "-o", "%i|%Z"]
+        assert cluster.sim_exec(squeue).stdout == f"{array}_[0-5]|/scratch/b0\n{plain}|/\n"
         cluster.advance(1)
         assert cluster.sim_exec(squeue).stdout == (
-            f"{array}_0\n{array}_1\n{array}_[2-5]\n{plain}\n")
+            f"{array}_0|/scratch/b0\n{array}_1|/scratch/b0\n{array}_[2-5]|/scratch/b0\n"
+            f"{plain}|/\n")
         cluster.advance(20)
-        assert cluster.sim_exec(squeue).stdout == f"{array}_4\n{array}_5\n{plain}\n"
+        assert cluster.sim_exec(squeue).stdout == (
+            f"{array}_4|/scratch/b0\n{array}_5|/scratch/b0\n{plain}|/\n")
         cluster.advance(10)  # the plain job starts as the last tasks end
-        assert cluster.sim_exec(squeue).stdout == f"{plain}\n"
+        assert cluster.sim_exec(squeue).stdout == f"{plain}|/\n"
         cluster.advance(10)
         assert cluster.sim_exec(squeue) == ExecResult(0, "", "")
-        assert cluster.sim_exec(["squeue", "-a", "-h", "--name=o", "-o", "%i"]).stdout == (
-            f"{other}\n")
-        assert cluster.sim_exec(["squeue", "-a", "-h", "--name=x", "-o", "%i"]) == ExecResult(
+        assert cluster.sim_exec(["squeue", "-a", "-h", "--name=o", "-o", "%i|%Z"]).stdout == (
+            f"{other}|/\n")
+        assert cluster.sim_exec(["squeue", "-a", "-h", "--name=x", "-o", "%i|%Z"]) == ExecResult(
             0, "", "")
+        assert cluster.sim_exec(squeue[:-1] + ["%i"]).exit_code == 2
         assert cluster.sim_exec(["squeue", "-h", "-j", f"{array},{plain}", "-o", "%i"]) == (
             ExecResult(2, "", f"squeue: form not simulated: squeue -h -j {array},{plain} -o %i\n"))
 
@@ -249,14 +281,10 @@ class TestArrays:
     def test_array_tasks_expand_and_report(self):
         cluster = SimCluster(nodes=[{"cpus": 4, "gpus": 0, "mem_mb": 8192}])
         job_id = submit_script(cluster, "/scratch/arr.sh", cpus=1,
-                               duration=10, array="0-5")
-        result = cluster.sim_exec(["sacct", "-n", "-P", "-X", "-o",
-                                   "JobID,State", "-j", str(job_id)])
-        assert result.stdout.splitlines() == [f"{job_id}_[0-5]|PENDING"]
+                               duration=10, array="0-5", options=["--job-name=a"])
+        assert sacct(cluster, "a").splitlines() == [f"{job_id}_[0-5]|PENDING"]
         cluster.advance(1)
-        result = cluster.sim_exec(["sacct", "-n", "-P", "-X", "-o",
-                                   "JobID,State", "-j", str(job_id)])
-        assert result.stdout.splitlines() == [
+        assert sacct(cluster, "a").splitlines() == [
             *(f"{job_id}_{k}|RUNNING" for k in range(4)), f"{job_id}_[4-5]|PENDING"]
 
     def test_array_runs_within_capacity(self):
@@ -815,8 +843,8 @@ def test_pending_tasks_are_a_suffix_and_sacct_names_every_task_state(seed, steps
     job's pending tasks are a suffix of its tasks, sacct's lines, each
     pending record expanded, name exactly the tasks of the listed jobs, each
     once, in its state, and squeue's, asked for the name the listed jobs
-    carry among jobs of another name, exactly those not ended. squeue's
-    `-j <ids>` form is refused."""
+    carry among jobs of another name, exactly those not ended. The `-j
+    <ids>` forms of squeue and sacct are refused."""
     rng = random.Random(seed)
     cluster = SimCluster(nodes=[{"cpus": rng.randint(1, 4), "gpus": rng.randint(0, 1),
                                  "mem_mb": rng.choice([2048, 8192])}
@@ -839,13 +867,14 @@ def test_pending_tasks_are_a_suffix_and_sacct_names_every_task_state(seed, steps
                          len(states))
             assert all(state is JobState.PENDING for state in states[first:]), (job.id, states)
         listed = ",".join(map(str, job_ids))
-        printed = cluster.sim_exec(["sacct", "-n", "-P", "-X", "-o", "JobID,State", "-j", listed])
-        assert sorted(expand_sacct(printed.stdout)) == sorted(
+        assert sorted(expand_sacct(sacct(cluster, "p"))) == sorted(
             (task.entry_id, task.state.value)
             for job_id in job_ids for task in cluster.jobs[job_id].tasks)
         # squeue names, in the same records, exactly the tasks not ended.
-        queued = cluster.sim_exec(["squeue", "-a", "-h", "--name=p", "-o", "%i"]).stdout
-        assert sorted(entry for entry, _ in expand_sacct(queued.replace("\n", "|PENDING\n"))) \
+        queued = cluster.sim_exec(["squeue", "-a", "-h", "--name=p", "-o", "%i|%Z"]).stdout
+        assert sorted(entry for entry, _ in expand_sacct(queued.replace("|/\n", "|PENDING\n"))) \
             == sorted(task.entry_id for job_id in job_ids
                       for task in cluster.jobs[job_id].tasks if not task.state.terminal)
         assert cluster.sim_exec(["squeue", "-h", "-j", listed, "-o", "%i"]).exit_code == 2
+        assert cluster.sim_exec(["sacct", "-n", "-P", "-X", "-o", "JobID,State",
+                                 "-j", listed]).exit_code == 2

@@ -61,12 +61,25 @@ def prepare_run_dirs(endpoint):
 
 
 def submit_workflow(endpoint, script=WORKFLOW_SCRIPT, path="/scratch/omero/data/r1/job.sh"):
-    """Submit one script; returns its handle or raises what rejected it."""
+    """Submit one script as a job named sb-test; returns its job id, the
+    simulator's last, or raises what rejected it."""
+    endpoint.cluster.fs.make_dirs(os.path.dirname(path))
     endpoint.cluster.fs.write(path, script.encode())
-    [outcome] = slurm.submit_job(endpoint, [(path, None, None)], "sb-test")
+    [outcome] = slurm.submit_job(endpoint, [(path, None)], "sb-test")
     if isinstance(outcome, Exception):
         raise outcome
-    return outcome
+    assert outcome is True
+    return endpoint.cluster.next_job_id - 1
+
+
+def polled(endpoint, name="sb-test", keys=()):
+    """job id -> state of each job that poll_jobs lists under name."""
+    return dict(slurm.poll_jobs(endpoint, name, slurm.SINCE_EVER, keys).values())
+
+
+def answering(stdout):
+    """An exec that answers every command with stdout, as sacct would."""
+    return lambda *a, **k: ExecResult(0, stdout, "")
 
 
 def record_launches(endpoint):
@@ -109,7 +122,8 @@ class DamagesStream(SimCluster):
 
 def fetch_logs(endpoint, logs_dir):
     """The logs dir as one archive, brought back the way a run does it."""
-    _, (_, bundle, _) = slurm.fetch_results(endpoint, [], [logs_dir], "/scratch/logs.zip")
+    _, (_, bundle, _) = slurm.fetch_results(endpoint, "sb-test", slurm.SINCE_EVER, [logs_dir],
+                                            "/scratch/logs.zip")
     return zipfile.ZipFile(io.BytesIO(bundle))
 
 
@@ -202,9 +216,19 @@ class TestInitEnvironment:
 
 class TestSubmitJob:
     def test_submit_parses_job_id(self, sim_endpoint):
+        # The one job id read is the one the shell hands from the first
+        # sbatch's answer to the second's dependency; the client reads only
+        # whether each sbatch exited 0. Each job works in its script's dir,
+        # by which a run finds it.
         prepare_run_dirs(sim_endpoint)
-        handle = submit_workflow(sim_endpoint)
-        assert handle == slurm.JobHandle(1)
+        cluster = sim_endpoint.cluster
+        for name in ("convert", "job"):
+            cluster.fs.write(f"/scratch/omero/data/r1/{name}.sh", WORKFLOW_SCRIPT.encode())
+        assert slurm.submit_job(sim_endpoint, [("/scratch/omero/data/r1/convert.sh", None),
+                                               ("/scratch/omero/data/r1/job.sh", 0)],
+                                "sb-test") == [True, True]
+        assert [(job.dependency, job.work_dir) for job in cluster.jobs.values()] == [
+            (None, "/scratch/omero/data/r1"), (1, "/scratch/omero/data/r1")]
 
     def test_submit_rejected(self, sim_endpoint, monkeypatch):
         prepare_run_dirs(sim_endpoint)
@@ -218,14 +242,14 @@ class TestSubmitJob:
             submit_workflow(sim_endpoint)
 
     def test_unparseable_job_id(self, sim_endpoint, monkeypatch):
+        # No sbatch answer is parsed: one that names no job id but exited 0
+        # is a submission.
         prepare_run_dirs(sim_endpoint)
-        from slurmbridge.transport import ExecResult
-
         monkeypatch.setattr(
             sim_endpoint, "exec_many", lambda *a, **k: [ExecResult(0, "weird output\n", "")]
         )
-        with pytest.raises(UnparseableJobId):
-            submit_workflow(sim_endpoint)
+        assert slurm.submit_job(sim_endpoint, [("/scratch/omero/data/r1/job.sh", None)],
+                                "sb-test") == [True]
 
     def test_every_script_in_one_launch(self, sim_endpoint):
         prepare_run_dirs(sim_endpoint)
@@ -237,14 +261,14 @@ class TestSubmitJob:
         # The third script waits for the first's job, the fourth for the
         # second's, which sbatch refuses, so the fourth is not submitted.
         first, missing, second, held = slurm.submit_job(
-            sim_endpoint, [(paths[0], None, None), (paths[2], None, None),
-                           (paths[1], None, 0), (paths[0], None, 1)], "sb-r1")
+            sim_endpoint, [(paths[0], None), (paths[2], None),
+                           (paths[1], 0), (paths[0], 1)], "sb-r1")
         assert len(launches) == 1
         assert isinstance(missing, SubmitRejected)
         assert held is None
-        assert (first.job_id, second.job_id) == (1, 2)
-        assert [(job.name, job.dependency) for job in cluster.jobs.values()] == [
-            ("sb-r1", None), ("sb-r1", 1)]
+        assert (first, second) == (True, True)
+        assert [(job.name, job.dependency, job.work_dir) for job in cluster.jobs.values()] == [
+            ("sb-r1", None, "/scratch/omero/data/r1"), ("sb-r1", 1, "/scratch/omero/data/r1")]
 
     def test_scripts_go_in_only_after_every_setup_command_exited_0(self, sim_endpoint):
         prepare_run_dirs(sim_endpoint)
@@ -252,27 +276,28 @@ class TestSubmitJob:
         sim_endpoint.cluster.fs.write(path, WORKFLOW_SCRIPT.encode())
         launches = record_launches(sim_endpoint)
         made, held, refused, not_run = slurm.submit_job(
-            sim_endpoint, [(path, None, None), (path, None, None)], "sb-r1",
+            sim_endpoint, [(path, None), (path, None)], "sb-r1",
             setup=[["mkdir", "-p", "/scratch/omero/data/r1/x"],
                    ["test", "-e", "/scratch/omero/data/r1/missing"]])
         assert (made.exit_code, held.exit_code) == (0, 1)
         assert (refused, not_run) == (None, None)
         assert sim_endpoint.cluster.jobs == {}
-        made, handle = slurm.submit_job(
-            sim_endpoint, [(path, None, None)], "sb-r1", setup=[["test", "-e", path]])
-        assert made.ok and handle.job_id == 1
+        made, submitted = slurm.submit_job(
+            sim_endpoint, [(path, None)], "sb-r1", setup=[["test", "-e", path]])
+        assert made.ok and submitted is True and list(sim_endpoint.cluster.jobs) == [1]
         assert len(launches) == 2
 
     def test_array_submission_single_parent_handle(self, sim_endpoint):
         cluster = sim_endpoint.cluster
-        job_id = submit_script(cluster, "/scratch/arr.sh", array="0-3", duration=5)
+        job_id = submit_script(cluster, "/scratch/arr.sh", array="0-3", duration=5,
+                               options=["--job-name=sb-test", "--chdir=/scratch/b0"])
         # Oracle: accounting keeps the 4 pending tasks in one record, as
         # Slurm keeps them unsplit, and the client folds it into the parent.
-        result = cluster.sim_exec(["sacct", "-n", "-P", "-X", "-o",
-                                   "JobID,State", "-j", str(job_id)])
-        assert result.stdout == f"{job_id}_[0-3]|PENDING\n"
-        handle = slurm.JobHandle(job_id, 4)
-        assert slurm.poll_jobs(sim_endpoint, [handle]) == {job_id: JobState.PENDING}
+        result = cluster.sim_exec(["sacct", "-n", "-P", "-X", "--name=sb-test",
+                                   "-o", "JobID,WorkDir,State"])
+        assert result.stdout == f"{job_id}_[0-3]|/scratch/b0|PENDING\n"
+        assert slurm.poll_jobs(sim_endpoint, "sb-test", slurm.SINCE_EVER) == {
+            ("/scratch/b0", "conversion"): (job_id, JobState.PENDING)}
 
 
 # Task states of one array: any mix, or tasks that no longer pend followed by
@@ -295,16 +320,15 @@ def test_array_record_folds_into_the_parent_state(states, first):
     pend: sacct prints each task that does not pend, and those that do as
     one `<id>_[<indices>]` record, each run of indices as <lo>-<hi>."""
     cluster = SimCluster()
-    job_id = submit_script(cluster, "/scratch/arr.sh",
+    job_id = submit_script(cluster, "/scratch/arr.sh", options=["--job-name=sb-test"],
                            array=f"{first}-{first + len(states) - 1}")
     for task, state in zip(cluster.jobs[job_id].tasks, states):
         task.state = state
     cluster._index_jobs()
-    handle = slurm.JobHandle(job_id, len(states))
-    assert slurm.poll_jobs(SimEndpoint(cluster), [handle]) == {
-        job_id: aggregate_array_states(states)}
-    lines = cluster.sim_exec(["sacct", "-n", "-P", "-X", "-o", "JobID,State",
-                              "-j", str(job_id)]).stdout.splitlines()
+    assert polled(SimEndpoint(cluster)) == {job_id: aggregate_array_states(states)}
+    lines = [line.replace("|/|", "|") for line in cluster.sim_exec(
+        ["sacct", "-n", "-P", "-X", "--name=sb-test", "-S", slurm.SINCE_EVER,
+         "-o", "JobID,WorkDir,State"]).stdout.splitlines()]
     pending = [first + k for k, state in enumerate(states) if state is JobState.PENDING]
     assert len(lines) == len(states) - len(pending) + bool(pending)
     if pending:
@@ -317,71 +341,74 @@ def test_array_record_folds_into_the_parent_state(states, first):
 class TestPollJobs:
     def test_single_states(self, sim_endpoint):
         prepare_run_dirs(sim_endpoint)
-        handle = submit_workflow(sim_endpoint)
-        assert slurm.poll_jobs(sim_endpoint, [handle]) == {1: JobState.PENDING}
+        submit_workflow(sim_endpoint)
+        assert polled(sim_endpoint) == {1: JobState.PENDING}
         sim_endpoint.cluster.advance(1)
-        assert slurm.poll_jobs(sim_endpoint, [handle]) == {1: JobState.RUNNING}
+        assert polled(sim_endpoint) == {1: JobState.RUNNING}
         sim_endpoint.cluster.advance(60)
-        assert slurm.poll_jobs(sim_endpoint, [handle]) == {1: JobState.COMPLETED}
+        assert polled(sim_endpoint) == {1: JobState.COMPLETED}
 
     def test_single_exec_per_poll(self, sim_endpoint):
         prepare_run_dirs(sim_endpoint)
-        handles = [submit_workflow(sim_endpoint, path=f"/scratch/omero/data/r1/j{i}.sh")
-                   for i in range(5)]
+        for i in range(5):
+            submit_workflow(sim_endpoint, path=f"/scratch/omero/data/r{i}/job.sh")
         calls = record_launches(sim_endpoint)
-        slurm.poll_jobs(sim_endpoint, handles)
-        assert len(calls) == 1
-        assert calls[0][0] == "sacct"
+        assert len(polled(sim_endpoint)) == 5
+        assert calls == [["sacct", "-n", "-P", "-X", "--name=sb-test", "-S", slurm.SINCE_EVER,
+                          "-o", "JobID,WorkDir,State"]]
 
     def test_array_aggregation_failed(self, sim_endpoint):
         cluster = sim_endpoint.cluster
         cluster.inject_fault(FaultDirective(script_substring="arr",
                                             forced_state=JobState.FAILED))
-        job_id = submit_script(cluster, "/scratch/arr.sh", array="0-2", duration=5)
+        job_id = submit_script(cluster, "/scratch/arr.sh", array="0-2", duration=5,
+                               options=["--job-name=sb-test"])
         cluster.advance(30)
-        handle = slurm.JobHandle(job_id, array_size=3)
-        assert slurm.poll_jobs(sim_endpoint, [handle]) == {job_id: JobState.FAILED}
+        assert polled(sim_endpoint) == {job_id: JobState.FAILED}
 
     def test_unknown_state_token(self, sim_endpoint, monkeypatch):
-        from slurmbridge.transport import ExecResult
-
-        monkeypatch.setattr(
-            sim_endpoint, "exec", lambda *a, **k: ExecResult(0, "1|WOBBLY\n", "")
-        )
+        monkeypatch.setattr(sim_endpoint, "exec", answering("1|/b0|WOBBLY\n2|/b1|RUNNING\n"))
         # The unmapped token costs its own job only.
-        states = slurm.poll_jobs(sim_endpoint, [slurm.JobHandle(1), slurm.JobHandle(2)])
-        assert isinstance(states[1], UnknownState) and states[1].token == "WOBBLY"
-        assert set(states) == {1}
+        jobs = slurm.poll_jobs(sim_endpoint, "sb-test", slurm.SINCE_EVER)
+        job_id, state = jobs["/b0", "workflow"]
+        assert job_id == 1 and isinstance(state, UnknownState) and state.token == "WOBBLY"
+        assert jobs["/b1", "workflow"] == (2, JobState.RUNNING)
 
     @pytest.mark.parametrize("line", ["1+0|COMPLETED", "1.batch|COMPLETED", "abc|RUNNING",
-                                      "1_|PENDING", "RUNNING"])
+                                      "1_|PENDING", "RUNNING", "1+0|/b1|COMPLETED",
+                                      "1.batch|/b1|COMPLETED", "abc|/b1|RUNNING",
+                                      "1_|/b1|PENDING"])
     def test_unreadable_line_gives_up(self, sim_endpoint, monkeypatch, line):
-        from slurmbridge.transport import ExecResult
-
-        # The line might be any job's: each job no other line reads is
-        # given up with UnparseableJobId; job 1, read, keeps its state.
-        monkeypatch.setattr(
-            sim_endpoint, "exec", lambda *a, **k: ExecResult(0, f"1|RUNNING\n{line}\n", "")
-        )
-        states = slurm.poll_jobs(sim_endpoint, [slurm.JobHandle(1), slurm.JobHandle(2, 3)])
-        assert states[1] is JobState.RUNNING
-        assert isinstance(states[2], UnparseableJobId) and line in str(states[2])
+        # The line might be any job's: each key asked about that no other
+        # line lists is given up with UnparseableJobId; the job read keeps
+        # its state.
+        monkeypatch.setattr(sim_endpoint, "exec", answering(f"1|/b0|RUNNING\n{line}\n"))
+        jobs = slurm.poll_jobs(sim_endpoint, "sb-test", slurm.SINCE_EVER,
+                               [("/b0", "workflow"), ("/b1", "conversion")])
+        assert jobs["/b0", "workflow"] == (1, JobState.RUNNING)
+        job_id, state = jobs["/b1", "conversion"]
+        assert job_id is None and isinstance(state, UnparseableJobId) and line in str(state)
 
     def test_an_unmapped_task_token_costs_its_array_only(self, sim_endpoint, monkeypatch):
-        from slurmbridge.transport import ExecResult
-
-        answer = "1_0|COMPLETED\n1_1|WOBBLY\n1_[2-3]|PENDING\n2|COMPLETED\n"
-        monkeypatch.setattr(sim_endpoint, "exec", lambda *a, **k: ExecResult(0, answer, ""))
-        states = slurm.poll_jobs(sim_endpoint, [slurm.JobHandle(1, 4), slurm.JobHandle(2)])
-        assert isinstance(states[1], UnknownState) and states[1].token == "WOBBLY"
-        assert states[2] is JobState.COMPLETED
+        answer = "1_0|/b|COMPLETED\n1_1|/b|WOBBLY\n1_[2-3]|/b|PENDING\n2|/b|COMPLETED\n"
+        monkeypatch.setattr(sim_endpoint, "exec", answering(answer))
+        jobs = slurm.poll_jobs(sim_endpoint, "sb-test", slurm.SINCE_EVER)
+        assert isinstance(jobs["/b", "conversion"][1], UnknownState)
+        assert jobs["/b", "conversion"][1].token == "WOBBLY"
+        assert jobs["/b", "workflow"] == (2, JobState.COMPLETED)
 
     def test_lines_of_jobs_not_asked_about_are_ignored(self, sim_endpoint, monkeypatch):
-        from slurmbridge.transport import ExecResult
-
-        answer = "2|WOBBLY\n1_0|COMPLETED\n1_[1-3,5%2]|PENDING\n12_4|FAILED\n\n"
-        monkeypatch.setattr(sim_endpoint, "exec", lambda *a, **k: ExecResult(0, answer, ""))
-        assert slurm.poll_jobs(sim_endpoint, [slurm.JobHandle(1, 6)]) == {1: JobState.RUNNING}
+        # The lines of jobs not among the keys asked about change nothing
+        # of those that are: each job listed is keyed by its work dir, every
+        # character up to the last '|', and its kind.
+        answer = ("2|/a|b|WOBBLY\n1_0|/b0|COMPLETED\n1_[1-3,5%2]|/b0|PENDING\n"
+                  "12_4|/b1|FAILED\n\n")
+        monkeypatch.setattr(sim_endpoint, "exec", answering(answer))
+        jobs = slurm.poll_jobs(sim_endpoint, "sb-test", slurm.SINCE_EVER,
+                               [("/b0", "conversion")])
+        assert set(jobs) == {("/a|b", "workflow"), ("/b0", "conversion"), ("/b1", "conversion")}
+        assert jobs["/b0", "conversion"] == (1, JobState.RUNNING)
+        assert jobs["/b1", "conversion"] == (12, JobState.FAILED)
 
     @pytest.mark.parametrize("token, state", [
         ("PENDING", JobState.PENDING),
@@ -404,36 +431,27 @@ class TestPollJobs:
         ("DEADLINE", JobState.TIMEOUT),
     ])
     def test_every_sacct_state_code_maps(self, sim_endpoint, monkeypatch, token, state):
-        from slurmbridge.transport import ExecResult
-
-        monkeypatch.setattr(
-            sim_endpoint, "exec", lambda *a, **k: ExecResult(0, f"1|{token}\n", "")
-        )
-        assert slurm.poll_jobs(sim_endpoint, [slurm.JobHandle(1)]) == {1: state}
+        monkeypatch.setattr(sim_endpoint, "exec", answering(f"1|/b0|{token}\n"))
+        assert polled(sim_endpoint) == {1: state}
 
     def test_accounting_unavailable_on_exec_failure(self, sim_endpoint, monkeypatch):
-        from slurmbridge.errors import ConnectionLost
-
         def boom(*a, **k):
             raise ConnectionLost("gone")
 
         monkeypatch.setattr(sim_endpoint, "exec", boom)
-        handle = slurm.JobHandle(1)
         with pytest.raises(AccountingUnavailable):
-            slurm.poll_jobs(sim_endpoint, [handle])
+            polled(sim_endpoint)
 
 
 class TestQueuedIds:
-    def test_each_record_gives_its_job_id(self):
-        from slurmbridge.transport import ExecResult
+    def test_each_record_gives_its_work_dir_and_kind(self):
+        listed = ExecResult(1, "7|/b0\n8_3|/b1\n8_[4-9%2]|/b1\n12|/b1\n13|/a|b", "")
+        assert slurm.queued_ids(listed) == {("/b0", "workflow"), ("/b1", "conversion"),
+                                            ("/b1", "workflow"), ("/a|b", "workflow")}
 
-        listed = ExecResult(1, "7\n8_3\n8_[4-9%2]\n12", "")
-        assert slurm.queued_ids(listed) == {7, 8, 12}
-
-    @pytest.mark.parametrize("stdout", ["", "7\nslurm_load_jobs error", "7+0", "8_"])
+    @pytest.mark.parametrize("stdout", ["", "7\nslurm_load_jobs error", "7+0", "8_",
+                                        "7|/b0\nslurm_load_jobs error", "7+0|/b0", "8_|/b0"])
     def test_a_guard_that_lists_no_job_id_is_a_failed_squeue(self, stdout):
-        from slurmbridge.transport import ExecResult
-
         with pytest.raises(AccountingUnavailable) as info:
             slurm.queued_ids(ExecResult(1, stdout, "squeue: error: down\n"))
         assert "squeue: error: down" in str(info.value)
@@ -442,26 +460,28 @@ class TestQueuedIds:
 class TestCancel:
     def test_cancel_pending_then_polls_cancelled(self, sim_endpoint):
         prepare_run_dirs(sim_endpoint)
-        handle = submit_workflow(sim_endpoint)
+        submit_workflow(sim_endpoint)
         slurm.cleanup_run(sim_endpoint, [], cancel="sb-test")
-        assert slurm.poll_jobs(sim_endpoint, [handle]) == {1: JobState.CANCELLED}
+        assert polled(sim_endpoint) == {1: JobState.CANCELLED}
 
     def test_cancel_completed_is_noop(self, sim_endpoint):
         prepare_run_dirs(sim_endpoint)
-        handle = submit_workflow(sim_endpoint)
+        submit_workflow(sim_endpoint)
         sim_endpoint.cluster.advance(100)
         slurm.cleanup_run(sim_endpoint, [], cancel="sb-test")
-        assert slurm.poll_jobs(sim_endpoint, [handle]) == {1: JobState.COMPLETED}
+        assert polled(sim_endpoint) == {1: JobState.COMPLETED}
 
     def test_cancel_named_reaches_unseen_jobs(self, sim_endpoint):
         prepare_run_dirs(sim_endpoint)
-        sim_endpoint.cluster.fs.write("/scratch/omero/data/r1/job.sh", WORKFLOW_SCRIPT.encode())
-        slurm.submit_job(sim_endpoint, [("/scratch/omero/data/r1/job.sh", None, None)] * 2,
-                         "sb-r1")
+        for k in range(2):
+            sim_endpoint.cluster.fs.make_dirs(f"/scratch/omero/data/r{k}")
+            sim_endpoint.cluster.fs.write(f"/scratch/omero/data/r{k}/job.sh",
+                                          WORKFLOW_SCRIPT.encode())
+        slurm.submit_job(sim_endpoint, [(f"/scratch/omero/data/r{k}/job.sh", None)
+                                        for k in range(2)], "sb-r1")
         sim_endpoint.cluster.advance(1)
         slurm.cleanup_run(sim_endpoint, [], cancel="sb-r1")
-        assert slurm.poll_jobs(sim_endpoint, [slurm.JobHandle(1), slurm.JobHandle(2)]) \
-            == {1: JobState.CANCELLED, 2: JobState.CANCELLED}
+        assert polled(sim_endpoint, "sb-r1") == {1: JobState.CANCELLED, 2: JobState.CANCELLED}
 
     def test_cancel_running_array_parent(self, sim_endpoint):
         cluster = sim_endpoint.cluster
@@ -477,7 +497,7 @@ class TestFetchLogfile:
         prepare_run_dirs(sim_endpoint)
         sim_endpoint.cluster.inject_fault(
             FaultDirective(script_substring="job", forced_state=JobState.FAILED))
-        handle = submit_workflow(sim_endpoint)
+        handle = slurm.JobHandle(submit_workflow(sim_endpoint))
         sim_endpoint.cluster.advance(100)
         with fetch_logs(sim_endpoint, "/scratch/omero/logs") as archive:
             local = slurm.fetch_logfile(archive, handle, "/scratch/omero/logs",
@@ -526,7 +546,7 @@ class TestFetchResults:
         fs.write("/scratch/omero/data/r1/out/masks/a.tiff", b"mask")
         # An archive written inside the dir it zips leaves itself out.
         _, (_, bundle, removed) = slurm.fetch_results(
-            sim_endpoint, [], ["/scratch/omero/data/r1/out"],
+            sim_endpoint, "sb-test", slurm.SINCE_EVER, ["/scratch/omero/data/r1/out"],
             "/scratch/omero/data/r1/out/results.zip")
         assert removed == []
         assert bundle == fs.read("/scratch/omero/data/r1/out/results.zip")
@@ -546,8 +566,9 @@ class TestFetchResults:
         fs.write("/scratch/omero/logs/omero-job-1.log", b"log")
         launches = record_launches(sim_endpoint)
         _, (_, bundle, _) = slurm.fetch_results(
-            sim_endpoint, [], ["/scratch/omero/data/r1/out", "/scratch/omero/data/r2/out",
-                           "/scratch/omero/logs"], "/scratch/omero/data/r1/bundle.zip")
+            sim_endpoint, "sb-test", slurm.SINCE_EVER,
+            ["/scratch/omero/data/r1/out", "/scratch/omero/data/r2/out", "/scratch/omero/logs"],
+            "/scratch/omero/data/r1/bundle.zip")
         assert [command[0] for command in launches] == ["sh"]
         with zipfile.ZipFile(io.BytesIO(bundle)) as archive:
             assert sorted(archive.namelist()) == [
@@ -560,26 +581,28 @@ class TestFetchResults:
         # first, and then cancels the named jobs and removes the run paths
         # after the stream, the archive with them.
         prepare_run_dirs(sim_endpoint)
-        handle = submit_workflow(sim_endpoint)
+        submit_workflow(sim_endpoint)
         sim_endpoint.cluster.fs.write("/scratch/omero/data/r1/out/x.tiff", b"xxx")
         launches = record_launches(sim_endpoint)
-        _, (polled, bundle, removed) = slurm.fetch_results(
-            sim_endpoint, [handle], ["/scratch/omero/data/r1/out"],
+        _, (accounting, bundle, removed) = slurm.fetch_results(
+            sim_endpoint, "sb-test", "2023-12-31T00:00:00", ["/scratch/omero/data/r1/out"],
             "/scratch/omero/data/r1/bundle.zip",
-            ["/scratch/omero/data/r1", "/scratch/omero/data/r1.zip"], cancel="sb-test")
+            ["/scratch/omero/data/r1", "/scratch/omero/data/r1.zip"], cancel=True)
         assert len(launches) == 1
         # With no guard, every command runs behind an empty one.
         _, guard, then = unframe_commands(launches[0])
         assert guard == []
-        assert then[0] == ["sacct", "-n", "-P", "-X", "-o", "JobID,State", "-j", "1"]
-        assert slurm.job_states(polled, [handle]) == {1: JobState.PENDING}
+        assert then[0] == ["sacct", "-n", "-P", "-X", "--name=sb-test",
+                           "-S", "2023-12-31T00:00:00", "-o", "JobID,WorkDir,State"]
+        assert slurm.job_states(accounting) == {
+            ("/scratch/omero/data/r1", "workflow"): (1, JobState.PENDING)}
         assert then[4:] == slurm.teardown_commands(
             ["/scratch/omero/data/r1", "/scratch/omero/data/r1.zip"], "sb-test")
         with zipfile.ZipFile(io.BytesIO(bundle)) as archive:
             assert archive.read("scratch/omero/data/r1/out/x.tiff") == b"xxx"
         assert removed == ["/scratch/omero/data/r1"]
         assert not sim_endpoint.path_exists("/scratch/omero/data/r1")
-        assert slurm.poll_jobs(sim_endpoint, [handle]) == {1: JobState.CANCELLED}
+        assert polled(sim_endpoint) == {1: JobState.CANCELLED}
 
     def test_guard_holds_the_bundle_and_teardown_back_while_a_job_is_queued(
             self, sim_endpoint):
@@ -587,18 +610,19 @@ class TestFetchResults:
         # else runs. Once the job has ended, the same launch reads its
         # state, brings the bundle back and removes the run dir.
         prepare_run_dirs(sim_endpoint)
-        handle = submit_workflow(sim_endpoint)
+        submit_workflow(sim_endpoint)
         sim_endpoint.cluster.fs.write("/scratch/omero/data/r1/out/x.tiff", b"xxx")
-        args = (sim_endpoint, [handle], ["/scratch/omero/data/r1/out"],
+        args = (sim_endpoint, "sb-test", slurm.SINCE_EVER, ["/scratch/omero/data/r1/out"],
                 "/scratch/omero/data/r1/bundle.zip", ["/scratch/omero/data/r1"])
         guard = slurm.poll_guard("sb-test")
         [queued], fetched = slurm.fetch_results(*args, guard=guard)
-        assert (queued.exit_code, queued.stdout, fetched) == (1, "1", None)
+        assert (queued.exit_code, queued.stdout, fetched) == (1, "1|/scratch/omero/data/r1", None)
         assert sim_endpoint.path_exists("/scratch/omero/data/r1")
         sim_endpoint.sleep(3600)
-        [queued], (polled, bundle, removed) = slurm.fetch_results(*args, guard=guard)
+        [queued], (accounting, bundle, removed) = slurm.fetch_results(*args, guard=guard)
         assert (queued.exit_code, queued.stdout) == (0, "")
-        assert slurm.job_states(polled, [handle]) == {1: JobState.COMPLETED}
+        assert slurm.job_states(accounting) == {
+            ("/scratch/omero/data/r1", "workflow"): (1, JobState.COMPLETED)}
         with zipfile.ZipFile(io.BytesIO(bundle)) as archive:
             assert archive.read("scratch/omero/data/r1/out/x.tiff") == b"xxx"
         assert removed == ["/scratch/omero/data/r1"]
@@ -607,7 +631,8 @@ class TestFetchResults:
         # Nothing to send back; the teardown runs all the same.
         prepare_run_dirs(sim_endpoint)
         _, (_, bundle, removed) = slurm.fetch_results(
-            sim_endpoint, [], ["/scratch/omero/data/r1/out", "/scratch/omero/data/r2/out"],
+            sim_endpoint, "sb-test", slurm.SINCE_EVER,
+            ["/scratch/omero/data/r1/out", "/scratch/omero/data/r2/out"],
             "/scratch/omero/data/r1/out.zip", ["/scratch/omero/data/r1"])
         assert isinstance(bundle, EmptyOutput)
         assert removed == ["/scratch/omero/data/r1"]
@@ -617,7 +642,8 @@ class TestFetchResults:
         # The archive's dir does not exist; zip says so on stdout.
         prepare_run_dirs(sim_endpoint)
         sim_endpoint.cluster.fs.write("/scratch/omero/data/r1/out/x.tiff", b"x")
-        _, (_, bundle, _) = slurm.fetch_results(sim_endpoint, [], ["/scratch/omero/data/r1/out"],
+        _, (_, bundle, _) = slurm.fetch_results(sim_endpoint, "sb-test", slurm.SINCE_EVER,
+                                                ["/scratch/omero/data/r1/out"],
                                                 "/scratch/gone/b.zip")
         assert isinstance(bundle, TransportError)
         assert "zip error: Could not create output file (/scratch/gone/b.zip)" in str(bundle)
@@ -639,8 +665,8 @@ class TestFetchResults:
         prepare_run_dirs(endpoint)
         endpoint.cluster.fs.write("/scratch/omero/data/r1/out/x.tiff", bytes(range(256)))
         _, (_, bundle, removed) = slurm.fetch_results(
-            endpoint, [], ["/scratch/omero/data/r1/out"], "/scratch/omero/data/r1/bundle.zip",
-            ["/scratch/omero/data/r1"])
+            endpoint, "sb-test", slurm.SINCE_EVER, ["/scratch/omero/data/r1/out"],
+            "/scratch/omero/data/r1/bundle.zip", ["/scratch/omero/data/r1"])
         assert isinstance(bundle, ChecksumMismatch)
         assert "sha256" in str(bundle)
         assert removed == ["/scratch/omero/data/r1"]
@@ -699,8 +725,8 @@ class TestInfoZipNaming:
         (tmp_path / "out").mkdir()
         (tmp_path / "out" / "x.tiff").write_bytes(b"x")
         archive = str(tmp_path / "gone" / "b.zip")
-        _, (_, bundle, _) = slurm.fetch_results(ssh_endpoint(), [], [str(tmp_path / "out")],
-                                                archive)
+        _, (_, bundle, _) = slurm.fetch_results(ssh_endpoint(), "sb-test", slurm.SINCE_EVER,
+                                                [str(tmp_path / "out")], archive)
         assert isinstance(bundle, TransportError)
         assert f"zip error: Could not create output file ({archive})" in str(bundle)
 
@@ -717,16 +743,16 @@ class TestInfoZipNaming:
         with open(run_dir + ".zip", "wb") as upload:
             upload.write(b"upload")
         kept, cancels = tmp_path / "kept.zip", tmp_path / "scancel.log"
-        shell_router.stub("sacct", 'echo "6|COMPLETED"\n')
+        shell_router.stub("sacct", f'echo "6|{run_dir}/batch0|COMPLETED"\n')
         shell_router.stub("scancel", f'echo "$@" >> {cancels}\n')
         shell_router.stub("zip", f'{shutil.which("zip")} "$@" || exit $?\ncp "$4" {kept}\n')
-        handles = [slurm.JobHandle(6)]
-        _, (polled, bundle, removed) = slurm.fetch_results(
-            ssh_endpoint(), handles, [os.path.join(run_dir, f"batch{k}", "out") for k in range(3)]
-            + [logs_dir], os.path.join(run_dir, "bundle.zip"), [run_dir, run_dir + ".zip"],
-            cancel="sb-run")
+        _, (accounting, bundle, removed) = slurm.fetch_results(
+            ssh_endpoint(), "sb-run", slurm.SINCE_EVER,
+            [os.path.join(run_dir, f"batch{k}", "out") for k in range(3)] + [logs_dir],
+            os.path.join(run_dir, "bundle.zip"), [run_dir, run_dir + ".zip"], cancel=True)
         assert [argv[0] for argv in shell_router.launches] == ["ssh"]
-        assert slurm.job_states(polled, handles) == {6: JobState.COMPLETED}
+        assert slurm.job_states(accounting) == {
+            (f"{run_dir}/batch0", "workflow"): (6, JobState.COMPLETED)}
         # The stream decoded and passed the digest sha256sum gave.
         assert isinstance(bundle, bytes) and bundle == kept.read_bytes()
         with zipfile.ZipFile(io.BytesIO(bundle)) as archive:
@@ -760,13 +786,12 @@ class TestInfoZipNaming:
 class TestCleanupRun:
     def test_removes_data_keeps_logs(self, sim_endpoint):
         prepare_run_dirs(sim_endpoint)
-        handle = submit_workflow(sim_endpoint)
+        job_id = submit_workflow(sim_endpoint)
         sim_endpoint.cluster.advance(100)
         removed = slurm.cleanup_run(sim_endpoint, ["/scratch/omero/data/r1"])
         assert removed == ["/scratch/omero/data/r1"]
         assert not sim_endpoint.path_exists("/scratch/omero/data/r1")
-        assert sim_endpoint.path_exists(
-            f"/scratch/omero/logs/omero-job-{handle.job_id}.log")
+        assert sim_endpoint.path_exists(f"/scratch/omero/logs/omero-job-{job_id}.log")
 
     def test_double_cleanup_idempotent(self, sim_endpoint):
         prepare_run_dirs(sim_endpoint)
@@ -789,17 +814,16 @@ class TestStateMonotonicityProperty:
                 cluster.inject_fault(FaultDirective(
                     script_substring="j0",
                     forced_state=rng.choice([JobState.FAILED, JobState.TIMEOUT])))
-            handles = []
             for index in range(rng.randint(1, 4)):
-                job_id = submit_script(
-                    cluster, f"/scratch/j{index}.sh",
+                submit_script(
+                    cluster, f"/scratch/j{index}/job.sh",
                     cpus=rng.randint(1, 4), duration=rng.randint(1, 40),
                     time_limit="00:01:00",
-                    array=f"0-{rng.randint(0, 2)}" if rng.random() < 0.3 else None)
-                handles.append(slurm.JobHandle(job_id))
+                    array=f"0-{rng.randint(0, 2)}" if rng.random() < 0.3 else None,
+                    options=["--job-name=sb-test", f"--chdir=/scratch/j{index}"])
             observed = {}
             for _ in range(rng.randint(3, 12)):
-                states = slurm.poll_jobs(endpoint, handles)
+                states = polled(endpoint)
                 for job_id, state in states.items():
                     if job_id in observed:
                         assert is_reachable(observed[job_id], state), \

@@ -465,6 +465,18 @@ def _packed_twice(name):
     pytest.param(b"", ["squeue", "-a", "-h", "--name=n", "-o", "%A"], id="squeue-other-format"),
     pytest.param(b"", ["squeue", "-a", "-h", "-n", "n", "-o", "%i"], id="squeue-short-name"),
     pytest.param(b"", ["squeue"], id="squeue-bare"),
+    pytest.param(b"", ["sacct", "-n", "-P", "-X", "-o", "JobID,State", "-j", "1"],
+                 id="sacct-by-id"),
+    pytest.param(b"", ["sacct", "-n", "-P", "-X", "--name=n", "-o", "JobID,State"],
+                 id="sacct-other-format"),
+    pytest.param(b"", ["sacct", "-n", "-P", "-X", "--name=n", "-S", "yesterday",
+                       "-o", "JobID,WorkDir,State"], id="sacct-time-of-another-form"),
+    pytest.param(b"", ["sacct", "-n", "-P", "-X", "--name=n", "-S",
+                       "-o", "JobID,WorkDir,State"], id="sacct-S-without-time"),
+    pytest.param(b"", ["sacct", "-n", "-P", "--name=n", "-o", "JobID,WorkDir,State"],
+                 id="sacct-without-X"),
+    pytest.param(b"", ["date", "-u", "+%Y-%m-%dT%H:%M:%S"], id="date-utc"),
+    pytest.param(b"", ["date"], id="date-bare"),
 ])
 def test_forms_the_client_never_sends_are_refused(archive, argv):
     """A form of a command outside the client's grammar answers non-zero
