@@ -246,9 +246,9 @@ class _Run:
         conversion array), and the run ends at once, with no guard. The
         launch with no guard, also the one that ends a give-up, journals and
         sends the cancel of every job of the run's name, and holds out of
-        the bundle and of the settling each batch whose workflow job this
-        round's guard listed: that job runs on until the cancel, so its
-        batch fails."""
+        the bundle and of the settling, though not out of its `submit` row,
+        each batch whose workflow job this round's guard listed: that job
+        runs on until the cancel, so its batch fails."""
         waited = {key for key in self.live if key[1] == "workflow"}
         held = set() if guard else self.listed & waited
         self.listed = frozenset()  # until this round's guard lists what is queued
@@ -273,8 +273,8 @@ class _Run:
         accounting, self.bundle, removed = fetched
         self.torn_down = True
         self.emit("cleanup", f"removed={len(removed)}")
-        self.settle({key: job for key, job in slurm.job_states(accounting, self.live).items()
-                     if key not in held})
+        self.settle({key: (job[0], None) if key in held else job
+                     for key, job in slurm.job_states(accounting, self.live).items()})
 
     def settle(self, jobs, gone=False):
         """Apply jobs, (batch dir, kind) -> (job id, JobState or error) as

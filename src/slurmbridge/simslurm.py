@@ -55,10 +55,8 @@ _ARG_LIMIT = 131071
 _DURATIONS_S = {"job.sh": 30, "convert.sh": 5}
 _DEFAULT_DURATION_S = 10
 
-# The local time at clock 0, and the form in which `date` prints a time and
-# sacct reads one (-S).
+# The local time at clock 0.
 _EPOCH = datetime.datetime(2024, 1, 1)
-_TIME_FORMAT = "%Y-%m-%dT%H:%M:%S"
 
 # The suffix of an input in a workflow job's IN_PATH, by format, longest first.
 _INPUT_SUFFIXES = (".ome.tiff", ".tiff", ".zarr")
@@ -648,9 +646,9 @@ class SimCluster:
                 or len(window) not in (0, 2):
             return self._refuse(["sacct", *args])
         try:
-            since = (datetime.datetime.strptime(window[1], _TIME_FORMAT) - _EPOCH).total_seconds() \
+            since = (datetime.datetime.fromisoformat(window[1]) - _EPOCH).total_seconds() \
                 if window else self.clock - self.clock % 86400
-        except ValueError:  # a time of another form
+        except (ValueError, TypeError):  # no ISO time, or one with a UTC offset
             return self._refuse(["sacct", *args])
         return ExecResult(0, "".join(
             f"{entry}|{job.work_dir}|{state.value}\n" for job in self._named(args[3])
@@ -821,9 +819,9 @@ class SimCluster:
         if cmd == "squeue" and len(args) == 5 and args[:2] == ["-a", "-h"] \
                 and args[2].startswith("--name=") and args[3:] == ["-o", "%i|%Z"]:
             return self._squeue(args[2])
-        if tokens == ["date", "+" + _TIME_FORMAT]:
+        if tokens == ["date", "+%Y-%m-%dT%H:%M:%S"]:
             now = _EPOCH + datetime.timedelta(seconds=self.clock)
-            return ExecResult(0, now.strftime(_TIME_FORMAT) + "\n", "")
+            return ExecResult(0, now.isoformat(timespec="seconds") + "\n", "")
         if cmd == "mkdir" and args[:1] == ["-p"] and args[1:]:
             err = ""
             for path in args[1:]:

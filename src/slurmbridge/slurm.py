@@ -37,8 +37,7 @@ _SQUEUE_RE = re.compile(r"\d+(_(?:\d+|\[[\d,%-]+\]))?\|(.*)")
 # The first command of a run's submission launch: the cluster's local time,
 # which is how sacct(1) reads -S. The run's sacct starts _SINCE_MARGIN
 # before it, wide of any skew, as the run's name lists no other run's jobs.
-_DATE_FORMAT = "%Y-%m-%dT%H:%M:%S"
-DATE = ["date", "+" + _DATE_FORMAT]
+DATE = ["date", "+%Y-%m-%dT%H:%M:%S"]
 _SINCE_MARGIN = datetime.timedelta(days=1)
 # The -S of a sacct with no date to start from: the run's name keeps even
 # this window to the run's own jobs.
@@ -173,10 +172,10 @@ def since(date):
     """The -S of a run's sacct, from the ExecResult of its DATE: a margin
     before that time, or SINCE_EVER when it cannot be read."""
     try:
-        start = datetime.datetime.strptime(date.stdout.strip(), _DATE_FORMAT)
+        start = datetime.datetime.fromisoformat(date.stdout.strip())
     except ValueError:
         return SINCE_EVER
-    return (start - _SINCE_MARGIN).strftime(_DATE_FORMAT)
+    return (start - _SINCE_MARGIN).isoformat(timespec="seconds")
 
 
 def _sacct(name, start):
