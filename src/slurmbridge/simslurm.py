@@ -797,11 +797,12 @@ class SimCluster:
         """Answer the Slurm commands, and sacct, squeue, date and the file
         commands in exactly the forms the client sends: `sacct -n -P -X
         --name=<name> [-S <time>] -o JobID,WorkDir,State`, `squeue -a -h
-        --name=<name> -o %i|%Z`, `date +%Y-%m-%dT%H:%M:%S`, `mkdir -p P...`, `test -e P`, `rm -f P...`, `rm -rf P...`, `mv
-        -T <file> P`, `sha256sum P`, `base64 P`, `zip -q -r -D Z P...`,
-        `unzip -q Z -d D`, `singularity pull P S` and the framed `sh -c` launches
-        of exec_many. Any other form of these, `sacct -j` and `squeue -j` too,
-        is refused."""
+        --name=<name> -o %i|%Z`, `date +%Y-%m-%dT%H:%M:%S`, `mkdir -p
+        P...`, `test -e P`, `rm -f P...`, `rm -rf P...`, `mv -T <file> P`,
+        `sha256sum P`, `base64 P`, `zip -q -r -D Z P...`, `unzip -q Z -d D`,
+        `singularity pull P S` and the framed `sh -c` launches of exec_many.
+        Any other form of these, `sacct -j` and `squeue -j` too, is
+        refused."""
         if not tokens:
             return ExecResult(127, "", "command not found\n")
         cmd, args = tokens[0], tokens[1:]

@@ -238,9 +238,8 @@ def queued_ids(result):
     """The (work dir, kind) of each job that a poll_guard which failed
     lists, as job_states keys them, one per record: a job `<id>`, an array
     task `<id>_<k>` or an array's pending tasks `<id>_[<ranges>]`, each with
-    its work dir. A guard
-    that lists nothing, or a line that is none of these, is a squeue that
-    failed, and raises AccountingUnavailable."""
+    its work dir. A guard that lists nothing, or a line that is none of
+    these, is a squeue that failed, and raises AccountingUnavailable."""
     listed = [_SQUEUE_RE.fullmatch(line) for line in result.stdout.splitlines()]
     if not listed or None in listed:
         raise AccountingUnavailable(result.stderr.strip() or f"squeue printed {result.stdout!r}")

@@ -235,7 +235,7 @@ def test_a_lost_submission_answer_and_teardown_leave_a_second_teardown(
     profile, registry = sample_profile_registry
     link, answered, events = swept_run("deadline", profile, registry, cellpose_descriptor,
                                        tmp_path, [(SUBMISSION, "lost-after"),
-                                                  (SUBMISSION + 2, "lost-before")])
+                                                  (FIRST_POLL + 1, "lost-before")])
     assert len(link.ran) == 7
     assert answered
     assert [detail if stage == "cleanup" else stage for stage, detail in events
