@@ -294,7 +294,8 @@ def _read_journal(runs_dir, run_id):
 def cmd_status(run_id, runs_dir, config_path, simulate):
     """Show the stage journal of a run and its state, the last run stage
     journaled, plus, while it is not terminal, the state of each job that
-    accounting lists under the run's name."""
+    accounting lists under the run's name since its first row, and a day
+    more."""
     lines = _read_journal(runs_dir, run_id)
     _journal_handles(lines, run_id)  # a damaged submit row is a damaged journal, as for logs
     for timestamp, stage, detail in lines:
@@ -305,14 +306,20 @@ def cmd_status(run_id, runs_dir, config_path, simulate):
         _fail(f"journal of run {run_id} records no run stage")
     click.echo(f"state={final}")
     if final not in {s.value for s in orchestrator.TERMINAL_STAGES}:
+        try:  # the run's age, from its first row, which the client journaled
+            age = (datetime.datetime.now(datetime.timezone.utc)
+                   - datetime.datetime.fromisoformat(lines[0][0])).total_seconds()
+        except (ValueError, TypeError):  # no ISO time, or one with no UTC offset
+            _fail(f"journal of run {run_id} holds a damaged row")
         profile, _ = _load_config(config_path)
         with _endpoint(profile, simulate) as endpoint:
             try:
-                jobs = slurm.poll_jobs(endpoint, slurm.run_job_name(run_id), slurm.SINCE_EVER)
+                jobs = slurm.poll_jobs(endpoint, slurm.run_job_name(run_id), age)
             except SlurmBridgeError as exc:
                 _fail(str(exc), code=EXIT_RUN_FAILURE)
-        # A job whose state cannot be read shows the error.
-        for job_id, state in sorted(jobs.values(), key=lambda job: job[0]):
+        # A job whose state cannot be read shows the error; an unreadable
+        # line shows it as job None.
+        for job_id, state in sorted(jobs.values(), key=lambda job: job[0] or 0):
             click.echo(f"job={job_id}\tstate={getattr(state, 'value', state)}")
     sys.exit(EXIT_OK)
 

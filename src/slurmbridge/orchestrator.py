@@ -228,7 +228,7 @@ class _Run:
     # while no squeue or sacct has listed a job whose submission's answer was
     # lost, the TransferFailed of that loss
     live: dict = field(default_factory=dict)
-    since: str = slurm.SINCE_EVER  # the -S of the run's sacct
+    age: float = 0.0  # seconds the run has polled, which its sacct reaches back (slurm._sacct)
     listed: set = frozenset()  # the (batch dir, kind) of each job this round's guard found queued
     torn_down: bool = False  # whether a launch that removed the run data answered
     bundle: object = None  # the bytes, or error, that the launch that tore the run down sent
@@ -256,7 +256,7 @@ class _Run:
             self.emit("cancel", f"name={self.job_name}")
         try:
             ran, fetched = slurm.fetch_results(
-                self.endpoint, self.job_name, self.since,
+                self.endpoint, self.job_name, self.age,
                 [posixpath.join(b.remote_dir, "out") for b in self.record.batches
                  if b.error is None and (b.remote_dir, "workflow") not in held]
                 + [self.logs_dir],
@@ -273,8 +273,8 @@ class _Run:
         accounting, self.bundle, removed = fetched
         self.torn_down = True
         self.emit("cleanup", f"removed={len(removed)}")
-        self.settle({key: (job[0], None) if key in held else job
-                     for key, job in slurm.job_states(accounting, self.live).items()})
+        jobs = slurm.job_states(accounting)
+        self.settle(jobs | {key: (jobs.get(key, (None,))[0], None) for key in held})
 
     def settle(self, jobs, gone=False):
         """Apply jobs, (batch dir, kind) -> (job id, JobState or error) as
@@ -283,17 +283,25 @@ class _Run:
         terminal one leaves live, a workflow job's state becomes its
         batch's, journaled as `batch-terminal`, and a conversion array that
         did not complete fails its batch; a job whose state could not be
-        read leaves live and fails its batch with that error. A live job
-        that jobs do not list is gone too when no squeue or sacct has listed
+        read, or that jobs do not list when they hold an unreadable line,
+        leaves live and fails its batch with that error. A live job that
+        jobs do not list is gone too when no squeue or sacct has listed
         it since its submission's answer was lost, and fails its batch with
         that TransferFailed; with gone, every one is, failing its batch with
         UnparseableJobId when its submission answered."""
         batches = {b.remote_dir: b for b in self.record.batches}
         for (work_dir, kind), lost in list(self.live.items()):
             batch = batches[work_dir]
-            job_id, state = jobs.get((work_dir, kind), (None, None))
+            job_id, state = jobs.get((work_dir, kind)) or jobs.get(None, (None, None))
             if job_id is not None and getattr(batch, f"{kind}_handle") is None:
-                self.submitted(batch, kind, job_id)
+                tasks = batch.conversion_tasks if kind == "conversion" else None
+                setattr(batch, f"{kind}_handle", slurm.JobHandle(job_id, tasks))
+                detail = f"batch={batch.index} kind={kind} job_id={job_id}"
+                if tasks:
+                    detail += f" tasks={tasks}"
+                elif batch.conversion_tasks:
+                    detail += f" after={getattr(batch.conversion_handle, 'job_id', None)}"
+                self.emit("submit", detail)
             if (state is None and not gone and lost is None) \
                     or not getattr(state, "terminal", True):
                 continue
@@ -306,18 +314,6 @@ class _Run:
                 self.emit("batch-terminal", f"batch={batch.index} state={state.value}")
             elif state is not JobState.COMPLETED:
                 _fail(batch, ConversionFailed(f"conversion job {job_id} ended {state.value}"))
-
-    def submitted(self, batch, kind, job_id):
-        """Keep the handle of the batch's job of kind, which accounting
-        lists as job_id, and journal its `submit` row."""
-        tasks = batch.conversion_tasks if kind == "conversion" else None
-        setattr(batch, f"{kind}_handle", slurm.JobHandle(job_id, tasks))
-        detail = f"batch={batch.index} kind={kind} job_id={job_id}"
-        if tasks:
-            detail += f" tasks={tasks}"
-        elif batch.conversion_tasks:
-            detail += f" after={getattr(batch.conversion_handle, 'job_id', None)}"
-        self.emit("submit", detail)
 
     def emit(self, stage, detail):
         if isinstance(stage, RunStage):
@@ -463,9 +459,8 @@ def _upload(run, archive):
 
 
 def _submit(run):
-    """Stage: one launch reads the cluster's clock, from which the run's
-    sacct starts (slurm.since), makes the dirs and unpacks the archive and,
-    only if both exited 0, submits every batch's first job, its conversion
+    """Stage: one launch makes the dirs and unpacks the archive and, only
+    if both exited 0, submits every batch's first job, its conversion
     array or else its workflow job, and then the workflow job of each
     converting batch, after its array: Slurm starts one once the array
     completed, and cancels it unstarted if the array failed. It removes the
@@ -486,12 +481,12 @@ def _submit(run):
     keys = [(b.remote_dir, "conversion" if tasks else "workflow") for b, tasks, _ in jobs]
     run_dir, upload, _ = run.paths
     try:
-        date, made, unpacked, *submitted = slurm.submit_job(
+        made, unpacked, *submitted = slurm.submit_job(
             run.endpoint,
             [(posixpath.join(b.remote_dir, "convert.sh" if tasks else "job.sh"), after)
              for b, tasks, after in jobs],
             run.job_name,
-            [slurm.DATE, ["mkdir", "-p", run.logs_dir] + [
+            [["mkdir", "-p", run.logs_dir] + [
                 posixpath.join(b.remote_dir, name) for b in queued for name in ("out", "gt")],
              ["unzip", "-q", upload, "-d", run_dir]],
             last=[["rm", "-f", upload]])
@@ -505,7 +500,6 @@ def _submit(run):
         for batch in queued:
             _fail(batch, TransferFailed(failed))
         return
-    run.since = slurm.since(date)
     for (batch, _, _), key, outcome in zip(jobs, keys, submitted):
         if isinstance(outcome, SlurmBridgeError):
             _fail(batch, outcome)
@@ -534,14 +528,13 @@ def _poll(run, options):
     known to have completed, so an accounting outage that spans the launch
     that ends the run and the two rounds after it fails every batch."""
     run.emit(RunStage.RUNNING, "polling")
-    elapsed, accounting_failures, give_up = 0.0, 0, None
+    accounting_failures, give_up = 0, None
     while run.live and give_up is None:
         run.endpoint.sleep(options.poll_interval_s)
-        elapsed += options.poll_interval_s
+        run.age += options.poll_interval_s
         try:
             if run.torn_down:  # by an earlier round
-                run.settle(slurm.poll_jobs(run.endpoint, run.job_name, run.since, run.live),
-                           gone=True)
+                run.settle(slurm.poll_jobs(run.endpoint, run.job_name, run.age), gone=True)
             else:
                 run.end(slurm.poll_guard(run.job_name))
             accounting_failures = 0
@@ -549,8 +542,8 @@ def _poll(run, options):
             accounting_failures += 1
             if accounting_failures == 3:
                 give_up = AccountingUnavailable(str(exc))
-        if give_up is None and options.deadline_s is not None and elapsed >= options.deadline_s:
-            give_up = WorkflowFailed(f"deadline exceeded after {elapsed}s")
+        if give_up is None and options.deadline_s is not None and run.age >= options.deadline_s:
+            give_up = WorkflowFailed(f"deadline exceeded after {run.age}s")
     run.close(fetch=bool(run.live))
     for batch in run.record.batches:
         if any(work_dir == batch.remote_dir for work_dir, _ in run.live):

@@ -9,13 +9,13 @@ completed workflow job writes one placeholder mask per input.
 """
 
 import dataclasses
-import datetime
 import hashlib
 import heapq
 import io
 import json
 import os
 import posixpath
+import re
 import shlex
 import shutil
 import struct
@@ -54,9 +54,6 @@ _ARG_LIMIT = 131071
 # conversion array's task, and any other script.
 _DURATIONS_S = {"job.sh": 30, "convert.sh": 5}
 _DEFAULT_DURATION_S = 10
-
-# The local time at clock 0.
-_EPOCH = datetime.datetime(2024, 1, 1)
 
 # The suffix of an input in a workflow job's IN_PATH, by format, longest first.
 _INPUT_SUFFIXES = (".ome.tiff", ".tiff", ".zarr")
@@ -635,23 +632,19 @@ class SimCluster:
             yield f"{job.id}_[{indices}]", JobState.PENDING
 
     def _sacct(self, args):
-        """`sacct -n -P -X --name=<name> [-S <time>] -o JobID,WorkDir,State`:
-        `<entry id>|<work dir>|<state>` per record of each job of that name
-        that had not ended by the time (local, as `date` prints it), or by
-        00:00 of the current day without -S, as sacct(1) selects jobs; a
-        task cancelled before it started ended when its job was submitted."""
-        window = args[4:-2]  # [] or ["-S", <time>]
-        if args[:3] + args[-2:] != ["-n", "-P", "-X", "-o", "JobID,WorkDir,State"] \
-                or not args[3].startswith("--name=") or window[:1] not in ([], ["-S"]) \
-                or len(window) not in (0, 2):
+        """`sacct -n -P -X --name=<name> [-S now-<seconds>] -o
+        JobID,WorkDir,State`: `<entry id>|<work dir>|<state>` per record of
+        each job of that name that had not ended that many seconds ago, or
+        by 00:00 of the current day (clock 0 is a midnight) without -S, as
+        sacct(1) selects jobs; a task cancelled before it started ended when
+        its job was submitted."""
+        form = re.fullmatch(r"-n -P -X (--name=\S+)(?: -S now-(\d+))? -o JobID,WorkDir,State",
+                            " ".join(args))
+        if not form:
             return self._refuse(["sacct", *args])
-        try:
-            since = (datetime.datetime.fromisoformat(window[1]) - _EPOCH).total_seconds() \
-                if window else self.clock - self.clock % 86400
-        except (ValueError, TypeError):  # no ISO time, or one with a UTC offset
-            return self._refuse(["sacct", *args])
+        since = self.clock - int(form[2]) if form[2] else self.clock - self.clock % 86400
         return ExecResult(0, "".join(
-            f"{entry}|{job.work_dir}|{state.value}\n" for job in self._named(args[3])
+            f"{entry}|{job.work_dir}|{state.value}\n" for job in self._named(form[1])
             if any(not task.state.terminal or (task.finish_time or job.submit_time) >= since
                    for task in job.tasks)
             for entry, state in self._records(job)), "")
@@ -784,8 +777,8 @@ class SimCluster:
         return ExecResult(0, f"{self.fs.digest(path)}  {path}\n", "")
 
     def _refuse(self, tokens):
-        """The one answer to a form of sacct, squeue, date, a file command or
-        `sh` that the client never sends: exit 2, naming the command, with
+        """The one answer to a form of sacct, squeue, a file command or `sh`
+        that the client never sends: exit 2, naming the command, with
         nothing changed."""
         return ExecResult(2, "", f"{tokens[0]}: form not simulated: {shlex.join(tokens)}\n")
 
@@ -794,15 +787,14 @@ class SimCluster:
         return self._dispatch(list(command))
 
     def _dispatch(self, tokens):
-        """Answer the Slurm commands, and sacct, squeue, date and the file
-        commands in exactly the forms the client sends: `sacct -n -P -X
-        --name=<name> [-S <time>] -o JobID,WorkDir,State`, `squeue -a -h
-        --name=<name> -o %i|%Z`, `date +%Y-%m-%dT%H:%M:%S`, `mkdir -p
-        P...`, `test -e P`, `rm -f P...`, `rm -rf P...`, `mv -T <file> P`,
-        `sha256sum P`, `base64 P`, `zip -q -r -D Z P...`, `unzip -q Z -d D`,
-        `singularity pull P S` and the framed `sh -c` launches of exec_many.
-        Any other form of these, `sacct -j` and `squeue -j` too, is
-        refused."""
+        """Answer the Slurm commands, and sacct, squeue and the file commands
+        in exactly the forms the client sends: `sacct -n -P -X --name=<name>
+        [-S now-<seconds>] -o JobID,WorkDir,State`, `squeue -a -h
+        --name=<name> -o %i|%Z`, `mkdir -p P...`, `test -e P`, `rm -f P...`,
+        `rm -rf P...`, `mv -T <file> P`, `sha256sum P`, `base64 P`, `zip -q
+        -r -D Z P...`, `unzip -q Z -d D`, `singularity pull P S` and the
+        framed `sh -c` launches of exec_many. Any other form of these,
+        `sacct -j` and `squeue -j` too, is refused."""
         if not tokens:
             return ExecResult(127, "", "command not found\n")
         cmd, args = tokens[0], tokens[1:]
@@ -820,9 +812,6 @@ class SimCluster:
         if cmd == "squeue" and len(args) == 5 and args[:2] == ["-a", "-h"] \
                 and args[2].startswith("--name=") and args[3:] == ["-o", "%i|%Z"]:
             return self._squeue(args[2])
-        if tokens == ["date", "+%Y-%m-%dT%H:%M:%S"]:
-            now = _EPOCH + datetime.timedelta(seconds=self.clock)
-            return ExecResult(0, now.isoformat(timespec="seconds") + "\n", "")
         if cmd == "mkdir" and args[:1] == ["-p"] and args[1:]:
             err = ""
             for path in args[1:]:
@@ -861,8 +850,8 @@ class SimCluster:
             except DestinationUnwritable as exc:
                 return ExecResult(1, "", f"FATAL: {exc}\n")
             return ExecResult(0, "", "")
-        if cmd in ("sh", "squeue", "date", "mkdir", "rm", "mv", "test", "sha256sum", "base64",
-                   "zip", "unzip", "singularity"):
+        if cmd in ("sh", "squeue", "mkdir", "rm", "mv", "test", "sha256sum", "base64", "zip",
+                   "unzip", "singularity"):
             return self._refuse(tokens)
         return ExecResult(127, "", f"{cmd}: command not found\n")
 

@@ -2,7 +2,6 @@
 submission, polling, log/result retrieval, cleanup with cancellation."""
 
 import binascii
-import datetime
 import os
 import posixpath
 import re
@@ -29,19 +28,17 @@ from .transport import Captured, Quiet, sha256_hex, staging_path
 # id of `<id>`, an array task `<id>_<k>` or an array's pending tasks
 # `<id>_[<ranges>]`, the rest of that id, the work dir (up to the last '|')
 # and the state token; or, in the fifth group, a line that is none of these.
-_SACCT_RE = re.compile(
-    r"^(?:(\d+)(_(?:\d+|\[[\d,%-]+\]))?\|(.*)\|(.*)|(.*\S.*))$", re.MULTILINE)
+_SACCT_RE = re.compile(r"^(?:(\d+)(_(?:\d+|\[[\d,%-]+\]))?\|(.*)\|(.*)|(.*\S.*))$", re.MULTILINE)
 # A line of `squeue -o %i|%Z`: the job id of the same three forms, and the work dir.
 _SQUEUE_RE = re.compile(r"\d+(_(?:\d+|\[[\d,%-]+\]))?\|(.*)")
 
-# The first command of a run's submission launch: the cluster's local time,
-# which is how sacct(1) reads -S. The run's sacct starts _SINCE_MARGIN
-# before it, wide of any skew, as the run's name lists no other run's jobs.
-DATE = ["date", "+%Y-%m-%dT%H:%M:%S"]
-_SINCE_MARGIN = datetime.timedelta(days=1)
-# The -S of a sacct with no date to start from: the run's name keeps even
-# this window to the run's own jobs.
-SINCE_EVER = "2000-01-01T00:00:00"
+# How far a run's sacct reaches back past the run's age as the client counts
+# it: its -S is `now-<seconds>`, a form sacct(1) reads by the cluster's own
+# clock, so neither the client's clock nor a time zone enters it. A day is
+# wide of what the count misses (the time its launches take), and the
+# window stays bounded: slurmdbd refuses a query over a longer span than
+# its MaxQueryTimeRange (slurmdbd.conf(5)).
+_MARGIN_S = 86400
 
 MANAGED_DIRS = ("singularity_images", "slurm-scripts/jobs", "data", "logs")
 
@@ -168,48 +165,38 @@ def submit_job(endpoint, scripts, name, setup=(), last=()):
         for result in ran[len(setup):len(setup) + len(scripts)]]
 
 
-def since(date):
-    """The -S of a run's sacct, from the ExecResult of its DATE: a margin
-    before that time, or SINCE_EVER when it cannot be read."""
-    try:
-        start = datetime.datetime.fromisoformat(date.stdout.strip())
-    except ValueError:
-        return SINCE_EVER
-    return (start - _SINCE_MARGIN).isoformat(timespec="seconds")
-
-
-def _sacct(name, start):
-    return ["sacct", "-n", "-P", "-X", f"--name={name}", "-S", start,
+def _sacct(name, age):
+    return ["sacct", "-n", "-P", "-X", f"--name={name}", "-S", f"now-{int(age) + _MARGIN_S}",
             "-o", "JobID,WorkDir,State"]
 
 
-def poll_jobs(endpoint, name, start, keys=()):
-    """One accounting round trip over every job named name since start; see
+def poll_jobs(endpoint, name, age):
+    """One accounting round trip over every job named name that was queued
+    or running at some time in the last age seconds, and a day more; see
     job_states."""
     try:
-        result = endpoint.exec(_sacct(name, start))
+        result = endpoint.exec(_sacct(name, age))
     except TransportError as exc:
         raise AccountingUnavailable(str(exc)) from exc
-    return job_states(result, keys)
+    return job_states(result)
 
 
-def job_states(result, keys=()):
+def job_states(result):
     """The (work dir, kind) of each job that the result of its sacct lists
     (one failed raises AccountingUnavailable), kind "conversion" for an
     array and "workflow" for a plain job -> (its job id, its state, an
     array's aggregated from its task states, or else UnknownState for a
     state token that cannot be mapped), so that one job's unreadable state
-    costs only that job. When a line cannot be read, each of keys that no
-    other line lists -> (None, UnparseableJobId)."""
+    costs only that job. A line that cannot be read adds None -> (None,
+    UnparseableJobId): the state of every job that no other line lists."""
     if not result.ok:
         raise AccountingUnavailable(result.stderr.strip())
     jobs = {}
     tasks = {}
     parsed = {}  # state token -> JobState or UnknownState, mapped once per token
-    unread = None
     for job_id, task, work_dir, token, unreadable in _SACCT_RE.findall(result.stdout):
         if unreadable:
-            unread = UnparseableJobId(f"unreadable accounting line: {unreadable!r}")
+            jobs[None] = (None, UnparseableJobId(f"unreadable accounting line: {unreadable!r}"))
             continue
         state = parsed.get(token) or parsed.setdefault(
             token, parse_state_token(token) or UnknownState(token))
@@ -220,8 +207,6 @@ def job_states(result, keys=()):
     jobs.update((key, (job_id, next((s for s in states if isinstance(s, UnknownState)), None)
                        or aggregate_array_states(states)))
                 for key, (job_id, states) in tasks.items())
-    if unread:
-        jobs.update((key, (None, unread)) for key in keys if key not in jobs)
     return jobs
 
 
@@ -272,15 +257,14 @@ def fetch_logfile(bundle, handle, logs_dir, local_dir):
     return fetched[0]
 
 
-def fetch_results(endpoint, name, start, paths, remote_zip, run_paths=(), cancel=False,
-                  guard=()):
+def fetch_results(endpoint, name, age, paths, remote_zip, run_paths=(), cancel=False, guard=()):
     """In one launch, run the guard's commands and then, only if every one
     exited 0, each of these, whatever the ones before it gave: the sacct of
-    poll_jobs over the jobs named name since start, which a run reads once,
-    here, before any job is cancelled; zip every file under the remote paths
-    into remote_zip, hash it and send it back on stdout; and tear the run
-    down as cleanup_run does: with cancel, cancel every job named name, and
-    remove the run paths, remote_zip among them.
+    poll_jobs over the jobs named name in the last age seconds, which a run
+    reads once, here, before any job is cancelled; zip every file under the
+    remote paths into remote_zip, hash it and send it back on stdout; and
+    tear the run down as cleanup_run does: with cancel, cancel every job
+    named name, and remove the run paths, remote_zip among them.
 
     Entries are named by zip_entry_name. A path that does not exist adds
     nothing (under -q without a warning). Returns (the ExecResult of each
@@ -293,7 +277,7 @@ def fetch_results(endpoint, name, start, paths, remote_zip, run_paths=(), cancel
     when the launch's answer is lost; its teardown may have run.
     """
     ran = endpoint.exec_many(list(guard), then=[
-        _sacct(name, start), ["zip", "-q", "-r", "-D", remote_zip, *paths],
+        _sacct(name, age), ["zip", "-q", "-r", "-D", remote_zip, *paths],
         ["sha256sum", remote_zip], ["base64", remote_zip]]
         + teardown_commands(run_paths, name if cancel else None))
     guarded, (sacct, *tail) = ran[:len(guard)], ran[len(guard):]

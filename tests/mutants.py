@@ -33,8 +33,8 @@ MUTANTS = {
     # raises ValueError out of the run.
     "int-of-unreadable-line": (
         slurm, "job_states",
-        'unread = UnparseableJobId(f"unreadable accounting line: {unreadable!r}")',
-        'unread = int(unreadable.split("|")[0])'),
+        'jobs[None] = (None, UnparseableJobId(f"unreadable accounting line: {unreadable!r}"))',
+        'jobs[None] = (None, int(unreadable.split("|")[0]))'),
     # A live job that accounting never lists is polled until it does, or
     # for ever.
     "unlisted-polled-for-ever": (orch._Run, "settle", "state is None and not gone and lost is None",

@@ -394,6 +394,25 @@ class TestStatusLogsFetch:
             f"{first}\tstate=unmapped scheduler state token: 'WOBBLY'"] + [
             f"{job_id}\tstate=COMPLETED" for job_id in rest]
 
+    def test_status_prints_an_unreadable_accounting_line(self, runner, workspace, monkeypatch):
+        # A line that names no job shows as job None, with its error; the
+        # jobs read keep their states.
+        tmp_path, config_path, topology_path, _ = workspace
+        run_id = self._completed_run(runner, workspace)
+        job_ids = cut_journal_after_running(workspace, run_id)
+        cluster = simslurm.SimCluster.load_state(topology_path + ".state")
+        sacct = cluster._sacct
+        cluster._sacct = lambda tokens: dataclasses.replace(
+            sacct(tokens), stdout=sacct(tokens).stdout + "1+0|/b|COMPLETED\n")
+        monkeypatch.setattr(cli, "SshEndpoint", lambda profile: simslurm.SimEndpoint(cluster))
+        result = runner.invoke(
+            main, ["status", run_id, "--runs-dir", str(tmp_path / "runs"),
+                   "--config", config_path])
+        assert result.exit_code == 0, result.output
+        assert kv_lines(result.stdout)["job"] == [
+            "None\tstate=unreadable accounting line: '1+0|/b|COMPLETED'"] + [
+            f"{job_id}\tstate=COMPLETED" for job_id in job_ids]
+
     def test_status_unreachable_cluster_exits_one(self, runner, workspace, monkeypatch):
         class Unreachable(simslurm.SimEndpoint):
             def exec(self, command, timeout=DEFAULT_DEADLINE_S):
@@ -465,6 +484,18 @@ class TestStatusLogsFetch:
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: journal of run bad holds a damaged")
         assert result.stderr.count("\n") == 1 and "Traceback" not in result.output
+
+    @pytest.mark.parametrize("first", ["t0", "2024-01-01T00:00:00"], ids=["no-time", "no-offset"])
+    def test_status_of_a_live_run_whose_first_time_cannot_be_read_is_usage_error(
+            self, runner, workspace, first):
+        # The age of a run not yet terminal, which its sacct reaches back,
+        # is counted from the UTC time of its first row.
+        runs = workspace[0] / "runs"
+        runs.mkdir()
+        (runs / "bad.journal").write_text(f"{first}\tinputs\t/in\nt1\tQueued\tx\n")
+        result = runner.invoke(main, ["status", "bad", "--runs-dir", str(runs)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == "error: journal of run bad holds a damaged row\n"
 
     def test_status_reads_a_journal_written_before_details_were_escaped(
             self, runner, workspace):

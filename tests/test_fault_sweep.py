@@ -151,7 +151,7 @@ def test_the_launches_that_faults_name_by_position(sample_profile_registry,
     link, _, _ = swept_run("tiff", profile, registry, cellpose_descriptor, tmp_path, ())
     assert [link.ran[k] for k in (UPLOAD_COPY, UPLOAD_SHA256SUM, UPLOAD_MV, SUBMISSION,
                                   FIRST_POLL)] == [
-        [], ["sha256sum"], ["mv"], ["sh", "date", "mkdir", "unzip", "sbatch", "rm"],
+        [], ["sha256sum"], ["mv"], ["sh", "mkdir", "unzip", "sbatch", "rm"],
         ["sh", "squeue"]]
 
 

@@ -1306,11 +1306,11 @@ _DAMAGED_LINES = st.lists(st.one_of(
 
 
 # (launch, program) of each answer of the fault-free run that the client
-# reads: the upload's sha256sum and mv, the submission launch's whole answer
-# and its date, and, in the launch that ends the run, the run's one sacct
+# reads: the upload's sha256sum and mv, the submission launch's whole answer,
+# and, in the launch that ends the run, the run's one sacct
 # and the bundle's sha256sum and base64.
 _READ = [(UPLOAD_SHA256SUM, "sha256sum"), (UPLOAD_MV, "mv"), (SUBMISSION, "sh"),
-         (SUBMISSION, "date"), ("sacct", "sacct"), ("sacct", "sha256sum"), ("sacct", "base64")]
+         ("sacct", "sacct"), ("sacct", "sha256sum"), ("sacct", "base64")]
 
 
 @settings(max_examples=60, deadline=None)
@@ -1561,7 +1561,7 @@ class TestRunLifecycle:
         assert guard == Quiet(["squeue", "-a", "-h", f"--name=sb-{record.run_id}",
                                "-o", "%i|%Z"])
         assert poll == ["sacct", "-n", "-P", "-X", f"--name=sb-{record.run_id}",
-                        "-S", "2023-12-31T00:00:00", "-o", "JobID,WorkDir,State"]
+                        "-S", "now-86430", "-o", "JobID,WorkDir,State"]
         assert (fetch[0], digest, stream) == (
             "zip", ["sha256sum", run_dir + "/bundle.zip"], ["base64", run_dir + "/bundle.zip"])
         assert teardown == [
@@ -1605,9 +1605,9 @@ class TestRunLifecycle:
     def test_jobs_that_cross_midnight_are_still_listed(self, run_env, tmp_path):
         # The run submits at 23:59:53 of the simulated day. Batch 1's
         # conversion ends at 23:59:58; its workflow job, and the run, end
-        # after midnight. The run's sacct starts a day before the clock
-        # that its submission launch read, so it still lists the
-        # conversion, which a sacct without -S, from 00:00 of the day it
+        # after midnight. The run's sacct reaches back a day past the 35 s
+        # the run polled, to a day before its submission, so it still lists
+        # the conversion, which a sacct without -S, from 00:00 of the day it
         # runs, would not: both batches bring their results back.
         endpoint, profile, registry, descriptor = run_env
         cluster = endpoint.cluster
@@ -1625,7 +1625,8 @@ class TestRunLifecycle:
         conversion = cluster.jobs[record.batches[1].conversion_handle.job_id]
         assert max(task.finish_time for task in conversion.tasks) < 86400
         _, _, (sacct, *_) = unframe_commands(launches[-1])  # the launch that ended the run
-        assert sacct[5:7] == ["-S", "2023-12-31T23:59:53"]
+        assert sacct[5:7] == ["-S", "now-86435"]
+        assert cluster.clock - 86435 == 86400 - 7 - 86400
 
     def test_job_accounting_never_lists_fails_its_batch_after_the_teardown(self, run_env,
                                                                           tmp_path):

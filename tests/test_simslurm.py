@@ -100,11 +100,11 @@ def job_state(cluster, job_id):
     return cluster.jobs[job_id].parent_state()
 
 
-def sacct(cluster, name, since="2000-01-01T00:00:00"):
+def sacct(cluster, name, ago=10**6):
     """What the simulator's sacct of the client's form prints for the jobs
-    named name since the local time since, or, if None, since 00:00 of the
-    current day, less each record's work dir: `<entry id>|<state>` lines."""
-    window = [] if since is None else ["-S", since]
+    named name that had not ended ago seconds ago, or, if None, by 00:00 of
+    the current day, less each record's work dir: `<entry id>|<state>` lines."""
+    window = [] if ago is None else ["-S", f"now-{ago}"]
     result = cluster.sim_exec(["sacct", "-n", "-P", "-X", f"--name={name}", *window,
                                "-o", "JobID,WorkDir,State"])
     assert result.exit_code == 0, result.stderr
@@ -130,20 +130,21 @@ class TestSubmission:
         assert (result.exit_code, result.stdout) == (2, "")
 
     def test_sacct_lists_each_job_that_had_not_ended_by_its_start(self):
-        # `date` prints the clock as the local time from 2024-01-01T00:00:00;
-        # sacct lists a job of the name when it had not ended by -S, or, with
-        # no -S, by 00:00 of the current day, as sacct(1) does.
+        # sacct lists a job of the name when it had not ended by -S, the
+        # clock less the seconds of `now-<seconds>`, or, with no -S, by
+        # 00:00 of the current day, as sacct(1) does; clock 0 is a midnight.
         cluster = SimCluster()
         cluster.clock = 86400 - 20
-        date = cluster.sim_exec(["date", "+%Y-%m-%dT%H:%M:%S"])
-        assert (date.exit_code, date.stdout) == (0, "2024-01-01T23:59:40\n")
         early = submit_script(cluster, "/scratch/e.sh", duration=5, options=["--job-name=j"])
         late = submit_script(cluster, "/scratch/l.sh", duration=60, options=["--job-name=j"])
-        cluster.advance(30)  # the early job ended at 23:59:45; the late one runs on
+        cluster.advance(30)  # the early job ended 25 s ago, before midnight; the late one runs on
         assert sacct(cluster, "j", None) == f"{late}|RUNNING\n"
-        assert sacct(cluster, "j", "2024-01-01T23:59:45") == (
-            f"{early}|COMPLETED\n{late}|RUNNING\n")
-        assert sacct(cluster, "j", "2024-01-01T23:59:46") == f"{late}|RUNNING\n"
+        assert sacct(cluster, "j", 25) == f"{early}|COMPLETED\n{late}|RUNNING\n"
+        assert sacct(cluster, "j", 24) == f"{late}|RUNNING\n"
+        for window in (["-S", "2024-01-01T23:59:45"], ["-S", "now-1h"], ["-S"]):
+            result = cluster.sim_exec(["sacct", "-n", "-P", "-X", "--name=j", *window,
+                                       "-o", "JobID,WorkDir,State"])
+            assert (result.exit_code, result.stdout) == (2, "")
 
     def test_squeue_lists_each_queued_record(self):
         """`squeue -a -h --name=<name> -o %i|%Z` prints a line per record

@@ -72,9 +72,9 @@ def submit_workflow(endpoint, script=WORKFLOW_SCRIPT, path="/scratch/omero/data/
     return endpoint.cluster.next_job_id - 1
 
 
-def polled(endpoint, name="sb-test", keys=()):
+def polled(endpoint, name="sb-test"):
     """job id -> state of each job that poll_jobs lists under name."""
-    return dict(slurm.poll_jobs(endpoint, name, slurm.SINCE_EVER, keys).values())
+    return dict(slurm.poll_jobs(endpoint, name, 0).values())
 
 
 def answering(stdout):
@@ -122,7 +122,7 @@ class DamagesStream(SimCluster):
 
 def fetch_logs(endpoint, logs_dir):
     """The logs dir as one archive, brought back the way a run does it."""
-    _, (_, bundle, _) = slurm.fetch_results(endpoint, "sb-test", slurm.SINCE_EVER, [logs_dir],
+    _, (_, bundle, _) = slurm.fetch_results(endpoint, "sb-test", 0, [logs_dir],
                                             "/scratch/logs.zip")
     return zipfile.ZipFile(io.BytesIO(bundle))
 
@@ -296,7 +296,7 @@ class TestSubmitJob:
         result = cluster.sim_exec(["sacct", "-n", "-P", "-X", "--name=sb-test",
                                    "-o", "JobID,WorkDir,State"])
         assert result.stdout == f"{job_id}_[0-3]|/scratch/b0|PENDING\n"
-        assert slurm.poll_jobs(sim_endpoint, "sb-test", slurm.SINCE_EVER) == {
+        assert slurm.poll_jobs(sim_endpoint, "sb-test", 0) == {
             ("/scratch/b0", "conversion"): (job_id, JobState.PENDING)}
 
 
@@ -327,7 +327,7 @@ def test_array_record_folds_into_the_parent_state(states, first):
     cluster._index_jobs()
     assert polled(SimEndpoint(cluster)) == {job_id: aggregate_array_states(states)}
     lines = [line.replace("|/|", "|") for line in cluster.sim_exec(
-        ["sacct", "-n", "-P", "-X", "--name=sb-test", "-S", slurm.SINCE_EVER,
+        ["sacct", "-n", "-P", "-X", "--name=sb-test", "-S", "now-86400",
          "-o", "JobID,WorkDir,State"]).stdout.splitlines()]
     pending = [first + k for k, state in enumerate(states) if state is JobState.PENDING]
     assert len(lines) == len(states) - len(pending) + bool(pending)
@@ -354,7 +354,7 @@ class TestPollJobs:
             submit_workflow(sim_endpoint, path=f"/scratch/omero/data/r{i}/job.sh")
         calls = record_launches(sim_endpoint)
         assert len(polled(sim_endpoint)) == 5
-        assert calls == [["sacct", "-n", "-P", "-X", "--name=sb-test", "-S", slurm.SINCE_EVER,
+        assert calls == [["sacct", "-n", "-P", "-X", "--name=sb-test", "-S", "now-86400",
                           "-o", "JobID,WorkDir,State"]]
 
     def test_array_aggregation_failed(self, sim_endpoint):
@@ -369,7 +369,7 @@ class TestPollJobs:
     def test_unknown_state_token(self, sim_endpoint, monkeypatch):
         monkeypatch.setattr(sim_endpoint, "exec", answering("1|/b0|WOBBLY\n2|/b1|RUNNING\n"))
         # The unmapped token costs its own job only.
-        jobs = slurm.poll_jobs(sim_endpoint, "sb-test", slurm.SINCE_EVER)
+        jobs = slurm.poll_jobs(sim_endpoint, "sb-test", 0)
         job_id, state = jobs["/b0", "workflow"]
         assert job_id == 1 and isinstance(state, UnknownState) and state.token == "WOBBLY"
         assert jobs["/b1", "workflow"] == (2, JobState.RUNNING)
@@ -379,33 +379,32 @@ class TestPollJobs:
                                       "1.batch|/b1|COMPLETED", "abc|/b1|RUNNING",
                                       "1_|/b1|PENDING"])
     def test_unreadable_line_gives_up(self, sim_endpoint, monkeypatch, line):
-        # The line might be any job's: each key asked about that no other
-        # line lists is given up with UnparseableJobId; the job read keeps
-        # its state.
+        # The line might be any job's: it is kept under None, as the state
+        # of every job no other line lists, UnparseableJobId; the job read
+        # keeps its state.
         monkeypatch.setattr(sim_endpoint, "exec", answering(f"1|/b0|RUNNING\n{line}\n"))
-        jobs = slurm.poll_jobs(sim_endpoint, "sb-test", slurm.SINCE_EVER,
-                               [("/b0", "workflow"), ("/b1", "conversion")])
+        jobs = slurm.poll_jobs(sim_endpoint, "sb-test", 0)
+        assert set(jobs) == {("/b0", "workflow"), None}
         assert jobs["/b0", "workflow"] == (1, JobState.RUNNING)
-        job_id, state = jobs["/b1", "conversion"]
+        job_id, state = jobs[None]
         assert job_id is None and isinstance(state, UnparseableJobId) and line in str(state)
 
     def test_an_unmapped_task_token_costs_its_array_only(self, sim_endpoint, monkeypatch):
         answer = "1_0|/b|COMPLETED\n1_1|/b|WOBBLY\n1_[2-3]|/b|PENDING\n2|/b|COMPLETED\n"
         monkeypatch.setattr(sim_endpoint, "exec", answering(answer))
-        jobs = slurm.poll_jobs(sim_endpoint, "sb-test", slurm.SINCE_EVER)
+        jobs = slurm.poll_jobs(sim_endpoint, "sb-test", 0)
         assert isinstance(jobs["/b", "conversion"][1], UnknownState)
         assert jobs["/b", "conversion"][1].token == "WOBBLY"
         assert jobs["/b", "workflow"] == (2, JobState.COMPLETED)
 
     def test_lines_of_jobs_not_asked_about_are_ignored(self, sim_endpoint, monkeypatch):
-        # The lines of jobs not among the keys asked about change nothing
-        # of those that are: each job listed is keyed by its work dir, every
-        # character up to the last '|', and its kind.
+        # The lines of other jobs change nothing of a job's: each job listed
+        # is keyed by its work dir, every character up to the last '|', and
+        # its kind; a blank line is no unreadable one.
         answer = ("2|/a|b|WOBBLY\n1_0|/b0|COMPLETED\n1_[1-3,5%2]|/b0|PENDING\n"
                   "12_4|/b1|FAILED\n\n")
         monkeypatch.setattr(sim_endpoint, "exec", answering(answer))
-        jobs = slurm.poll_jobs(sim_endpoint, "sb-test", slurm.SINCE_EVER,
-                               [("/b0", "conversion")])
+        jobs = slurm.poll_jobs(sim_endpoint, "sb-test", 0)
         assert set(jobs) == {("/a|b", "workflow"), ("/b0", "conversion"), ("/b1", "conversion")}
         assert jobs["/b0", "conversion"] == (1, JobState.RUNNING)
         assert jobs["/b1", "conversion"] == (12, JobState.FAILED)
@@ -546,7 +545,7 @@ class TestFetchResults:
         fs.write("/scratch/omero/data/r1/out/masks/a.tiff", b"mask")
         # An archive written inside the dir it zips leaves itself out.
         _, (_, bundle, removed) = slurm.fetch_results(
-            sim_endpoint, "sb-test", slurm.SINCE_EVER, ["/scratch/omero/data/r1/out"],
+            sim_endpoint, "sb-test", 0, ["/scratch/omero/data/r1/out"],
             "/scratch/omero/data/r1/out/results.zip")
         assert removed == []
         assert bundle == fs.read("/scratch/omero/data/r1/out/results.zip")
@@ -566,7 +565,7 @@ class TestFetchResults:
         fs.write("/scratch/omero/logs/omero-job-1.log", b"log")
         launches = record_launches(sim_endpoint)
         _, (_, bundle, _) = slurm.fetch_results(
-            sim_endpoint, "sb-test", slurm.SINCE_EVER,
+            sim_endpoint, "sb-test", 0,
             ["/scratch/omero/data/r1/out", "/scratch/omero/data/r2/out", "/scratch/omero/logs"],
             "/scratch/omero/data/r1/bundle.zip")
         assert [command[0] for command in launches] == ["sh"]
@@ -585,7 +584,7 @@ class TestFetchResults:
         sim_endpoint.cluster.fs.write("/scratch/omero/data/r1/out/x.tiff", b"xxx")
         launches = record_launches(sim_endpoint)
         _, (accounting, bundle, removed) = slurm.fetch_results(
-            sim_endpoint, "sb-test", "2023-12-31T00:00:00", ["/scratch/omero/data/r1/out"],
+            sim_endpoint, "sb-test", 3600, ["/scratch/omero/data/r1/out"],
             "/scratch/omero/data/r1/bundle.zip",
             ["/scratch/omero/data/r1", "/scratch/omero/data/r1.zip"], cancel=True)
         assert len(launches) == 1
@@ -593,7 +592,7 @@ class TestFetchResults:
         _, guard, then = unframe_commands(launches[0])
         assert guard == []
         assert then[0] == ["sacct", "-n", "-P", "-X", "--name=sb-test",
-                           "-S", "2023-12-31T00:00:00", "-o", "JobID,WorkDir,State"]
+                           "-S", "now-90000", "-o", "JobID,WorkDir,State"]
         assert slurm.job_states(accounting) == {
             ("/scratch/omero/data/r1", "workflow"): (1, JobState.PENDING)}
         assert then[4:] == slurm.teardown_commands(
@@ -612,7 +611,7 @@ class TestFetchResults:
         prepare_run_dirs(sim_endpoint)
         submit_workflow(sim_endpoint)
         sim_endpoint.cluster.fs.write("/scratch/omero/data/r1/out/x.tiff", b"xxx")
-        args = (sim_endpoint, "sb-test", slurm.SINCE_EVER, ["/scratch/omero/data/r1/out"],
+        args = (sim_endpoint, "sb-test", 0, ["/scratch/omero/data/r1/out"],
                 "/scratch/omero/data/r1/bundle.zip", ["/scratch/omero/data/r1"])
         guard = slurm.poll_guard("sb-test")
         [queued], fetched = slurm.fetch_results(*args, guard=guard)
@@ -631,7 +630,7 @@ class TestFetchResults:
         # Nothing to send back; the teardown runs all the same.
         prepare_run_dirs(sim_endpoint)
         _, (_, bundle, removed) = slurm.fetch_results(
-            sim_endpoint, "sb-test", slurm.SINCE_EVER,
+            sim_endpoint, "sb-test", 0,
             ["/scratch/omero/data/r1/out", "/scratch/omero/data/r2/out"],
             "/scratch/omero/data/r1/out.zip", ["/scratch/omero/data/r1"])
         assert isinstance(bundle, EmptyOutput)
@@ -642,7 +641,7 @@ class TestFetchResults:
         # The archive's dir does not exist; zip says so on stdout.
         prepare_run_dirs(sim_endpoint)
         sim_endpoint.cluster.fs.write("/scratch/omero/data/r1/out/x.tiff", b"x")
-        _, (_, bundle, _) = slurm.fetch_results(sim_endpoint, "sb-test", slurm.SINCE_EVER,
+        _, (_, bundle, _) = slurm.fetch_results(sim_endpoint, "sb-test", 0,
                                                 ["/scratch/omero/data/r1/out"],
                                                 "/scratch/gone/b.zip")
         assert isinstance(bundle, TransportError)
@@ -665,7 +664,7 @@ class TestFetchResults:
         prepare_run_dirs(endpoint)
         endpoint.cluster.fs.write("/scratch/omero/data/r1/out/x.tiff", bytes(range(256)))
         _, (_, bundle, removed) = slurm.fetch_results(
-            endpoint, "sb-test", slurm.SINCE_EVER, ["/scratch/omero/data/r1/out"],
+            endpoint, "sb-test", 0, ["/scratch/omero/data/r1/out"],
             "/scratch/omero/data/r1/bundle.zip", ["/scratch/omero/data/r1"])
         assert isinstance(bundle, ChecksumMismatch)
         assert "sha256" in str(bundle)
@@ -725,7 +724,7 @@ class TestInfoZipNaming:
         (tmp_path / "out").mkdir()
         (tmp_path / "out" / "x.tiff").write_bytes(b"x")
         archive = str(tmp_path / "gone" / "b.zip")
-        _, (_, bundle, _) = slurm.fetch_results(ssh_endpoint(), "sb-test", slurm.SINCE_EVER,
+        _, (_, bundle, _) = slurm.fetch_results(ssh_endpoint(), "sb-test", 0,
                                                 [str(tmp_path / "out")], archive)
         assert isinstance(bundle, TransportError)
         assert f"zip error: Could not create output file ({archive})" in str(bundle)
@@ -747,7 +746,7 @@ class TestInfoZipNaming:
         shell_router.stub("scancel", f'echo "$@" >> {cancels}\n')
         shell_router.stub("zip", f'{shutil.which("zip")} "$@" || exit $?\ncp "$4" {kept}\n')
         _, (accounting, bundle, removed) = slurm.fetch_results(
-            ssh_endpoint(), "sb-run", slurm.SINCE_EVER,
+            ssh_endpoint(), "sb-run", 0,
             [os.path.join(run_dir, f"batch{k}", "out") for k in range(3)] + [logs_dir],
             os.path.join(run_dir, "bundle.zip"), [run_dir, run_dir + ".zip"], cancel=True)
         assert [argv[0] for argv in shell_router.launches] == ["ssh"]

@@ -475,8 +475,8 @@ def _packed_twice(name):
                        "-o", "JobID,WorkDir,State"], id="sacct-S-without-time"),
     pytest.param(b"", ["sacct", "-n", "-P", "--name=n", "-o", "JobID,WorkDir,State"],
                  id="sacct-without-X"),
-    pytest.param(b"", ["date", "-u", "+%Y-%m-%dT%H:%M:%S"], id="date-utc"),
-    pytest.param(b"", ["date"], id="date-bare"),
+    pytest.param(b"", ["sacct", "-n", "-P", "-X", "--name=n", "-S", "2024-01-01T00:00:00",
+                       "-o", "JobID,WorkDir,State"], id="sacct-S-as-a-time"),
 ])
 def test_forms_the_client_never_sends_are_refused(archive, argv):
     """A form of a command outside the client's grammar answers non-zero
