@@ -196,7 +196,7 @@ def plan_batches(items, batch_size):
 def _split_results(archive, local_zips):
     """In one walk over archive's entries, copy the files under each prefix
     of local_zips to the local zip it maps to, named relative to the prefix;
-    returns the prefixes that held a file, the only ones given a zip."""
+    returns the prefixes that had a file, the only ones given a zip."""
     members = collections.defaultdict(list)
     for info in archive.infolist():
         name = info.filename
@@ -224,12 +224,10 @@ class _Run:
     paths: list  # slurm.run_data_paths: the run dir, the input archive beside it, its staging file
     logs_dir: str  # Slurm logs of this run only; they outlive the cleanup of the run dir
     job_name: str
-    # (batch dir, job kind) of each job not yet seen terminal -> None, or,
-    # while no squeue or sacct has listed a job whose submission's answer was
-    # lost, the TransferFailed of that loss
+    # (batch dir, job kind) of each job not yet seen terminal -> None, or
+    # the TransferFailed of the lost answer of the launch that submitted it
     live: dict = field(default_factory=dict)
     age: float = 0.0  # seconds the run has polled, which its sacct reaches back (slurm._sacct)
-    listed: set = frozenset()  # the (batch dir, kind) of each job this round's guard found queued
     torn_down: bool = False  # whether a launch that removed the run data answered
     bundle: object = None  # the bytes, or error, that the launch that tore the run down sent
 
@@ -239,42 +237,31 @@ class _Run:
         bundle of the out dir of every batch with no error and of the logs
         dir, and the teardown. Keeps the bundle, or the error of a lost
         answer, which it raises; journals the cleanup, then settles the live
-        jobs by that sacct. A guard that fails keeps the (batch dir, kind)
-        of each job it lists (slurm.queued_ids raises AccountingUnavailable
-        for a squeue that failed); when they name no live workflow job, only
-        jobs the run no longer waits for are queued (tasks of a failed
-        conversion array), and the run ends at once, with no guard. The
-        launch with no guard, also the one that ends a give-up, journals and
-        sends the cancel of every job of the run's name, and holds out of
-        the bundle and of the settling, though not out of its `submit` row,
-        each batch whose workflow job this round's guard listed: that job
-        runs on until the cancel, so its batch fails."""
-        waited = {key for key in self.live if key[1] == "workflow"}
-        held = set() if guard else self.listed & waited
-        self.listed = frozenset()  # until this round's guard lists what is queued
+        jobs by that sacct. A guard that fails and lists no workflow job
+        (slurm.workflow_queued raises AccountingUnavailable for a squeue
+        that failed) lists only jobs the run no longer waits for (tasks of
+        a failed conversion array), and the run ends at once, with no guard.
+        The launch with no guard, also the one that ends a give-up, journals
+        and sends the cancel of every job of the run's name."""
         if not guard:
             self.emit("cancel", f"name={self.job_name}")
         try:
             ran, fetched = slurm.fetch_results(
                 self.endpoint, self.job_name, self.age,
                 [posixpath.join(b.remote_dir, "out") for b in self.record.batches
-                 if b.error is None and (b.remote_dir, "workflow") not in held]
-                + [self.logs_dir],
+                 if b.error is None] + [self.logs_dir],
                 posixpath.join(self.paths[0], "bundle.zip"), self.paths, not guard, guard)
         except TransportError as exc:
             self.bundle = exc  # unless a later launch brings the bundle back
             raise
         if fetched is None:
-            self.listed = slurm.queued_ids(ran[0])
-            self.live.update(dict.fromkeys(self.listed & self.live.keys()))
-            if self.listed.isdisjoint(waited):
+            if not slurm.workflow_queued(ran[0]):
                 self.end()
             return
         accounting, self.bundle, removed = fetched
         self.torn_down = True
         self.emit("cleanup", f"removed={len(removed)}")
-        jobs = slurm.job_states(accounting)
-        self.settle(jobs | {key: (jobs.get(key, (None,))[0], None) for key in held})
+        self.settle(slurm.job_states(accounting))
 
     def settle(self, jobs, gone=False):
         """Apply jobs, (batch dir, kind) -> (job id, JobState or error) as
@@ -285,10 +272,10 @@ class _Run:
         did not complete fails its batch; a job whose state could not be
         read, or that jobs do not list when they hold an unreadable line,
         leaves live and fails its batch with that error. A live job that
-        jobs do not list is gone too when no squeue or sacct has listed
-        it since its submission's answer was lost, and fails its batch with
-        that TransferFailed; with gone, every one is, failing its batch with
-        UnparseableJobId when its submission answered."""
+        jobs do not list is gone too when its submission's answer was lost,
+        and fails its batch with that TransferFailed; with gone, every one
+        is, failing its batch with UnparseableJobId when its submission
+        answered."""
         batches = {b.remote_dir: b for b in self.record.batches}
         for (work_dir, kind), lost in list(self.live.items()):
             batch = batches[work_dir]
@@ -467,9 +454,9 @@ def _submit(run):
     archive last; a failed removal holds nothing back, and the teardown
     removes the archive. Each job submitted goes live, keyed by its batch
     dir and kind, by which the polls find it. A lost answer costs no batch
-    yet: every job the launch would submit goes live, and one that neither
-    a poll's squeue nor the sacct of the launch that tears the run down
-    lists fails its batch with TransferFailed."""
+    yet: every job the launch would submit goes live, and one that the sacct
+    of the launch that tears the run down does not list fails its batch
+    with TransferFailed."""
     run.emit(RunStage.QUEUED, "submitting jobs")
     queued = [b for b in run.record.batches if b.error is None]
     if not queued:
@@ -511,22 +498,22 @@ def _poll(run, options):
     """Stage: one poll loop over every live job, and every remote call of
     the run after its submission. It sleeps before each poll, as no job can
     have ended at once. Each round's launch asks squeue alone
-    (slurm.poll_guard) whether a job of the run's name is queued, and in
-    which batch dir; the first that finds none, or finds none the run waits
-    for, ends the run (_Run.end): it reads accounting, once, brings the
-    results back and tears the run down. Later rounds, while accounting lags
-    the controller, poll sacct alone: no job of the run is queued then, so
-    a live job their sacct does not list is gone, and its batch fails with
-    UnparseableJobId. A job whose accounting line or state
-    token cannot be read fails its batch alone. Up to two accounting
-    failures in a row only cost a round; a lost answer is one, though its
-    retrieval may have run, and so is a squeue or sacct that fails. The loop
-    gives up at the deadline or at the third accounting failure in a row.
-    It ends the run with close, which after a give-up reads accounting and
-    brings back what completed before it cancels the rest: every batch
-    still live then fails with that error. Before the teardown, no batch is
-    known to have completed, so an accounting outage that spans the launch
-    that ends the run and the two rounds after it fails every batch."""
+    (slurm.poll_guard) whether a job of the run's name is queued; the first
+    that finds none, or no workflow job, ends the run (_Run.end): it reads
+    accounting, once, brings the results back and tears the run down. Later
+    rounds, while accounting lags the controller, poll sacct alone: no job
+    of the run is queued then, so a live job their sacct does not list is
+    gone, and its batch fails with UnparseableJobId. A job whose accounting
+    line or state token cannot be read fails its batch alone. Up to two
+    accounting failures in a row only cost a round; a lost answer is one,
+    though its retrieval may have run, and so is a squeue or sacct that
+    fails. The loop gives up at the deadline or at the third accounting
+    failure in a row. It ends the run with close, which after a give-up
+    reads accounting and brings back what completed before it cancels the
+    rest: every batch still live then fails with that error. Before the
+    teardown, no batch is known to have completed, so an accounting outage
+    that spans the launch that ends the run and the two rounds after it
+    fails every batch."""
     run.emit(RunStage.RUNNING, "polling")
     accounting_failures, give_up = 0, None
     while run.live and give_up is None:
@@ -620,7 +607,7 @@ def import_results(record, destination, mode):
     inputs they derive from, or the raw zips. A file already at a target,
     however recently made, is never overwritten: its import stops with
     CollisionError. Each file is copied through one piece_buffer, sized by
-    the largest result zip, so no result is held whole in memory."""
+    the largest result zip, so no result is kept whole in memory."""
     zips = [b.result_zip for b in record.batches if b.result_zip]
     if not zips:
         raise NoResults(record.run_id)

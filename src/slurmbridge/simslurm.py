@@ -292,10 +292,6 @@ class SimEvent:
     old_state: JobState
     new_state: JobState
 
-    def render(self):
-        old = self.old_state.value if self.old_state else "-"
-        return f"{self.time} {self.entry_id} {old}->{self.new_state.value}"
-
 
 @dataclass(frozen=True)
 class FaultDirective:
@@ -608,9 +604,6 @@ class SimCluster:
     def inject_fault(self, fault):
         self.faults.append(fault)
 
-    def render_event_trace(self):
-        return "\n".join(event.render() for event in self.event_log)
-
     # -- command grammar -----------------------------------------------------
 
     def _records(self, job, queued=False):
@@ -654,10 +647,10 @@ class SimCluster:
         return [job for job in self.jobs.values() if option == f"--name={job.name}"]
 
     def _squeue(self, option):
-        """`squeue -a -h --name=<name> -o %i|%Z`: a line per record queued or
-        running of a job of that name, with its work dir."""
+        """`squeue -a -h --name=<name> -o %i`: a line per record queued or
+        running of a job of that name."""
         return ExecResult(0, "".join(
-            f"{entry}|{job.work_dir}\n" for job in self._named(option)
+            f"{entry}\n" for job in self._named(option)
             if self._counts[job.id][JobState.PENDING] or self._counts[job.id][JobState.RUNNING]
             for entry, _ in self._records(job, queued=True)), "")
 
@@ -790,7 +783,7 @@ class SimCluster:
         """Answer the Slurm commands, and sacct, squeue and the file commands
         in exactly the forms the client sends: `sacct -n -P -X --name=<name>
         [-S now-<seconds>] -o JobID,WorkDir,State`, `squeue -a -h
-        --name=<name> -o %i|%Z`, `mkdir -p P...`, `test -e P`, `rm -f P...`,
+        --name=<name> -o %i`, `mkdir -p P...`, `test -e P`, `rm -f P...`,
         `rm -rf P...`, `mv -T <file> P`, `sha256sum P`, `base64 P`, `zip -q
         -r -D Z P...`, `unzip -q Z -d D`, `singularity pull P S` and the
         framed `sh -c` launches of exec_many. Any other form of these,
@@ -810,7 +803,7 @@ class SimCluster:
         if cmd == "scancel":
             return self._scancel(args)
         if cmd == "squeue" and len(args) == 5 and args[:2] == ["-a", "-h"] \
-                and args[2].startswith("--name=") and args[3:] == ["-o", "%i|%Z"]:
+                and args[2].startswith("--name=") and args[3:] == ["-o", "%i"]:
             return self._squeue(args[2])
         if cmd == "mkdir" and args[:1] == ["-p"] and args[1:]:
             err = ""

@@ -29,8 +29,8 @@ from .transport import Captured, Quiet, sha256_hex, staging_path
 # `<id>_[<ranges>]`, the rest of that id, the work dir (up to the last '|')
 # and the state token; or, in the fifth group, a line that is none of these.
 _SACCT_RE = re.compile(r"^(?:(\d+)(_(?:\d+|\[[\d,%-]+\]))?\|(.*)\|(.*)|(.*\S.*))$", re.MULTILINE)
-# A line of `squeue -o %i|%Z`: the job id of the same three forms, and the work dir.
-_SQUEUE_RE = re.compile(r"\d+(_(?:\d+|\[[\d,%-]+\]))?\|(.*)")
+# A line of `squeue -o %i`: a job id of the same three forms.
+_SQUEUE_RE = re.compile(r"\d+(_(?:\d+|\[[\d,%-]+\]))?")
 
 # How far a run's sacct reaches back past the run's age as the client counts
 # it: its -S is `now-<seconds>`, a form sacct(1) reads by the cluster's own
@@ -212,23 +212,22 @@ def job_states(result):
 
 def poll_guard(name):
     """The one command a poll launch runs before the rest of fetch_results:
-    the Quiet `squeue -a -h --name=<name> -o %i|%Z`, which exits 0 only when
+    the Quiet `squeue -a -h --name=<name> -o %i`, which exits 0 only when
     no job or array task named name is queued or running, on any partition.
-    Its stdout lists the record of each one that is, with its work dir; see
-    queued_ids."""
-    return [Quiet(["squeue", "-a", "-h", f"--name={name}", "-o", "%i|%Z"])]
+    Its stdout lists the record of each one that is; see workflow_queued."""
+    return [Quiet(["squeue", "-a", "-h", f"--name={name}", "-o", "%i"])]
 
 
-def queued_ids(result):
-    """The (work dir, kind) of each job that a poll_guard which failed
-    lists, as job_states keys them, one per record: a job `<id>`, an array
-    task `<id>_<k>` or an array's pending tasks `<id>_[<ranges>]`, each with
-    its work dir. A guard that lists nothing, or a line that is none of
-    these, is a squeue that failed, and raises AccountingUnavailable."""
+def workflow_queued(result):
+    """Whether a poll_guard which failed lists a workflow job: a plain
+    `<id>`, where an array task `<id>_<k>` or an array's pending tasks
+    `<id>_[<ranges>]` are conversion records. A guard that lists nothing,
+    or a line that is none of these, is a squeue that failed, and raises
+    AccountingUnavailable."""
     listed = [_SQUEUE_RE.fullmatch(line) for line in result.stdout.splitlines()]
     if not listed or None in listed:
         raise AccountingUnavailable(result.stderr.strip() or f"squeue printed {result.stdout!r}")
-    return {(match.group(2), "conversion" if match.group(1) else "workflow") for match in listed}
+    return any(match.group(1) is None for match in listed)
 
 
 def zip_entry_name(remote_path):
@@ -268,7 +267,7 @@ def fetch_results(endpoint, name, age, paths, remote_zip, run_paths=(), cancel=F
 
     Entries are named by zip_entry_name. A path that does not exist adds
     nothing (under -q without a warning). Returns (the ExecResult of each
-    guard command, (sacct, bundle, removed) or None when the guard held the
+    guard command, (sacct, bundle, removed) or None when the guard kept the
     rest back): the sacct's ExecResult, for job_states; the archive's
     bytes, verified against the remote digest, or else the error that kept
     them from coming back, EmptyOutput when no path holds a file,

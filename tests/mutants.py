@@ -24,11 +24,10 @@ MUTANTS = {
     # A teardown whose answer was lost is not made again: each close of a
     # run makes one launch.
     "one-teardown": (orch._Run, "close", "for _ in range(3):", "for _ in range(1):"),
-    # The launch that ends a run cancels the jobs of its name only while
-    # the guard lists one the run waits for, as the retrieval launch once
-    # skipped scancel when every batch read completed.
+    # The launch that ends a run cancels no job of its name, as the
+    # retrieval launch once skipped scancel when every batch read completed.
     "uncancelled-ending": (orch._Run, "end", "self.paths, not guard, guard)",
-                           "self.paths, bool(held), guard)"),
+                           "self.paths, False, guard)"),
     # An accounting line that names no job id is read with int(), which
     # raises ValueError out of the run.
     "int-of-unreadable-line": (

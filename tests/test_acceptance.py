@@ -26,7 +26,13 @@ from slurmbridge.states import (
     aggregate_array_states,
     is_reachable,
 )
-from tests.conftest import SAMPLE_CONFIG, make_tiff_inputs, make_zarr_inputs, record_signature
+from tests.conftest import (
+    SAMPLE_CONFIG,
+    make_tiff_inputs,
+    make_zarr_inputs,
+    record_signature,
+    render_event_trace,
+)
 from tests.test_descriptor import descriptors, descriptors_with_values, validated
 from tests.test_orchestrator import (
     SUBMISSION,
@@ -176,7 +182,7 @@ def test_criterion_03_conversion_ordering(cellpose_descriptor, tmp_path):
     wf_id = batch.workflow_handle.job_id
     assert endpoint.cluster.jobs[conv_id].array_spec == (0, 5)
 
-    trace = endpoint.cluster.render_event_trace().splitlines()
+    trace = render_event_trace(endpoint.cluster).splitlines()
     conv_done = [i for i, line in enumerate(trace)
                  if line.split()[1].startswith(f"{conv_id}_")
                  and line.endswith("->COMPLETED")]
@@ -291,7 +297,7 @@ def test_criterion_08_determinism_resource_safety():
         random_schedule(cluster, rng, "d")
         for _ in range(6):
             cluster.advance(rng.randint(1, 50))
-        return cluster.render_event_trace()
+        return render_event_trace(cluster)
 
     for seed in (0, 7, 1234):
         assert build_trace(seed).encode() == build_trace(seed).encode()

@@ -1558,8 +1558,7 @@ class TestRunLifecycle:
         # cancelling nothing.
         run_dir = f"/scratch/omero/data/{record.run_id}"
         _, [guard], (poll, fetch, digest, stream, *teardown) = unframe_commands(launches[-1])
-        assert guard == Quiet(["squeue", "-a", "-h", f"--name=sb-{record.run_id}",
-                               "-o", "%i|%Z"])
+        assert guard == Quiet(["squeue", "-a", "-h", f"--name=sb-{record.run_id}", "-o", "%i"])
         assert poll == ["sacct", "-n", "-P", "-X", f"--name=sb-{record.run_id}",
                         "-S", "now-86430", "-o", "JobID,WorkDir,State"]
         assert (fetch[0], digest, stream) == (

@@ -25,6 +25,7 @@ from slurmbridge.states import (
     is_valid_transition,
 )
 from slurmbridge.transport import ExecResult
+from tests.conftest import render_event, render_event_trace
 
 
 def submit_script(cluster, path, **script):
@@ -147,13 +148,12 @@ class TestSubmission:
             assert (result.exit_code, result.stdout) == (2, "")
 
     def test_squeue_lists_each_queued_record(self):
-        """`squeue -a -h --name=<name> -o %i|%Z` prints a line per record
-        still queued or running of a job of that name, with the job's work
-        dir: a job's id, a running array task's `<id>_<k>`, and an array's
-        pending tasks as one `<id>_[<ranges>]`; an ended job or task, a job
-        of another name or none, and an unknown name print nothing. A job
-        submitted without --chdir works in `/`. The `-o %i` form the client
-        no longer sends is refused."""
+        """`squeue -a -h --name=<name> -o %i` prints a line per record still
+        queued or running of a job of that name: a job's id, a running array
+        task's `<id>_<k>`, and an array's pending tasks as one
+        `<id>_[<ranges>]`; an ended job or task, a job of another name or
+        none, and an unknown name print nothing. The `-j <ids>` form the
+        client does not send is refused."""
         cluster = SimCluster(nodes=[{"cpus": 4, "gpus": 0, "mem_mb": 8192}])
         named = ["--job-name=n"]
         array = submit_script(cluster, "/scratch/a.sh", cpus=2, duration=10, array="0-5",
@@ -161,26 +161,34 @@ class TestSubmission:
         plain = submit_script(cluster, "/scratch/p.sh", cpus=1, duration=5, options=named)
         other = submit_script(cluster, "/scratch/o.sh", duration=60, options=["--job-name=o"])
         submit_script(cluster, "/scratch/u.sh", duration=60)
-        squeue = ["squeue", "-a", "-h", "--name=n", "-o", "%i|%Z"]
-        assert cluster.sim_exec(squeue).stdout == f"{array}_[0-5]|/scratch/b0\n{plain}|/\n"
+        squeue = ["squeue", "-a", "-h", "--name=n", "-o", "%i"]
+        assert cluster.sim_exec(squeue).stdout == f"{array}_[0-5]\n{plain}\n"
         cluster.advance(1)
         assert cluster.sim_exec(squeue).stdout == (
-            f"{array}_0|/scratch/b0\n{array}_1|/scratch/b0\n{array}_[2-5]|/scratch/b0\n"
-            f"{plain}|/\n")
+            f"{array}_0\n{array}_1\n{array}_[2-5]\n{plain}\n")
         cluster.advance(20)
-        assert cluster.sim_exec(squeue).stdout == (
-            f"{array}_4|/scratch/b0\n{array}_5|/scratch/b0\n{plain}|/\n")
+        assert cluster.sim_exec(squeue).stdout == f"{array}_4\n{array}_5\n{plain}\n"
         cluster.advance(10)  # the plain job starts as the last tasks end
-        assert cluster.sim_exec(squeue).stdout == f"{plain}|/\n"
+        assert cluster.sim_exec(squeue).stdout == f"{plain}\n"
         cluster.advance(10)
         assert cluster.sim_exec(squeue) == ExecResult(0, "", "")
-        assert cluster.sim_exec(["squeue", "-a", "-h", "--name=o", "-o", "%i|%Z"]).stdout == (
-            f"{other}|/\n")
-        assert cluster.sim_exec(["squeue", "-a", "-h", "--name=x", "-o", "%i|%Z"]) == ExecResult(
+        assert cluster.sim_exec(["squeue", "-a", "-h", "--name=o", "-o", "%i"]).stdout == (
+            f"{other}\n")
+        assert cluster.sim_exec(["squeue", "-a", "-h", "--name=x", "-o", "%i"]) == ExecResult(
             0, "", "")
-        assert cluster.sim_exec(squeue[:-1] + ["%i"]).exit_code == 2
         assert cluster.sim_exec(["squeue", "-h", "-j", f"{array},{plain}", "-o", "%i"]) == (
             ExecResult(2, "", f"squeue: form not simulated: squeue -h -j {array},{plain} -o %i\n"))
+
+    def test_squeue_answers_the_id_format_and_refuses_the_work_dir_format(self):
+        """The guard's `-o %i` is answered; `-o %i|%Z`, which the client no
+        longer sends, is refused with nothing printed."""
+        cluster = SimCluster()
+        job = submit_script(cluster, "/scratch/b0/job.sh", duration=60,
+                            options=["--job-name=n", "--chdir=/scratch/b0"])
+        squeue = ["squeue", "-a", "-h", "--name=n", "-o"]
+        assert cluster.sim_exec(squeue + ["%i"]) == ExecResult(0, f"{job}\n", "")
+        assert cluster.sim_exec(squeue + ["%i|%Z"]) == ExecResult(
+            2, "", "squeue: form not simulated: squeue -a -h --name=n -o '%i|%Z'\n")
 
     @pytest.mark.parametrize("ask", [dict(cpus=8), dict(gpus=2), dict(mem=16385)],
                              ids=["cpus", "gpus", "mem"])
@@ -455,8 +463,8 @@ class TestDeterminismAndSafety:
         return cluster
 
     def test_byte_identical_traces(self):
-        trace_a = self._run_schedule(1234).render_event_trace()
-        trace_b = self._run_schedule(1234).render_event_trace()
+        trace_a = render_event_trace(self._run_schedule(1234))
+        trace_b = render_event_trace(self._run_schedule(1234))
         assert trace_a == trace_b and trace_a
 
     def test_resource_safety_randomized(self):
@@ -476,7 +484,7 @@ class TestDeterminismAndSafety:
             for event in cluster.event_log:
                 if event.old_state is not None:
                     assert is_valid_transition(event.old_state, event.new_state), \
-                        event.render()
+                        render_event(event)
                 if event.entry_id in last:
                     assert is_valid_transition(last[event.entry_id], event.new_state)
                 last[event.entry_id] = event.new_state
@@ -593,7 +601,8 @@ def test_state_file_with_stored_states_continues_alike():
     assert [task["exit_code"] for job in doc["jobs"] for task in job["tasks"]] == \
         [task.exit_code for job in restored.jobs.values() for task in job.tasks]
     for dt in (1, 7, 30, 3000):
-        assert [e.render() for e in restored.advance(dt)] == [e.render() for e in live.advance(dt)]
+        assert [render_event(e) for e in restored.advance(dt)] == \
+            [render_event(e) for e in live.advance(dt)]
     assert restored.to_dict() == live.to_dict()
     assert [(task.state, task.exit_code) for job in restored.jobs.values() for task in job.tasks] \
         == [(task.state, task.exit_code) for job in live.jobs.values() for task in job.tasks]
@@ -678,13 +687,13 @@ def golden_schedule(seed):
             job_id = rng.choice(sorted(cluster.jobs))
             cluster.sim_exec(["scancel", rng.choice([str(job_id), "--name=sb-a", "--name=sb-b"])])
         else:
-            traces.append(cluster.render_event_trace())
+            traces.append(render_event_trace(cluster))
             restored = SimCluster.from_dict(json.loads(json.dumps(cluster.to_dict())))
             for fault in FAULTS:
                 restored.inject_fault(fault)
             cluster = restored
     cluster.advance(3000)
-    traces.append(cluster.render_event_trace())
+    traces.append(render_event_trace(cluster))
     table = [
         f"{task.entry_id} {task.state.value} {task.start_time} {task.finish_time} "
         f"{task.node} {task.exit_code}"
@@ -872,8 +881,8 @@ def test_pending_tasks_are_a_suffix_and_sacct_names_every_task_state(seed, steps
             (task.entry_id, task.state.value)
             for job_id in job_ids for task in cluster.jobs[job_id].tasks)
         # squeue names, in the same records, exactly the tasks not ended.
-        queued = cluster.sim_exec(["squeue", "-a", "-h", "--name=p", "-o", "%i|%Z"]).stdout
-        assert sorted(entry for entry, _ in expand_sacct(queued.replace("|/\n", "|PENDING\n"))) \
+        queued = cluster.sim_exec(["squeue", "-a", "-h", "--name=p", "-o", "%i"]).stdout
+        assert sorted(entry for entry, _ in expand_sacct(queued.replace("\n", "|PENDING\n"))) \
             == sorted(task.entry_id for job_id in job_ids
                       for task in cluster.jobs[job_id].tasks if not task.state.terminal)
         assert cluster.sim_exec(["squeue", "-h", "-j", listed, "-o", "%i"]).exit_code == 2

@@ -443,16 +443,18 @@ class TestPollJobs:
 
 
 class TestQueuedIds:
-    def test_each_record_gives_its_work_dir_and_kind(self):
-        listed = ExecResult(1, "7|/b0\n8_3|/b1\n8_[4-9%2]|/b1\n12|/b1\n13|/a|b", "")
-        assert slurm.queued_ids(listed) == {("/b0", "workflow"), ("/b1", "conversion"),
-                                            ("/b1", "workflow"), ("/a|b", "workflow")}
+    def test_only_a_plain_id_is_a_queued_workflow_job(self):
+        # `<id>_<k>` and `<id>_[<ranges>]` are records of conversion arrays.
+        assert slurm.workflow_queued(ExecResult(1, "8_3\n8_[4-9%2]\n12\n", ""))
+        assert slurm.workflow_queued(ExecResult(1, "7", ""))
+        assert not slurm.workflow_queued(ExecResult(1, "8_3\n8_[4-9%2]\n", ""))
+        assert not slurm.workflow_queued(ExecResult(1, "8_[0,2-3]", ""))
 
     @pytest.mark.parametrize("stdout", ["", "7\nslurm_load_jobs error", "7+0", "8_",
                                         "7|/b0\nslurm_load_jobs error", "7+0|/b0", "8_|/b0"])
     def test_a_guard_that_lists_no_job_id_is_a_failed_squeue(self, stdout):
         with pytest.raises(AccountingUnavailable) as info:
-            slurm.queued_ids(ExecResult(1, stdout, "squeue: error: down\n"))
+            slurm.workflow_queued(ExecResult(1, stdout, "squeue: error: down\n"))
         assert "squeue: error: down" in str(info.value)
 
 
@@ -615,7 +617,7 @@ class TestFetchResults:
                 "/scratch/omero/data/r1/bundle.zip", ["/scratch/omero/data/r1"])
         guard = slurm.poll_guard("sb-test")
         [queued], fetched = slurm.fetch_results(*args, guard=guard)
-        assert (queued.exit_code, queued.stdout, fetched) == (1, "1|/scratch/omero/data/r1", None)
+        assert (queued.exit_code, queued.stdout, fetched) == (1, "1", None)
         assert sim_endpoint.path_exists("/scratch/omero/data/r1")
         sim_endpoint.sleep(3600)
         [queued], (accounting, bundle, removed) = slurm.fetch_results(*args, guard=guard)
