@@ -12,18 +12,6 @@ from slurmbridge import descriptor as descriptor_mod
 from slurmbridge import transport
 from slurmbridge.simslurm import SimCluster, SimEndpoint
 
-def render_event(event):
-    """A simulator event as `<time> <entry id> <old state>-><new state>`,
-    `-` for the old state of a task's first event."""
-    old = event.old_state.value if event.old_state else "-"
-    return f"{event.time} {event.entry_id} {old}->{event.new_state.value}"
-
-
-def render_event_trace(cluster):
-    """The cluster's event log, one rendered event a line."""
-    return "\n".join(map(render_event, cluster.event_log))
-
-
 CELLPOSE_DESCRIPTOR = {
     "name": "W_NucleiSegmentation-Cellpose",
     "schema-version": "cytomine-0.1",
@@ -190,6 +178,18 @@ def record_signature(record):
                     for b in record.batches],
         "artifacts": sorted(scrub(os.path.basename(p)) for p in record.output_artifacts),
     }
+
+
+def render_event(event):
+    """A simulator event as `<time> <entry id> <old state>-><new state>`,
+    `-` for the old state of a task's first event."""
+    old = event.old_state.value if event.old_state else "-"
+    return f"{event.time} {event.entry_id} {old}->{event.new_state.value}"
+
+
+def render_event_trace(cluster):
+    """The cluster's event log, one rendered event a line."""
+    return "\n".join(map(render_event, cluster.event_log))
 
 
 def traced_peak(call):

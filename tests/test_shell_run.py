@@ -255,7 +255,7 @@ def test_guard_that_does_not_pass_keeps_the_run_dir(shell_run, shell_router, tmp
     COMPLETED, so batch 0 keeps its results, though squeue listed it."""
     run, profile, _ = shell_run
     state = shlex.quote(str(tmp_path / "state"))
-    shell_router.stub("squeue", squeue.format(state=state))
+    shell_router.stub("squeue", squeue)
     shell_router.stub("sacct", f"echo ran >> {state}/sacct.calls; cat {state}/accounting\n")
     run_dir = []  # whether the run dir was there after each poll launch
     route = shell_router.run
