@@ -96,8 +96,9 @@ def generate_workflow_script(descriptor, resources, values, run_paths, logs_dir)
 def generate_conversion_script(n_items, converter_image, data_dir, resources, logs_dir):
     """Build the array job that converts every ZARR input item to TIFF in place.
 
-    Each array task converts the item whose index is $SLURM_ARRAY_TASK_ID.
-    Conversion jobs never request GPUs.
+    Each array task converts the item whose index is $SLURM_ARRAY_TASK_ID,
+    so a task asks for one CPU and no GPU: the array supplies the
+    parallelism. Memory and time limit stay the workflow's.
     """
     if n_items < 1:
         raise InvalidCount(f"conversion needs at least one item, got {n_items}")
@@ -106,8 +107,8 @@ def generate_conversion_script(n_items, converter_image, data_dir, resources, lo
         "convert --source-format zarr --target-format tiff "
         f'--index "$SLURM_ARRAY_TASK_ID" /data'
     )
-    return JobScript(directives=_base_directives(replace(resources, gpus=0), logs_dir, n_items),
-                     env_exports=[], body=[command])
+    directives = _base_directives(replace(resources, cpus=1, gpus=0), logs_dir, n_items)
+    return JobScript(directives=directives, env_exports=[], body=[command])
 
 
 def render_script(script):

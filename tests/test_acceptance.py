@@ -362,10 +362,10 @@ def test_criterion_11_no_job_outlives_its_data(cellpose_descriptor, tmp_path):
              for fmt in (orch.InputFormat.TIFF_2D, orch.InputFormat.ZARR)}
 
     # Each batch draws its input format and a forced state for its workflow
-    # job or its conversion array. On one node of two slots, an array of
-    # three tasks runs in two waves or more, so a failed array's parent state
-    # can read FAILED while a task runs on past the end of a 10 s workflow
-    # job; the example pins that case.
+    # job or its conversion array. On one node of three CPUs, beside a 2-CPU
+    # workflow job, an array of three one-CPU tasks runs in three waves, so a
+    # failed array's parent state can read FAILED while a task runs on past
+    # the end of a 10 s workflow job; the example pins that case.
     @settings(max_examples=60, deadline=None)
     @given(lost_polls=st.lists(st.booleans(), max_size=8),
            submission_lost=st.booleans(),
@@ -385,7 +385,7 @@ def test_criterion_11_no_job_outlives_its_data(cellpose_descriptor, tmp_path):
                       (orch.InputFormat.ZARR, "convert.sh", JobState.FAILED)])
     def no_job_outlives_its_data(lost_polls, submission_lost, retrieval_lost, upload_lost,
                                  deadline_s, batches, one_node, batch_size, workflow_s):
-        nodes = [{"cpus": 4, "gpus": 0, "mem_mb": 16384}] if one_node else None
+        nodes = [{"cpus": 3, "gpus": 0, "mem_mb": 16384}] if one_node else None
         endpoint, profile, registry = fresh_env(cellpose_descriptor, GrammarOnly(nodes))
         endpoint.cluster.inject_fault(FaultDirective(script_substring="job.sh",
                                                      duration_s=workflow_s))

@@ -93,11 +93,13 @@ class TestConversionScript:
         with pytest.raises(InvalidCount):
             self._generate(0)
 
-    def test_never_requests_gpu(self):
-        script = js.generate_conversion_script(
-            2, "img.sif", "/d", ResourceSpec(4096, 2, 3, 60), LOGS_DIR
-        )
-        assert "--gres" not in dict(script.directives)
+    def test_a_task_asks_for_one_cpu_no_gpu_and_the_workflow_memory_and_time(self):
+        # Each task converts one item; the array supplies the parallelism.
+        directives = dict(js.generate_conversion_script(
+            2, "img.sif", "/d", ResourceSpec(4096, 2, 3, 60), LOGS_DIR).directives)
+        assert (directives["--cpus-per-task"], directives["--mem"], directives["--time"]) == (
+            "1", "4096", "01:00:00")
+        assert "--gres" not in directives
 
     def test_uses_array_task_id(self):
         assert "$SLURM_ARRAY_TASK_ID" in self._generate(2).body[-1]

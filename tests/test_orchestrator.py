@@ -645,6 +645,21 @@ class TestConversionPath:
         wf_job = endpoint.cluster.jobs[batch.workflow_handle.job_id]
         assert wf_job.tasks[0].start_time >= conv_end
 
+    def test_one_cpu_tasks_fill_every_cpu(self, run_env, tmp_path):
+        # The default simulator's two 4-CPU nodes start 8 one-CPU tasks of
+        # a 16-item array at once.
+        endpoint, profile, registry, descriptor = run_env
+        make_zarr_inputs(str(tmp_path / "inputs"), 16, chunks=1)
+        items = orch.scan_input_dir(str(tmp_path / "inputs"))
+        record = orch.run_workflow_batched(
+            endpoint, profile, registry, descriptor, "cellpose",
+            {}, items, len(items), options=fast_options(),
+            local_output_dir=str(tmp_path / "out"),
+        )
+        assert record.overall_state is orch.RunStage.DONE
+        conv_job = endpoint.cluster.jobs[record.batches[0].conversion_handle.job_id]
+        assert [task.start_time for task in conv_job.tasks].count(0) == 8
+
     def test_failed_conversion_returns_its_log(self, run_env, tmp_path):
         endpoint, profile, registry, descriptor = run_env
         endpoint.cluster.inject_fault(
@@ -678,13 +693,13 @@ class TestConversionPath:
         assert batch_errors(record) == batch_failures(events) == {0: "ConversionFailed"}
 
     def test_failed_conversion_leaves_no_task_running(self, run_env, tmp_path):
-        # Six 2-CPU tasks on 8 CPUs: the array reads FAILED once the first
-        # four failed, while the last two still run.
+        # Ten one-CPU tasks on 8 CPUs: the array reads FAILED once the
+        # first eight failed, while the last two still run.
         endpoint, profile, registry, descriptor = run_env
         endpoint.cluster.inject_fault(
             FaultDirective(script_substring="batch0/convert.sh",
                            forced_state=JobState.FAILED))
-        make_zarr_inputs(str(tmp_path / "inputs"), 6)
+        make_zarr_inputs(str(tmp_path / "inputs"), 10)
         items = orch.scan_input_dir(str(tmp_path / "inputs"))
         record = orch.run_workflow_batched(
             endpoint, profile, registry, descriptor, "cellpose",
@@ -1784,9 +1799,9 @@ class TestLastPollRetrieves:
     @pytest.mark.parametrize("duration", [10, 20])
     def test_failed_array_keeps_the_run_dir_while_a_task_runs(self, run_env, tmp_path,
                                                               duration):
-        # On one node of two slots, batch 0's workflow job takes one slot
-        # and batch 1's conversion array of 3 failing tasks the other, so
-        # that its parent state reads FAILED from t=5 while its tasks run
+        # On one node of three CPUs, batch 0's workflow job takes two and
+        # batch 1's conversion array of 3 failing one-CPU tasks the third,
+        # so that its parent state reads FAILED from t=5 while its tasks run
         # on to t=15; batch 1's workflow job is cancelled unstarted. The
         # guard lists every job submitted: with batch 0's job ending at
         # t=10, the poll whose guard lists only the array's tasks, no
@@ -1794,7 +1809,7 @@ class TestLastPollRetrieves:
         # ending at t=20, after every task, the poll that finds none queued
         # brings the results back and cancels nothing. No poll removes the
         # data while a task runs.
-        cluster = RemovesOnlyEnded(nodes=[{"cpus": 4, "gpus": 0, "mem_mb": 16384}])
+        cluster = RemovesOnlyEnded(nodes=[{"cpus": 3, "gpus": 0, "mem_mb": 16384}])
         cluster.inject_fault(FaultDirective(script_substring="batch1/convert.sh",
                                             forced_state=JobState.FAILED))
         cluster.inject_fault(FaultDirective(script_substring="job.sh", duration_s=duration))
@@ -1824,7 +1839,7 @@ class TestLastPollRetrieves:
         items = orch.scan_input_dir(str(tmp_path / "inputs"))
 
         def run(faults):
-            cluster = RemovesOnlyEnded(nodes=[{"cpus": 4, "gpus": 0, "mem_mb": 16384}])
+            cluster = RemovesOnlyEnded(nodes=[{"cpus": 3, "gpus": 0, "mem_mb": 16384}])
             cluster.inject_fault(FaultDirective(script_substring="batch1/convert.sh",
                                                 forced_state=JobState.FAILED))
             cluster.inject_fault(FaultDirective(script_substring="job.sh", duration_s=10))
@@ -1899,6 +1914,29 @@ class TestLastPollRetrieves:
         assert cluster.clock < 60 * time_limit_min
         assert_no_job_outlives_its_data(cluster, time_limit_min)
 
+    def test_a_node_that_holds_a_conversion_task_but_no_workflow_job(
+            self, run_env, tmp_path):
+        # One 1-CPU node: sbatch takes the conversion array of one-CPU tasks
+        # and refuses its 2-CPU workflow job. The first poll's guard lists
+        # no workflow job, so that launch ends the run and cancels the
+        # array's running and pending tasks before it removes the data.
+        cluster = RemovesOnlyEnded(nodes=[{"cpus": 1, "gpus": 0, "mem_mb": 16384}])
+        make_zarr_inputs(str(tmp_path / "inputs"), 3)
+        events = Events()
+        record = self.run(cluster, run_env, tmp_path,
+                          orch.scan_input_dir(str(tmp_path / "inputs")), 3, listener=events)
+        assert record.overall_state is orch.RunStage.FAILED
+        assert batch_errors(record) == batch_failures(events) == {0: "SubmitRejected"}
+        assert [detail for stage, detail in events if stage == "submit"] == [
+            "batch=0 kind=conversion job_id=1 tasks=3"]
+        assert cluster.ran.count("squeue") == 1
+        assert cluster.ran.index("squeue") < cluster.ran.index("scancel")
+        assert [task.state for task in cluster.jobs[1].tasks] == [
+            JobState.COMPLETED, JobState.CANCELLED, JobState.CANCELLED]
+        assert cluster.early == []
+        assert_no_job_outlives_its_data(
+            cluster, run_env[2].entry("cellpose").resources.time_limit_min)
+
     def test_upload_digest_with_no_output_fails_the_transfer(self, run_env, tmp_path):
         # sha256sum exits 0 but prints nothing: the upload fails its digest.
         events = Events()
@@ -1910,7 +1948,7 @@ class TestLastPollRetrieves:
             0: "TransferFailed", 1: "TransferFailed"}
 
     def test_pending_array_tasks_cost_one_sacct_line(self, run_env, tmp_path):
-        # One conversion array of 250 tasks, 4 running at a time, and its
+        # One conversion array of 250 tasks, 8 running at a time, and its
         # workflow job: the run reads sacct once, in the launch that ends
         # it, when no task pends, and it prints a line per task and one for
         # the workflow job.
