@@ -14,7 +14,6 @@ from . import config as config_mod
 from . import descriptor as descriptor_mod
 from . import orchestrator, simslurm, slurm
 from .errors import SlurmBridgeError, TransportError, UnknownRunId
-from .states import JobState
 from .transport import SshEndpoint
 
 EXIT_OK = 0
@@ -388,8 +387,7 @@ def cmd_fetch(run_id, destination, runs_dir, artifact_dir, mode):
     record = orchestrator.RunRecord(
         run_id=run_id, workflow="", version="", values={}, items=items,
         batches=[
-            orchestrator.BatchRun(index=i, items=[], result_zip=path,
-                                  state=JobState.COMPLETED)
+            orchestrator.BatchRun(index=i, items=[], result_zip=path)
             for i, path in enumerate(zips)
         ],
     )

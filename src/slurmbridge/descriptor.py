@@ -174,35 +174,6 @@ def parse_descriptor(text):
     )
 
 
-def serialize_descriptor(descriptor):
-    """Inverse of parse_descriptor for valid descriptors."""
-    inputs = []
-    for p in descriptor.params:
-        entry = {
-            "id": p.id,
-            "name": p.display_name,
-            "description": p.description,
-            "type": p.value_type.value,
-            "command-line-flag": p.cli_flag,
-            "optional": p.optional,
-        }
-        if p.default is not None:
-            entry["default-value"] = p.default
-        inputs.append(entry)
-    doc = {
-        "name": descriptor.name,
-        "schema-version": descriptor.schema_version,
-        "container-image": {
-            "image": descriptor.container_image,
-            "version": descriptor.container_version,
-        },
-        "command-line": descriptor.command_line_template,
-        "inputs": inputs,
-    }
-    doc.update(descriptor.extra_fields)
-    return json.dumps(doc, indent=2)
-
-
 def validate_values(descriptor, supplied):
     """Fill defaults and type-check a user-supplied parameter map. A String
     value, supplied or default, must hold no line break: a job script keeps

@@ -166,24 +166,19 @@ class InvalidBatchSize(SlurmBridgeError):
     pass
 
 
-class StageFailure(SlurmBridgeError):
-    """A batch failed in a specific pipeline stage; its logfile, if any, is
-    BatchRun.logfile."""
-
-
-class TransferFailed(StageFailure):
+class TransferFailed(SlurmBridgeError):
     pass
 
 
-class ConversionFailed(StageFailure):
+class ConversionFailed(SlurmBridgeError):
     pass
 
 
-class WorkflowFailed(StageFailure):
+class WorkflowFailed(SlurmBridgeError):
     pass
 
 
-class RetrievalFailed(StageFailure):
+class RetrievalFailed(SlurmBridgeError):
     pass
 
 

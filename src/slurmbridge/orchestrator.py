@@ -275,7 +275,8 @@ class _Run:
         jobs do not list is gone too when its submission's answer was lost,
         and fails its batch with that TransferFailed; with gone, every one
         is, failing its batch with UnparseableJobId when its submission
-        answered."""
+        answered. Any other live job leaves live once its batch has failed,
+        with no row: nothing it does can change its batch."""
         batches = {b.remote_dir: b for b in self.record.batches}
         for (work_dir, kind), lost in list(self.live.items()):
             batch = batches[work_dir]
@@ -291,6 +292,8 @@ class _Run:
                 self.emit("submit", detail)
             if (state is None and not gone and lost is None) \
                     or not getattr(state, "terminal", True):
+                if batch.error is not None:
+                    del self.live[work_dir, kind]
                 continue
             del self.live[work_dir, kind]
             if not isinstance(state, JobState):

@@ -200,12 +200,6 @@ class SimFS:
             name[len(prefix):] for name in self.files if name.startswith(prefix)
         )
 
-    def snapshot(self):
-        """Canonical text rendering of the whole tree, for idempotence checks."""
-        lines = [f"D {name}" for name in sorted(self.dirs)]
-        lines += [f"F {name} {self.digest(name)}" for name in sorted(self.files)]
-        return "\n".join(lines)
-
 
 @dataclass
 class SimNode:
@@ -278,11 +272,6 @@ class SimJob:
     @property
     def is_array(self):
         return self.array_spec is not None
-
-    def parent_state(self):
-        if self.is_array:
-            return aggregate_array_states(t.state for t in self.tasks)
-        return self.tasks[0].state
 
 
 @dataclass(frozen=True)

@@ -24,13 +24,15 @@ from .errors import (
 from .states import aggregate_array_states, parse_state_token
 from .transport import Captured, Quiet, sha256_hex, staging_path
 
+# A job id is `<id>`, an array task `<id>_<k>` or an array's pending tasks
+# `<id>_[<ranges>]`; this optional group holds the suffix of the last two.
+_TASK_SUFFIX = r"(_(?:\d+|\[[\d,%-]+\]))?"
 # Each line of `sacct -P -o JobID,WorkDir,State` that is not blank: the job
-# id of `<id>`, an array task `<id>_<k>` or an array's pending tasks
-# `<id>_[<ranges>]`, the rest of that id, the work dir (up to the last '|')
-# and the state token; or, in the fifth group, a line that is none of these.
-_SACCT_RE = re.compile(r"^(?:(\d+)(_(?:\d+|\[[\d,%-]+\]))?\|(.*)\|(.*)|(.*\S.*))$", re.MULTILINE)
-# A line of `squeue -o %i`: a job id of the same three forms.
-_SQUEUE_RE = re.compile(r"\d+(_(?:\d+|\[[\d,%-]+\]))?")
+# id's number, its task suffix, the work dir (up to the last '|') and the
+# state token; or, in the fifth group, a line that is none of these.
+_SACCT_RE = re.compile(rf"^(?:(\d+){_TASK_SUFFIX}\|(.*)\|(.*)|(.*\S.*))$", re.MULTILINE)
+# A line of `squeue -o %i`: a job id.
+_SQUEUE_RE = re.compile(rf"\d+{_TASK_SUFFIX}")
 
 # How far a run's sacct reaches back past the run's age as the client counts
 # it: its -S is `now-<seconds>`, a form sacct(1) reads by the cluster's own

@@ -1,4 +1,5 @@
-"""Job lifecycle states and the transition relation shared by client and simulator."""
+"""Job lifecycle states, and how accounting state tokens and array task
+states map onto them."""
 
 from enum import Enum
 
@@ -19,18 +20,6 @@ class JobState(Enum):
 TERMINAL_STATES = frozenset(
     {JobState.COMPLETED, JobState.FAILED, JobState.CANCELLED, JobState.TIMEOUT}
 )
-
-# Valid transitions; terminal states have no successors.
-TRANSITIONS = {
-    JobState.PENDING: frozenset({JobState.RUNNING, JobState.CANCELLED}),
-    JobState.RUNNING: frozenset(
-        {JobState.COMPLETED, JobState.FAILED, JobState.CANCELLED, JobState.TIMEOUT}
-    ),
-    JobState.COMPLETED: frozenset(),
-    JobState.FAILED: frozenset(),
-    JobState.CANCELLED: frozenset(),
-    JobState.TIMEOUT: frozenset(),
-}
 
 # Every sacct(1) "JOB STATE CODES" token mapped onto the state machine: a job
 # that still holds or may regain resources is RUNNING, a requeued one PENDING.
@@ -53,28 +42,6 @@ _TOKEN_MAP = {
     "TIMEOUT": JobState.TIMEOUT,
     "DEADLINE": JobState.TIMEOUT,
 }
-
-
-def is_valid_transition(old, new):
-    return new == old or new in TRANSITIONS[old]
-
-
-def is_reachable(old, new):
-    """True when new can follow old via zero or more valid transitions.
-
-    Polling samples the state machine sparsely, so observed pairs must
-    satisfy reachability rather than single-step validity.
-    """
-    if new == old:
-        return True
-    frontier = set(TRANSITIONS[old])
-    seen = set(frontier)
-    while frontier:
-        if new in frontier:
-            return True
-        frontier = {s for state in frontier for s in TRANSITIONS[state]} - seen
-        seen |= frontier
-    return False
 
 
 def parse_state_token(token):

@@ -11,6 +11,7 @@ from slurmbridge import config as config_mod
 from slurmbridge import descriptor as descriptor_mod
 from slurmbridge import transport
 from slurmbridge.simslurm import SimCluster, SimEndpoint
+from slurmbridge.states import JobState, aggregate_array_states
 
 CELLPOSE_DESCRIPTOR = {
     "name": "W_NucleiSegmentation-Cellpose",
@@ -56,6 +57,87 @@ zarr_to_tiff = demo/converter-zarr-tiff:v1.0.0
 repo_url = https://github.com/demo/W_NucleiSegmentation-Cellpose
 version = v1.2.9
 """
+
+
+# The valid transitions of a job's or task's state; terminal states have no
+# successors. The simulator's event log and the states a poll observes are
+# checked against it.
+TRANSITIONS = {
+    JobState.PENDING: frozenset({JobState.RUNNING, JobState.CANCELLED}),
+    JobState.RUNNING: frozenset(
+        {JobState.COMPLETED, JobState.FAILED, JobState.CANCELLED, JobState.TIMEOUT}
+    ),
+    JobState.COMPLETED: frozenset(),
+    JobState.FAILED: frozenset(),
+    JobState.CANCELLED: frozenset(),
+    JobState.TIMEOUT: frozenset(),
+}
+
+
+def is_valid_transition(old, new):
+    return new == old or new in TRANSITIONS[old]
+
+
+def is_reachable(old, new):
+    """True when new can follow old via zero or more valid transitions.
+
+    Polling samples the state machine sparsely, so observed pairs must
+    satisfy reachability rather than single-step validity.
+    """
+    if new == old:
+        return True
+    frontier = set(TRANSITIONS[old])
+    seen = set(frontier)
+    while frontier:
+        if new in frontier:
+            return True
+        frontier = {s for state in frontier for s in TRANSITIONS[state]} - seen
+        seen |= frontier
+    return False
+
+
+def parent_state(job):
+    """A simulator job's state as its tasks give it: the oracle of the state
+    that SimCluster.job_state derives from its task-state counts."""
+    if job.is_array:
+        return aggregate_array_states(t.state for t in job.tasks)
+    return job.tasks[0].state
+
+
+def fs_snapshot(fs):
+    """Canonical text rendering of a SimFS's whole tree, for idempotence checks."""
+    lines = [f"D {name}" for name in sorted(fs.dirs)]
+    lines += [f"F {name} {fs.digest(name)}" for name in sorted(fs.files)]
+    return "\n".join(lines)
+
+
+def serialize_descriptor(descriptor):
+    """Inverse of parse_descriptor for valid descriptors."""
+    inputs = []
+    for p in descriptor.params:
+        entry = {
+            "id": p.id,
+            "name": p.display_name,
+            "description": p.description,
+            "type": p.value_type.value,
+            "command-line-flag": p.cli_flag,
+            "optional": p.optional,
+        }
+        if p.default is not None:
+            entry["default-value"] = p.default
+        inputs.append(entry)
+    doc = {
+        "name": descriptor.name,
+        "schema-version": descriptor.schema_version,
+        "container-image": {
+            "image": descriptor.container_image,
+            "version": descriptor.container_version,
+        },
+        "command-line": descriptor.command_line_template,
+        "inputs": inputs,
+    }
+    doc.update(descriptor.extra_fields)
+    return json.dumps(doc, indent=2)
 
 
 @pytest.fixture

@@ -21,17 +21,17 @@ from slurmbridge import orchestrator as orch
 from slurmbridge import slurm
 from slurmbridge.config import ResourceSpec, parse_config
 from slurmbridge.simslurm import FaultDirective, SimCluster, SimEndpoint
-from slurmbridge.states import (
-    JobState,
-    aggregate_array_states,
-    is_reachable,
-)
+from slurmbridge.states import JobState, aggregate_array_states
 from tests.conftest import (
     SAMPLE_CONFIG,
+    fs_snapshot,
+    is_reachable,
     make_tiff_inputs,
     make_zarr_inputs,
+    parent_state,
     record_signature,
     render_event_trace,
+    serialize_descriptor,
 )
 from tests.test_descriptor import descriptors, descriptors_with_values, validated
 from tests.test_orchestrator import (
@@ -200,9 +200,9 @@ def test_criterion_04_init_idempotence(sample_profile_registry):
     endpoint = SimEndpoint(SimCluster())
 
     first = slurm.init_environment(endpoint, profile, registry)
-    snapshot_one = endpoint.cluster.fs.snapshot()
+    snapshot_one = fs_snapshot(endpoint.cluster.fs)
     second = slurm.init_environment(endpoint, profile, registry)
-    snapshot_two = endpoint.cluster.fs.snapshot()
+    snapshot_two = fs_snapshot(endpoint.cluster.fs)
 
     assert snapshot_one == snapshot_two
     assert not first.refreshed and second.refreshed
@@ -244,8 +244,7 @@ def test_criterion_06_descriptor_properties():
     @settings(max_examples=200, deadline=None)
     @given(descriptors())
     def round_trip(descriptor):
-        again = descriptor_mod.parse_descriptor(
-            descriptor_mod.serialize_descriptor(descriptor))
+        again = descriptor_mod.parse_descriptor(serialize_descriptor(descriptor))
         assert again == descriptor
 
     @settings(max_examples=200, deadline=None)
@@ -278,7 +277,7 @@ def test_criterion_07_state_machine():
             if rng.random() < 0.15 and job_ids:
                 cluster.sim_exec(["scancel", str(rng.choice(job_ids))])
             for job_id in job_ids:
-                state = cluster.jobs[job_id].parent_state()
+                state = parent_state(cluster.jobs[job_id])
                 if job_id in observed:
                     assert is_reachable(observed[job_id], state), (
                         seed, job_id, observed[job_id], state)

@@ -14,6 +14,7 @@ from slurmbridge.errors import (
     UnknownParam,
     UnsupportedSchema,
 )
+from tests.conftest import serialize_descriptor
 
 
 def make_doc(**overrides):
@@ -84,7 +85,7 @@ class TestParseDescriptor:
         doc = make_doc(**{"custom-field": {"a": 1}})
         descriptor = d.parse_descriptor(doc)
         assert descriptor.extra_fields == {"custom-field": {"a": 1}}
-        again = d.parse_descriptor(d.serialize_descriptor(descriptor))
+        again = d.parse_descriptor(serialize_descriptor(descriptor))
         assert again.extra_fields == {"custom-field": {"a": 1}}
 
     def test_order_preserved(self):
@@ -255,7 +256,7 @@ def descriptors(draw):
 @settings(max_examples=200, deadline=None)
 @given(descriptors())
 def test_serialize_parse_round_trip(descriptor):
-    again = d.parse_descriptor(d.serialize_descriptor(descriptor))
+    again = d.parse_descriptor(serialize_descriptor(descriptor))
     assert again == descriptor
 
 

@@ -38,8 +38,10 @@ from slurmbridge.transport import DEFAULT_DEADLINE_S, PIECE, ExecResult, Quiet, 
 from tests.conftest import (
     CELLPOSE_DESCRIPTOR,
     SAMPLE_CONFIG,
+    fs_snapshot,
     make_tiff_inputs,
     make_zarr_inputs,
+    parent_state,
     record_signature,
     traced_peak,
 )
@@ -614,14 +616,14 @@ class TestRunWorkflow:
 
     def test_zero_items_done_without_remote_activity(self, run_env, tmp_path):
         endpoint, profile, registry, descriptor = run_env
-        before = endpoint.cluster.fs.snapshot()
+        before = fs_snapshot(endpoint.cluster.fs)
         record = orch.run_workflow_batched(
             endpoint, profile, registry, descriptor, "cellpose",
             {}, [], 1, options=fast_options(),
             local_output_dir=str(tmp_path / "out"),
         )
         assert record.overall_state is orch.RunStage.DONE
-        assert endpoint.cluster.fs.snapshot() == before
+        assert fs_snapshot(endpoint.cluster.fs) == before
         assert not endpoint.cluster.jobs
 
 
@@ -677,7 +679,7 @@ class TestConversionPath:
         failed = record.batches[0]
         # Slurm cancelled the dependent workflow job before it could start.
         workflow_job = endpoint.cluster.jobs[failed.workflow_handle.job_id]
-        assert workflow_job.parent_state() is JobState.CANCELLED
+        assert parent_state(workflow_job) is JobState.CANCELLED
         assert workflow_job.tasks[0].start_time is None
         conv_id = failed.conversion_handle.job_id
         # The array's task logs come back, and the batch keeps task 0's;
@@ -1695,7 +1697,7 @@ class TestRunLifecycle:
         assert batch_errors(record) == batch_failures(events) == {0: "WorkflowFailed"}
         batch = record.batches[0]
         conv_id = batch.conversion_handle.job_id
-        assert endpoint.cluster.jobs[conv_id].parent_state() is JobState.COMPLETED
+        assert parent_state(endpoint.cluster.jobs[conv_id]) is JobState.COMPLETED
         # An array writes one log per task and none of its own: task 0's is kept.
         assert os.path.basename(batch.logfile) == f"omero-job-{conv_id}_0.log"
         assert sorted(os.listdir(tmp_path / "out")) == [
@@ -1919,7 +1921,9 @@ class TestLastPollRetrieves:
         # One 1-CPU node: sbatch takes the conversion array of one-CPU tasks
         # and refuses its 2-CPU workflow job. The first poll's guard lists
         # no workflow job, so that launch ends the run and cancels the
-        # array's running and pending tasks before it removes the data.
+        # array's running and pending tasks before it removes the data. Its
+        # sacct, read before the cancel, lists the array running, but the
+        # array's batch has failed already, so no later round reads it.
         cluster = RemovesOnlyEnded(nodes=[{"cpus": 1, "gpus": 0, "mem_mb": 16384}])
         make_zarr_inputs(str(tmp_path / "inputs"), 3)
         events = Events()
@@ -1931,6 +1935,8 @@ class TestLastPollRetrieves:
             "batch=0 kind=conversion job_id=1 tasks=3"]
         assert cluster.ran.count("squeue") == 1
         assert cluster.ran.index("squeue") < cluster.ran.index("scancel")
+        assert cluster.ran.count("sacct") == 1
+        assert cluster.clock == 5
         assert [task.state for task in cluster.jobs[1].tasks] == [
             JobState.COMPLETED, JobState.CANCELLED, JobState.CANCELLED]
         assert cluster.early == []

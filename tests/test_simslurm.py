@@ -19,13 +19,15 @@ from slurmbridge.simslurm import (
     SimEndpoint,
     load_topology,
 )
-from slurmbridge.states import (
-    JobState,
-    aggregate_array_states,
-    is_valid_transition,
-)
+from slurmbridge.states import JobState, aggregate_array_states
 from slurmbridge.transport import ExecResult
-from tests.conftest import render_event, render_event_trace
+from tests.conftest import (
+    fs_snapshot,
+    is_valid_transition,
+    parent_state,
+    render_event,
+    render_event_trace,
+)
 
 
 def submit_script(cluster, path, **script):
@@ -98,7 +100,7 @@ def random_schedule(cluster, rng, tag, options=()):
 
 
 def job_state(cluster, job_id):
-    return cluster.jobs[job_id].parent_state()
+    return parent_state(cluster.jobs[job_id])
 
 
 def sacct(cluster, name, ago=10**6):
@@ -624,7 +626,7 @@ def test_state_round_trip(tmp_path):
     cluster.save_state(str(path))
     restored = SimCluster.load_state(str(path))
     assert restored.to_dict() == cluster.to_dict()
-    assert restored.fs.snapshot() == cluster.fs.snapshot()
+    assert fs_snapshot(restored.fs) == fs_snapshot(cluster.fs)
     assert restored.clock == cluster.clock
     array = restored.jobs[array_id]
     assert array.array_spec == (0, 2)
@@ -634,8 +636,8 @@ def test_state_round_trip(tmp_path):
     assert restored.jobs[silent_id].tasks[0].state is JobState.PENDING
     restored.advance(30)
     cluster.advance(30)
-    assert {j: cluster.jobs[j].parent_state() for j in cluster.jobs} == \
-        {j: restored.jobs[j].parent_state() for j in restored.jobs}
+    assert {j: parent_state(cluster.jobs[j]) for j in cluster.jobs} == \
+        {j: parent_state(restored.jobs[j]) for j in restored.jobs}
     assert restored.to_dict() == cluster.to_dict()
 
 
@@ -699,7 +701,7 @@ def golden_schedule(seed):
         f"{task.node} {task.exit_code}"
         for _, job in sorted(cluster.jobs.items()) for task in job.tasks
     ]
-    return "\n--\n".join(traces + ["\n".join(table), cluster.fs.snapshot()])
+    return "\n--\n".join(traces + ["\n".join(table), fs_snapshot(cluster.fs)])
 
 
 # sha256 over golden_schedule(seed) for each block of 50 seeds. The
@@ -728,13 +730,13 @@ def test_golden_traces(first_seed):
 
 class CheckedCluster(SimCluster):
     """Checks after every command and every advance that each job's state
-    from the task-state counts is its parent_state() from its tasks."""
+    from the task-state counts is its parent_state from its tasks."""
 
     checks = 0
 
     def check(self):
         for job in self.jobs.values():
-            assert self.job_state(job) is job.parent_state(), job.id
+            assert self.job_state(job) is parent_state(job), job.id
         CheckedCluster.checks += 1
 
     def sim_exec(self, command):
@@ -787,7 +789,7 @@ def test_unzip_holds_stored_entries_once(tmp_path):
     assert fs.files_under("/scratch/data") == ["r1/in/0.tiff", "r1/in/1.tiff", "r1/in/2.tiff"]
     assert [fs.read(f"/scratch/data/r1/in/{k}.tiff") for k in range(3)] == payload
     restored = SimCluster.from_dict(json.loads(json.dumps(endpoint.cluster.to_dict())))
-    assert restored.fs.snapshot() == fs.snapshot()
+    assert fs_snapshot(restored.fs) == fs_snapshot(fs)
 
 
 def test_large_upload_is_never_read_whole(tmp_path):
@@ -822,7 +824,7 @@ def test_large_upload_is_never_read_whole(tmp_path):
     assert fs.files_under("/scratch/data") == [f"r1/in/{k}.tiff" for k in range(8)]
     assert [fs.read(f"/scratch/data/r1/in/{k}.tiff") for k in range(8)] == payload
     restored = SimCluster.from_dict(json.loads(json.dumps(endpoint.cluster.to_dict())))
-    assert restored.fs.snapshot() == fs.snapshot()
+    assert fs_snapshot(restored.fs) == fs_snapshot(fs)
 
 
 def expand_sacct(stdout):

@@ -28,7 +28,7 @@ from slurmbridge.errors import (
 from slurmbridge.simslurm import FaultDirective, SimCluster, SimEndpoint
 from slurmbridge.states import JobState, aggregate_array_states
 from slurmbridge.transport import DEFAULT_DEADLINE_S, ExecResult, unframe_commands
-from tests.conftest import traced_peak
+from tests.conftest import fs_snapshot, is_reachable, traced_peak
 from tests.test_simslurm import submit_script
 from tests.test_transport import ssh_endpoint
 
@@ -155,11 +155,11 @@ class TestInitEnvironment:
         # Oracle: compare remote tree snapshots before/after the second call.
         endpoint, profile, registry = env
         slurm.init_environment(endpoint, profile, registry)
-        first = endpoint.cluster.fs.snapshot()
+        first = fs_snapshot(endpoint.cluster.fs)
         report = slurm.init_environment(endpoint, profile, registry)
         assert report.refreshed is True
         assert report.pulled_images == []
-        assert endpoint.cluster.fs.snapshot() == first
+        assert fs_snapshot(endpoint.cluster.fs) == first
 
     def test_partial_pull_failure_retains_others(self, env):
         endpoint, profile, registry = env
@@ -804,8 +804,6 @@ class TestStateMonotonicityProperty:
     def test_random_poll_timings_respect_transitions(self):
         # Criterion-7-style check at reduced scale; acceptance runs 500.
         import random
-
-        from slurmbridge.states import is_reachable
 
         for seed in range(100):
             rng = random.Random(seed)

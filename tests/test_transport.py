@@ -28,7 +28,7 @@ from slurmbridge.errors import (
     TransportError,
 )
 from slurmbridge.simslurm import SimCluster, SimEndpoint
-from tests.conftest import traced_peak
+from tests.conftest import fs_snapshot, traced_peak
 
 
 class TestExec:
@@ -109,10 +109,10 @@ class TestTransfers:
         local.write_bytes(b"payload")
         sim_endpoint.make_dirs("/remote/target")
         sim_endpoint.cluster.fs.write("/remote/target/kept.bin", b"kept")
-        before = sim_endpoint.cluster.fs.snapshot()
+        before = fs_snapshot(sim_endpoint.cluster.fs)
         with pytest.raises(DestinationUnwritable):
             sim_endpoint.put_file(str(local), "/remote/target" + slash)
-        assert sim_endpoint.cluster.fs.snapshot() == before
+        assert fs_snapshot(sim_endpoint.cluster.fs) == before
 
     def test_unhashable_copy_leaves_no_staging_file(self, tmp_path):
         class NoDigest(SimEndpoint):
@@ -357,9 +357,9 @@ def test_file_ops_match_real_tools(tmp_path_factory, ops):
                 argv.append(str(archive))
             argv += paths
             if _outside_grammar(argv):
-                before = fs.snapshot()
+                before = fs_snapshot(fs)
                 assert endpoint.cluster.sim_exec(argv).exit_code != 0, (step, argv)
-                assert fs.snapshot() == before, (step, argv)
+                assert fs_snapshot(fs) == before, (step, argv)
             else:
                 sim = endpoint.cluster.sim_exec(argv)
                 real = subprocess.run(argv, stdin=subprocess.DEVNULL, capture_output=True)
@@ -487,9 +487,9 @@ def test_forms_the_client_never_sends_are_refused(archive, argv):
     cluster.fs.write("/w/f", b"f")
     cluster.fs.write("/w/d/g", b"g")
     cluster.fs.write("/w/a.zip", archive)
-    before = cluster.fs.snapshot()
+    before = fs_snapshot(cluster.fs)
     assert cluster.sim_exec(argv).exit_code != 0
-    assert cluster.fs.snapshot() == before
+    assert fs_snapshot(cluster.fs) == before
 
 
 @pytest.mark.skipif(any(shutil.which(tool) is None for tool in ("sha256sum", "base64")),
